@@ -363,8 +363,8 @@ pub fn execute(cfg: &RunConfig) -> Result<RunReport, String> {
 
     // Saturation signal: the scheduler's queue high-water mark.
     let peak_queue_depth = submitter.health().map_or(0, |h| h.peak_queue_depth);
-    // The target's live sample window, if it was sampling (pre-v7
-    // servers answer Err; a sampler-less target answers empty) — either
+    // The target's live sample window, if it was sampling (a router
+    // answers Err; a sampler-less target answers empty) — either
     // way the artifact's optional series section just stays absent.
     let series = submitter.series().map_or_else(
         |_| Vec::new(),

@@ -187,7 +187,7 @@ impl HistogramSnapshot {
     /// up to its bucket's upper bound — as much as 2× the true value)
     /// and is clamped into `[min_ns, max_ns]` when the snapshot carries
     /// exact extremes, which makes single-valued histograms and the
-    /// p100 exact. Snapshots decoded from legacy v2 wire frames have no
+    /// p100 exact. Snapshots merged from bucket deltas alone have no
     /// extremes (`max_ns == 0` with observations) and skip the clamp.
     pub fn quantile_ns(&self, q: f64) -> u64 {
         if self.count == 0 {

@@ -7,7 +7,7 @@
 //!
 //! Reads either a flight-recorder bundle (written by `wabench-served`
 //! when an alert starts firing, `--postmortem-dir`) or a live server
-//! over the v8 protocol, correlates the evidence — firing alerts,
+//! over its socket, correlates the evidence — firing alerts,
 //! armed fault sites, resilience counters, breaker trips, queue
 //! saturation, the hottest profile phase, slowest exemplars — and
 //! prints a ranked diagnosis: one human paragraph followed by
@@ -28,7 +28,7 @@ fn usage() -> ! {
         "usage: wabench-doctor (--bundle FILE | --socket PATH) [--top N] [--log error|warn|info|debug]\n\
          \n\
          --bundle  diagnose a flight-recorder bundle written by wabench-served\n\
-         --socket  diagnose a live server over the v8 protocol\n\
+         --socket  diagnose a live server over its socket\n\
          --top     cap the number of findings printed (default 8)"
     );
     exit(2);
@@ -263,10 +263,9 @@ fn evidence_from_socket(path: &Path) -> Result<Evidence, String> {
             (name, b.state.name().to_string(), b.trips)
         })
         .collect();
-    // v8 extras; older servers answer Err and the sections stay empty.
-    // A wabench-router target refuses these per-shard requests with a
-    // `router:`-prefixed Err (see PROTOCOL.md): same degradation, but
-    // say so — the diagnosis then covers fleet aggregates only.
+    // Per-shard extras. A wabench-router target refuses them with a
+    // `router:`-prefixed Err (see PROTOCOL.md) and the sections stay
+    // empty; say so — the diagnosis then covers fleet aggregates only.
     let mut router_refusals = 0u32;
     let mut note_refusal = |e: std::io::Error| {
         if e.to_string().contains("router:") {

@@ -16,28 +16,26 @@
 //! wabench-served smoke  [--dir DIR] [--jobs N]
 //! ```
 //!
-//! `stats-ext` speaks protocol v3: besides the classic counters it
-//! reports queue depth, worker utilization, queue-wait/per-engine
-//! latency histograms (min/p50/p95/p99/max), and — once profiled jobs
-//! have run — per-engine simulated IPC/MPKI aggregates. Older servers
-//! answer `Err` (v1) or omit the v3 fields (v2).
+//! `stats-ext` reports, besides the classic counters, queue depth,
+//! worker utilization, queue-wait/per-engine latency histograms
+//! (min/p50/p95/p99/max), and — once profiled jobs have run —
+//! per-engine simulated IPC/MPKI aggregates.
 //!
-//! `health` speaks protocol v4: resilience counters (retries,
-//! interpreter fallbacks, store repairs, breaker fast-fails), circuit
-//! breaker states per engine, and any active fault-injection sites.
+//! `health` reports resilience counters (retries, interpreter
+//! fallbacks, store repairs, breaker fast-fails), circuit breaker
+//! states per engine, and any active fault-injection sites.
 //! `--faults PLAN` (or the `WABENCH_FAULTS` env var) arms deterministic
 //! fault injection for chaos testing; see `docs/OPERATIONS.md`.
 //!
-//! `series` and `trace-dump` speak protocol v7: the serve path runs a
-//! background telemetry sampler (`--sample-ms`, 0 disables) whose delta
-//! window `series` fetches, and keeps recent plus slow-request
-//! (`--slow-ms` threshold) span digests that `trace-dump` fetches for
-//! client-side stitching. `wabench-top` builds a live view on top.
+//! `series` and `trace-dump`: the serve path runs a background
+//! telemetry sampler (`--sample-ms`, 0 disables) whose delta window
+//! `series` fetches, and keeps recent plus slow-request (`--slow-ms`
+//! threshold) span digests that `trace-dump` fetches for client-side
+//! stitching. `wabench-top` builds a live view on top.
 //!
-//! `alerts` speaks protocol v8: `--alerts SPEC` (or `WABENCH_ALERTS`)
-//! arms the SLO alert engine — burn-rate, p99-ceiling, queue-depth,
-//! breaker-open and profile-drift rules evaluated against the sampled
-//! series — and `--postmortem-dir DIR` makes every pending→firing
+//! `alerts`: `--alerts SPEC` (or `WABENCH_ALERTS`) arms the SLO alert
+//! engine — burn-rate, p99-ceiling, queue-depth, breaker-open and
+//! profile-drift rules evaluated against the sampled series — and `--postmortem-dir DIR` makes every pending→firing
 //! transition snapshot a flight-recorder bundle for `wabench-doctor`.
 //! `--profile-ms N` arms the continuous profiler whose windows
 //! `wabench-prof windows` / `wdiff` fetch. All three are off by
@@ -59,7 +57,7 @@ use engines::EngineKind;
 use obs::alert::AlertSpec;
 use svc::job::{JobMode, JobSpec, Scale};
 use svc::scheduler::{Config, HealthReport, Scheduler, SvcStats, SvcStatsExt};
-use svc::server::{serve, serve_threaded, Client};
+use svc::server::{serve, Client};
 use svc::telemetry::{AlertReport, SeriesReport, TelemetryConfig, TraceReport};
 use wacc::OptLevel;
 
@@ -68,7 +66,7 @@ fn usage() -> ! {
         "usage: wabench-served <serve|submit|stats|stats-ext|health|series|trace-dump|alerts|shutdown|smoke> [options]\n\
          \n\
          serve      --socket PATH [--workers N] [--store DIR] [--store-cap-mb M] [--timeout-s S] [--trace-out FILE] [--faults PLAN]\n\
-         \u{20}          [--sample-ms N] [--series-cap N] [--slow-ms N] [--profile-ms N] [--alerts SPEC] [--postmortem-dir DIR] [--threaded]\n\
+         \u{20}          [--sample-ms N] [--series-cap N] [--slow-ms N] [--profile-ms N] [--alerts SPEC] [--postmortem-dir DIR]\n\
          submit     --socket PATH --bench NAME [--engine E] [--level O2] [--scale test] [--mode exec|aot|profiled] [--warm]\n\
          stats      --socket PATH\n\
          stats-ext  --socket PATH\n\
@@ -124,7 +122,6 @@ struct Opts {
     profile_ms: u64,
     alerts: Option<String>,
     postmortem_dir: Option<PathBuf>,
-    threaded: bool,
 }
 
 impl Opts {
@@ -151,7 +148,6 @@ impl Opts {
             profile_ms: 0,
             alerts: None,
             postmortem_dir: None,
-            threaded: false,
         }
     }
 }
@@ -279,7 +275,6 @@ fn parse_opts(args: &[String]) -> Opts {
                     })
             }
             "--alerts" => o.alerts = Some(take_value(args, &mut i, "--alerts")),
-            "--threaded" => o.threaded = true,
             "--postmortem-dir" => {
                 o.postmortem_dir =
                     Some(PathBuf::from(take_value(args, &mut i, "--postmortem-dir")))
@@ -563,21 +558,15 @@ fn cmd_serve(o: &Opts) {
         exit(1);
     });
     obs::info!(
-        "wabench-served: listening on {} ({} workers{}, {} front-end)",
+        "wabench-served: listening on {} ({} workers{}, reactor front-end)",
         socket.display(),
         o.workers,
         match &o.store {
             Some(d) => format!(", store {}", d.display()),
             None => String::new(),
-        },
-        if o.threaded { "thread-per-conn" } else { "reactor" }
+        }
     );
-    let outcome = if o.threaded {
-        serve_threaded(&socket, Arc::new(sched))
-    } else {
-        serve(&socket, Arc::new(sched))
-    };
-    if let Err(e) = outcome {
+    if let Err(e) = serve(&socket, Arc::new(sched)) {
         obs::error!("server error: {e}");
         exit(1);
     }
@@ -643,7 +632,7 @@ fn cmd_health(o: &Opts) {
         exit(1);
     });
     print_health(&client.health().expect("health"));
-    // v8 servers also report firing alerts; older servers answer Err.
+    // Firing alerts too; a router answers Err for the per-shard log.
     if let Ok(a) = client.alert_log() {
         if a.armed && a.firing.is_empty() {
             println!("alerts: armed, none firing");
@@ -751,10 +740,10 @@ fn cmd_smoke(o: &Opts) {
             }
         }
         let stats = client.stats().expect("stats");
-        // Exercise the protocol-v2 path over the real socket too.
+        // Exercise the stats-ext path over the real socket too.
         let ext = client.stats_ext().expect("stats-ext");
         assert_eq!(ext.base.completed, stats.completed, "stats-ext disagrees");
-        // And the v4 health path: no faults armed, so everything clean.
+        // And the health path: no faults armed, so everything clean.
         let health = client.health().expect("health");
         assert_eq!(health.resilience.retries, 0, "unexpected retries in smoke");
         assert!(health.faults.is_empty(), "no fault plan was armed");

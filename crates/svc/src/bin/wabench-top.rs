@@ -5,7 +5,7 @@
 //!             [--slo-target F] [--log LEVEL]
 //! ```
 //!
-//! Polls the protocol v7 `Series` request (plus `Health` and `StatsExt`
+//! Polls the `Series` request (plus `Health` and `StatsExt`
 //! for breaker states and worker counts) and prints one status line per
 //! tick, vmstat-style: live QPS, p50/p99 job latency, queue depth,
 //! worker utilization, breaker states, and a rolling SLO burn-rate
@@ -155,8 +155,8 @@ struct WindowAgg {
     p50_weighted: u128,
     /// Max interval p99 — a conservative window tail.
     p99_max_ns: u64,
-    /// Merged interval bucket deltas (v8 sparse trailers summed) and
-    /// how many observations they cover.
+    /// Merged interval bucket deltas (the points' sparse pairs summed)
+    /// and how many observations they cover.
     lat_buckets: [u64; BUCKETS],
     lat_bucket_count: u64,
     span_ns: u64,
@@ -203,8 +203,8 @@ impl WindowAgg {
     /// Honest whole-window p99: merge the per-interval bucket deltas
     /// into one histogram and interpolate, instead of taking the max
     /// of interval p99s (which over-reports whenever one thin interval
-    /// has a bad tail). Falls back to the interval max against pre-v8
-    /// servers that ship no bucket deltas.
+    /// has a bad tail). Falls back to the interval max when the points
+    /// carry no bucket deltas.
     fn p99_ns(&self) -> u64 {
         if self.lat_bucket_count == 0 {
             return self.p99_max_ns;
@@ -315,7 +315,7 @@ fn cmd_once(o: &Opts) {
     println!("burn_rate={:.3}", agg.burn_rate(o.slo_target));
     println!("slo_target={}", o.slo_target);
     println!("breakers={}", breaker_summary(&health.breakers));
-    // v8 servers report the alert engine; older ones answer Err.
+    // The alert log is per-shard: a router answers Err.
     if let Ok(a) = client.alert_log() {
         println!("alerts_armed={}", u8::from(a.armed));
         println!("alerts_firing={}", a.firing.len());
@@ -336,7 +336,7 @@ fn header() {
 }
 
 /// Poll loop: one status line per tick from the newest sample deltas.
-/// Uses the v8 `since` cursor so the server only ships fresh samples;
+/// Uses the `since` cursor so the server only ships fresh samples;
 /// a cursorless first fetch seeds the cursor from the buffered window.
 fn cmd_watch(o: &Opts) {
     let mut client = connect(&o.socket);
@@ -452,8 +452,8 @@ mod tests {
         assert!(merged > 0, "merged p99 interpolates a nonzero estimate");
     }
 
-    /// Against a pre-v8 server no bucket deltas arrive; the aggregate
-    /// falls back to the conservative interval max.
+    /// Without bucket deltas the aggregate falls back to the
+    /// conservative interval max.
     #[test]
     fn window_p99_falls_back_to_interval_max_without_bucket_deltas() {
         let points = vec![

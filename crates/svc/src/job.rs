@@ -159,9 +159,9 @@ impl std::fmt::Display for JobSpec {
 
 /// Client-originated trace context carried alongside a submit.
 ///
-/// `trace_id == 0` means "untraced" (legacy v6 clients, or callers that
-/// do not stitch); the scheduler still records a digest, it just cannot
-/// be joined against client spans.
+/// `trace_id == 0` means "untraced" (callers that do not stitch); the
+/// scheduler still records a digest, it just cannot be joined against
+/// client spans.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TraceCtx {
     /// 64-bit trace id minted by the client (the stitch join key).
@@ -292,7 +292,7 @@ pub struct JobResult {
     /// What the resilience layer did (retries, fallbacks, repairs).
     pub recovery: Recovery,
     /// Span digest: phase timestamps on the server trace clock plus the
-    /// echoed client trace context (all-zero for legacy v6 frames).
+    /// echoed client trace context (zero for untraced submits).
     pub trace: TraceDigest,
 }
 

@@ -1,8 +1,10 @@
 //! The `wabench-served` request/response protocol.
 //!
-//! Messages travel as length-prefixed frames ([`crate::wire`]); the
-//! payload is a tag byte plus the message body. Decoding treats every
-//! payload as untrusted and must consume it exactly.
+//! Messages travel as length-prefixed frames ([`crate::wire`]); every
+//! payload is `u16 version · u8 tag · body`. Decoding treats every
+//! payload as untrusted and must consume it exactly: each strict prefix
+//! of a valid payload, and a valid payload plus trailing bytes, is an
+//! error.
 
 use engines::EngineKind;
 use obs::metrics::{HistogramSnapshot, BUCKETS};
@@ -18,68 +20,11 @@ use crate::telemetry::{
 };
 use crate::wire::{level_byte, level_from_byte, WireError, WireReader, WireWriter};
 
-/// Protocol version, carried at the head of the `StatsExt` and `Health`
-/// replies. Version history:
-///
-/// - v1: Ping/Submit/Poll/Wait/Stats/Shutdown (implicit — v1 frames
-///   carry no version field, and none of those messages changed).
-/// - v2: adds `StatsExt` (request tag 6, response tag 7) with queue
-///   depth, worker utilization, and latency histogram snapshots.
-/// - v3: histogram snapshots carry exact `min_ns`/`max_ns`, and the
-///   `StatsExt` reply ends with per-engine simulated-counter
-///   aggregates (jobs + the ten perf-stat counters). Decoding still
-///   accepts v2 frames: the extras default to zero/empty.
-/// - v4: adds `Health` (request tag 7, response tag 8) reporting
-///   per-engine circuit-breaker states and resilience counters, and the
-///   `Result` response gains a recovery trailer (attempts, interpreter
-///   fallback, store repairs). `Result` frames without the trailer (v3
-///   peers) still decode with a default recovery; `StatsExt` is
-///   unchanged from v3.
-/// - v5: adds the `checks_skipped` simulated counter (safety checks
-///   removed by static elimination proofs). The ten-u64 counter block
-///   is frozen; the new counter is appended frame-final to `Result`
-///   (after the v4 recovery trailer) and version-gated behind each
-///   per-engine aggregate in `StatsExt`. v4 frames still decode, with
-///   the counter defaulting to zero.
-/// - v6: the `Health` reply gains a frame-final queue-depth trailer
-///   (`u64` current depth, `u64` peak depth) so load generators can
-///   detect scheduler saturation. Gated on the version head: v4/v5
-///   frames still decode with both depths defaulting to zero.
-/// - v7: end-to-end tracing and live telemetry. `Submit` gains an
-///   optional frame-final trace-context trailer (client trace id +
-///   origin timestamp, 16 bytes) — omitted entirely for untraced
-///   submits, which therefore stay byte-identical to v6, and absent
-///   trailers decode as "untraced". The `Result` response gains a
-///   frame-final 40-byte span-digest trailer (echoed trace context
-///   plus enqueue/start/done timestamps on the server trace clock);
-///   v4–v6 frames decode with an all-zero digest. Two new messages:
-///   `Series` (request tag 8, response tag 9) returns the live
-///   telemetry sample window, and `TraceDump` (request tag 9, response
-///   tag 10) returns recent and slow-request server span digests; both
-///   replies carry the version head.
-/// - v8: continuous profiling and SLO alerting. The `Series` request
-///   gains an optional frame-final `since` cursor (u64 sequence number;
-///   only points with a greater seq are returned) — omitted entirely
-///   for whole-window fetches, which stay byte-identical to v7, and
-///   absent cursors decode as "whole window". Each `Series` reply point
-///   gains a sparse latency-bucket trailer (u32 pair count, then
-///   `(u8 bucket index, u64 count)` pairs), gated on the version head
-///   so v7 frames still decode with empty buckets. Two new messages:
-///   `ProfileDump` (request tag 10, response tag 11) returns the
-///   continuous profiler's retained windows, and `AlertLog` (request
-///   tag 11, response tag 12) returns the alert engine's firing set and
-///   transition log; both replies carry the version head.
-/// - v9: multi-node serving. `Busy` (response tag 13) is an explicit
-///   admission-control rejection carrying a `u32` retry-after hint in
-///   milliseconds — `wabench-router` sheds load with it when aggregate
-///   shard queue depth crosses its watermark (a single-node
-///   `wabench-served` never sends it). `Backends` (request tag 12,
-///   response tag 14) reports a router's per-backend routing table:
-///   health, cached queue depth, jobs forwarded, and failovers; the
-///   reply carries the version head. A plain `wabench-served` answers
-///   `Backends` with `Err`, which is how clients tell a shard from a
-///   router.
-pub const PROTO_VERSION: u16 = 9;
+/// The one protocol version, at the head of every request and response
+/// payload. Both decoders refuse any other value: every peer is built
+/// from this workspace, so a mismatch means mixed builds, not an older
+/// client to accommodate. Bump it whenever a message layout changes.
+pub const PROTO_VERSION: u16 = 10;
 
 /// Client → server.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -87,8 +32,8 @@ pub enum Request {
     /// Liveness probe.
     Ping,
     /// Enqueue a job; answered with `Submitted(id)`. The trace context
-    /// (protocol v7) joins the job's server-side spans to the client's;
-    /// a default context means "untraced" and encodes exactly like v6.
+    /// joins the job's server-side spans to the client's; a default
+    /// context means "untraced".
     Submit(JobSpec, TraceCtx),
     /// Non-blocking result query; `Pending` or `Result`.
     Poll(u64),
@@ -98,30 +43,25 @@ pub enum Request {
     Stats,
     /// Stop the server (drains queued jobs first).
     Shutdown,
-    /// Extended statistics (protocol v2; older servers answer `Err`).
+    /// Extended statistics: queue depth, worker utilization, latency
+    /// histograms, per-engine simulated counters.
     StatsExt,
-    /// Resilience health: breaker states and fault/retry counters
-    /// (protocol v4; older servers answer `Err`).
+    /// Resilience health: breaker states and fault/retry counters.
     Health,
-    /// Live telemetry time series: the sampler's buffered delta window
-    /// (protocol v7; older servers answer `Err`). The optional cursor
-    /// (protocol v8) limits the reply to points with a greater sequence
-    /// number; `None` fetches the whole window and encodes exactly like
-    /// v7.
+    /// Live telemetry time series: the sampler's buffered delta window.
+    /// The cursor limits the reply to points with a greater sequence
+    /// number; `None` fetches the whole window.
     Series(Option<u64>),
     /// Recent and slow-request server span digests for client-side
-    /// stitching (protocol v7; older servers answer `Err`).
+    /// stitching.
     TraceDump,
-    /// The continuous profiler's retained windows (protocol v8; older
-    /// servers answer `Err`).
+    /// The continuous profiler's retained windows.
     ProfileDump,
-    /// The SLO alert engine's firing set and transition log (protocol
-    /// v8; older servers answer `Err`).
+    /// The SLO alert engine's firing set and transition log.
     AlertLog,
     /// The routing table of a `wabench-router`: per-backend health,
-    /// forward counts, and failovers (protocol v9). A plain
-    /// `wabench-served` answers `Err` — the cheap way to distinguish a
-    /// shard from a router.
+    /// forward counts, and failovers. A plain `wabench-served` answers
+    /// `Err` — the cheap way to distinguish a shard from a router.
     Backends,
 }
 
@@ -142,30 +82,30 @@ pub enum Response {
     Err(String),
     /// Acknowledges `Shutdown`.
     Bye,
-    /// Extended statistics snapshot (protocol v2). Boxed: the inline
-    /// histogram bucket arrays dwarf every other variant.
+    /// Extended statistics snapshot. Boxed: the inline histogram bucket
+    /// arrays dwarf every other variant.
     StatsExt(Box<SvcStatsExt>),
-    /// Resilience health snapshot (protocol v4).
+    /// Resilience health snapshot.
     Health(HealthReport),
-    /// Live telemetry sample window (protocol v7).
+    /// Live telemetry sample window.
     Series(SeriesReport),
-    /// Recent/slow-request span digests (protocol v7).
+    /// Recent/slow-request span digests.
     TraceDump(TraceReport),
-    /// Continuous-profile windows (protocol v8).
+    /// Continuous-profile windows.
     ProfileDump(ProfileReport),
-    /// Alert firing set and transition log (protocol v8).
+    /// Alert firing set and transition log.
     AlertLog(AlertReport),
-    /// Admission-control rejection (protocol v9): the tier is saturated
-    /// and the job was *not* enqueued. Carries a retry-after hint in
-    /// milliseconds. Only routers send this; it is not an error — the
-    /// client should back off and resubmit.
+    /// Admission-control rejection: the tier is saturated and the job
+    /// was *not* enqueued. Carries a retry-after hint in milliseconds.
+    /// Only routers send this; it is not an error — the client should
+    /// back off and resubmit.
     Busy(u32),
-    /// A router's routing table (protocol v9).
+    /// A router's routing table.
     Backends(BackendsReport),
 }
 
-/// The protocol v9 `Backends` reply: a router's view of its shard
-/// fleet plus its own admission-control state.
+/// The `Backends` reply: a router's view of its shard fleet plus its
+/// own admission-control state.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct BackendsReport {
     /// Aggregate queue-depth watermark above which the router sheds
@@ -196,8 +136,6 @@ pub struct BackendStatus {
 }
 
 fn encode_backends(w: &mut WireWriter, b: &BackendsReport) {
-    w.u8((PROTO_VERSION & 0xff) as u8);
-    w.u8((PROTO_VERSION >> 8) as u8);
     w.u64(b.watermark);
     w.u64(b.shed);
     w.u32(b.backends.len() as u32);
@@ -212,10 +150,6 @@ fn encode_backends(w: &mut WireWriter, b: &BackendsReport) {
 }
 
 fn decode_backends(r: &mut WireReader<'_>) -> Result<BackendsReport, WireError> {
-    let version = r.u8()? as u16 | ((r.u8()? as u16) << 8);
-    if !(9..=PROTO_VERSION).contains(&version) {
-        return Err(bad("unsupported backends version"));
-    }
     let watermark = r.u64()?;
     let shed = r.u64()?;
     let n = r.u32()?;
@@ -239,6 +173,12 @@ fn decode_backends(r: &mut WireReader<'_>) -> Result<BackendsReport, WireError> 
 
 fn bad(msg: &str) -> WireError {
     WireError(msg.to_string())
+}
+
+fn version_mismatch(peer: u16) -> WireError {
+    WireError(format!(
+        "protocol version mismatch: peer speaks v{peer}, this build speaks v{PROTO_VERSION}"
+    ))
 }
 
 fn encode_spec(w: &mut WireWriter, spec: &JobSpec) {
@@ -304,6 +244,7 @@ fn encode_counters(w: &mut WireWriter, c: &archsim::Counters) {
         c.l1d_misses,
         c.l1i_accesses,
         c.l1i_misses,
+        c.checks_skipped,
     ] {
         w.u64(v);
     }
@@ -321,9 +262,7 @@ fn decode_counters(r: &mut WireReader<'_>) -> Result<archsim::Counters, WireErro
         l1d_misses: r.u64()?,
         l1i_accesses: r.u64()?,
         l1i_misses: r.u64()?,
-        // v5 appends checks_skipped outside this block (frame-final in
-        // `Result`, version-gated in `StatsExt`) so v4 frames decode.
-        checks_skipped: 0,
+        checks_skipped: r.u64()?,
     })
 }
 
@@ -357,19 +296,11 @@ fn encode_result(w: &mut WireWriter, res: &JobResult) {
     }
     w.bool(res.warm_artifact);
     w.f64(res.wall_s);
-    // v4 recovery trailer. Result is the last field of its frame, so a
-    // v3 decoder reading a v4 frame stops cleanly before the trailer,
-    // and a v4 decoder detects a v3 frame by the missing bytes.
     w.u32(res.recovery.attempts);
     w.bool(res.recovery.compile_fallback);
     w.u32(res.recovery.store_repairs);
-    // v5 trailer: checks skipped by static elimination proofs, zero for
-    // unprofiled jobs. Frame-final like the recovery trailer, so a v4
-    // frame's absence is detectable from the frame length.
-    w.u64(res.counters.as_ref().map_or(0, |c| c.checks_skipped));
-    // v7 trailer: the per-job span digest (echoed trace context plus
-    // the queue/run timestamps on the server trace clock). Five u64s =
-    // 40 bytes, frame-final, so v6 frames are detectable by length.
+    // The per-job span digest: echoed trace context plus the queue/run
+    // timestamps on the server trace clock.
     w.u64(res.trace.trace_id);
     w.u64(res.trace.origin_ns);
     w.u64(res.trace.enqueue_ns);
@@ -386,41 +317,24 @@ fn decode_result(r: &mut WireReader<'_>) -> Result<JobResult, WireError> {
     let compile_s = r.f64()?;
     let exec_s = r.f64()?;
     let aot_compile_s = if r.bool()? { Some(r.f64()?) } else { None };
-    let mut counters = if r.bool()? {
+    let counters = if r.bool()? {
         Some(decode_counters(r)?)
     } else {
         None
     };
     let warm_artifact = r.bool()?;
     let wall_s = r.f64()?;
-    // v3 peers end the frame here; their results carry no recovery.
-    let recovery = if r.remaining() > 0 {
-        Recovery {
-            attempts: r.u32()?,
-            compile_fallback: r.bool()?,
-            store_repairs: r.u32()?,
-        }
-    } else {
-        Recovery::default()
+    let recovery = Recovery {
+        attempts: r.u32()?,
+        compile_fallback: r.bool()?,
+        store_repairs: r.u32()?,
     };
-    // v4 frames end here; their profiled results predate the counter.
-    if r.remaining() >= 8 {
-        let checks_skipped = r.u64()?;
-        if let Some(c) = &mut counters {
-            c.checks_skipped = checks_skipped;
-        }
-    }
-    // v5/v6 frames end here; their results carry no span digest.
-    let trace = if r.remaining() >= 40 {
-        TraceDigest {
-            trace_id: r.u64()?,
-            origin_ns: r.u64()?,
-            enqueue_ns: r.u64()?,
-            start_ns: r.u64()?,
-            done_ns: r.u64()?,
-        }
-    } else {
-        TraceDigest::default()
+    let trace = TraceDigest {
+        trace_id: r.u64()?,
+        origin_ns: r.u64()?,
+        enqueue_ns: r.u64()?,
+        start_ns: r.u64()?,
+        done_ns: r.u64()?,
     };
     Ok(JobResult {
         id,
@@ -507,7 +421,7 @@ fn decode_stats(r: &mut WireReader<'_>) -> Result<SvcStats, WireError> {
 fn encode_histogram(w: &mut WireWriter, h: &HistogramSnapshot) {
     w.u64(h.count);
     w.u64(h.sum_ns);
-    // v3: exact extremes travel alongside the bucketed shape.
+    // Exact extremes travel alongside the bucketed shape.
     w.u64(h.min_ns);
     w.u64(h.max_ns);
     let nonzero: Vec<(usize, u64)> = h
@@ -524,19 +438,12 @@ fn encode_histogram(w: &mut WireWriter, h: &HistogramSnapshot) {
     }
 }
 
-fn decode_histogram(r: &mut WireReader<'_>, version: u16) -> Result<HistogramSnapshot, WireError> {
-    let count = r.u64()?;
-    let sum_ns = r.u64()?;
-    let (min_ns, max_ns) = if version >= 3 {
-        (r.u64()?, r.u64()?)
-    } else {
-        (0, 0)
-    };
+fn decode_histogram(r: &mut WireReader<'_>) -> Result<HistogramSnapshot, WireError> {
     let mut snapshot = HistogramSnapshot {
-        count,
-        sum_ns,
-        min_ns,
-        max_ns,
+        count: r.u64()?,
+        sum_ns: r.u64()?,
+        min_ns: r.u64()?,
+        max_ns: r.u64()?,
         ..HistogramSnapshot::default()
     };
     let n = r.u32()?;
@@ -551,10 +458,6 @@ fn decode_histogram(r: &mut WireReader<'_>, version: u16) -> Result<HistogramSna
 }
 
 fn encode_stats_ext(w: &mut WireWriter, s: &SvcStatsExt) {
-    // Version first, so future layout changes are detectable without
-    // guessing from payload length.
-    w.u8((PROTO_VERSION & 0xff) as u8);
-    w.u8((PROTO_VERSION >> 8) as u8);
     encode_stats(w, &s.base);
     w.u64(s.queue_depth);
     w.u64(s.workers);
@@ -566,50 +469,36 @@ fn encode_stats_ext(w: &mut WireWriter, s: &SvcStatsExt) {
         w.u8(*code);
         encode_histogram(w, h);
     }
-    // v3: per-engine simulated-counter aggregates.
+    // Per-engine simulated-counter aggregates.
     w.u32(s.engine_counters.len() as u32);
     for (code, agg) in &s.engine_counters {
         w.u8(*code);
         w.u64(agg.jobs);
         encode_counters(w, &agg.counters);
-        // v5: checks_skipped rides behind the frozen ten-u64 block.
-        w.u64(agg.counters.checks_skipped);
     }
 }
 
 fn decode_stats_ext(r: &mut WireReader<'_>) -> Result<SvcStatsExt, WireError> {
-    let version = r.u8()? as u16 | ((r.u8()? as u16) << 8);
-    if !(2..=PROTO_VERSION).contains(&version) {
-        return Err(bad("unsupported stats-ext version"));
-    }
     let base = decode_stats(r)?;
     let queue_depth = r.u64()?;
     let workers = r.u64()?;
     let uptime_s = r.f64()?;
     let busy_s = r.f64()?;
-    let queue_wait = decode_histogram(r, version)?;
+    let queue_wait = decode_histogram(r)?;
     let n = r.u32()?;
     let mut engine_wall = Vec::with_capacity(n.min(64) as usize);
     for _ in 0..n {
         let code = r.u8()?;
-        engine_wall.push((code, decode_histogram(r, version)?));
+        engine_wall.push((code, decode_histogram(r)?));
     }
-    let engine_counters = if version >= 3 {
-        let n = r.u32()?;
-        let mut aggs = Vec::with_capacity(n.min(64) as usize);
-        for _ in 0..n {
-            let code = r.u8()?;
-            let jobs = r.u64()?;
-            let mut counters = decode_counters(r)?;
-            if version >= 5 {
-                counters.checks_skipped = r.u64()?;
-            }
-            aggs.push((code, EngineCounters { jobs, counters }));
-        }
-        aggs
-    } else {
-        Vec::new()
-    };
+    let n = r.u32()?;
+    let mut engine_counters = Vec::with_capacity(n.min(64) as usize);
+    for _ in 0..n {
+        let code = r.u8()?;
+        let jobs = r.u64()?;
+        let counters = decode_counters(r)?;
+        engine_counters.push((code, EngineCounters { jobs, counters }));
+    }
     Ok(SvcStatsExt {
         base,
         queue_depth,
@@ -623,9 +512,6 @@ fn decode_stats_ext(r: &mut WireReader<'_>) -> Result<SvcStatsExt, WireError> {
 }
 
 fn encode_health(w: &mut WireWriter, h: &HealthReport) {
-    // Version first, like StatsExt, so layout changes stay detectable.
-    w.u8((PROTO_VERSION & 0xff) as u8);
-    w.u8((PROTO_VERSION >> 8) as u8);
     for v in [
         h.resilience.retries,
         h.resilience.compile_fallbacks,
@@ -647,16 +533,11 @@ fn encode_health(w: &mut WireWriter, h: &HealthReport) {
         w.f64(*rate);
         w.u64(*injected);
     }
-    // v6 queue-depth trailer, gated on the version head above.
     w.u64(h.queue_depth);
     w.u64(h.peak_queue_depth);
 }
 
 fn decode_health(r: &mut WireReader<'_>) -> Result<HealthReport, WireError> {
-    let version = r.u8()? as u16 | ((r.u8()? as u16) << 8);
-    if !(4..=PROTO_VERSION).contains(&version) {
-        return Err(bad("unsupported health version"));
-    }
     let resilience = ResilienceStats {
         retries: r.u64()?,
         compile_fallbacks: r.u64()?,
@@ -687,26 +568,16 @@ fn decode_health(r: &mut WireReader<'_>) -> Result<HealthReport, WireError> {
         let injected = r.u64()?;
         faults.push((site, rate, injected));
     }
-    // v6 trailer; absent from v4/v5 frames, where depths default to 0.
-    let (queue_depth, peak_queue_depth) = if version >= 6 {
-        (r.u64()?, r.u64()?)
-    } else {
-        (0, 0)
-    };
     Ok(HealthReport {
         resilience,
         breakers,
         faults,
-        queue_depth,
-        peak_queue_depth,
+        queue_depth: r.u64()?,
+        peak_queue_depth: r.u64()?,
     })
 }
 
 fn encode_series(w: &mut WireWriter, s: &SeriesReport) {
-    // Version first, like StatsExt/Health, so layout changes stay
-    // detectable.
-    w.u8((PROTO_VERSION & 0xff) as u8);
-    w.u8((PROTO_VERSION >> 8) as u8);
     w.u64(s.server_now_ns);
     w.u64(s.interval_ns);
     w.u32(s.points.len() as u32);
@@ -737,7 +608,7 @@ fn encode_series(w: &mut WireWriter, s: &SeriesReport) {
             w.u8(*code);
             w.u8(*state);
         }
-        // v8: the interval's sparse latency-bucket deltas, so clients
+        // The interval's sparse latency-bucket deltas, so clients
         // can merge intervals into an honest aggregate p99 instead of
         // maxing the per-interval ones.
         w.u32(p.lat.buckets.len() as u32);
@@ -749,10 +620,6 @@ fn encode_series(w: &mut WireWriter, s: &SeriesReport) {
 }
 
 fn decode_series(r: &mut WireReader<'_>) -> Result<SeriesReport, WireError> {
-    let version = r.u8()? as u16 | ((r.u8()? as u16) << 8);
-    if !(7..=PROTO_VERSION).contains(&version) {
-        return Err(bad("unsupported series version"));
-    }
     let server_now_ns = r.u64()?;
     let interval_ns = r.u64()?;
     let n = r.u32()?;
@@ -785,18 +652,14 @@ fn decode_series(r: &mut WireReader<'_>) -> Result<SeriesReport, WireError> {
             let code = r.u8()?;
             breakers.push((code, r.u8()?));
         }
-        // v8 bucket trailer; v7 peers never wrote it.
-        if version >= 8 {
-            let m = r.u32()?;
-            let mut buckets = Vec::with_capacity(m.min(BUCKETS as u32) as usize);
-            for _ in 0..m {
-                let i = r.u8()?;
-                if i as usize >= BUCKETS {
-                    return Err(bad("bad series bucket index"));
-                }
-                buckets.push((i, r.u64()?));
+        let m = r.u32()?;
+        lat.buckets.reserve(m.min(BUCKETS as u32) as usize);
+        for _ in 0..m {
+            let i = r.u8()?;
+            if i as usize >= BUCKETS {
+                return Err(bad("bad series bucket index"));
             }
-            lat.buckets = buckets;
+            lat.buckets.push((i, r.u64()?));
         }
         points.push(SeriesPoint {
             seq,
@@ -820,9 +683,6 @@ fn decode_series(r: &mut WireReader<'_>) -> Result<SeriesReport, WireError> {
 }
 
 fn encode_profile_report(w: &mut WireWriter, p: &ProfileReport) {
-    // Version first, like the other evolving replies.
-    w.u8((PROTO_VERSION & 0xff) as u8);
-    w.u8((PROTO_VERSION >> 8) as u8);
     w.u64(p.server_now_ns);
     w.u64(p.window_ns);
     w.u32(p.windows.len() as u32);
@@ -842,10 +702,6 @@ fn encode_profile_report(w: &mut WireWriter, p: &ProfileReport) {
 }
 
 fn decode_profile_report(r: &mut WireReader<'_>) -> Result<ProfileReport, WireError> {
-    let version = r.u8()? as u16 | ((r.u8()? as u16) << 8);
-    if !(8..=PROTO_VERSION).contains(&version) {
-        return Err(bad("unsupported profile-dump version"));
-    }
     let server_now_ns = r.u64()?;
     let window_ns = r.u64()?;
     let n = r.u32()?;
@@ -881,8 +737,6 @@ fn decode_profile_report(r: &mut WireReader<'_>) -> Result<ProfileReport, WireEr
 }
 
 fn encode_alert_report(w: &mut WireWriter, a: &AlertReport) {
-    w.u8((PROTO_VERSION & 0xff) as u8);
-    w.u8((PROTO_VERSION >> 8) as u8);
     w.u64(a.server_now_ns);
     w.bool(a.armed);
     w.u32(a.firing.len() as u32);
@@ -906,10 +760,6 @@ fn encode_alert_report(w: &mut WireWriter, a: &AlertReport) {
 }
 
 fn decode_alert_report(r: &mut WireReader<'_>) -> Result<AlertReport, WireError> {
-    let version = r.u8()? as u16 | ((r.u8()? as u16) << 8);
-    if !(8..=PROTO_VERSION).contains(&version) {
-        return Err(bad("unsupported alert-log version"));
-    }
     let server_now_ns = r.u64()?;
     let armed = r.bool()?;
     let n = r.u32()?;
@@ -987,8 +837,6 @@ fn decode_trace_record(r: &mut WireReader<'_>) -> Result<TraceRecord, WireError>
 }
 
 fn encode_trace_report(w: &mut WireWriter, t: &TraceReport) {
-    w.u8((PROTO_VERSION & 0xff) as u8);
-    w.u8((PROTO_VERSION >> 8) as u8);
     w.u64(t.server_now_ns);
     w.u64(t.slow_threshold_ns);
     w.u32(t.recent.len() as u32);
@@ -1002,10 +850,6 @@ fn encode_trace_report(w: &mut WireWriter, t: &TraceReport) {
 }
 
 fn decode_trace_report(r: &mut WireReader<'_>) -> Result<TraceReport, WireError> {
-    let version = r.u8()? as u16 | ((r.u8()? as u16) << 8);
-    if !(7..=PROTO_VERSION).contains(&version) {
-        return Err(bad("unsupported trace-dump version"));
-    }
     let server_now_ns = r.u64()?;
     let slow_threshold_ns = r.u64()?;
     let n = r.u32()?;
@@ -1030,18 +874,14 @@ impl Request {
     /// Encodes into a frame payload.
     pub fn encode(&self) -> Vec<u8> {
         let mut w = WireWriter::new();
+        w.u16(PROTO_VERSION);
         match self {
             Request::Ping => w.u8(0),
             Request::Submit(spec, ctx) => {
                 w.u8(1);
                 encode_spec(&mut w, spec);
-                // v7 trace-context trailer, omitted when untraced so the
-                // frame stays byte-identical to v6 (and old servers keep
-                // accepting untraced submits from new clients).
-                if *ctx != TraceCtx::default() {
-                    w.u64(ctx.trace_id);
-                    w.u64(ctx.origin_ns);
-                }
+                w.u64(ctx.trace_id);
+                w.u64(ctx.origin_ns);
             }
             Request::Poll(id) => {
                 w.u8(2);
@@ -1057,11 +897,12 @@ impl Request {
             Request::Health => w.u8(7),
             Request::Series(since) => {
                 w.u8(8);
-                // v8 cursor trailer, omitted for whole-window fetches so
-                // the frame stays byte-identical to v7 (and old servers
-                // keep accepting cursorless fetches from new clients).
-                if let Some(seq) = since {
-                    w.u64(*seq);
+                match since {
+                    Some(seq) => {
+                        w.bool(true);
+                        w.u64(*seq);
+                    }
+                    None => w.bool(false),
                 }
             }
             Request::TraceDump => w.u8(9),
@@ -1076,22 +917,21 @@ impl Request {
     ///
     /// # Errors
     ///
-    /// [`WireError`] on malformed input (unknown tag, truncation,
-    /// trailing bytes).
+    /// [`WireError`] on a version other than [`PROTO_VERSION`] or on
+    /// malformed input (unknown tag, truncation, trailing bytes).
     pub fn decode(payload: &[u8]) -> Result<Request, WireError> {
         let mut r = WireReader::new(payload);
+        let version = r.u16()?;
+        if version != PROTO_VERSION {
+            return Err(version_mismatch(version));
+        }
         let req = match r.u8()? {
             0 => Request::Ping,
             1 => {
                 let spec = decode_spec(&mut r)?;
-                // v6 submits (and untraced v7 ones) end the frame here.
-                let ctx = if r.remaining() >= 16 {
-                    TraceCtx {
-                        trace_id: r.u64()?,
-                        origin_ns: r.u64()?,
-                    }
-                } else {
-                    TraceCtx::default()
+                let ctx = TraceCtx {
+                    trace_id: r.u64()?,
+                    origin_ns: r.u64()?,
                 };
                 Request::Submit(spec, ctx)
             }
@@ -1101,13 +941,7 @@ impl Request {
             5 => Request::Shutdown,
             6 => Request::StatsExt,
             7 => Request::Health,
-            // v7 fetches (and cursorless v8 ones) end the frame at the
-            // tag; a present trailer is the since-cursor.
-            8 => Request::Series(if r.remaining() >= 8 {
-                Some(r.u64()?)
-            } else {
-                None
-            }),
+            8 => Request::Series(if r.bool()? { Some(r.u64()?) } else { None }),
             9 => Request::TraceDump,
             10 => Request::ProfileDump,
             11 => Request::AlertLog,
@@ -1123,6 +957,7 @@ impl Response {
     /// Encodes into a frame payload.
     pub fn encode(&self) -> Vec<u8> {
         let mut w = WireWriter::new();
+        w.u16(PROTO_VERSION);
         match self {
             Response::Pong => w.u8(0),
             Response::Submitted(id) => {
@@ -1183,9 +1018,14 @@ impl Response {
     ///
     /// # Errors
     ///
-    /// [`WireError`] on malformed input.
+    /// [`WireError`] on a version other than [`PROTO_VERSION`] or on
+    /// malformed input.
     pub fn decode(payload: &[u8]) -> Result<Response, WireError> {
         let mut r = WireReader::new(payload);
+        let version = r.u16()?;
+        if version != PROTO_VERSION {
+            return Err(version_mismatch(version));
+        }
         let resp = match r.u8()? {
             0 => Response::Pong,
             1 => Response::Submitted(r.u64()?),
@@ -1225,73 +1065,36 @@ mod tests {
         }
     }
 
-    #[test]
-    fn requests_round_trip() {
-        for req in [
+    fn sample_ctx() -> TraceCtx {
+        TraceCtx {
+            trace_id: 0xfeed_f00d_dead_beef,
+            origin_ns: 123_456_789,
+        }
+    }
+
+    /// One populated sample of every request variant.
+    fn sample_requests() -> Vec<Request> {
+        vec![
             Request::Ping,
-            Request::Submit(sample_spec(), TraceCtx::default()),
-            Request::Submit(
-                sample_spec(),
-                TraceCtx {
-                    trace_id: 0xfeed_f00d_dead_beef,
-                    origin_ns: 123_456_789,
-                },
-            ),
+            Request::Submit(sample_spec(), sample_ctx()),
             Request::Poll(42),
             Request::Wait(7),
             Request::Stats,
             Request::Shutdown,
             Request::StatsExt,
             Request::Health,
-            Request::Series(None),
             Request::Series(Some(417)),
             Request::TraceDump,
             Request::ProfileDump,
             Request::AlertLog,
             Request::Backends,
-        ] {
-            assert_eq!(Request::decode(&req.encode()).unwrap(), req);
-        }
+        ]
     }
 
-    /// Protocol v8: a cursorless `Series` fetch must be byte-identical
-    /// to the v7 encoding (bare tag), so old servers accept new
-    /// clients' whole-window fetches, and a v7 frame decodes to `None`.
-    #[test]
-    fn cursorless_series_is_byte_identical_to_v7() {
-        let bare = Request::Series(None).encode();
-        assert_eq!(bare, vec![8]);
-        assert_eq!(Request::decode(&[8]).unwrap(), Request::Series(None));
-        // A cursored fetch is exactly 8 bytes longer.
-        assert_eq!(Request::Series(Some(7)).encode().len(), 9);
-    }
-
-    /// Protocol v7: an untraced submit must be byte-identical to the v6
-    /// encoding (no trailer at all), so old servers accept new clients'
-    /// untraced submits, and a v6 frame decodes to the default context.
-    #[test]
-    fn untraced_submit_is_byte_identical_to_v6() {
-        let untraced = Request::Submit(sample_spec(), TraceCtx::default()).encode();
-        let v6: Vec<u8> = {
-            let mut w = WireWriter::new();
-            w.u8(1);
-            encode_spec(&mut w, &sample_spec());
-            w.finish()
-        };
-        assert_eq!(untraced, v6);
-        let decoded = Request::decode(&v6).expect("v6 submit decodes");
-        assert_eq!(decoded, Request::Submit(sample_spec(), TraceCtx::default()));
-        // A traced submit is exactly 16 bytes longer.
-        let ctx = TraceCtx {
-            trace_id: 1,
-            origin_ns: 2,
-        };
-        assert_eq!(Request::Submit(sample_spec(), ctx).encode().len(), v6.len() + 16);
-    }
-
-    #[test]
-    fn responses_round_trip() {
-        let result = JobResult {
+    /// Every optional field present, every counter distinct from its
+    /// default.
+    fn sample_result() -> JobResult {
+        JobResult {
             id: 9,
             spec: sample_spec(),
             status: JobStatus::Panicked("checksum mismatch".into()),
@@ -1303,6 +1106,7 @@ mod tests {
             counters: Some(archsim::Counters {
                 instructions: 10,
                 cycles: 20,
+                checks_skipped: 42,
                 ..Default::default()
             }),
             warm_artifact: true,
@@ -1315,12 +1119,15 @@ mod tests {
             trace: TraceDigest {
                 trace_id: 0xabcd,
                 origin_ns: 10,
-                enqueue_ns: 100,
-                start_ns: 200,
-                done_ns: 900,
+                enqueue_ns: 1_000,
+                start_ns: 5_000,
+                done_ns: 42_000,
             },
-        };
-        let stats = SvcStats {
+        }
+    }
+
+    fn sample_stats() -> SvcStats {
+        SvcStats {
             submitted: 3,
             completed: 3,
             ok: 2,
@@ -1331,63 +1138,7 @@ mod tests {
                 ..Default::default()
             }),
             ..Default::default()
-        };
-        for resp in [
-            Response::Pong,
-            Response::Submitted(1),
-            Response::Pending,
-            Response::Result(result),
-            Response::Stats(stats),
-            Response::Err("nope".into()),
-            Response::Bye,
-            Response::Busy(250),
-        ] {
-            assert_eq!(Response::decode(&resp.encode()).unwrap(), resp);
         }
-    }
-
-    /// Protocol v9: the `Backends` reply round-trips, carries the
-    /// version head, and rejects claimed pre-v9 versions.
-    #[test]
-    fn backends_report_round_trips() {
-        let report = BackendsReport {
-            watermark: 64,
-            shed: 3,
-            backends: vec![
-                BackendStatus {
-                    name: "shard0".into(),
-                    socket: "/tmp/shard0.sock".into(),
-                    healthy: true,
-                    queue_depth: 4,
-                    forwarded: 120,
-                    failovers: 0,
-                },
-                BackendStatus {
-                    name: "shard1".into(),
-                    socket: "/tmp/shard1.sock".into(),
-                    healthy: false,
-                    queue_depth: 0,
-                    forwarded: 80,
-                    failovers: 2,
-                },
-            ],
-        };
-        let resp = Response::Backends(report);
-        let payload = resp.encode();
-        assert_eq!(payload[0], 14);
-        assert_eq!(
-            payload[1] as u16 | ((payload[2] as u16) << 8),
-            PROTO_VERSION
-        );
-        assert_eq!(Response::decode(&payload).unwrap(), resp);
-        // An empty report (router just started) survives too.
-        let empty = Response::Backends(BackendsReport::default());
-        assert_eq!(Response::decode(&empty.encode()).unwrap(), empty);
-        // A frame claiming a pre-v9 version is malformed.
-        let mut bad = empty.encode();
-        bad[1] = 8;
-        bad[2] = 0;
-        assert!(Response::decode(&bad).is_err());
     }
 
     fn sample_stats_ext() -> SvcStatsExt {
@@ -1424,140 +1175,12 @@ mod tests {
                         cycles: 2_500,
                         branches: 120,
                         branch_misses: 6,
+                        checks_skipped: 9,
                         ..Default::default()
                     },
                 },
             )],
         }
-    }
-
-    #[test]
-    fn stats_ext_round_trips() {
-        let resp = Response::StatsExt(Box::new(sample_stats_ext()));
-        assert_eq!(Response::decode(&resp.encode()).unwrap(), resp);
-        // Empty histograms (fresh scheduler) survive the sparse encoding.
-        let empty = Response::StatsExt(Box::new(SvcStatsExt {
-            base: SvcStats::default(),
-            queue_depth: 0,
-            workers: 1,
-            uptime_s: 0.0,
-            busy_s: 0.0,
-            queue_wait: HistogramSnapshot::default(),
-            engine_wall: Vec::new(),
-            engine_counters: Vec::new(),
-        }));
-        assert_eq!(Response::decode(&empty.encode()).unwrap(), empty);
-    }
-
-    #[test]
-    fn stats_ext_reply_carries_protocol_version() {
-        let payload = Response::StatsExt(Box::new(sample_stats_ext())).encode();
-        // Tag byte, then the little-endian version.
-        assert_eq!(payload[0], 7);
-        assert_eq!(
-            payload[1] as u16 | ((payload[2] as u16) << 8),
-            PROTO_VERSION
-        );
-    }
-
-    #[test]
-    fn stats_ext_rejects_bad_bucket_index() {
-        // Build a frame whose sparse histogram names a bucket index one
-        // past the end; the decoder must refuse it rather than write
-        // out of bounds or silently drop it.
-        let mut w = WireWriter::new();
-        w.u8(7);
-        w.u8((PROTO_VERSION & 0xff) as u8);
-        w.u8((PROTO_VERSION >> 8) as u8);
-        encode_stats(&mut w, &SvcStats::default());
-        w.u64(0); // queue_depth
-        w.u64(1); // workers
-        w.f64(0.0);
-        w.f64(0.0);
-        // queue_wait histogram with an out-of-range bucket index.
-        w.u64(1); // count
-        w.u64(1); // sum_ns
-        w.u64(1); // min_ns (v3)
-        w.u64(1); // max_ns (v3)
-        w.u32(1);
-        w.u8(BUCKETS as u8); // one past the last valid index
-        w.u64(1);
-        w.u32(0); // no engine histograms
-        w.u32(0); // no engine counters
-        assert!(Response::decode(&w.finish()).is_err());
-    }
-
-    /// A v2 server's `StatsExt` frame (no histogram extremes, no
-    /// engine-counter trailer) must still decode; the v3-only fields
-    /// come back zeroed/empty.
-    #[test]
-    fn stats_ext_decodes_legacy_v2_frames() {
-        let mut w = WireWriter::new();
-        w.u8(7);
-        w.u8(2); // version 2, little-endian
-        w.u8(0);
-        encode_stats(&mut w, &SvcStats::default());
-        w.u64(3); // queue_depth
-        w.u64(2); // workers
-        w.f64(1.5);
-        w.f64(0.75);
-        // v2 queue_wait histogram: count, sum, sparse pairs — no extremes.
-        w.u64(4);
-        w.u64(900);
-        w.u32(1);
-        w.u8(5);
-        w.u64(4);
-        // One engine histogram, also v2-shaped.
-        w.u32(1);
-        w.u8(2);
-        w.u64(1);
-        w.u64(250);
-        w.u32(1);
-        w.u8(9);
-        w.u64(1);
-        // No engine-counter trailer in v2.
-        let resp = Response::decode(&w.finish()).expect("legacy v2 frame decodes");
-        let Response::StatsExt(ext) = resp else {
-            panic!("expected StatsExt");
-        };
-        assert_eq!(ext.queue_depth, 3);
-        assert_eq!(ext.queue_wait.count, 4);
-        assert_eq!(ext.queue_wait.min_ns, 0);
-        assert_eq!(ext.queue_wait.max_ns, 0);
-        assert_eq!(ext.engine_wall.len(), 1);
-        assert!(ext.engine_counters.is_empty());
-    }
-
-    /// The v1 `Stats` message must stay byte-identical so old clients
-    /// keep decoding new servers' replies (and vice versa).
-    #[test]
-    fn v1_stats_encoding_is_byte_stable() {
-        let stats = SvcStats {
-            submitted: 2,
-            completed: 1,
-            ok: 1,
-            cold_compiles: 1,
-            cold_compile_s: 0.5,
-            ..Default::default()
-        };
-        let payload = Response::Stats(stats).encode();
-        let expected: Vec<u8> = {
-            let mut w = WireWriter::new();
-            w.u8(4);
-            w.u64(2); // submitted
-            w.u64(1); // completed
-            w.u64(1); // ok
-            w.u64(0); // failed
-            w.u64(0); // panicked
-            w.u64(0); // timed_out
-            w.u64(1); // cold_compiles
-            w.u64(0); // warm_loads
-            w.f64(0.5); // cold_compile_s
-            w.f64(0.0); // warm_load_s
-            w.bool(false); // no store stats
-            w.finish()
-        };
-        assert_eq!(payload, expected);
     }
 
     fn sample_health() -> HealthReport {
@@ -1592,188 +1215,8 @@ mod tests {
         }
     }
 
-    /// Protocol v4: the `Health` reply round-trips, carries the version
-    /// at its head, and rejects unknown breaker states.
-    #[test]
-    fn health_round_trips() {
-        let resp = Response::Health(sample_health());
-        assert_eq!(Response::decode(&resp.encode()).unwrap(), resp);
-        // An empty report (fresh scheduler, no plan) round-trips too.
-        let empty = Response::Health(HealthReport::default());
-        assert_eq!(Response::decode(&empty.encode()).unwrap(), empty);
-        let payload = resp.encode();
-        assert_eq!(payload[0], 8);
-        assert_eq!(
-            payload[1] as u16 | ((payload[2] as u16) << 8),
-            PROTO_VERSION
-        );
-        // Corrupt the first breaker's state byte to an unknown value:
-        // tag + version(2) + resilience(4×8) + count(4) + code(1) = 40.
-        let mut bad_state = payload.clone();
-        bad_state[40] = 9;
-        assert!(Response::decode(&bad_state).is_err());
-    }
-
-    /// A v5 peer's `Health` frame has no queue-depth trailer; it must
-    /// still decode, with both depths defaulting to zero. A v6 frame
-    /// truncated before the trailer must be rejected, not zero-filled.
-    #[test]
-    fn health_decodes_legacy_v5_frames_without_queue_trailer() {
-        let mut payload = Response::Health(sample_health()).encode();
-        // Rewrite the version head to 5 and drop the 16-byte trailer.
-        payload[1] = 5;
-        payload[2] = 0;
-        payload.truncate(payload.len() - 16);
-        let Response::Health(h) = Response::decode(&payload).expect("v5 health decodes") else {
-            panic!("expected Health");
-        };
-        assert_eq!(h.resilience, sample_health().resilience);
-        assert_eq!(h.breakers, sample_health().breakers);
-        assert_eq!((h.queue_depth, h.peak_queue_depth), (0, 0));
-
-        let mut truncated = Response::Health(sample_health()).encode();
-        truncated.truncate(truncated.len() - 16);
-        assert!(
-            Response::decode(&truncated).is_err(),
-            "v6 frame without its trailer must not decode"
-        );
-    }
-
-    /// A v3 peer's `Result` frame ends without the v4 recovery trailer;
-    /// it must still decode, with a default (clean) recovery.
-    #[test]
-    fn result_decodes_legacy_v3_frames_without_recovery_trailer() {
-        let result = JobResult {
-            id: 4,
-            spec: sample_spec(),
-            status: JobStatus::Ok,
-            checksum: Some(11),
-            bytes_hash: 99,
-            compile_s: 0.5,
-            exec_s: 0.25,
-            aot_compile_s: None,
-            counters: None,
-            warm_artifact: false,
-            wall_s: 1.0,
-            recovery: Recovery::default(),
-            trace: TraceDigest::default(),
-        };
-        let full = Response::Result(result.clone()).encode();
-        // Frame-final trailers, newest last: the v7 span digest is 40
-        // bytes, the v5 checks_skipped 8, the v4 recovery 9 (u32 + bool
-        // + u32). Peeling them off the v7 encoding reproduces each
-        // older peer's frame exactly.
-        let v4 = &full[..full.len() - 48];
-        assert_eq!(
-            Response::decode(v4).expect("v4 result decodes"),
-            Response::Result(result.clone())
-        );
-        let legacy = &full[..full.len() - 57];
-        let decoded = Response::decode(legacy).expect("legacy v3 result decodes");
-        assert_eq!(decoded, Response::Result(result));
-        // And a result that actually recovered survives its own trip.
-        let mut recovered = match decoded {
-            Response::Result(r) => r,
-            _ => unreachable!(),
-        };
-        recovered.recovery = Recovery {
-            attempts: 2,
-            compile_fallback: false,
-            store_repairs: 1,
-        };
-        let resp = Response::Result(recovered);
-        assert_eq!(Response::decode(&resp.encode()).unwrap(), resp);
-    }
-
-    /// Protocol v5: `checks_skipped` survives a profiled result's round
-    /// trip, and a v4 frame (no trailer) decodes it as zero instead of
-    /// misparsing the counter block.
-    #[test]
-    fn result_checks_skipped_round_trips_and_defaults_for_v4_frames() {
-        let counters = archsim::Counters {
-            instructions: 1000,
-            checks_skipped: 42,
-            ..Default::default()
-        };
-        let mut result = JobResult {
-            id: 4,
-            spec: sample_spec(),
-            status: JobStatus::Ok,
-            checksum: Some(11),
-            bytes_hash: 99,
-            compile_s: 0.5,
-            exec_s: 0.25,
-            aot_compile_s: None,
-            counters: Some(counters),
-            warm_artifact: false,
-            wall_s: 1.0,
-            recovery: Recovery::default(),
-            trace: TraceDigest::default(),
-        };
-        let resp = Response::Result(result.clone());
-        assert_eq!(Response::decode(&resp.encode()).unwrap(), resp);
-
-        let full = resp.encode();
-        // A v4 frame lacks both the v5 (8B) and v7 (40B) trailers.
-        let v4 = &full[..full.len() - 48];
-        result.counters.as_mut().unwrap().checks_skipped = 0;
-        assert_eq!(
-            Response::decode(v4).expect("v4 profiled result decodes"),
-            Response::Result(result)
-        );
-    }
-
-    /// Protocol v7: the span digest survives a result's round trip, and
-    /// a v6 frame (no digest trailer) decodes to the all-zero digest.
-    #[test]
-    fn result_trace_digest_round_trips_and_defaults_for_v6_frames() {
-        let mut result = JobResult {
-            id: 4,
-            spec: sample_spec(),
-            status: JobStatus::Ok,
-            checksum: Some(11),
-            bytes_hash: 99,
-            compile_s: 0.5,
-            exec_s: 0.25,
-            aot_compile_s: None,
-            counters: None,
-            warm_artifact: false,
-            wall_s: 1.0,
-            recovery: Recovery::default(),
-            trace: TraceDigest {
-                trace_id: 0x1234_5678_9abc_def0,
-                origin_ns: 7,
-                enqueue_ns: 1_000,
-                start_ns: 5_000,
-                done_ns: 42_000,
-            },
-        };
-        let resp = Response::Result(result.clone());
-        assert_eq!(Response::decode(&resp.encode()).unwrap(), resp);
-        let decoded = match Response::decode(&resp.encode()).unwrap() {
-            Response::Result(r) => r,
-            _ => unreachable!(),
-        };
-        assert_eq!(decoded.trace.queue_ns(), 4_000);
-
-        let full = resp.encode();
-        let v6 = &full[..full.len() - 40];
-        result.trace = TraceDigest::default();
-        assert_eq!(
-            Response::decode(v6).expect("v6 result decodes"),
-            Response::Result(result)
-        );
-    }
-
-    /// Protocol v7: the `Series` reply round-trips (empty and
-    /// populated), carries the version head, and rejects versions the
-    /// decoder does not know.
-    #[test]
-    fn series_round_trips() {
-        let empty = Response::Series(SeriesReport::default());
-        assert_eq!(Response::decode(&empty.encode()).unwrap(), empty);
-
-        let report = SeriesReport {
+    fn sample_series() -> SeriesReport {
+        SeriesReport {
             server_now_ns: 1_000_000,
             interval_ns: 500_000_000,
             points: vec![
@@ -1798,67 +1241,34 @@ mod tests {
                 },
                 SeriesPoint::default(),
             ],
-        };
-        let resp = Response::Series(report);
-        assert_eq!(Response::decode(&resp.encode()).unwrap(), resp);
-
-        let payload = resp.encode();
-        assert_eq!(payload[0], 9);
-        assert_eq!(
-            payload[1] as u16 | ((payload[2] as u16) << 8),
-            PROTO_VERSION
-        );
-        // A v6 version head must be refused: Series did not exist then.
-        let mut old = payload.clone();
-        old[1] = 6;
-        old[2] = 0;
-        assert!(Response::decode(&old).is_err());
-        // An out-of-range bucket index must be refused.
-        let mut report = SeriesReport::default();
-        report.points.push(SeriesPoint {
-            lat: obs::series::HistDelta {
-                buckets: vec![(BUCKETS as u8, 1)],
-                ..obs::series::HistDelta::default()
-            },
-            ..SeriesPoint::default()
-        });
-        let bad = Response::Series(report).encode();
-        assert!(Response::decode(&bad).is_err());
-    }
-
-    /// A v7 peer's `Series` frame carries no per-point bucket trailer;
-    /// it must still decode, with empty buckets.
-    #[test]
-    fn series_decodes_legacy_v7_frames_without_bucket_trailer() {
-        let mut w = WireWriter::new();
-        w.u8(9);
-        w.u8(7); // version 7, little-endian
-        w.u8(0);
-        w.u64(1_000); // server_now_ns
-        w.u64(500_000_000); // interval_ns
-        w.u32(1); // one point
-        for v in [3u64, 900, 499, 12, 11, 1, 4, 2, 12, 36_000, 2_500, 9_000] {
-            w.u64(v);
         }
-        w.u32(0); // no engines
-        w.u32(0); // no breakers
-        // No bucket trailer in v7.
-        let resp = Response::decode(&w.finish()).expect("legacy v7 series decodes");
-        let Response::Series(s) = resp else {
-            panic!("expected Series");
-        };
-        assert_eq!(s.points.len(), 1);
-        assert_eq!(s.points[0].lat.count, 12);
-        assert!(s.points[0].lat.buckets.is_empty());
     }
 
-    /// Protocol v8: the `ProfileDump` reply round-trips (off, empty,
-    /// and populated), carries the version head, and refuses a v7 head.
-    #[test]
-    fn profile_dump_round_trips() {
-        let off = Response::ProfileDump(ProfileReport::default());
-        assert_eq!(Response::decode(&off.encode()).unwrap(), off);
+    fn sample_trace_report() -> TraceReport {
+        let rec = |id: u64, ok: bool| TraceRecord {
+            label: format!("crc32 on Wasm3 at -O1 ({id})"),
+            ok,
+            phases: obs::stitch::ServerPhases {
+                trace_id: id,
+                enqueue_ns: 1_000,
+                start_ns: 2_000,
+                done_ns: 9_000,
+                compile_ns: 3_000,
+                exec_ns: 3_500,
+                attempts: 2,
+                compile_fallback: ok,
+                store_repairs: 1,
+            },
+        };
+        TraceReport {
+            server_now_ns: 77_000,
+            slow_threshold_ns: 250_000_000,
+            recent: vec![rec(1, true), rec(2, false)],
+            exemplars: vec![rec(1, true)],
+        }
+    }
 
+    fn sample_profile_report() -> ProfileReport {
         let mut win = obs::contprof::ProfileWindow {
             seq: 2,
             start_ns: 20_000_000,
@@ -1883,33 +1293,15 @@ mod tests {
                 cycles: 0,
             },
         );
-        let resp = Response::ProfileDump(ProfileReport {
+        ProfileReport {
             server_now_ns: 31_000_000,
             window_ns: 10_000_000,
             windows: vec![win],
-        });
-        assert_eq!(Response::decode(&resp.encode()).unwrap(), resp);
-        let payload = resp.encode();
-        assert_eq!(payload[0], 11);
-        assert_eq!(
-            payload[1] as u16 | ((payload[2] as u16) << 8),
-            PROTO_VERSION
-        );
-        let mut old = payload.clone();
-        old[1] = 7;
-        old[2] = 0;
-        assert!(Response::decode(&old).is_err());
+        }
     }
 
-    /// Protocol v8: the `AlertLog` reply round-trips (disarmed, armed +
-    /// firing), carries the version head, and rejects unknown
-    /// transition bytes.
-    #[test]
-    fn alert_log_round_trips() {
-        let disarmed = Response::AlertLog(AlertReport::default());
-        assert_eq!(Response::decode(&disarmed.encode()).unwrap(), disarmed);
-
-        let resp = Response::AlertLog(AlertReport {
+    fn sample_alert_report() -> AlertReport {
+        AlertReport {
             server_now_ns: 5_000,
             armed: true,
             firing: vec![obs::alert::FiringAlert {
@@ -1939,80 +1331,295 @@ mod tests {
                     detail: "held".to_string(),
                 },
             ],
-        });
+        }
+    }
+
+    fn sample_backends() -> BackendsReport {
+        BackendsReport {
+            watermark: 64,
+            shed: 3,
+            backends: vec![
+                BackendStatus {
+                    name: "shard0".into(),
+                    socket: "/tmp/shard0.sock".into(),
+                    healthy: true,
+                    queue_depth: 4,
+                    forwarded: 120,
+                    failovers: 0,
+                },
+                BackendStatus {
+                    name: "shard1".into(),
+                    socket: "/tmp/shard1.sock".into(),
+                    healthy: false,
+                    queue_depth: 0,
+                    forwarded: 80,
+                    failovers: 2,
+                },
+            ],
+        }
+    }
+
+    /// One populated sample of every response variant.
+    fn sample_responses() -> Vec<Response> {
+        vec![
+            Response::Pong,
+            Response::Submitted(1),
+            Response::Pending,
+            Response::Result(sample_result()),
+            Response::Stats(sample_stats()),
+            Response::Err("nope".into()),
+            Response::Bye,
+            Response::StatsExt(Box::new(sample_stats_ext())),
+            Response::Health(sample_health()),
+            Response::Series(sample_series()),
+            Response::TraceDump(sample_trace_report()),
+            Response::ProfileDump(sample_profile_report()),
+            Response::AlertLog(sample_alert_report()),
+            Response::Busy(250),
+            Response::Backends(sample_backends()),
+        ]
+    }
+
+    #[test]
+    fn requests_round_trip() {
+        let mut reqs = sample_requests();
+        reqs.push(Request::Submit(sample_spec(), TraceCtx::default()));
+        reqs.push(Request::Series(None));
+        for req in reqs {
+            assert_eq!(Request::decode(&req.encode()).unwrap(), req);
+        }
+    }
+
+    #[test]
+    fn responses_round_trip() {
+        for resp in sample_responses() {
+            assert_eq!(Response::decode(&resp.encode()).unwrap(), resp);
+        }
+    }
+
+    fn assert_decodes_only_whole<T>(payload: Vec<u8>, decode: fn(&[u8]) -> Result<T, WireError>) {
+        for cut in 0..payload.len() {
+            assert!(
+                decode(&payload[..cut]).is_err(),
+                "{payload:?} cut to {cut} bytes decoded"
+            );
+        }
+        let mut long = payload;
+        long.push(0);
+        assert!(decode(&long).is_err(), "{long:?} decoded with a trailing byte");
+    }
+
+    /// The truncation contract: a payload decodes only as a whole — no
+    /// cut point, field boundary or not, yields a shorter valid message.
+    #[test]
+    fn every_strict_prefix_and_any_trailing_byte_is_an_error() {
+        for req in sample_requests() {
+            assert_decodes_only_whole(req.encode(), Request::decode);
+        }
+        for resp in sample_responses() {
+            assert_decodes_only_whole(resp.encode(), Response::decode);
+        }
+    }
+
+    /// Every payload opens with the version head, and both decoders
+    /// refuse any other version with an error naming the two.
+    #[test]
+    fn version_head_is_checked_for_exact_equality() {
+        for other in [PROTO_VERSION - 1, PROTO_VERSION + 1] {
+            let mut req = Request::Ping.encode();
+            assert_eq!(req[..2], PROTO_VERSION.to_le_bytes());
+            req[..2].copy_from_slice(&other.to_le_bytes());
+            let mut resp = Response::Pong.encode();
+            assert_eq!(resp[..2], PROTO_VERSION.to_le_bytes());
+            resp[..2].copy_from_slice(&other.to_le_bytes());
+            for err in [
+                Request::decode(&req).unwrap_err(),
+                Response::decode(&resp).unwrap_err(),
+            ] {
+                let msg = err.to_string();
+                assert!(msg.contains(&format!("v{other}")), "{msg}");
+                assert!(msg.contains(&format!("v{PROTO_VERSION}")), "{msg}");
+            }
+        }
+    }
+
+    #[test]
+    fn backends_report_round_trips() {
+        let resp = Response::Backends(sample_backends());
         assert_eq!(Response::decode(&resp.encode()).unwrap(), resp);
-        let payload = resp.encode();
-        assert_eq!(payload[0], 12);
+        // An empty report (router just started) survives too.
+        let empty = Response::Backends(BackendsReport::default());
+        assert_eq!(Response::decode(&empty.encode()).unwrap(), empty);
+    }
+
+    #[test]
+    fn stats_ext_round_trips() {
+        let resp = Response::StatsExt(Box::new(sample_stats_ext()));
+        assert_eq!(Response::decode(&resp.encode()).unwrap(), resp);
+        // Empty histograms (fresh scheduler) survive the sparse encoding.
+        let empty = Response::StatsExt(Box::new(SvcStatsExt {
+            base: SvcStats::default(),
+            queue_depth: 0,
+            workers: 1,
+            uptime_s: 0.0,
+            busy_s: 0.0,
+            queue_wait: HistogramSnapshot::default(),
+            engine_wall: Vec::new(),
+            engine_counters: Vec::new(),
+        }));
+        assert_eq!(Response::decode(&empty.encode()).unwrap(), empty);
+    }
+
+    #[test]
+    fn stats_ext_rejects_bad_bucket_index() {
+        // Build a frame whose sparse histogram names a bucket index one
+        // past the end; the decoder must refuse it rather than write
+        // out of bounds or silently drop it.
+        let mut w = WireWriter::new();
+        w.u16(PROTO_VERSION);
+        w.u8(7);
+        encode_stats(&mut w, &SvcStats::default());
+        w.u64(0); // queue_depth
+        w.u64(1); // workers
+        w.f64(0.0);
+        w.f64(0.0);
+        // queue_wait histogram with an out-of-range bucket index.
+        w.u64(1); // count
+        w.u64(1); // sum_ns
+        w.u64(1); // min_ns
+        w.u64(1); // max_ns
+        w.u32(1);
+        w.u8(BUCKETS as u8); // one past the last valid index
+        w.u64(1);
+        w.u32(0); // no engine histograms
+        w.u32(0); // no engine counters
+        assert!(Response::decode(&w.finish()).is_err());
+    }
+
+    /// The `Health` reply round-trips and rejects unknown breaker
+    /// states.
+    #[test]
+    fn health_round_trips() {
+        let resp = Response::Health(sample_health());
+        assert_eq!(Response::decode(&resp.encode()).unwrap(), resp);
+        // An empty report (fresh scheduler, no plan) round-trips too.
+        let empty = Response::Health(HealthReport::default());
+        assert_eq!(Response::decode(&empty.encode()).unwrap(), empty);
+        // Corrupt the first breaker's state byte to an unknown value:
+        // version(2) + tag + resilience(4×8) + count(4) + code(1) = 40.
+        let mut bad_state = resp.encode();
+        bad_state[40] = 9;
+        assert!(Response::decode(&bad_state).is_err());
+    }
+
+    /// `checks_skipped` travels inside the counter block: present on a
+    /// profiled result, absent (with the block) on an unprofiled one.
+    #[test]
+    fn result_checks_skipped_round_trips() {
+        let profiled = sample_result();
+        let unprofiled = JobResult {
+            counters: None,
+            ..sample_result()
+        };
+        let with = Response::Result(profiled).encode();
+        let without = Response::Result(unprofiled.clone()).encode();
+        assert_eq!(with.len(), without.len() + 11 * 8);
+        match Response::decode(&with).unwrap() {
+            Response::Result(r) => assert_eq!(r.counters.unwrap().checks_skipped, 42),
+            other => panic!("expected Result, got {other:?}"),
+        }
         assert_eq!(
-            payload[1] as u16 | ((payload[2] as u16) << 8),
-            PROTO_VERSION
+            Response::decode(&without).unwrap(),
+            Response::Result(unprofiled)
         );
-        // Corrupt the first event's transition byte: tag + version(2) +
+    }
+
+    /// The span digest survives a result's round trip, traced or not.
+    #[test]
+    fn result_trace_digest_round_trips() {
+        let decoded = match Response::decode(&Response::Result(sample_result()).encode()).unwrap() {
+            Response::Result(r) => r,
+            other => panic!("expected Result, got {other:?}"),
+        };
+        assert_eq!(decoded.trace, sample_result().trace);
+        assert_eq!(decoded.trace.queue_ns(), 4_000);
+        let untraced = Response::Result(JobResult {
+            trace: TraceDigest::default(),
+            ..sample_result()
+        });
+        assert_eq!(Response::decode(&untraced.encode()).unwrap(), untraced);
+    }
+
+    /// The `Series` reply round-trips (empty and populated) and rejects
+    /// an out-of-range bucket index.
+    #[test]
+    fn series_round_trips() {
+        let empty = Response::Series(SeriesReport::default());
+        assert_eq!(Response::decode(&empty.encode()).unwrap(), empty);
+        let resp = Response::Series(sample_series());
+        assert_eq!(Response::decode(&resp.encode()).unwrap(), resp);
+
+        let mut report = SeriesReport::default();
+        report.points.push(SeriesPoint {
+            lat: obs::series::HistDelta {
+                buckets: vec![(BUCKETS as u8, 1)],
+                ..obs::series::HistDelta::default()
+            },
+            ..SeriesPoint::default()
+        });
+        let bad = Response::Series(report).encode();
+        assert!(Response::decode(&bad).is_err());
+    }
+
+    /// The `ProfileDump` reply round-trips, off (default) and populated.
+    #[test]
+    fn profile_dump_round_trips() {
+        let off = Response::ProfileDump(ProfileReport::default());
+        assert_eq!(Response::decode(&off.encode()).unwrap(), off);
+        let resp = Response::ProfileDump(sample_profile_report());
+        assert_eq!(Response::decode(&resp.encode()).unwrap(), resp);
+    }
+
+    /// The `AlertLog` reply round-trips (disarmed, armed + firing) and
+    /// rejects unknown transition bytes.
+    #[test]
+    fn alert_log_round_trips() {
+        let disarmed = Response::AlertLog(AlertReport::default());
+        assert_eq!(Response::decode(&disarmed.encode()).unwrap(), disarmed);
+        let resp = Response::AlertLog(sample_alert_report());
+        assert_eq!(Response::decode(&resp.encode()).unwrap(), resp);
+        // Corrupt the first event's transition byte: version(2) + tag +
         // now(8) + armed(1) + firing count(4) + one firing entry, then
         // event count(4) + seq(8) + t_ns(8) = offset of the byte.
         let firing_len = 4 + "p99".len() + 8 + 8 + 8 + 4 + "p99 21.0ms over 1s".len();
-        let off = 1 + 2 + 8 + 1 + 4 + firing_len + 4 + 8 + 8;
-        let mut bad_transition = payload.clone();
+        let off = 2 + 1 + 8 + 1 + 4 + firing_len + 4 + 8 + 8;
+        let mut bad_transition = resp.encode();
         assert_eq!(bad_transition[off], 0, "expected the Pending byte");
         bad_transition[off] = 9;
         assert!(Response::decode(&bad_transition).is_err());
     }
 
-    /// Protocol v7: the `TraceDump` reply round-trips with both record
-    /// lists and carries the version head.
+    /// The `TraceDump` reply round-trips with both record lists.
     #[test]
     fn trace_dump_round_trips() {
-        let rec = |id: u64, ok: bool| TraceRecord {
-            label: format!("crc32 on Wasm3 at -O1 ({id})"),
-            ok,
-            phases: obs::stitch::ServerPhases {
-                trace_id: id,
-                enqueue_ns: 1_000,
-                start_ns: 2_000,
-                done_ns: 9_000,
-                compile_ns: 3_000,
-                exec_ns: 3_500,
-                attempts: 2,
-                compile_fallback: ok,
-                store_repairs: 1,
-            },
-        };
-        let report = TraceReport {
-            server_now_ns: 77_000,
-            slow_threshold_ns: 250_000_000,
-            recent: vec![rec(1, true), rec(2, false)],
-            exemplars: vec![rec(1, true)],
-        };
-        let resp = Response::TraceDump(report);
+        let resp = Response::TraceDump(sample_trace_report());
         assert_eq!(Response::decode(&resp.encode()).unwrap(), resp);
         let empty = Response::TraceDump(TraceReport::default());
         assert_eq!(Response::decode(&empty.encode()).unwrap(), empty);
-        let payload = resp.encode();
-        assert_eq!(payload[0], 10);
-        assert_eq!(
-            payload[1] as u16 | ((payload[2] as u16) << 8),
-            PROTO_VERSION
-        );
     }
 
     #[test]
     fn malformed_payloads_error() {
         assert!(Request::decode(&[]).is_err());
-        assert!(Request::decode(&[99]).is_err());
-        // Trailing garbage is rejected.
-        let mut buf = Request::Ping.encode();
-        buf.push(0);
+        assert!(Response::decode(&[]).is_err());
+        // A well-versioned frame with an unknown tag.
+        let mut buf = PROTO_VERSION.to_le_bytes().to_vec();
+        buf.push(99);
         assert!(Request::decode(&buf).is_err());
-        // Truncated submit.
-        let buf = Request::Submit(sample_spec(), TraceCtx::default()).encode();
-        assert!(Request::decode(&buf[..buf.len() - 2]).is_err());
-        // A traced submit with a truncated context trailer must error,
-        // not silently decode as untraced with trailing bytes.
-        let ctx = TraceCtx {
-            trace_id: 5,
-            origin_ns: 6,
-        };
-        let buf = Request::Submit(sample_spec(), ctx).encode();
-        assert!(Request::decode(&buf[..buf.len() - 1]).is_err());
+        assert!(Response::decode(&buf).is_err());
+        // Optional fields are strict bools: 2 is neither absent nor present.
+        let mut buf = Request::Series(None).encode();
+        *buf.last_mut().unwrap() = 2;
+        assert!(Request::decode(&buf).is_err());
     }
 }

@@ -165,12 +165,10 @@ pub struct HealthReport {
     /// active fault plan; empty when no plan is installed.
     pub faults: Vec<(u8, f64, u64)>,
     /// Jobs queued but not yet picked up by a worker, at snapshot time.
-    /// Protocol v6; zero when talking to a v4/v5 peer.
     pub queue_depth: u64,
     /// High-water mark of the queue depth since the scheduler started —
     /// a saturation signal for open-loop load generators: a peak well
     /// above the worker count means arrivals outran service capacity.
-    /// Protocol v6; zero when talking to a v4/v5 peer.
     pub peak_queue_depth: u64,
 }
 
@@ -236,12 +234,10 @@ pub struct EngineCounters {
 
 /// Extended statistics: everything in [`SvcStats`] plus queue and
 /// latency observability. Served over the wire by the `StatsExt`
-/// protocol message (protocol v2; v3 adds exact histogram extremes and
-/// the per-engine counter aggregates); the base `Stats` reply is
-/// unchanged.
+/// protocol message.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SvcStatsExt {
-    /// The classic counters (wire-compatible with protocol v1).
+    /// The classic counters (the `Stats` reply).
     pub base: SvcStats,
     /// Jobs queued but not yet picked up by a worker.
     pub queue_depth: u64,
@@ -258,7 +254,7 @@ pub struct SvcStatsExt {
     pub engine_wall: Vec<(u8, HistogramSnapshot)>,
     /// Per-engine simulated counter aggregates from profiled jobs,
     /// keyed by [`engines::EngineKind::code`], sorted by code. Empty
-    /// until a `Profiled` job succeeds (and when talking to a v2 peer).
+    /// until a `Profiled` job succeeds.
     pub engine_counters: Vec<(u8, EngineCounters)>,
 }
 

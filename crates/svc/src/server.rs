@@ -3,16 +3,12 @@
 //!
 //! [`serve`] runs the nonblocking [`crate::reactor`]: one thread
 //! multiplexes every connection, `Wait` requests park instead of
-//! pinning a thread, and pipelined frames are first-class. The old
-//! thread-per-connection path survives as [`serve_threaded`] — it is
-//! the QPS baseline the reactor is measured against in
-//! `scripts/verify.sh`, and a fallback while the reactor soaks.
-//! A `Shutdown` request drains the scheduler and stops either loop.
+//! pinning a thread, and pipelined frames are first-class. A
+//! `Shutdown` request drains the scheduler and stops the loop.
 
 use std::io;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use crate::job::{JobSpec, TraceCtx};
@@ -188,113 +184,8 @@ impl Handler for SchedHandler {
     }
 }
 
-/// Serves `sched` with the pre-reactor thread-per-connection loop
-/// (`wabench-served serve --threaded`). Kept as the measured baseline
-/// for the reactor's QPS acceptance gate and as an escape hatch;
-/// protocol behavior is identical except that parked `Wait`s each pin
-/// a thread.
-///
-/// # Errors
-///
-/// I/O errors binding or accepting on the socket, including `AddrInUse`
-/// when another server already owns `path`.
-pub fn serve_threaded(path: &Path, sched: Arc<Scheduler>) -> io::Result<()> {
-    let listener = bind_socket(path)?;
-    let _guard = SocketGuard(PathBuf::from(path));
-    let stop = Arc::new(AtomicBool::new(false));
-    // Each connection is (handle, done-flag). The flag lets the accept
-    // loop reap *completed* handler threads without blocking on live
-    // ones — before this, every connection's JoinHandle (and thread
-    // stack) accumulated until shutdown, an unbounded leak under
-    // long-lived servers taking many short connections.
-    let mut conns: Vec<(std::thread::JoinHandle<()>, Arc<AtomicBool>)> = Vec::new();
-    let reaped = obs::metrics::counter("svc.conn.reaped");
-    let serve_loop = |conns: &mut Vec<(std::thread::JoinHandle<()>, Arc<AtomicBool>)>| -> io::Result<()> {
-        for stream in listener.incoming() {
-            if stop.load(Ordering::SeqCst) {
-                break;
-            }
-            let stream = stream?;
-            let mut i = 0;
-            while i < conns.len() {
-                if conns[i].1.load(Ordering::Acquire) {
-                    let (handle, _) = conns.swap_remove(i);
-                    let _ = handle.join();
-                    reaped.inc();
-                } else {
-                    i += 1;
-                }
-            }
-            let sched = Arc::clone(&sched);
-            let conn_stop = Arc::clone(&stop);
-            let sock = PathBuf::from(path);
-            let done = Arc::new(AtomicBool::new(false));
-            let conn_done = Arc::clone(&done);
-            conns.push((
-                std::thread::spawn(move || {
-                    let _ = handle_conn(stream, &sched, &conn_stop, &sock);
-                    conn_done.store(true, Ordering::Release);
-                }),
-                done,
-            ));
-            if stop.load(Ordering::SeqCst) {
-                break;
-            }
-        }
-        Ok(())
-    };
-    let outcome = serve_loop(&mut conns);
-    for (c, _) in conns {
-        let _ = c.join();
-    }
-    outcome
-}
-
-fn handle_conn(
-    mut stream: UnixStream,
-    sched: &Scheduler,
-    stop: &AtomicBool,
-    sock: &Path,
-) -> io::Result<()> {
-    while let Some(payload) = read_frame(&mut stream)? {
-        let response = match Request::decode(&payload) {
-            Err(e) => Response::Err(e.to_string()),
-            Ok(Request::Ping) => Response::Pong,
-            Ok(Request::Submit(spec, ctx)) => Response::Submitted(sched.submit_traced(spec, ctx)),
-            Ok(Request::Poll(id)) => match sched.poll(id) {
-                Some(res) => Response::Result(res),
-                None => Response::Pending,
-            },
-            Ok(Request::Wait(id)) => Response::Result(sched.wait(id)),
-            Ok(Request::Stats) => Response::Stats(sched.stats()),
-            Ok(Request::StatsExt) => Response::StatsExt(Box::new(sched.stats_ext())),
-            Ok(Request::Health) => Response::Health(sched.health()),
-            Ok(Request::Series(since)) => Response::Series(sched.series_since(since)),
-            Ok(Request::TraceDump) => Response::TraceDump(sched.trace_dump()),
-            Ok(Request::ProfileDump) => Response::ProfileDump(sched.profile_dump()),
-            Ok(Request::AlertLog) => Response::AlertLog(sched.alert_log()),
-            Ok(Request::Backends) => Response::Err(
-                "backends: this server is a single shard, not a router; \
-                 see docs/DEPLOYMENT.md"
-                    .to_string(),
-            ),
-            Ok(Request::Shutdown) => {
-                sched.wait_idle();
-                stop.store(true, Ordering::SeqCst);
-                write_frame(&mut stream, &Response::Bye.encode())?;
-                // Unblock the accept loop with a throwaway connection.
-                let _ = UnixStream::connect(sock);
-                return Ok(());
-            }
-        };
-        write_frame(&mut stream, &response.encode())?;
-    }
-    Ok(())
-}
-
-/// Outcome of a submit against a server that may shed load
-/// (protocol v9): a router under admission control answers `Busy`
-/// instead of accepting the job.
+/// Outcome of a submit against a server that may shed load: a router
+/// under admission control answers `Busy` instead of accepting the job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Submission {
     /// The job was accepted; carry this id to `wait`/`poll`.
@@ -362,9 +253,8 @@ impl Client {
         self.submit_traced(spec, TraceCtx::default())
     }
 
-    /// Submits a job carrying a client trace context (protocol v7),
-    /// returning its id. An untraced (default) context encodes exactly
-    /// like a v6 submit, so this also works against older servers.
+    /// Submits a job carrying a client trace context, returning its
+    /// id.
     ///
     /// # Errors
     ///
@@ -376,8 +266,8 @@ impl Client {
         }
     }
 
-    /// Submits a traced job against a server that may shed load
-    /// (protocol v9). A `Busy` answer is a *successful* exchange — the
+    /// Submits a traced job against a server that may shed load. A
+    /// `Busy` answer is a *successful* exchange — the
     /// job was refused, not lost in transit — so it comes back as
     /// [`Submission::Busy`] rather than an error. Single-shard servers
     /// never answer `Busy`.
@@ -393,7 +283,7 @@ impl Client {
         }
     }
 
-    /// Fetches the router's per-backend routing table (protocol v9).
+    /// Fetches the router's per-backend routing table.
     ///
     /// # Errors
     ///
@@ -442,12 +332,12 @@ impl Client {
         }
     }
 
-    /// Fetches extended statistics (protocol v2: queue depth, worker
-    /// utilization, latency histograms).
+    /// Fetches extended statistics (queue depth, worker utilization,
+    /// latency histograms).
     ///
     /// # Errors
     ///
-    /// I/O or protocol errors; pre-v2 servers answer `Err`.
+    /// I/O or protocol errors; a router answers `Err`.
     pub fn stats_ext(&mut self) -> io::Result<SvcStatsExt> {
         match self.request(&Request::StatsExt)? {
             Response::StatsExt(s) => Ok(*s),
@@ -455,13 +345,12 @@ impl Client {
         }
     }
 
-    /// Fetches the resilience health report (protocol v4: retry /
-    /// fallback / repair counters, circuit-breaker states, active
-    /// fault-injection sites).
+    /// Fetches the resilience health report (retry / fallback / repair
+    /// counters, circuit-breaker states, active fault-injection sites).
     ///
     /// # Errors
     ///
-    /// I/O or protocol errors; pre-v4 servers answer `Err`.
+    /// I/O or protocol errors.
     pub fn health(&mut self) -> io::Result<HealthReport> {
         match self.request(&Request::Health)? {
             Response::Health(h) => Ok(h),
@@ -469,25 +358,22 @@ impl Client {
         }
     }
 
-    /// Fetches the live telemetry sample window (protocol v7). Empty
-    /// when the server runs without a sampler.
+    /// Fetches the live telemetry sample window. Empty when the server
+    /// runs without a sampler.
     ///
     /// # Errors
     ///
-    /// I/O or protocol errors; pre-v7 servers answer `Err`.
+    /// I/O or protocol errors; a router answers `Err`.
     pub fn series(&mut self) -> io::Result<SeriesReport> {
         self.series_since(None)
     }
 
-    /// Fetches the sample window after the `since` cursor (protocol
-    /// v8): only points with a greater seq come back. `None` fetches
-    /// the whole window and encodes exactly like a v7 request, so it
-    /// also works against v7 servers (which ignore no cursor — a
-    /// cursored request to a v7 server fails to decode there).
+    /// Fetches the sample window after the `since` cursor: only points
+    /// with a greater seq come back. `None` fetches the whole window.
     ///
     /// # Errors
     ///
-    /// I/O or protocol errors; pre-v7 servers answer `Err`.
+    /// I/O or protocol errors; a router answers `Err`.
     pub fn series_since(&mut self, since: Option<u64>) -> io::Result<SeriesReport> {
         match self.request(&Request::Series(since))? {
             Response::Series(s) => Ok(s),
@@ -495,12 +381,12 @@ impl Client {
         }
     }
 
-    /// Fetches the continuous profiler's retained windows (protocol
-    /// v8). `window_ns == 0` means the profiler is off.
+    /// Fetches the continuous profiler's retained windows.
+    /// `window_ns == 0` means the profiler is off.
     ///
     /// # Errors
     ///
-    /// I/O or protocol errors; pre-v8 servers answer `Err`.
+    /// I/O or protocol errors; a router answers `Err`.
     pub fn profile_dump(&mut self) -> io::Result<ProfileReport> {
         match self.request(&Request::ProfileDump)? {
             Response::ProfileDump(p) => Ok(p),
@@ -508,13 +394,13 @@ impl Client {
         }
     }
 
-    /// Fetches the alert engine's firing set and transition log
-    /// (protocol v8), pumping pending observations through the rules
-    /// server-side first.
+    /// Fetches the alert engine's firing set and transition log,
+    /// pumping pending observations through the rules server-side
+    /// first.
     ///
     /// # Errors
     ///
-    /// I/O or protocol errors; pre-v8 servers answer `Err`.
+    /// I/O or protocol errors; a router answers `Err`.
     pub fn alert_log(&mut self) -> io::Result<AlertReport> {
         match self.request(&Request::AlertLog)? {
             Response::AlertLog(a) => Ok(a),
@@ -523,11 +409,11 @@ impl Client {
     }
 
     /// Fetches recent and slow-request server span digests for
-    /// client-side stitching (protocol v7).
+    /// client-side stitching.
     ///
     /// # Errors
     ///
-    /// I/O or protocol errors; pre-v7 servers answer `Err`.
+    /// I/O or protocol errors; a router answers `Err`.
     pub fn trace_dump(&mut self) -> io::Result<TraceReport> {
         match self.request(&Request::TraceDump)? {
             Response::TraceDump(t) => Ok(t),

@@ -90,6 +90,11 @@ impl WireWriter {
         self.buf.push(v);
     }
 
+    /// Writes a `u16`.
+    pub fn u16(&mut self, v: u16) {
+        self.buf.extend_from_slice(&v.to_le_bytes());
+    }
+
     /// Writes a `u32`.
     pub fn u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
@@ -142,7 +147,7 @@ impl<'a> WireReader<'a> {
     }
 
     /// Bytes not yet consumed.
-    pub fn remaining(&self) -> usize {
+    fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
 
@@ -167,6 +172,11 @@ impl<'a> WireReader<'a> {
     /// Reads one byte.
     pub fn u8(&mut self) -> Result<u8, WireError> {
         Ok(self.take(1)?[0])
+    }
+
+    /// Reads a `u16`.
+    pub fn u16(&mut self) -> Result<u16, WireError> {
+        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
     }
 
     /// Reads a `u32`.
@@ -260,6 +270,7 @@ mod tests {
     fn primitives_round_trip() {
         let mut w = WireWriter::new();
         w.u8(7);
+        w.u16(0xbeef);
         w.u32(0xdead_beef);
         w.u64(u64::MAX);
         w.i32(-42);
@@ -270,6 +281,7 @@ mod tests {
         let buf = w.finish();
         let mut r = WireReader::new(&buf);
         assert_eq!(r.u8().unwrap(), 7);
+        assert_eq!(r.u16().unwrap(), 0xbeef);
         assert_eq!(r.u32().unwrap(), 0xdead_beef);
         assert_eq!(r.u64().unwrap(), u64::MAX);
         assert_eq!(r.i32().unwrap(), -42);

@@ -1,12 +1,12 @@
 //! Keeps `docs/PROTOCOL.md` honest: the opcode tables and version
 //! documented there are parsed out of the markdown and asserted against
 //! the actual encodings in `svc::proto`. Renumbering a tag, adding a
-//! message, or bumping `PROTO_VERSION` without updating the spec fails
-//! this test.
+//! message or a field, or bumping `PROTO_VERSION` without updating the
+//! spec fails this test.
 
 use obs::metrics::HistogramSnapshot;
 use svc::job::{JobSpec, JobStatus, Recovery, Scale, TraceCtx, TraceDigest};
-use svc::proto::{BackendsReport, BackendStatus, Request, Response, PROTO_VERSION};
+use svc::proto::{BackendsReport, Request, Response, PROTO_VERSION};
 use svc::scheduler::{HealthReport, SvcStats, SvcStatsExt};
 use svc::telemetry::{AlertReport, ProfileReport, SeriesReport, TraceReport};
 use svc::JobResult;
@@ -14,7 +14,7 @@ use svc::JobResult;
 const DOC: &str = include_str!("../../../docs/PROTOCOL.md");
 
 /// Extracts `(tag, name)` rows from the table under the given `##`
-/// section heading. Rows look like `` | `7` | `Health` | v4 | — | ``.
+/// section heading. Rows look like `` | `7` | `Health` | — | ``.
 fn doc_table(section: &str) -> Vec<(u8, String)> {
     let mut in_section = false;
     let mut rows = Vec::new();
@@ -76,68 +76,74 @@ fn stats_ext() -> SvcStatsExt {
     }
 }
 
-#[test]
-fn documented_request_tags_match_the_code() {
-    let actual: Vec<(u8, &str)> = vec![
-        (Request::Ping.encode()[0], "Ping"),
-        (Request::Submit(spec(), TraceCtx::default()).encode()[0], "Submit"),
-        (Request::Poll(0).encode()[0], "Poll"),
-        (Request::Wait(0).encode()[0], "Wait"),
-        (Request::Stats.encode()[0], "Stats"),
-        (Request::Shutdown.encode()[0], "Shutdown"),
-        (Request::StatsExt.encode()[0], "StatsExt"),
-        (Request::Health.encode()[0], "Health"),
-        (Request::Series(None).encode()[0], "Series"),
-        (Request::TraceDump.encode()[0], "TraceDump"),
-        (Request::ProfileDump.encode()[0], "ProfileDump"),
-        (Request::AlertLog.encode()[0], "AlertLog"),
-        (Request::Backends.encode()[0], "Backends"),
-    ];
-    let documented = doc_table("Requests");
+/// Every request variant with its documented name.
+fn requests() -> Vec<(Request, &'static str)> {
+    vec![
+        (Request::Ping, "Ping"),
+        (Request::Submit(spec(), TraceCtx::default()), "Submit"),
+        (Request::Poll(0), "Poll"),
+        (Request::Wait(0), "Wait"),
+        (Request::Stats, "Stats"),
+        (Request::Shutdown, "Shutdown"),
+        (Request::StatsExt, "StatsExt"),
+        (Request::Health, "Health"),
+        (Request::Series(None), "Series"),
+        (Request::TraceDump, "TraceDump"),
+        (Request::ProfileDump, "ProfileDump"),
+        (Request::AlertLog, "AlertLog"),
+        (Request::Backends, "Backends"),
+    ]
+}
+
+/// Every response variant with its documented name.
+fn responses() -> Vec<(Response, &'static str)> {
+    vec![
+        (Response::Pong, "Pong"),
+        (Response::Submitted(0), "Submitted"),
+        (Response::Pending, "Pending"),
+        (Response::Result(result()), "Result"),
+        (Response::Stats(SvcStats::default()), "Stats"),
+        (Response::Err(String::new()), "Err"),
+        (Response::Bye, "Bye"),
+        (Response::StatsExt(Box::new(stats_ext())), "StatsExt"),
+        (Response::Health(HealthReport::default()), "Health"),
+        (Response::Series(SeriesReport::default()), "Series"),
+        (Response::TraceDump(TraceReport::default()), "TraceDump"),
+        (Response::ProfileDump(ProfileReport::default()), "ProfileDump"),
+        (Response::AlertLog(AlertReport::default()), "AlertLog"),
+        (Response::Busy(0), "Busy"),
+        (Response::Backends(BackendsReport::default()), "Backends"),
+    ]
+}
+
+/// The tag is the byte after the two-byte version head.
+fn assert_tags_documented(section: &str, actual: Vec<(Vec<u8>, &str)>) {
+    let documented = doc_table(section);
     assert_eq!(
         documented.len(),
         actual.len(),
-        "PROTOCOL.md requests table is missing or over-documenting messages"
+        "PROTOCOL.md {section} table is missing or over-documenting messages"
     );
-    for (tag, name) in &actual {
+    for (payload, name) in &actual {
+        assert_eq!(payload[..2], PROTO_VERSION.to_le_bytes());
+        let tag = payload[2];
         assert!(
-            documented.iter().any(|(t, n)| t == tag && n == name),
-            "request {name} (tag {tag}) not documented correctly in PROTOCOL.md"
+            documented.iter().any(|(t, n)| *t == tag && n == name),
+            "{name} (tag {tag}) not documented correctly under {section} in PROTOCOL.md"
         );
     }
 }
 
 #[test]
+fn documented_request_tags_match_the_code() {
+    let actual = requests().into_iter().map(|(r, n)| (r.encode(), n)).collect();
+    assert_tags_documented("Requests", actual);
+}
+
+#[test]
 fn documented_response_tags_match_the_code() {
-    let actual: Vec<(u8, &str)> = vec![
-        (Response::Pong.encode()[0], "Pong"),
-        (Response::Submitted(0).encode()[0], "Submitted"),
-        (Response::Pending.encode()[0], "Pending"),
-        (Response::Result(result()).encode()[0], "Result"),
-        (Response::Stats(SvcStats::default()).encode()[0], "Stats"),
-        (Response::Err(String::new()).encode()[0], "Err"),
-        (Response::Bye.encode()[0], "Bye"),
-        (Response::StatsExt(Box::new(stats_ext())).encode()[0], "StatsExt"),
-        (Response::Health(HealthReport::default()).encode()[0], "Health"),
-        (Response::Series(SeriesReport::default()).encode()[0], "Series"),
-        (Response::TraceDump(TraceReport::default()).encode()[0], "TraceDump"),
-        (Response::ProfileDump(ProfileReport::default()).encode()[0], "ProfileDump"),
-        (Response::AlertLog(AlertReport::default()).encode()[0], "AlertLog"),
-        (Response::Busy(0).encode()[0], "Busy"),
-        (Response::Backends(BackendsReport::default()).encode()[0], "Backends"),
-    ];
-    let documented = doc_table("Responses");
-    assert_eq!(
-        documented.len(),
-        actual.len(),
-        "PROTOCOL.md responses table is missing or over-documenting messages"
-    );
-    for (tag, name) in &actual {
-        assert!(
-            documented.iter().any(|(t, n)| t == tag && n == name),
-            "response {name} (tag {tag}) not documented correctly in PROTOCOL.md"
-        );
-    }
+    let actual = responses().into_iter().map(|(r, n)| (r.encode(), n)).collect();
+    assert_tags_documented("Responses", actual);
 }
 
 #[test]
@@ -149,170 +155,28 @@ fn documented_version_matches_the_code() {
     );
 }
 
-/// The v6 Health queue-depth trailer must be documented and must match
-/// the code: two trailing u64s that v4/v5 frames omit.
+/// Every wire field the spec promises is named in it, and every variant
+/// round-trips through the encoding the spec describes.
 #[test]
-fn documented_health_queue_trailer_matches_the_code() {
-    for field in ["queue_depth", "peak_queue_depth"] {
-        assert!(
-            DOC.contains(field),
-            "PROTOCOL.md must document the Health {field} field"
-        );
-    }
-    let report = HealthReport {
-        queue_depth: 4,
-        peak_queue_depth: 17,
-        ..HealthReport::default()
-    };
-    let with = Response::Health(report).encode();
-    let without = Response::Health(HealthReport::default()).encode();
-    assert_eq!(
-        with.len(),
-        without.len(),
-        "the trailer is two fixed-width u64s"
-    );
-    let trailer = &with[with.len() - 16..];
-    assert_eq!(u64::from_le_bytes(trailer[..8].try_into().unwrap()), 4);
-    assert_eq!(u64::from_le_bytes(trailer[8..].try_into().unwrap()), 17);
-}
-
-/// The v7 trailers must be documented and match the code: a 16-byte
-/// trace-context trailer that untraced submits omit entirely, and a
-/// fixed 40-byte span digest at the end of every `Result` frame.
-#[test]
-fn documented_v7_trailers_match_the_code() {
-    for field in ["trace_id", "origin_ns", "enqueue_ns", "start_ns", "done_ns"] {
-        assert!(
-            DOC.contains(field),
-            "PROTOCOL.md must document the {field} field"
-        );
-    }
-    let untraced = Request::Submit(spec(), TraceCtx::default()).encode();
-    let ctx = TraceCtx {
-        trace_id: 0xabc,
-        origin_ns: 7,
-    };
-    let traced = Request::Submit(spec(), ctx).encode();
-    assert_eq!(
-        traced.len(),
-        untraced.len() + 16,
-        "the Submit trace-context trailer is two u64s, omitted when untraced"
-    );
-    let trailer = &traced[traced.len() - 16..];
-    assert_eq!(u64::from_le_bytes(trailer[..8].try_into().unwrap()), 0xabc);
-    assert_eq!(u64::from_le_bytes(trailer[8..].try_into().unwrap()), 7);
-
-    let mut traced_result = result();
-    traced_result.trace = TraceDigest {
-        trace_id: 0xabc,
-        origin_ns: 7,
-        enqueue_ns: 1,
-        start_ns: 2,
-        done_ns: 3,
-    };
-    let with = Response::Result(traced_result).encode();
-    let without = Response::Result(result()).encode();
-    assert_eq!(
-        with.len(),
-        without.len(),
-        "the Result span digest is five fixed-width u64s"
-    );
-    let digest = &with[with.len() - 40..];
-    let vals: Vec<u64> = digest
-        .chunks(8)
-        .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
-        .collect();
-    assert_eq!(vals, vec![0xabc, 7, 1, 2, 3]);
-}
-
-/// The v8 additions must be documented and match the code: the Series
-/// since-cursor (an optional trailing u64 on the request), the sparse
-/// latency-bucket trailer on each Series reply point, and the
-/// ProfileDump / AlertLog bodies.
-#[test]
-fn documented_v8_additions_match_the_code() {
+fn documented_fields_appear_and_every_variant_round_trips() {
     for field in [
-        "since",
-        "window_ns",
-        "self_ns",
-        "instructions",
-        "cycles",
-        "armed",
-        "since_ns",
-        "threshold",
-        "transition",
+        // Submit trace context and the Result recovery / span digest.
+        "trace_id", "origin_ns", "enqueue_ns", "start_ns", "done_ns",
+        "attempts", "compile_fallback", "store_repairs", "checks_skipped",
+        // Health.
+        "queue_depth", "peak_queue_depth", "breaker_fast_fails",
+        // Series, ProfileDump, AlertLog.
+        "since", "bucket count", "window_ns", "self_ns", "instructions", "cycles",
+        "armed", "since_ns", "threshold", "transition",
+        // Busy and Backends.
+        "retry_after_ms", "watermark", "shed", "forwarded", "failovers", "healthy",
     ] {
-        assert!(
-            DOC.contains(field),
-            "PROTOCOL.md must document the v8 {field} field"
-        );
+        assert!(DOC.contains(field), "PROTOCOL.md must document the {field} field");
     }
-    // The Series cursor is one trailing u64, omitted when None.
-    let bare = Request::Series(None).encode();
-    let cursored = Request::Series(Some(0x1122)).encode();
-    assert_eq!(cursored.len(), bare.len() + 8);
-    let trailer = &cursored[cursored.len() - 8..];
-    assert_eq!(u64::from_le_bytes(trailer.try_into().unwrap()), 0x1122);
-    // Both v8 replies carry the version head right after the tag.
-    for resp in [
-        Response::ProfileDump(ProfileReport::default()),
-        Response::AlertLog(AlertReport::default()),
-    ] {
-        let payload = resp.encode();
-        assert_eq!(
-            payload[1] as u16 | ((payload[2] as u16) << 8),
-            PROTO_VERSION
-        );
+    for (req, name) in requests() {
+        assert_eq!(Request::decode(&req.encode()).expect(name), req);
     }
-}
-
-/// The v9 routing additions must be documented and match the code: the
-/// `Busy` retry hint is one fixed u32, the `Backends` request is bare,
-/// and the `Backends` reply carries the version head plus the
-/// per-backend status fields.
-#[test]
-fn documented_v9_additions_match_the_code() {
-    for field in [
-        "retry_after_ms",
-        "watermark",
-        "shed",
-        "queue_depth",
-        "forwarded",
-        "failovers",
-        "healthy",
-    ] {
-        assert!(
-            DOC.contains(field),
-            "PROTOCOL.md must document the v9 {field} field"
-        );
-    }
-    // Busy: tag + u32 retry hint, nothing else.
-    let busy = Response::Busy(250).encode();
-    assert_eq!(busy.len(), 5);
-    assert_eq!(u32::from_le_bytes(busy[1..5].try_into().unwrap()), 250);
-    // Backends request is a bare tag.
-    assert_eq!(Request::Backends.encode().len(), 1);
-    // Backends reply carries the version head right after the tag and
-    // round-trips its per-backend rows.
-    let report = BackendsReport {
-        watermark: 32,
-        shed: 2,
-        backends: vec![BackendStatus {
-            name: "shard-0".to_string(),
-            socket: "/tmp/shard0.sock".to_string(),
-            healthy: true,
-            queue_depth: 3,
-            forwarded: 41,
-            failovers: 1,
-        }],
-    };
-    let payload = Response::Backends(report.clone()).encode();
-    assert_eq!(
-        payload[1] as u16 | ((payload[2] as u16) << 8),
-        PROTO_VERSION
-    );
-    match Response::decode(&payload).expect("decode backends") {
-        Response::Backends(decoded) => assert_eq!(decoded, report),
-        other => panic!("expected Backends, got {other:?}"),
+    for (resp, name) in responses() {
+        assert_eq!(Response::decode(&resp.encode()).expect(name), resp);
     }
 }

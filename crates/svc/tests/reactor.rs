@@ -13,7 +13,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use svc::job::{JobSpec, Scale};
-use svc::proto::{Request, Response};
+use svc::proto::{Request, Response, PROTO_VERSION};
 use svc::scheduler::{Config, Scheduler};
 use svc::server::{serve, Client};
 
@@ -45,13 +45,16 @@ fn start_server(socket: &Path, workers: usize) -> std::thread::JoinHandle<std::i
     handle
 }
 
-/// Length-prefixes a request payload into one wire frame.
-fn frame(req: &Request) -> Vec<u8> {
-    let payload = req.encode();
+/// Length-prefixes a payload into one wire frame.
+fn frame_payload(payload: &[u8]) -> Vec<u8> {
     let mut f = Vec::with_capacity(4 + payload.len());
     f.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    f.extend_from_slice(&payload);
+    f.extend_from_slice(payload);
     f
+}
+
+fn frame(req: &Request) -> Vec<u8> {
+    frame_payload(&req.encode())
 }
 
 /// Reads exactly one response frame off a raw stream.
@@ -183,6 +186,33 @@ fn oversized_frame_drops_only_that_connection() {
     let mut c = Client::connect(&socket).expect("connect after bad conn");
     c.ping().expect("ping after bad conn");
     drop(c);
+
+    shutdown(&socket, server);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A frame from a different build (version head one behind) is refused
+/// with an `Err` naming both versions — per frame, not by dropping the
+/// connection: the same stream then answers a well-versioned `Ping`.
+#[test]
+fn version_mismatch_is_refused_per_frame() {
+    let dir = tmp_dir("version");
+    let socket = dir.join("svc.sock");
+    let server = start_server(&socket, 1);
+
+    let mut stale = Request::Ping.encode();
+    stale[..2].copy_from_slice(&(PROTO_VERSION - 1).to_le_bytes());
+    let mut stream = UnixStream::connect(&socket).expect("connect");
+    stream.write_all(&frame_payload(&stale)).expect("stale frame");
+    match read_response(&mut stream) {
+        Response::Err(msg) => {
+            assert!(msg.contains(&format!("v{}", PROTO_VERSION - 1)), "{msg}");
+            assert!(msg.contains(&format!("v{PROTO_VERSION}")), "{msg}");
+        }
+        other => panic!("expected Err, got {other:?}"),
+    }
+    stream.write_all(&frame(&Request::Ping)).expect("ping");
+    assert!(matches!(read_response(&mut stream), Response::Pong));
 
     shutdown(&socket, server);
     let _ = std::fs::remove_dir_all(&dir);
