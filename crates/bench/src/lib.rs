@@ -1,1 +1,1 @@
-//! Criterion benchmark targets live under `benches/`.
+//! The criterion ablation target lives under `benches/`.

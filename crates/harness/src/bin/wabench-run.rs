@@ -94,15 +94,11 @@ fn parse_opts() -> Opts {
                 }
             }
             "--scale" => {
-                opts.scale = match value(&args, &mut i, "--scale").as_str() {
-                    "test" => JobScale::Test,
-                    "profile" => JobScale::Profile,
-                    "timing" => JobScale::Timing,
-                    other => {
-                        obs::error!("unknown scale {other:?} (use test|profile|timing)");
-                        std::process::exit(2);
-                    }
-                }
+                let v = value(&args, &mut i, "--scale");
+                opts.scale = JobScale::parse(&v).unwrap_or_else(|| {
+                    obs::error!("unknown scale {v:?} (use test|profile|timing)");
+                    std::process::exit(2);
+                })
             }
             "--jobs" => {
                 opts.jobs = value(&args, &mut i, "--jobs").parse().unwrap_or_else(|_| {

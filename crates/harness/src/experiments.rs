@@ -1,10 +1,10 @@
 //! The experiment drivers: one function per table/figure in the paper's
 //! evaluation (Figures 1–10 plus appendix Figures 11–14, Tables 4–5).
 
+use crate::matrix;
 use crate::report::{pct, ratio, secs, Report};
 use crate::runner::{self, Scale};
 use crate::stats::geomean;
-use engines::{Backend, EngineKind};
 use suite::{Benchmark, Group};
 use wacc::OptLevel;
 
@@ -15,7 +15,7 @@ fn group_benches(group: Group) -> Vec<&'static Benchmark> {
 /// Figure 1: normalized execution time of every benchmark on every
 /// runtime (baseline: native execution).
 pub fn fig1(scale: Scale) -> Vec<Report> {
-    let engines = runner::engines();
+    let engines = matrix::engines("fig1");
     let mut header = vec!["benchmark".to_string()];
     header.extend(engines.iter().map(|e| e.name().to_string()));
     let mut report = Report::new(
@@ -28,8 +28,6 @@ pub fn fig1(scale: Scale) -> Vec<Report> {
     let mut slow_min: (f64, String) = (f64::INFINITY, String::new());
     for b in suite::all() {
         let n = scale.arg(b);
-        let expected = (b.native)(n);
-        let bytes = runner::wasm_bytes(b, OptLevel::O2);
         let native_s = crate::stats::time_secs(
             || {
                 std::hint::black_box((b.native)(n));
@@ -39,7 +37,7 @@ pub fn fig1(scale: Scale) -> Vec<Report> {
         );
         let mut row = vec![b.name.to_string()];
         for (i, kind) in engines.iter().enumerate() {
-            let t = runner::run_engine(*kind, &bytes, n, expected).total();
+            let t = runner::run_engine(b, *kind, OptLevel::O2, scale).total();
             let r = t / native_s;
             per_engine[i].push(r);
             row.push(ratio(r));
@@ -75,7 +73,7 @@ pub fn fig1(scale: Scale) -> Vec<Report> {
 /// Figure 2 (+ Figure 11 detail): Wasmer's three JIT backends, normalized
 /// to SinglePass.
 pub fn fig2(scale: Scale) -> Vec<Report> {
-    let backends = [Backend::Singlepass, Backend::Cranelift, Backend::Llvm];
+    let backends = matrix::engines("fig2");
     let mut detail = Report::new(
         "Figure 11",
         "Wasmer backends per benchmark (normalized to SinglePass)",
@@ -91,14 +89,9 @@ pub fn fig2(scale: Scale) -> Vec<Report> {
     for group in Group::all() {
         let mut per_backend: Vec<Vec<f64>> = vec![Vec::new(); 3];
         for b in group_benches(group) {
-            let n = scale.arg(b);
-            let expected = (b.native)(n);
-            let bytes = runner::wasm_bytes(b, OptLevel::O2);
             let times: Vec<f64> = backends
                 .iter()
-                .map(|bk| {
-                    runner::run_engine(EngineKind::Wasmer(*bk), &bytes, n, expected).total()
-                })
+                .map(|kind| runner::run_engine(b, *kind, OptLevel::O2, scale).total())
                 .collect();
             let base = times[0];
             let mut row = vec![b.name.to_string()];
@@ -148,11 +141,7 @@ pub fn fig2(scale: Scale) -> Vec<Report> {
 
 /// Figure 3 (+ Figure 12) and Table 4: AOT compilation.
 pub fn fig3_table4(scale: Scale) -> Vec<Report> {
-    let jits = [
-        EngineKind::Wasmtime,
-        EngineKind::Wavm,
-        EngineKind::Wasmer(Backend::Cranelift),
-    ];
+    let jits = matrix::engines("fig3");
     let mut detail = Report::new(
         "Figure 12",
         "AOT speedup per benchmark (baseline: same engine without AOT)",
@@ -186,14 +175,11 @@ pub fn fig3_table4(scale: Scale) -> Vec<Report> {
             aot_pct: [Vec::new(), Vec::new(), Vec::new()],
         };
         for b in group_benches(group) {
-            let n = scale.arg(b);
-            let expected = (b.native)(n);
-            let bytes = runner::wasm_bytes(b, OptLevel::O2);
             let mut row = vec![b.name.to_string()];
             let mut t4: [String; 3] = Default::default();
             for (i, kind) in jits.iter().enumerate() {
-                let jit = runner::run_engine(*kind, &bytes, n, expected);
-                let (aot_compile, aot) = runner::run_engine_aot(*kind, &bytes, n, expected);
+                let jit = runner::run_engine(b, *kind, OptLevel::O2, scale);
+                let (aot_compile, aot) = runner::run_engine_aot(b, *kind, OptLevel::O2, scale);
                 let speedup = jit.total() / aot.total();
                 acc.speedups[i].push(speedup);
                 acc.aot_s[i].push(aot_compile);
@@ -283,8 +269,8 @@ pub fn fig3_table4(scale: Scale) -> Vec<Report> {
 
 /// Figure 4: impact of compiler optimization levels (-O0..-O3).
 pub fn fig4(scale: Scale) -> Vec<Report> {
-    let levels = OptLevel::all();
-    let engines = runner::engines();
+    let levels = matrix::levels("fig4");
+    let engines = matrix::engines("fig4");
     let mut report = Report::new(
         "Figure 4",
         "Speedup from compiler optimization levels (baseline: -O0, geomean over WABench)",
@@ -300,16 +286,9 @@ pub fn fig4(scale: Scale) -> Vec<Report> {
     for kind in engines {
         let mut per_level: Vec<Vec<f64>> = vec![Vec::new(); 4];
         for b in suite::all() {
-            let n = scale.arg(b);
-            let expected = (b.native)(n);
-            let t0 = runner::run_engine(kind, &runner::wasm_bytes(b, levels[0]), n, expected)
-                .total();
+            let t0 = runner::run_engine(b, kind, levels[0], scale).total();
             for (li, level) in levels.iter().enumerate() {
-                let t = if li == 0 {
-                    t0
-                } else {
-                    runner::run_engine(kind, &runner::wasm_bytes(b, *level), n, expected).total()
-                };
+                let t = runner::run_engine(b, kind, *level, scale).total();
                 per_level[li].push(t0 / t);
             }
         }
@@ -423,18 +402,16 @@ fn arch_normalized(
     scale: Scale,
     metric: impl Fn(&archsim::Counters) -> f64,
 ) -> Vec<Report> {
-    let engines = runner::engines();
+    let engines = matrix::engines("arch");
     let mut header = vec!["benchmark".to_string()];
     header.extend(engines.iter().map(|e| e.name().to_string()));
     let mut report = Report::new(id, title, header);
     let mut per_engine: Vec<Vec<f64>> = vec![Vec::new(); engines.len()];
     for b in suite::all() {
-        let n = scale.arg(b);
-        let bytes = runner::wasm_bytes(b, OptLevel::O2);
-        let native = metric(&runner::run_native_profiled(&bytes, n)).max(1.0);
+        let native = metric(&runner::run_native_profiled(b, OptLevel::O2, scale)).max(1.0);
         let mut row = vec![b.name.to_string()];
         for (i, kind) in engines.iter().enumerate() {
-            let c = runner::run_profiled(*kind, &bytes, n);
+            let c = runner::run_profiled(b, *kind, OptLevel::O2, scale);
             let r = metric(&c) / native;
             per_engine[i].push(r);
             row.push(ratio(r));
@@ -464,20 +441,18 @@ pub fn fig6(scale: Scale) -> Vec<Report> {
 
 /// Figure 7: instructions per cycle.
 pub fn fig7(scale: Scale) -> Vec<Report> {
-    let engines = runner::engines();
+    let engines = matrix::engines("arch");
     let mut header = vec!["benchmark".to_string(), "Native".to_string()];
     header.extend(engines.iter().map(|e| e.name().to_string()));
     let mut report = Report::new("Figure 7", "Instructions per cycle (IPC)", header);
     let mut native_all = Vec::new();
     let mut per_engine: Vec<Vec<f64>> = vec![Vec::new(); engines.len()];
     for b in suite::all() {
-        let n = scale.arg(b);
-        let bytes = runner::wasm_bytes(b, OptLevel::O2);
-        let native = runner::run_native_profiled(&bytes, n).ipc();
+        let native = runner::run_native_profiled(b, OptLevel::O2, scale).ipc();
         native_all.push(native);
         let mut row = vec![b.name.to_string(), format!("{native:.2}")];
         for (i, kind) in engines.iter().enumerate() {
-            let ipc = runner::run_profiled(*kind, &bytes, n).ipc();
+            let ipc = runner::run_profiled(b, *kind, OptLevel::O2, scale).ipc();
             per_engine[i].push(ipc);
             row.push(format!("{ipc:.2}"));
         }
@@ -508,20 +483,18 @@ pub fn fig8_table5(scale: Scale) -> Vec<Report> {
         scale,
         |c| c.branch_misses as f64,
     );
-    let engines = runner::engines();
+    let engines = matrix::engines("arch");
     let mut header = vec!["benchmark".to_string(), "Native".to_string()];
     header.extend(engines.iter().map(|e| e.name().to_string()));
     let mut t5 = Report::new("Table 5", "Branch prediction miss ratios", header);
     let mut native_all = Vec::new();
     let mut per_engine: Vec<Vec<f64>> = vec![Vec::new(); engines.len()];
     for b in suite::all() {
-        let n = scale.arg(b);
-        let bytes = runner::wasm_bytes(b, OptLevel::O2);
-        let native = runner::run_native_profiled(&bytes, n).branch_miss_ratio();
+        let native = runner::run_native_profiled(b, OptLevel::O2, scale).branch_miss_ratio();
         native_all.push(native.max(1e-6));
         let mut row = vec![b.name.to_string(), pct(native)];
         for (i, kind) in engines.iter().enumerate() {
-            let r = runner::run_profiled(*kind, &bytes, n).branch_miss_ratio();
+            let r = runner::run_profiled(b, *kind, OptLevel::O2, scale).branch_miss_ratio();
             per_engine[i].push(r.max(1e-6));
             row.push(pct(r));
         }
@@ -550,20 +523,18 @@ pub fn fig9_fig10(scale: Scale) -> Vec<Report> {
         scale,
         |c| c.cache_misses as f64,
     );
-    let engines = runner::engines();
+    let engines = matrix::engines("arch");
     let mut header = vec!["benchmark".to_string(), "Native".to_string()];
     header.extend(engines.iter().map(|e| e.name().to_string()));
     let mut f10 = Report::new("Figure 10", "Cache miss ratios (LLC)", header);
     let mut native_all = Vec::new();
     let mut per_engine: Vec<Vec<f64>> = vec![Vec::new(); engines.len()];
     for b in suite::all() {
-        let n = scale.arg(b);
-        let bytes = runner::wasm_bytes(b, OptLevel::O2);
-        let native = runner::run_native_profiled(&bytes, n).cache_miss_ratio();
+        let native = runner::run_native_profiled(b, OptLevel::O2, scale).cache_miss_ratio();
         native_all.push(native.max(1e-6));
         let mut row = vec![b.name.to_string(), pct(native)];
         for (i, kind) in engines.iter().enumerate() {
-            let r = runner::run_profiled(*kind, &bytes, n).cache_miss_ratio();
+            let r = runner::run_profiled(b, *kind, OptLevel::O2, scale).cache_miss_ratio();
             per_engine[i].push(r.max(1e-6));
             row.push(pct(r));
         }

@@ -119,8 +119,8 @@ pub fn observability_section() -> String {
      Every binary in this workspace is instrumented with `wabench-obs`\n\
      spans: WaCC passes (`wacc.parse`/`wacc.opt`/`wacc.pass`), engine\n\
      phases (`engine.decode`/`engine.validate`, per-tier `jit.compile`\n\
-     and `jit.pass`, `engine.execute`), harness matrix cells\n\
-     (`harness.cell`, `harness.figure`), and scheduler phases\n\
+     and `jit.pass`, `engine.execute`), matrix cells and figures\n\
+     (`svc.job.exec`, `harness.figure`), and scheduler phases\n\
      (`svc.queue.wait`, `svc.job.run`). Tracing is off by default and\n\
      the disabled path is one relaxed atomic load, so the numbers above\n\
      are bit-identical with or without the instrumentation compiled in.\n\n\

@@ -4,14 +4,16 @@
 //! wabench-harness <experiment|all> [--scale test|profile|timing] [--jobs N] [--out FILE]
 //! ```
 //!
-//! With `--jobs N` (N > 1) the measurement matrix first runs through the
-//! `wabench-svc` scheduler on N workers, then the tables are assembled
-//! serially from the primed results — same rows, same order.
+//! Every cell is measured by `svc::exec::execute` and remembered in one
+//! memo. With `--jobs N` (N > 1) the measurement matrix first runs
+//! through the `wabench-svc` scheduler on N workers, which only
+//! pre-fills that memo; the tables are then assembled in the same
+//! serial order from it — same rows, same order.
 //!
 //! `--faults PLAN` (or `WABENCH_FAULTS`) arms deterministic fault
 //! injection in the warm pass for chaos testing: failed and degraded
-//! cells are skipped and recomputed cleanly by the serial pass, so
-//! output tables are unaffected. A greppable `resilience:` summary line
+//! cells are skipped and measured inline, fault-free, during table
+//! assembly, so output tables are unaffected. A greppable `resilience:` summary line
 //! reports what was injected and recovered. `--store DIR` gives the
 //! warm pass an on-disk artifact store (reusing a directory across runs
 //! exercises corruption detection/repair).
@@ -29,15 +31,10 @@ fn usage_exit() -> ! {
 }
 
 fn parse_scale(s: &str) -> Scale {
-    match s {
-        "test" => Scale::Test,
-        "profile" => Scale::Profile,
-        "timing" => Scale::Timing,
-        other => {
-            obs::error!("unknown scale {other:?} (use test|profile|timing)");
-            std::process::exit(2);
-        }
-    }
+    Scale::parse(s).unwrap_or_else(|| {
+        obs::error!("unknown scale {s:?} (use test|profile|timing)");
+        std::process::exit(2);
+    })
 }
 
 /// The value of `--flag VALUE`, or usage + exit 2 when the flag is the
@@ -195,12 +192,15 @@ fn main() {
              absolute values are not comparable (different substrate), shapes are.\n\n",
         );
         output.push_str(
-            "Parallel regeneration: with `--jobs N` the measurement matrices for\n\
-             fig1–fig4 and fig6–fig9 run through the wabench-svc scheduler on N\n\
+            "Parallel regeneration: one kernel, one memo. Every cell of fig1–fig4\n\
+             and fig6–fig9 is measured by the same function (`svc::exec::execute`)\n\
+             and remembered by its job spec, so a cell two figures share (fig1's\n\
+             column, fig3's JIT baseline, fig4's -O2 column) is one measurement.\n\
+             `--jobs N` only pre-fills that memo from N wabench-svc scheduler\n\
              workers; tables are then assembled in deterministic serial order, so\n\
              their structure is independent of how jobs interleaved. fig5 (memory)\n\
-             always runs serially. The simulated figures (fig6–fig9) are\n\
-             bit-identical to a serial run; wall-clock tables vary run to run\n\
+             is always measured during assembly. The simulated figures (fig6–fig9)\n\
+             are bit-identical to a serial run; wall-clock tables vary run to run\n\
              either way.\n\n",
         );
         if jobs > 1 {

@@ -1,11 +1,12 @@
 //! The paper's figure matrices as *data*: which benchmark × engine ×
 //! opt-level × measurement-mode cells each figure sweeps.
 //!
-//! The experiment drivers in [`crate::experiments`] iterate these cells
-//! serially with measurement fidelity; the load generator draws from
-//! the same matrices to build a realistic service job mix. Keeping one
-//! definition here means the two cannot drift: a cell the load
-//! generator stresses is a cell a figure actually measures.
+//! The experiment drivers in [`crate::experiments`] take their columns
+//! from these matrices, the `--jobs N` warm pass ([`crate::parallel`])
+//! schedules their cells, and the load generator draws from them to
+//! build a realistic service job mix. Keeping one definition here means
+//! the three cannot drift: a cell the load generator stresses or the
+//! warm pass pre-fills is a cell a figure actually measures.
 
 use engines::{Backend, EngineKind};
 use svc::job::{JobMode, JobSpec, Scale};
@@ -50,40 +51,66 @@ impl MatrixCell {
 /// Preset names accepted by [`preset`], in presentation order.
 pub const PRESETS: [&str; 5] = ["fig1", "fig2", "fig3", "fig4", "arch"];
 
-/// The cells behind a named figure matrix, or `None` for an unknown
-/// name. `"arch"` covers the architectural figures 6–9, which all sweep
-/// the same engine×benchmark grid under the simulator.
-pub fn preset(name: &str) -> Option<Vec<MatrixCell>> {
-    let cells = match name {
+/// A preset's axes: the engines and opt levels it sweeps over every
+/// benchmark, and how each cell is measured. The only place a figure's
+/// engine and level lists are written down.
+fn axes(name: &str) -> Option<(Vec<EngineKind>, Vec<OptLevel>, JobMode)> {
+    let every_runtime = EngineKind::all().to_vec();
+    Some(match name {
         // Figure 1: every benchmark on every runtime, O2, wall-clock.
-        "fig1" => product(&crate::runner::engines(), &[OptLevel::O2], JobMode::Exec),
-        // Figure 2: Wasmer's three JIT backends.
-        "fig2" => product(
-            &[
+        "fig1" => (every_runtime, vec![OptLevel::O2], JobMode::Exec),
+        // Figure 2: Wasmer's three JIT backends, baseline first.
+        "fig2" => (
+            vec![
                 EngineKind::Wasmer(Backend::Singlepass),
                 EngineKind::Wasmer(Backend::Cranelift),
                 EngineKind::Wasmer(Backend::Llvm),
             ],
-            &[OptLevel::O2],
+            vec![OptLevel::O2],
             JobMode::Exec,
         ),
         // Figure 3: AOT compile/load split on the compiling runtimes.
-        "fig3" => product(
-            &[
+        "fig3" => (
+            vec![
                 EngineKind::Wasmtime,
                 EngineKind::Wavm,
                 EngineKind::Wasmer(Backend::Cranelift),
             ],
-            &[OptLevel::O2],
+            vec![OptLevel::O2],
             JobMode::ExecAot,
         ),
         // Figure 4: the optimization-level sweep on every runtime.
-        "fig4" => product(&crate::runner::engines(), &OptLevel::all(), JobMode::Exec),
+        "fig4" => (every_runtime, OptLevel::all().to_vec(), JobMode::Exec),
         // Figures 6–9: simulated architectural counters, every runtime.
-        "arch" => product(&crate::runner::engines(), &[OptLevel::O2], JobMode::Profiled),
+        "arch" => (every_runtime, vec![OptLevel::O2], JobMode::Profiled),
         _ => return None,
-    };
-    Some(cells)
+    })
+}
+
+/// The cells behind a named figure matrix, or `None` for an unknown
+/// name. `"arch"` covers the architectural figures 6–9, which all sweep
+/// the same engine×benchmark grid under the simulator.
+pub fn preset(name: &str) -> Option<Vec<MatrixCell>> {
+    let (engines, levels, mode) = axes(name)?;
+    Some(product(&engines, &levels, mode))
+}
+
+/// The engines of a preset, in presentation (column) order.
+///
+/// # Panics
+///
+/// Panics on a name outside [`PRESETS`].
+pub fn engines(name: &str) -> Vec<EngineKind> {
+    axes(name).expect("known preset").0
+}
+
+/// The opt levels of a preset, ascending.
+///
+/// # Panics
+///
+/// Panics on a name outside [`PRESETS`].
+pub fn levels(name: &str) -> Vec<OptLevel> {
+    axes(name).expect("known preset").1
 }
 
 fn product(engines: &[EngineKind], levels: &[OptLevel], mode: JobMode) -> Vec<MatrixCell> {

@@ -1,12 +1,13 @@
 //! The `--jobs N` warm pass: runs each experiment's measurement matrix
-//! through the `wabench-svc` scheduler, then primes the serial runner
-//! caches with the results.
+//! through the `wabench-svc` scheduler and stores the clean results in
+//! the [`crate::runner`] memo.
 //!
-//! The table-assembly code in [`crate::experiments`] is untouched: it
-//! still iterates benchmarks and engines in the same deterministic
-//! order, but every `run_engine`/`run_engine_aot`/`run_profiled` call
-//! finds its measurement already primed and returns immediately. Tables
-//! therefore come out structurally identical to a serial run — same
+//! A scheduler worker and an inline measurement both end in
+//! [`svc::exec::execute`], so a pre-filled cell is the value a serial
+//! run would have measured for it. The table-assembly code in
+//! [`crate::experiments`] iterates benchmarks and engines in the same
+//! deterministic order either way and finds its cells already in the
+//! memo: tables come out structurally identical to a serial run — same
 //! rows, same columns, same ordering — regardless of how the jobs
 //! interleaved across workers. Simulated experiments (fig6–fig9) are
 //! bit-identical too, because the architectural simulator is
@@ -17,97 +18,43 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
-use engines::{Backend, EngineKind};
 use fault::FaultPlan;
 use svc::job::{JobMode, JobSpec};
 use svc::scheduler::{Config, ResilienceStats, Scheduler};
-use wacc::OptLevel;
 
-use crate::runner::{self, ExecTime, Scale};
+use crate::matrix::{self, MatrixCell};
+use crate::runner::{self, Scale};
 
-fn svc_scale(scale: Scale) -> svc::job::Scale {
-    match scale {
-        Scale::Test => svc::job::Scale::Test,
-        Scale::Profile => svc::job::Scale::Profile,
-        Scale::Timing => svc::job::Scale::Timing,
+/// The jobs an experiment will measure, deduplicated across experiments
+/// (fig1, fig3 and fig4 share their O2 JIT runs, the four simulated
+/// figures share all their profiled runs): the figure's
+/// [`matrix::preset`] plus the baselines its tables divide by.
+fn specs_for(id: &str, scale: Scale, seen: &mut HashSet<JobSpec>) -> Vec<JobSpec> {
+    let name = if crate::is_simulated(id) { "arch" } else { id };
+    // fig5 (memory) has no preset: it is measured outside the memo, and
+    // warming it would change what the experiment measures.
+    let mut cells = Vec::new();
+    for cell in matrix::preset(name).unwrap_or_default() {
+        match cell.mode {
+            // An AOT speedup is relative to the same engine's JIT run.
+            JobMode::ExecAot => cells.push(MatrixCell {
+                mode: JobMode::Exec,
+                ..cell
+            }),
+            // Simulated counters are normalized to the native baseline
+            // (one per benchmark; `seen` drops the repeats).
+            JobMode::Profiled => cells.push(MatrixCell {
+                engine: runner::NATIVE_ENGINE,
+                mode: JobMode::ProfiledNative,
+                ..cell
+            }),
+            _ => {}
+        }
+        cells.push(cell);
     }
-}
-
-/// The job matrix an experiment will measure, deduplicated across
-/// experiments (fig1 and fig3 share their O2 JIT runs, the four
-/// simulated figures share all their profiled runs).
-fn specs_for(id: &str, scale: Scale, seen: &mut HashSet<(String, u8, u8, u8)>) -> Vec<JobSpec> {
-    let scale = svc_scale(scale);
-    let mut out = Vec::new();
-    let mut push = |benchmark: &str, engine: EngineKind, level: OptLevel, mode: JobMode| {
-        let key = (
-            benchmark.to_string(),
-            engine.code(),
-            svc::wire::level_byte(level),
-            mode.byte(),
-        );
-        if seen.insert(key) {
-            out.push(JobSpec {
-                benchmark: benchmark.to_string(),
-                engine,
-                level,
-                scale,
-                mode,
-                warm: false,
-            });
-        }
-    };
-    match id {
-        "fig1" => {
-            for b in suite::all() {
-                for kind in EngineKind::all() {
-                    push(b.name, kind, OptLevel::O2, JobMode::Exec);
-                }
-            }
-        }
-        "fig2" => {
-            for b in suite::all() {
-                for bk in [Backend::Singlepass, Backend::Cranelift, Backend::Llvm] {
-                    push(b.name, EngineKind::Wasmer(bk), OptLevel::O2, JobMode::Exec);
-                }
-            }
-        }
-        "fig3" => {
-            let jits = [
-                EngineKind::Wasmtime,
-                EngineKind::Wavm,
-                EngineKind::Wasmer(Backend::Cranelift),
-            ];
-            for b in suite::all() {
-                for kind in jits {
-                    push(b.name, kind, OptLevel::O2, JobMode::Exec);
-                    push(b.name, kind, OptLevel::O2, JobMode::ExecAot);
-                }
-            }
-        }
-        "fig4" => {
-            for b in suite::all() {
-                for kind in EngineKind::all() {
-                    for level in OptLevel::all() {
-                        push(b.name, kind, level, JobMode::Exec);
-                    }
-                }
-            }
-        }
-        // fig5 (memory) is deliberately uncached in the serial runner;
-        // warming it would change what the experiment measures.
-        "fig5" => {}
-        "fig6" | "fig7" | "fig8" | "fig9" => {
-            for b in suite::all() {
-                push(b.name, EngineKind::Wavm, OptLevel::O2, JobMode::ProfiledNative);
-                for kind in EngineKind::all() {
-                    push(b.name, kind, OptLevel::O2, JobMode::Profiled);
-                }
-            }
-        }
-        _ => {}
-    }
-    out
+    let mut specs: Vec<JobSpec> = cells.iter().map(|c| c.spec(scale, false)).collect();
+    specs.retain(|spec| seen.insert(spec.clone()));
+    specs
 }
 
 /// Options for [`warm_matrix_opts`]: worker count plus the resilience
@@ -118,8 +65,8 @@ pub struct WarmOptions {
     pub jobs: usize,
     /// Deterministic fault-injection plan (chaos mode). With a plan
     /// armed, failed and degraded cells are *skipped* instead of
-    /// aborting the run — the serial pass recomputes them cleanly, so
-    /// figures stay bit-identical to a fault-free run.
+    /// aborting the run — table assembly remeasures them inline and
+    /// fault-free, so figures stay bit-identical to a fault-free run.
     pub faults: Option<Arc<FaultPlan>>,
     /// Artifact-store directory for the warm pass (`None` = in-memory
     /// only). Reusing a directory across runs exercises store
@@ -127,19 +74,19 @@ pub struct WarmOptions {
     pub store_dir: Option<PathBuf>,
 }
 
-/// What a warm pass did: how much of the matrix was primed, which cells
-/// were recovered-but-degraded or failed (left for the serial path),
-/// and the scheduler's resilience counters.
+/// What a warm pass did: how much of the matrix it pre-filled, which
+/// cells were recovered-but-degraded or failed (left for the inline
+/// path), and the scheduler's resilience counters.
 #[derive(Debug, Clone, Default)]
 pub struct WarmSummary {
     /// Jobs executed.
     pub jobs: usize,
-    /// Results primed into the serial runner caches.
+    /// Clean results stored in the runner memo.
     pub primed: usize,
     /// Cells that succeeded through a degradation path (interpreter
-    /// fallback); never primed, so the serial pass remeasures them.
+    /// fallback); never stored, so table assembly remeasures them.
     pub degraded: Vec<String>,
-    /// Cells that failed even after retries; the serial pass recomputes
+    /// Cells that failed even after retries; table assembly measures
     /// them from scratch.
     pub failed: Vec<String>,
     /// Scheduler resilience counters (retries, fallbacks, repairs,
@@ -151,8 +98,8 @@ pub struct WarmSummary {
 }
 
 /// Runs the measurement matrices for `ids` through a `jobs`-worker
-/// scheduler and primes the serial runner caches with every result.
-/// Returns the number of jobs executed.
+/// scheduler and stores every result in the runner memo. Returns the
+/// number of jobs executed.
 ///
 /// # Panics
 ///
@@ -169,11 +116,11 @@ pub fn warm_matrix(ids: &[(&str, Scale)], jobs: usize) -> usize {
     .jobs
 }
 
-/// [`warm_matrix`] with resilience options. Only *clean* results prime
-/// the serial caches: degraded cells measured the wrong tier and failed
-/// cells produced nothing, so both are skipped and the serial pass
-/// recomputes them — output tables stay correct (and simulated figures
-/// bit-identical) under any fault plan.
+/// [`warm_matrix`] with resilience options. Only *clean* results enter
+/// the memo: degraded cells measured the wrong tier and failed cells
+/// produced nothing, so both are skipped and measured inline later —
+/// output tables stay correct (and simulated figures bit-identical)
+/// under any fault plan.
 ///
 /// # Panics
 ///
@@ -205,12 +152,6 @@ pub fn warm_matrix_opts(ids: &[(&str, Scale)], opts: &WarmOptions) -> WarmSummar
     }
     let results = sched.drain_sorted();
 
-    // Share the parallel pass's compiled modules with the serial path.
-    for (name, level, bytes) in sched.bytes_snapshot() {
-        if let Some(b) = suite::by_name(&name) {
-            runner::prime_wasm_bytes(b.name, level, bytes);
-        }
-    }
     summary.jobs = results.len();
     for res in results {
         if !res.ok() {
@@ -220,53 +161,18 @@ pub fn warm_matrix_opts(ids: &[(&str, Scale)], opts: &WarmOptions) -> WarmSummar
                 res.spec,
                 res.status
             );
-            obs::warn!("chaos: job failed, serial pass will recompute: {}", res.spec);
+            obs::warn!("chaos: job failed, will be measured inline: {}", res.spec);
             summary.failed.push(res.spec.to_string());
             continue;
         }
         if res.degraded() {
             // Correct checksum, wrong tier: the timings would poison the
-            // figure, so leave the cell for the clean serial pass.
+            // figure, so leave the cell for the clean inline path.
             obs::warn!("chaos: degraded cell not primed: {}", res.spec);
             summary.degraded.push(res.spec.to_string());
             continue;
         }
-        let b = suite::by_name(&res.spec.benchmark).expect("job benchmark registered");
-        let n = res.spec.scale.arg(b);
-        match res.spec.mode {
-            JobMode::Exec => runner::prime_exec(
-                res.spec.engine,
-                res.bytes_hash,
-                n,
-                ExecTime {
-                    compile_s: res.compile_s,
-                    exec_s: res.exec_s,
-                },
-            ),
-            JobMode::ExecAot => runner::prime_exec_aot(
-                res.spec.engine,
-                res.bytes_hash,
-                n,
-                res.aot_compile_s.expect("aot job reports compile time"),
-                ExecTime {
-                    compile_s: res.compile_s,
-                    exec_s: res.exec_s,
-                },
-            ),
-            JobMode::Profiled => runner::prime_profiled(
-                res.spec.engine.name(),
-                res.bytes_hash,
-                n,
-                res.counters.expect("profiled job reports counters"),
-            ),
-            JobMode::ProfiledNative => runner::prime_profiled(
-                "native",
-                res.bytes_hash,
-                n,
-                res.counters.expect("profiled job reports counters"),
-            ),
-            JobMode::SelfTestPanic | JobMode::SelfTestHang | JobMode::SelfTestFlaky => {}
-        }
+        runner::insert(res);
         summary.primed += 1;
     }
     summary.resilience = sched.resilience();
@@ -277,6 +183,8 @@ pub fn warm_matrix_opts(ids: &[(&str, Scale)], opts: &WarmOptions) -> WarmSummar
 #[cfg(test)]
 mod tests {
     use super::*;
+    use engines::EngineKind;
+    use wacc::OptLevel;
 
     #[test]
     fn matrices_deduplicate_shared_runs() {
@@ -297,20 +205,53 @@ mod tests {
     }
 
     #[test]
-    fn warm_pass_primes_the_serial_runner() {
-        // Warm fig1's matrix at test scale, then check a serial
-        // measurement comes straight from the primed cache: identical
-        // down to the bit on repeated calls.
-        let n_jobs = warm_matrix(&[("fig1", Scale::Test)], 4);
-        assert_eq!(n_jobs, suite::all().len() * 5);
-        let b = suite::by_name("crc32").unwrap();
-        let n = b.sizes.test;
-        let expected = (b.native)(n);
-        let bytes = runner::wasm_bytes(b, OptLevel::O2);
-        let t1 = runner::run_engine(engines::EngineKind::Wasmtime, &bytes, n, expected);
-        let t2 = runner::run_engine(engines::EngineKind::Wasmtime, &bytes, n, expected);
+    fn one_memo_serves_inline_and_warm_results() {
+        // Inline: the first call measures, the second is a hit —
+        // identical down to the bit.
+        let crc = suite::by_name("crc32").unwrap();
+        let t1 = runner::run_engine(crc, EngineKind::Wasm3, OptLevel::O1, Scale::Test);
+        let t2 = runner::run_engine(crc, EngineKind::Wasm3, OptLevel::O1, Scale::Test);
         assert_eq!(t1.compile_s.to_bits(), t2.compile_s.to_bits());
         assert_eq!(t1.exec_s.to_bits(), t2.exec_s.to_bits());
         assert!(t1.total() > 0.0);
+
+        // Warm: the accessor returns what the scheduler measured (its
+        // ids start at 1; an inline result carries 0), not a remeasure.
+        let n_jobs = warm_matrix(&[("fig2", Scale::Test)], 4);
+        assert_eq!(n_jobs, suite::all().len() * 3);
+        let cell = matrix::preset("fig2").unwrap()[0];
+        let warm = runner::measure(&cell.spec(Scale::Test, false));
+        assert_ne!(warm.id, 0, "cell was remeasured inline");
+        let b = suite::by_name(cell.benchmark).unwrap();
+        let t = runner::run_engine(b, cell.engine, cell.level, Scale::Test);
+        assert_eq!(t.compile_s.to_bits(), warm.compile_s.to_bits());
+        assert_eq!(t.exec_s.to_bits(), warm.exec_s.to_bits());
+    }
+
+    /// The bit-identity the simulated figures rely on: a cell profiled
+    /// inline and the same cell profiled by a scheduler worker retire
+    /// the same counters.
+    #[test]
+    fn inline_and_scheduled_profiles_agree() {
+        let spec = JobSpec {
+            mode: JobMode::Profiled,
+            ..JobSpec::exec("gemm", EngineKind::Wasmtime, OptLevel::O1, Scale::Test)
+        };
+        let inline = runner::measure(&spec).counters;
+        assert!(inline.is_some_and(|c| c.instructions > 0));
+        let sched = Scheduler::start(Config {
+            workers: 2,
+            ..Config::default()
+        })
+        .expect("start scheduler");
+        sched.submit(spec.clone());
+        sched.submit(spec);
+        let results = sched.drain_sorted();
+        sched.shutdown();
+        assert_eq!(results.len(), 2);
+        for res in results {
+            assert!(res.ok(), "{:?}", res.status);
+            assert_eq!(res.counters, inline);
+        }
     }
 }

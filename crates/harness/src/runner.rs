@@ -1,77 +1,87 @@
-//! Measurement machinery shared by all experiments.
+//! The measurement memo shared by all experiments.
 //!
-//! All caches here are *serial* state feeding the table-assembly code.
-//! The parallel path (`crate::parallel`) primes them from scheduler
-//! results before assembly starts, so `--jobs N` runs produce tables
-//! with the same structure, in the same deterministic row order, as
-//! serial runs — only the measurements were taken concurrently.
+//! Every figure cell is measured by [`svc::exec::execute`] — the same
+//! function a scheduler worker runs — in one process-wide fault-free
+//! [`ExecEnv`], and remembered by its [`JobSpec`]. A serial run fills
+//! the memo inline, one miss at a time; `--jobs N` (`crate::parallel`)
+//! only pre-fills it from scheduler results. Either way the tables are
+//! assembled from the same memo in the same deterministic row order,
+//! and a cell two figures share is one measurement.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, LazyLock, Mutex};
 
-use archsim::{ArchSim, Counters};
+use archsim::Counters;
 use engines::account::MemoryReport;
 use engines::{Engine, EngineKind};
 use suite::Benchmark;
-use svc::hash::fnv64;
+use svc::exec::ExecEnv;
+use svc::job::{JobMode, JobResult, JobSpec};
 use wacc::OptLevel;
 use wasi_rt::WasiCtx;
 use wasm_core::types::Value;
 
-/// Which workload scale an experiment runs at.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Scale {
-    /// Tiny (CI-friendly smoke runs).
-    Test,
-    /// Medium — the default for the harness.
-    Profile,
-    /// Large — closest to the paper's full workloads.
-    Timing,
+pub use svc::job::Scale;
+
+static ENV: LazyLock<ExecEnv> = LazyLock::new(|| ExecEnv::new(None));
+static MEMO: LazyLock<Mutex<HashMap<JobSpec, JobResult>>> = LazyLock::new(Mutex::default);
+
+/// The environment inline measurements run in: no store, no fault plan.
+pub fn env() -> &'static ExecEnv {
+    &ENV
 }
 
-impl Scale {
-    /// The scale argument for a benchmark.
-    pub fn arg(self, b: &Benchmark) -> i32 {
-        match self {
-            Scale::Test => b.sizes.test,
-            Scale::Profile => b.sizes.profile,
-            Scale::Timing => b.sizes.timing,
-        }
-    }
-}
-
-/// Compiled-bytes cache: compiling 50 benchmarks once per (name, level).
-/// `Arc<[u8]>` so a cache hit is a refcount bump, not a byte copy —
-/// modules reach hundreds of KiB and every experiment re-requests them.
-type BytesCache = HashMap<(&'static str, OptLevel), Arc<[u8]>>;
-static CACHE: Mutex<Option<BytesCache>> = Mutex::new(None);
-
-/// Compiles a benchmark (cached).
+/// Compiles a benchmark (cached in [`env`]).
 pub fn wasm_bytes(b: &Benchmark, level: OptLevel) -> Arc<[u8]> {
-    let mut guard = CACHE.lock().expect("cache lock");
-    let cache = guard.get_or_insert_with(HashMap::new);
-    cache
-        .entry((b.name, level))
-        .or_insert_with(|| {
-            let _span = obs::span!("harness.compile", bench = b.name, level = level);
-            b.compile(level).expect("registered benchmarks compile").into()
-        })
+    ENV.wasm_bytes(b, level).expect("registered benchmarks compile")
+}
+
+/// The measurement of one cell. A miss executes the job inline on the
+/// calling thread and stores the result; a hit returns the stored one,
+/// so repeated calls agree to the bit.
+///
+/// # Panics
+///
+/// Panics if the job fails or produces a wrong checksum (measurement
+/// results would be meaningless).
+pub fn measure(spec: &JobSpec) -> JobResult {
+    if let Some(hit) = MEMO.lock().expect("memo lock").get(spec) {
+        return hit.clone();
+    }
+    let res = svc::exec::execute(spec, &ENV);
+    assert!(res.ok(), "{spec}: {:?}", res.status);
+    insert(res)
+}
+
+/// Stores a clean result measured elsewhere (the `--jobs N` warm pass)
+/// and returns what the memo now holds for its cell: the first result
+/// stored wins, so a cell never changes value within a run.
+pub fn insert(res: JobResult) -> JobResult {
+    MEMO.lock()
+        .expect("memo lock")
+        .entry(res.spec.clone())
+        .or_insert(res)
         .clone()
 }
 
-/// Pre-seeds the compiled-bytes cache (parallel warm pass).
-pub fn prime_wasm_bytes(name: &'static str, level: OptLevel, bytes: Arc<[u8]>) {
-    CACHE
-        .lock()
-        .expect("cache lock")
-        .get_or_insert_with(HashMap::new)
-        .insert((name, level), bytes);
+fn cell(
+    b: &Benchmark,
+    engine: EngineKind,
+    level: OptLevel,
+    scale: Scale,
+    mode: JobMode,
+) -> JobResult {
+    measure(&JobSpec {
+        mode,
+        ..JobSpec::exec(b.name, engine, level, scale)
+    })
 }
 
 /// A timed engine execution.
 #[derive(Debug, Clone, Copy)]
 pub struct ExecTime {
-    /// Seconds spent in decode+validate+compile/translate.
+    /// Seconds spent in decode+validate+compile/translate (artifact load
+    /// for an AOT cell).
     pub compile_s: f64,
     /// Seconds spent executing (instantiate + run).
     pub exec_s: f64,
@@ -82,102 +92,31 @@ impl ExecTime {
     pub fn total(&self) -> f64 {
         self.compile_s + self.exec_s
     }
-}
 
-/// Measurement key: (engine, FNV-1a of the wasm bytes, scale argument).
-type MeasureKey = (EngineKind, u64, i32);
-
-/// Measurements primed by the parallel warm pass. The serial path only
-/// *reads* these — a serial run with `--jobs 1` never populates them,
-/// so its behavior is exactly the pre-service harness.
-static EXEC_PRIMED: Mutex<Option<HashMap<MeasureKey, ExecTime>>> = Mutex::new(None);
-static AOT_PRIMED: Mutex<Option<HashMap<MeasureKey, (f64, ExecTime)>>> = Mutex::new(None);
-
-/// Pre-seeds an engine execution measurement. The caller vouches that
-/// the measured run verified its checksum (scheduler jobs do).
-pub fn prime_exec(kind: EngineKind, bytes_hash: u64, n: i32, t: ExecTime) {
-    EXEC_PRIMED
-        .lock()
-        .expect("exec cache lock")
-        .get_or_insert_with(HashMap::new)
-        .insert((kind, bytes_hash, n), t);
-}
-
-/// Pre-seeds an AOT measurement (precompile seconds + load/exec split).
-pub fn prime_exec_aot(kind: EngineKind, bytes_hash: u64, n: i32, aot_s: f64, t: ExecTime) {
-    AOT_PRIMED
-        .lock()
-        .expect("aot cache lock")
-        .get_or_insert_with(HashMap::new)
-        .insert((kind, bytes_hash, n), (aot_s, t));
-}
-
-/// Runs a benchmark on an engine, returning wall-clock components and
-/// verifying the checksum. Consumes a primed measurement when the
-/// parallel warm pass already ran this exact (engine, module, n).
-///
-/// # Panics
-///
-/// Panics if the engine produces a wrong checksum (measurement results
-/// would be meaningless).
-pub fn run_engine(kind: EngineKind, bytes: &[u8], n: i32, expected: i32) -> ExecTime {
-    if let Some(t) = EXEC_PRIMED
-        .lock()
-        .expect("exec cache lock")
-        .as_ref()
-        .and_then(|m| m.get(&(kind, fnv64(bytes), n)).copied())
-    {
-        return t;
-    }
-    let _span = obs::span!("harness.cell", engine = kind.name(), n = n);
-    let engine = Engine::new(kind);
-    let t0 = std::time::Instant::now();
-    let compiled = engine.compile(bytes).expect("compile");
-    let compile_s = t0.elapsed().as_secs_f64();
-    let t1 = std::time::Instant::now();
-    let mut inst = compiled
-        .instantiate(&wasi_rt::imports(), Box::new(WasiCtx::new()))
-        .expect("instantiate");
-    let out = inst.invoke("run", &[Value::I32(n)]).expect("run");
-    let exec_s = t1.elapsed().as_secs_f64();
-    assert_eq!(out, Some(Value::I32(expected)), "{kind} checksum");
-    ExecTime { compile_s, exec_s }
-}
-
-/// Runs a benchmark on an engine with AOT: precompile once (timed
-/// separately), then load + execute. Consumes a primed measurement when
-/// the parallel warm pass already ran this exact (engine, module, n).
-pub fn run_engine_aot(kind: EngineKind, bytes: &[u8], n: i32, expected: i32) -> (f64, ExecTime) {
-    if let Some(t) = AOT_PRIMED
-        .lock()
-        .expect("aot cache lock")
-        .as_ref()
-        .and_then(|m| m.get(&(kind, fnv64(bytes), n)).copied())
-    {
-        return t;
-    }
-    let _span = obs::span!("harness.cell.aot", engine = kind.name(), n = n);
-    let engine = Engine::new(kind);
-    let t0 = std::time::Instant::now();
-    let artifact = engine.precompile(bytes).expect("precompile");
-    let aot_compile_s = t0.elapsed().as_secs_f64();
-    let t1 = std::time::Instant::now();
-    let compiled = engine.load_artifact(&artifact).expect("load artifact");
-    let load_s = t1.elapsed().as_secs_f64();
-    let t2 = std::time::Instant::now();
-    let mut inst = compiled
-        .instantiate(&wasi_rt::imports(), Box::new(WasiCtx::new()))
-        .expect("instantiate");
-    let out = inst.invoke("run", &[Value::I32(n)]).expect("run");
-    let exec_s = t2.elapsed().as_secs_f64();
-    assert_eq!(out, Some(Value::I32(expected)), "{kind} AOT checksum");
-    (
-        aot_compile_s,
+    fn of(res: &JobResult) -> ExecTime {
         ExecTime {
-            compile_s: load_s,
-            exec_s,
-        },
-    )
+            compile_s: res.compile_s,
+            exec_s: res.exec_s,
+        }
+    }
+}
+
+/// Wall-clock components of a fresh compile + run of `b` on an engine.
+pub fn run_engine(b: &Benchmark, kind: EngineKind, level: OptLevel, scale: Scale) -> ExecTime {
+    ExecTime::of(&cell(b, kind, level, scale, JobMode::Exec))
+}
+
+/// The AOT split: seconds building the artifact ahead of time, then the
+/// artifact load + run.
+pub fn run_engine_aot(
+    b: &Benchmark,
+    kind: EngineKind,
+    level: OptLevel,
+    scale: Scale,
+) -> (f64, ExecTime) {
+    let res = cell(b, kind, level, scale, JobMode::ExecAot);
+    let aot_s = res.aot_compile_s.expect("aot job reports compile time");
+    (aot_s, ExecTime::of(&res))
 }
 
 /// Times the native implementation.
@@ -189,81 +128,25 @@ pub fn run_native(b: &Benchmark, n: i32) -> f64 {
     dt
 }
 
-/// Cache of profiled counters: the four architectural experiments reuse
-/// the same runs. Keyed by the module's content hash rather than its
-/// full bytes — same lookups, 8 bytes per key instead of the module.
-#[allow(clippy::type_complexity)]
-static PROFILE_CACHE: Mutex<Option<HashMap<(String, u64, i32), Counters>>> = Mutex::new(None);
-
-fn profile_cache_get(key: &(String, u64, i32)) -> Option<Counters> {
-    PROFILE_CACHE
-        .lock()
-        .expect("profile cache lock")
-        .as_ref()
-        .and_then(|m| m.get(key).copied())
+/// Simulated counters of a compile (with cost replay for compiling
+/// engines) + run under the architectural simulator.
+pub fn run_profiled(b: &Benchmark, kind: EngineKind, level: OptLevel, scale: Scale) -> Counters {
+    cell(b, kind, level, scale, JobMode::Profiled)
+        .counters
+        .expect("profiled job reports counters")
 }
 
-fn profile_cache_put(key: (String, u64, i32), c: Counters) {
-    PROFILE_CACHE
-        .lock()
-        .expect("profile cache lock")
-        .get_or_insert_with(HashMap::new)
-        .insert(key, c);
-}
-
-/// Pre-seeds a profiled-counter measurement. `who` is an engine name or
-/// `"native"` for the native baseline run.
-pub fn prime_profiled(who: &str, bytes_hash: u64, n: i32, c: Counters) {
-    profile_cache_put((who.to_string(), bytes_hash, n), c);
-}
-
-/// Profiled run: compile (with cost replay for compiling engines) and
-/// execute under the architectural simulator. Results are cached; the
-/// four architectural experiments share the same runs.
-pub fn run_profiled(kind: EngineKind, bytes: &[u8], n: i32) -> Counters {
-    let key = (kind.name().to_string(), fnv64(bytes), n);
-    if let Some(c) = profile_cache_get(&key) {
-        return c;
-    }
-    let mut span = obs::span!("harness.cell.profiled", engine = kind.name(), n = n);
-    let mut sim = ArchSim::new();
-    let engine = Engine::new(kind);
-    let compiled = engine.compile_profiled(bytes, &mut sim).expect("compile");
-    let mut inst = compiled
-        .instantiate(&wasi_rt::imports(), Box::new(WasiCtx::new()))
-        .expect("instantiate");
-    inst.invoke_profiled("run", &[Value::I32(n)], &mut sim)
-        .expect("run");
-    let c = sim.counters();
-    // The simulator started cold inside this span, so its totals are
-    // exactly this cell's delta — and the attributed child spans
-    // (compile.profiled + execute) partition it.
-    span.set_counters(c.into());
-    profile_cache_put(key, c);
-    c
-}
+/// The engine field of a `ProfiledNative` cell. The job ignores it; one
+/// fixed value keeps the baseline a single memo entry.
+pub const NATIVE_ENGINE: EngineKind = EngineKind::Wavm;
 
 /// The native baseline for architectural experiments: best-code (LLVM
 /// tier) execution with *no* compilation events — the steady-state
 /// instruction stream a native binary would retire.
-pub fn run_native_profiled(bytes: &[u8], n: i32) -> Counters {
-    let key = ("native".to_string(), fnv64(bytes), n);
-    if let Some(c) = profile_cache_get(&key) {
-        return c;
-    }
-    let mut span = obs::span!("harness.cell.native", n = n);
-    let mut sim = ArchSim::new();
-    let engine = Engine::new(EngineKind::Wavm);
-    let compiled = engine.compile(bytes).expect("compile");
-    let mut inst = compiled
-        .instantiate(&wasi_rt::imports(), Box::new(WasiCtx::new()))
-        .expect("instantiate");
-    inst.invoke_profiled("run", &[Value::I32(n)], &mut sim)
-        .expect("run");
-    let c = sim.counters();
-    span.set_counters(c.into());
-    profile_cache_put(key, c);
-    c
+pub fn run_native_profiled(b: &Benchmark, level: OptLevel, scale: Scale) -> Counters {
+    cell(b, NATIVE_ENGINE, level, scale, JobMode::ProfiledNative)
+        .counters
+        .expect("profiled job reports counters")
 }
 
 /// Runs and reports the instance's memory breakdown.
@@ -297,33 +180,23 @@ mod tests {
 
     #[test]
     fn engine_run_verifies_checksum() {
-        let b = crc();
-        let n = b.sizes.test;
-        let expected = (b.native)(n);
-        let bytes = wasm_bytes(b, OptLevel::O2);
-        let t = run_engine(EngineKind::Wasmtime, &bytes, n, expected);
+        let t = run_engine(crc(), EngineKind::Wasmtime, OptLevel::O2, Scale::Test);
         assert!(t.compile_s > 0.0 && t.exec_s > 0.0);
     }
 
     #[test]
     fn aot_split_reported() {
-        let b = crc();
-        let n = b.sizes.test;
-        let expected = (b.native)(n);
-        let bytes = wasm_bytes(b, OptLevel::O2);
-        let (aot_s, t) = run_engine_aot(EngineKind::Wavm, &bytes, n, expected);
+        let (aot_s, t) = run_engine_aot(crc(), EngineKind::Wavm, OptLevel::O2, Scale::Test);
         assert!(aot_s > 0.0);
         assert!(t.exec_s > 0.0);
     }
 
     #[test]
     fn profiled_counters_nonzero() {
-        let b = crc();
-        let bytes = wasm_bytes(b, OptLevel::O2);
-        let c = run_profiled(EngineKind::Wamr, &bytes, b.sizes.test);
+        let c = run_profiled(crc(), EngineKind::Wamr, OptLevel::O2, Scale::Test);
         assert!(c.instructions > 0);
         assert!(c.cycles > 0);
-        let native = run_native_profiled(&bytes, b.sizes.test);
+        let native = run_native_profiled(crc(), OptLevel::O2, Scale::Test);
         assert!(native.instructions < c.instructions);
     }
 

@@ -2,7 +2,7 @@
 //!
 //! The Chrome trace answers "what happened when"; this report answers
 //! "where did the time go" without leaving the terminal. Spans aggregate
-//! by their full call path (`harness.cell/engine.compile/jit.pass`), so
+//! by their full call path (`svc.job.exec/engine.compile/jit.pass`), so
 //! the same pass invoked from two places shows up twice — that is the
 //! point: attribution follows the path, not the name. *Self* time is a
 //! span's duration minus its children's, which is what you optimize.

@@ -237,6 +237,14 @@ impl Sampler {
             .spawn(move || loop {
                 {
                     let gate = worker.gate.lock().expect("sampler gate");
+                    // `stop()` sets the flag, then takes the gate to
+                    // notify: checked under the gate, the flag is either
+                    // already visible here or its notify finds us waiting.
+                    // Waiting unchecked loses a stop that came first and
+                    // blocks the join for a full interval.
+                    if worker.stop.load(Ordering::Acquire) {
+                        return;
+                    }
                     let (_gate, _timeout) = worker
                         .wake
                         .wait_timeout(gate, interval)

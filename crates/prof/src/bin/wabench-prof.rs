@@ -149,7 +149,7 @@ fn parse_opts(args: &[String]) -> Opts {
             }
             "--scale" => {
                 let v = take_value(args, &mut i, "--scale");
-                if parse_scale(&v).is_none() {
+                if Scale::parse(&v).is_none() {
                     obs::error!("unknown scale {v:?} (use test|profile|timing)");
                     usage();
                 }
@@ -225,15 +225,6 @@ fn parse_level(s: &str) -> Option<OptLevel> {
     }
 }
 
-fn parse_scale(s: &str) -> Option<Scale> {
-    match s {
-        "test" => Some(Scale::Test),
-        "profile" => Some(Scale::Profile),
-        "timing" => Some(Scale::Timing),
-        _ => None,
-    }
-}
-
 fn need(path: &Option<PathBuf>, flag: &str) -> PathBuf {
     path.clone().unwrap_or_else(|| {
         obs::error!("{flag} is required");
@@ -252,7 +243,7 @@ fn record_cell(
     slowdown: f64,
 ) -> Result<BaselineRecord, String> {
     let b = suite::by_name(bench).ok_or_else(|| format!("unknown benchmark {bench:?}"))?;
-    let scale = parse_scale(scale_name).ok_or_else(|| format!("unknown scale {scale_name:?}"))?;
+    let scale = Scale::parse(scale_name).ok_or_else(|| format!("unknown scale {scale_name:?}"))?;
     let spec = CellSpec {
         bench: b,
         engine,

@@ -1,17 +1,17 @@
 //! The repetition driver behind `wabench-prof record` and `diff`.
 //!
-//! Each repetition is a cold profiled run: fresh engine, fresh
-//! simulator, compile + execute under [`archsim`]. Wall-clock time
-//! varies between repetitions (and machines); the simulated counters
-//! do not — the simulator is deterministic, so a single repetition's
-//! counters characterize the cell exactly.
+//! Each repetition is one [`svc::exec::execute`] of a `Profiled` job —
+//! the measurement every simulated figure cell gets: fresh engine,
+//! fresh simulator, compile + execute under [`archsim`]. Wall-clock
+//! time varies between repetitions (and machines); the simulated
+//! counters do not — the simulator is deterministic, so a single
+//! repetition's counters characterize the cell exactly.
 
-use archsim::{ArchSim, Counters};
-use engines::{Engine, EngineKind};
+use archsim::Counters;
+use engines::EngineKind;
 use suite::Benchmark;
+use svc::job::{JobMode, JobSpec};
 use wacc::OptLevel;
-use wasi_rt::WasiCtx;
-use wasm_core::types::Value;
 
 pub use harness::runner::Scale;
 
@@ -43,45 +43,39 @@ pub struct CellMeasurement {
 /// the regression detector can be exercised end-to-end (a synthetic
 /// 2× slowdown must trip the diff); production callers pass `1.0`.
 ///
-/// Each repetition emits a `prof.cell` span carrying the cell's full
+/// Each repetition emits a `svc.job.exec` span carrying the cell's full
 /// counter totals, so a ring-sink capture of a measurement session
 /// yields an attributed profile for free.
 ///
 /// # Errors
 ///
-/// A message naming the cell on compile failure, trap, or checksum
-/// mismatch.
+/// A message naming the cell on compile failure or trap.
+///
+/// # Panics
+///
+/// Panics on a checksum mismatch, like every other measurement.
 pub fn measure_cell(
     spec: &CellSpec<'_>,
     reps: u32,
     slowdown: f64,
 ) -> Result<CellMeasurement, String> {
-    let n = spec.scale.arg(spec.bench);
-    let expected = (spec.bench.native)(n);
-    let bytes = harness::runner::wasm_bytes(spec.bench, spec.level);
-    let cell = format!("{} × {}", spec.bench.name, spec.engine.name());
+    let job = JobSpec {
+        mode: JobMode::Profiled,
+        ..JobSpec::exec(spec.bench.name, spec.engine, spec.level, spec.scale)
+    };
+    // Compile the module up front so no repetition's wall time pays
+    // for WaCC.
+    harness::runner::wasm_bytes(spec.bench, spec.level);
     let mut wall_s = Vec::with_capacity(reps as usize);
     let mut counters = Counters::default();
     for _ in 0..reps.max(1) {
-        let mut span = obs::span!("prof.cell", engine = spec.engine.name(), n = n);
-        let t0 = std::time::Instant::now();
-        let mut sim = ArchSim::new();
-        let engine = Engine::new(spec.engine);
-        let compiled = engine
-            .compile_profiled(&bytes, &mut sim)
-            .map_err(|e| format!("{cell}: compile: {e}"))?;
-        let mut inst = compiled
-            .instantiate(&wasi_rt::imports(), Box::new(WasiCtx::new()))
-            .map_err(|e| format!("{cell}: instantiate: {e}"))?;
-        let out = inst
-            .invoke_profiled("run", &[Value::I32(n)], &mut sim)
-            .map_err(|e| format!("{cell}: run: {e}"))?;
-        wall_s.push(t0.elapsed().as_secs_f64() * slowdown);
-        if out != Some(Value::I32(expected)) {
-            return Err(format!("{cell}: checksum mismatch: {out:?} != {expected}"));
+        let res = svc::exec::execute(&job, harness::runner::env());
+        if !res.ok() {
+            let (bench, engine) = (spec.bench.name, spec.engine.name());
+            return Err(format!("{bench} × {engine}: {:?}", res.status));
         }
-        counters = sim.counters();
-        span.set_counters(counters.into());
+        wall_s.push(res.wall_s * slowdown);
+        counters = res.counters.expect("profiled job reports counters");
     }
     Ok(CellMeasurement { wall_s, counters })
 }
@@ -109,8 +103,7 @@ mod tests {
     }
 
     #[test]
-    fn bad_checksum_is_reported_not_panicked() {
-        // `reps.max(1)` also means reps=0 still measures once.
+    fn zero_reps_still_measures_once() {
         let b = suite::by_name("crc32").expect("registered");
         let spec = CellSpec {
             bench: b,

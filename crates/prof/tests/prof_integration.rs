@@ -129,7 +129,7 @@ fn folded_depths_match_chrome_under_workers() {
     );
 }
 
-/// Conservation on a live run: the `prof.cell` span's counter payload
+/// Conservation on a live run: the `svc.job.exec` span's counter payload
 /// is the simulator's total, and the attributed child spans
 /// (profiled compile + execute) partition it exactly — the parent's
 /// *self* counters must come out zero.
@@ -151,10 +151,10 @@ fn attribution_conserves_counters_on_live_run() {
     let thread = trace
         .threads
         .iter()
-        .find(|t| t.events.iter().any(|e| e.name == "prof.cell"))
-        .expect("prof.cell thread recorded");
+        .find(|t| t.events.iter().any(|e| e.name == "svc.job.exec"))
+        .expect("svc.job.exec thread recorded");
     let nodes = obs::prof::aggregate(&thread.events);
-    let parent = nodes.get(&vec!["prof.cell"]).expect("parent node");
+    let parent = nodes.get(&vec!["svc.job.exec"]).expect("parent node");
     assert_eq!(
         parent.total.instructions, m.counters.instructions,
         "parent payload is not the simulator total"
@@ -168,7 +168,7 @@ fn attribution_conserves_counters_on_live_run() {
 
     let child_sum: u64 = nodes
         .iter()
-        .filter(|(path, _)| path.len() == 2 && path[0] == "prof.cell")
+        .filter(|(path, _)| path.len() == 2 && path[0] == "svc.job.exec")
         .map(|(_, n)| n.total.instructions)
         .sum();
     assert_eq!(child_sum, parent.total.instructions);

@@ -5,11 +5,12 @@
 //! Only `Send` data enters and leaves: the spec, shared wasm bytes
 //! (`Arc<[u8]>`), the artifact store behind a `Mutex`, and the result.
 //!
-//! Measurement fidelity: a non-`warm` `Exec` job times a *fresh*
-//! compile, exactly like the serial harness runner, so results primed
-//! into the harness caches mean the same thing serial measurements do.
-//! A `warm` job is the serving path: it consults the artifact store and
-//! times the artifact *load* instead when a valid artifact exists.
+//! [`execute`] is the workspace's one measurement kernel: the harness
+//! calls it inline for every figure cell, a scheduler worker calls it
+//! for every job, so a number means the same thing wherever it was
+//! taken. A non-`warm` `Exec` job times a *fresh* compile; a `warm` job
+//! is the serving path: it consults the artifact store and times the
+//! artifact *load* instead when a valid artifact exists.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -39,8 +40,8 @@ pub struct ExecEnv {
     /// so a hit hands out a refcount bump, never a byte copy.
     pub bytes_cache: BytesCache,
     /// Optional fault-injection plan. Only jobs executed through this
-    /// environment see injected faults — the serial harness runner never
-    /// installs one, which is what keeps its recomputations clean.
+    /// environment see injected faults — the harness's inline environment
+    /// never installs one, which is what keeps its recomputations clean.
     pub faults: Option<Arc<FaultPlan>>,
 }
 
@@ -62,16 +63,6 @@ impl ExecEnv {
             bytes_cache: Mutex::new(HashMap::new()),
             faults,
         }
-    }
-
-    /// Snapshot of the compiled-wasm cache (name, level, bytes).
-    pub fn bytes_snapshot(&self) -> Vec<(String, OptLevel, Arc<[u8]>)> {
-        self.bytes_cache
-            .lock()
-            .expect("bytes cache lock")
-            .iter()
-            .map(|((name, level), bytes)| (name.clone(), *level, bytes.clone()))
-            .collect()
     }
 
     /// Compiled wasm bytes for a benchmark, via cache → store → WaCC.
@@ -131,7 +122,7 @@ pub fn execute(spec: &JobSpec, env: &ExecEnv) -> JobResult {
 /// first run from a retry. `res.recovery.attempts` is set by the
 /// scheduler, not here.
 pub fn execute_attempt(spec: &JobSpec, env: &ExecEnv, attempt: u32) -> JobResult {
-    let _span = obs::span!(
+    let mut span = obs::span!(
         "svc.job.exec",
         bench = spec.benchmark,
         engine = spec.engine.name(),
@@ -170,6 +161,12 @@ pub fn execute_attempt(spec: &JobSpec, env: &ExecEnv, attempt: u32) -> JobResult
         res.status = JobStatus::Failed(msg);
     }
     res.wall_s = t0.elapsed().as_secs_f64();
+    // A profiled job's simulator started cold inside this span, so its
+    // totals are exactly the span's delta, and the attributed engine
+    // spans below (profiled compile + execute) partition it.
+    if let Some(c) = res.counters {
+        span.set_counters(c.into());
+    }
     res
 }
 
@@ -230,9 +227,9 @@ fn invoke_checked(
         other => return Err(format!("run() returned {other:?}")),
     };
     let expected = (b.native)(n);
-    // A wrong checksum means the measurement is meaningless — panic, as
-    // the serial runner does. The scheduler catches it at the job
-    // boundary: this job fails, the fleet keeps running.
+    // A wrong checksum means the measurement is meaningless — panic. The
+    // scheduler catches it at the job boundary: this job fails, the
+    // fleet keeps running; an inline harness measurement aborts the run.
     assert_eq!(
         got, expected,
         "{} checksum mismatch on {}",

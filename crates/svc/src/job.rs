@@ -5,7 +5,7 @@ use serde::{Deserialize, Serialize};
 use suite::Benchmark;
 use wacc::OptLevel;
 
-/// Workload scale, mirroring the harness's measurement contexts.
+/// Workload scale: which of a benchmark's three sizes a job runs at.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum Scale {
     /// Tiny (CI / smoke).
@@ -60,7 +60,7 @@ impl Scale {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum JobMode {
     /// Compile + instantiate + run, wall-clock split (fig1/fig2/fig4
-    /// semantics — always a fresh compile, mirroring the serial runner).
+    /// semantics — always a fresh compile unless the spec is `warm`).
     Exec,
     /// AOT: precompile (timed), load artifact (timed), run (fig3).
     ExecAot,
@@ -68,7 +68,7 @@ pub enum JobMode {
     /// fully deterministic counters.
     Profiled,
     /// The native-baseline simulated run (best-code tier, no compile
-    /// events), as `runner::run_native_profiled`.
+    /// events).
     ProfiledNative,
     /// Test-only: panics inside the job ("injected checksum mismatch").
     SelfTestPanic,
@@ -110,7 +110,7 @@ impl JobMode {
 
 /// One schedulable unit: which benchmark, on which engine, compiled how,
 /// at what scale, measured how.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct JobSpec {
     /// Registered benchmark name (`suite::by_name`).
     pub benchmark: String,

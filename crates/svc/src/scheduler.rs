@@ -535,11 +535,6 @@ impl Scheduler {
         health_of(&self.inner)
     }
 
-    /// Snapshot of the shared compiled-wasm cache.
-    pub fn bytes_snapshot(&self) -> Vec<(String, wacc::OptLevel, Arc<[u8]>)> {
-        self.inner.env.bytes_snapshot()
-    }
-
     /// Live telemetry sample window (protocol v7 `Series`): empty but
     /// well-formed when the scheduler was started without a sampler.
     pub fn series(&self) -> SeriesReport {

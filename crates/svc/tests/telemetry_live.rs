@@ -5,13 +5,17 @@
 #![cfg(unix)]
 
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use svc::job::{JobSpec, Scale, TraceCtx};
 use svc::scheduler::{Config, Scheduler};
 use svc::server::{serve, Client};
 use svc::telemetry::TelemetryConfig;
+
+/// The metrics registry the sampler reads is process-global, so a job
+/// run by one test would show up in the other's window.
+static REGISTRY_GATE: Mutex<()> = Mutex::new(());
 
 fn tmp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!(
@@ -49,6 +53,7 @@ fn spec() -> JobSpec {
 
 #[test]
 fn trace_ids_flow_submit_to_digest_to_dump_and_series_fills() {
+    let _gate = REGISTRY_GATE.lock().unwrap();
     let dir = tmp_dir("trace");
     let socket = dir.join("svc.sock");
     let server = start_server(
@@ -116,6 +121,7 @@ fn trace_ids_flow_submit_to_digest_to_dump_and_series_fills() {
 
 #[test]
 fn untraced_submits_still_work_and_digest_is_zeroed() {
+    let _gate = REGISTRY_GATE.lock().unwrap();
     let dir = tmp_dir("untraced");
     let socket = dir.join("svc.sock");
     let server = start_server(

@@ -15,15 +15,15 @@ fn main() {
         eprintln!("unknown benchmark {name:?}");
         std::process::exit(2);
     });
-    let n = b.sizes.test;
-    let bytes = runner::wasm_bytes(b, wacc::OptLevel::O2);
+    let (level, scale) = (wacc::OptLevel::O2, runner::Scale::Test);
+    let n = scale.arg(b);
 
     println!("{} (n = {n}), counters from the architectural simulator:\n", b.name);
     println!(
         "{:<10} {:>14} {:>14} {:>6} {:>12} {:>9} {:>12} {:>9}",
         "config", "instructions", "cycles", "IPC", "branches", "miss%", "LLC refs", "miss%"
     );
-    let native = runner::run_native_profiled(&bytes, n);
+    let native = runner::run_native_profiled(b, level, scale);
     let print_row = |label: &str, c: &archsim::Counters| {
         println!(
             "{label:<10} {:>14} {:>14} {:>6.2} {:>12} {:>8.2}% {:>12} {:>8.2}%",
@@ -38,7 +38,7 @@ fn main() {
     };
     print_row("native", &native);
     for kind in EngineKind::all() {
-        let c = runner::run_profiled(kind, &bytes, n);
+        let c = runner::run_profiled(b, kind, level, scale);
         print_row(kind.name(), &c);
     }
 }

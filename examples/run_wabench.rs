@@ -25,7 +25,6 @@ fn main() {
     };
 
     let n = scale.arg(b);
-    let expected = (b.native)(n);
     println!("{} ({}, {}), n = {n}", b.name, b.group, b.domain);
 
     let native_s = harness::stats::time_secs(
@@ -37,9 +36,8 @@ fn main() {
     );
     println!("  {:<10} {:>12}", "native", harness::report::secs(native_s));
 
-    let bytes = runner::wasm_bytes(b, wacc::OptLevel::O2);
     for kind in EngineKind::all() {
-        let t = runner::run_engine(kind, &bytes, n, expected);
+        let t = runner::run_engine(b, kind, wacc::OptLevel::O2, scale);
         println!(
             "  {:<10} {:>12}  (compile {}, exec {})  {:>8} vs native",
             kind.name(),

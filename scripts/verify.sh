@@ -115,9 +115,16 @@ plan='seed=7,compile=0.05,panic=0.02,store.read=0.05'
 # A clean fig6 (simulated, deterministic) is the reference...
 "$harness" fig6 --scale test --jobs 4 --out "$trace_tmp/clean6.md" \
     > /dev/null 2>&1
-# ...the same figure under 5% faults must reproduce it bit-for-bit:
-# degraded/failed cells are skipped by the warm pass and recomputed
-# cleanly by the serial pass.
+# ...a serial run (no --jobs: every cell measured inline) must match it
+# byte for byte — serial is the N = 1 case of the same kernel...
+"$harness" fig6 --scale test --out "$trace_tmp/serial6.md" > /dev/null 2>&1
+cmp "$trace_tmp/clean6.md" "$trace_tmp/serial6.md" || {
+    echo "chaos smoke FAILED: serial fig6 differs from --jobs 4" >&2
+    exit 1
+}
+# ...and the same figure under 5% faults must reproduce it bit-for-bit:
+# degraded/failed cells are skipped by the warm pass and measured
+# inline, fault-free, during table assembly.
 "$harness" fig6 --scale test --jobs 4 --faults "$plan" \
     --store "$trace_tmp/chaos-store" --out "$trace_tmp/chaos6.md" \
     > "$trace_tmp/chaos6.log" 2>&1

@@ -3,19 +3,17 @@
 //! paper's story.
 
 use engines::{Backend, Engine, EngineKind};
-use harness::runner;
+use harness::runner::{self, Scale};
 use wacc::OptLevel;
 
 fn counters(kind: EngineKind, name: &str) -> archsim::Counters {
     let b = suite::by_name(name).expect("registered");
-    let bytes = runner::wasm_bytes(b, OptLevel::O2);
-    runner::run_profiled(kind, &bytes, b.sizes.test)
+    runner::run_profiled(b, kind, OptLevel::O2, Scale::Test)
 }
 
 fn native_counters(name: &str) -> archsim::Counters {
     let b = suite::by_name(name).expect("registered");
-    let bytes = runner::wasm_bytes(b, OptLevel::O2);
-    runner::run_native_profiled(&bytes, b.sizes.test)
+    runner::run_native_profiled(b, OptLevel::O2, Scale::Test)
 }
 
 /// Finding 1/6 shape: instruction counts order as
@@ -81,11 +79,8 @@ fn icache_vs_dcache_personality() {
 /// SinglePass in executed work.
 #[test]
 fn backend_quality_ordering() {
-    let b = suite::by_name("gemm").expect("registered");
-    let bytes = runner::wasm_bytes(b, OptLevel::O2);
-    let n = b.sizes.test;
-    let sp = runner::run_profiled(EngineKind::Wasmer(Backend::Singlepass), &bytes, n);
-    let cl = runner::run_profiled(EngineKind::Wasmer(Backend::Cranelift), &bytes, n);
+    let sp = counters(EngineKind::Wasmer(Backend::Singlepass), "gemm");
+    let cl = counters(EngineKind::Wasmer(Backend::Cranelift), "gemm");
     assert!(
         cl.instructions < sp.instructions,
         "cranelift {} should retire less than singlepass {}",
@@ -138,12 +133,9 @@ fn memory_overhead_ordering() {
 #[test]
 fn opt_level_sensitivity_shape() {
     let b = suite::by_name("gemm").expect("registered");
-    let n = b.sizes.test;
-    let o0 = runner::wasm_bytes(b, OptLevel::O0);
-    let o2 = runner::wasm_bytes(b, OptLevel::O2);
     let gain = |kind| {
-        let c0 = runner::run_profiled(kind, &o0, n).instructions as f64;
-        let c2 = runner::run_profiled(kind, &o2, n).instructions as f64;
+        let c0 = runner::run_profiled(b, kind, OptLevel::O0, Scale::Test).instructions as f64;
+        let c2 = runner::run_profiled(b, kind, OptLevel::O2, Scale::Test).instructions as f64;
         c0 / c2
     };
     let interp_gain = gain(EngineKind::Wasm3);
