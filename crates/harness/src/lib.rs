@@ -132,7 +132,7 @@ pub fn observability_section() -> String {
      run's wall clock to `engine.execute`, `jit.pass`, `wacc.parse` and\n\
      friends, with per-span counts, totals, and self-time percentages.\n\
      `wabench-served --trace-out` does the same for the service; its\n\
-     protocol-v3 `stats-ext` reply additionally carries queue-depth,\n\
+     `stats-ext` reply additionally carries queue-depth,\n\
      worker-utilization, per-engine latency histograms\n\
      (min/p50/p95/p99/max), and per-engine simulated IPC/MPKI\n\
      aggregates once profiled jobs have run.\n"

@@ -62,7 +62,7 @@ pub struct BenchTotals {
     pub failed: u64,
     /// Transport-level errors talking to the service (0 in-process).
     pub protocol_errors: u64,
-    /// Submits the target refused with a protocol v9 `Busy` reply
+    /// Submits the target refused with a `Busy` reply
     /// (router admission control). Refused work, not errors: the run
     /// keeps going and the artifact records how much was turned away.
     pub shed: u64,
@@ -70,7 +70,7 @@ pub struct BenchTotals {
     pub wall_s: f64,
     /// Sustained throughput: completed / wall_s.
     pub qps: f64,
-    /// Peak scheduler queue depth (protocol v6 Health; 0 if unknown).
+    /// Peak scheduler queue depth (from `Health`; 0 if unknown).
     pub peak_queue_depth: u64,
 }
 
@@ -95,7 +95,7 @@ pub struct BenchCell {
 }
 
 /// One live-telemetry sample interval, echoed from the server's
-/// protocol v7 `Series` window into the artifact (optional: present
+/// `Series` window into the artifact (optional: present
 /// only when the run's target was sampling).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct BenchSeriesPoint {
@@ -118,7 +118,7 @@ pub struct BenchSeriesPoint {
 }
 
 /// Per-shard attribution when the run's target was a `wabench-router`
-/// socket, echoed from the protocol v9 `Backends` reply (optional:
+/// socket, echoed from the `Backends` reply (optional:
 /// plain `wabench-served` targets have no routing table and the
 /// section stays absent).
 #[derive(Debug, Clone, PartialEq, Default)]

@@ -17,9 +17,9 @@
 //! errors occurred — `wabench-prof diff` consumes the artifact for the
 //! throughput/SLO gate.
 //!
-//! Every submit carries a deterministic client-originated trace id
-//! (protocol v7). `--stitch-out FILE` fetches the server's `TraceDump`
-//! after the run, estimates the clock offset from the fetch round-trip,
+//! Every submit carries a deterministic client-originated trace id.
+//! `--stitch-out FILE` fetches the server's `TraceDump` after the run,
+//! estimates the clock offset from the fetch round-trip,
 //! stitches the client `submit → response` spans against the server
 //! queue/compile/execute spans, and writes one Chrome trace that
 //! `wabench-trace-check` accepts.

@@ -17,7 +17,7 @@
 //!   time, into [`obs::metrics::Histogram`]s — a stalled worker makes
 //!   the recorded tail worse, it cannot pause the clock.
 //! - **End-to-end request traces** ([`traces`]): every submit carries a
-//!   deterministic client-originated trace id (protocol v7); after the
+//!   deterministic client-originated trace id; after the
 //!   run the client-side `submit → response` spans are stitched against
 //!   the server's `TraceDump` phase digests into one Chrome trace.
 //! - **BENCH trajectory artifacts** ([`bench`]): every run emits a

@@ -130,7 +130,7 @@ enum Submitter {
 
 impl Submitter {
     /// Submits, distinguishing a router's `Busy` admission refusal
-    /// (protocol v9) from a transport failure. In-process targets have
+    /// from a transport failure. In-process targets have
     /// no admission layer and always accept.
     fn submit_traced(
         &mut self,

@@ -9,7 +9,7 @@
 //!
 //! After a run, [`stitch_report`] joins the client-side spans the
 //! collectors recorded against the server-side phase digests fetched
-//! via the protocol v7 `TraceDump` request, shifting server timestamps
+//! via the `TraceDump` request, shifting server timestamps
 //! onto the client clock with [`obs::stitch::clock_offset_ns`]. The
 //! output is a Chrome-exportable [`obs::trace::Trace`] that
 //! `wabench-trace-check` accepts.

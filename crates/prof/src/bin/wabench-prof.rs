@@ -21,7 +21,7 @@
 //! `flamegraph.pl`; `collapse` does the same offline from a saved
 //! Chrome trace. `report` prints the counter-attributed phase table.
 //!
-//! `windows` and `wdiff` speak protocol v8 to a live `wabench-served`
+//! `windows` and `wdiff` query a live `wabench-served`
 //! running with `--profile-ms`: `windows` lists the continuous
 //! profiler's recent windows with their hottest phases, and `wdiff`
 //! diffs two windows' collapsed stacks (by `--from`/`--to` seq, or the
@@ -462,7 +462,7 @@ fn fetch_profile(o: &Opts) -> svc::telemetry::ProfileReport {
         exit(2);
     });
     let rep = client.profile_dump().unwrap_or_else(|e| {
-        obs::error!("profile-dump: {e} (server too old for protocol v8?)");
+        obs::error!("profile-dump: {e}");
         exit(2);
     });
     if rep.window_ns == 0 {

@@ -120,7 +120,7 @@ pub fn diff_load(base: &BenchArtifact, cur: &BenchArtifact, rule: &LoadRule) -> 
                 .push(format!("{}: in baseline but not in current run", b.cell));
         }
     }
-    // Live-telemetry context (protocol v7): a run against a sampling
+    // Live-telemetry context: a run against a sampling
     // server embeds its series window. Purely informational — the
     // gate's signal stays the end-of-run quantiles — but the note makes
     // a flagged regression attributable to a burst vs. a level shift.

@@ -14,7 +14,7 @@
 //! control for free. See `docs/DEPLOYMENT.md` for topology and
 //! `docs/OPERATIONS.md` for the runbook.
 //!
-//! `status` prints the routing table (the protocol v9 `Backends`
+//! `status` prints the routing table (the `Backends`
 //! reply): per-shard health, queue depth, forwarded and failover
 //! counts, plus the admission watermark and shed total.
 //!

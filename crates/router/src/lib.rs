@@ -8,7 +8,7 @@
 //!   by the artifact store's content address (benchmark × opt level ×
 //!   engine), so a module's compiled artifacts stay hot in one shard's
 //!   store. See `docs/DEPLOYMENT.md`.
-//! - **Health probes** — a background thread rides the protocol v4
+//! - **Health probes** — a background thread sends the
 //!   `Health` request against every shard on a fixed cadence, feeding
 //!   per-backend liveness and queue depth into routing decisions.
 //! - **Failover** — a per-backend circuit breaker ([`fault::Breaker`])
@@ -17,7 +17,7 @@
 //!   jobs stranded on a crashed shard are resubmitted from the router's
 //!   saved spec.
 //! - **Admission control** — when the fleet's aggregate queue depth
-//!   crosses a watermark, new submits are refused with the protocol v9
+//!   crosses a watermark, new submits are refused with the
 //!   `Busy` reply (carrying a retry-after hint) instead of deepening
 //!   the overload.
 //!
@@ -583,7 +583,7 @@ fn per_shard_err(what: &str) -> Response {
 }
 
 /// Background health probes: one thread, fresh connections (never the
-/// reactor's forwarding streams), riding the v4 `Health` request.
+/// reactor's forwarding streams), sending the `Health` request.
 fn spawn_probes(shared: Arc<Shared>, interval: Duration) {
     let probe_fail = obs::metrics::counter(C_PROBE_FAIL);
     std::thread::spawn(move || {

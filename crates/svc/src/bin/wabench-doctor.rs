@@ -180,12 +180,18 @@ fn shares_of_folded(folded: &str) -> Vec<(String, f64)> {
 
 fn evidence_from_bundle(path: &Path) -> Result<Evidence, String> {
     let body = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
-    let root = obs::json::parse(&body).map_err(|e| format!("{}: {e}", path.display()))?;
+    evidence_from_json(&path.display().to_string(), &body)
+}
+
+/// Normalizes a postmortem bundle's JSON text; `source` names where it
+/// came from in messages.
+fn evidence_from_json(source: &str, body: &str) -> Result<Evidence, String> {
+    let root = obs::json::parse(body).map_err(|e| format!("{source}: {e}"))?;
     if text(&root, "schema") != "wabench-postmortem" {
-        return Err(format!("{}: not a wabench-postmortem bundle", path.display()));
+        return Err(format!("{source}: not a wabench-postmortem bundle"));
     }
     let mut ev = Evidence {
-        source: format!("bundle {}", path.display()),
+        source: format!("bundle {source}"),
         ..Evidence::default()
     };
     ev.alert = root.get("alert").map(firing_of);
@@ -483,13 +489,7 @@ mod tests {
     use super::*;
 
     fn bundle_evidence(body: &str) -> Evidence {
-        let dir = std::env::temp_dir().join(format!("wabench-doctor-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("create test dir");
-        let path = dir.join("bundle.json");
-        std::fs::write(&path, body).expect("write bundle");
-        let ev = evidence_from_bundle(&path).expect("parse bundle");
-        let _ = std::fs::remove_dir_all(&dir);
-        ev
+        evidence_from_json("test bundle", body).expect("parse bundle")
     }
 
     const BUNDLE: &str = r#"{
@@ -544,13 +544,9 @@ mod tests {
 
     #[test]
     fn non_bundle_json_is_rejected() {
-        let dir = std::env::temp_dir().join(format!("wabench-doctor-rej-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("create test dir");
-        let path = dir.join("other.json");
-        std::fs::write(&path, r#"{"schema": "something-else"}"#).expect("write");
-        let err = evidence_from_bundle(&path).expect_err("must reject");
+        let err = evidence_from_json("other.json", r#"{"schema": "something-else"}"#)
+            .expect_err("must reject");
         assert!(err.contains("not a wabench-postmortem bundle"));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

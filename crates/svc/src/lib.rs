@@ -26,7 +26,7 @@
 //!   the length-prefixed binary protocol of [`proto`]
 //!   (submit / poll / wait / stats / health), plus a blocking client.
 //!
-//! Since protocol v4 the service also carries a **resilience layer**
+//! The service also carries a **resilience layer**
 //! (see `docs/OPERATIONS.md`): the scheduler retries failed jobs with
 //! exponential backoff under a per-job deadline, trips a per-engine
 //! circuit breaker after repeated failures, falls back from a failing
@@ -35,7 +35,7 @@
 //! whole layer is exercised deterministically through `wabench-fault`'s
 //! seeded fault-injection plans (`WABENCH_FAULTS`).
 //!
-//! Since protocol v7 the service is also observable *live* (see
+//! The service is also observable *live* (see
 //! [`telemetry`]): submits carry a client-originated trace id, every
 //! result returns a per-job span digest ([`job::TraceDigest`]), and the
 //! `Series` / `TraceDump` requests serve a bounded time-series window

@@ -90,19 +90,19 @@ pub struct Config {
     /// Optional deterministic fault-injection plan, threaded through
     /// job execution and the artifact store.
     pub faults: Option<Arc<FaultPlan>>,
-    /// Live-telemetry tuning (protocol v7). The default starts no
+    /// Live-telemetry tuning. The default starts no
     /// sampler thread; trace digests and the recent-request log are
     /// always maintained (cheap, bounded) so `TraceDump` works even on
     /// a sampler-less scheduler.
     pub telemetry: TelemetryConfig,
-    /// SLO alert rules (protocol v8). `None` (the default) arms no
+    /// SLO alert rules. `None` (the default) arms no
     /// engine: nothing is evaluated, `AlertLog` reports disarmed, and
     /// no postmortem is ever written.
     pub alerts: Option<AlertSpec>,
     /// Where firing alerts snapshot postmortem bundles. `None` disables
     /// the flight recorder even when alerts are armed.
     pub postmortem_dir: Option<PathBuf>,
-    /// Continuous-profiler window span (protocol v8). `None` (the
+    /// Continuous-profiler window span. `None` (the
     /// default) aggregates nothing and `ProfileDump` reports the
     /// profiler off.
     pub profile_window: Option<Duration>,
@@ -150,7 +150,7 @@ pub struct ResilienceStats {
     pub breaker_fast_fails: u64,
 }
 
-/// What the protocol v4 `Health` request reports: breaker states,
+/// What the `Health` request reports: breaker states,
 /// resilience counters, and (when a fault plan is active) per-site
 /// injected-fault tallies.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -386,7 +386,7 @@ impl Scheduler {
         self.submit_traced(spec, TraceCtx::default())
     }
 
-    /// Enqueues a job carrying a client trace context (protocol v7);
+    /// Enqueues a job carrying a client trace context;
     /// returns its id. The context is echoed on the result's span
     /// digest so client spans can be stitched to server spans.
     pub fn submit_traced(&self, spec: JobSpec, ctx: TraceCtx) -> u64 {
@@ -528,21 +528,21 @@ impl Scheduler {
 
     /// Health snapshot: resilience counters, per-engine breaker states,
     /// and injected-fault tallies from the active plan (if any). Served
-    /// over the wire by the protocol v4 `Health` request. Also pumps
+    /// over the wire by the `Health` request. Also pumps
     /// the alert engine, so health polls advance alert state.
     pub fn health(&self) -> HealthReport {
         pump_alerts(&self.inner);
         health_of(&self.inner)
     }
 
-    /// Live telemetry sample window (protocol v7 `Series`): empty but
+    /// Live telemetry sample window (`Series`): empty but
     /// well-formed when the scheduler was started without a sampler.
     pub fn series(&self) -> SeriesReport {
         self.series_since(None)
     }
 
     /// Like [`Scheduler::series`], but with points at or below the
-    /// `since` cursor filtered out (protocol v8): a watcher passes the
+    /// `since` cursor filtered out: a watcher passes the
     /// last seq it saw and receives only the gap. Also pumps the alert
     /// engine, so watching a server advances alert state.
     pub fn series_since(&self, since: Option<u64>) -> SeriesReport {
@@ -554,13 +554,13 @@ impl Scheduler {
         report
     }
 
-    /// Recent and slow-request span digests (protocol v7 `TraceDump`).
+    /// Recent and slow-request span digests (`TraceDump`).
     pub fn trace_dump(&self) -> TraceReport {
         self.inner.telemetry.trace_dump()
     }
 
-    /// The continuous profiler's retained windows (protocol v8
-    /// `ProfileDump`): `window_ns == 0` and no windows when the
+    /// The continuous profiler's retained windows
+    /// (`ProfileDump`): `window_ns == 0` and no windows when the
     /// profiler is off.
     pub fn profile_dump(&self) -> ProfileReport {
         let prof = self.inner.contprof.lock().expect("contprof lock");
@@ -571,8 +571,8 @@ impl Scheduler {
         }
     }
 
-    /// The alert engine's firing set and transition log (protocol v8
-    /// `AlertLog`), after pumping any unseen series points through the
+    /// The alert engine's firing set and transition log
+    /// (`AlertLog`), after pumping any unseen series points through the
     /// rules. Disarmed schedulers report `armed: false` and empty
     /// lists.
     pub fn alert_log(&self) -> AlertReport {
@@ -973,7 +973,7 @@ fn worker_loop(inner: &Arc<Inner>) {
             res.store_repairs += result.recovery.store_repairs as u64;
         }
         // Registry metrics + trace log for the live-telemetry surface
-        // (protocol v7 Series/TraceDump). The wall histogram measures
+        // (Series/TraceDump). The wall histogram measures
         // enqueue→done: the latency a waiting client actually observed.
         inner.metrics.completed.inc();
         if result.ok() {

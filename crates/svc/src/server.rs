@@ -437,6 +437,6 @@ impl Client {
 fn unexpected(resp: &Response) -> io::Error {
     io::Error::new(
         io::ErrorKind::InvalidData,
-        format!("unexpected response {resp:?}"),
+        format!("unexpected response `{}`", resp.name()),
     )
 }

@@ -1,6 +1,6 @@
 //! Live-telemetry plumbing for the service: the scheduler-side registry
 //! metrics, the time-series sampler, and the per-request trace log the
-//! protocol v7 `Series` / `TraceDump` requests serve.
+//! `Series` / `TraceDump` requests serve.
 //!
 //! Three pieces, all inert unless explicitly enabled so simulated-figure
 //! paths stay bit-identical:
@@ -172,7 +172,7 @@ impl SeriesPoint {
     }
 }
 
-/// The protocol v7 `Series` reply: the buffered sample window plus the
+/// The `Series` reply: the buffered sample window plus the
 /// server clock for offset estimation.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SeriesReport {
@@ -185,7 +185,7 @@ pub struct SeriesReport {
     pub points: Vec<SeriesPoint>,
 }
 
-/// The protocol v8 `ProfileDump` reply: the continuous profiler's
+/// The `ProfileDump` reply: the continuous profiler's
 /// retained windows.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ProfileReport {
@@ -199,7 +199,7 @@ pub struct ProfileReport {
     pub windows: Vec<obs::contprof::ProfileWindow>,
 }
 
-/// The protocol v8 `AlertLog` reply: the alert engine's current firing
+/// The `AlertLog` reply: the alert engine's current firing
 /// set and recent transition events.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct AlertReport {
@@ -266,7 +266,7 @@ pub struct TraceRecord {
     pub phases: ServerPhases,
 }
 
-/// The protocol v7 `TraceDump` reply.
+/// The `TraceDump` reply.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct TraceReport {
     /// Server trace clock at reply time ([`obs::trace::now_ns`]) — the

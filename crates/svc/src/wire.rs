@@ -1,14 +1,17 @@
 //! Length-prefixed binary wire format.
 //!
-//! Frames are `u32` little-endian payload length + payload. Payloads are
-//! encoded with the explicit writer/reader below — the workspace
-//! deliberately carries no serialization framework (the vendored `serde`
-//! is a derive-only stub), so protocol types hand-roll their encoding
-//! the same way the AOT artifact codec does. All decode paths treat
-//! input as untrusted: lengths are bounds-checked against what the
-//! remaining bytes could possibly hold, and a malformed frame is an
-//! error, never a panic.
+//! Frames are `u32` little-endian payload length + payload. A payload is
+//! a plain sequence of little-endian primitives, and a type's layout is
+//! stated exactly once, as its [`Wire`] impl: primitives, `String`,
+//! `Option`, `Vec`, `BTreeMap`, `Box` and tuples are implemented here,
+//! `wire_struct!` turns one ordered field list into both directions and
+//! `wire_enum!` does the same for a `tag => Variant(fields)` table, so
+//! an encoder and its decoder cannot disagree. All decode paths treat
+//! input as untrusted: a malformed payload is an error, never a panic,
+//! and [`WireReader::count`] is the one place a declared length is
+//! validated — before anything is allocated for it.
 
+use std::collections::BTreeMap;
 use std::io::{self, Read, Write};
 
 use engines::EngineKind;
@@ -35,7 +38,7 @@ impl From<WireError> for io::Error {
     }
 }
 
-fn bad(msg: &str) -> WireError {
+pub(crate) fn bad(msg: &str) -> WireError {
     WireError(msg.to_string())
 }
 
@@ -160,6 +163,19 @@ impl<'a> WireReader<'a> {
         }
     }
 
+    /// Reads a `u32` count of elements (or bytes) that follow. Every
+    /// element occupies at least one byte, so a count above the bytes
+    /// remaining is refused here, before anything is allocated for it.
+    pub fn count(&mut self) -> Result<usize, WireError> {
+        #[cfg(test)]
+        COUNT_OFFSETS.with(|offsets| offsets.borrow_mut().push(self.pos));
+        let n = self.u32()? as usize;
+        if n > self.remaining() {
+            return Err(bad("count exceeds payload"));
+        }
+        Ok(n)
+    }
+
     fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
         if self.remaining() < n {
             return Err(bad("truncated payload"));
@@ -210,17 +226,214 @@ impl<'a> WireReader<'a> {
 
     /// Reads a length-prefixed UTF-8 string.
     pub fn str(&mut self) -> Result<String, WireError> {
-        let n = self.u32()? as usize;
+        let n = self.count()?;
         let b = self.take(n)?;
         String::from_utf8(b.to_vec()).map_err(|_| bad("invalid utf-8"))
     }
 
     /// Reads length-prefixed raw bytes.
     pub fn bytes(&mut self) -> Result<Vec<u8>, WireError> {
-        let n = self.u32()? as usize;
+        let n = self.count()?;
         Ok(self.take(n)?.to_vec())
     }
 }
+
+// Offsets at which this thread's readers read a count, for the
+// inflated-count sweep in `proto::tests`.
+#[cfg(test)]
+thread_local! {
+    pub(crate) static COUNT_OFFSETS: std::cell::RefCell<Vec<usize>> =
+        const { std::cell::RefCell::new(Vec::new()) };
+}
+
+/// A type with one wire layout, written and read by the same impl.
+pub trait Wire: Sized {
+    /// Appends the value's encoding.
+    fn put(&self, w: &mut WireWriter);
+
+    /// Reads one value.
+    ///
+    /// # Errors
+    ///
+    /// [`WireError`] on truncated or malformed input.
+    fn get(r: &mut WireReader<'_>) -> Result<Self, WireError>;
+}
+
+/// Primitives go through the writer/reader method of the same name.
+macro_rules! wire_primitive {
+    ($($ty:ident)*) => {$(
+        impl Wire for $ty {
+            fn put(&self, w: &mut WireWriter) {
+                w.$ty(*self);
+            }
+            fn get(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+                r.$ty()
+            }
+        }
+    )*};
+}
+wire_primitive!(u8 u16 u32 u64 i32 f64 bool);
+
+impl Wire for String {
+    fn put(&self, w: &mut WireWriter) {
+        w.str(self);
+    }
+    fn get(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        r.str()
+    }
+}
+
+/// A presence bool, then the value if present.
+impl<T: Wire> Wire for Option<T> {
+    fn put(&self, w: &mut WireWriter) {
+        w.bool(self.is_some());
+        if let Some(v) = self {
+            v.put(w);
+        }
+    }
+    fn get(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        Ok(if r.bool()? { Some(T::get(r)?) } else { None })
+    }
+}
+
+/// A `u32` count, then the items.
+impl<T: Wire> Wire for Vec<T> {
+    fn put(&self, w: &mut WireWriter) {
+        w.u32(self.len() as u32);
+        for item in self {
+            item.put(w);
+        }
+    }
+    fn get(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        (0..r.count()?).map(|_| T::get(r)).collect()
+    }
+}
+
+/// A `u32` count, then `(key, value)` pairs in key order.
+impl<K: Wire + Ord, V: Wire> Wire for BTreeMap<K, V> {
+    fn put(&self, w: &mut WireWriter) {
+        w.u32(self.len() as u32);
+        for (k, v) in self {
+            k.put(w);
+            v.put(w);
+        }
+    }
+    fn get(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        (0..r.count()?).map(|_| <(K, V)>::get(r)).collect()
+    }
+}
+
+impl<T: Wire> Wire for Box<T> {
+    fn put(&self, w: &mut WireWriter) {
+        (**self).put(w);
+    }
+    fn get(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        T::get(r).map(Box::new)
+    }
+}
+
+impl<A: Wire, B: Wire> Wire for (A, B) {
+    fn put(&self, w: &mut WireWriter) {
+        self.0.put(w);
+        self.1.put(w);
+    }
+    fn get(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        Ok((A::get(r)?, B::get(r)?))
+    }
+}
+
+impl<A: Wire, B: Wire, C: Wire> Wire for (A, B, C) {
+    fn put(&self, w: &mut WireWriter) {
+        self.0.put(w);
+        self.1.put(w);
+        self.2.put(w);
+    }
+    fn get(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        Ok((A::get(r)?, B::get(r)?, C::get(r)?))
+    }
+}
+
+/// Implements [`Wire`] for structs from one field list each: the fields
+/// are written, and read back, in the order listed. A field the list
+/// omits is a compile error, not a silent default.
+macro_rules! wire_struct {
+    ($($ty:ty { $($field:ident),* $(,)? })*) => {$(
+        impl $crate::wire::Wire for $ty {
+            fn put(&self, w: &mut $crate::wire::WireWriter) {
+                $($crate::wire::Wire::put(&self.$field, w);)*
+            }
+            fn get(r: &mut $crate::wire::WireReader<'_>) -> Result<Self, $crate::wire::WireError> {
+                Ok(Self { $($field: $crate::wire::Wire::get(r)?),* })
+            }
+        }
+    )*};
+}
+pub(crate) use wire_struct;
+
+/// Defines a message enum from its `tag => Variant(field: Type, ...)`
+/// table: the enum itself, `TABLE` and `name()`, and the `encode` /
+/// `decode` pair for whole payloads (`u16` `proto::PROTO_VERSION`, `u8`
+/// tag, the fields in listed order, then the end of the payload).
+macro_rules! wire_enum {
+    ($(#[$meta:meta])* $name:ident {
+        $($(#[$vmeta:meta])* $tag:literal => $variant:ident $(($($field:ident: $ty:ty),+))?,)*
+    }) => {
+        $(#[$meta])*
+        pub enum $name {
+            $($(#[$vmeta])* $variant $(($($ty),+))?,)*
+        }
+
+        impl $name {
+            /// Every `(tag, variant name)` in tag order — the opcode
+            /// table `docs/PROTOCOL.md` is checked against.
+            pub const TABLE: &'static [(u8, &'static str)] = &[$(($tag, stringify!($variant))),*];
+
+            /// The variant's name, as listed in [`Self::TABLE`].
+            pub fn name(&self) -> &'static str {
+                match self {
+                    $($name::$variant { .. } => stringify!($variant),)*
+                }
+            }
+
+            /// Encodes into a frame payload.
+            pub fn encode(&self) -> Vec<u8> {
+                let mut w = $crate::wire::WireWriter::new();
+                w.u16($crate::proto::PROTO_VERSION);
+                match self {
+                    $($name::$variant $(($($field),+))? => {
+                        w.u8($tag);
+                        $($($crate::wire::Wire::put($field, &mut w);)+)?
+                    })*
+                }
+                w.finish()
+            }
+
+            /// Decodes a frame payload.
+            ///
+            /// # Errors
+            ///
+            /// `WireError` on a version other than `PROTO_VERSION`
+            /// or on malformed input (unknown tag, truncation, trailing
+            /// bytes).
+            pub fn decode(payload: &[u8]) -> Result<$name, $crate::wire::WireError> {
+                let mut r = $crate::wire::WireReader::new(payload);
+                let (peer, this) = (r.u16()?, $crate::proto::PROTO_VERSION);
+                if peer != this {
+                    return Err($crate::wire::WireError(format!(
+                        "protocol version mismatch: peer speaks v{peer}, this build speaks v{this}"
+                    )));
+                }
+                let msg = match r.u8()? {
+                    $($tag => $name::$variant $(($(<$ty as $crate::wire::Wire>::get(&mut r)?),+))?,)*
+                    _ => return Err($crate::wire::bad(concat!("bad ", stringify!($name), " tag"))),
+                };
+                r.expect_end()?;
+                Ok(msg)
+            }
+        }
+    };
+}
+pub(crate) use wire_enum;
 
 /// Stable byte for an [`OptLevel`] (wire + store headers).
 pub fn level_byte(level: OptLevel) -> u8 {
@@ -302,6 +515,28 @@ mod tests {
         let buf = w.finish();
         assert!(WireReader::new(&buf).bytes().is_err());
         assert!(WireReader::new(&[2]).bool().is_err());
+    }
+
+    #[test]
+    fn containers_round_trip_and_refuse_counts_the_payload_cannot_hold() {
+        type Nested = (Vec<(u8, String)>, BTreeMap<String, Option<u64>>, Box<f64>);
+        let value: Nested = (
+            vec![(1, "a".into()), (2, String::new())],
+            BTreeMap::from([("x".into(), Some(7)), ("y".into(), None)]),
+            Box::new(-0.5),
+        );
+        let mut w = WireWriter::new();
+        value.put(&mut w);
+        let buf = w.finish();
+        let mut r = WireReader::new(&buf);
+        assert_eq!(Nested::get(&mut r).unwrap(), value);
+        r.expect_end().unwrap();
+        // One more element than bytes left: refused at the count.
+        let mut w = WireWriter::new();
+        w.u32(3);
+        w.u16(0);
+        let err = Vec::<u8>::get(&mut WireReader::new(&w.finish())).unwrap_err();
+        assert_eq!(err, bad("count exceeds payload"));
     }
 
     #[test]

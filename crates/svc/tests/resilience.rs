@@ -1,6 +1,6 @@
 //! End-to-end tests for the resilience layer: retry with backoff,
 //! per-engine circuit breakers, graceful degradation under injected
-//! compile failures, the protocol v4 `Health` request over a live
+//! compile failures, the `Health` request over a live
 //! socket, and stale-socket recovery in the server.
 
 use std::sync::Arc;

@@ -40,6 +40,8 @@
 #      gracefully against the router socket; a chaos pass with one
 #      shard armed 'crash=1.0' (the process aborts on its first job)
 #      still completes the run with at least one failover
+#  15. scripts/loc.sh: lines of Rust per crate and the crates/ total,
+#      the table each CHANGES.md entry records
 #
 # Front-end throughput is not raced here: the reactor is the only server
 # loop, and its gate is the repo benchmark's serving workload —
@@ -400,5 +402,8 @@ fi
 wait "$crouter_pid" 2> /dev/null || true
 "$served" shutdown --socket "$c1" > /dev/null
 wait "$cshard0_pid" "$cshard1_pid" 2> /dev/null || true
+
+step "lines of Rust per crate (scripts/loc.sh)"
+bash scripts/loc.sh
 
 step "verify OK"
