@@ -40,7 +40,7 @@ impl MatrixCell {
         }
     }
 
-    /// The `engine × level` cell label BENCH artifacts aggregate on
+    /// The `engine × level` cell label `wabench-load` aggregates on
     /// (benchmarks within a cell share a latency distribution), e.g.
     /// `Wasmtime/-O2`.
     pub fn cell_key(&self) -> String {

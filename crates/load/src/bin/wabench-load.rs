@@ -3,19 +3,20 @@
 //! ```text
 //! wabench-load run      --seed N [--mix fig1] [--scale test] [--qps Q] [--jobs N]
 //!                       [--phases cold,warm] [--socket PATH | --workers N [--faults PLAN] [--store DIR]]
-//!                       [--collectors N] [--out PATH] [--stitch-out FILE] [--log LEVEL]
+//!                       [--collectors N] [--stitch-out FILE] [--log LEVEL]
 //! wabench-load schedule --seed N [--mix fig1] [--qps Q] [--jobs N] [--phase I] [--head K]
 //! ```
 //!
 //! `run` drives the stack — in-process by default, or a live
 //! `wabench-served` daemon with `--socket` — with seeded Poisson
 //! arrivals sampled from a figure matrix, records latency from each
-//! job's *intended* arrival (coordinated-omission-safe), prints a
-//! summary, and writes a versioned `BENCH_<timestamp>.json` trajectory
-//! artifact (to `--out`, a file or directory; default the current
-//! directory). Exit code 0 only if jobs completed and no protocol
-//! errors occurred — `wabench-prof diff` consumes the artifact for the
-//! throughput/SLO gate.
+//! job's *intended* arrival (coordinated-omission-safe), and prints a
+//! summary: totals, per-shard lines when the socket is a router,
+//! overall and per-cell latency. Exit code 0 only if jobs completed and
+//! no protocol errors occurred. `--workers`, `--faults` and `--store`
+//! configure the in-process scheduler, so combining any of them with
+//! `--socket` is a usage error. The run writes no artifact: performance
+//! is measured and gated by the repo benchmark (`benchmark/README.md`).
 //!
 //! Every submit carries a deterministic client-originated trace id.
 //! `--stitch-out FILE` fetches the server's `TraceDump` after the run,
@@ -42,7 +43,7 @@ fn usage() -> ! {
          run      --seed N [--mix fig1|fig2|fig3|fig4|arch] [--scale test|profile|timing]\n\
          \x20        [--qps Q] [--jobs N] [--phases cold,warm]\n\
          \x20        [--socket PATH | --workers N [--faults PLAN] [--store DIR]]\n\
-         \x20        [--collectors N] [--out PATH] [--stitch-out FILE]\n\
+         \x20        [--collectors N] [--stitch-out FILE]\n\
          schedule --seed N [--mix fig1] [--qps Q] [--jobs N] [--phase I] [--head K]\n\
          \n\
          common: --log error|warn|info|debug (overrides WABENCH_LOG)\n\
@@ -70,11 +71,10 @@ struct Opts {
     jobs: usize,
     phases: String,
     socket: Option<PathBuf>,
-    workers: usize,
+    workers: Option<usize>,
     faults: Option<String>,
     store: Option<PathBuf>,
     collectors: usize,
-    out: Option<PathBuf>,
     stitch_out: Option<PathBuf>,
     phase: u64,
     head: usize,
@@ -89,11 +89,10 @@ fn parse_opts(args: &[String]) -> Opts {
         jobs: 50,
         phases: "cold,warm".to_string(),
         socket: None,
-        workers: 4,
+        workers: None,
         faults: None,
         store: None,
         collectors: 0,
-        out: None,
         stitch_out: None,
         phase: 0,
         head: 10,
@@ -138,14 +137,16 @@ fn parse_opts(args: &[String]) -> Opts {
             "--phases" => o.phases = take_value(args, &mut i, "--phases"),
             "--socket" => o.socket = Some(PathBuf::from(take_value(args, &mut i, "--socket"))),
             "--workers" => {
-                o.workers = take_value(args, &mut i, "--workers")
-                    .parse()
-                    .ok()
-                    .filter(|n| *n > 0)
-                    .unwrap_or_else(|| {
-                        obs::error!("--workers needs a positive integer");
-                        usage();
-                    })
+                o.workers = Some(
+                    take_value(args, &mut i, "--workers")
+                        .parse()
+                        .ok()
+                        .filter(|n| *n > 0)
+                        .unwrap_or_else(|| {
+                            obs::error!("--workers needs a positive integer");
+                            usage();
+                        }),
+                )
             }
             "--faults" => o.faults = Some(take_value(args, &mut i, "--faults")),
             "--store" => o.store = Some(PathBuf::from(take_value(args, &mut i, "--store"))),
@@ -157,7 +158,6 @@ fn parse_opts(args: &[String]) -> Opts {
                         usage();
                     })
             }
-            "--out" => o.out = Some(PathBuf::from(take_value(args, &mut i, "--out"))),
             "--stitch-out" => {
                 o.stitch_out = Some(PathBuf::from(take_value(args, &mut i, "--stitch-out")))
             }
@@ -203,30 +203,29 @@ fn resolve_mix(name: &str) -> Mix {
     })
 }
 
-/// Where the artifact lands: `--out` as given when it names a file, a
-/// timestamped `BENCH_*.json` inside it when it is a directory (default
-/// the current directory).
-fn artifact_path(out: &Option<PathBuf>) -> PathBuf {
-    let stamp = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map_or(0, |d| d.as_secs());
-    let name = format!("BENCH_{stamp}.json");
-    match out {
-        Some(p) if p.is_dir() => p.join(name),
-        Some(p) => p.clone(),
-        None => PathBuf::from(name),
-    }
-}
-
 fn cmd_run(o: &Opts) {
     let phases = Phase::parse_list(&o.phases).unwrap_or_else(|e| {
         obs::error!("--phases: {e}");
         usage();
     });
     let target = match &o.socket {
-        Some(path) => Target::Socket { path: path.clone() },
+        Some(path) => {
+            let in_proc = [
+                ("--workers", o.workers.is_some()),
+                ("--faults", o.faults.is_some()),
+                ("--store", o.store.is_some()),
+            ];
+            if let Some((flag, _)) = in_proc.iter().find(|(_, set)| *set) {
+                obs::error!(
+                    "{flag} configures the in-process scheduler and has no effect with \
+                     --socket; set it on the daemon instead"
+                );
+                usage();
+            }
+            Target::Socket { path: path.clone() }
+        }
         None => Target::InProc {
-            workers: o.workers,
+            workers: o.workers.unwrap_or(4),
             faults: o.faults.clone(),
             store_dir: o.store.clone(),
         },
@@ -246,17 +245,21 @@ fn cmd_run(o: &Opts) {
         obs::error!("load run failed: {e}");
         exit(1);
     });
-    let a = &report.artifact;
-    let t = &a.totals;
+    let t = &report.totals;
     println!(
         "load run: seed {} mix {} scale {} target {:.0} qps → sustained {:.1} qps over {:.2}s",
-        a.config.seed, a.config.mix, a.config.scale, a.config.qps, t.qps, t.wall_s
+        cfg.seed,
+        cfg.mix.name,
+        scale_name(cfg.scale),
+        cfg.qps,
+        t.qps(),
+        t.wall_s
     );
     println!(
         "jobs: {} submitted, {} completed ({} ok, {} degraded, {} failed), {} protocol errors, {} shed, peak queue {}",
         t.submitted, t.completed, t.ok, t.degraded, t.failed, t.protocol_errors, t.shed, t.peak_queue_depth
     );
-    for b in &a.backends {
+    for b in report.backends.iter().flat_map(|r| &r.backends) {
         println!(
             "shard {} [{}]: {} forwarded, {} failovers",
             b.name,
@@ -266,23 +269,16 @@ fn cmd_run(o: &Opts) {
         );
     }
     println!("latency: {}", report.latency.summary());
-    for cell in &a.cells {
+    for (cell, snap) in &report.cells {
         println!(
-            "cell {}: n={} p50={} p95={} p99={} max={}",
-            cell.cell,
-            cell.count,
-            obs::metrics::fmt_ns(cell.p50_ns),
-            obs::metrics::fmt_ns(cell.p95_ns),
-            obs::metrics::fmt_ns(cell.p99_ns),
-            obs::metrics::fmt_ns(cell.max_ns),
+            "cell {cell}: n={} p50={} p95={} p99={} max={}",
+            snap.count,
+            obs::metrics::fmt_ns(snap.quantile_ns(0.50)),
+            obs::metrics::fmt_ns(snap.quantile_ns(0.95)),
+            obs::metrics::fmt_ns(snap.quantile_ns(0.99)),
+            obs::metrics::fmt_ns(snap.max_ns),
         );
     }
-    let path = artifact_path(&o.out);
-    if let Err(e) = std::fs::write(&path, a.to_json()) {
-        obs::error!("writing {}: {e}", path.display());
-        exit(1);
-    }
-    println!("artifact: {}", path.display());
     if let (Some(stitch_path), Some(trace)) = (&o.stitch_out, &report.stitched) {
         match obs::chrome::export_file(trace, stitch_path) {
             Ok(()) => println!(

@@ -20,16 +20,16 @@
 //!   deterministic client-originated trace id; after the
 //!   run the client-side `submit → response` spans are stitched against
 //!   the server's `TraceDump` phase digests into one Chrome trace.
-//! - **BENCH trajectory artifacts** ([`bench`]): every run emits a
-//!   versioned `BENCH_<timestamp>.json` (config + seed, sustained QPS,
-//!   per engine×level p50/p95/p99/max, outcome counts) that
-//!   `wabench-prof diff` gates on, making the perf trajectory a
-//!   first-class CI artifact.
+//!
+//! A run reports its totals and per-cell latency on stdout and exits
+//! nonzero when it was unhealthy; it writes no artifact. Performance is
+//! measured, recorded and gated in one place, the repo benchmark
+//! (`benchmark/README.md`), which links only [`rng`], [`arrivals`] and
+//! [`traces`] from this crate.
 
 #![warn(missing_docs)]
 
 pub mod arrivals;
-pub mod bench;
 pub mod mix;
 pub mod rng;
 pub mod run;
@@ -37,7 +37,7 @@ pub mod traces;
 
 use svc::job::Scale;
 
-/// The artifact spelling of a scale (matches `Scale::parse`).
+/// The CLI spelling of a scale (matches `Scale::parse`).
 pub fn scale_name(scale: Scale) -> &'static str {
     match scale {
         Scale::Test => "test",

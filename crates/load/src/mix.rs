@@ -16,7 +16,7 @@ const MIX_SALT: u64 = 0x317;
 /// A named set of matrix cells to draw jobs from.
 #[derive(Debug, Clone)]
 pub struct Mix {
-    /// Preset name (recorded in the BENCH artifact).
+    /// Preset name (printed in the run summary).
     pub name: String,
     /// The cells; sampling is uniform over this list.
     pub cells: Vec<MatrixCell>,

@@ -23,13 +23,10 @@ use svc::job::{JobResult, Outcome, Scale, TraceCtx};
 use svc::scheduler::{Config, HealthReport, Scheduler};
 use svc::proto::BackendsReport;
 use svc::server::{Client, Submission};
-use svc::telemetry::{SeriesReport, TraceReport};
+use svc::telemetry::TraceReport;
 
-use crate::bench::{
-    BenchArtifact, BenchBackend, BenchCell, BenchConfig, BenchSeriesPoint, BenchTotals,
-};
 use crate::mix::Mix;
-use crate::{arrivals, scale_name, traces};
+use crate::{arrivals, traces};
 
 /// What the generator drives.
 #[derive(Debug, Clone)]
@@ -53,7 +50,7 @@ pub enum Target {
 /// One run phase: a full arrival schedule at one warm/cold setting.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Phase {
-    /// `cold` or `warm` (recorded in the artifact).
+    /// `cold` or `warm`.
     pub name: String,
     /// Whether jobs consult the artifact store.
     pub warm: bool,
@@ -106,14 +103,57 @@ pub struct RunConfig {
     pub stitch: bool,
 }
 
-/// What a run produced: the artifact plus the overall latency shape.
+/// Run-level outcome totals.
+#[derive(Debug, Clone, Copy)]
+pub struct Totals {
+    /// Jobs submitted across all phases.
+    pub submitted: u64,
+    /// Jobs whose results were collected.
+    pub completed: u64,
+    /// ... of which clean.
+    pub ok: u64,
+    /// ... correct but degraded (e.g. interpreter fallback).
+    pub degraded: u64,
+    /// ... failed/panicked/timed out.
+    pub failed: u64,
+    /// Transport-level errors talking to the service (0 in-process).
+    pub protocol_errors: u64,
+    /// Submits the target refused with a `Busy` reply (router
+    /// admission control). Refused work, not errors: the run keeps
+    /// going and the report records how much was turned away.
+    pub shed: u64,
+    /// Wall seconds from first intended arrival to last collection.
+    pub wall_s: f64,
+    /// Peak scheduler queue depth (from `Health`; 0 if unknown).
+    pub peak_queue_depth: u64,
+}
+
+impl Totals {
+    /// Sustained throughput: completed / wall_s.
+    pub fn qps(&self) -> f64 {
+        if self.wall_s > 0.0 {
+            self.completed as f64 / self.wall_s
+        } else {
+            0.0
+        }
+    }
+}
+
+/// What a run produced: totals, latency per cell and overall, and the
+/// routing table when the target was a router.
 #[derive(Debug, Clone)]
 pub struct RunReport {
-    /// The trajectory artifact (serialize with
-    /// [`BenchArtifact::to_json`]).
-    pub artifact: BenchArtifact,
-    /// All-cell latency distribution, for human summaries.
+    /// Outcome totals.
+    pub totals: Totals,
+    /// Latency per `engine/level` cell key (e.g. `Wasmtime/-O2`),
+    /// measured from *intended* arrival to collected completion, in
+    /// first-seen order; cells that collected nothing are left out.
+    pub cells: Vec<(String, HistogramSnapshot)>,
+    /// All-cell latency distribution.
     pub latency: HistogramSnapshot,
+    /// The router's `Backends` reply, when the target was a
+    /// `wabench-router` socket (`None` for plain shards and in-process).
+    pub backends: Option<BackendsReport>,
     /// Client-side `submit → response` spans, one per collected job,
     /// keyed by the deterministic trace ids ([`traces::trace_ids`]).
     pub client_spans: Vec<ClientSpan>,
@@ -145,8 +185,7 @@ impl Submitter {
 
     /// The router's routing table, when the target is one. Plain
     /// `wabench-served` shards refuse `Backends` with an `Err` reply
-    /// and in-process targets have no routing tier — both yield `None`
-    /// and the artifact's backends section stays absent.
+    /// and in-process targets have no routing tier — both yield `None`.
     fn backends(&mut self) -> Option<BackendsReport> {
         match self {
             Submitter::InProc(_) => None,
@@ -165,13 +204,6 @@ impl Submitter {
         match self {
             Submitter::InProc(s) => Ok(s.trace_dump()),
             Submitter::Socket(c) => c.trace_dump().map_err(|e| e.to_string()),
-        }
-    }
-
-    fn series(&mut self) -> Result<SeriesReport, String> {
-        match self {
-            Submitter::InProc(s) => Ok(s.series()),
-            Submitter::Socket(c) => c.series().map_err(|e| e.to_string()),
         }
     }
 }
@@ -198,14 +230,14 @@ impl Tallies {
     }
 }
 
-/// Executes a run: all phases, latency recording, artifact assembly.
+/// Executes a run: all phases, latency recording, report assembly.
 ///
 /// # Errors
 ///
 /// Configuration errors (bad fault plan, empty mix), store I/O errors,
 /// and a failure to *connect* to a socket target. Per-job transport
 /// errors do not abort the run — they are tallied as
-/// `protocol_errors` in the artifact.
+/// [`Totals::protocol_errors`].
 pub fn execute(cfg: &RunConfig) -> Result<RunReport, String> {
     if cfg.mix.cells.is_empty() {
         return Err("job mix has no cells".to_string());
@@ -218,7 +250,7 @@ pub fn execute(cfg: &RunConfig) -> Result<RunReport, String> {
     }
 
     // Spin up / connect to the target.
-    let (mut submitter, sched, workers, faults_spec) = match &cfg.target {
+    let (mut submitter, sched, workers) = match &cfg.target {
         Target::InProc {
             workers,
             faults,
@@ -242,8 +274,7 @@ pub fn execute(cfg: &RunConfig) -> Result<RunReport, String> {
             (
                 Submitter::InProc(Arc::clone(&sched)),
                 Some(sched),
-                (*workers).max(1) as u64,
-                faults.clone().unwrap_or_default(),
+                (*workers).max(1),
             )
         }
         Target::Socket { path } => (
@@ -252,7 +283,6 @@ pub fn execute(cfg: &RunConfig) -> Result<RunReport, String> {
             ),
             None,
             0,
-            String::new(),
         ),
     };
 
@@ -280,7 +310,7 @@ pub fn execute(cfg: &RunConfig) -> Result<RunReport, String> {
     let collectors = if cfg.collectors > 0 {
         cfg.collectors
     } else {
-        (workers as usize).max(2)
+        workers.max(2)
     };
 
     let mut submitted = 0u64;
@@ -363,39 +393,8 @@ pub fn execute(cfg: &RunConfig) -> Result<RunReport, String> {
 
     // Saturation signal: the scheduler's queue high-water mark.
     let peak_queue_depth = submitter.health().map_or(0, |h| h.peak_queue_depth);
-    // The target's live sample window, if it was sampling (a router
-    // answers Err; a sampler-less target answers empty) — either
-    // way the artifact's optional series section just stays absent.
-    let series = submitter.series().map_or_else(
-        |_| Vec::new(),
-        |r| {
-            r.points
-                .iter()
-                .map(|p| BenchSeriesPoint {
-                    seq: p.seq,
-                    t_ns: p.t_ns,
-                    interval_ns: p.interval_ns,
-                    completed: p.completed,
-                    failed: p.failed,
-                    queue_depth: p.queue_depth,
-                    p50_ns: p.lat.p50_ns,
-                    p99_ns: p.lat.p99_ns,
-                })
-                .collect()
-        },
-    );
     // Routed runs also capture per-shard attribution (None elsewhere).
-    let backends = submitter.backends().map_or_else(Vec::new, |r| {
-        r.backends
-            .iter()
-            .map(|b| BenchBackend {
-                name: b.name.clone(),
-                healthy: b.healthy,
-                forwarded: b.forwarded,
-                failovers: b.failovers,
-            })
-            .collect()
-    });
+    let backends = submitter.backends();
     let client_spans = std::mem::take(&mut *spans.lock().expect("span log"));
     // Stitch while the target is still up: bracket the dump fetch on
     // the client clock for the round-trip offset estimate.
@@ -418,70 +417,27 @@ pub fn execute(cfg: &RunConfig) -> Result<RunReport, String> {
     drop(submitter);
     drop(sched); // joins the in-process workers
 
-    let completed = tallies.completed.load(Ordering::Relaxed);
     let cells = keys
-        .iter()
-        .enumerate()
-        .filter_map(|(i, key)| {
-            let snap = per_key[i].snapshot();
-            if snap.count == 0 {
-                return None;
-            }
-            Some(BenchCell {
-                cell: key.clone(),
-                count: snap.count,
-                mean_ns: snap.mean_ns() as u64,
-                p50_ns: snap.quantile_ns(0.50),
-                p95_ns: snap.quantile_ns(0.95),
-                p99_ns: snap.quantile_ns(0.99),
-                max_ns: snap.max_ns,
-            })
-        })
+        .into_iter()
+        .zip(per_key.iter())
+        .map(|(key, h)| (key, h.snapshot()))
+        .filter(|(_, snap)| snap.count > 0)
         .collect();
-
-    let artifact = BenchArtifact {
-        config: BenchConfig {
-            seed: cfg.seed,
-            mix: cfg.mix.name.clone(),
-            scale: scale_name(cfg.scale).to_string(),
-            qps: cfg.qps,
-            jobs: cfg.jobs as u64,
-            driver: match cfg.target {
-                Target::InProc { .. } => "inproc".to_string(),
-                Target::Socket { .. } => "socket".to_string(),
-            },
-            workers,
-            faults: faults_spec,
-            phases: cfg
-                .phases
-                .iter()
-                .map(|p| p.name.as_str())
-                .collect::<Vec<_>>()
-                .join(","),
-        },
-        totals: BenchTotals {
+    Ok(RunReport {
+        totals: Totals {
             submitted,
-            completed,
+            completed: tallies.completed.load(Ordering::Relaxed),
             ok: tallies.ok.load(Ordering::Relaxed),
             degraded: tallies.degraded.load(Ordering::Relaxed),
             failed: tallies.failed.load(Ordering::Relaxed),
             protocol_errors: tallies.protocol_errors.load(Ordering::Relaxed),
             shed: tallies.shed.load(Ordering::Relaxed),
             wall_s,
-            qps: if wall_s > 0.0 {
-                completed as f64 / wall_s
-            } else {
-                0.0
-            },
             peak_queue_depth,
         },
         cells,
-        series,
-        backends,
-    };
-    Ok(RunReport {
-        artifact,
         latency: global.snapshot(),
+        backends,
         client_spans,
         stitched,
     })

@@ -1,6 +1,6 @@
 //! The determinism contract: a run's arrival schedule and job mix are a
-//! pure function of `--seed`, like `wabench-fault` plans — so any BENCH
-//! trajectory point can be reproduced exactly from its recorded config.
+//! pure function of `--seed`, like `wabench-fault` plans — so any run
+//! can be reproduced exactly from its printed seed, mix and rate.
 
 use load::arrivals;
 use load::mix::Mix;

@@ -1,8 +1,6 @@
-//! `wabench-prof` — profiling, flamegraph export, and regression gates.
+//! `wabench-prof` — attributed profiles and flamegraph export.
 //!
 //! ```text
-//! wabench-prof record   --out FILE [--bench B]... [--engine E]... [--level O2] [--scale test] [--reps 5]
-//! wabench-prof diff     --base FILE [--cur FILE] [--wall-rel 0.25] [--counter-rel 0.10]
 //! wabench-prof fold     --out FILE [--weight wall-ns] [--workers 4] [--bench B]... [--level O2] [--scale test] [--chrome FILE]
 //! wabench-prof collapse --trace FILE [--out FILE]
 //! wabench-prof report   [--bench B]... [--engine E]... [--level O2] [--scale test]
@@ -10,47 +8,33 @@
 //! wabench-prof wdiff    --socket PATH [--from SEQ] [--to SEQ]
 //! ```
 //!
-//! `record` writes a JSON-lines baseline; `diff` re-measures the same
-//! cells (or reads `--cur`) and exits non-zero on a regression, naming
-//! each regressed benchmark × engine cell. When `--base` is a BENCH
-//! trajectory artifact from `wabench-load` (sniffed by its schema tag),
-//! `diff` instead gates sustained QPS, per-cell p99 SLOs, and failure
-//! counts against a second artifact — `--cur` is required there, since
-//! a load run cannot be re-measured in-process. `fold` runs a job matrix
-//! through the scheduler and writes folded stacks for
-//! `flamegraph.pl`; `collapse` does the same offline from a saved
-//! Chrome trace. `report` prints the counter-attributed phase table.
+//! `fold` runs a job matrix through the scheduler and writes folded
+//! stacks for `flamegraph.pl`; `collapse` does the same offline from a
+//! saved Chrome trace. `report` prints the counter-attributed phase
+//! table.
 //!
 //! `windows` and `wdiff` query a live `wabench-served`
 //! running with `--profile-ms`: `windows` lists the continuous
 //! profiler's recent windows with their hottest phases, and `wdiff`
 //! diffs two windows' collapsed stacks (by `--from`/`--to` seq, or the
-//! last two) and names the most-regressed phase — the live-service
-//! analogue of `diff` for in-process baselines.
+//! last two) and names the most-regressed phase.
 //!
-//! `WABENCH_PROF_SLOWDOWN` (a float, default 1) multiplies measured
-//! wall times in `record` and `diff`. It is a test hook: setting it to
-//! 2 on an unchanged tree must make `diff` fail, proving the gate can
-//! actually fire. It is read once here in `main` — the library never
-//! touches the environment.
+//! These tools explain where time goes; none of them gates on it.
+//! Performance is measured and gated by the repo benchmark
+//! (`benchmark/README.md`).
 
 use std::path::PathBuf;
 use std::process::exit;
 
 use engines::EngineKind;
-use prof::baseline::{self, BaselineRecord, WallStats};
-use prof::diff::{diff, DiffRule};
-use prof::loadgate::{diff_load, LoadRule};
 use prof::measure::{measure_cell, CellSpec, Scale};
 use prof::workload::WorkloadSpec;
 use wacc::OptLevel;
 
 fn usage() -> ! {
     obs::error!(
-        "usage: wabench-prof <record|diff|fold|collapse|report|windows|wdiff> [options]\n\
+        "usage: wabench-prof <fold|collapse|report|windows|wdiff> [options]\n\
          \n\
-         record   --out FILE [--bench B]... [--engine E]... [--level O2] [--scale test] [--reps 5]\n\
-         diff     --base FILE [--cur FILE] [--wall-rel 0.25] [--counter-rel 0.10]\n\
          fold     --out FILE [--weight wall-ns] [--workers 4] [--bench B]... [--level O2] [--scale test] [--chrome FILE]\n\
          collapse --trace FILE [--out FILE]\n\
          report   [--bench B]... [--engine E]... [--level O2] [--scale test]\n\
@@ -73,17 +57,12 @@ fn take_value(args: &[String], i: &mut usize, flag: &str) -> String {
 
 struct Opts {
     out: Option<PathBuf>,
-    base: Option<PathBuf>,
-    cur: Option<PathBuf>,
     trace: Option<PathBuf>,
     chrome: Option<PathBuf>,
     benches: Vec<String>,
     engines: Vec<EngineKind>,
     level: OptLevel,
-    scale_name: String,
-    reps: u32,
-    wall_rel: f64,
-    counter_rel: f64,
+    scale: Scale,
     weight: obs::folded::Weight,
     workers: usize,
     socket: Option<PathBuf>,
@@ -95,17 +74,12 @@ impl Opts {
     fn base() -> Opts {
         Opts {
             out: None,
-            base: None,
-            cur: None,
             trace: None,
             chrome: None,
             benches: Vec::new(),
             engines: Vec::new(),
             level: OptLevel::O2,
-            scale_name: "test".to_string(),
-            reps: 5,
-            wall_rel: 0.25,
-            counter_rel: 0.10,
+            scale: Scale::Test,
             weight: obs::folded::Weight::WallNs,
             workers: 4,
             socket: None,
@@ -115,21 +89,12 @@ impl Opts {
     }
 }
 
-fn parse_f64(args: &[String], i: &mut usize, flag: &str) -> f64 {
-    take_value(args, i, flag).parse().unwrap_or_else(|_| {
-        obs::error!("{flag} needs a number");
-        usage();
-    })
-}
-
 fn parse_opts(args: &[String]) -> Opts {
     let mut o = Opts::base();
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
             "--out" => o.out = Some(PathBuf::from(take_value(args, &mut i, "--out"))),
-            "--base" => o.base = Some(PathBuf::from(take_value(args, &mut i, "--base"))),
-            "--cur" => o.cur = Some(PathBuf::from(take_value(args, &mut i, "--cur"))),
             "--trace" => o.trace = Some(PathBuf::from(take_value(args, &mut i, "--trace"))),
             "--chrome" => o.chrome = Some(PathBuf::from(take_value(args, &mut i, "--chrome"))),
             "--bench" => o.benches.push(take_value(args, &mut i, "--bench")),
@@ -149,24 +114,11 @@ fn parse_opts(args: &[String]) -> Opts {
             }
             "--scale" => {
                 let v = take_value(args, &mut i, "--scale");
-                if Scale::parse(&v).is_none() {
+                o.scale = Scale::parse(&v).unwrap_or_else(|| {
                     obs::error!("unknown scale {v:?} (use test|profile|timing)");
                     usage();
-                }
-                o.scale_name = v;
+                });
             }
-            "--reps" => {
-                o.reps = take_value(args, &mut i, "--reps")
-                    .parse()
-                    .ok()
-                    .filter(|n| *n > 0)
-                    .unwrap_or_else(|| {
-                        obs::error!("--reps needs a positive integer");
-                        usage();
-                    });
-            }
-            "--wall-rel" => o.wall_rel = parse_f64(args, &mut i, "--wall-rel"),
-            "--counter-rel" => o.counter_rel = parse_f64(args, &mut i, "--counter-rel"),
             "--weight" => {
                 let v = take_value(args, &mut i, "--weight");
                 o.weight = obs::folded::Weight::parse(&v).unwrap_or_else(|| {
@@ -232,139 +184,13 @@ fn need(path: &Option<PathBuf>, flag: &str) -> PathBuf {
     })
 }
 
-/// Measures one cell into a baseline record; the strings are the
-/// file-format spellings so `diff` can re-measure from a parsed record.
-fn record_cell(
-    bench: &str,
-    engine: EngineKind,
-    level: OptLevel,
-    scale_name: &str,
-    reps: u32,
-    slowdown: f64,
-) -> Result<BaselineRecord, String> {
-    let b = suite::by_name(bench).ok_or_else(|| format!("unknown benchmark {bench:?}"))?;
-    let scale = Scale::parse(scale_name).ok_or_else(|| format!("unknown scale {scale_name:?}"))?;
-    let spec = CellSpec {
-        bench: b,
-        engine,
-        level,
-        scale,
-    };
-    let m = measure_cell(&spec, reps, slowdown)?;
-    Ok(BaselineRecord {
-        bench: bench.to_string(),
-        engine: engine.name().to_string(),
-        level: format!("{level:?}"),
-        scale: scale_name.to_string(),
-        reps,
-        wall: WallStats::from_samples(&m.wall_s),
-        counters: m.counters,
-    })
-}
-
-fn cmd_record(o: &Opts, slowdown: f64) {
-    let out = need(&o.out, "--out");
-    let mut records = Vec::new();
-    for bench in &o.benches {
-        for kind in &o.engines {
-            match record_cell(bench, *kind, o.level, &o.scale_name, o.reps, slowdown) {
-                Ok(r) => {
-                    obs::info!(
-                        "recorded {}: wall mean {:.3}ms, {} instrs, ipc {:.3}",
-                        r.cell(),
-                        r.wall.mean_s * 1e3,
-                        r.counters.instructions,
-                        r.counters.ipc()
-                    );
-                    records.push(r);
-                }
-                Err(e) => {
-                    obs::error!("{e}");
-                    exit(2);
-                }
-            }
-        }
-    }
-    if let Err(e) = baseline::write_file(&out, &records) {
-        obs::error!("{}: {e}", out.display());
-        exit(2);
-    }
-    println!("wrote {} ({} cells)", out.display(), records.len());
-}
-
-fn cmd_diff(o: &Opts, slowdown: f64) {
-    let base_path = need(&o.base, "--base");
-    let doc = std::fs::read_to_string(&base_path).unwrap_or_else(|e| {
-        obs::error!("{}: {e}", base_path.display());
-        exit(2);
-    });
-    if load::bench::BenchArtifact::sniff(&doc) {
-        cmd_diff_bench(o, &doc);
-    }
-    let base = baseline::read_file(&base_path).unwrap_or_else(|e| {
-        obs::error!("{e}");
-        exit(2);
-    });
-    let cur = match &o.cur {
-        Some(path) => baseline::read_file(path).unwrap_or_else(|e| {
-            obs::error!("{e}");
-            exit(2);
-        }),
-        // No --cur: re-measure every baseline cell right now.
-        None => base
-            .iter()
-            .map(|r| {
-                let engine = EngineKind::parse(&r.engine)
-                    .ok_or_else(|| format!("{}: unknown engine in baseline", r.cell()))?;
-                let level = parse_level(&r.level)
-                    .ok_or_else(|| format!("{}: unknown level in baseline", r.cell()))?;
-                record_cell(&r.bench, engine, level, &r.scale, r.reps, slowdown)
-            })
-            .collect::<Result<Vec<_>, _>>()
-            .unwrap_or_else(|e| {
-                obs::error!("{e}");
-                exit(2);
-            }),
-    };
-    let rule = DiffRule {
-        wall_rel: o.wall_rel,
-        counter_rel: o.counter_rel,
-    };
-    let report = diff(&base, &cur, &rule);
-    print!("{}", report.render());
-    exit(i32::from(!report.ok()));
-}
-
-/// The BENCH-artifact arm of `diff`: gate a current load run against a
-/// baseline one. Never returns.
-fn cmd_diff_bench(o: &Opts, base_doc: &str) -> ! {
-    let base = load::bench::BenchArtifact::parse(base_doc).unwrap_or_else(|e| {
-        obs::error!("--base: {e}");
-        exit(2);
-    });
-    let Some(cur_path) = &o.cur else {
-        obs::error!(
-            "--base is a BENCH trajectory artifact; load runs cannot be re-measured \
-             in-process, so --cur must name a second BENCH_*.json"
-        );
-        exit(2);
-    };
-    let cur = load::bench::BenchArtifact::read_file(cur_path).unwrap_or_else(|e| {
-        obs::error!("--cur: {e}");
-        exit(2);
-    });
-    let report = diff_load(&base, &cur, &LoadRule::default());
-    print!("{}", report.render());
-    exit(i32::from(!report.ok()));
-}
-
 fn cmd_fold(o: &Opts) {
     let out = need(&o.out, "--out");
     let spec = WorkloadSpec {
         benches: o.benches.clone(),
         engines: o.engines.clone(),
         level: o.level,
-        scale: svc::Scale::parse(&o.scale_name).expect("scale validated at parse"),
+        scale: o.scale,
         mode: svc::JobMode::Profiled,
         workers: o.workers,
     };
@@ -413,11 +239,21 @@ fn cmd_collapse(o: &Opts) {
     }
 }
 
-fn cmd_report(o: &Opts, slowdown: f64) {
+fn cmd_report(o: &Opts) {
     obs::trace::install(obs::trace::Sink::Ring);
     for bench in &o.benches {
         for kind in &o.engines {
-            if let Err(e) = record_cell(bench, *kind, o.level, &o.scale_name, 1, slowdown) {
+            let measured = suite::by_name(bench)
+                .ok_or_else(|| format!("unknown benchmark {bench:?}"))
+                .and_then(|b| {
+                    measure_cell(&CellSpec {
+                        bench: b,
+                        engine: *kind,
+                        level: o.level,
+                        scale: o.scale,
+                    })
+                });
+            if let Err(e) = measured {
                 obs::trace::install(obs::trace::Sink::Null);
                 obs::error!("{e}");
                 exit(2);
@@ -560,19 +396,10 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(cmd) = args.first() else { usage() };
     let opts = parse_opts(&args[1..]);
-    // The test hook lives here, not in the library: measured wall
-    // times are multiplied so the regression gate can be exercised.
-    let slowdown = std::env::var("WABENCH_PROF_SLOWDOWN")
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-        .filter(|v| *v > 0.0)
-        .unwrap_or(1.0);
     match cmd.as_str() {
-        "record" => cmd_record(&opts, slowdown),
-        "diff" => cmd_diff(&opts, slowdown),
         "fold" => cmd_fold(&opts),
         "collapse" => cmd_collapse(&opts),
-        "report" => cmd_report(&opts, slowdown),
+        "report" => cmd_report(&opts),
         "windows" => cmd_windows(&opts),
         "wdiff" => cmd_wdiff(&opts),
         _ => usage(),

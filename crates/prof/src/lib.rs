@@ -1,41 +1,26 @@
-//! Profiling and regression-detection toolkit for the benchmark suite.
+//! Profiling toolkit for the benchmark suite.
 //!
 //! The crate ties the observability layer ([`obs`]) and the
 //! architectural simulator ([`archsim`]) into a workflow the paper's
-//! own methodology section describes: profile a benchmark matrix,
-//! attribute hardware-counter figures to execution phases, and keep
-//! the numbers honest over time by diffing fresh runs against a
-//! recorded baseline.
+//! own methodology section describes: profile a benchmark matrix and
+//! attribute hardware-counter figures to execution phases.
 //!
-//! - [`measure`] drives repeated profiled runs of one benchmark ×
-//!   engine × opt-level cell and collects wall-time samples plus the
-//!   deterministic simulator counters.
-//! - [`baseline`] persists those measurements as versioned JSON lines
-//!   and reads them back without any external serialization crate.
-//! - [`diff`] compares a current run against a baseline, flagging
-//!   wall-time regressions only when confidence intervals separate,
-//!   and counter regressions on a relative threshold (the simulator
-//!   is deterministic, so drift there is always a real code change).
-//! - [`loadgate`] gates BENCH trajectory artifacts from `wabench-load`:
-//!   sustained QPS, per engine×level p99 SLOs, and failure counts.
+//! - [`measure`] runs one profiled benchmark × engine × opt-level cell
+//!   and collects its wall time plus the deterministic simulator
+//!   counters.
 //! - [`workload`] captures a ring-buffer trace of a scheduler-driven
 //!   job matrix for flamegraph export.
 //! - [`collapse`] converts an exported Chrome trace back into folded
 //!   stacks for `flamegraph.pl`-style tooling.
 //!
-//! The `wabench-prof` binary exposes all of this as `record`, `diff`,
-//! `fold`, `collapse`, and `report` subcommands; `diff` sniffs whether
-//! its inputs are baselines or BENCH artifacts and applies the matching
-//! rules.
+//! The `wabench-prof` binary exposes all of this as `report`, `fold`
+//! and `collapse`, plus `windows`/`wdiff` over a live daemon's
+//! continuous profiler. It explains where time goes; it does not gate
+//! on it — performance is measured and gated by the repo benchmark
+//! (`benchmark/README.md`).
 
-pub mod baseline;
 pub mod collapse;
-pub mod diff;
-pub mod loadgate;
 pub mod measure;
 pub mod workload;
 
-pub use baseline::BaselineRecord;
-pub use diff::{DiffReport, DiffRule};
-pub use loadgate::{diff_load, LoadRule};
 pub use measure::{measure_cell, CellMeasurement, CellSpec};

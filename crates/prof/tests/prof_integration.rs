@@ -1,6 +1,6 @@
-//! End-to-end profiling tests: the record→diff regression gate on real
-//! measurements, folded-stack export against the Chrome exporter, and
-//! counter-attribution conservation on a live profiled run.
+//! End-to-end profiling tests: folded-stack export against the Chrome
+//! exporter, and counter-attribution conservation on a live profiled
+//! run.
 //!
 //! Several tests flip the process-global trace sink, so everything
 //! here serializes on one mutex.
@@ -8,75 +8,11 @@
 use std::sync::Mutex;
 
 use engines::EngineKind;
-use prof::baseline::{BaselineRecord, WallStats};
-use prof::diff::{diff, DiffRule};
 use prof::measure::{measure_cell, CellSpec, Scale};
 use prof::workload::WorkloadSpec;
 use wacc::OptLevel;
 
 static SINK_GATE: Mutex<()> = Mutex::new(());
-
-fn measure_record(engine: EngineKind, slowdown: f64) -> BaselineRecord {
-    let b = suite::by_name("crc32").expect("registered");
-    let spec = CellSpec {
-        bench: b,
-        engine,
-        level: OptLevel::O1,
-        scale: Scale::Test,
-    };
-    let reps = 3;
-    let m = measure_cell(&spec, reps, slowdown).expect("measure");
-    BaselineRecord {
-        bench: "crc32".into(),
-        engine: engine.name().into(),
-        level: "O1".into(),
-        scale: "test".into(),
-        reps,
-        wall: WallStats::from_samples(&m.wall_s),
-        counters: m.counters,
-    }
-}
-
-/// The acceptance loop: record a baseline, re-measure unchanged code —
-/// the gate must stay quiet; re-measure under a synthetic slowdown —
-/// the gate must fire and name the regressed cell.
-#[test]
-fn record_then_diff_fires_only_under_slowdown() {
-    let base = vec![measure_record(EngineKind::Wasm3, 1.0)];
-
-    // Unchanged tree: counters are deterministic (exactly equal) and
-    // wall times come from the same distribution — no regression.
-    let same = vec![measure_record(EngineKind::Wasm3, 1.0)];
-    let report = diff(&base, &same, &DiffRule::default());
-    assert!(report.ok(), "clean re-run flagged: {:?}", report.regressions);
-    assert_eq!(report.checked, 1);
-
-    // Synthetic slowdown (the WABENCH_PROF_SLOWDOWN path, passed here
-    // as the library parameter): the mean moves 3× with the spread
-    // scaling along, so the CIs separate and the gate fires.
-    let slow = vec![measure_record(EngineKind::Wasm3, 3.0)];
-    let report = diff(&base, &slow, &DiffRule::default());
-    assert!(!report.ok(), "3× slowdown not flagged");
-    assert!(
-        report.regressions.iter().any(|r| r.contains("crc32 × Wasm3")),
-        "regression does not name the cell: {:?}",
-        report.regressions
-    );
-}
-
-/// Baseline files survive the disk round trip byte-exactly, including
-/// the floating-point wall statistics.
-#[test]
-fn baseline_file_round_trips_real_measurements() {
-    let records = vec![measure_record(EngineKind::Wasm3, 1.0)];
-    let dir = std::env::temp_dir().join(format!("wabench-prof-test-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("mkdir");
-    let path = dir.join("baseline.jsonl");
-    prof::baseline::write_file(&path, &records).expect("write");
-    let back = prof::baseline::read_file(&path).expect("read");
-    let _ = std::fs::remove_dir_all(&dir);
-    assert_eq!(back, records);
-}
 
 /// Folded export from a real 4-worker scheduler run: the collapsed
 /// stacks must parse, and their maximum depth must agree with the
@@ -144,7 +80,7 @@ fn attribution_conserves_counters_on_live_run() {
         level: OptLevel::O1,
         scale: Scale::Test,
     };
-    let m = measure_cell(&spec, 1, 1.0).expect("measure");
+    let m = measure_cell(&spec).expect("measure");
     let trace = obs::trace::drain();
     obs::trace::install(obs::trace::Sink::Null);
 

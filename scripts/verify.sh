@@ -3,48 +3,56 @@
 #
 # Runs, in order:
 #   1. cargo build --release          (the seed tier-1 build)
-#   2. cargo test -q                  (the seed tier-1 test suite)
-#   3. cargo clippy --workspace --all-targets -- -D warnings
-#   4. wabench-lint over crates/suite/programs (exits nonzero on findings)
-#   5. wabench-served smoke: socket round-trip, 3 jobs cold + 3 warm,
+#   2. cargo test -q                  (the seed tier-1 test suite: the
+#      root facade package only)
+#   3. cargo test -q --workspace      (every crate's own tests)
+#   4. cargo clippy --workspace --all-targets -- -D warnings
+#   5. wabench-lint over crates/suite/programs (exits nonzero on findings)
+#   6. wabench-served smoke: socket round-trip, 3 jobs cold + 3 warm,
 #      asserting warm artifact loads beat cold compiles
-#   6. trace smoke: span capture -> Chrome trace -> validator
-#   7. prof smoke: record a baseline, diff it clean, prove the gate
-#      fires under a synthetic 2x slowdown, and round-trip folded stacks
-#   8. docs check: every intra-repo markdown link in README.md,
+#   7. trace smoke: span capture -> Chrome trace -> validator
+#   8. prof smoke: an attributed `report` table, folded stacks from a
+#      4-worker run whose Chrome trace validates, and `collapse` of that
+#      trace back into folded stacks
+#   9. benchmark selftest: `benchmark/run.sh --selftest`, the unit tests
+#      of the repo's one performance gate (compare's
+#      verdicts_follow_direction_bound_and_spread shows it can fire)
+#  10. docs check: every intra-repo markdown link in README.md,
 #      EXPERIMENTS.md, and docs/*.md resolves
-#   9. chaos smoke: fig6 under a 5% fault plan is bit-identical to a
+#  11. chaos smoke: fig6 under a 5% fault plan is bit-identical to a
 #      clean run, and the two chaos passes together exercise at least
 #      one retry, one interpreter fallback, and one store repair
-#  10. audit smoke: wabench-audit over the whole suite with the proof
+#  12. audit smoke: wabench-audit over the whole suite with the proof
 #      verifier compiled in (--features verify-ir) must report zero
 #      proof violations and at least 4000 eliminated checks
-#  11. load smoke: a short fixed-seed wabench-load run against a live
-#      wabench-served produces a well-formed BENCH_*.json with completed
-#      jobs and zero protocol errors, and wabench-prof diff accepts the
-#      artifact against itself
-#  12. live telemetry smoke: a fixed-seed load run against a sampling
+#  13. load smoke: a short fixed-seed wabench-load run against a live
+#      wabench-served exits 0, i.e. jobs completed with zero protocol
+#      errors
+#  14. live telemetry smoke: a fixed-seed load run against a sampling
 #      server stitches client+server request spans into a Chrome trace
 #      that wabench-trace-check accepts, and wabench-top --once reports
-#      a window (completed count, nonzero QPS, ordered quantiles) that
-#      agrees with the run's BENCH artifact
-#  13. alert & postmortem smoke: a server with the alert engine, the
+#      a window (completed count, nonzero QPS, ordered quantiles) whose
+#      completed count matches the load run's `jobs:` line
+#  15. alert & postmortem smoke: a server with the alert engine, the
 #      continuous profiler, and a deterministic 20ms delay fault armed
 #      must fire the p99 rule, write a flight-recorder bundle that
 #      wabench-doctor diagnoses (naming the delay site), and list
 #      profile windows; a fault-free control run under the same engine
 #      fires nothing and writes no bundle
-#  14. router smoke: a fixed-seed load through wabench-router over two
-#      wabench-served shards completes with zero protocol errors and
-#      both shards serving jobs; wabench-top/wabench-doctor degrade
-#      gracefully against the router socket; a chaos pass with one
-#      shard armed 'crash=1.0' (the process aborts on its first job)
-#      still completes the run with at least one failover
-#  15. scripts/loc.sh: lines of Rust per crate and the crates/ total,
+#  16. router smoke: a fixed-seed load through wabench-router over two
+#      wabench-served shards completes with zero protocol errors, prints
+#      a summary line per shard, and both shards serve jobs;
+#      wabench-top/wabench-doctor degrade gracefully against the router
+#      socket; a chaos pass with one shard armed 'crash=1.0' (the
+#      process aborts on its first job) still completes the run with at
+#      least one failover
+#  17. scripts/loc.sh: lines of Rust per crate and the crates/ total,
 #      the table each CHANGES.md entry records
 #
-# Front-end throughput is not raced here: the reactor is the only server
-# loop, and its gate is the repo benchmark's serving workload —
+# Performance is measured and regression-gated in one place, the repo
+# benchmark (benchmark/README.md); step 9 only proves that gate can fire.
+# Front-end throughput in particular is not raced here: the reactor is
+# the only server loop, and its gate is the benchmark's serving workload —
 #   bash benchmark/run.sh --workload serve_warm --seed 12 --seconds 24 --trace 0
 # compared against the parent commit (benchmark/README.md).
 #
@@ -67,6 +75,9 @@ cargo build --release
 step "tier-1 tests"
 cargo test -q
 
+step "workspace tests (every crate's own tests)"
+cargo test -q --workspace
+
 step "clippy (workspace, all targets, warnings are errors)"
 cargo clippy --workspace --all-targets -- -D warnings
 
@@ -85,20 +96,16 @@ cargo run -q --release -p wabench-harness --bin wabench-run -- \
 cargo run -q --release -p wabench-obs --bin wabench-trace-check -- \
     "$trace_tmp/trace.json"
 
-step "prof smoke (baseline record -> clean diff -> slowdown gate -> folded export)"
+step "prof smoke (attributed report -> folded export -> collapse)"
 prof=./target/release/wabench-prof
 cargo build -q --release -p wabench-prof
-"$prof" record --out "$trace_tmp/base.jsonl" \
-    --bench crc32 --engine wasm3 --engine wamr --level O1 --reps 3
-# An unchanged tree must diff clean...
-"$prof" diff --base "$trace_tmp/base.jsonl"
-# ...and the gate must actually fire when runs slow down 2x (the
-# synthetic-slowdown hook); a diff that cannot fail guards nothing.
-if WABENCH_PROF_SLOWDOWN=2 "$prof" diff --base "$trace_tmp/base.jsonl" > "$trace_tmp/diff.out"; then
-    echo "prof smoke FAILED: 2x slowdown did not trip the regression gate" >&2
+# The attributed phase table for one profiled cell must have rows.
+"$prof" report --bench crc32 --engine wasm3 --level O1 > "$trace_tmp/report.out"
+grep -q '^ *engine.execute ' "$trace_tmp/report.out" || {
+    echo "prof smoke FAILED: report printed no attributed rows" >&2
+    cat "$trace_tmp/report.out" >&2
     exit 1
-fi
-grep -q "REGRESSION" "$trace_tmp/diff.out"
+}
 # Folded stacks from a 4-worker scheduler run parse and agree with the
 # Chrome exporter (depth cross-check lives in the prof test suite).
 "$prof" fold --out "$trace_tmp/stacks.folded" --bench crc32 --level O1 --workers 4 \
@@ -106,6 +113,14 @@ grep -q "REGRESSION" "$trace_tmp/diff.out"
 cargo run -q --release -p wabench-obs --bin wabench-trace-check -- \
     "$trace_tmp/prof-trace.json"
 test -s "$trace_tmp/stacks.folded"
+# The same trace collapses back into folded stacks offline.
+"$prof" collapse --trace "$trace_tmp/prof-trace.json" --out "$trace_tmp/collapsed.folded"
+test -s "$trace_tmp/collapsed.folded"
+
+step "benchmark selftest (the one performance gate's own tests)"
+# compare's verdicts_follow_direction_bound_and_spread is what shows the
+# gate fires: a gate that cannot fail guards nothing.
+bash benchmark/run.sh --selftest
 
 step "docs check (intra-repo markdown links resolve)"
 scripts/docs-check.sh
@@ -158,7 +173,7 @@ step "audit smoke (static check-elimination proofs re-verified on the suite)"
 cargo run -q --release --features verify-ir -p wabench-harness \
     --bin wabench-audit -- --min-eliminated 4000
 
-step "load smoke (open-loop generator -> live server -> BENCH artifact gate)"
+step "load smoke (open-loop generator -> live server)"
 loadgen=./target/release/wabench-load
 cargo build -q --release -p wabench-load
 sock="$trace_tmp/load.sock"
@@ -174,15 +189,9 @@ fi
 # wabench-load itself exits nonzero on zero completed jobs or any
 # protocol error, so a 0 here already covers both health assertions.
 "$loadgen" run --seed 7 --mix fig1 --qps 200 --jobs 20 --phases cold,warm \
-    --socket "$sock" --out "$trace_tmp/BENCH_smoke.json" \
-    | tee "$trace_tmp/load.out"
+    --socket "$sock" | tee "$trace_tmp/load.out"
 ./target/release/wabench-served shutdown --socket "$sock" > /dev/null
 wait "$served_pid" 2> /dev/null || true
-# The artifact must carry the schema tag prof's sniffing keys on...
-head -c 64 "$trace_tmp/BENCH_smoke.json" | grep -q '^{"schema":"wabench-bench"'
-grep -q '"completed":' "$trace_tmp/BENCH_smoke.json"
-# ...and the SLO gate must accept a run compared against itself.
-"$prof" diff --base "$trace_tmp/BENCH_smoke.json" --cur "$trace_tmp/BENCH_smoke.json"
 
 step "live telemetry smoke (sampler window -> wabench-top --once; stitched request traces)"
 top=./target/release/wabench-top
@@ -197,7 +206,7 @@ if ! [ -S "$sock" ]; then
     exit 1
 fi
 "$loadgen" run --seed 11 --mix fig1 --qps 200 --jobs 20 --phases cold,warm \
-    --socket "$sock" --out "$trace_tmp/BENCH_top.json" \
+    --socket "$sock" \
     --stitch-out "$trace_tmp/requests.json" | tee "$trace_tmp/load-top.out"
 sleep 0.2 # two+ sampler intervals, so the final completions get sampled
 "$top" --once --socket "$sock" | tee "$trace_tmp/top.out"
@@ -209,19 +218,19 @@ grep -q '"client.request"' "$trace_tmp/requests.json"
 grep -q '"server.job"' "$trace_tmp/requests.json"
 cargo run -q --release -p wabench-obs --bin wabench-trace-check -- \
     "$trace_tmp/requests.json"
-# ...and the live window must agree with the BENCH artifact: the same
-# completed count, nonzero QPS, and ordered quantiles.
-bench_completed=$(grep -oE '"completed":[0-9]+' "$trace_tmp/BENCH_top.json" \
-    | head -1 | cut -d: -f2)
-awk -F= -v bench="$bench_completed" '
+# ...and the live window must agree with the load run: the completed
+# count its `jobs:` line printed, nonzero QPS, and ordered quantiles.
+load_completed=$(grep -oE '^jobs: .*[0-9]+ completed' "$trace_tmp/load-top.out" \
+    | grep -oE '[0-9]+ completed' | cut -d' ' -f1)
+awk -F= -v load="${load_completed:-missing}" '
     $1 == "completed" { completed = $2 + 0 }
     $1 == "qps"       { qps = $2 + 0 }
     $1 == "p50_ns"    { p50 = $2 + 0 }
     $1 == "p99_ns"    { p99 = $2 + 0 }
     END {
-        if (completed != bench) {
+        if (completed != load) {
             print "telemetry smoke FAILED: window completed " completed \
-                " != artifact completed " bench; exit 1
+                " != load run completed " load; exit 1
         }
         if (qps <= 0) { print "telemetry smoke FAILED: qps=" qps; exit 1 }
         if (p50 <= 0 || p99 < p50) {
@@ -247,7 +256,7 @@ if ! [ -S "$sock" ]; then
     exit 1
 fi
 "$loadgen" run --seed 13 --mix fig1 --qps 100 --jobs 10 --phases cold \
-    --socket "$sock" --out "$trace_tmp/BENCH_alert.json" > /dev/null
+    --socket "$sock" > /dev/null
 sleep 0.2 # let the sampler cover the delayed completions
 "$served" alerts --socket "$sock" | tee "$trace_tmp/alerts.out"
 "$prof" windows --socket "$sock" | tee "$trace_tmp/windows.out"
@@ -292,7 +301,7 @@ pm_clean="$trace_tmp/postmortems-clean"
 served_pid=$!
 for _ in $(seq 1 50); do [ -S "$sock" ] && break; sleep 0.1; done
 "$loadgen" run --seed 13 --mix fig1 --qps 100 --jobs 10 --phases cold \
-    --socket "$sock" --out "$trace_tmp/BENCH_clean.json" > /dev/null
+    --socket "$sock" > /dev/null
 sleep 0.2
 "$served" alerts --socket "$sock" | tee "$trace_tmp/alerts-clean.out"
 "$served" shutdown --socket "$sock" > /dev/null
@@ -334,10 +343,14 @@ wait_sock "$rsock" router "$trace_tmp/router.log"
 # error, so a 0 here covers both; clients speak the ordinary protocol
 # to the router socket.
 "$loadgen" run --seed 7 --mix fig1 --qps 200 --jobs 20 --phases cold,warm \
-    --socket "$rsock" --out "$trace_tmp/BENCH_router.json" \
-    | tee "$trace_tmp/load-router.out"
-head -c 64 "$trace_tmp/BENCH_router.json" | grep -q '^{"schema":"wabench-bench"'
-grep -q '"backends":' "$trace_tmp/BENCH_router.json"
+    --socket "$rsock" | tee "$trace_tmp/load-router.out"
+# Routed runs print the router's per-shard attribution.
+for shard in shard-0 shard-1; do
+    grep -q "^shard $shard " "$trace_tmp/load-router.out" || {
+        echo "router smoke FAILED: load run printed no line for $shard" >&2
+        exit 1
+    }
+done
 # Both shards must have served traffic (the ring splits fig1's cells).
 "$routerbin" status --socket "$rsock" | tee "$trace_tmp/router-status.out"
 for shard in shard-0 shard-1; do
@@ -389,8 +402,7 @@ wait_sock "$c1" chaos-shard-1 "$trace_tmp/cshard1.log"
 crouter_pid=$!
 wait_sock "$crsock" chaos-router "$trace_tmp/crouter.log"
 "$loadgen" run --seed 7 --mix fig1 --qps 200 --jobs 20 --phases cold \
-    --socket "$crsock" --out "$trace_tmp/BENCH_chaos_router.json" \
-    | tee "$trace_tmp/load-chaos-router.out"
+    --socket "$crsock" | tee "$trace_tmp/load-chaos-router.out"
 "$routerbin" status --socket "$crsock" | tee "$trace_tmp/crouter-status.out"
 failovers=$(grep -oE '[0-9]+ failovers' "$trace_tmp/crouter-status.out" \
     | cut -d' ' -f1 | awk '{s += $1} END {print s}')
