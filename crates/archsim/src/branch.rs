@@ -62,8 +62,17 @@ pub struct BranchPredictor {
     itt: Vec<Vec<ItEntry>>,
     /// Rolling target-path histories, one per tagged component.
     ihistory: [u64; ITT_SHIFTS.len()],
-    /// Return-address stack.
-    ras: Vec<u64>,
+    /// Per component, `ihistory` folded into its index and tag halves,
+    /// refreshed wherever `ihistory` changes. `fold` is XOR-linear, so a
+    /// lookup's index (tag) is this fold XOR the site's own fold.
+    ifolded: [(usize, u16); ITT_SHIFTS.len()],
+    /// Return-address stack: a ring whose push overwrites the oldest
+    /// entry once `RAS_DEPTH` deep.
+    ras: [u64; RAS_DEPTH],
+    /// Ring slot the next push writes.
+    ras_top: usize,
+    /// Live entries, at most `RAS_DEPTH`.
+    ras_len: usize,
     /// Statistics.
     pub stats: BranchStats,
 }
@@ -84,12 +93,16 @@ impl BranchPredictor {
             itb: vec![(u64::MAX, 0); 1 << BTB_BITS],
             itt: vec![vec![EMPTY_IT; 1 << ITT_BITS]; ITT_SHIFTS.len()],
             ihistory: [0; ITT_SHIFTS.len()],
-            ras: Vec::with_capacity(RAS_DEPTH),
+            ifolded: [(0, 0); ITT_SHIFTS.len()],
+            ras: [0; RAS_DEPTH],
+            ras_top: 0,
+            ras_len: 0,
             stats: BranchStats::default(),
         }
     }
 
     /// Observes a branch; returns `true` if it was mispredicted.
+    #[inline]
     pub fn observe(&mut self, site: u64, kind: BranchKind, taken: bool, target: u64) -> bool {
         self.stats.branches += 1;
         let missed = match kind {
@@ -126,8 +139,7 @@ impl BranchPredictor {
             BranchKind::Ret => {
                 // A return predicted by the RAS: a miss only when the stack
                 // has underflowed (deep call chains).
-                let hit = self.ras.pop().is_some();
-                !hit
+                self.pop_ras().is_none()
             }
         };
         if missed {
@@ -137,10 +149,18 @@ impl BranchPredictor {
     }
 
     fn push_ras(&mut self, ret_addr: u64) {
-        if self.ras.len() == RAS_DEPTH {
-            self.ras.remove(0);
+        self.ras[self.ras_top] = ret_addr;
+        self.ras_top = (self.ras_top + 1) % RAS_DEPTH;
+        self.ras_len = (self.ras_len + 1).min(RAS_DEPTH);
+    }
+
+    fn pop_ras(&mut self) -> Option<u64> {
+        if self.ras_len == 0 {
+            return None;
         }
-        self.ras.push(ret_addr);
+        self.ras_len -= 1;
+        self.ras_top = (self.ras_top + RAS_DEPTH - 1) % RAS_DEPTH;
+        Some(self.ras[self.ras_top])
     }
 
     /// Indirect-target prediction, ITTAGE-style: tagged tables indexed by
@@ -152,11 +172,14 @@ impl BranchPredictor {
     /// repeating dispatch sequence (a loop body) predicts near-perfectly
     /// while novel or data-dependent sequences miss.
     fn indirect_check_update(&mut self, site: u64, target: u64) -> bool {
+        let site_idx = fold::<ITT_BITS>(site >> 2) as usize;
+        let site_tag = fold::<16>((site >> 2).rotate_left(7)) as u16;
         // Find the provider: the longest-history component whose tag hits.
         let mut provider: Option<(usize, usize)> = None; // (component, index)
         for k in (0..ITT_SHIFTS.len()).rev() {
-            let idx = self.itt_index(k, site);
-            if self.itt[k][idx].tag == Self::itt_tag(self.ihistory[k], site) {
+            let (h_idx, h_tag) = self.ifolded[k];
+            let idx = h_idx ^ site_idx;
+            if self.itt[k][idx].tag == h_tag ^ site_tag {
                 provider = Some((k, idx));
                 break;
             }
@@ -192,12 +215,12 @@ impl BranchPredictor {
         if !hit {
             let next = provider.map_or(0, |(k, _)| k + 1);
             if next < ITT_SHIFTS.len() {
-                let idx = self.itt_index(next, site);
-                let e = &mut self.itt[next][idx];
+                let (h_idx, h_tag) = self.ifolded[next];
+                let e = &mut self.itt[next][h_idx ^ site_idx];
                 // Confident entries resist displacement (useful-bit analogue).
                 if e.conf == 0 {
                     *e = ItEntry {
-                        tag: Self::itt_tag(self.ihistory[next], site),
+                        tag: h_tag ^ site_tag,
                         target,
                         conf: 0,
                     };
@@ -208,34 +231,18 @@ impl BranchPredictor {
         }
 
         // Fold the taken target into every path history (the low bits of
-        // the handler address identify the opcode).
+        // the handler address identify the opcode). The index and tag
+        // are different foldings of the same (history, site) pair, so
+        // index aliasing is caught by a tag mismatch.
         for (k, shift) in ITT_SHIFTS.iter().enumerate() {
-            self.ihistory[k] = (self.ihistory[k] << shift) ^ (target >> 6);
+            let h = (self.ihistory[k] << shift) ^ (target >> 6);
+            self.ihistory[k] = h;
+            self.ifolded[k] = (
+                fold::<ITT_BITS>(h) as usize,
+                fold::<16>(h.rotate_left(21)) as u16,
+            );
         }
         hit
-    }
-
-    /// Index into tagged component `k` for this site under its history.
-    fn itt_index(&self, k: usize, site: u64) -> usize {
-        let h = self.ihistory[k] ^ (site >> 2);
-        (Self::fold(h, ITT_BITS) & ((1 << ITT_BITS) - 1) as u64) as usize
-    }
-
-    /// Entry tag: a different folding of the same (history, site) pair, so
-    /// index aliasing is caught by a tag mismatch.
-    fn itt_tag(history: u64, site: u64) -> u16 {
-        Self::fold(history.rotate_left(21) ^ (site >> 2).rotate_left(7), 16) as u16
-    }
-
-    /// XOR-folds a 64-bit value down to `bits` bits.
-    fn fold(mut v: u64, bits: u32) -> u64 {
-        let mask = (1u64 << bits) - 1;
-        let mut out = 0u64;
-        while v != 0 {
-            out ^= v & mask;
-            v >>= bits;
-        }
-        out
     }
 
     /// Checks the BTB for `site → target` and installs the new target.
@@ -247,6 +254,20 @@ impl BranchPredictor {
         self.btb[idx] = (site, target);
         hit
     }
+}
+
+/// XOR-folds a 64-bit value down to `BITS` bits: the XOR of its
+/// `BITS`-wide chunks. A fixed trip count (unrolled for a constant
+/// `BITS`), and linear: `fold(a ^ b) == fold(a) ^ fold(b)`.
+fn fold<const BITS: u32>(v: u64) -> u64 {
+    let mask = (1u64 << BITS) - 1;
+    let mut out = 0;
+    let mut shift = 0;
+    while shift < u64::BITS {
+        out ^= (v >> shift) & mask;
+        shift += BITS;
+    }
+    out
 }
 
 #[cfg(test)]
@@ -361,6 +382,43 @@ mod tests {
         assert_eq!(ret_misses, 0);
         // Underflow: one more return than calls.
         assert!(bp.observe(0x2100, BranchKind::Ret, true, 0));
+    }
+
+    #[test]
+    fn fixed_trip_fold_matches_the_loop_fold() {
+        fn loop_fold(mut v: u64, bits: u32) -> u64 {
+            let mask = (1u64 << bits) - 1;
+            let mut out = 0u64;
+            while v != 0 {
+                out ^= v & mask;
+                v >>= bits;
+            }
+            out
+        }
+        let mut rng: u64 = 0x9E3779B97F4A7C15;
+        for _ in 0..10_000 {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            // Also sparse values, whose high chunks are zero.
+            for v in [rng, rng >> (rng % 64), u64::MAX] {
+                assert_eq!(fold::<12>(v), loop_fold(v, 12), "{v:#x}");
+                assert_eq!(fold::<16>(v), loop_fold(v, 16), "{v:#x}");
+            }
+        }
+    }
+
+    #[test]
+    fn ras_ring_drops_the_oldest_entry() {
+        let mut bp = BranchPredictor::new();
+        for addr in 0..RAS_DEPTH as u64 + 4 {
+            bp.push_ras(addr);
+        }
+        // The four oldest were overwritten; the rest pop newest first.
+        for addr in (4..RAS_DEPTH as u64 + 4).rev() {
+            assert_eq!(bp.pop_ras(), Some(addr));
+        }
+        assert_eq!(bp.pop_ras(), None);
     }
 
     #[test]

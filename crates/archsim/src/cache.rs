@@ -23,14 +23,14 @@ impl CacheStats {
 /// A set-associative cache with LRU replacement and 64-byte lines.
 #[derive(Debug, Clone)]
 pub struct Cache {
-    /// Tag store: `sets × ways` entries (`u64::MAX` = invalid).
+    /// Tag store: `sets × ways` line numbers, each set ordered from most
+    /// to least recently used (`u64::MAX` = invalid, always at the back).
     tags: Vec<u64>,
-    /// LRU stamps parallel to `tags`.
-    stamps: Vec<u64>,
     ways: usize,
     set_mask: u64,
-    set_shift: u32,
-    clock: u64,
+    /// The line the previous access touched (hit or filled): resident,
+    /// and already at the front of its set.
+    last: u64,
     /// Access statistics.
     pub stats: CacheStats,
 }
@@ -51,45 +51,51 @@ impl Cache {
         assert!(sets.is_power_of_two(), "set count must be a power of two");
         Cache {
             tags: vec![u64::MAX; sets * ways],
-            stamps: vec![0; sets * ways],
             ways,
             set_mask: (sets - 1) as u64,
-            set_shift: LINE_SHIFT,
-            clock: 0,
+            // No line number reaches u64::MAX (addresses are shifted).
+            last: u64::MAX,
             stats: CacheStats::default(),
         }
     }
 
     /// Accesses the line containing `addr`; returns `true` on hit.
     /// Touches at most one line — callers split straddling accesses.
+    #[inline]
     pub fn access(&mut self, addr: u64) -> bool {
-        self.clock += 1;
         self.stats.accesses += 1;
-        let line = addr >> self.set_shift;
-        let set = (line & self.set_mask) as usize;
-        let base = set * self.ways;
-        let slots = &mut self.tags[base..base + self.ways];
-        if let Some(w) = slots.iter().position(|t| *t == line) {
-            self.stamps[base + w] = self.clock;
+        let line = addr >> LINE_SHIFT;
+        // A repeat of the previous line hits without touching the set: it
+        // is already the most recently used, so LRU order stays exact.
+        if line == self.last {
             return true;
         }
-        self.stats.misses += 1;
-        // Evict LRU.
-        let lru = (0..self.ways)
-            .min_by_key(|w| self.stamps[base + w])
-            .expect("ways > 0");
-        self.tags[base + lru] = line;
-        self.stamps[base + lru] = self.clock;
-        false
+        self.last = line;
+        let base = (line & self.set_mask) as usize * self.ways;
+        let set = &mut self.tags[base..base + self.ways];
+        // The line moves to the front: a hit rotates it out of its way, a
+        // miss evicts the least recently used way at the back.
+        match set.iter().position(|&t| t == line) {
+            Some(w) => {
+                set[..=w].rotate_right(1);
+                true
+            }
+            None => {
+                self.stats.misses += 1;
+                set.rotate_right(1);
+                set[0] = line;
+                false
+            }
+        }
     }
 
-    /// The set of line numbers an access of `len` bytes at `addr` touches.
-    pub fn lines_touched(addr: u64, len: u32) -> impl Iterator<Item = u64> {
-        let first = addr >> LINE_SHIFT;
+    /// The first and last line numbers an access of `len` bytes at `addr`
+    /// touches.
+    fn line_span(addr: u64, len: u32) -> (u64, u64) {
         // Saturate: an access at the very top of the address space ends
         // on the last line rather than wrapping (and overflowing) to 0.
-        let last = addr.saturating_add(len.max(1) as u64 - 1) >> LINE_SHIFT;
-        (first..=last).map(|l| l << LINE_SHIFT)
+        let last = addr.saturating_add(len.max(1) as u64 - 1);
+        (addr >> LINE_SHIFT, last >> LINE_SHIFT)
     }
 }
 
@@ -150,34 +156,34 @@ impl Hierarchy {
     }
 
     /// A data access of `len` bytes at `addr`.
+    // `#[inline]` (here, on `inst_access` and on `BranchPredictor::observe`):
+    // the engine loops that call these per event are monomorphized in
+    // other crates, which cannot inline them otherwise.
+    #[inline]
     pub fn data_access(&mut self, addr: u64, len: u32) -> ServedBy {
-        let mut worst = ServedBy::L1;
-        for line in Cache::lines_touched(addr, len) {
-            let served = if self.l1d.access(line) {
-                ServedBy::L1
-            } else if self.l2.access(line) {
-                ServedBy::L2
-            } else if self.l3.access(line) {
-                ServedBy::L3
-            } else {
-                ServedBy::Memory
-            };
-            if served.latency() > worst.latency() {
-                worst = served;
-            }
-        }
-        worst
+        Self::walk(&mut self.l1d, &mut self.l2, &mut self.l3, addr, len)
     }
 
     /// An instruction fetch of `len` bytes at `addr`.
+    #[inline]
     pub fn inst_access(&mut self, addr: u64, len: u32) -> ServedBy {
+        Self::walk(&mut self.l1i, &mut self.l2, &mut self.l3, addr, len)
+    }
+
+    /// Walks each touched line down `l1` → L2 → L3; returns the slowest
+    /// level any line was served from.
+    #[inline]
+    fn walk(l1: &mut Cache, l2: &mut Cache, l3: &mut Cache, addr: u64, len: u32) -> ServedBy {
         let mut worst = ServedBy::L1;
-        for line in Cache::lines_touched(addr, len) {
-            let served = if self.l1i.access(line) {
+        let (mut line, last) = Cache::line_span(addr, len);
+        // A plain loop: a `RangeInclusive` here costs measurably per access.
+        loop {
+            let at = line << LINE_SHIFT;
+            let served = if l1.access(at) {
                 ServedBy::L1
-            } else if self.l2.access(line) {
+            } else if l2.access(at) {
                 ServedBy::L2
-            } else if self.l3.access(line) {
+            } else if l3.access(at) {
                 ServedBy::L3
             } else {
                 ServedBy::Memory
@@ -185,8 +191,11 @@ impl Hierarchy {
             if served.latency() > worst.latency() {
                 worst = served;
             }
+            if line == last {
+                return worst;
+            }
+            line += 1;
         }
-        worst
     }
 
     /// Last-level cache references (the `perf` "cache-references" analogue).
@@ -232,10 +241,15 @@ mod tests {
 
     #[test]
     fn straddling_access_touches_two_lines() {
-        let lines: Vec<u64> = Cache::lines_touched(60, 8).collect();
-        assert_eq!(lines, vec![0, 64]);
-        let lines: Vec<u64> = Cache::lines_touched(64, 4).collect();
-        assert_eq!(lines, vec![64]);
+        assert_eq!(Cache::line_span(60, 8), (0, 1));
+        assert_eq!(Cache::line_span(64, 4), (1, 1));
+        let top = u64::MAX >> LINE_SHIFT;
+        assert_eq!(Cache::line_span(u64::MAX - 1, 8), (top, top));
+        let mut h = Hierarchy::new();
+        h.data_access(60, 8);
+        assert_eq!(h.l1d.stats.accesses, 2);
+        h.data_access(u64::MAX - 1, 8);
+        assert_eq!(h.l1d.stats.accesses, 3);
     }
 
     #[test]

@@ -364,15 +364,19 @@ fn profiled_job(
 ) -> Result<(), String> {
     let mut sim = archsim::ArchSim::new();
     let engine = Engine::new(spec.engine);
+    let t = Instant::now();
     let compiled = engine
         .compile_profiled(bytes, &mut sim)
         .map_err(|e| format!("compile: {e}"))?;
+    res.compile_s = t.elapsed().as_secs_f64();
     let mut inst = compiled
         .instantiate(&wasi_rt::imports(), Box::new(WasiCtx::new()))
         .map_err(|e| format!("instantiate: {e}"))?;
+    let t = Instant::now();
     let out = inst
         .invoke_profiled("run", &[Value::I32(n)], &mut sim)
         .map_err(|e| format!("run: {e}"))?;
+    res.exec_s = t.elapsed().as_secs_f64();
     if let Some(Value::I32(got)) = out {
         assert_eq!(
             got,
@@ -395,12 +399,16 @@ fn profiled_native_job(
 ) -> Result<(), String> {
     let mut sim = archsim::ArchSim::new();
     let engine = Engine::new(engines::EngineKind::Wavm);
+    let t = Instant::now();
     let compiled = engine.compile(bytes).map_err(|e| format!("compile: {e}"))?;
+    res.compile_s = t.elapsed().as_secs_f64();
     let mut inst = compiled
         .instantiate(&wasi_rt::imports(), Box::new(WasiCtx::new()))
         .map_err(|e| format!("instantiate: {e}"))?;
+    let t = Instant::now();
     inst.invoke_profiled("run", &[Value::I32(n)], &mut sim)
         .map_err(|e| format!("run: {e}"))?;
+    res.exec_s = t.elapsed().as_secs_f64();
     res.counters = Some(sim.counters());
     Ok(())
 }
@@ -421,6 +429,19 @@ mod tests {
         assert_eq!(res.checksum, Some((b.native)(b.sizes.test)));
         assert!(res.compile_s > 0.0 && res.exec_s > 0.0);
         assert_ne!(res.bytes_hash, 0);
+    }
+
+    #[test]
+    fn profiled_job_times_its_compile_and_run() {
+        let env = ExecEnv::new(None);
+        let spec = JobSpec {
+            mode: JobMode::Profiled,
+            ..JobSpec::exec("crc32", EngineKind::Wasm3, OptLevel::O2, Scale::Test)
+        };
+        let res = execute(&spec, &env);
+        assert!(res.ok(), "{:?}", res.status);
+        assert!(res.counters.is_some());
+        assert!(res.compile_s > 0.0 && res.exec_s > 0.0);
     }
 
     #[test]

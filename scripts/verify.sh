@@ -17,36 +17,39 @@
 #   9. benchmark selftest: `benchmark/run.sh --selftest`, the unit tests
 #      of the repo's one performance gate (compare's
 #      verdicts_follow_direction_bound_and_spread shows it can fire)
-#  10. docs check: every intra-repo markdown link in README.md,
+#  10. archsim digest: a short traced `arch_profiled` benchmark run must
+#      print `archsim.counters_digest 3118169510689169` — the simulated
+#      counters behind Figures 6-10 and Table 5 have not moved
+#  11. docs check: every intra-repo markdown link in README.md,
 #      EXPERIMENTS.md, and docs/*.md resolves
-#  11. chaos smoke: fig6 under a 5% fault plan is bit-identical to a
+#  12. chaos smoke: fig6 under a 5% fault plan is bit-identical to a
 #      clean run, and the two chaos passes together exercise at least
 #      one retry, one interpreter fallback, and one store repair
-#  12. audit smoke: wabench-audit over the whole suite with the proof
+#  13. audit smoke: wabench-audit over the whole suite with the proof
 #      verifier compiled in (--features verify-ir) must report zero
 #      proof violations and at least 4000 eliminated checks
-#  13. load smoke: a short fixed-seed wabench-load run against a live
+#  14. load smoke: a short fixed-seed wabench-load run against a live
 #      wabench-served exits 0, i.e. jobs completed with zero protocol
 #      errors
-#  14. live telemetry smoke: a fixed-seed load run against a sampling
+#  15. live telemetry smoke: a fixed-seed load run against a sampling
 #      server stitches client+server request spans into a Chrome trace
 #      that wabench-trace-check accepts, and wabench-top --once reports
 #      a window (completed count, nonzero QPS, ordered quantiles) whose
 #      completed count matches the load run's `jobs:` line
-#  15. alert & postmortem smoke: a server with the alert engine, the
+#  16. alert & postmortem smoke: a server with the alert engine, the
 #      continuous profiler, and a deterministic 20ms delay fault armed
 #      must fire the p99 rule, write a flight-recorder bundle that
 #      wabench-doctor diagnoses (naming the delay site), and list
 #      profile windows; a fault-free control run under the same engine
 #      fires nothing and writes no bundle
-#  16. router smoke: a fixed-seed load through wabench-router over two
+#  17. router smoke: a fixed-seed load through wabench-router over two
 #      wabench-served shards completes with zero protocol errors, prints
 #      a summary line per shard, and both shards serve jobs;
 #      wabench-top/wabench-doctor degrade gracefully against the router
 #      socket; a chaos pass with one shard armed 'crash=1.0' (the
 #      process aborts on its first job) still completes the run with at
 #      least one failover
-#  17. scripts/loc.sh: lines of Rust per crate and the crates/ total,
+#  18. scripts/loc.sh: lines of Rust per crate and the crates/ total,
 #      the table each CHANGES.md entry records
 #
 # Performance is measured and regression-gated in one place, the repo
@@ -121,6 +124,17 @@ step "benchmark selftest (the one performance gate's own tests)"
 # compare's verdicts_follow_direction_bound_and_spread is what shows the
 # gate fires: a gate that cannot fail guards nothing.
 bash benchmark/run.sh --selftest
+
+step "archsim digest (simulated counters are bit-identical to the pinned oracle)"
+# Any change to the simulator's hot paths must leave every simulated
+# count alone; the digest hashes all of them across the workload's cells.
+bash benchmark/run.sh --workload arch_profiled --seed 12 --seconds 2 --trace 1 \
+    > "$trace_tmp/arch_digest.out"
+grep -qx 'archsim.counters_digest 3118169510689169 count' "$trace_tmp/arch_digest.out" || {
+    echo "archsim digest FAILED: counters moved" >&2
+    grep '^archsim\.' "$trace_tmp/arch_digest.out" >&2
+    exit 1
+}
 
 step "docs check (intra-repo markdown links resolve)"
 scripts/docs-check.sh
