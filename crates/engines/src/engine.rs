@@ -330,7 +330,11 @@ impl Engine {
         Ok(compiled)
     }
 
-    /// Produces an AOT artifact for later loading.
+    /// Produces an AOT artifact for later loading: a fresh
+    /// [`compile`](Self::compile) serialized by
+    /// [`CompiledModule::artifact`]. A caller that already holds the
+    /// compiled module should call `artifact` on it instead of compiling
+    /// the same bytes a second time.
     ///
     /// # Errors
     ///
@@ -339,14 +343,7 @@ impl Engine {
     /// (interpretation-based runtimes have no AOT mode, as in the paper).
     pub fn precompile(&self, bytes: &[u8]) -> Result<Vec<u8>, EngineError> {
         let _span = obs::span!("engine.aot.precompile", engine = self.kind.name());
-        let compiled = self.compile(bytes)?;
-        match &compiled.code {
-            Code::Reg(code, _, tier) => Ok(crate::jit::aot::to_bytes(code, *tier)),
-            _ => Err(EngineError::BadArtifact(format!(
-                "{} is an interpreter and has no AOT mode",
-                self.kind
-            ))),
-        }
+        self.compile(bytes)?.artifact()
     }
 
     /// Loads an AOT artifact, skipping decode/validate/compile.
@@ -392,6 +389,24 @@ impl CompiledModule {
         match &self.code {
             Code::Reg(_, stats, _) => *stats,
             _ => CompileStats::default(),
+        }
+    }
+
+    /// Serializes this module's tier code as an AOT artifact for
+    /// [`Engine::load_artifact`], without compiling anything: the bytes
+    /// equal what [`Engine::precompile`] produces for the same module.
+    ///
+    /// # Errors
+    ///
+    /// [`EngineError::BadArtifact`] if this module was prepared by an
+    /// interpreter (interpretation-based runtimes have no AOT mode).
+    pub fn artifact(&self) -> Result<Vec<u8>, EngineError> {
+        match &self.code {
+            Code::Reg(code, _, tier) => Ok(crate::jit::aot::to_bytes(code, *tier)),
+            _ => Err(EngineError::BadArtifact(format!(
+                "{} is an interpreter and has no AOT mode",
+                self.kind
+            ))),
         }
     }
 
@@ -637,10 +652,28 @@ mod tests {
     }
 
     #[test]
+    fn artifact_of_a_compiled_module_equals_precompile() {
+        let bytes = incr_module_bytes();
+        let mut kinds: Vec<EngineKind> = vec![EngineKind::Wasmtime, EngineKind::Wavm];
+        kinds.extend(Backend::all().map(EngineKind::Wasmer));
+        for kind in kinds {
+            let engine = Engine::new(kind);
+            let artifact = engine.compile(&bytes).unwrap().artifact().unwrap();
+            assert_eq!(artifact, engine.precompile(&bytes).unwrap(), "{kind}");
+        }
+    }
+
+    #[test]
     fn interpreters_reject_aot() {
         let bytes = incr_module_bytes();
-        assert!(Engine::new(EngineKind::Wasm3).precompile(&bytes).is_err());
-        assert!(Engine::new(EngineKind::Wamr).precompile(&bytes).is_err());
+        for kind in [EngineKind::Wasm3, EngineKind::Wamr] {
+            let engine = Engine::new(kind);
+            assert!(engine.precompile(&bytes).is_err(), "{kind}");
+            assert!(
+                engine.compile(&bytes).unwrap().artifact().is_err(),
+                "{kind}"
+            );
+        }
     }
 
     #[test]

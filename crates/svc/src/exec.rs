@@ -13,7 +13,7 @@
 //! artifact *load* instead when a valid artifact exists.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 use engines::faultpoint::ScopedCompileFault;
@@ -28,17 +28,22 @@ use crate::hash::fnv64;
 use crate::job::{JobMode, JobResult, JobSpec, JobStatus, Recovery};
 use crate::store::{ArtifactKey, ArtifactStore, GetOutcome};
 
+/// One (benchmark, level)'s compiled wasm, filled exactly once by
+/// whichever worker asks first while the others wait on the cell.
+type BytesCell = Arc<OnceLock<Result<Arc<[u8]>, String>>>;
+
 /// Compiled-wasm cache shared by all workers, keyed (benchmark, level).
-type BytesCache = Mutex<HashMap<(String, OptLevel), Arc<[u8]>>>;
+type BytesCache = Mutex<HashMap<(String, OptLevel), BytesCell>>;
 
 /// Shared, thread-safe execution environment.
 #[derive(Debug)]
 pub struct ExecEnv {
     /// Optional on-disk artifact store.
     pub store: Option<Mutex<ArtifactStore>>,
-    /// In-memory compiled-wasm cache shared by all workers. `Arc<[u8]>`
-    /// so a hit hands out a refcount bump, never a byte copy.
-    pub bytes_cache: BytesCache,
+    /// In-memory compiled-wasm cache shared by all workers, single-flight
+    /// per key. `Arc<[u8]>` so a hit hands out a refcount bump, never a
+    /// byte copy.
+    bytes_cache: BytesCache,
     /// Optional fault-injection plan. Only jobs executed through this
     /// environment see injected faults — the harness's inline environment
     /// never installs one, which is what keeps its recomputations clean.
@@ -73,6 +78,10 @@ impl ExecEnv {
     /// [`wasm_bytes`](Self::wasm_bytes) that additionally records store
     /// repairs (corrupt entry detected → recompiled → written back) into
     /// `rec`.
+    ///
+    /// Single-flight: workers missing on the same key together wait for
+    /// one fill instead of compiling it twice. A failed fill leaves the
+    /// cache, so the scheduler's retry compiles afresh.
     pub fn wasm_bytes_recovering(
         &self,
         b: &Benchmark,
@@ -80,33 +89,48 @@ impl ExecEnv {
         rec: &mut Recovery,
     ) -> Result<Arc<[u8]>, String> {
         let key = (b.name.to_string(), level);
-        if let Some(hit) = self.bytes_cache.lock().expect("bytes cache lock").get(&key) {
-            return Ok(hit.clone());
-        }
-        let bytes: Arc<[u8]> = match &self.store {
-            Some(store) => {
-                let skey = ArtifactKey::wasm(&b.full_source(), level);
-                let mut store = store.lock().expect("store lock");
-                match store.get_outcome(&skey) {
-                    GetOutcome::Hit(payload) => payload.into(),
-                    outcome => {
-                        let fresh = b.compile(level).map_err(|e| e.to_string())?;
-                        // Best effort: a full disk must not fail the job.
-                        if store.put(skey, &fresh).is_ok() && outcome == GetOutcome::Corrupt {
-                            rec.store_repairs += 1;
-                            obs::metrics::counter("svc.store.repair").inc();
-                        }
-                        fresh.into()
-                    }
-                }
+        let cell = {
+            let mut cache = self.bytes_cache.lock().expect("bytes cache lock");
+            match cache.get(&key) {
+                Some(cell) => Arc::clone(cell),
+                None => Arc::clone(cache.entry(key.clone()).or_default()),
             }
-            None => b.compile(level).map_err(|e| e.to_string())?.into(),
         };
-        self.bytes_cache
-            .lock()
-            .expect("bytes cache lock")
-            .insert(key, bytes.clone());
-        Ok(bytes)
+        let filled = cell.get_or_init(|| self.fill_bytes(b, level, rec));
+        if filled.is_err() {
+            let mut cache = self.bytes_cache.lock().expect("bytes cache lock");
+            if cache.get(&key).is_some_and(|c| Arc::ptr_eq(c, &cell)) {
+                cache.remove(&key);
+            }
+        }
+        filled.clone()
+    }
+
+    /// A bytes-cache miss: store → WaCC. The store lock is held for the
+    /// lookup and the write-back only, never across the compile.
+    fn fill_bytes(
+        &self,
+        b: &Benchmark,
+        level: OptLevel,
+        rec: &mut Recovery,
+    ) -> Result<Arc<[u8]>, String> {
+        let Some(store) = &self.store else {
+            return Ok(b.compile(level).map_err(|e| e.to_string())?.into());
+        };
+        let skey = ArtifactKey::wasm(&b.full_source(), level);
+        let outcome = store.lock().expect("store lock").get_outcome(&skey);
+        let repair = match outcome {
+            GetOutcome::Hit(payload) => return Ok(payload.into()),
+            GetOutcome::Miss => false,
+            GetOutcome::Corrupt => true,
+        };
+        let fresh = b.compile(level).map_err(|e| e.to_string())?;
+        // Best effort: a full disk must not fail the job.
+        if store.lock().expect("store lock").put(skey, &fresh).is_ok() && repair {
+            rec.store_repairs += 1;
+            obs::metrics::counter("svc.store.repair").inc();
+        }
+        Ok(fresh.into())
     }
 }
 
@@ -307,9 +331,11 @@ fn exec_job(
                 Err(e) => return Err(format!("compile: {e}")),
             };
             res.compile_s = t.elapsed().as_secs_f64();
+            // The stored artifact is the code just compiled, serialized
+            // outside the compile timer: a cold job compiles once.
             if spec.warm && spec.engine.tier().is_some() && !res.recovery.compile_fallback {
                 if let Some(store) = &env.store {
-                    if let Ok(artifact) = engine.precompile(bytes) {
+                    if let Ok(artifact) = c.artifact() {
                         let repaired = store
                             .lock()
                             .expect("store lock")
@@ -459,5 +485,105 @@ mod tests {
         let first = env.wasm_bytes(b, OptLevel::O2).unwrap();
         let second = env.wasm_bytes(b, OptLevel::O2).unwrap();
         assert!(Arc::ptr_eq(&first, &second), "hit must not copy");
+    }
+
+    /// A store-backed environment on a fresh temp dir (removed on drop).
+    struct StoreEnv {
+        env: ExecEnv,
+        dir: std::path::PathBuf,
+    }
+
+    impl StoreEnv {
+        fn new(tag: &str) -> StoreEnv {
+            let dir =
+                std::env::temp_dir().join(format!("wabench-exec-{tag}-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            let store = ArtifactStore::open(&dir, 64 << 20).unwrap();
+            StoreEnv {
+                env: ExecEnv::new(Some(store)),
+                dir,
+            }
+        }
+    }
+
+    impl Drop for StoreEnv {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.dir);
+        }
+    }
+
+    #[test]
+    fn warm_miss_compiles_once_and_stores_what_precompile_would() {
+        use engines::Backend;
+        use std::cell::Cell;
+        use std::rc::Rc;
+
+        let compiles = Rc::new(Cell::new(0u32));
+        let _hook = {
+            let compiles = Rc::clone(&compiles);
+            ScopedCompileFault::install(move |_, _| {
+                compiles.set(compiles.get() + 1);
+                None
+            })
+        };
+        let s = StoreEnv::new("compile-once");
+        let b = suite::by_name("crc32").unwrap();
+        let bytes = s.env.wasm_bytes(b, OptLevel::O2).unwrap();
+        for kind in [
+            EngineKind::Wasmtime,
+            EngineKind::Wavm,
+            EngineKind::Wasmer(Backend::Singlepass),
+        ] {
+            let spec = JobSpec {
+                warm: true,
+                ..JobSpec::exec("crc32", kind, OptLevel::O2, Scale::Test)
+            };
+            compiles.set(0);
+            let cold = execute(&spec, &s.env);
+            assert!(cold.ok(), "{kind}: {:?}", cold.status);
+            assert!(!cold.warm_artifact, "{kind}: empty store cannot hit");
+            assert_eq!(compiles.get(), 1, "{kind}: a warm miss compiles once");
+
+            let stored = s
+                .env
+                .store
+                .as_ref()
+                .unwrap()
+                .lock()
+                .unwrap()
+                .get(&ArtifactKey::aot(&bytes, OptLevel::O2, kind))
+                .expect("warm miss puts the artifact");
+            let precompiled = Engine::new(kind).precompile(&bytes).unwrap();
+            assert!(
+                stored == precompiled,
+                "{kind}: stored bytes differ from precompile"
+            );
+
+            compiles.set(0);
+            let warm = execute(&spec, &s.env);
+            assert!(warm.ok(), "{kind}: {:?}", warm.status);
+            assert!(warm.warm_artifact, "{kind}: second run loads the artifact");
+            assert_eq!(warm.checksum, cold.checksum, "{kind}");
+            assert_eq!(compiles.get(), 0, "{kind}: a warm hit compiles nothing");
+        }
+    }
+
+    #[test]
+    fn bytes_cache_is_single_flight() {
+        let s = StoreEnv::new("single-flight");
+        let b = suite::by_name("crc32").unwrap();
+        let barrier = std::sync::Barrier::new(2);
+        let (first, second) = std::thread::scope(|scope| {
+            let fetch = || {
+                barrier.wait();
+                s.env.wasm_bytes(b, OptLevel::O2).unwrap()
+            };
+            let one = scope.spawn(fetch);
+            let two = scope.spawn(fetch);
+            (one.join().unwrap(), two.join().unwrap())
+        });
+        assert!(Arc::ptr_eq(&first, &second), "both callers share one fill");
+        let stats = s.env.store.as_ref().unwrap().lock().unwrap().stats();
+        assert_eq!((stats.puts, stats.hits), (1, 0), "{stats:?}");
     }
 }

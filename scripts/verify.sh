@@ -20,36 +20,40 @@
 #  10. archsim digest: a short traced `arch_profiled` benchmark run must
 #      print `archsim.counters_digest 3118169510689169` — the simulated
 #      counters behind Figures 6-10 and Table 5 have not moved
-#  11. docs check: every intra-repo markdown link in README.md,
+#  11. compile_cold smoke: a short untraced `compile_cold` benchmark run
+#      (warm miss -> compile -> put -> evict against a capped store) exits
+#      0 and prints `"correct": true` — every checksum matched the native
+#      mirror and the reference evaluator
+#  12. docs check: every intra-repo markdown link in README.md,
 #      EXPERIMENTS.md, and docs/*.md resolves
-#  12. chaos smoke: fig6 under a 5% fault plan is bit-identical to a
+#  13. chaos smoke: fig6 under a 5% fault plan is bit-identical to a
 #      clean run, and the two chaos passes together exercise at least
 #      one retry, one interpreter fallback, and one store repair
-#  13. audit smoke: wabench-audit over the whole suite with the proof
+#  14. audit smoke: wabench-audit over the whole suite with the proof
 #      verifier compiled in (--features verify-ir) must report zero
 #      proof violations and at least 4000 eliminated checks
-#  14. load smoke: a short fixed-seed wabench-load run against a live
+#  15. load smoke: a short fixed-seed wabench-load run against a live
 #      wabench-served exits 0, i.e. jobs completed with zero protocol
 #      errors
-#  15. live telemetry smoke: a fixed-seed load run against a sampling
+#  16. live telemetry smoke: a fixed-seed load run against a sampling
 #      server stitches client+server request spans into a Chrome trace
 #      that wabench-trace-check accepts, and wabench-top --once reports
 #      a window (completed count, nonzero QPS, ordered quantiles) whose
 #      completed count matches the load run's `jobs:` line
-#  16. alert & postmortem smoke: a server with the alert engine, the
+#  17. alert & postmortem smoke: a server with the alert engine, the
 #      continuous profiler, and a deterministic 20ms delay fault armed
 #      must fire the p99 rule, write a flight-recorder bundle that
 #      wabench-doctor diagnoses (naming the delay site), and list
 #      profile windows; a fault-free control run under the same engine
 #      fires nothing and writes no bundle
-#  17. router smoke: a fixed-seed load through wabench-router over two
+#  18. router smoke: a fixed-seed load through wabench-router over two
 #      wabench-served shards completes with zero protocol errors, prints
 #      a summary line per shard, and both shards serve jobs;
 #      wabench-top/wabench-doctor degrade gracefully against the router
 #      socket; a chaos pass with one shard armed 'crash=1.0' (the
 #      process aborts on its first job) still completes the run with at
 #      least one failover
-#  18. scripts/loc.sh: lines of Rust per crate and the crates/ total,
+#  19. scripts/loc.sh: lines of Rust per crate and the crates/ total,
 #      the table each CHANGES.md entry records
 #
 # Performance is measured and regression-gated in one place, the repo
@@ -133,6 +137,18 @@ bash benchmark/run.sh --workload arch_profiled --seed 12 --seconds 2 --trace 1 \
 grep -qx 'archsim.counters_digest 3118169510689169 count' "$trace_tmp/arch_digest.out" || {
     echo "archsim digest FAILED: counters moved" >&2
     grep '^archsim\.' "$trace_tmp/arch_digest.out" >&2
+    exit 1
+}
+
+step "compile_cold smoke (warm miss -> compile -> put -> evict, outputs checked)"
+# The only smoke that drives the cold serving path end to end against a
+# capped store, with every checksum held to the native mirror and the
+# reference evaluator.
+bash benchmark/run.sh --workload compile_cold --seed 12 --seconds 2 --trace 0 \
+    > "$trace_tmp/compile_cold.out"
+grep -q '"correct": true' "$trace_tmp/compile_cold.out" || {
+    echo "compile_cold smoke FAILED: outputs not correct" >&2
+    tail -n 8 "$trace_tmp/compile_cold.out" >&2
     exit 1
 }
 
