@@ -11,11 +11,11 @@
 //! * [`lint`] — source-level diagnostics over the WaCC typed AST
 //!   (unused variables/functions, unreachable statements, constant
 //!   division by zero, constant out-of-bounds memory accesses), surfaced
-//!   by the `wabench-lint` binary in the harness crate.
+//!   by `wabench-harness lint`.
 //! * [`range`] — interval (value-range) abstract interpretation with
 //!   widening/narrowing and branch refinement, consumed by the JIT's
 //!   check-elimination pass, the interpreter decode-time safety marks,
-//!   and the `wabench-audit` static reports. Eliminations are
+//!   and the `wabench-harness audit` static reports. Eliminations are
 //!   proof-carrying: [`range::check_obligations`] independently
 //!   re-derives every claimed fact.
 //!

@@ -66,7 +66,7 @@ pub fn static_analysis_section() -> String {
          debug builds, and its cost is accounted separately\n\
          (`PassStats::verify_ns`) so modeled compile work is never inflated.\n\n\
          Suite hygiene is enforced the same way at the source level:\n\
-         `cargo run -p wabench-harness --bin wabench-lint` sweeps all 50\n\
+         `cargo run -p wabench-harness -- lint` sweeps all 50\n\
          WaCC programs for unused variables/functions, unreachable\n\
          statements, constant division by zero, and constant out-of-bounds\n\
          accesses, and exits nonzero on findings (`scripts/verify.sh` runs\n\
@@ -100,7 +100,7 @@ pub fn check_elimination_section() -> String {
      skips are attributed via the `checks_skipped` simulated counter.\n\n\
      To see what the analysis proves on the suite, run\n\n\
      ```sh\n\
-     cargo run --release -p wabench-harness --bin wabench-audit -- --md\n\
+     cargo run --release -p wabench-harness -- audit --md\n\
      ```\n\n\
      which compiles all 50 programs at every opt level and reports, per\n\
      module: total checks, checks eliminated with proofs, residual\n\
@@ -127,11 +127,12 @@ pub fn observability_section() -> String {
      To see where a run's time went, add `--trace-out trace.json` (a\n\
      Chrome trace-event file loadable in Perfetto or `chrome://tracing`)\n\
      or `--report` (a plain-text hierarchical self-time table, printed\n\
-     to stderr) to `wabench-harness` or `wabench-run`. A sample\n\
-     self-time report for `wabench-run crc32 --report` attributes the\n\
-     run's wall clock to `engine.execute`, `jit.pass`, `wacc.parse` and\n\
-     friends, with per-span counts, totals, and self-time percentages.\n\
-     `wabench-served --trace-out` does the same for the service; its\n\
+     to stderr) to `wabench-harness` or `wabench-harness run`. A\n\
+     sample self-time report for `wabench-harness run crc32 --report`\n\
+     attributes the run's wall clock to `engine.execute`, `jit.pass`,\n\
+     `wacc.parse` and friends, with per-span counts, totals, and\n\
+     self-time percentages. `wabench-served serve --trace-out` does the\n\
+     same for the service; its\n\
      `stats-ext` reply additionally carries queue-depth,\n\
      worker-utilization, per-engine latency histograms\n\
      (min/p50/p95/p99/max), and per-engine simulated IPC/MPKI\n\

@@ -1,11 +1,6 @@
-//! `wabench-load` — the open-loop load generator.
-//!
-//! ```text
-//! wabench-load run      --seed N [--mix fig1] [--scale test] [--qps Q] [--jobs N]
-//!                       [--phases cold,warm] [--socket PATH | --workers N [--faults PLAN] [--store DIR]]
-//!                       [--collectors N] [--stitch-out FILE] [--log LEVEL]
-//! wabench-load schedule --seed N [--mix fig1] [--qps Q] [--jobs N] [--phase I] [--head K]
-//! ```
+//! `wabench-load` — the open-loop load generator. Every command's flags
+//! are declared once in [`COMMANDS`]; `wabench-load` with no arguments
+//! prints them.
 //!
 //! `run` drives the stack — in-process by default, or a live
 //! `wabench-served` daemon with `--socket` — with seeded Poisson
@@ -23,223 +18,92 @@
 //! estimates the clock offset from the fetch round-trip,
 //! stitches the client `submit → response` spans against the server
 //! queue/compile/execute spans, and writes one Chrome trace that
-//! `wabench-trace-check` accepts.
+//! `wabench-served trace-check` accepts.
 //!
 //! `schedule` prints the first arrivals and sampled cells for a seed
 //! without running anything: the determinism contract, inspectable.
 
-use std::path::PathBuf;
 use std::process::exit;
 
 use load::mix::Mix;
 use load::run::{execute, Phase, RunConfig, Target};
 use load::{arrivals, scale_name};
+use obs::cli::{self, Args, Command, Flag};
 use svc::job::Scale;
 
-fn usage() -> ! {
-    obs::error!(
-        "usage: wabench-load <run|schedule> [options]\n\
-         \n\
-         run      --seed N [--mix fig1|fig2|fig3|fig4|arch] [--scale test|profile|timing]\n\
-         \x20        [--qps Q] [--jobs N] [--phases cold,warm]\n\
-         \x20        [--socket PATH | --workers N [--faults PLAN] [--store DIR]]\n\
-         \x20        [--collectors N] [--stitch-out FILE]\n\
-         schedule --seed N [--mix fig1] [--qps Q] [--jobs N] [--phase I] [--head K]\n\
-         \n\
-         common: --log error|warn|info|debug (overrides WABENCH_LOG)\n\
-         PLAN is a wabench-fault spec like 'seed=7,compile=0.05,delay=0.05:2ms'"
-    );
-    exit(2);
-}
+const SEED: Flag = Flag::value("--seed", "N", "arrival and mix seed").default("7");
+const MIX: Flag = Flag::value("--mix", "NAME", "fig1|fig2|fig3|fig4|arch").default("fig1");
+const QPS: Flag = Flag::value("--qps", "Q", "target arrival rate").default("100");
+const JOBS: Flag = Flag::value("--jobs", "N", "jobs per phase").default("50");
+const SCALE: Flag = Flag::value("--scale", "S", "test|profile|timing").default("test");
 
-fn take_value(args: &[String], i: &mut usize, flag: &str) -> String {
-    *i += 1;
-    match args.get(*i) {
-        Some(v) => v.clone(),
-        None => {
-            obs::error!("missing value for {flag}");
-            usage();
-        }
-    }
-}
+#[rustfmt::skip]
+static COMMANDS: &[Command] = &[
+    Command::new("run", &[
+        SEED, MIX, SCALE, QPS, JOBS,
+        Flag::value("--phases", "LIST", "phases to run, in order").default("cold,warm"),
+        Flag::value("--socket", "PATH", "drive a live server or router (default: in-process)"),
+        Flag::value("--workers", "N", "in-process scheduler workers (default 4)"),
+        Flag::value("--faults", "PLAN", "in-process fault plan like 'seed=7,compile=0.05,delay=0.05:2ms'"),
+        Flag::value("--store", "DIR", "in-process artifact store"),
+        Flag::value("--collectors", "N", "result-collector threads (0: one per phase)").default("0"),
+        Flag::value("--stitch-out", "FILE", "write the stitched client+server Chrome trace"),
+    ]),
+    Command::new("schedule", &[
+        SEED, MIX, SCALE, QPS, JOBS,
+        Flag::value("--phase", "I", "phase index").default("0"),
+        Flag::value("--head", "K", "arrivals to print").default("10"),
+    ]),
+];
 
-struct Opts {
-    seed: u64,
-    mix: String,
-    scale: Scale,
-    qps: f64,
-    jobs: usize,
-    phases: String,
-    socket: Option<PathBuf>,
-    workers: Option<usize>,
-    faults: Option<String>,
-    store: Option<PathBuf>,
-    collectors: usize,
-    stitch_out: Option<PathBuf>,
-    phase: u64,
-    head: usize,
-}
-
-fn parse_opts(args: &[String]) -> Opts {
-    let mut o = Opts {
-        seed: 7,
-        mix: "fig1".to_string(),
-        scale: Scale::Test,
-        qps: 100.0,
-        jobs: 50,
-        phases: "cold,warm".to_string(),
-        socket: None,
-        workers: None,
-        faults: None,
-        store: None,
-        collectors: 0,
-        stitch_out: None,
-        phase: 0,
-        head: 10,
-    };
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--seed" => {
-                o.seed = take_value(args, &mut i, "--seed").parse().unwrap_or_else(|_| {
-                    obs::error!("--seed needs an integer");
-                    usage();
-                })
-            }
-            "--mix" => o.mix = take_value(args, &mut i, "--mix"),
-            "--scale" => {
-                let v = take_value(args, &mut i, "--scale");
-                o.scale = Scale::parse(&v).unwrap_or_else(|| {
-                    obs::error!("unknown scale {v:?}");
-                    usage();
-                })
-            }
-            "--qps" => {
-                o.qps = take_value(args, &mut i, "--qps")
-                    .parse()
-                    .ok()
-                    .filter(|q: &f64| q.is_finite() && *q > 0.0)
-                    .unwrap_or_else(|| {
-                        obs::error!("--qps needs a positive number");
-                        usage();
-                    })
-            }
-            "--jobs" => {
-                o.jobs = take_value(args, &mut i, "--jobs")
-                    .parse()
-                    .ok()
-                    .filter(|n| *n > 0)
-                    .unwrap_or_else(|| {
-                        obs::error!("--jobs needs a positive integer");
-                        usage();
-                    })
-            }
-            "--phases" => o.phases = take_value(args, &mut i, "--phases"),
-            "--socket" => o.socket = Some(PathBuf::from(take_value(args, &mut i, "--socket"))),
-            "--workers" => {
-                o.workers = Some(
-                    take_value(args, &mut i, "--workers")
-                        .parse()
-                        .ok()
-                        .filter(|n| *n > 0)
-                        .unwrap_or_else(|| {
-                            obs::error!("--workers needs a positive integer");
-                            usage();
-                        }),
-                )
-            }
-            "--faults" => o.faults = Some(take_value(args, &mut i, "--faults")),
-            "--store" => o.store = Some(PathBuf::from(take_value(args, &mut i, "--store"))),
-            "--collectors" => {
-                o.collectors = take_value(args, &mut i, "--collectors")
-                    .parse()
-                    .unwrap_or_else(|_| {
-                        obs::error!("--collectors needs an integer");
-                        usage();
-                    })
-            }
-            "--stitch-out" => {
-                o.stitch_out = Some(PathBuf::from(take_value(args, &mut i, "--stitch-out")))
-            }
-            "--log" => {
-                let v = take_value(args, &mut i, "--log");
-                match obs::logger::Level::parse(&v) {
-                    Some(lvl) => obs::logger::set_level(lvl),
-                    None => {
-                        obs::error!("unknown log level {v:?} (use error|warn|info|debug)");
-                        usage();
-                    }
-                }
-            }
-            "--phase" => {
-                o.phase = take_value(args, &mut i, "--phase").parse().unwrap_or_else(|_| {
-                    obs::error!("--phase needs an integer");
-                    usage();
-                })
-            }
-            "--head" => {
-                o.head = take_value(args, &mut i, "--head").parse().unwrap_or_else(|_| {
-                    obs::error!("--head needs an integer");
-                    usage();
-                })
-            }
-            other => {
-                obs::error!("unknown option {other}");
-                usage();
-            }
-        }
-        i += 1;
-    }
-    o
-}
-
-fn resolve_mix(name: &str) -> Mix {
-    Mix::preset(name).unwrap_or_else(|| {
-        obs::error!(
+fn resolve_mix(a: &Args) -> Mix {
+    let name = a.get("--mix", "a mix name", cli::text);
+    Mix::preset(&name).unwrap_or_else(|| {
+        a.fail(format!(
             "unknown mix {name:?} (presets: {})",
             harness::matrix::PRESETS.join(", ")
-        );
-        usage();
+        ))
     })
 }
 
-fn cmd_run(o: &Opts) {
-    let phases = Phase::parse_list(&o.phases).unwrap_or_else(|e| {
-        obs::error!("--phases: {e}");
-        usage();
-    });
-    let target = match &o.socket {
+fn cmd_run(a: &Args) {
+    let phases = Phase::parse_list(&a.get("--phases", "a phase list", cli::text))
+        .unwrap_or_else(|e| a.fail(format!("--phases: {e}")));
+    let workers = a.opt("--workers", "a positive integer", cli::positive);
+    let faults = a.opt("--faults", "a plan", cli::text);
+    let store_dir = a.opt("--store", "a directory", cli::path);
+    let target = match a.opt("--socket", "a path", cli::path) {
         Some(path) => {
             let in_proc = [
-                ("--workers", o.workers.is_some()),
-                ("--faults", o.faults.is_some()),
-                ("--store", o.store.is_some()),
+                ("--workers", workers.is_some()),
+                ("--faults", faults.is_some()),
+                ("--store", store_dir.is_some()),
             ];
             if let Some((flag, _)) = in_proc.iter().find(|(_, set)| *set) {
-                obs::error!(
+                a.fail(format!(
                     "{flag} configures the in-process scheduler and has no effect with \
                      --socket; set it on the daemon instead"
-                );
-                usage();
+                ));
             }
-            Target::Socket { path: path.clone() }
+            Target::Socket { path }
         }
         None => Target::InProc {
-            workers: o.workers.unwrap_or(4),
-            faults: o.faults.clone(),
-            store_dir: o.store.clone(),
+            workers: workers.unwrap_or(4),
+            faults,
+            store_dir,
         },
     };
+    let stitch_out = a.opt("--stitch-out", "a file", cli::path);
     let cfg = RunConfig {
-        seed: o.seed,
-        mix: resolve_mix(&o.mix),
-        scale: o.scale,
-        qps: o.qps,
-        jobs: o.jobs,
+        seed: seed(a),
+        mix: resolve_mix(a),
+        scale: a.get("--scale", "test|profile|timing", Scale::parse),
+        qps: qps(a),
+        jobs: a.get("--jobs", "a positive integer", cli::positive),
         phases,
         target,
-        collectors: o.collectors,
-        stitch: o.stitch_out.is_some(),
+        collectors: a.get("--collectors", "an integer", cli::number),
+        stitch: stitch_out.is_some(),
     };
     let report = execute(&cfg).unwrap_or_else(|e| {
         obs::error!("load run failed: {e}");
@@ -279,7 +143,7 @@ fn cmd_run(o: &Opts) {
             obs::metrics::fmt_ns(snap.max_ns),
         );
     }
-    if let (Some(stitch_path), Some(trace)) = (&o.stitch_out, &report.stitched) {
+    if let (Some(stitch_path), Some(trace)) = (&stitch_out, &report.stitched) {
         match obs::chrome::export_file(trace, stitch_path) {
             Ok(()) => println!(
                 "stitched trace: {} ({} requests)",
@@ -298,21 +162,21 @@ fn cmd_run(o: &Opts) {
     }
 }
 
-fn cmd_schedule(o: &Opts) {
-    let mix = resolve_mix(&o.mix);
-    let schedule = arrivals::schedule(o.seed, o.phase, o.jobs, o.qps);
-    let sample = mix.sample(o.seed, o.phase, o.jobs);
+fn cmd_schedule(a: &Args) {
+    let (seed, qps, mix) = (seed(a), qps(a), resolve_mix(a));
+    let phase: u64 = a.get("--phase", "an integer", cli::number);
+    let jobs: usize = a.get("--jobs", "a positive integer", cli::positive);
+    let head: usize = a.get("--head", "an integer", cli::number);
+    let scale = a.get("--scale", "test|profile|timing", Scale::parse);
+    let schedule = arrivals::schedule(seed, phase, jobs, qps);
+    let sample = mix.sample(seed, phase, jobs);
     println!(
-        "schedule: seed {} phase {} mix {} ({} cells) {} jobs at {} qps, scale {}",
-        o.seed,
-        o.phase,
+        "schedule: seed {seed} phase {phase} mix {} ({} cells) {jobs} jobs at {qps} qps, scale {}",
         mix.name,
         mix.cells.len(),
-        o.jobs,
-        o.qps,
-        scale_name(o.scale),
+        scale_name(scale),
     );
-    for (i, (offset, &cell)) in schedule.iter().zip(&sample).take(o.head).enumerate() {
+    for (i, (offset, &cell)) in schedule.iter().zip(&sample).take(head).enumerate() {
         let c = &mix.cells[cell];
         println!(
             "{i:4}  +{:>10.3}ms  {} on {} at {} ({:?})",
@@ -323,18 +187,26 @@ fn cmd_schedule(o: &Opts) {
             c.mode,
         );
     }
-    if o.jobs > o.head {
-        println!("... {} more", o.jobs - o.head);
+    if jobs > head {
+        println!("... {} more", jobs - head);
     }
 }
 
+fn seed(a: &Args) -> u64 {
+    a.get("--seed", "an integer", cli::number)
+}
+
+fn qps(a: &Args) -> f64 {
+    a.get("--qps", "a positive number", |s| {
+        s.parse().ok().filter(|q: &f64| q.is_finite() && *q > 0.0)
+    })
+}
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(cmd) = args.first() else { usage() };
-    let o = parse_opts(&args[1..]);
-    match cmd.as_str() {
-        "run" => cmd_run(&o),
-        "schedule" => cmd_schedule(&o),
-        _ => usage(),
+    let a = cli::parse("wabench-load", COMMANDS);
+    match a.command() {
+        "run" => cmd_run(&a),
+        "schedule" => cmd_schedule(&a),
+        other => unreachable!("{other} is in COMMANDS but not dispatched"),
     }
 }

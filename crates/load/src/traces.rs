@@ -12,7 +12,7 @@
 //! via the `TraceDump` request, shifting server timestamps
 //! onto the client clock with [`obs::stitch::clock_offset_ns`]. The
 //! output is a Chrome-exportable [`obs::trace::Trace`] that
-//! `wabench-trace-check` accepts.
+//! `wabench-served trace-check` accepts.
 
 use obs::stitch::{self, ClientSpan, ServerPhases};
 use obs::trace::Trace;

@@ -1,8 +1,8 @@
 //! End-to-end request tracing through a real run: every submit carries
 //! a deterministic trace id, the collectors record client-side spans,
 //! and the post-run stitch against the scheduler's `TraceDump` yields a
-//! Chrome trace that validates (the same check `wabench-trace-check`
-//! applies).
+//! Chrome trace that validates (the same check `wabench-served
+//! trace-check` applies).
 
 use harness::matrix::MatrixCell;
 use load::mix::Mix;

@@ -13,8 +13,8 @@
 //! [`validate`] re-parses an exported document and checks the structural
 //! invariants a viewer relies on (valid JSON, a `traceEvents` array,
 //! per-thread balanced and name-matched `B`/`E` nesting, monotone
-//! timestamps). The `wabench-trace-check` binary and the round-trip
-//! tests are built on it.
+//! timestamps). The `wabench-served trace-check` command and the
+//! round-trip tests are built on it.
 
 use std::collections::BTreeSet;
 use std::fmt::Write as _;

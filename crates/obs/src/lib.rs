@@ -31,7 +31,8 @@
 //!
 //! There is also a leveled [`log!`] macro family (respecting
 //! `WABENCH_LOG=error|warn|info|debug`, [`logger`]) that replaces the
-//! scattered `eprintln!` progress lines in the binaries.
+//! scattered `eprintln!` progress lines in the binaries, and [`cli`],
+//! the declarative command-line table every binary parses from.
 //!
 //! ```
 //! obs::trace::install(obs::trace::Sink::Ring);
@@ -53,6 +54,7 @@
 
 pub mod alert;
 pub mod chrome;
+pub mod cli;
 pub mod contprof;
 pub mod exemplar;
 pub mod folded;

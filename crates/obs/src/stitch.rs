@@ -14,7 +14,7 @@
 //! the output trace: open-loop requests overlap freely in time, so
 //! folding them onto one lane would force fake nesting. Within a lane,
 //! spans nest properly — the whole document passes
-//! [`crate::chrome::validate`] and therefore `wabench-trace-check`.
+//! [`crate::chrome::validate`] and therefore `wabench-served trace-check`.
 
 use std::collections::HashMap;
 

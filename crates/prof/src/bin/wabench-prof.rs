@@ -1,12 +1,6 @@
-//! `wabench-prof` — attributed profiles and flamegraph export.
-//!
-//! ```text
-//! wabench-prof fold     --out FILE [--weight wall-ns] [--workers 4] [--bench B]... [--level O2] [--scale test] [--chrome FILE]
-//! wabench-prof collapse --trace FILE [--out FILE]
-//! wabench-prof report   [--bench B]... [--engine E]... [--level O2] [--scale test]
-//! wabench-prof windows  --socket PATH
-//! wabench-prof wdiff    --socket PATH [--from SEQ] [--to SEQ]
-//! ```
+//! `wabench-prof` — attributed profiles and flamegraph export. Every
+//! command's flags are declared once in [`COMMANDS`]; `wabench-prof`
+//! with no arguments prints them.
 //!
 //! `fold` runs a job matrix through the scheduler and writes folded
 //! stacks for `flamegraph.pl`; `collapse` does the same offline from a
@@ -22,216 +16,122 @@
 //! These tools explain where time goes; none of them gates on it.
 //! Performance is measured and gated by the repo benchmark
 //! (`benchmark/README.md`).
+//!
+//! Exit codes: 0 success; 1 a failed job, an I/O error, a malformed
+//! trace (`collapse`), or no profile to read (`windows`/`wdiff`:
+//! profiler off, no such window); 2 usage error.
 
-use std::path::PathBuf;
 use std::process::exit;
 
 use engines::EngineKind;
+use obs::cli::{self, Args, Command, Flag};
 use prof::measure::{measure_cell, CellSpec, Scale};
 use prof::workload::WorkloadSpec;
 use wacc::OptLevel;
 
-fn usage() -> ! {
-    obs::error!(
-        "usage: wabench-prof <fold|collapse|report|windows|wdiff> [options]\n\
-         \n\
-         fold     --out FILE [--weight wall-ns] [--workers 4] [--bench B]... [--level O2] [--scale test] [--chrome FILE]\n\
-         collapse --trace FILE [--out FILE]\n\
-         report   [--bench B]... [--engine E]... [--level O2] [--scale test]\n\
-         windows  --socket PATH\n\
-         wdiff    --socket PATH [--from SEQ] [--to SEQ]"
-    );
-    exit(2);
+const BENCH: Flag = Flag::value("--bench", "B", "benchmark").default("crc32").many();
+const ENGINE: Flag = Flag::value("--engine", "E", "engine (default: every engine)").many();
+const LEVEL: Flag = Flag::value("--level", "L", "WaCC level O0..O3").default("O2");
+const SCALE: Flag = Flag::value("--scale", "S", "test|profile|timing").default("test");
+const SOCKET: Flag = Flag::value("--socket", "PATH", "server running with --profile-ms; required");
+
+#[rustfmt::skip]
+static COMMANDS: &[Command] = &[
+    Command::new("fold", &[
+        Flag::value("--out", "FILE", "folded-stacks output; required"),
+        Flag::value("--weight", "W", "wall-ns or a simulated counter").default("wall-ns"),
+        Flag::value("--workers", "N", "scheduler workers").default("4"),
+        BENCH, ENGINE, LEVEL, SCALE,
+        Flag::value("--chrome", "FILE", "also write the Chrome trace"),
+    ]),
+    Command::new("collapse", &[
+        Flag::value("--trace", "FILE", "Chrome trace to collapse; required"),
+        Flag::value("--out", "FILE", "folded-stacks output (default: stdout)"),
+    ]),
+    Command::new("report", &[BENCH, ENGINE, LEVEL, SCALE]),
+    Command::new("windows", &[SOCKET]),
+    Command::new("wdiff", &[
+        SOCKET,
+        Flag::value("--from", "SEQ", "older window (default: second newest)"),
+        Flag::value("--to", "SEQ", "newer window (default: newest)"),
+    ]),
+];
+
+fn level(a: &Args) -> OptLevel {
+    a.get("--level", "a level O0..O3", OptLevel::parse)
 }
 
-fn take_value(args: &[String], i: &mut usize, flag: &str) -> String {
-    *i += 1;
-    match args.get(*i) {
-        Some(v) => v.clone(),
-        None => {
-            obs::error!("missing value for {flag}");
-            usage();
-        }
+fn scale(a: &Args) -> Scale {
+    a.get("--scale", "test|profile|timing", Scale::parse)
+}
+
+fn benches(a: &Args) -> Vec<String> {
+    a.all("--bench").into_iter().map(String::from).collect()
+}
+
+fn engines(a: &Args) -> Vec<EngineKind> {
+    let given = a.all("--engine");
+    if given.is_empty() {
+        return EngineKind::all().to_vec();
     }
+    given
+        .into_iter()
+        .map(|e| {
+            EngineKind::parse(e)
+                .unwrap_or_else(|| a.fail(format!("--engine needs an engine name, not {e:?}")))
+        })
+        .collect()
 }
 
-struct Opts {
-    out: Option<PathBuf>,
-    trace: Option<PathBuf>,
-    chrome: Option<PathBuf>,
-    benches: Vec<String>,
-    engines: Vec<EngineKind>,
-    level: OptLevel,
-    scale: Scale,
-    weight: obs::folded::Weight,
-    workers: usize,
-    socket: Option<PathBuf>,
-    from_seq: Option<u64>,
-    to_seq: Option<u64>,
-}
-
-impl Opts {
-    fn base() -> Opts {
-        Opts {
-            out: None,
-            trace: None,
-            chrome: None,
-            benches: Vec::new(),
-            engines: Vec::new(),
-            level: OptLevel::O2,
-            scale: Scale::Test,
-            weight: obs::folded::Weight::WallNs,
-            workers: 4,
-            socket: None,
-            from_seq: None,
-            to_seq: None,
-        }
-    }
-}
-
-fn parse_opts(args: &[String]) -> Opts {
-    let mut o = Opts::base();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--out" => o.out = Some(PathBuf::from(take_value(args, &mut i, "--out"))),
-            "--trace" => o.trace = Some(PathBuf::from(take_value(args, &mut i, "--trace"))),
-            "--chrome" => o.chrome = Some(PathBuf::from(take_value(args, &mut i, "--chrome"))),
-            "--bench" => o.benches.push(take_value(args, &mut i, "--bench")),
-            "--engine" => {
-                let v = take_value(args, &mut i, "--engine");
-                o.engines.push(EngineKind::parse(&v).unwrap_or_else(|| {
-                    obs::error!("unknown engine {v:?}");
-                    usage();
-                }));
-            }
-            "--level" => {
-                let v = take_value(args, &mut i, "--level");
-                o.level = parse_level(&v).unwrap_or_else(|| {
-                    obs::error!("unknown level {v:?} (use O0..O3)");
-                    usage();
-                });
-            }
-            "--scale" => {
-                let v = take_value(args, &mut i, "--scale");
-                o.scale = Scale::parse(&v).unwrap_or_else(|| {
-                    obs::error!("unknown scale {v:?} (use test|profile|timing)");
-                    usage();
-                });
-            }
-            "--weight" => {
-                let v = take_value(args, &mut i, "--weight");
-                o.weight = obs::folded::Weight::parse(&v).unwrap_or_else(|| {
-                    obs::error!("unknown weight {v:?}");
-                    usage();
-                });
-            }
-            "--socket" => o.socket = Some(PathBuf::from(take_value(args, &mut i, "--socket"))),
-            "--from" => {
-                o.from_seq = Some(take_value(args, &mut i, "--from").parse().unwrap_or_else(
-                    |_| {
-                        obs::error!("--from needs a window seq (see `windows`)");
-                        usage();
-                    },
-                ))
-            }
-            "--to" => {
-                o.to_seq = Some(take_value(args, &mut i, "--to").parse().unwrap_or_else(|_| {
-                    obs::error!("--to needs a window seq (see `windows`)");
-                    usage();
-                }))
-            }
-            "--workers" => {
-                o.workers = take_value(args, &mut i, "--workers")
-                    .parse()
-                    .ok()
-                    .filter(|n| *n > 0)
-                    .unwrap_or_else(|| {
-                        obs::error!("--workers needs a positive integer");
-                        usage();
-                    });
-            }
-            other => {
-                obs::error!("unknown option {other:?}");
-                usage();
-            }
-        }
-        i += 1;
-    }
-    if o.benches.is_empty() {
-        o.benches.push("crc32".to_string());
-    }
-    if o.engines.is_empty() {
-        o.engines = EngineKind::all().to_vec();
-    }
-    o
-}
-
-fn parse_level(s: &str) -> Option<OptLevel> {
-    match s.trim_start_matches('-') {
-        "O0" => Some(OptLevel::O0),
-        "O1" => Some(OptLevel::O1),
-        "O2" => Some(OptLevel::O2),
-        "O3" => Some(OptLevel::O3),
-        _ => None,
-    }
-}
-
-fn need(path: &Option<PathBuf>, flag: &str) -> PathBuf {
-    path.clone().unwrap_or_else(|| {
-        obs::error!("{flag} is required");
-        usage();
-    })
-}
-
-fn cmd_fold(o: &Opts) {
-    let out = need(&o.out, "--out");
+fn cmd_fold(a: &Args) {
+    let out = a.get("--out", "a file", cli::path);
+    let weight = a.get("--weight", "wall-ns or a counter name", obs::folded::Weight::parse);
     let spec = WorkloadSpec {
-        benches: o.benches.clone(),
-        engines: o.engines.clone(),
-        level: o.level,
-        scale: o.scale,
+        benches: benches(a),
+        engines: engines(a),
+        level: level(a),
+        scale: scale(a),
         mode: svc::JobMode::Profiled,
-        workers: o.workers,
+        workers: a.get("--workers", "a positive integer", cli::positive),
     };
     let trace = prof::workload::capture_trace(&spec).unwrap_or_else(|e| {
         obs::error!("{e}");
-        exit(2);
+        exit(1);
     });
-    if let Err(e) = obs::folded::export_file(&trace, o.weight, &out) {
+    if let Err(e) = obs::folded::export_file(&trace, weight, &out) {
         obs::error!("{}: {e}", out.display());
-        exit(2);
+        exit(1);
     }
     println!(
         "wrote {} ({} spans, weight {})",
         out.display(),
         trace.span_count(),
-        o.weight.name()
+        weight.name()
     );
-    if let Some(chrome) = &o.chrome {
-        if let Err(e) = obs::chrome::export_file(&trace, chrome) {
+    if let Some(chrome) = a.opt("--chrome", "a file", cli::path) {
+        if let Err(e) = obs::chrome::export_file(&trace, &chrome) {
             obs::error!("{}: {e}", chrome.display());
-            exit(2);
+            exit(1);
         }
         println!("wrote {}", chrome.display());
     }
 }
 
-fn cmd_collapse(o: &Opts) {
-    let trace = need(&o.trace, "--trace");
+fn cmd_collapse(a: &Args) {
+    let trace = a.get("--trace", "a file", cli::path);
     let doc = std::fs::read_to_string(&trace).unwrap_or_else(|e| {
         obs::error!("{}: {e}", trace.display());
-        exit(2);
+        exit(1);
     });
     let folded = prof::collapse::chrome_to_folded(&doc).unwrap_or_else(|e| {
         obs::error!("{}: {e}", trace.display());
         exit(1);
     });
-    match &o.out {
+    match a.opt("--out", "a file", cli::path) {
         Some(path) => {
-            if let Err(e) = std::fs::write(path, &folded) {
+            if let Err(e) = std::fs::write(&path, &folded) {
                 obs::error!("{}: {e}", path.display());
-                exit(2);
+                exit(1);
             }
             println!("wrote {}", path.display());
         }
@@ -239,24 +139,25 @@ fn cmd_collapse(o: &Opts) {
     }
 }
 
-fn cmd_report(o: &Opts) {
+fn cmd_report(a: &Args) {
+    let (level, scale, engines) = (level(a), scale(a), engines(a));
     obs::trace::install(obs::trace::Sink::Ring);
-    for bench in &o.benches {
-        for kind in &o.engines {
-            let measured = suite::by_name(bench)
+    for bench in benches(a) {
+        for kind in &engines {
+            let measured = suite::by_name(&bench)
                 .ok_or_else(|| format!("unknown benchmark {bench:?}"))
                 .and_then(|b| {
                     measure_cell(&CellSpec {
                         bench: b,
                         engine: *kind,
-                        level: o.level,
-                        scale: o.scale,
+                        level,
+                        scale,
                     })
                 });
             if let Err(e) = measured {
                 obs::trace::install(obs::trace::Sink::Null);
                 obs::error!("{e}");
-                exit(2);
+                exit(1);
             }
         }
     }
@@ -291,15 +192,15 @@ fn window_share_diff(
     rows
 }
 
-fn fetch_profile(o: &Opts) -> svc::telemetry::ProfileReport {
-    let socket = need(&o.socket, "--socket");
+fn fetch_profile(a: &Args) -> svc::telemetry::ProfileReport {
+    let socket = a.get("--socket", "a path", cli::path);
     let mut client = svc::server::Client::connect(&socket).unwrap_or_else(|e| {
         obs::error!("connect {}: {e}", socket.display());
-        exit(2);
+        exit(1);
     });
     let rep = client.profile_dump().unwrap_or_else(|e| {
         obs::error!("profile-dump: {e}");
-        exit(2);
+        exit(1);
     });
     if rep.window_ns == 0 {
         obs::error!("continuous profiler is off — serve with --profile-ms N");
@@ -308,8 +209,8 @@ fn fetch_profile(o: &Opts) -> svc::telemetry::ProfileReport {
     rep
 }
 
-fn cmd_windows(o: &Opts) {
-    let rep = fetch_profile(o);
+fn cmd_windows(a: &Args) {
+    let rep = fetch_profile(a);
     println!(
         "profiler: {} window(s) of {:.0}ms",
         rep.windows.len(),
@@ -338,15 +239,17 @@ fn cmd_windows(o: &Opts) {
     }
 }
 
-fn cmd_wdiff(o: &Opts) {
-    let rep = fetch_profile(o);
+fn cmd_wdiff(a: &Args) {
+    let from_seq = a.opt("--from", "a window seq (see `windows`)", cli::number::<u64>);
+    let to_seq = a.opt("--to", "a window seq (see `windows`)", cli::number::<u64>);
+    let rep = fetch_profile(a);
     let by_seq = |seq: u64| {
         rep.windows.iter().find(|w| w.seq == seq).unwrap_or_else(|| {
             obs::error!("no window with seq {seq} (see `windows`)");
             exit(1);
         })
     };
-    let (from, to) = match (o.from_seq, o.to_seq) {
+    let (from, to) = match (from_seq, to_seq) {
         (Some(f), Some(t)) => (by_seq(f), by_seq(t)),
         (None, None) if rep.windows.len() >= 2 => {
             (&rep.windows[rep.windows.len() - 2], &rep.windows[rep.windows.len() - 1])
@@ -358,10 +261,7 @@ fn cmd_wdiff(o: &Opts) {
             );
             exit(1);
         }
-        _ => {
-            obs::error!("--from and --to must be given together (or neither)");
-            usage();
-        }
+        _ => a.fail("--from and --to must be given together (or neither)"),
     };
     println!(
         "wdiff: window #{} ({:.2}s) -> #{} ({:.2}s), {:.0}ms windows",
@@ -393,16 +293,14 @@ fn cmd_wdiff(o: &Opts) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(cmd) = args.first() else { usage() };
-    let opts = parse_opts(&args[1..]);
-    match cmd.as_str() {
-        "fold" => cmd_fold(&opts),
-        "collapse" => cmd_collapse(&opts),
-        "report" => cmd_report(&opts),
-        "windows" => cmd_windows(&opts),
-        "wdiff" => cmd_wdiff(&opts),
-        _ => usage(),
+    let a = cli::parse("wabench-prof", COMMANDS);
+    match a.command() {
+        "fold" => cmd_fold(&a),
+        "collapse" => cmd_collapse(&a),
+        "report" => cmd_report(&a),
+        "windows" => cmd_windows(&a),
+        "wdiff" => cmd_wdiff(&a),
+        other => unreachable!("{other} is in COMMANDS but not dispatched"),
     }
 }
 

@@ -1,11 +1,6 @@
-//! `wabench-router` — the sharding front-end daemon.
-//!
-//! ```text
-//! wabench-router serve    --socket PATH --backend [NAME=]SOCK [--backend ...]
-//!                         [--watermark N] [--retry-after-ms N] [--probe-ms N]
-//! wabench-router status   --socket PATH
-//! wabench-router shutdown --socket PATH
-//! ```
+//! `wabench-router` — the sharding front-end daemon. Every command's
+//! flags are declared once in [`COMMANDS`]; `wabench-router` with no
+//! arguments prints them.
 //!
 //! `serve` fronts every `--backend` shard behind one socket speaking
 //! the ordinary `wabench-served` protocol: clients point `wabench-load`
@@ -25,144 +20,59 @@ use std::path::PathBuf;
 use std::process::exit;
 use std::time::Duration;
 
+use obs::cli::{self, Args, Command, Flag};
 use router::{BackendCfg, RouterConfig};
 use svc::server::Client;
 
-fn usage() -> ! {
-    obs::error!(
-        "usage: wabench-router <serve|status|shutdown> [options]\n\
-         \n\
-         serve    --socket PATH --backend [NAME=]SOCK [--backend ...]\n\
-         \u{20}        [--watermark N] [--retry-after-ms N] [--probe-ms N]\n\
-         status   --socket PATH\n\
-         shutdown --socket PATH\n\
-         \n\
-         common: --log error|warn|info|debug (overrides WABENCH_LOG)\n\
-         A backend is NAME=SOCKET or a bare socket path (named shard-N);\n\
-         at least one is required. See docs/DEPLOYMENT.md."
-    );
-    exit(2);
-}
+const SOCKET: Flag = Flag::value("--socket", "PATH", "router socket; required");
 
-fn take_value(args: &[String], i: &mut usize, flag: &str) -> String {
-    *i += 1;
-    match args.get(*i) {
-        Some(v) => v.clone(),
-        None => {
-            obs::error!("missing value for {flag}");
-            usage();
-        }
-    }
-}
+#[rustfmt::skip]
+static COMMANDS: &[Command] = &[
+    Command::new("serve", &[
+        SOCKET,
+        Flag::value("--backend", "[NAME=]SOCK", "a shard (bare paths are named shard-N); at least one").many(),
+        Flag::value("--watermark", "N", "aggregate queue depth at which submits are shed").default("64"),
+        Flag::value("--retry-after-ms", "N", "back-off hint sent with a shed submit").default("250"),
+        Flag::value("--probe-ms", "N", "health-probe interval").default("100"),
+    ]),
+    Command::new("status", &[SOCKET]),
+    Command::new("shutdown", &[SOCKET]),
+];
 
-struct Opts {
-    socket: Option<PathBuf>,
-    backends: Vec<BackendCfg>,
-    watermark: u64,
-    retry_after_ms: u32,
-    probe_ms: u64,
-}
-
-fn parse_opts(args: &[String]) -> Opts {
-    let mut o = Opts {
-        socket: None,
-        backends: Vec::new(),
-        watermark: RouterConfig::default().watermark,
-        retry_after_ms: RouterConfig::default().retry_after_ms,
-        probe_ms: RouterConfig::default().probe_interval.as_millis() as u64,
-    };
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--socket" => o.socket = Some(PathBuf::from(take_value(args, &mut i, "--socket"))),
-            "--backend" => {
-                let v = take_value(args, &mut i, "--backend");
-                let (name, sock) = match v.split_once('=') {
-                    Some((n, s)) if !n.is_empty() && !s.is_empty() => (n.to_string(), s),
-                    Some(_) => {
-                        obs::error!("bad backend spec {v:?} (use NAME=SOCKET)");
-                        usage();
-                    }
-                    None => (format!("shard-{}", o.backends.len()), v.as_str()),
-                };
-                o.backends.push(BackendCfg {
-                    name,
-                    socket: PathBuf::from(sock),
-                });
-            }
-            "--watermark" => {
-                o.watermark = take_value(args, &mut i, "--watermark")
-                    .parse()
-                    .ok()
-                    .filter(|n| *n > 0)
-                    .unwrap_or_else(|| {
-                        obs::error!("--watermark needs a positive integer");
-                        usage();
-                    })
-            }
-            "--retry-after-ms" => {
-                o.retry_after_ms = take_value(args, &mut i, "--retry-after-ms")
-                    .parse()
-                    .unwrap_or_else(|_| {
-                        obs::error!("--retry-after-ms needs an integer");
-                        usage();
-                    })
-            }
-            "--probe-ms" => {
-                o.probe_ms = take_value(args, &mut i, "--probe-ms")
-                    .parse()
-                    .ok()
-                    .filter(|n| *n > 0)
-                    .unwrap_or_else(|| {
-                        obs::error!("--probe-ms needs a positive integer");
-                        usage();
-                    })
-            }
-            "--log" => {
-                let v = take_value(args, &mut i, "--log");
-                match obs::logger::Level::parse(&v) {
-                    Some(lvl) => obs::logger::set_level(lvl),
-                    None => {
-                        obs::error!("unknown log level {v:?} (use error|warn|info|debug)");
-                        usage();
-                    }
-                }
-            }
-            other => {
-                obs::error!("unknown option {other:?}");
-                usage();
-            }
-        }
-        i += 1;
-    }
-    o
-}
-
-fn need_socket(o: &Opts) -> PathBuf {
-    o.socket.clone().unwrap_or_else(|| {
-        obs::error!("--socket is required");
-        usage();
+fn connect(a: &Args) -> Client {
+    let socket = a.get("--socket", "a path", cli::path);
+    Client::connect(&socket).unwrap_or_else(|e| {
+        obs::error!("connect {}: {e}", socket.display());
+        exit(1);
     })
 }
 
-fn cmd_serve(o: &Opts) {
-    let socket = need_socket(o);
-    if o.backends.is_empty() {
-        obs::error!("at least one --backend is required");
-        usage();
-    }
-    let mut seen = std::collections::HashSet::new();
-    for b in &o.backends {
-        if !seen.insert(&b.name) {
-            obs::error!("duplicate backend name {:?}", b.name);
-            usage();
+fn cmd_serve(a: &Args) {
+    let socket = a.get("--socket", "a path", cli::path);
+    let mut backends: Vec<BackendCfg> = Vec::new();
+    for v in a.all("--backend") {
+        let (name, sock) = match v.split_once('=') {
+            Some((n, s)) if !n.is_empty() && !s.is_empty() => (n.to_string(), s),
+            Some(_) => a.fail(format!("bad backend spec {v:?} (use NAME=SOCKET)")),
+            None => (format!("shard-{}", backends.len()), v),
+        };
+        if backends.iter().any(|b| b.name == name) {
+            a.fail(format!("duplicate backend name {name:?}"));
         }
+        backends.push(BackendCfg {
+            name,
+            socket: PathBuf::from(sock),
+        });
     }
+    if backends.is_empty() {
+        a.fail("at least one --backend is required");
+    }
+    let probe_ms = a.get("--probe-ms", "a positive integer", cli::positive);
     let cfg = RouterConfig {
-        backends: o.backends.clone(),
-        watermark: o.watermark,
-        retry_after_ms: o.retry_after_ms,
-        probe_interval: Duration::from_millis(o.probe_ms),
+        backends,
+        watermark: a.get("--watermark", "a positive integer", cli::positive),
+        retry_after_ms: a.get("--retry-after-ms", "an integer", cli::number),
+        probe_interval: Duration::from_millis(probe_ms),
         ..RouterConfig::default()
     };
     obs::info!(
@@ -180,13 +90,8 @@ fn cmd_serve(o: &Opts) {
     }
 }
 
-fn cmd_status(o: &Opts) {
-    let socket = need_socket(o);
-    let mut client = Client::connect(&socket).unwrap_or_else(|e| {
-        obs::error!("connect {}: {e}", socket.display());
-        exit(1);
-    });
-    let report = client.backends().unwrap_or_else(|e| {
+fn cmd_status(a: &Args) {
+    let report = connect(a).backends().unwrap_or_else(|e| {
         obs::error!("backends: {e}");
         exit(1);
     });
@@ -207,13 +112,8 @@ fn cmd_status(o: &Opts) {
     }
 }
 
-fn cmd_shutdown(o: &Opts) {
-    let socket = need_socket(o);
-    let mut client = Client::connect(&socket).unwrap_or_else(|e| {
-        obs::error!("connect {}: {e}", socket.display());
-        exit(1);
-    });
-    client.shutdown().unwrap_or_else(|e| {
+fn cmd_shutdown(a: &Args) {
+    connect(a).shutdown().unwrap_or_else(|e| {
         obs::error!("shutdown: {e}");
         exit(1);
     });
@@ -221,13 +121,11 @@ fn cmd_shutdown(o: &Opts) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(cmd) = args.first() else { usage() };
-    let opts = parse_opts(&args[1..]);
-    match cmd.as_str() {
-        "serve" => cmd_serve(&opts),
-        "status" => cmd_status(&opts),
-        "shutdown" => cmd_shutdown(&opts),
-        _ => usage(),
+    let a = cli::parse("wabench-router", COMMANDS);
+    match a.command() {
+        "serve" => cmd_serve(&a),
+        "status" => cmd_status(&a),
+        "shutdown" => cmd_shutdown(&a),
+        other => unreachable!("{other} is in COMMANDS but not dispatched"),
     }
 }

@@ -28,8 +28,8 @@
 //!
 //! Per-shard observability requests (`Series`, `TraceDump`,
 //! `ProfileDump`, `AlertLog`, `StatsExt`) are answered with an `Err`
-//! prefixed `router:` pointing at the shard sockets — `wabench-top`
-//! and `wabench-doctor` key off that prefix to degrade gracefully.
+//! prefixed `router:` pointing at the shard sockets — `wabench-served
+//! top` and `doctor` key off that prefix to degrade gracefully.
 
 #![warn(missing_docs)]
 

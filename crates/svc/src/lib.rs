@@ -39,7 +39,7 @@
 //! [`telemetry`]): submits carry a client-originated trace id, every
 //! result returns a per-job span digest ([`job::TraceDigest`]), and the
 //! `Series` / `TraceDump` requests serve a bounded time-series window
-//! and recent/slow-request span trees that `wabench-top` and the
+//! and recent/slow-request span trees that `wabench-served top` and the
 //! client-side trace stitcher consume.
 //!
 //! The harness's `--jobs N` flag drives the fig1/fig4/fig7 measurement

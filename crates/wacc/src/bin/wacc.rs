@@ -4,37 +4,30 @@
 //! wacc input.wc [-o out.wasm] [-O0|-O1|-O2|-O3]
 //! ```
 
+use obs::cli::{Command, Flag};
 use wacc::OptLevel;
 
+const LEVELS: [&str; 4] = ["-O0", "-O1", "-O2", "-O3"];
+
+#[rustfmt::skip]
+static COMMANDS: &[Command] = &[Command::new("", &[
+    Flag::value("-o", "FILE", "output path (default: INPUT with a .wasm extension)"),
+    Flag::switch("-O0", "no optimization"),
+    Flag::switch("-O1", "folding and simplification"),
+    Flag::switch("-O2", "plus inlining and loop-invariant motion (the default level)"),
+    Flag::switch("-O3", "plus loop unrolling"),
+]).takes("INPUT")];
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut input: Option<String> = None;
-    let mut output: Option<String> = None;
-    let mut level = OptLevel::O2;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "-o" => {
-                i += 1;
-                output = args.get(i).cloned();
-            }
-            "-O0" => level = OptLevel::O0,
-            "-O1" => level = OptLevel::O1,
-            "-O2" => level = OptLevel::O2,
-            "-O3" => level = OptLevel::O3,
-            other if !other.starts_with('-') => input = Some(other.to_string()),
-            other => {
-                eprintln!("unknown flag {other:?}");
-                std::process::exit(2);
-            }
-        }
-        i += 1;
-    }
-    let Some(input) = input else {
-        eprintln!("usage: wacc input.wc [-o out.wasm] [-O0|-O1|-O2|-O3]");
-        std::process::exit(2);
+    let a = obs::cli::parse("wacc", COMMANDS);
+    let given: Vec<&str> = LEVELS.into_iter().filter(|l| a.on(l)).collect();
+    let level = match given[..] {
+        [] => OptLevel::O2,
+        [l] => OptLevel::parse(l).expect("table spellings parse"),
+        _ => a.fail("give at most one of -O0..-O3"),
     };
-    let source = match std::fs::read_to_string(&input) {
+    let input = a.positional();
+    let source = match std::fs::read_to_string(input) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("{input}: {e}");
@@ -43,8 +36,8 @@ fn main() {
     };
     match wacc::compile_to_bytes(&source, level) {
         Ok(bytes) => {
-            let out = output.unwrap_or_else(|| {
-                std::path::Path::new(&input)
+            let out = a.opt("-o", "a path", obs::cli::text).unwrap_or_else(|| {
+                std::path::Path::new(input)
                     .with_extension("wasm")
                     .to_string_lossy()
                     .into_owned()

@@ -33,6 +33,13 @@ impl OptLevel {
     pub fn all() -> [OptLevel; 4] {
         [OptLevel::O0, OptLevel::O1, OptLevel::O2, OptLevel::O3]
     }
+
+    /// Parses a command-line spelling: `O0`..`O3`, with or without the
+    /// leading `-` that [`Display`](std::fmt::Display) prints.
+    pub fn parse(s: &str) -> Option<OptLevel> {
+        let s = s.strip_prefix('-').unwrap_or(s);
+        OptLevel::all().into_iter().find(|l| l.to_string()[1..] == *s)
+    }
 }
 
 impl std::fmt::Display for OptLevel {
@@ -972,6 +979,17 @@ mod tests {
         let sigs = check(&mut p).unwrap();
         optimize(&mut p, &sigs, level);
         p
+    }
+
+    #[test]
+    fn level_parse_takes_both_spellings_and_round_trips_display() {
+        for l in OptLevel::all() {
+            assert_eq!(OptLevel::parse(&l.to_string()), Some(l));
+        }
+        assert_eq!(OptLevel::parse("O2"), Some(OptLevel::O2));
+        for bad in ["O4", "o2", "2", "--O2", ""] {
+            assert_eq!(OptLevel::parse(bad), None, "{bad:?}");
+        }
     }
 
     fn body_str(p: &Program, f: usize) -> String {

@@ -7,10 +7,12 @@
 #      root facade package only)
 #   3. cargo test -q --workspace      (every crate's own tests)
 #   4. cargo clippy --workspace --all-targets -- -D warnings
-#   5. wabench-lint over crates/suite/programs (exits nonzero on findings)
+#   5. wabench-harness lint over crates/suite/programs (exits nonzero on
+#      findings)
 #   6. wabench-served smoke: socket round-trip, 3 jobs cold + 3 warm,
 #      asserting warm artifact loads beat cold compiles
-#   7. trace smoke: span capture -> Chrome trace -> validator
+#   7. trace smoke: span capture (wabench-harness run) -> Chrome trace ->
+#      validator (wabench-served trace-check)
 #   8. prof smoke: an attributed `report` table, folded stacks from a
 #      4-worker run whose Chrome trace validates, and `collapse` of that
 #      trace back into folded stacks
@@ -25,11 +27,12 @@
 #      0 and prints `"correct": true` — every checksum matched the native
 #      mirror and the reference evaluator
 #  12. docs check: every intra-repo markdown link in README.md,
-#      EXPERIMENTS.md, and docs/*.md resolves
+#      EXPERIMENTS.md, and docs/*.md resolves, and every `--bin NAME`
+#      they mention is a binary the workspace builds
 #  13. chaos smoke: fig6 under a 5% fault plan is bit-identical to a
 #      clean run, and the two chaos passes together exercise at least
 #      one retry, one interpreter fallback, and one store repair
-#  14. audit smoke: wabench-audit over the whole suite with the proof
+#  14. audit smoke: wabench-harness audit over the whole suite with the proof
 #      verifier compiled in (--features verify-ir) must report zero
 #      proof violations and at least 4000 eliminated checks
 #  15. load smoke: a short fixed-seed wabench-load run against a live
@@ -37,19 +40,20 @@
 #      errors
 #  16. live telemetry smoke: a fixed-seed load run against a sampling
 #      server stitches client+server request spans into a Chrome trace
-#      that wabench-trace-check accepts, and wabench-top --once reports
+#      that wabench-served trace-check accepts, and wabench-served top
+#      --once reports
 #      a window (completed count, nonzero QPS, ordered quantiles) whose
 #      completed count matches the load run's `jobs:` line
 #  17. alert & postmortem smoke: a server with the alert engine, the
 #      continuous profiler, and a deterministic 20ms delay fault armed
 #      must fire the p99 rule, write a flight-recorder bundle that
-#      wabench-doctor diagnoses (naming the delay site), and list
+#      wabench-served doctor diagnoses (naming the delay site), and list
 #      profile windows; a fault-free control run under the same engine
 #      fires nothing and writes no bundle
 #  18. router smoke: a fixed-seed load through wabench-router over two
 #      wabench-served shards completes with zero protocol errors, prints
 #      a summary line per shard, and both shards serve jobs;
-#      wabench-top/wabench-doctor degrade gracefully against the router
+#      wabench-served top/doctor degrade gracefully against the router
 #      socket; a chaos pass with one shard armed 'crash=1.0' (the
 #      process aborts on its first job) still completes the run with at
 #      least one failover
@@ -88,8 +92,8 @@ cargo test -q --workspace
 step "clippy (workspace, all targets, warnings are errors)"
 cargo clippy --workspace --all-targets -- -D warnings
 
-step "wabench-lint (source diagnostics over all suite programs)"
-cargo run -q -p wabench-harness --bin wabench-lint
+step "wabench-harness lint (source diagnostics over all suite programs)"
+cargo run -q -p wabench-harness -- lint
 
 step "wabench-served smoke (socket protocol + artifact store, cold vs warm)"
 cargo build -q --release -p wabench-svc
@@ -98,10 +102,9 @@ cargo build -q --release -p wabench-svc
 step "trace smoke (span capture -> Chrome trace export -> validator)"
 trace_tmp="$(mktemp -d)"
 trap 'rm -rf "$trace_tmp"' EXIT
-cargo run -q --release -p wabench-harness --bin wabench-run -- \
-    crc32 --jobs 2 --trace-out "$trace_tmp/trace.json" > /dev/null
-cargo run -q --release -p wabench-obs --bin wabench-trace-check -- \
-    "$trace_tmp/trace.json"
+cargo run -q --release -p wabench-harness -- \
+    run crc32 --jobs 2 --trace-out "$trace_tmp/trace.json" > /dev/null
+./target/release/wabench-served trace-check "$trace_tmp/trace.json"
 
 step "prof smoke (attributed report -> folded export -> collapse)"
 prof=./target/release/wabench-prof
@@ -117,8 +120,7 @@ grep -q '^ *engine.execute ' "$trace_tmp/report.out" || {
 # Chrome exporter (depth cross-check lives in the prof test suite).
 "$prof" fold --out "$trace_tmp/stacks.folded" --bench crc32 --level O1 --workers 4 \
     --chrome "$trace_tmp/prof-trace.json"
-cargo run -q --release -p wabench-obs --bin wabench-trace-check -- \
-    "$trace_tmp/prof-trace.json"
+./target/release/wabench-served trace-check "$trace_tmp/prof-trace.json"
 test -s "$trace_tmp/stacks.folded"
 # The same trace collapses back into folded stacks offline.
 "$prof" collapse --trace "$trace_tmp/prof-trace.json" --out "$trace_tmp/collapsed.folded"
@@ -152,7 +154,7 @@ grep -q '"correct": true' "$trace_tmp/compile_cold.out" || {
     exit 1
 }
 
-step "docs check (intra-repo markdown links resolve)"
+step "docs check (intra-repo markdown links resolve, --bin names exist)"
 scripts/docs-check.sh
 
 step "chaos smoke (fault injection: figures bit-identical, recovery paths exercised)"
@@ -200,8 +202,8 @@ step "audit smoke (static check-elimination proofs re-verified on the suite)"
 # obligation independently re-derived: zero violations, and the
 # eliminated-check floor catches an analysis that silently stops
 # proving anything (full suite currently eliminates ~4300).
-cargo run -q --release --features verify-ir -p wabench-harness \
-    --bin wabench-audit -- --min-eliminated 4000
+cargo run -q --release --features verify-ir -p wabench-harness -- \
+    audit --min-eliminated 4000
 
 step "load smoke (open-loop generator -> live server)"
 loadgen=./target/release/wabench-load
@@ -223,8 +225,7 @@ fi
 ./target/release/wabench-served shutdown --socket "$sock" > /dev/null
 wait "$served_pid" 2> /dev/null || true
 
-step "live telemetry smoke (sampler window -> wabench-top --once; stitched request traces)"
-top=./target/release/wabench-top
+step "live telemetry smoke (sampler window -> top --once; stitched request traces)"
 sock="$trace_tmp/top.sock"
 ./target/release/wabench-served serve --socket "$sock" --workers 2 \
     --store "$trace_tmp/top-store" --sample-ms 25 > "$trace_tmp/served-top.log" 2>&1 &
@@ -239,15 +240,14 @@ fi
     --socket "$sock" \
     --stitch-out "$trace_tmp/requests.json" | tee "$trace_tmp/load-top.out"
 sleep 0.2 # two+ sampler intervals, so the final completions get sampled
-"$top" --once --socket "$sock" | tee "$trace_tmp/top.out"
+./target/release/wabench-served top --once --socket "$sock" | tee "$trace_tmp/top.out"
 ./target/release/wabench-served shutdown --socket "$sock" > /dev/null
 wait "$served_pid" 2> /dev/null || true
 # The stitched trace must pair client and server spans per request and
 # pass the same validator as every other trace artifact...
 grep -q '"client.request"' "$trace_tmp/requests.json"
 grep -q '"server.job"' "$trace_tmp/requests.json"
-cargo run -q --release -p wabench-obs --bin wabench-trace-check -- \
-    "$trace_tmp/requests.json"
+./target/release/wabench-served trace-check "$trace_tmp/requests.json"
 # ...and the live window must agree with the load run: the completed
 # count its `jobs:` line printed, nonzero QPS, and ordered quantiles.
 load_completed=$(grep -oE '^jobs: .*[0-9]+ completed' "$trace_tmp/load-top.out" \
@@ -268,8 +268,7 @@ awk -F= -v load="${load_completed:-missing}" '
         }
     }' "$trace_tmp/top.out"
 
-step "alert & postmortem smoke (SLO rules -> flight recorder -> wabench-doctor)"
-doctor=./target/release/wabench-doctor
+step "alert & postmortem smoke (SLO rules -> flight recorder -> doctor)"
 served=./target/release/wabench-served
 sock="$trace_tmp/alert.sock"
 pm_dir="$trace_tmp/postmortems"
@@ -312,7 +311,7 @@ head -c 32 "$bundle" | grep -q '^{"schema":"wabench-postmortem"'
 # The doctor must diagnose the bundle (exit 1 = findings) and name the
 # injected delay site as a root-cause candidate.
 rc=0
-"$doctor" --bundle "$bundle" | tee "$trace_tmp/doctor.out" || rc=$?
+"$served" doctor --bundle "$bundle" | tee "$trace_tmp/doctor.out" || rc=$?
 if [ "$rc" -ne 1 ]; then
     echo "alert smoke FAILED: doctor exit $rc on a bundle with findings" >&2
     exit 1
@@ -391,19 +390,19 @@ for shard in shard-0 shard-1; do
         exit 1
     fi
 done
-# Pointed at the router, wabench-top and wabench-doctor must degrade
-# gracefully (per-shard requests are refused with the router: prefix),
-# not error out.
-"$top" --once --socket "$rsock" > "$trace_tmp/top-router.out" 2>&1 || {
-    echo "router smoke FAILED: wabench-top errored against the router socket" >&2
+# Pointed at the router, top and doctor must degrade gracefully
+# (per-shard requests are refused with the router: prefix), not error
+# out. doctor exits 2 only on evidence it cannot read.
+"$served" top --once --socket "$rsock" > "$trace_tmp/top-router.out" 2>&1 || {
+    echo "router smoke FAILED: top errored against the router socket" >&2
     cat "$trace_tmp/top-router.out" >&2
     exit 1
 }
 grep -q '^sampling=0' "$trace_tmp/top-router.out"
 rc=0
-"$doctor" --socket "$rsock" > "$trace_tmp/doctor-router.out" 2>&1 || rc=$?
+"$served" doctor --socket "$rsock" > "$trace_tmp/doctor-router.out" 2>&1 || rc=$?
 if [ "$rc" -gt 1 ]; then
-    echo "router smoke FAILED: wabench-doctor exit $rc against the router socket" >&2
+    echo "router smoke FAILED: doctor exit $rc against the router socket" >&2
     cat "$trace_tmp/doctor-router.out" >&2
     exit 1
 fi
