@@ -565,6 +565,10 @@ impl Handler for Router {
         self.waits.retain(|(token, _)| token.conn != conn);
     }
 
+    /// Parked `Wait`s resolve only by polling their shards from the
+    /// tick, so they keep the reactor on its short timer — until the
+    /// backend streams join the reactor's poll set (ROADMAP 6(a)) and
+    /// a shard's reply can wake it instead.
     fn parked(&self) -> bool {
         !self.waits.is_empty()
     }

@@ -21,6 +21,14 @@
 //! it later from [`Handler::tick`]; frames queued behind the parked
 //! slot are held until it fills.
 //!
+//! A parked request resolves on a **wake**, not a timer: the loop owns
+//! a socket pair whose read end sits in the same `poll(2)` set as the
+//! connections, and the handler gets a [`Waker`] for the write end. A
+//! scheduler worker wakes it when a job completes, so a parked `Wait`
+//! is answered one loop iteration after its result is published. Only
+//! handlers whose parked work no wake can signal ([`Handler::parked`])
+//! put the loop on a short poll tick.
+//!
 //! No epoll and no external crates: `poll(2)` is declared directly
 //! (the workspace builds offline and deliberately avoids a libc
 //! dependency), and the fd sets here are small enough that O(n) scans
@@ -30,6 +38,8 @@ use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::os::fd::AsRawFd;
 use std::os::unix::net::{UnixListener, UnixStream};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
 use crate::wire::MAX_FRAME;
 
@@ -69,6 +79,74 @@ fn poll_fds(fds: &mut [PollFd], timeout_ms: i32) -> io::Result<()> {
     }
 }
 
+/// Wakes a reactor blocked in `poll(2)` from any thread. Wakes
+/// coalesce: only the first since the reactor last drained writes a
+/// byte.
+#[derive(Clone)]
+pub struct Waker(Arc<WakeShared>);
+
+struct WakeShared {
+    /// Set by a wake, cleared by the reactor after it drains the pipe.
+    /// While set, a byte is in the pipe or the reactor is between its
+    /// drain and its next tick, so another byte would add nothing.
+    pending: AtomicBool,
+    tx: UnixStream,
+}
+
+impl Waker {
+    /// Makes the reactor run [`Handler::tick`] soon. Never blocks.
+    pub fn wake(&self) {
+        if !self.0.pending.swap(true, Ordering::SeqCst) {
+            // Nonblocking; a full pipe is already readable, and a
+            // closed one means the reactor is gone.
+            let _ = (&self.0.tx).write(&[1]);
+        }
+    }
+}
+
+/// The reactor's end of the wake channel.
+struct WakeChannel {
+    rx: UnixStream,
+    waker: Waker,
+}
+
+impl WakeChannel {
+    fn new() -> io::Result<WakeChannel> {
+        let (tx, rx) = UnixStream::pair()?;
+        tx.set_nonblocking(true)?;
+        rx.set_nonblocking(true)?;
+        Ok(WakeChannel {
+            rx,
+            waker: Waker(Arc::new(WakeShared {
+                pending: AtomicBool::new(false),
+                tx,
+            })),
+        })
+    }
+
+    /// Empties the pipe, **then** clears `pending`; the caller ticks
+    /// after. A wake landing between the two finds `pending` set and
+    /// writes nothing, but the tick that follows sees its work. Clearing
+    /// first would let such a wake's byte be swallowed by the read,
+    /// leaving `pending` set over an empty pipe: every later wake would
+    /// then be suppressed and the loop would sleep to its idle timeout.
+    fn drain(&self) {
+        self.read_pipe();
+        self.waker.0.pending.store(false, Ordering::SeqCst);
+    }
+
+    fn read_pipe(&self) {
+        let mut buf = [0u8; 64];
+        loop {
+            match (&self.rx).read(&mut buf) {
+                Ok(n) if n > 0 => {}
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                _ => return,
+            }
+        }
+    }
+}
+
 /// Identifies one in-order response slot: the `slot`-th request ever
 /// received on connection `conn`. Handlers hand tokens back when they
 /// resolve parked requests.
@@ -86,8 +164,9 @@ pub enum Action {
     /// Answer immediately with this frame payload.
     Respond(Vec<u8>),
     /// No answer yet; the handler will resolve the token from a later
-    /// [`Handler::tick`]. Responses to later requests on the same
-    /// connection are held behind the parked slot.
+    /// [`Handler::tick`], typically after a [`Waker::wake`]. Responses
+    /// to later requests on the same connection are held behind the
+    /// parked slot.
     Park,
     /// Answer with this frame payload, then shut the reactor down once
     /// every connection's pending responses are flushed.
@@ -109,17 +188,25 @@ pub trait Handler {
     /// Process one complete frame payload from `token.conn`.
     fn handle(&mut self, token: Token, payload: &[u8]) -> Action;
 
-    /// Called once per loop iteration: resolve any parked requests that
-    /// have become answerable by pushing `(token, resolution)` pairs.
+    /// Called once per loop iteration — after every wake, every
+    /// readiness event and every poll timeout: resolve any parked
+    /// requests that have become answerable by pushing
+    /// `(token, resolution)` pairs.
     fn tick(&mut self, done: &mut Vec<(Token, Resolution)>);
 
     /// The connection is gone (EOF or error); drop any parked state for
     /// it. Resolutions for its tokens are silently discarded.
     fn conn_closed(&mut self, conn: u64);
 
-    /// Whether any request is currently parked. Governs the poll
-    /// timeout: parked work is re-checked on a short tick.
+    /// Whether the handler has parked work that only a timer can
+    /// resolve. Governs the poll timeout: such work is re-checked on a
+    /// short tick. Work that a [`Waker`] signals does not count.
     fn parked(&self) -> bool;
+
+    /// Receives the loop's [`Waker`] once, before the first request.
+    /// Handlers whose parked work completes on other threads keep it
+    /// and wake the loop from there.
+    fn set_waker(&mut self, _waker: Waker) {}
 }
 
 struct Conn {
@@ -169,6 +256,10 @@ impl Conn {
     }
 }
 
+/// Poll-set index of the first connection: the listener is 0, the wake
+/// channel 1.
+const FIRST_CONN: usize = 2;
+
 /// Runs the event loop on an already-bound listener until a handler
 /// returns [`Action::Bye`] / [`Resolution::Bye`] and all responses are
 /// flushed.
@@ -179,6 +270,8 @@ impl Conn {
 /// errors (resets, oversized frames) just drop that connection.
 pub fn run(listener: &UnixListener, handler: &mut dyn Handler) -> io::Result<()> {
     listener.set_nonblocking(true)?;
+    let wake = WakeChannel::new()?;
+    handler.set_waker(wake.waker.clone());
     let mut conns: Vec<Conn> = Vec::new();
     let mut next_conn_id: u64 = 0;
     let mut draining = false;
@@ -232,12 +325,18 @@ pub fn run(listener: &UnixListener, handler: &mut dyn Handler) -> io::Result<()>
             return Ok(());
         }
 
-        // 4. Wait for readiness. Parked work and draining re-check on a
-        // short tick; an idle server sleeps longer.
-        let mut fds: Vec<PollFd> = Vec::with_capacity(conns.len() + 1);
+        // 4. Wait for readiness or a wake. Timer-only parked work and
+        // draining re-check on a short tick; otherwise the timeout is
+        // only a backstop.
+        let mut fds: Vec<PollFd> = Vec::with_capacity(conns.len() + FIRST_CONN);
         fds.push(PollFd {
             fd: listener.as_raw_fd(),
             events: if draining { 0 } else { POLLIN },
+            revents: 0,
+        });
+        fds.push(PollFd {
+            fd: wake.rx.as_raw_fd(),
+            events: POLLIN,
             revents: 0,
         });
         for conn in &conns {
@@ -256,6 +355,9 @@ pub fn run(listener: &UnixListener, handler: &mut dyn Handler) -> io::Result<()>
         }
         let timeout_ms = if handler.parked() || draining { 2 } else { 250 };
         poll_fds(&mut fds, timeout_ms)?;
+        if fds[1].revents != 0 {
+            wake.drain();
+        }
 
         // 5. Accept every pending connection.
         if fds[0].revents & (POLLIN | POLLERR) != 0 {
@@ -283,11 +385,12 @@ pub fn run(listener: &UnixListener, handler: &mut dyn Handler) -> io::Result<()>
             }
         }
 
-        // 6. Service ready connections (fds[i+1] maps to conns[i] —
-        // both were frozen together above; removals happen after).
+        // 6. Service ready connections (fds[i + FIRST_CONN] maps to
+        // conns[i] — both were frozen together above; removals happen
+        // after).
         let mut dead: Vec<u64> = Vec::new();
-        for (i, fd) in fds.iter().enumerate().skip(1) {
-            let conn = &mut conns[i - 1];
+        for (i, fd) in fds.iter().enumerate().skip(FIRST_CONN) {
+            let conn = &mut conns[i - FIRST_CONN];
             if fd.revents & (POLLERR | POLLNVAL) != 0 {
                 dead.push(conn.id);
                 continue;
@@ -421,4 +524,61 @@ fn write_some(conn: &mut Conn) -> io::Result<()> {
         }
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Whether the wake channel's read end would wake `poll(2)` now.
+    fn readable(ch: &WakeChannel) -> bool {
+        let mut fds = [PollFd {
+            fd: ch.rx.as_raw_fd(),
+            events: POLLIN,
+            revents: 0,
+        }];
+        poll_fds(&mut fds, 0).expect("poll");
+        fds[0].revents & POLLIN != 0
+    }
+
+    #[test]
+    fn wakes_coalesce_into_one_byte() {
+        let ch = WakeChannel::new().expect("wake channel");
+        assert!(!readable(&ch));
+        for _ in 0..5 {
+            ch.waker.wake();
+        }
+        assert!(readable(&ch));
+        ch.drain();
+        assert!(!readable(&ch), "five wakes wrote more than one drainable byte");
+        ch.waker.wake();
+        assert!(readable(&ch), "a wake after a drain must write again");
+    }
+
+    /// The interleaving that lost wakes in the clear-then-drain order:
+    /// a wake lands while the reactor is mid-drain.
+    #[test]
+    fn wake_racing_a_drain_still_leaves_the_reactor_woken() {
+        // Drain then clear (what `drain` does). The racing wake is
+        // coalesced away, but the tick after the drain sees its work,
+        // and the next wake is readable.
+        let ch = WakeChannel::new().expect("wake channel");
+        ch.waker.wake();
+        ch.read_pipe();
+        ch.waker.wake();
+        ch.waker.0.pending.store(false, Ordering::SeqCst);
+        ch.waker.wake();
+        assert!(readable(&ch), "drain-then-clear lost a wake");
+
+        // Clear then drain: the racing wake's byte is read away while
+        // `pending` stays set, so the next wake writes nothing and the
+        // reactor would sleep to its idle timeout.
+        let ch = WakeChannel::new().expect("wake channel");
+        ch.waker.wake();
+        ch.waker.0.pending.store(false, Ordering::SeqCst);
+        ch.waker.wake();
+        ch.read_pipe();
+        ch.waker.wake();
+        assert!(!readable(&ch), "clear-then-drain is expected to lose this wake");
+    }
 }

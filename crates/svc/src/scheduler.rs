@@ -307,7 +307,11 @@ struct Inner {
     telemetry: Telemetry,
     contprof: Mutex<Option<ContProf>>,
     alerts: Mutex<Option<AlertRuntime>>,
+    /// Called by a worker after each result is published.
+    on_complete: Mutex<Option<CompletionHook>>,
 }
+
+type CompletionHook = Box<dyn Fn() + Send + Sync>;
 
 /// The running scheduler: submit jobs, poll/wait for results.
 pub struct Scheduler {
@@ -368,6 +372,7 @@ impl Scheduler {
                 last_seq: None,
                 postmortem_dir: cfg.postmortem_dir.clone(),
             })),
+            on_complete: Mutex::new(None),
         });
         let workers = (0..cfg.workers.max(1))
             .map(|i| {
@@ -413,6 +418,14 @@ impl Scheduler {
         id
     }
 
+    /// Installs the hook a worker calls after each job's result is
+    /// claimable and `outstanding` has dropped, replacing any earlier
+    /// one. The reactor front end wakes its loop from here, so parked
+    /// `Wait`s and `Shutdown`s resolve on completion, not on a timer.
+    pub fn on_complete(&self, hook: impl Fn() + Send + Sync + 'static) {
+        *self.inner.on_complete.lock().expect("hook lock") = Some(Box::new(hook));
+    }
+
     /// Non-blocking result lookup (result stays claimable by `wait`).
     pub fn poll(&self, id: u64) -> Option<JobResult> {
         self.inner
@@ -425,7 +438,8 @@ impl Scheduler {
 
     /// Non-blocking result claim: removes and returns the result if the
     /// job has completed. The reactor front-end resolves parked `Wait`
-    /// requests with this from its tick, so results don't accumulate
+    /// requests with this from the tick after a completion wake
+    /// ([`Scheduler::on_complete`]), so results don't accumulate
     /// the way repeated [`Scheduler::poll`] clones would let them.
     pub fn try_take(&self, id: u64) -> Option<JobResult> {
         self.inner
@@ -447,8 +461,8 @@ impl Scheduler {
     }
 
     /// Whether every submitted job has completed — the non-blocking
-    /// counterpart of [`Scheduler::wait_idle`], polled by the reactor
-    /// while draining for shutdown.
+    /// counterpart of [`Scheduler::wait_idle`], checked by the reactor
+    /// after each completion wake while a `Shutdown` is parked.
     pub fn idle(&self) -> bool {
         self.inner.outstanding.load(Ordering::SeqCst) == 0
     }
@@ -1032,6 +1046,9 @@ fn worker_loop(inner: &Arc<Inner>) {
             inner.outstanding.fetch_sub(1, Ordering::SeqCst);
         }
         inner.done_cv.notify_all();
+        if let Some(hook) = &*inner.on_complete.lock().expect("hook lock") {
+            hook();
+        }
         // Evaluate alert rules against any new telemetry samples (no-op
         // when disarmed). After the result is published, so a firing
         // alert's postmortem sees the job that tripped it.

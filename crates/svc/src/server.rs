@@ -3,8 +3,9 @@
 //!
 //! [`serve`] runs the nonblocking [`crate::reactor`]: one thread
 //! multiplexes every connection, `Wait` requests park instead of
-//! pinning a thread, and pipelined frames are first-class. A
-//! `Shutdown` request drains the scheduler and stops the loop.
+//! pinning a thread and resolve when a worker's completion wakes the
+//! loop, and pipelined frames are first-class. A `Shutdown` request
+//! drains the scheduler and stops the loop.
 
 use std::io;
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -13,7 +14,7 @@ use std::sync::Arc;
 
 use crate::job::{JobSpec, TraceCtx};
 use crate::proto::{BackendsReport, Request, Response};
-use crate::reactor::{Action, Handler, Resolution, Token};
+use crate::reactor::{Action, Handler, Resolution, Token, Waker};
 use crate::scheduler::{HealthReport, Scheduler, SvcStats, SvcStatsExt};
 use crate::telemetry::{AlertReport, ProfileReport, SeriesReport, TraceReport};
 use crate::wire::{read_frame, write_frame};
@@ -96,7 +97,9 @@ pub fn serve(path: &Path, sched: Arc<Scheduler>) -> io::Result<()> {
 /// scheduler's query paths are lock-bounded, never job-bounded).
 /// `Wait` parks until the job's result is claimable; `Shutdown` parks
 /// until the scheduler drains, then resolves to `Bye` and stops the
-/// reactor.
+/// reactor. Both resolve from the tick after a worker's completion
+/// hook wakes the loop ([`Scheduler::on_complete`]), so nothing here
+/// waits on a timer and [`Handler::parked`] is always `false`.
 struct SchedHandler {
     sched: Arc<Scheduler>,
     /// Parked `Wait`s: (response slot, job id).
@@ -180,7 +183,11 @@ impl Handler for SchedHandler {
     }
 
     fn parked(&self) -> bool {
-        !self.waits.is_empty() || !self.shutdowns.is_empty()
+        false
+    }
+
+    fn set_waker(&mut self, waker: Waker) {
+        self.sched.on_complete(move || waker.wake());
     }
 }
 

@@ -14,7 +14,7 @@ use std::time::Duration;
 
 use svc::job::{JobSpec, Scale};
 use svc::proto::{Request, Response, PROTO_VERSION};
-use svc::scheduler::{Config, Scheduler};
+use svc::scheduler::{Config, RetryPolicy, Scheduler};
 use svc::server::{serve, Client};
 
 fn tmp_dir(tag: &str) -> PathBuf {
@@ -25,13 +25,17 @@ fn tmp_dir(tag: &str) -> PathBuf {
 }
 
 fn start_server(socket: &Path, workers: usize) -> std::thread::JoinHandle<std::io::Result<()>> {
-    let sched = Arc::new(
-        Scheduler::start(Config {
+    start_server_with(
+        socket,
+        Config {
             workers,
             ..Config::default()
-        })
-        .expect("start scheduler"),
-    );
+        },
+    )
+}
+
+fn start_server_with(socket: &Path, cfg: Config) -> std::thread::JoinHandle<std::io::Result<()>> {
+    let sched = Arc::new(Scheduler::start(cfg).expect("start scheduler"));
     let path = socket.to_path_buf();
     let handle = std::thread::spawn(move || serve(&path, sched));
     for _ in 0..400 {
@@ -134,12 +138,7 @@ fn parked_wait_holds_later_replies_in_order() {
     let socket = dir.join("svc.sock");
     let server = start_server(&socket, 2);
 
-    let spec = JobSpec::exec(
-        "crc32",
-        engines::EngineKind::Wasm3,
-        wacc::OptLevel::O0,
-        Scale::Test,
-    );
+    let spec = short_job();
     let mut stream = UnixStream::connect(&socket).expect("connect");
     // Submit, then pipeline Wait(id)+Ping before the job can possibly
     // finish... except we don't know the id until Submitted comes back,
@@ -213,6 +212,153 @@ fn version_mismatch_is_refused_per_frame() {
     }
     stream.write_all(&frame(&Request::Ping)).expect("ping");
     assert!(matches!(read_response(&mut stream), Response::Pong));
+
+    shutdown(&socket, server);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A short job: fast enough to run hundreds in a test, slow enough
+/// (compile + interpret) that a `Wait` sent right after `Submitted`
+/// finds it unfinished and parks.
+fn short_job() -> JobSpec {
+    JobSpec::exec(
+        "trisolv",
+        engines::EngineKind::Wasm3,
+        wacc::OptLevel::O0,
+        Scale::Test,
+    )
+}
+
+fn submitted_id(stream: &mut UnixStream) -> u64 {
+    match read_response(stream) {
+        Response::Submitted(id) => id,
+        other => panic!("expected Submitted, got {other:?}"),
+    }
+}
+
+/// Reads the `Result` for job `id` and returns how long after the job
+/// finished it arrived: client receipt minus the worker's `done_ns`,
+/// both on the process-wide trace clock the in-process server shares.
+fn reply_delay_ns(stream: &mut UnixStream, id: u64) -> u64 {
+    match read_response(stream) {
+        Response::Result(res) => {
+            let recv_ns = obs::trace::now_ns();
+            assert_eq!(res.id, id, "Wait answered out of order");
+            recv_ns.saturating_sub(res.trace.done_ns)
+        }
+        other => panic!("expected Result for job {id}, got {other:?}"),
+    }
+}
+
+/// A parked `Wait` is answered when the worker's completion wakes the
+/// reactor, not when a poll timer next fires. With one quiet
+/// connection nothing else wakes the loop, so a timer-driven recheck
+/// would put the median reply delay near half its period.
+#[test]
+fn parked_wait_resolves_on_completion_not_a_tick() {
+    let dir = tmp_dir("wake");
+    let socket = dir.join("svc.sock");
+    let server = start_server(&socket, 1);
+
+    let mut stream = UnixStream::connect(&socket).expect("connect");
+    let mut delays: Vec<u64> = (0..30)
+        .map(|_| {
+            stream
+                .write_all(&frame(&Request::Submit(short_job(), Default::default())))
+                .expect("submit");
+            let id = submitted_id(&mut stream);
+            stream.write_all(&frame(&Request::Wait(id))).expect("wait");
+            reply_delay_ns(&mut stream, id)
+        })
+        .collect();
+    delays.sort_unstable();
+    let median_us = delays[delays.len() / 2] / 1000;
+    assert!(
+        median_us < 500,
+        "median parked-Wait reply delay {median_us} µs: not woken on completion \
+         (sorted delays ns: {delays:?})"
+    );
+
+    shutdown(&socket, server);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A job for a benchmark the suite lacks: it fails at lookup, so it
+/// completes (and wakes the reactor) within microseconds of pickup.
+fn instant_job() -> JobSpec {
+    JobSpec::exec(
+        "no-such-benchmark",
+        engines::EngineKind::Wamr,
+        wacc::OptLevel::O0,
+        Scale::Test,
+    )
+}
+
+/// Lost-wake-up stress: two workers complete jobs for four connections,
+/// each keeping a `Wait` in flight with the next `Submit` pipelined
+/// behind it. Instant jobs make completion wakes arrive tens of
+/// microseconds apart, so they constantly race the reactor's drain of
+/// its wake channel. A lost wake leaves the channel's `pending` flag set
+/// over an empty pipe, and every later wake is suppressed; the final job
+/// on each connection is a real one whose `Wait` parks, so that state
+/// shows up as a reply stalled to the loop's idle timeout.
+#[test]
+fn concurrent_parked_waits_never_stall() {
+    const CONNS: usize = 4;
+    const JOBS: usize = 3000;
+    let dir = tmp_dir("stall");
+    let socket = dir.join("svc.sock");
+    // No retries: an instant job's failure must not back off and sleep.
+    let retry = RetryPolicy {
+        max_attempts: 1,
+        ..Default::default()
+    };
+    let server = start_server_with(
+        &socket,
+        Config {
+            workers: 2,
+            retry,
+            ..Config::default()
+        },
+    );
+
+    let clients: Vec<_> = (0..CONNS)
+        .map(|_| {
+            let mut stream = UnixStream::connect(&socket).expect("connect");
+            std::thread::spawn(move || {
+                let submit = |n: usize| {
+                    let spec = if n + 1 < JOBS { instant_job() } else { short_job() };
+                    frame(&Request::Submit(spec, Default::default()))
+                };
+                stream.write_all(&submit(0)).expect("submit");
+                let mut id = submitted_id(&mut stream);
+                let mut max_delay_ns = 0;
+                for n in 0..JOBS {
+                    // Wait(this job), then Submit(next) in one write: the
+                    // Submit is dispatched at once, its reply held behind
+                    // the Wait.
+                    let mut batch = frame(&Request::Wait(id));
+                    let more = n + 1 < JOBS;
+                    if more {
+                        batch.extend_from_slice(&submit(n + 1));
+                    }
+                    stream.write_all(&batch).expect("wait + submit");
+                    max_delay_ns = max_delay_ns.max(reply_delay_ns(&mut stream, id));
+                    if more {
+                        id = submitted_id(&mut stream);
+                    }
+                }
+                max_delay_ns
+            })
+        })
+        .collect();
+    for client in clients {
+        let max_ms = client.join().expect("client thread") / 1_000_000;
+        assert!(
+            max_ms < 100,
+            "a parked Wait took {max_ms} ms past its job's completion: a wake was lost"
+        );
+    }
 
     shutdown(&socket, server);
     let _ = std::fs::remove_dir_all(&dir);

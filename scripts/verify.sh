@@ -26,38 +26,42 @@
 #      (warm miss -> compile -> put -> evict against a capped store) exits
 #      0 and prints `"correct": true` — every checksum matched the native
 #      mirror and the reference evaluator
-#  12. docs check: every intra-repo markdown link in README.md,
+#  12. serve_warm smoke: a short untraced `serve_warm` benchmark run
+#      (every job over a live wabench-served socket, each `Wait` parked
+#      until a worker's completion wakes the reactor) exits 0 and prints
+#      `"correct": true`
+#  13. docs check: every intra-repo markdown link in README.md,
 #      EXPERIMENTS.md, and docs/*.md resolves, and every `--bin NAME`
 #      they mention is a binary the workspace builds
-#  13. chaos smoke: fig6 under a 5% fault plan is bit-identical to a
+#  14. chaos smoke: fig6 under a 5% fault plan is bit-identical to a
 #      clean run, and the two chaos passes together exercise at least
 #      one retry, one interpreter fallback, and one store repair
-#  14. audit smoke: wabench-harness audit over the whole suite with the proof
+#  15. audit smoke: wabench-harness audit over the whole suite with the proof
 #      verifier compiled in (--features verify-ir) must report zero
 #      proof violations and at least 4000 eliminated checks
-#  15. load smoke: a short fixed-seed wabench-load run against a live
+#  16. load smoke: a short fixed-seed wabench-load run against a live
 #      wabench-served exits 0, i.e. jobs completed with zero protocol
 #      errors
-#  16. live telemetry smoke: a fixed-seed load run against a sampling
+#  17. live telemetry smoke: a fixed-seed load run against a sampling
 #      server stitches client+server request spans into a Chrome trace
 #      that wabench-served trace-check accepts, and wabench-served top
 #      --once reports
 #      a window (completed count, nonzero QPS, ordered quantiles) whose
 #      completed count matches the load run's `jobs:` line
-#  17. alert & postmortem smoke: a server with the alert engine, the
+#  18. alert & postmortem smoke: a server with the alert engine, the
 #      continuous profiler, and a deterministic 20ms delay fault armed
 #      must fire the p99 rule, write a flight-recorder bundle that
 #      wabench-served doctor diagnoses (naming the delay site), and list
 #      profile windows; a fault-free control run under the same engine
 #      fires nothing and writes no bundle
-#  18. router smoke: a fixed-seed load through wabench-router over two
+#  19. router smoke: a fixed-seed load through wabench-router over two
 #      wabench-served shards completes with zero protocol errors, prints
 #      a summary line per shard, and both shards serve jobs;
 #      wabench-served top/doctor degrade gracefully against the router
 #      socket; a chaos pass with one shard armed 'crash=1.0' (the
 #      process aborts on its first job) still completes the run with at
 #      least one failover
-#  19. scripts/loc.sh: lines of Rust per crate and the crates/ total,
+#  20. scripts/loc.sh: lines of Rust per crate and the crates/ total,
 #      the table each CHANGES.md entry records
 #
 # Performance is measured and regression-gated in one place, the repo
@@ -151,6 +155,18 @@ bash benchmark/run.sh --workload compile_cold --seed 12 --seconds 2 --trace 0 \
 grep -q '"correct": true' "$trace_tmp/compile_cold.out" || {
     echo "compile_cold smoke FAILED: outputs not correct" >&2
     tail -n 8 "$trace_tmp/compile_cold.out" >&2
+    exit 1
+}
+
+step "serve_warm smoke (parked Waits resolved by completion wakes, outputs checked)"
+# Drives the reactor's wake path through a real wabench-served daemon:
+# a lost wake would stall replies to the loop's idle timeout, a wrong
+# answer would fail the checksum check.
+bash benchmark/run.sh --workload serve_warm --seed 12 --seconds 2 --trace 0 \
+    > "$trace_tmp/serve_warm.out"
+grep -q '"correct": true' "$trace_tmp/serve_warm.out" || {
+    echo "serve_warm smoke FAILED: outputs not correct" >&2
+    tail -n 8 "$trace_tmp/serve_warm.out" >&2
     exit 1
 }
 
