@@ -275,10 +275,15 @@ impl Sampler {
         self.shared.ring.lock().expect("sampler ring").sample()
     }
 
-    /// The spec and buffered window, oldest point first.
-    pub fn window(&self) -> (SeriesSpec, Vec<SeriesPoint>) {
+    /// The buffered points with `seq` above `after` (the whole window
+    /// for `None`), oldest first. Only those points are copied, under
+    /// the ring lock; no sample is taken.
+    pub fn window(&self, after: Option<u64>) -> Vec<SeriesPoint> {
         let ring = self.shared.ring.lock().expect("sampler ring");
-        (ring.spec().clone(), ring.window())
+        let start = ring
+            .points
+            .partition_point(|p| after.is_some_and(|seen| p.seq <= seen));
+        ring.points.range(start..).cloned().collect()
     }
 
     /// Stops and joins the sampling thread (idempotent).
@@ -379,7 +384,7 @@ mod tests {
         metrics::counter(&s.counters[0]).add(42);
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
         loop {
-            let (_, window) = sampler.window();
+            let window = sampler.window(None);
             if window.iter().map(|p| p.counters[0]).sum::<u64>() >= 42 && window.len() >= 2 {
                 break;
             }
@@ -390,9 +395,9 @@ mod tests {
             std::thread::sleep(Duration::from_millis(5));
         }
         sampler.stop();
-        let (_, after) = sampler.window();
+        let after = sampler.window(None);
         std::thread::sleep(Duration::from_millis(20));
-        let (_, later) = sampler.window();
+        let later = sampler.window(None);
         assert_eq!(
             after.last().map(|p| p.seq),
             later.last().map(|p| p.seq),
@@ -407,8 +412,21 @@ mod tests {
         metrics::counter(&s.counters[0]).add(5);
         let p = sampler.sample_now();
         assert_eq!(p.counters, vec![5]);
-        let (got_spec, window) = sampler.window();
-        assert_eq!(got_spec, s);
-        assert_eq!(window.len(), 1);
+        assert_eq!(sampler.window(None).len(), 1);
+    }
+
+    #[test]
+    fn window_copies_only_points_after_the_cursor() {
+        let sampler = Sampler::start(spec("after"), Duration::from_secs(3600), 8);
+        for _ in 0..4 {
+            sampler.sample_now();
+        }
+        let seqs = |after| -> Vec<u64> {
+            sampler.window(after).iter().map(|p| p.seq).collect()
+        };
+        assert_eq!(seqs(None), vec![0, 1, 2, 3]);
+        assert_eq!(seqs(Some(1)), vec![2, 3]);
+        assert!(seqs(Some(3)).is_empty(), "nothing new, nothing sampled");
+        assert_eq!(seqs(None).len(), 4);
     }
 }

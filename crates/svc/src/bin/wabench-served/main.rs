@@ -328,7 +328,6 @@ fn cmd_serve(a: &Args) {
             sample_interval: (sample_ms > 0).then(|| Duration::from_millis(sample_ms)),
             series_cap: a.get("--series-cap", "a positive integer", cli::positive),
             slow_threshold: Duration::from_millis(a.get("--slow-ms", "an integer", cli::number)),
-            ..TelemetryConfig::default()
         },
         alerts,
         postmortem_dir: a.opt("--postmortem-dir", "a directory", cli::path),

@@ -166,21 +166,7 @@ pub fn execute_attempt(spec: &JobSpec, env: &ExecEnv, attempt: u32) -> JobResult
         })
     });
     let t0 = Instant::now();
-    let mut res = JobResult {
-        id: 0,
-        spec: spec.clone(),
-        status: JobStatus::Ok,
-        checksum: None,
-        bytes_hash: 0,
-        compile_s: 0.0,
-        exec_s: 0.0,
-        aot_compile_s: None,
-        counters: None,
-        warm_artifact: false,
-        wall_s: 0.0,
-        recovery: Recovery::default(),
-        trace: crate::job::TraceDigest::default(),
-    };
+    let mut res = JobResult::new(spec, JobStatus::Ok);
     if let Err(msg) = run(spec, env, attempt, &mut res) {
         res.status = JobStatus::Failed(msg);
     }

@@ -297,6 +297,25 @@ pub struct JobResult {
 }
 
 impl JobResult {
+    /// A zeroed result for `spec` with `status`.
+    pub fn new(spec: &JobSpec, status: JobStatus) -> JobResult {
+        JobResult {
+            id: 0,
+            spec: spec.clone(),
+            status,
+            checksum: None,
+            bytes_hash: 0,
+            compile_s: 0.0,
+            exec_s: 0.0,
+            aot_compile_s: None,
+            counters: None,
+            warm_artifact: false,
+            wall_s: 0.0,
+            recovery: Recovery::default(),
+            trace: TraceDigest::default(),
+        }
+    }
+
     /// Whether the job completed successfully.
     pub fn ok(&self) -> bool {
         self.status == JobStatus::Ok

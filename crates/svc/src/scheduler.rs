@@ -14,7 +14,7 @@
 //! safe Rust cannot preempt a running computation). Workers themselves
 //! never die.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::panic::{self, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -31,8 +31,8 @@ use crate::exec::{self, ExecEnv};
 use crate::job::{JobResult, JobSpec, JobStatus, TraceCtx, TraceDigest};
 use crate::store::{ArtifactStore, StoreStats};
 use crate::telemetry::{
-    AlertReport, JobMetrics, ProfileReport, SeriesPoint, SeriesReport, Telemetry, TelemetryConfig,
-    TraceRecord, TraceReport,
+    AlertReport, JobMetrics, ProfileReport, SeriesReport, Telemetry, TelemetryConfig, TraceRecord,
+    TraceReport,
 };
 
 /// Sealed profile windows retained by the continuous profiler.
@@ -40,7 +40,7 @@ const PROFILE_WINDOW_CAP: usize = 64;
 
 /// Series points embedded in a postmortem bundle (most recent first in
 /// time, oldest first in the array).
-const POSTMORTEM_SERIES_TAIL: usize = 64;
+const POSTMORTEM_SERIES_TAIL: u64 = 64;
 
 /// Trace-log records embedded in a postmortem bundle.
 const POSTMORTEM_TRACE_TAIL: usize = 16;
@@ -202,20 +202,12 @@ pub struct SvcStats {
 impl SvcStats {
     /// Mean cold compile seconds (0 if none).
     pub fn cold_compile_avg_s(&self) -> f64 {
-        if self.cold_compiles == 0 {
-            0.0
-        } else {
-            self.cold_compile_s / self.cold_compiles as f64
-        }
+        self.cold_compile_s / self.cold_compiles.max(1) as f64
     }
 
     /// Mean warm artifact-load seconds (0 if none).
     pub fn warm_load_avg_s(&self) -> f64 {
-        if self.warm_loads == 0 {
-            0.0
-        } else {
-            self.warm_load_s / self.warm_loads as f64
-        }
+        self.warm_load_s / self.warm_loads.max(1) as f64
     }
 }
 
@@ -275,12 +267,83 @@ impl SvcStatsExt {
 struct Queued {
     id: u64,
     spec: JobSpec,
-    enqueued: Instant,
     ctx: TraceCtx,
     /// Server trace clock at submit time ([`obs::trace::now_ns`]).
     enqueue_ns: u64,
 }
 
+/// Everything a job completion accounts for, behind one lock.
+#[derive(Default)]
+struct Ledger {
+    /// `submitted` and `store` are filled in on read.
+    stats: SvcStats,
+    resilience: ResilienceStats,
+    busy_ns: u64,
+    engine_wall: BTreeMap<u8, Histogram>,
+    engine_counters: BTreeMap<u8, EngineCounters>,
+    contprof: Option<ContProf>,
+}
+
+impl Ledger {
+    /// Folds in one finished job with its server phases; `admitted` is
+    /// false when the engine's open breaker refused it without a run.
+    fn record(&mut self, result: &JobResult, phases: &obs::stitch::ServerPhases, admitted: bool) {
+        let code = result.spec.engine.code();
+        let wall = self.engine_wall.entry(code).or_default();
+        wall.observe_ns((result.wall_s * 1e9) as u64);
+        self.busy_ns += phases.done_ns.saturating_sub(phases.start_ns);
+        let stats = &mut self.stats;
+        stats.completed += 1;
+        match &result.status {
+            JobStatus::Ok => stats.ok += 1,
+            JobStatus::Failed(_) => stats.failed += 1,
+            JobStatus::Panicked(_) => stats.panicked += 1,
+            JobStatus::TimedOut => stats.timed_out += 1,
+        }
+        if result.ok() {
+            if let Some(c) = &result.counters {
+                let agg = self.engine_counters.entry(code).or_default();
+                agg.jobs += 1;
+                agg.counters.accumulate(c);
+            }
+            if matches!(result.spec.mode, crate::job::JobMode::Exec) {
+                if result.warm_artifact {
+                    stats.warm_loads += 1;
+                    stats.warm_load_s += result.compile_s;
+                } else {
+                    stats.cold_compiles += 1;
+                    stats.cold_compile_s += result.compile_s;
+                }
+            }
+        }
+        let res = &mut self.resilience;
+        res.retries += u64::from(result.recovery.retries());
+        res.compile_fallbacks += u64::from(result.recovery.compile_fallback);
+        res.store_repairs += u64::from(result.recovery.store_repairs);
+        res.breaker_fast_fails += u64::from(!admitted);
+        // Continuous profiler: engine × phase wall self-time, plus the
+        // simulated counters when the job was profiled.
+        if let Some(prof) = &mut self.contprof {
+            let (engine, t_ns) = (result.spec.engine.name(), phases.done_ns);
+            let (instructions, cycles) = result
+                .counters
+                .map_or((0, 0), |c| (c.instructions, c.cycles));
+            if phases.compile_ns > 0 {
+                prof.record(t_ns, engine, "compile", phases.compile_ns, 0, 0);
+            }
+            if phases.exec_ns > 0 || instructions > 0 {
+                prof.record(t_ns, engine, "exec", phases.exec_ns, instructions, cycles);
+            }
+        }
+    }
+}
+
+/// Shared scheduler state. Four locks are always present: `queue`
+/// (submit and pickup take only this one), `results`, `ledger` (taken
+/// once per completion) and `breakers` (the pick path); `alerts` exists
+/// only when armed. Lock order is `alerts` → `ledger`, never the
+/// reverse: the alert pump reads the ledger while holding `alerts`, and
+/// nothing takes another lock while holding the ledger.
 struct Inner {
     timeout: Duration,
     retry: RetryPolicy,
@@ -292,21 +355,16 @@ struct Inner {
     shutdown: AtomicBool,
     next_id: AtomicU64,
     env: ExecEnv,
-    stats: Mutex<SvcStats>,
     workers_n: usize,
     started: Instant,
-    busy_ns: AtomicU64,
     peak_queue: AtomicU64,
     queue_wait: Histogram,
-    engine_wall: Mutex<HashMap<u8, Arc<Histogram>>>,
-    engine_counters: Mutex<HashMap<u8, EngineCounters>>,
+    ledger: Mutex<Ledger>,
     breaker_cfg: BreakerConfig,
-    breakers: Mutex<HashMap<u8, Breaker>>,
-    resilience: Mutex<ResilienceStats>,
+    breakers: Mutex<BTreeMap<u8, Breaker>>,
     metrics: JobMetrics,
     telemetry: Telemetry,
-    contprof: Mutex<Option<ContProf>>,
-    alerts: Mutex<Option<AlertRuntime>>,
+    alerts: Option<Mutex<AlertRuntime>>,
     /// Called by a worker after each result is published.
     on_complete: Mutex<Option<CompletionHook>>,
 }
@@ -350,28 +408,27 @@ impl Scheduler {
             shutdown: AtomicBool::new(false),
             next_id: AtomicU64::new(1),
             env: ExecEnv::with_faults(store, cfg.faults),
-            stats: Mutex::new(SvcStats::default()),
             workers_n: cfg.workers.max(1),
             started: Instant::now(),
-            busy_ns: AtomicU64::new(0),
             peak_queue: AtomicU64::new(0),
             queue_wait: Histogram::default(),
-            engine_wall: Mutex::new(HashMap::new()),
-            engine_counters: Mutex::new(HashMap::new()),
+            ledger: Mutex::new(Ledger {
+                contprof: cfg
+                    .profile_window
+                    .map(|w| ContProf::new(w, PROFILE_WINDOW_CAP)),
+                ..Ledger::default()
+            }),
             breaker_cfg: cfg.breaker,
-            breakers: Mutex::new(HashMap::new()),
-            resilience: Mutex::new(ResilienceStats::default()),
+            breakers: Mutex::new(BTreeMap::new()),
             metrics: JobMetrics::resolve(),
             telemetry: Telemetry::new(&cfg.telemetry),
-            contprof: Mutex::new(
-                cfg.profile_window
-                    .map(|w| ContProf::new(w, PROFILE_WINDOW_CAP)),
-            ),
-            alerts: Mutex::new(cfg.alerts.map(|spec| AlertRuntime {
-                engine: AlertEngine::new(spec),
-                last_seq: None,
-                postmortem_dir: cfg.postmortem_dir.clone(),
-            })),
+            alerts: cfg.alerts.map(|spec| {
+                Mutex::new(AlertRuntime {
+                    engine: AlertEngine::new(spec),
+                    last_seq: None,
+                    postmortem_dir: cfg.postmortem_dir.clone(),
+                })
+            }),
             on_complete: Mutex::new(None),
         });
         let workers = (0..cfg.workers.max(1))
@@ -402,7 +459,6 @@ impl Scheduler {
             queue.push_back(Queued {
                 id,
                 spec,
-                enqueued: Instant::now(),
                 ctx,
                 enqueue_ns: obs::trace::now_ns(),
             });
@@ -411,10 +467,6 @@ impl Scheduler {
             self.inner.metrics.queue_depth.set(depth);
         }
         self.inner.queue_cv.notify_one();
-        {
-            let mut stats = self.inner.stats.lock().expect("stats lock");
-            stats.submitted += 1;
-        }
         id
     }
 
@@ -493,7 +545,15 @@ impl Scheduler {
 
     /// Statistics snapshot (store counters folded in).
     pub fn stats(&self) -> SvcStats {
-        let mut stats = *self.inner.stats.lock().expect("stats lock");
+        let stats = self.inner.ledger.lock().expect("ledger lock").stats;
+        self.finish_stats(stats)
+    }
+
+    /// Fills in what the ledger does not keep: `submitted` from the id
+    /// counter (ids start at 1; read after the ledger, so it covers
+    /// every job the ledger saw complete) and the store counters.
+    fn finish_stats(&self, mut stats: SvcStats) -> SvcStats {
+        stats.submitted = self.inner.next_id.load(Ordering::Relaxed) - 1;
         if let Some(store) = &self.inner.env.store {
             stats.store = Some(store.lock().expect("store lock").stats());
         }
@@ -503,41 +563,35 @@ impl Scheduler {
     /// Extended statistics snapshot: the base counters plus queue depth,
     /// worker utilization, and latency histograms.
     pub fn stats_ext(&self) -> SvcStatsExt {
-        let base = self.stats();
         let queue_depth = self.inner.queue.lock().expect("queue lock").len() as u64;
-        let mut engine_wall: Vec<(u8, HistogramSnapshot)> = self
-            .inner
-            .engine_wall
-            .lock()
-            .expect("engine wall lock")
-            .iter()
-            .map(|(code, h)| (*code, h.snapshot()))
-            .collect();
-        engine_wall.sort_by_key(|(code, _)| *code);
-        let mut engine_counters: Vec<(u8, EngineCounters)> = self
-            .inner
-            .engine_counters
-            .lock()
-            .expect("engine counters lock")
-            .iter()
-            .map(|(code, agg)| (*code, *agg))
-            .collect();
-        engine_counters.sort_by_key(|(code, _)| *code);
-        SvcStatsExt {
-            base,
-            queue_depth,
-            workers: self.inner.workers_n as u64,
-            uptime_s: self.inner.started.elapsed().as_secs_f64(),
-            busy_s: self.inner.busy_ns.load(Ordering::Relaxed) as f64 / 1e9,
-            queue_wait: self.inner.queue_wait.snapshot(),
-            engine_wall,
-            engine_counters,
-        }
+        let mut ext = {
+            let ledger = self.inner.ledger.lock().expect("ledger lock");
+            SvcStatsExt {
+                base: ledger.stats,
+                queue_depth,
+                workers: self.inner.workers_n as u64,
+                uptime_s: self.inner.started.elapsed().as_secs_f64(),
+                busy_s: ledger.busy_ns as f64 / 1e9,
+                queue_wait: self.inner.queue_wait.snapshot(),
+                engine_wall: ledger
+                    .engine_wall
+                    .iter()
+                    .map(|(code, h)| (*code, h.snapshot()))
+                    .collect(),
+                engine_counters: ledger
+                    .engine_counters
+                    .iter()
+                    .map(|(code, agg)| (*code, *agg))
+                    .collect(),
+            }
+        };
+        ext.base = self.finish_stats(ext.base);
+        ext
     }
 
     /// Resilience counters (retries, fallbacks, repairs, fast-fails).
     pub fn resilience(&self) -> ResilienceStats {
-        *self.inner.resilience.lock().expect("resilience lock")
+        self.inner.ledger.lock().expect("ledger lock").resilience
     }
 
     /// Health snapshot: resilience counters, per-engine breaker states,
@@ -545,8 +599,11 @@ impl Scheduler {
     /// over the wire by the `Health` request. Also pumps
     /// the alert engine, so health polls advance alert state.
     pub fn health(&self) -> HealthReport {
+        if self.inner.alerts.is_some() {
+            self.inner.telemetry.close_window();
+        }
         pump_alerts(&self.inner);
-        health_of(&self.inner)
+        health_of(&self.inner, self.resilience())
     }
 
     /// Live telemetry sample window (`Series`): empty but
@@ -560,12 +617,9 @@ impl Scheduler {
     /// last seq it saw and receives only the gap. Also pumps the alert
     /// engine, so watching a server advances alert state.
     pub fn series_since(&self, since: Option<u64>) -> SeriesReport {
+        self.inner.telemetry.close_window();
         pump_alerts(&self.inner);
-        let mut report = self.inner.telemetry.series();
-        if let Some(seq) = since {
-            report.points.retain(|p| p.seq > seq);
-        }
-        report
+        self.inner.telemetry.series(since)
     }
 
     /// Recent and slow-request span digests (`TraceDump`).
@@ -577,11 +631,12 @@ impl Scheduler {
     /// (`ProfileDump`): `window_ns == 0` and no windows when the
     /// profiler is off.
     pub fn profile_dump(&self) -> ProfileReport {
-        let prof = self.inner.contprof.lock().expect("contprof lock");
+        let ledger = self.inner.ledger.lock().expect("ledger lock");
+        let prof = ledger.contprof.as_ref();
         ProfileReport {
             server_now_ns: obs::trace::now_ns(),
-            window_ns: prof.as_ref().map_or(0, ContProf::window_ns),
-            windows: prof.as_ref().map(ContProf::windows).unwrap_or_default(),
+            window_ns: prof.map_or(0, ContProf::window_ns),
+            windows: prof.map(ContProf::windows).unwrap_or_default(),
         }
     }
 
@@ -590,32 +645,32 @@ impl Scheduler {
     /// rules. Disarmed schedulers report `armed: false` and empty
     /// lists.
     pub fn alert_log(&self) -> AlertReport {
+        if self.inner.alerts.is_some() {
+            self.inner.telemetry.close_window();
+        }
         pump_alerts(&self.inner);
-        let slot = self.inner.alerts.lock().expect("alerts lock");
-        match slot.as_ref() {
-            Some(rt) => AlertReport {
-                server_now_ns: obs::trace::now_ns(),
-                armed: true,
-                firing: rt.engine.firing(),
-                events: rt.engine.log(),
-            },
+        let server_now_ns = obs::trace::now_ns();
+        match &self.inner.alerts {
+            Some(alerts) => {
+                let rt = alerts.lock().expect("alerts lock");
+                AlertReport {
+                    server_now_ns,
+                    armed: true,
+                    firing: rt.engine.firing(),
+                    events: rt.engine.log(),
+                }
+            }
             None => AlertReport {
-                server_now_ns: obs::trace::now_ns(),
-                armed: false,
-                firing: Vec::new(),
-                events: Vec::new(),
+                server_now_ns,
+                ..AlertReport::default()
             },
         }
     }
 
-    /// Stops accepting work, drains queued jobs, joins the workers.
-    pub fn shutdown(mut self) {
-        self.inner.shutdown.store(true, Ordering::SeqCst);
-        self.inner.queue_cv.notify_all();
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
-        self.inner.telemetry.stop();
+    /// Stops accepting work, drains queued jobs, joins the workers —
+    /// what dropping the scheduler does.
+    pub fn shutdown(self) {
+        drop(self);
     }
 }
 
@@ -630,17 +685,17 @@ impl Drop for Scheduler {
     }
 }
 
-/// Assembles the health report from the shared scheduler state (used by
-/// both the `Health` handler and the flight recorder).
-fn health_of(inner: &Inner) -> HealthReport {
-    let mut breakers: Vec<(u8, BreakerSnapshot)> = inner
+/// Assembles the health report from the shared scheduler state and the
+/// ledger's resilience counters (used by both the `Health` handler and
+/// the flight recorder).
+fn health_of(inner: &Inner, resilience: ResilienceStats) -> HealthReport {
+    let breakers = inner
         .breakers
         .lock()
         .expect("breakers lock")
         .iter()
         .map(|(code, b)| (*code, b.snapshot()))
         .collect();
-    breakers.sort_by_key(|(code, _)| *code);
     let faults = match &inner.env.faults {
         Some(plan) => plan
             .injected()
@@ -650,7 +705,7 @@ fn health_of(inner: &Inner) -> HealthReport {
         None => Vec::new(),
     };
     HealthReport {
-        resilience: *inner.resilience.lock().expect("resilience lock"),
+        resilience,
         breakers,
         faults,
         queue_depth: inner.queue.lock().expect("queue lock").len() as u64,
@@ -658,32 +713,31 @@ fn health_of(inner: &Inner) -> HealthReport {
     }
 }
 
-/// Feeds any series points the alert engine has not seen through the
+/// Feeds the series points the alert engine has not seen through the
 /// rules, and snapshots a postmortem bundle on each transition to
-/// firing. A no-op (one uncontended lock) when alerts are disarmed.
-///
-/// Evaluation is pull-based: workers pump on job completion and the
-/// server pumps on `Health`/`Series`/`AlertLog` requests, so alert
-/// state advances deterministically with the observation stream rather
-/// than on its own thread.
+/// firing. No lock when disarmed. The pump takes no sample: it feeds
+/// only points the sampler (or a request's closing sample) already
+/// produced, so rule windows stay on the sampler's clock whatever the
+/// job rate.
 fn pump_alerts(inner: &Inner) {
-    let mut slot = inner.alerts.lock().expect("alerts lock");
-    let Some(rt) = slot.as_mut() else {
+    let Some(alerts) = &inner.alerts else {
         return;
     };
-    let report = inner.telemetry.series();
-    for p in &report.points {
-        if rt.last_seq.is_some_and(|seen| p.seq <= seen) {
-            continue;
-        }
-        rt.last_seq = Some(p.seq);
-        let phase_shares = inner
-            .contprof
-            .lock()
-            .expect("contprof lock")
-            .as_ref()
-            .map(ContProf::current_shares)
-            .unwrap_or_default();
+    let mut rt = alerts.lock().expect("alerts lock");
+    let points = inner.telemetry.series(rt.last_seq).points;
+    let Some(newest) = points.last().map(|p| p.seq) else {
+        return;
+    };
+    rt.last_seq = Some(newest);
+    let phase_shares = inner
+        .ledger
+        .lock()
+        .expect("ledger lock")
+        .contprof
+        .as_ref()
+        .map(ContProf::current_shares)
+        .unwrap_or_default();
+    for p in &points {
         let observation = Observation {
             t_ns: p.t_ns,
             interval_ns: p.interval_ns,
@@ -694,7 +748,7 @@ fn pump_alerts(inner: &Inner) {
             lat_buckets: p.lat.buckets.clone(),
             queue_depth: p.queue_depth,
             breakers_open: p.breakers.iter().filter(|(_, s)| *s == 1).count() as u32,
-            phase_shares,
+            phase_shares: phase_shares.clone(),
         };
         for event in rt.engine.observe(observation) {
             match event.transition {
@@ -714,9 +768,7 @@ fn pump_alerts(inner: &Inner) {
                     );
                     if let Some(dir) = rt.postmortem_dir.clone() {
                         let firing = rt.engine.firing();
-                        if let Err(e) =
-                            write_postmortem(inner, &dir, &event, &firing, &report.points)
-                        {
+                        if let Err(e) = write_postmortem(inner, &dir, &event, &firing, newest) {
                             obs::error!("postmortem write failed: {e}");
                         }
                     }
@@ -734,6 +786,11 @@ fn jstr(s: &str) -> String {
     format!("\"{}\"", obs::json::escape(s))
 }
 
+/// The comma-separated body of a JSON array, one `f(item)` per element.
+fn jlist<T>(items: impl IntoIterator<Item = T>, f: impl Fn(T) -> String) -> String {
+    items.into_iter().map(f).collect::<Vec<_>>().join(",")
+}
+
 /// Snapshots the flight-recorder postmortem bundle for a firing alert:
 /// the triggering rule and values, the recent series tail, slow-request
 /// exemplars, the trace-log tail, the current profile window, and the
@@ -744,40 +801,24 @@ fn write_postmortem(
     dir: &Path,
     event: &AlertEvent,
     firing: &[obs::alert::FiringAlert],
-    series_tail: &[SeriesPoint],
+    newest_seq: u64,
 ) -> std::io::Result<()> {
-    let mut out = String::new();
-    out.push_str("{\"schema\":\"wabench-postmortem\",\"version\":1,");
-    out.push_str(&format!(
-        "\"alert\":{{\"seq\":{},\"t_ns\":{},\"rule\":{},\"value\":{},\"threshold\":{},\"detail\":{}}},",
-        event.seq,
-        event.t_ns,
-        jstr(&event.rule),
-        event.value,
-        event.threshold,
-        jstr(&event.detail)
-    ));
-    out.push_str("\"firing\":[");
-    for (i, f) in firing.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
+    let firing = jlist(firing, |f| {
+        format!(
             "{{\"rule\":{},\"since_ns\":{},\"value\":{},\"threshold\":{},\"detail\":{}}}",
             jstr(&f.rule),
             f.since_ns,
             f.value,
             f.threshold,
             jstr(&f.detail)
-        ));
-    }
-    out.push_str("],\"series\":[");
-    let skip = series_tail.len().saturating_sub(POSTMORTEM_SERIES_TAIL);
-    for (i, p) in series_tail.iter().skip(skip).enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
+        )
+    });
+    // Ends at the newest point the rules saw, even if the sampler has
+    // appended more since the pump read the ring.
+    let since = newest_seq.checked_sub(POSTMORTEM_SERIES_TAIL);
+    let points = inner.telemetry.series(since).points;
+    let series = jlist(points.iter().take_while(|p| p.seq <= newest_seq), |p| {
+        format!(
             "{{\"seq\":{},\"t_ns\":{},\"interval_ns\":{},\"completed\":{},\"ok\":{},\"failed\":{},\"queue_depth\":{},\"busy_workers\":{},\"p50_ns\":{},\"p99_ns\":{}}}",
             p.seq,
             p.t_ns,
@@ -789,85 +830,73 @@ fn write_postmortem(
             p.busy_workers,
             p.lat.p50_ns,
             p.lat.p99_ns
-        ));
-    }
-    out.push_str("],");
+        )
+    });
     let dump = inner.telemetry.trace_dump();
-    out.push_str("\"exemplars\":[");
-    for (i, rec) in dump.exemplars.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
+    let exemplars = jlist(&dump.exemplars, |rec| {
+        format!(
             "{{\"label\":{},\"total_ns\":{},\"attempts\":{},\"compile_fallback\":{}}}",
             jstr(&rec.label),
             rec.phases.done_ns.saturating_sub(rec.phases.enqueue_ns),
             rec.phases.attempts,
             rec.phases.compile_fallback
-        ));
-    }
-    out.push_str("],\"trace_tail\":[");
+        )
+    });
     let skip = dump.recent.len().saturating_sub(POSTMORTEM_TRACE_TAIL);
-    for (i, rec) in dump.recent.iter().skip(skip).enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
+    let trace_tail = jlist(dump.recent.iter().skip(skip), |rec| {
+        format!(
             "{{\"label\":{},\"ok\":{},\"total_ns\":{}}}",
             jstr(&rec.label),
             rec.ok,
             rec.phases.done_ns.saturating_sub(rec.phases.enqueue_ns)
-        ));
-    }
-    out.push_str("],");
-    {
-        let prof = inner.contprof.lock().expect("contprof lock");
-        match prof.as_ref().and_then(|p| p.windows().into_iter().last()) {
-            Some(w) => out.push_str(&format!(
-                "\"profile\":{{\"window_ns\":{},\"seq\":{},\"folded\":{}}},",
-                prof.as_ref().map_or(0, ContProf::window_ns),
-                w.seq,
-                jstr(&w.folded())
-            )),
-            None => out.push_str("\"profile\":null,"),
-        }
-    }
-    let health = health_of(inner);
-    out.push_str(&format!(
-        "\"health\":{{\"retries\":{},\"compile_fallbacks\":{},\"store_repairs\":{},\"breaker_fast_fails\":{},\"queue_depth\":{},\"peak_queue_depth\":{},",
-        health.resilience.retries,
-        health.resilience.compile_fallbacks,
-        health.resilience.store_repairs,
-        health.resilience.breaker_fast_fails,
+        )
+    });
+    let (profile, resilience) = {
+        let ledger = inner.ledger.lock().expect("ledger lock");
+        let prof = ledger.contprof.as_ref();
+        let latest = prof.and_then(|p| p.windows().pop().map(|w| (p.window_ns(), w)));
+        (latest, ledger.resilience)
+    };
+    let profile = match profile {
+        Some((window_ns, w)) => format!(
+            "{{\"window_ns\":{},\"seq\":{},\"folded\":{}}}",
+            window_ns,
+            w.seq,
+            jstr(&w.folded())
+        ),
+        None => "null".to_string(),
+    };
+    let health = health_of(inner, resilience);
+    let breakers = jlist(&health.breakers, |(code, b)| {
+        let state = jstr(b.state.name());
+        format!("{{\"engine\":{code},\"state\":{state},\"trips\":{}}}", b.trips)
+    });
+    let faults = jlist(&health.faults, |(code, rate, injected)| {
+        let site = jstr(fault::Site::from_code(*code).map_or("unknown", fault::Site::key));
+        format!("{{\"site\":{site},\"rate\":{rate},\"injected\":{injected}}}")
+    });
+    let r = &health.resilience;
+    let out = format!(
+        "{{\"schema\":\"wabench-postmortem\",\"version\":1,\
+         \"alert\":{{\"seq\":{},\"t_ns\":{},\"rule\":{},\"value\":{},\"threshold\":{},\"detail\":{}}},\
+         \"firing\":[{firing}],\"series\":[{series}],\"exemplars\":[{exemplars}],\
+         \"trace_tail\":[{trace_tail}],\"profile\":{profile},\
+         \"health\":{{\"retries\":{},\"compile_fallbacks\":{},\"store_repairs\":{},\
+         \"breaker_fast_fails\":{},\"queue_depth\":{},\"peak_queue_depth\":{},\
+         \"breakers\":[{breakers}],\"faults\":[{faults}]}}}}",
+        event.seq,
+        event.t_ns,
+        jstr(&event.rule),
+        event.value,
+        event.threshold,
+        jstr(&event.detail),
+        r.retries,
+        r.compile_fallbacks,
+        r.store_repairs,
+        r.breaker_fast_fails,
         health.queue_depth,
         health.peak_queue_depth
-    ));
-    out.push_str("\"breakers\":[");
-    for (i, (code, b)) in health.breakers.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"engine\":{},\"state\":{},\"trips\":{}}}",
-            code,
-            jstr(b.state.name()),
-            b.trips
-        ));
-    }
-    out.push_str("],\"faults\":[");
-    for (i, (code, rate, injected)) in health.faults.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let site = fault::Site::from_code(*code).map_or("unknown", fault::Site::key);
-        out.push_str(&format!(
-            "{{\"site\":{},\"rate\":{},\"injected\":{}}}",
-            jstr(site),
-            rate,
-            injected
-        ));
-    }
-    out.push_str("]}}");
+    );
     std::fs::create_dir_all(dir)?;
     let name = format!("postmortem-{}-{}.json", event.seq, event.rule);
     std::fs::write(dir.join(name), out)
@@ -896,7 +925,6 @@ fn worker_loop(inner: &Arc<Inner>) {
         let Some(Queued {
             id,
             spec,
-            enqueued,
             ctx,
             enqueue_ns,
         }) = job
@@ -905,7 +933,7 @@ fn worker_loop(inner: &Arc<Inner>) {
         };
         inner
             .queue_wait
-            .observe_ns(enqueued.elapsed().as_nanos() as u64);
+            .observe_ns(obs::trace::now_ns().saturating_sub(enqueue_ns));
         let _run = obs::span!(
             "svc.job.run",
             id = id,
@@ -929,10 +957,9 @@ fn worker_loop(inner: &Arc<Inner>) {
                 std::thread::sleep(delay);
             }
         }
-        let t_run = Instant::now();
         let start_ns = obs::trace::now_ns();
         inner.metrics.busy.add(1);
-        let mut result = run_with_retries(inner, id, &spec, t_run);
+        let (mut result, admitted) = run_with_retries(inner, id, &spec);
         inner.metrics.busy.sub(1);
         let done_ns = obs::trace::now_ns();
         result.id = id;
@@ -943,49 +970,27 @@ fn worker_loop(inner: &Arc<Inner>) {
             start_ns,
             done_ns,
         };
+        // Built before the ledger lock: the label is the only allocation.
+        let record = TraceRecord {
+            label: spec.to_string(),
+            ok: result.ok(),
+            phases: obs::stitch::ServerPhases {
+                trace_id: ctx.trace_id,
+                enqueue_ns,
+                start_ns,
+                done_ns,
+                compile_ns: (result.compile_s.max(0.0) * 1e9) as u64,
+                exec_ns: (result.exec_s.max(0.0) * 1e9) as u64,
+                attempts: result.recovery.attempts,
+                compile_fallback: result.recovery.compile_fallback,
+                store_repairs: result.recovery.store_repairs,
+            },
+        };
         inner
-            .busy_ns
-            .fetch_add(t_run.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        inner
-            .engine_wall
+            .ledger
             .lock()
-            .expect("engine wall lock")
-            .entry(spec.engine.code())
-            .or_default()
-            .observe_ns((result.wall_s * 1e9) as u64);
-        if result.ok() {
-            if let Some(c) = &result.counters {
-                let mut aggs = inner.engine_counters.lock().expect("engine counters lock");
-                let agg = aggs.entry(spec.engine.code()).or_default();
-                agg.jobs += 1;
-                agg.counters.accumulate(c);
-            }
-        }
-        {
-            let mut stats = inner.stats.lock().expect("stats lock");
-            stats.completed += 1;
-            match &result.status {
-                JobStatus::Ok => stats.ok += 1,
-                JobStatus::Failed(_) => stats.failed += 1,
-                JobStatus::Panicked(_) => stats.panicked += 1,
-                JobStatus::TimedOut => stats.timed_out += 1,
-            }
-            if result.ok() && matches!(result.spec.mode, crate::job::JobMode::Exec) {
-                if result.warm_artifact {
-                    stats.warm_loads += 1;
-                    stats.warm_load_s += result.compile_s;
-                } else {
-                    stats.cold_compiles += 1;
-                    stats.cold_compile_s += result.compile_s;
-                }
-            }
-        }
-        {
-            let mut res = inner.resilience.lock().expect("resilience lock");
-            res.retries += result.recovery.retries() as u64;
-            res.compile_fallbacks += result.recovery.compile_fallback as u64;
-            res.store_repairs += result.recovery.store_repairs as u64;
-        }
+            .expect("ledger lock")
+            .record(&result, &record.phases, admitted);
         // Registry metrics + trace log for the live-telemetry surface
         // (Series/TraceDump). The wall histogram measures
         // enqueue→done: the latency a waiting client actually observed.
@@ -1002,41 +1007,7 @@ fn worker_loop(inner: &Arc<Inner>) {
             .metrics
             .wall
             .observe_ns(done_ns.saturating_sub(enqueue_ns));
-        inner.telemetry.record(TraceRecord {
-            label: spec.to_string(),
-            ok: result.ok(),
-            phases: obs::stitch::ServerPhases {
-                trace_id: ctx.trace_id,
-                enqueue_ns,
-                start_ns,
-                done_ns,
-                compile_ns: (result.compile_s.max(0.0) * 1e9) as u64,
-                exec_ns: (result.exec_s.max(0.0) * 1e9) as u64,
-                attempts: result.recovery.attempts,
-                compile_fallback: result.recovery.compile_fallback,
-                store_repairs: result.recovery.store_repairs,
-            },
-        });
-        // Continuous profiler: fold the job's phase costs into the
-        // current window (engine × phase wall self-time, plus simulated
-        // counters when the job was profiled). Off by default.
-        {
-            let mut prof = inner.contprof.lock().expect("contprof lock");
-            if let Some(prof) = prof.as_mut() {
-                let engine = spec.engine.name();
-                let compile_ns = (result.compile_s.max(0.0) * 1e9) as u64;
-                let exec_ns = (result.exec_s.max(0.0) * 1e9) as u64;
-                let (instructions, cycles) = result
-                    .counters
-                    .map_or((0, 0), |c| (c.instructions, c.cycles));
-                if compile_ns > 0 {
-                    prof.record(done_ns, engine, "compile", compile_ns, 0, 0);
-                }
-                if exec_ns > 0 || instructions > 0 {
-                    prof.record(done_ns, engine, "exec", exec_ns, instructions, cycles);
-                }
-            }
-        }
+        inner.telemetry.record(record);
         {
             // Insert and decrement under the results lock: waiters check
             // `outstanding` while holding it, so publishing both under
@@ -1056,61 +1027,21 @@ fn worker_loop(inner: &Arc<Inner>) {
     }
 }
 
-/// A zeroed failure result for a spec.
-fn failed_result(spec: &JobSpec, status: JobStatus) -> JobResult {
-    JobResult {
-        id: 0,
-        spec: spec.clone(),
-        status,
-        checksum: None,
-        bytes_hash: 0,
-        compile_s: 0.0,
-        exec_s: 0.0,
-        aot_compile_s: None,
-        counters: None,
-        warm_artifact: false,
-        wall_s: 0.0,
-        recovery: crate::job::Recovery::default(),
-        trace: TraceDigest::default(),
-    }
-}
-
 /// Drives one job to a final result: circuit-breaker admission, then up
 /// to `retry.max_attempts` isolated attempts under one shared deadline
-/// (`t_run + timeout`), with exponential backoff + deterministic jitter
-/// between attempts. Failed and panicked attempts retry; a timeout is
-/// final (the deadline is already spent).
-fn run_with_retries(inner: &Arc<Inner>, id: u64, spec: &JobSpec, t_run: Instant) -> JobResult {
+/// (`timeout` from admission), with exponential backoff + deterministic
+/// jitter between attempts. Failed and panicked attempts retry; a
+/// timeout is final (the deadline is already spent). Also returns
+/// whether the breaker admitted the job (`false`: failed fast, no run).
+fn run_with_retries(inner: &Arc<Inner>, id: u64, spec: &JobSpec) -> (JobResult, bool) {
     let code = spec.engine.code();
-    let admitted = {
-        let mut breakers = inner.breakers.lock().expect("breakers lock");
-        let b = breakers
-            .entry(code)
-            .or_insert_with(|| Breaker::new(inner.breaker_cfg));
-        let admitted = b.admit();
-        // Mirror the state into the telemetry gauge (admission may have
-        // moved an open breaker to half-open).
-        if let Some(g) = inner.metrics.breakers.get(code as usize) {
-            g.set(b.snapshot().state.byte() as u64);
-        }
-        admitted
-    };
-    if !admitted {
-        inner
-            .resilience
-            .lock()
-            .expect("resilience lock")
-            .breaker_fast_fails += 1;
+    if !with_breaker(inner, code, Breaker::admit) {
         obs::metrics::counter("svc.breaker.fast_fail").inc();
-        return failed_result(
-            spec,
-            JobStatus::Failed(format!(
-                "circuit breaker open for {} (cooling down)",
-                spec.engine.name()
-            )),
-        );
+        let engine = spec.engine.name();
+        let why = format!("circuit breaker open for {engine} (cooling down)");
+        return (JobResult::new(spec, JobStatus::Failed(why)), false);
     }
-    let deadline = t_run + inner.timeout;
+    let deadline = Instant::now() + inner.timeout;
     let mut attempt = 1u32;
     let mut result = loop {
         let result = run_isolated(inner, spec, attempt, deadline);
@@ -1146,16 +1077,7 @@ fn run_with_retries(inner: &Arc<Inner>, id: u64, spec: &JobSpec, t_run: Instant)
         attempt += 1;
     };
     result.recovery.attempts = attempt;
-    let event = {
-        let mut breakers = inner.breakers.lock().expect("breakers lock");
-        let b = breakers.get_mut(&code).expect("breaker inserted above");
-        let event = b.record(result.ok());
-        if let Some(g) = inner.metrics.breakers.get(code as usize) {
-            g.set(b.snapshot().state.byte() as u64);
-        }
-        event
-    };
-    if let Some(event) = event {
+    if let Some(event) = with_breaker(inner, code, |b| b.record(result.ok())) {
         let (counter, what) = match event {
             BreakerEvent::Opened => ("svc.breaker.open", "tripped open"),
             BreakerEvent::Reopened => ("svc.breaker.reopen", "re-opened (probe failed)"),
@@ -1164,7 +1086,23 @@ fn run_with_retries(inner: &Arc<Inner>, id: u64, spec: &JobSpec, t_run: Instant)
         obs::metrics::counter(counter).inc();
         obs::warn!("circuit breaker for {} {what}", spec.engine.name());
     }
-    result
+    (result, true)
+}
+
+/// Applies `f` to engine `code`'s breaker (created on first use) and
+/// mirrors the resulting state into its telemetry gauge: admission may
+/// move an open breaker to half-open, a recorded outcome may trip or
+/// heal it.
+fn with_breaker<R>(inner: &Inner, code: u8, f: impl FnOnce(&mut Breaker) -> R) -> R {
+    let mut breakers = inner.breakers.lock().expect("breakers lock");
+    let b = breakers
+        .entry(code)
+        .or_insert_with(|| Breaker::new(inner.breaker_cfg));
+    let out = f(b);
+    if let Some(g) = inner.metrics.breakers.get(code as usize) {
+        g.set(b.snapshot().state.byte() as u64);
+    }
+    out
 }
 
 /// Runs one attempt on a dedicated thread with panic isolation, bounded
@@ -1184,36 +1122,26 @@ fn run_isolated(inner: &Arc<Inner>, spec: &JobSpec, attempt: u32, deadline: Inst
         })
         .expect("spawn job thread");
     let remaining = deadline.saturating_duration_since(Instant::now());
-    match rx.recv_timeout(remaining) {
-        Ok(Ok(result)) => {
-            let _ = handle.join();
-            result
-        }
-        Ok(Err(payload)) => {
-            let _ = handle.join();
-            // `&*payload`, not `&payload`: the latter would unsize the
-            // Box itself into `dyn Any` and every downcast would miss.
-            failed_result(spec, JobStatus::Panicked(panic_message(&*payload)))
-        }
-        Err(mpsc::RecvTimeoutError::Timeout) => {
-            // Abandon the thread; its late send goes nowhere.
-            failed_result(spec, JobStatus::TimedOut)
-        }
-        Err(mpsc::RecvTimeoutError::Disconnected) => {
-            let _ = handle.join();
-            failed_result(spec, JobStatus::Panicked("job thread died".to_string()))
-        }
+    let outcome = rx.recv_timeout(remaining);
+    if matches!(outcome, Err(mpsc::RecvTimeoutError::Timeout)) {
+        // Abandon the thread; its late send goes nowhere.
+        return JobResult::new(spec, JobStatus::TimedOut);
     }
+    let _ = handle.join();
+    let why = match outcome {
+        Ok(Ok(result)) => return result,
+        // `&*payload`, not `&payload`: the latter would unsize the Box
+        // itself into `dyn Any` and every downcast would miss.
+        Ok(Err(payload)) => panic_message(&*payload),
+        Err(_) => "job thread died".to_string(),
+    };
+    JobResult::new(spec, JobStatus::Panicked(why))
 }
 
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
+    let s = payload.downcast_ref::<&str>().map(|s| s.to_string());
+    s.or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "non-string panic payload".to_string())
 }
 
 #[cfg(test)]
@@ -1314,6 +1242,30 @@ mod tests {
         assert_eq!(*code, EngineKind::Wasm3.code());
         assert_eq!(wall.count, 3);
         assert!(wall.mean_ns() > 0.0);
+        sched.shutdown();
+    }
+
+    /// A worker's alert pump takes no sample: 20 jobs under a 1 h
+    /// cadence leave only the `Series` request's own closing sample.
+    #[test]
+    fn alert_pump_samples_nothing_per_job() {
+        let sched = Scheduler::start(Config {
+            workers: 2,
+            telemetry: TelemetryConfig {
+                sample_interval: Some(Duration::from_secs(3600)),
+                ..TelemetryConfig::default()
+            },
+            alerts: Some(AlertSpec::parse("p99=1s:10s").unwrap()),
+            ..Config::default()
+        })
+        .unwrap();
+        let spec = JobSpec::exec("crc32", EngineKind::Wasm3, OptLevel::O1, Scale::Test);
+        for _ in 0..20 {
+            sched.submit(spec.clone());
+        }
+        assert_eq!(sched.drain_sorted().len(), 20);
+        let points = sched.series().points.len();
+        assert!(points <= 2, "{points} series points for 20 jobs");
         sched.shutdown();
     }
 

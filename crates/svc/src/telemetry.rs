@@ -298,6 +298,11 @@ impl TraceReport {
     }
 }
 
+/// Recently-completed-request records retained for `TraceDump`.
+pub const TRACE_LOG_CAP: usize = 512;
+/// Slow exemplars retained for `TraceDump`.
+pub const EXEMPLAR_CAP: usize = 64;
+
 /// Telemetry tuning for a scheduler.
 #[derive(Debug, Clone)]
 pub struct TelemetryConfig {
@@ -309,10 +314,6 @@ pub struct TelemetryConfig {
     /// End-to-end latency at or above which a request's trace is kept
     /// as a slow exemplar.
     pub slow_threshold: Duration,
-    /// Recently-completed-request records retained for `TraceDump`.
-    pub trace_log_cap: usize,
-    /// Slow exemplars retained.
-    pub exemplar_cap: usize,
 }
 
 impl Default for TelemetryConfig {
@@ -321,8 +322,6 @@ impl Default for TelemetryConfig {
             sample_interval: None,
             series_cap: 600,
             slow_threshold: Duration::from_millis(250),
-            trace_log_cap: 512,
-            exemplar_cap: 64,
         }
     }
 }
@@ -333,7 +332,6 @@ impl Default for TelemetryConfig {
 pub struct Telemetry {
     sampler: Mutex<Option<Sampler>>,
     trace_log: Mutex<VecDeque<TraceRecord>>,
-    log_cap: usize,
     exemplars: ExemplarBuffer,
 }
 
@@ -347,17 +345,8 @@ impl Telemetry {
         Telemetry {
             sampler: Mutex::new(sampler),
             trace_log: Mutex::new(VecDeque::new()),
-            log_cap: cfg.trace_log_cap.max(1),
-            exemplars: ExemplarBuffer::new(
-                cfg.slow_threshold.as_nanos() as u64,
-                cfg.exemplar_cap.max(1),
-            ),
+            exemplars: ExemplarBuffer::new(cfg.slow_threshold.as_nanos() as u64, EXEMPLAR_CAP),
         }
-    }
-
-    /// Whether a sampler thread is running.
-    pub fn sampling(&self) -> bool {
-        self.sampler.lock().expect("sampler slot").is_some()
     }
 
     /// Folds a completed request into the trace log (bounded FIFO) and
@@ -368,25 +357,31 @@ impl Telemetry {
             phases: rec.phases,
         });
         let mut log = self.trace_log.lock().expect("trace log");
-        if log.len() == self.log_cap {
+        if log.len() == TRACE_LOG_CAP {
             log.pop_front();
         }
         log.push_back(rec);
     }
 
-    /// The `Series` reply: takes a closing sample, then maps the whole
-    /// window. Empty (but well-formed) when no sampler is running.
-    pub fn series(&self) -> SeriesReport {
+    /// Takes a closing sample, so the freshest interval is in the next
+    /// read (no-op without a sampler).
+    pub fn close_window(&self) {
+        if let Some(sampler) = self.sampler.lock().expect("sampler slot").as_ref() {
+            sampler.sample_now();
+        }
+    }
+
+    /// The buffered points with `seq` above `since` (the whole window
+    /// for `None`), copied without the rest of the window and without
+    /// taking a sample ([`Telemetry::close_window`] does that). Empty
+    /// (but well-formed) when no sampler is running.
+    pub fn series(&self, since: Option<u64>) -> SeriesReport {
         let slot = self.sampler.lock().expect("sampler slot");
         let (interval_ns, points) = match slot.as_ref() {
-            Some(sampler) => {
-                sampler.sample_now();
-                let (_, window) = sampler.window();
-                (
-                    sampler.interval().as_nanos() as u64,
-                    window.iter().map(svc_point).collect(),
-                )
-            }
+            Some(sampler) => (
+                sampler.interval().as_nanos() as u64,
+                sampler.window(since).iter().map(svc_point).collect(),
+            ),
             None => (0, Vec::new()),
         };
         SeriesReport {
@@ -479,8 +474,8 @@ mod tests {
     #[test]
     fn telemetry_off_is_empty_but_well_formed() {
         let t = Telemetry::new(&TelemetryConfig::default());
-        assert!(!t.sampling());
-        let s = t.series();
+        t.close_window(); // no-op without a sampler
+        let s = t.series(None);
         assert_eq!(s.interval_ns, 0);
         assert!(s.points.is_empty());
         assert!(s.server_now_ns > 0);
@@ -490,14 +485,13 @@ mod tests {
     #[test]
     fn trace_log_bounds_and_exemplars_gate() {
         let cfg = TelemetryConfig {
-            trace_log_cap: 3,
             slow_threshold: Duration::from_millis(1),
-            exemplar_cap: 8,
             ..TelemetryConfig::default()
         };
         let t = Telemetry::new(&cfg);
-        for i in 0..5u64 {
-            let slow = i == 4; // only the last one crosses 1ms
+        let n = TRACE_LOG_CAP as u64 + 2;
+        for i in 0..n {
+            let slow = i == n - 1; // only the last one crosses 1ms
             t.record(TraceRecord {
                 label: format!("job-{i}"),
                 ok: true,
@@ -512,12 +506,12 @@ mod tests {
         }
         let dump = t.trace_dump();
         assert_eq!(dump.slow_threshold_ns, 1_000_000);
-        assert_eq!(dump.recent.len(), 3, "log is bounded");
+        assert_eq!(dump.recent.len(), TRACE_LOG_CAP, "log is bounded");
         let ids: Vec<u64> = dump.recent.iter().map(|r| r.phases.trace_id).collect();
-        assert_eq!(ids, vec![102, 103, 104], "oldest evicted");
+        assert_eq!(ids, (102..100 + n).collect::<Vec<u64>>(), "oldest evicted");
         assert_eq!(dump.exemplars.len(), 1, "only the slow request kept");
-        assert_eq!(dump.exemplars[0].phases.trace_id, 104);
-        // 104 is in both recent and exemplars; all_records dedups it.
-        assert_eq!(dump.all_records().len(), 3);
+        assert_eq!(dump.exemplars[0].phases.trace_id, 100 + n - 1);
+        // The slow one is in both recent and exemplars; all_records dedups it.
+        assert_eq!(dump.all_records().len(), TRACE_LOG_CAP);
     }
 }

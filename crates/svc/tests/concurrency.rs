@@ -3,12 +3,13 @@
 //! serial execution, one bad job must not take down the fleet, and
 //! simulated counters must be bit-identical regardless of worker count.
 
+use std::sync::Arc;
 use std::time::Duration;
 
 use engines::EngineKind;
 use svc::exec::{execute, ExecEnv};
 use svc::job::{JobMode, JobSpec, JobStatus, Scale};
-use svc::scheduler::{Config, Scheduler};
+use svc::scheduler::{Config, RetryPolicy, Scheduler};
 use wacc::OptLevel;
 
 fn config(workers: usize) -> Config {
@@ -154,4 +155,53 @@ fn panicking_job_does_not_take_down_the_fleet() {
         Scale::Test,
     ));
     assert!(sched.wait(id).ok());
+}
+
+/// Every reader of the scheduler's ledger agrees after four threads
+/// submit 40 jobs (one of them profiled) while injected worker panics
+/// force retries.
+#[test]
+fn ledger_sums_agree_across_readers() {
+    let plan = fault::FaultPlan::parse("seed=5,panic=0.3").expect("fault plan");
+    let retry = RetryPolicy {
+        backoff_base: Duration::from_millis(1),
+        backoff_cap: Duration::from_millis(2),
+        ..RetryPolicy::default()
+    };
+    let faults = Some(Arc::new(plan));
+    let sched = Scheduler::start(Config {
+        retry,
+        faults,
+        ..config(2)
+    })
+    .expect("start");
+    std::thread::scope(|s| {
+        for t in 0..4 {
+            let sched = &sched;
+            s.spawn(move || {
+                for i in 0..10 {
+                    let mut spec =
+                        JobSpec::exec("crc32", EngineKind::Wasm3, OptLevel::O1, Scale::Test);
+                    if t == 0 && i == 0 {
+                        spec.mode = JobMode::Profiled;
+                    }
+                    sched.submit(spec);
+                }
+            });
+        }
+    });
+    assert_eq!(sched.stats().submitted, 40);
+    let results = sched.drain_sorted();
+    let ext = sched.stats_ext();
+    let s = ext.base;
+    assert_eq!(s.completed, results.len() as u64);
+    assert_eq!(s.completed, s.ok + s.failed + s.panicked + s.timed_out);
+    let walls: u64 = ext.engine_wall.iter().map(|(_, h)| h.count).sum();
+    assert_eq!((walls, ext.queue_wait.count), (s.completed, s.completed));
+    let profiled = results.iter().filter(|r| r.ok() && r.counters.is_some());
+    let aggregated: u64 = ext.engine_counters.iter().map(|(_, a)| a.jobs).sum();
+    assert_eq!(aggregated, profiled.count() as u64);
+    let retries: u64 = results.iter().map(|r| u64::from(r.recovery.retries())).sum();
+    assert!(retries > 0, "the fault plan forced no retry");
+    assert_eq!(sched.resilience().retries, retries);
 }
