@@ -784,11 +784,11 @@ fn int_bin(w: Width, k: IntBin, a: Interval, b: Interval) -> Interval {
         IntBin::And => {
             // AND with a non-negative operand clears the sign bit and
             // cannot exceed that operand.
-            let nn: Vec<i64> =
-                [a, b].iter().filter(|iv| iv.lo >= 0).map(|iv| iv.hi).collect();
-            match nn.iter().copied().min() {
-                Some(h) => Interval { lo: 0, hi: h },
-                None => top,
+            match (a.lo >= 0, b.lo >= 0) {
+                (true, true) => Interval { lo: 0, hi: a.hi.min(b.hi) },
+                (true, false) => Interval { lo: 0, hi: a.hi },
+                (false, true) => Interval { lo: 0, hi: b.hi },
+                (false, false) => top,
             }
         }
         IntBin::Or | IntBin::Xor => {
@@ -1250,25 +1250,24 @@ fn refine_pair(kind: CmpKind, ia: Interval, ib: Interval) -> Option<(Interval, I
     Some((ra, rb))
 }
 
-/// Apply `guard` (or its negation, for the fall-through edge) to a
-/// state. Returns `None` when the edge is infeasible.
-fn refine_state(state: &[AbsVal], guard: &Guard, taken: bool) -> Option<Vec<AbsVal>> {
+/// Writes `state` with `guard` (or its negation, for the fall-through
+/// edge) applied into `out`. Returns false, leaving `out` unspecified,
+/// when the edge is infeasible.
+fn refine_into(state: &[AbsVal], guard: &Guard, taken: bool, out: &mut Vec<AbsVal>) -> bool {
     let kind = if taken { guard.kind } else { guard.kind.negate() };
     let ia = read_int(state, guard.a, guard.w);
     let ib = read_int(state, guard.b, guard.w);
-    let (ra, rb) = refine_pair(kind, ia, ib)?;
-    let mut out = state.to_vec();
-    if let Operand::Reg(r) = guard.a {
-        if let Some(slot) = out.get_mut(r as usize) {
-            slot.int = slot.int.meet(ra);
+    let Some((ra, rb)) = refine_pair(kind, ia, ib) else { return false };
+    out.clear();
+    out.extend_from_slice(state);
+    for (o, r) in [(guard.a, ra), (guard.b, rb)] {
+        if let Operand::Reg(reg) = o {
+            if let Some(slot) = out.get_mut(reg as usize) {
+                slot.int = slot.int.meet(r);
+            }
         }
     }
-    if let Operand::Reg(r) = guard.b {
-        if let Some(slot) = out.get_mut(r as usize) {
-            slot.int = slot.int.meet(rb);
-        }
-    }
-    Some(out)
+    true
 }
 
 // ---------------------------------------------------------------------------
@@ -1290,69 +1289,132 @@ fn initial_state(nregs: usize, nparams: usize) -> Vec<AbsVal> {
     (0..nregs).map(|r| if r < nparams { AbsVal::TOP } else { AbsVal::zero() }).collect()
 }
 
-/// Per-instruction observer for [`flow_block`]: called with the
-/// instruction index and the state *before* its transfer applies.
-type Visit<'a> = &'a mut dyn FnMut(usize, &[AbsVal]);
-
-/// Push a block's entry state through its ops and produce the refined
-/// out-state per successor edge `(succ_block, state)`.
-fn flow_block(
+/// Applies the transfers of `ops[start..end]` to `state` in place;
+/// `visit` sees each op's index and the state *before* its transfer.
+fn transfer_ops(
     ops: &[AbsOp],
-    cfg: &Cfg,
-    b: usize,
-    mut state: Vec<AbsVal>,
-    mut visit: Option<Visit<'_>>,
-) -> Vec<(usize, Vec<AbsVal>)> {
-    let blk = &cfg.blocks[b];
-    for (i, op) in ops.iter().enumerate().take(blk.end).skip(blk.start) {
-        if let Some(f) = visit.as_deref_mut() {
-            f(i, &state);
-        }
+    (start, end): (usize, usize),
+    state: &mut [AbsVal],
+    mut visit: impl FnMut(usize, &[AbsVal]),
+) {
+    for (i, op) in ops.iter().enumerate().take(end).skip(start) {
+        visit(i, state);
         if let Some(rd) = op.def {
-            let v = eval_transfer(&state, &op.transfer);
+            let v = eval_transfer(state, &op.transfer);
             if let Some(slot) = state.get_mut(rd as usize) {
                 *slot = v;
             }
         }
     }
-    let last = blk.end - 1;
-    let flow = &ops[last].flow;
-    let guard = ops[last].guard.as_ref();
-    let mut out: Vec<(usize, Vec<AbsVal>)> = Vec::new();
-    let mut push = |succ: usize, st: Vec<AbsVal>| {
-        for (s, old) in out.iter_mut() {
-            if *s == succ {
-                let joined: Vec<AbsVal> =
-                    old.iter().zip(&st).map(|(a, b)| a.join(*b)).collect();
-                *old = joined;
-                return;
-            }
+}
+
+/// True when two values are the same bits (`==` treats `-0.0` and
+/// `0.0` as equal; the fixpoint must not).
+fn same_bits(a: &AbsVal, b: &AbsVal) -> bool {
+    a.int == b.int
+        && a.fl.lo.to_bits() == b.fl.lo.to_bits()
+        && a.fl.hi.to_bits() == b.fl.hi.to_bits()
+        && a.fl.nan == b.fl.nan
+}
+
+/// The buffers one fixpoint reuses for every block it flows, so a flow
+/// allocates nothing once they have grown to size.
+struct Flow {
+    /// The state being pushed through a block's ops.
+    state: Vec<AbsVal>,
+    /// Out-edge states `(successor, state)` of the block last flowed;
+    /// only the first `n` are live, one per distinct successor.
+    edges: Vec<(usize, Vec<AbsVal>)>,
+    n: usize,
+    /// Scratch for a refined edge that joins an existing one, and for
+    /// [`merge`]'s candidate entry state.
+    tmp: Vec<AbsVal>,
+}
+
+impl Flow {
+    fn new() -> Flow {
+        Flow { state: Vec::new(), edges: Vec::new(), n: 0, tmp: Vec::new() }
+    }
+
+    /// Pushes `entry` through block `b` and leaves its refined out-state
+    /// per successor in `self.edges[..self.n]`, in first-seen order; two
+    /// edges into the same successor are joined.
+    fn block(&mut self, ops: &[AbsOp], cfg: &Cfg, b: usize, entry: &[AbsVal]) {
+        let blk = &cfg.blocks[b];
+        self.state.clear();
+        self.state.extend_from_slice(entry);
+        transfer_ops(ops, (blk.start, blk.end), &mut self.state, |_, _| {});
+        self.n = 0;
+        let last = blk.end - 1;
+        let guard = ops[last].guard.as_ref();
+        let flow = &ops[last].flow;
+        if flow.falls_through && last + 1 < ops.len() {
+            self.edge(cfg.block_of[last + 1], guard, false);
         }
-        out.push((succ, st));
-    };
-    if flow.falls_through && last + 1 < ops.len() {
-        let succ = cfg.block_of[last + 1];
-        match guard {
-            Some(g) => {
-                if let Some(st) = refine_state(&state, g, false) {
-                    push(succ, st);
-                }
-            }
-            None => push(succ, state.clone()),
+        for &t in &flow.targets {
+            self.edge(cfg.block_of[t as usize], guard, true);
         }
     }
-    for &t in &flow.targets {
-        let succ = cfg.block_of[t as usize];
-        match guard {
-            Some(g) => {
-                if let Some(st) = refine_state(&state, g, true) {
-                    push(succ, st);
-                }
+
+    /// Adds the edge into `succ`, refined by `guard` as taken or not;
+    /// an infeasible edge adds nothing.
+    fn edge(&mut self, succ: usize, guard: Option<&Guard>, taken: bool) {
+        if let Some(k) = self.edges[..self.n].iter().position(|(s, _)| *s == succ) {
+            let st = match guard {
+                Some(g) if !refine_into(&self.state, g, taken, &mut self.tmp) => return,
+                Some(_) => &self.tmp,
+                None => &self.state,
+            };
+            for (o, v) in self.edges[k].1.iter_mut().zip(st) {
+                *o = o.join(*v);
             }
-            None => push(succ, state.clone()),
+            return;
         }
+        if self.n == self.edges.len() {
+            self.edges.push((succ, Vec::new()));
+        }
+        let (s, buf) = &mut self.edges[self.n];
+        match guard {
+            Some(g) if !refine_into(&self.state, g, taken, buf) => return,
+            Some(_) => {}
+            None => {
+                buf.clear();
+                buf.extend_from_slice(&self.state);
+            }
+        }
+        *s = succ;
+        self.n += 1;
     }
-    out
+}
+
+/// Folds edge state `new` into entry state `old`: the slot-wise join,
+/// widened against `widen` thresholds when given. The whole state is
+/// replaced (swapped with `buf`) or kept, decided by `==` over every
+/// slot, so a slot whose bits differ only in a float zero's sign moves
+/// only alongside a real change. Returns whether it was replaced.
+fn merge(
+    old: &mut Vec<AbsVal>,
+    new: &[AbsVal],
+    widen: Option<&[i64]>,
+    buf: &mut Vec<AbsVal>,
+) -> bool {
+    buf.clear();
+    let mut changed = false;
+    for (a, b) in old.iter().zip(new) {
+        // join(x, x) and widen(x, x) are x, bit for bit.
+        let v = if same_bits(a, b) {
+            *a
+        } else {
+            let j = a.join(*b);
+            widen.map_or(j, |t| a.widen_with(j, t))
+        };
+        changed |= v != *a;
+        buf.push(v);
+    }
+    if changed {
+        std::mem::swap(old, buf);
+    }
+    changed
 }
 
 /// Runs the widening/narrowing interval fixpoint over `ops`.
@@ -1390,58 +1452,47 @@ pub fn analyze(ops: &[AbsOp], nregs: usize, nparams: usize) -> Analysis {
     const WIDEN_AFTER: u32 = 2;
     let max_iters = 16 * nb + 64;
 
+    // Round-robin sweeps in reverse postorder, flowing only blocks whose
+    // entry state was replaced since they last flowed. Skipping the rest
+    // is exact: each of their out-edges is already joined into its
+    // successor, and join(x, e) stays x once x has absorbed e (entry
+    // states only grow), so a re-flow would change nothing. The sweep
+    // count, and with it the bail-out below, is the same as flowing
+    // every block on every sweep.
     let mut entry: Vec<Option<Vec<AbsVal>>> = vec![None; nb];
     entry[entry_block] = Some(init.clone());
+    let mut dirty = vec![false; nb];
+    dirty[entry_block] = true;
     let mut joins = vec![0u32; nb];
+    let mut fl = Flow::new();
     let mut iters = 0usize;
     loop {
         let mut changed = false;
         iters += 1;
         for &b in &cfg.rpo {
-            let Some(st) = entry[b].clone() else { continue };
-            for (succ, new) in flow_block(ops, &cfg, b, st, None) {
-                if succ == entry_block {
-                    // The entry state is an invariant floor: join it in
-                    // so back edges into op 0 stay sound.
-                    match &mut entry[entry_block] {
-                        Some(old) => {
-                            let j: Vec<AbsVal> =
-                                old.iter().zip(&new).map(|(a, b)| a.join(*b)).collect();
-                            let j = if joins[succ] >= WIDEN_AFTER {
-                                old.iter().zip(&j).map(|(a, b)| a.widen_with(*b, &thresholds)).collect()
-                            } else {
-                                j
-                            };
-                            if j != *old {
-                                *old = j;
-                                joins[succ] += 1;
-                                changed = true;
-                            }
-                        }
-                        None => unreachable!("entry block seeded"),
-                    }
-                    continue;
-                }
-                match &mut entry[succ] {
+            if !std::mem::take(&mut dirty[b]) {
+                continue;
+            }
+            let Some(st) = &entry[b] else { continue };
+            fl.block(ops, &cfg, b, st);
+            for (succ, new) in &fl.edges[..fl.n] {
+                let succ = *succ;
+                // Back edges into op 0 join the entry block like any
+                // other: the initial state stays an invariant floor.
+                let replaced = match &mut entry[succ] {
                     None => {
-                        entry[succ] = Some(new);
-                        joins[succ] += 1;
-                        changed = true;
+                        entry[succ] = Some(new.clone());
+                        true
                     }
                     Some(old) => {
-                        let j: Vec<AbsVal> =
-                            old.iter().zip(&new).map(|(a, b)| a.join(*b)).collect();
-                        let j: Vec<AbsVal> = if joins[succ] >= WIDEN_AFTER {
-                            old.iter().zip(&j).map(|(a, b)| a.widen_with(*b, &thresholds)).collect()
-                        } else {
-                            j
-                        };
-                        if j != *old {
-                            *old = j;
-                            joins[succ] += 1;
-                            changed = true;
-                        }
+                        let widen = (joins[succ] >= WIDEN_AFTER).then_some(&thresholds[..]);
+                        merge(old, new, widen, &mut fl.tmp)
                     }
+                };
+                if replaced {
+                    joins[succ] += 1;
+                    dirty[succ] = true;
+                    changed = true;
                 }
             }
         }
@@ -1466,14 +1517,15 @@ pub fn analyze(ops: &[AbsOp], nregs: usize, nparams: usize) -> Analysis {
         let mut next: Vec<Option<Vec<AbsVal>>> = vec![None; nb];
         next[entry_block] = Some(init.clone());
         for &b in &cfg.rpo {
-            let Some(st) = entry[b].clone() else { continue };
-            for (succ, new) in flow_block(ops, &cfg, b, st, None) {
-                match &mut next[succ] {
-                    None => next[succ] = Some(new),
+            let Some(st) = &entry[b] else { continue };
+            fl.block(ops, &cfg, b, st);
+            for (succ, new) in &fl.edges[..fl.n] {
+                match &mut next[*succ] {
+                    None => next[*succ] = Some(new.clone()),
                     Some(old) => {
-                        let j: Vec<AbsVal> =
-                            old.iter().zip(&new).map(|(a, b)| a.join(*b)).collect();
-                        *old = j;
+                        for (o, v) in old.iter_mut().zip(new) {
+                            *o = o.join(*v);
+                        }
                     }
                 }
             }
@@ -1488,9 +1540,13 @@ impl Analysis {
     /// Replays the per-op entry state over every reachable block:
     /// `visit(op_index, state_before_op)`.
     pub fn walk(&self, ops: &[AbsOp], mut visit: impl FnMut(usize, &[AbsVal])) {
+        let mut state = Vec::new();
         for &b in &self.cfg.rpo {
-            let Some(st) = self.entry[b].clone() else { continue };
-            flow_block(ops, &self.cfg, b, st, Some(&mut visit));
+            let Some(st) = &self.entry[b] else { continue };
+            state.clear();
+            state.extend_from_slice(st);
+            let blk = &self.cfg.blocks[b];
+            transfer_ops(ops, (blk.start, blk.end), &mut state, &mut visit);
         }
     }
 
@@ -1591,6 +1647,15 @@ pub struct Obligation {
     pub guard: Option<u32>,
 }
 
+/// `obligation #N (op I)`, the prefix of every rejection message.
+struct ObligationTag(usize, u32);
+
+impl std::fmt::Display for ObligationTag {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "obligation #{} (op {})", self.0, self.1)
+    }
+}
+
 /// Independently re-derives every obligation against a fresh analysis
 /// of `ops`. Returns one message per rejected obligation (empty =
 /// all proofs check out).
@@ -1620,7 +1685,9 @@ pub fn check_obligations(
     });
 
     for (n, ob) in obligations.iter().enumerate() {
-        let tag = format!("obligation #{n} (op {})", ob.op);
+        // Formatted only for a rejected obligation: an honest proof
+        // allocates nothing here.
+        let tag = ObligationTag(n, ob.op);
         let Some(op) = ops.get(ob.op as usize) else {
             errs.push(format!("{tag}: op index out of range"));
             continue;
@@ -2148,5 +2215,400 @@ mod tests {
         assert!(trunc_safe(f, true, Width::W32), "{f:?}");
         let facts = audit(&ops, 4, 1, 65536);
         assert_eq!(facts.checks_provable, 1);
+    }
+
+    /// The fixpoint as it stood before the dirty-block rewrite, kept
+    /// verbatim as the oracle for `fixpoint_matches_reference_bit_for_bit`:
+    /// every reachable block flows on every sweep, and every edge, join and
+    /// refinement allocates a fresh state.
+    mod reference {
+        use super::*;
+
+        /// Apply `guard` (or its negation, for the fall-through edge) to a
+        /// state. Returns `None` when the edge is infeasible.
+        fn refine_state(state: &[AbsVal], guard: &Guard, taken: bool) -> Option<Vec<AbsVal>> {
+            let kind = if taken { guard.kind } else { guard.kind.negate() };
+            let ia = read_int(state, guard.a, guard.w);
+            let ib = read_int(state, guard.b, guard.w);
+            let (ra, rb) = refine_pair(kind, ia, ib)?;
+            let mut out = state.to_vec();
+            if let Operand::Reg(r) = guard.a {
+                if let Some(slot) = out.get_mut(r as usize) {
+                    slot.int = slot.int.meet(ra);
+                }
+            }
+            if let Operand::Reg(r) = guard.b {
+                if let Some(slot) = out.get_mut(r as usize) {
+                    slot.int = slot.int.meet(rb);
+                }
+            }
+            Some(out)
+        }
+        /// Per-instruction observer for [`flow_block`]: called with the
+        /// instruction index and the state *before* its transfer applies.
+        type Visit<'a> = &'a mut dyn FnMut(usize, &[AbsVal]);
+
+        /// Push a block's entry state through its ops and produce the refined
+        /// out-state per successor edge `(succ_block, state)`.
+        fn flow_block(
+            ops: &[AbsOp],
+            cfg: &Cfg,
+            b: usize,
+            mut state: Vec<AbsVal>,
+            mut visit: Option<Visit<'_>>,
+        ) -> Vec<(usize, Vec<AbsVal>)> {
+            let blk = &cfg.blocks[b];
+            for (i, op) in ops.iter().enumerate().take(blk.end).skip(blk.start) {
+                if let Some(f) = visit.as_deref_mut() {
+                    f(i, &state);
+                }
+                if let Some(rd) = op.def {
+                    let v = eval_transfer(&state, &op.transfer);
+                    if let Some(slot) = state.get_mut(rd as usize) {
+                        *slot = v;
+                    }
+                }
+            }
+            let last = blk.end - 1;
+            let flow = &ops[last].flow;
+            let guard = ops[last].guard.as_ref();
+            let mut out: Vec<(usize, Vec<AbsVal>)> = Vec::new();
+            let mut push = |succ: usize, st: Vec<AbsVal>| {
+                for (s, old) in out.iter_mut() {
+                    if *s == succ {
+                        let joined: Vec<AbsVal> =
+                            old.iter().zip(&st).map(|(a, b)| a.join(*b)).collect();
+                        *old = joined;
+                        return;
+                    }
+                }
+                out.push((succ, st));
+            };
+            if flow.falls_through && last + 1 < ops.len() {
+                let succ = cfg.block_of[last + 1];
+                match guard {
+                    Some(g) => {
+                        if let Some(st) = refine_state(&state, g, false) {
+                            push(succ, st);
+                        }
+                    }
+                    None => push(succ, state.clone()),
+                }
+            }
+            for &t in &flow.targets {
+                let succ = cfg.block_of[t as usize];
+                match guard {
+                    Some(g) => {
+                        if let Some(st) = refine_state(&state, g, true) {
+                            push(succ, st);
+                        }
+                    }
+                    None => push(succ, state.clone()),
+                }
+            }
+            out
+        }
+        /// Runs the widening/narrowing interval fixpoint over `ops`.
+        ///
+        /// `nregs` is the register-file size, `nparams` the number of leading
+        /// parameter registers (unconstrained at entry; the rest start at zero,
+        /// matching engine zero-initialisation).
+        pub(super) fn analyze(ops: &[AbsOp], nregs: usize, nparams: usize) -> Analysis {
+            let flows: Vec<OpFlow> = ops.iter().map(|o| o.flow.clone()).collect();
+            let cfg = Cfg::build(&flows);
+            let nb = cfg.blocks.len();
+            let entry_block = cfg.rpo[0];
+            let init = initial_state(nregs, nparams);
+
+            // Seed widening thresholds with guard constants (and their
+            // neighbours, for strict comparisons) so loop bounds become landing
+            // points instead of being overshot to a type extreme.
+            let mut thresholds: Vec<i64> = Vec::new();
+            for op in ops {
+                if let Some(g) = &op.guard {
+                    for o in [g.a, g.b] {
+                        if let Operand::Const(bits) = o {
+                            for v in [bits as i64, bits as u32 as i32 as i64] {
+                                thresholds.push(v);
+                                thresholds.push(v.saturating_sub(1));
+                                thresholds.push(v.saturating_add(1));
+                            }
+                        }
+                    }
+                }
+            }
+            thresholds.sort_unstable();
+            thresholds.dedup();
+
+            const WIDEN_AFTER: u32 = 2;
+            let max_iters = 16 * nb + 64;
+
+            let mut entry: Vec<Option<Vec<AbsVal>>> = vec![None; nb];
+            entry[entry_block] = Some(init.clone());
+            let mut joins = vec![0u32; nb];
+            let mut iters = 0usize;
+            loop {
+                let mut changed = false;
+                iters += 1;
+                for &b in &cfg.rpo {
+                    let Some(st) = entry[b].clone() else { continue };
+                    for (succ, new) in flow_block(ops, &cfg, b, st, None) {
+                        if succ == entry_block {
+                            // The entry state is an invariant floor: join it in
+                            // so back edges into op 0 stay sound.
+                            match &mut entry[entry_block] {
+                                Some(old) => {
+                                    let j: Vec<AbsVal> =
+                                        old.iter().zip(&new).map(|(a, b)| a.join(*b)).collect();
+                                    let j = if joins[succ] >= WIDEN_AFTER {
+                                        old.iter().zip(&j).map(|(a, b)| a.widen_with(*b, &thresholds)).collect()
+                                    } else {
+                                        j
+                                    };
+                                    if j != *old {
+                                        *old = j;
+                                        joins[succ] += 1;
+                                        changed = true;
+                                    }
+                                }
+                                None => unreachable!("entry block seeded"),
+                            }
+                            continue;
+                        }
+                        match &mut entry[succ] {
+                            None => {
+                                entry[succ] = Some(new);
+                                joins[succ] += 1;
+                                changed = true;
+                            }
+                            Some(old) => {
+                                let j: Vec<AbsVal> =
+                                    old.iter().zip(&new).map(|(a, b)| a.join(*b)).collect();
+                                let j: Vec<AbsVal> = if joins[succ] >= WIDEN_AFTER {
+                                    old.iter().zip(&j).map(|(a, b)| a.widen_with(*b, &thresholds)).collect()
+                                } else {
+                                    j
+                                };
+                                if j != *old {
+                                    *old = j;
+                                    joins[succ] += 1;
+                                    changed = true;
+                                }
+                            }
+                        }
+                    }
+                }
+                if !changed {
+                    break;
+                }
+                if iters > max_iters {
+                    // Defensive bail-out: give every reachable block TOP.
+                    let top = vec![AbsVal::TOP; nregs];
+                    for &b in &cfg.rpo {
+                        entry[b] = Some(if b == entry_block { init.clone() } else { top.clone() });
+                    }
+                    break;
+                }
+            }
+
+            // Two descending (narrowing) passes: recompute each entry as the
+            // plain join over predecessor edge-states of the post-fixpoint
+            // solution. Sound because applying F to a post-fixpoint stays above
+            // the least fixpoint.
+            for _ in 0..2 {
+                let mut next: Vec<Option<Vec<AbsVal>>> = vec![None; nb];
+                next[entry_block] = Some(init.clone());
+                for &b in &cfg.rpo {
+                    let Some(st) = entry[b].clone() else { continue };
+                    for (succ, new) in flow_block(ops, &cfg, b, st, None) {
+                        match &mut next[succ] {
+                            None => next[succ] = Some(new),
+                            Some(old) => {
+                                let j: Vec<AbsVal> =
+                                    old.iter().zip(&new).map(|(a, b)| a.join(*b)).collect();
+                                *old = j;
+                            }
+                        }
+                    }
+                }
+                entry = next;
+            }
+
+            Analysis { cfg, entry }
+        }
+
+        pub(super) fn walk(a: &Analysis, ops: &[AbsOp], mut visit: impl FnMut(usize, &[AbsVal])) {
+            for &b in &a.cfg.rpo {
+                let Some(st) = a.entry[b].clone() else { continue };
+                flow_block(ops, &a.cfg, b, st, Some(&mut visit));
+            }
+        }
+    }
+
+    /// xorshift64*: the fixed-seed stream the generated programs draw from.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 ^= self.0 >> 12;
+            self.0 ^= self.0 << 25;
+            self.0 ^= self.0 >> 27;
+            (self.0.wrapping_mul(0x2545_f491_4f6c_dd1d) >> 11) as usize % n
+        }
+
+        fn pick<T: Copy>(&mut self, xs: &[T]) -> T {
+            xs[self.below(xs.len())]
+        }
+    }
+
+    /// Immediates that land on widening thresholds, straddle the sign
+    /// boundary, or read as -0.0 / +0.0 / 1.0 in a float facet.
+    const BITS: [u64; 10] = [
+        0,
+        1,
+        3,
+        100,
+        255,
+        0xFFFF_FFFF,
+        0x8000_0000,
+        0x8000_0000_0000_0000,
+        0x3FF0_0000_0000_0000,
+        u64::MAX,
+    ];
+
+    /// A random op program: defs over int and float transfers, guarded
+    /// branches to any op (back edges make nested loops, a branch to
+    /// itself a self-loop, one to the next op a doubled edge), br_table
+    /// dispatches with repeated targets, jumps and halts.
+    fn gen_program(r: &mut Rng) -> (Vec<AbsOp>, usize, usize) {
+        let nregs = 1 + r.below(5);
+        let nparams = r.below(nregs + 1);
+        let n = 3 + r.below(28);
+        let mut ops = Vec::with_capacity(n);
+        for _ in 0..n {
+            let w = r.pick(&[Width::W32, Width::W64]);
+            let reg = |r: &mut Rng| r.below(nregs) as u32;
+            let operand = |r: &mut Rng| {
+                if r.below(3) == 0 {
+                    Operand::Const(r.pick(&BITS))
+                } else {
+                    Operand::Reg(r.below(nregs) as u32)
+                }
+            };
+            let mut op = AbsOp::nop();
+            match r.below(12) {
+                0..=5 => {
+                    op.def = Some(reg(r));
+                    op.transfer = match r.below(8) {
+                        0 => Transfer::Bits(r.pick(&BITS)),
+                        1 => Transfer::Copy(reg(r)),
+                        2 | 3 => Transfer::Bin {
+                            op: BinOpKind::Int(
+                                w,
+                                r.pick(&[
+                                    IntBin::Add,
+                                    IntBin::Sub,
+                                    IntBin::Mul,
+                                    IntBin::And,
+                                    IntBin::Or,
+                                    IntBin::RemU,
+                                    IntBin::ShrU,
+                                ]),
+                            ),
+                            a: operand(r),
+                            b: operand(r),
+                        },
+                        4 => Transfer::Bin {
+                            op: BinOpKind::Float(
+                                w,
+                                r.pick(&[FBin::Add, FBin::Sub, FBin::Mul, FBin::Min, FBin::Max]),
+                            ),
+                            a: operand(r),
+                            b: operand(r),
+                        },
+                        5 => Transfer::Un {
+                            op: r.pick(&[
+                                UnKind::FNeg(w),
+                                UnKind::FNeg(w),
+                                UnKind::FAbs(w),
+                                UnKind::Convert { signed: true, src: w, dst: Width::W64 },
+                                UnKind::Trunc { signed: true, dst: Width::W32 },
+                                UnKind::Wrap,
+                                UnKind::ExtendU,
+                            ]),
+                            a: reg(r),
+                        },
+                        6 => Transfer::Join(reg(r), reg(r)),
+                        _ => Transfer::Range(Interval::new(0, r.below(300) as i64)),
+                    };
+                    if r.below(4) == 0 {
+                        op.check = Some(Check::Mem { addr: reg(r), offset: 0, len: 4 });
+                    }
+                }
+                6..=8 => {
+                    op.flow = OpFlow { targets: vec![r.below(n) as u32], falls_through: true };
+                    op.guard = Some(Guard {
+                        kind: r.pick(&[
+                            CmpKind::Eq,
+                            CmpKind::Ne,
+                            CmpKind::LtS,
+                            CmpKind::LtU,
+                            CmpKind::GtS,
+                            CmpKind::GeU,
+                            CmpKind::LeS,
+                        ]),
+                        w,
+                        a: Operand::Reg(reg(r)),
+                        b: operand(r),
+                    });
+                }
+                9 => {
+                    let k = 1 + r.below(4);
+                    let targets = (0..k).map(|_| r.below(n) as u32).collect();
+                    op.flow = OpFlow { targets, falls_through: false };
+                }
+                10 => op.flow = OpFlow { targets: vec![r.below(n) as u32], falls_through: false },
+                _ => {}
+            }
+            ops.push(op);
+        }
+        (ops, nregs, nparams)
+    }
+
+    fn same_state(a: &[AbsVal], b: &[AbsVal]) -> bool {
+        a.len() == b.len() && a.iter().zip(b).all(|(x, y)| same_bits(x, y))
+    }
+
+    #[test]
+    fn fixpoint_matches_reference_bit_for_bit() {
+        let mut r = Rng(0x9e37_79b9_7f4a_7c15);
+        let mut looping = 0;
+        for case in 0..4000 {
+            let (ops, nregs, nparams) = gen_program(&mut r);
+            let want = reference::analyze(&ops, nregs, nparams);
+            let got = analyze(&ops, nregs, nparams);
+            assert_eq!(want.entry.len(), got.entry.len());
+            for (b, (w, g)) in want.entry.iter().zip(&got.entry).enumerate() {
+                let same = match (w, g) {
+                    (Some(w), Some(g)) => same_state(w, g),
+                    (None, None) => true,
+                    _ => false,
+                };
+                assert!(same, "case {case}, block {b}: {w:?} != {g:?}\n{ops:#?}");
+            }
+            let mut want_walk = Vec::new();
+            reference::walk(&want, &ops, |i, st| want_walk.push((i, st.to_vec())));
+            let mut got_walk = Vec::new();
+            got.walk(&ops, |i, st| got_walk.push((i, st.to_vec())));
+            assert_eq!(want_walk.len(), got_walk.len(), "case {case}");
+            for ((i, w), (j, g)) in want_walk.iter().zip(&got_walk) {
+                assert!(i == j && same_state(w, g), "case {case}, op {i}");
+            }
+            looping += usize::from(got.cfg.blocks.iter().enumerate().any(|(b, blk)| {
+                blk.preds.iter().any(|&p| p >= b)
+            }));
+        }
+        // Most programs must loop, or widening goes untested.
+        assert!(looping > 2000, "only {looping} of 4000 programs loop");
     }
 }

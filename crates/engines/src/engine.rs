@@ -32,6 +32,7 @@ use crate::account::MemoryReport;
 use crate::error::{EngineError, Trap};
 use crate::interp::threaded::ThreadedCode;
 use crate::interp::tree::TreeCode;
+use crate::jit::aot::VerifiedArtifacts;
 use crate::jit::exec::RegCode;
 use crate::jit::{compile_module, replay_compile_cost, CompileStats, Tier};
 use crate::memory::LinearMemory;
@@ -353,15 +354,47 @@ impl Engine {
     /// Returns [`EngineError::BadArtifact`] if the artifact is malformed
     /// or was produced by a different tier than this engine uses.
     pub fn load_artifact(&self, artifact: &[u8]) -> Result<CompiledModule, EngineError> {
+        self.load(artifact, None)
+    }
+
+    /// [`load_artifact`](Self::load_artifact) that skips re-deriving the
+    /// check-elimination proofs when `verified` holds these exact bytes,
+    /// and remembers them there after a load that re-derived them.
+    /// Decoding, code validation, the tier check and handler resolution
+    /// run on every load.
+    ///
+    /// # Errors
+    ///
+    /// As [`load_artifact`](Self::load_artifact).
+    pub fn load_artifact_in(
+        &self,
+        artifact: &[u8],
+        verified: &VerifiedArtifacts,
+    ) -> Result<CompiledModule, EngineError> {
+        self.load(artifact, Some(verified))
+    }
+
+    fn load(
+        &self,
+        artifact: &[u8],
+        verified: Option<&VerifiedArtifacts>,
+    ) -> Result<CompiledModule, EngineError> {
         let _span = obs::span!("engine.aot.load", engine = self.kind.name());
         let want = self.kind.tier().ok_or_else(|| {
             EngineError::BadArtifact(format!("{} has no AOT mode", self.kind))
         })?;
-        let (code, tier) = crate::jit::aot::from_bytes(artifact)?;
+        let known = verified.is_some_and(|v| v.contains(artifact));
+        if known {
+            obs::metrics::counter("engine.aot.verify_reused").inc();
+        }
+        let (code, tier) = crate::jit::aot::read(artifact, !known)?;
         if tier != want {
             return Err(EngineError::BadArtifact(format!(
                 "artifact was compiled by the {tier} tier, engine uses {want}"
             )));
+        }
+        if let (Some(v), false) = (verified, known) {
+            v.insert(artifact);
         }
         let module = code.module.clone();
         Ok(CompiledModule {

@@ -7,7 +7,9 @@
 //! binary, and the workspace deliberately carries no serialization
 //! framework dependency).
 
+use std::collections::VecDeque;
 use std::rc::Rc;
+use std::sync::Mutex;
 
 use crate::error::EngineError;
 use crate::jit::exec::RegCode;
@@ -46,13 +48,20 @@ pub fn to_bytes(code: &RegCode, tier: Tier) -> Vec<u8> {
     out
 }
 
-/// Deserializes an AOT artifact.
+/// Deserializes an AOT artifact, re-deriving every proof obligation.
 ///
 /// # Errors
 ///
 /// Returns [`EngineError::BadArtifact`] on malformed input, wrong magic or
 /// version; the embedded module is re-decoded and must be well-formed.
 pub fn from_bytes(bytes: &[u8]) -> Result<(RegCode, Tier), EngineError> {
+    read(bytes, true)
+}
+
+/// [`from_bytes`], with proof re-derivation skipped when `check_proofs`
+/// is false. Only for bytes a [`VerifiedArtifacts`] holds: an earlier
+/// load re-derived the proofs of exactly these bytes.
+pub(crate) fn read(bytes: &[u8], check_proofs: bool) -> Result<(RegCode, Tier), EngineError> {
     let bad = |m: &str| EngineError::BadArtifact(m.to_string());
     let mut r = Reader::new(bytes);
     if r.bytes(4).map_err(|_| bad("truncated header"))? != MAGIC {
@@ -83,9 +92,111 @@ pub fn from_bytes(bytes: &[u8]) -> Result<(RegCode, Tier), EngineError> {
     for _ in 0..nfuncs {
         funcs.push(read_func(&mut r).map_err(|_| bad("truncated function"))?);
     }
-    let code = RegCode::try_new(Rc::new(module), funcs)
+    let code = RegCode::try_new(Rc::new(module), funcs, check_proofs)
         .map_err(|e| EngineError::BadArtifact(format!("invalid code: {e}")))?;
     Ok((code, tier))
+}
+
+/// Artifacts whose proof obligations passed full re-derivation, kept by
+/// their exact bytes so a repeat load of the same artifact can skip the
+/// interval analysis that dominates loading.
+///
+/// Only a load through [`crate::Engine::load_artifact_in`] inserts, and
+/// only after that load re-derived every proof. A hit needs the whole
+/// artifact to be byte-equal to a remembered one; the hash merely picks
+/// which entries to compare, so neither a hash collision nor an artifact
+/// edited in place (same store key, different bytes) can skip a check.
+/// At most [`VerifiedArtifacts::CAP`] entries are kept, oldest evicted
+/// first.
+#[derive(Default)]
+pub struct VerifiedArtifacts {
+    inner: Mutex<Verified>,
+}
+
+impl std::fmt::Debug for VerifiedArtifacts {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let v = self.lock();
+        f.debug_struct("VerifiedArtifacts")
+            .field("entries", &v.entries.len())
+            .field("hits", &v.hits)
+            .finish()
+    }
+}
+
+#[derive(Default)]
+struct Verified {
+    /// `(bucket, bytes)`, oldest first.
+    entries: VecDeque<(u64, Box<[u8]>)>,
+    hits: u64,
+}
+
+/// Bytes that pick an artifact's bucket: the header and the start of the
+/// embedded module.
+const BUCKET_PREFIX: usize = 64;
+
+/// An artifact's bucket: FNV-1a over its first [`BUCKET_PREFIX`] bytes.
+/// Constant cost at any size, and deliberately coarse: an artifact whose
+/// code or proofs were edited shares its original's bucket, so only byte
+/// equality ever tells the two apart.
+fn bucket(bytes: &[u8]) -> u64 {
+    bytes[..bytes.len().min(BUCKET_PREFIX)]
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+}
+
+impl VerifiedArtifacts {
+    /// Entries kept before the oldest is evicted.
+    pub const CAP: usize = 256;
+
+    /// An empty memo.
+    pub fn new() -> VerifiedArtifacts {
+        VerifiedArtifacts::default()
+    }
+
+    /// Artifacts currently remembered.
+    pub fn len(&self) -> usize {
+        self.lock().entries.len()
+    }
+
+    /// True when nothing is remembered.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Loads that skipped proof re-derivation.
+    pub fn hits(&self) -> u64 {
+        self.lock().hits
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, Verified> {
+        // The state is always consistent between statements, so a panic
+        // elsewhere while holding the lock cannot leave it half-updated.
+        self.inner.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// True (and counted as a hit) when `bytes` passed a full check.
+    pub(crate) fn contains(&self, bytes: &[u8]) -> bool {
+        let b = bucket(bytes);
+        let mut v = self.lock();
+        let hit = v.entries.iter().any(|(eb, e)| *eb == b && **e == *bytes);
+        v.hits += u64::from(hit);
+        hit
+    }
+
+    /// Remembers `bytes`, whose proofs were just re-derived in full.
+    pub(crate) fn insert(&self, bytes: &[u8]) {
+        let b = bucket(bytes);
+        let mut v = self.lock();
+        if v.entries.iter().any(|(eb, e)| *eb == b && **e == *bytes) {
+            return; // a concurrent load of the same bytes got here first
+        }
+        if v.entries.len() == Self::CAP {
+            v.entries.pop_front();
+        }
+        v.entries.push_back((b, bytes.into()));
+    }
 }
 
 fn write_func(out: &mut Vec<u8>, f: &RFunc) {

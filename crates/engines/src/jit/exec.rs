@@ -72,7 +72,8 @@ impl RegCode {
     ///
     /// Panics if a function violates the executor's invariants — trusted
     /// compiler output must be well-formed, so a violation is a compiler
-    /// bug. Use [`RegCode::try_new`] for untrusted (deserialized) input.
+    /// bug. Untrusted (deserialized) input goes through `RegCode::try_new`
+    /// via `aot::from_bytes`.
     pub fn new(module: Rc<Module>, funcs: Vec<RFunc>) -> RegCode {
         for (i, f) in funcs.iter().enumerate() {
             if let Err(e) = check_code(f, i, &module) {
@@ -84,11 +85,19 @@ impl RegCode {
 
     /// Assembles compiled functions from an untrusted source (an AOT
     /// artifact), validating every invariant the executor relies on.
+    /// Proof obligations are re-derived only when `check_proofs`: false
+    /// is for code decoded from artifact bytes whose proofs an earlier
+    /// load already re-derived in full (`aot::VerifiedArtifacts`); every
+    /// structural check runs either way.
     ///
     /// # Errors
     ///
     /// Returns a description of the first violated invariant.
-    pub fn try_new(module: Rc<Module>, funcs: Vec<RFunc>) -> Result<RegCode, String> {
+    pub(crate) fn try_new(
+        module: Rc<Module>,
+        funcs: Vec<RFunc>,
+        check_proofs: bool,
+    ) -> Result<RegCode, String> {
         if funcs.len() != module.funcs.len() {
             return Err(format!(
                 "artifact has {} functions, module defines {}",
@@ -98,13 +107,21 @@ impl RegCode {
         }
         for (i, f) in funcs.iter().enumerate() {
             check_code(f, i, &module).map_err(|e| format!("function {i}: {e}"))?;
+        }
+        if check_proofs {
             // Untrusted proofs get the full treatment: re-derive every
             // obligation from scratch. A corrupt or malicious artifact
             // must not buy itself skipped checks.
-            let violations = crate::jit::verify::check_proofs(f);
-            if let Some(v) = violations.first() {
-                return Err(format!("function {i}: unsound elimination proof: {v}"));
+            let _span = obs::span!("engine.aot.verify");
+            let t0 = std::time::Instant::now();
+            for (i, f) in funcs.iter().enumerate() {
+                let violations = crate::jit::verify::check_proofs(f);
+                if let Some(v) = violations.first() {
+                    return Err(format!("function {i}: unsound elimination proof: {v}"));
+                }
             }
+            obs::metrics::histogram("engine.aot.verify")
+                .observe_ns(t0.elapsed().as_nanos() as u64);
         }
         Ok(RegCode::new_unchecked(module, funcs))
     }

@@ -638,7 +638,7 @@ pub fn audit_rfunc(f: &RFunc) -> analysis::range::AuditFacts {
 /// produced it. Interpreters consult the marks at decode time: a marked
 /// site still performs its host-side check as defense in depth, but skips
 /// the modeled check cost and reports the skip to the profiler.
-pub(crate) fn safe_wasm_sites(
+pub fn safe_wasm_sites(
     module: &wasm_core::module::Module,
     func: &wasm_core::module::Func,
 ) -> Vec<bool> {

@@ -31,6 +31,7 @@ pub mod store;
 
 
 pub use engine::{Backend, CompiledModule, Engine, EngineKind, Instance};
+pub use jit::aot::VerifiedArtifacts;
 pub use error::{EngineError, LinkError, Trap};
 pub use memory::LinearMemory;
 pub use profiler::{NullProfiler, Profiler};

@@ -82,9 +82,9 @@ pub fn check_elimination_section() -> String {
     "### Static analysis & check elimination\n\n\
      On top of the verifier, `wabench-analysis` runs an interval\n\
      abstract interpretation over the lowered register IR (value ranges\n\
-     per register, widening with thresholds plus one narrowing pass for\n\
-     termination, and branch refinement so `if i < n` tightens `i` on\n\
-     the taken edge). The Cranelift- and LLVM-analogue tiers use it to\n\
+     per register, widening with thresholds plus two narrowing passes\n\
+     for termination, and branch refinement so `if i < n` tightens `i`\n\
+     on the taken edge). The Cranelift- and LLVM-analogue tiers use it to\n\
      eliminate runtime safety checks — bounds checks whose address\n\
      interval fits the declared minimum memory, division guards whose\n\
      divisor interval excludes zero (and, for signed division, excludes\n\
@@ -94,8 +94,10 @@ pub fn check_elimination_section() -> String {
      the guarded site); `jit::verify` re-derives each obligation from\n\
      scratch with an independent analysis run, so an unsound or tampered\n\
      proof is rejected rather than trusted, both after optimization and\n\
-     when an AOT artifact is loaded. The interpreter tiers consult the\n\
-     same facts at load time: statically safe sites keep the host-side\n\
+     when an AOT artifact is loaded (a serving process re-derives once\n\
+     per distinct artifact and reuses that verdict only for byte-identical\n\
+     reloads). The interpreter tiers consult the same facts at load\n\
+     time: statically safe sites keep the host-side\n\
      check (defense in depth) but skip the modeled check cost, and the\n\
      skips are attributed via the `checks_skipped` simulated counter.\n\n\
      To see what the analysis proves on the suite, run\n\n\

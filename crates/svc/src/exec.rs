@@ -17,7 +17,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 use engines::faultpoint::ScopedCompileFault;
-use engines::{Engine, EngineKind};
+use engines::{Engine, EngineKind, VerifiedArtifacts};
 use fault::{FaultPlan, Site};
 use suite::Benchmark;
 use wacc::OptLevel;
@@ -44,6 +44,11 @@ pub struct ExecEnv {
     /// per key. `Arc<[u8]>` so a hit hands out a refcount bump, never a
     /// byte copy.
     bytes_cache: BytesCache,
+    /// Artifacts whose proofs a warm load already re-derived: a repeat
+    /// warm hit on the same bytes skips that step. Only
+    /// [`exec_job`]'s store-hit branch consults it, so every other
+    /// load (Figure 3's `ExecAot` cells included) pays the full check.
+    verified: VerifiedArtifacts,
     /// Optional fault-injection plan. Only jobs executed through this
     /// environment see injected faults — the harness's inline environment
     /// never installs one, which is what keeps its recomputations clean.
@@ -66,6 +71,7 @@ impl ExecEnv {
         ExecEnv {
             store,
             bytes_cache: Mutex::new(HashMap::new()),
+            verified: VerifiedArtifacts::new(),
             faults,
         }
     }
@@ -273,8 +279,10 @@ fn exec_job(
                     let t = Instant::now();
                     // A checksum-valid but semantically corrupt artifact
                     // is rejected here by the untrusted RegCode::try_new
-                    // path; fall back to a cold compile + repair.
-                    if let Ok(c) = engine.load_artifact(&artifact) {
+                    // path; fall back to a cold compile + repair. Proofs
+                    // are re-derived unless these exact bytes passed
+                    // before.
+                    if let Ok(c) = engine.load_artifact_in(&artifact, &env.verified) {
                         res.compile_s = t.elapsed().as_secs_f64();
                         res.warm_artifact = true;
                         compiled = Some(c);

@@ -93,7 +93,14 @@ fn every_registered_metric_is_documented() {
         mode: JobMode::Exec,
         warm: true,
     };
-    for engine in [EngineKind::Wasmtime, EngineKind::Wasm3, EngineKind::Wasmtime] {
+    // Wasmtime three times: cold compile, a warm load that re-derives
+    // the proofs, and a warm load that reuses that verdict.
+    for engine in [
+        EngineKind::Wasmtime,
+        EngineKind::Wasm3,
+        EngineKind::Wasmtime,
+        EngineKind::Wasmtime,
+    ] {
         let res = sched.wait(sched.submit(spec(engine)));
         assert!(res.ok(), "workload job failed: {:?}", res.status);
     }
@@ -107,6 +114,8 @@ fn every_registered_metric_is_documented() {
         "svc.store.put",
         "svc.queue.depth",
         "svc.job.wall",
+        "engine.aot.verify",
+        "engine.aot.verify_reused",
     ] {
         assert!(
             snap.iter().any(|(n, _)| n == sentinel),

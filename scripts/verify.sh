@@ -38,7 +38,8 @@
 #      one retry, one interpreter fallback, and one store repair
 #  15. audit smoke: wabench-harness audit over the whole suite with the proof
 #      verifier compiled in (--features verify-ir) must report zero
-#      proof violations and at least 4000 eliminated checks
+#      proof violations and exactly the pinned suite totals (checks,
+#      eliminated, residual, unreachable blocks)
 #  16. load smoke: a short fixed-seed wabench-load run against a live
 #      wabench-served exits 0, i.e. jobs completed with zero protocol
 #      errors
@@ -215,11 +216,23 @@ done
 
 step "audit smoke (static check-elimination proofs re-verified on the suite)"
 # All 50 programs x O0..O3 with every eliminated check's proof
-# obligation independently re-derived: zero violations, and the
-# eliminated-check floor catches an analysis that silently stops
-# proving anything (full suite currently eliminates ~4300).
+# obligation independently re-derived: zero violations (the command's
+# own exit status), the eliminated-check floor, and the exact totals
+# of the per-module table. Any drift in what the interval analysis
+# proves moves a total and fails here; a change meant to move them
+# updates the pinned line and says why.
 cargo run -q --release --features verify-ir -p wabench-harness -- \
-    audit --min-eliminated 4000
+    audit --min-eliminated 4000 --md > "$trace_tmp/audit.md"
+audit_totals=$(awk -F'|' '$3 ~ /-O[0-3]/ {
+        m++; c += $5; e += $6; r += $7; u += $8
+    } END { printf "modules=%d checks=%d eliminated=%d residual=%d unreachable=%d", m, c, e, r, u }' \
+    "$trace_tmp/audit.md")
+echo "audit totals: $audit_totals"
+[ "$audit_totals" = "modules=200 checks=9024 eliminated=4288 residual=4736 unreachable=1799" ] || {
+    echo "audit smoke FAILED: totals moved (pinned modules=200 checks=9024" \
+        "eliminated=4288 residual=4736 unreachable=1799)" >&2
+    exit 1
+}
 
 step "load smoke (open-loop generator -> live server)"
 loadgen=./target/release/wabench-load
