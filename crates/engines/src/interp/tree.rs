@@ -546,7 +546,7 @@ pub(crate) fn is_load_op(op: &Instr) -> bool {
     )
 }
 
-pub(crate) fn load_width(op: &Instr) -> u32 {
+pub(crate) const fn load_width(op: &Instr) -> u32 {
     use Instr::*;
     match op {
         I32Load8S(_) | I32Load8U(_) | I64Load8S(_) | I64Load8U(_) => 1,
@@ -556,7 +556,7 @@ pub(crate) fn load_width(op: &Instr) -> u32 {
     }
 }
 
-pub(crate) fn store_width(op: &Instr) -> u32 {
+pub(crate) const fn store_width(op: &Instr) -> u32 {
     use Instr::*;
     match op {
         I32Store8(_) | I64Store8(_) => 1,
@@ -568,6 +568,18 @@ pub(crate) fn store_width(op: &Instr) -> u32 {
 
 /// Executes a load instruction against memory, returning the raw slot.
 pub(crate) fn load_op(
+    mem: &crate::memory::LinearMemory,
+    op: &Instr,
+    addr: u32,
+    offset: u32,
+) -> Result<u64, Trap> {
+    load_op_inline(mem, op, addr, offset)
+}
+
+/// [`load_op`], always inlined: the compiled tiers' executor calls it with
+/// a constant `op` in each width's arm, where it folds to one access.
+#[inline(always)]
+pub(crate) fn load_op_inline(
     mem: &crate::memory::LinearMemory,
     op: &Instr,
     addr: u32,
@@ -595,6 +607,18 @@ pub(crate) fn load_op(
 
 /// Executes a store instruction against memory.
 pub(crate) fn store_op(
+    mem: &mut crate::memory::LinearMemory,
+    op: &Instr,
+    addr: u32,
+    offset: u32,
+    val: u64,
+) -> Result<(), Trap> {
+    store_op_inline(mem, op, addr, offset, val)
+}
+
+/// [`store_op`], always inlined (see [`load_op_inline`]).
+#[inline(always)]
+pub(crate) fn store_op_inline(
     mem: &mut crate::memory::LinearMemory,
     op: &Instr,
     addr: u32,

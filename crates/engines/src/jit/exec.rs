@@ -1,48 +1,255 @@
 //! The register-IR executor used by all compiled tiers.
 //!
-//! In the real systems this would be machine code; here a tight dispatch
-//! loop over register ops plays that role. The profiled personality
-//! reflects compiled code: instructions fetched from the I-side code
-//! region, no per-op indirect dispatch, direct branches where the compiler
-//! resolved them, and operands in registers (no operand-stack memory
-//! traffic).
+//! In the real systems this would be machine code; here a dispatch loop
+//! plays that role. [`RegCode`] re-encodes each function's [`ROp`]s 1:1
+//! into a private executable stream of [`XOp`]s whose opcode already names
+//! the operator (`I32Add`, `I32AddImm`, `BrI32LtS`, `I64Load8U`, ...), so
+//! an op costs one dispatch, as one emitted instruction would. Each arm
+//! applies its operator as a constant through the always-inlined twins of
+//! `numeric::apply_*` and `interp::tree::{load_op, store_op}`, which fold
+//! to straight-line code: the semantics are still written once. Calls
+//! between compiled functions stay inside the one loop (the caller is
+//! suspended on a side stack), so a wasm call costs no Rust frame.
+//!
+//! The profiled personality reflects compiled code: instructions fetched
+//! from the I-side code region, no per-op indirect dispatch, direct
+//! branches where the compiler resolved them, and operands in registers
+//! (no operand-stack memory traffic).
 
 use crate::error::Trap;
-use crate::interp::tree::{load_op, load_width, store_op, store_width};
-use crate::jit::ir::{RFunc, ROp};
-use crate::numeric::{self, BinFn, UnFn};
+use crate::interp::tree::{load_op_inline, load_width, store_op_inline, store_width};
+use crate::jit::ir::{RFunc, ROp, Reg};
+use crate::numeric;
 use crate::profiler::{BranchKind, Profiler, CODE_BASE, GLOBALS_BASE, HEAP_BASE, STACK_BASE};
 use crate::store::Runtime;
-use wasm_core::instr::InstrClass;
+use wasm_core::instr::{Instr, InstrClass, MemArg};
 use wasm_core::module::Module;
 use std::rc::Rc;
 
 /// Estimated encoded bytes per IR op ("machine code").
 const OP_BYTES: u64 = 8;
 
-/// A numeric handler resolved at compile time. Calling through these
-/// function pointers (instead of re-decoding the operator on every
-/// execution) is the portable analogue of the machine code a real JIT
-/// emits.
-#[derive(Clone, Copy)]
-enum Resolved {
-    Bin(BinFn),
-    Bin2(BinFn, BinFn),
-    Un(UnFn),
-    Other,
+/// The operator table: every operator the executor folds into its opcode,
+/// with the [`XOp`] name of each shape it takes. Invokes `$m!` with the
+/// whole table, so the opcode enum, the encoder and the dispatch loop's
+/// arms are all generated from this one list.
+macro_rules! operator_table {
+    ($m:ident) => {
+        $m! {
+            // Binary operators other than compares: (operator, `BinImm` form).
+            arith: [
+                (I32Add, I32AddImm), (I32Sub, I32SubImm), (I32Mul, I32MulImm),
+                (I32DivS, I32DivSImm), (I32DivU, I32DivUImm),
+                (I32RemS, I32RemSImm), (I32RemU, I32RemUImm),
+                (I32And, I32AndImm), (I32Or, I32OrImm), (I32Xor, I32XorImm),
+                (I32Shl, I32ShlImm), (I32ShrS, I32ShrSImm), (I32ShrU, I32ShrUImm),
+                (I32Rotl, I32RotlImm), (I32Rotr, I32RotrImm),
+                (I64Add, I64AddImm), (I64Sub, I64SubImm), (I64Mul, I64MulImm),
+                (I64DivS, I64DivSImm), (I64DivU, I64DivUImm),
+                (I64RemS, I64RemSImm), (I64RemU, I64RemUImm),
+                (I64And, I64AndImm), (I64Or, I64OrImm), (I64Xor, I64XorImm),
+                (I64Shl, I64ShlImm), (I64ShrS, I64ShrSImm), (I64ShrU, I64ShrUImm),
+                (I64Rotl, I64RotlImm), (I64Rotr, I64RotrImm),
+                (F32Add, F32AddImm), (F32Sub, F32SubImm), (F32Mul, F32MulImm),
+                (F32Div, F32DivImm), (F32Min, F32MinImm), (F32Max, F32MaxImm),
+                (F32Copysign, F32CopysignImm),
+                (F64Add, F64AddImm), (F64Sub, F64SubImm), (F64Mul, F64MulImm),
+                (F64Div, F64DivImm), (F64Min, F64MinImm), (F64Max, F64MaxImm),
+                (F64Copysign, F64CopysignImm),
+            ],
+            // Compares: (operator, `BinImm` form, `BrCmp` form, `BrCmpZ` form).
+            cmp: [
+                (I32Eq, I32EqImm, BrI32Eq, BrZI32Eq), (I32Ne, I32NeImm, BrI32Ne, BrZI32Ne),
+                (I32LtS, I32LtSImm, BrI32LtS, BrZI32LtS), (I32LtU, I32LtUImm, BrI32LtU, BrZI32LtU),
+                (I32GtS, I32GtSImm, BrI32GtS, BrZI32GtS), (I32GtU, I32GtUImm, BrI32GtU, BrZI32GtU),
+                (I32LeS, I32LeSImm, BrI32LeS, BrZI32LeS), (I32LeU, I32LeUImm, BrI32LeU, BrZI32LeU),
+                (I32GeS, I32GeSImm, BrI32GeS, BrZI32GeS), (I32GeU, I32GeUImm, BrI32GeU, BrZI32GeU),
+                (I64Eq, I64EqImm, BrI64Eq, BrZI64Eq), (I64Ne, I64NeImm, BrI64Ne, BrZI64Ne),
+                (I64LtS, I64LtSImm, BrI64LtS, BrZI64LtS), (I64LtU, I64LtUImm, BrI64LtU, BrZI64LtU),
+                (I64GtS, I64GtSImm, BrI64GtS, BrZI64GtS), (I64GtU, I64GtUImm, BrI64GtU, BrZI64GtU),
+                (I64LeS, I64LeSImm, BrI64LeS, BrZI64LeS), (I64LeU, I64LeUImm, BrI64LeU, BrZI64LeU),
+                (I64GeS, I64GeSImm, BrI64GeS, BrZI64GeS), (I64GeU, I64GeUImm, BrI64GeU, BrZI64GeU),
+                (F32Eq, F32EqImm, BrF32Eq, BrZF32Eq), (F32Ne, F32NeImm, BrF32Ne, BrZF32Ne),
+                (F32Lt, F32LtImm, BrF32Lt, BrZF32Lt), (F32Gt, F32GtImm, BrF32Gt, BrZF32Gt),
+                (F32Le, F32LeImm, BrF32Le, BrZF32Le), (F32Ge, F32GeImm, BrF32Ge, BrZF32Ge),
+                (F64Eq, F64EqImm, BrF64Eq, BrZF64Eq), (F64Ne, F64NeImm, BrF64Ne, BrZF64Ne),
+                (F64Lt, F64LtImm, BrF64Lt, BrZF64Lt), (F64Gt, F64GtImm, BrF64Gt, BrZF64Gt),
+                (F64Le, F64LeImm, BrF64Le, BrZF64Le), (F64Ge, F64GeImm, BrF64Ge, BrZF64Ge),
+            ],
+            unary: [
+                I32Eqz, I64Eqz,
+                I32Clz, I32Ctz, I32Popcnt, I64Clz, I64Ctz, I64Popcnt,
+                F32Abs, F32Neg, F32Ceil, F32Floor, F32Trunc, F32Nearest, F32Sqrt,
+                F64Abs, F64Neg, F64Ceil, F64Floor, F64Trunc, F64Nearest, F64Sqrt,
+                I32WrapI64, I64ExtendI32S, I64ExtendI32U,
+                I32Extend8S, I32Extend16S, I64Extend8S, I64Extend16S, I64Extend32S,
+                I32TruncF32S, I32TruncF32U, I32TruncF64S, I32TruncF64U,
+                I64TruncF32S, I64TruncF32U, I64TruncF64S, I64TruncF64U,
+                F32ConvertI32S, F32ConvertI32U, F32ConvertI64S, F32ConvertI64U,
+                F64ConvertI32S, F64ConvertI32U, F64ConvertI64S, F64ConvertI64U,
+                F32DemoteF64, F64PromoteF32,
+                I32ReinterpretF32, I64ReinterpretF64, F32ReinterpretI32, F64ReinterpretI64,
+            ],
+            load: [
+                I32Load, I64Load, F32Load, F64Load,
+                I32Load8S, I32Load8U, I32Load16S, I32Load16U,
+                I64Load8S, I64Load8U, I64Load16S, I64Load16U, I64Load32S, I64Load32U,
+            ],
+            store: [
+                I32Store, I64Store, F32Store, F64Store,
+                I32Store8, I32Store16, I64Store8, I64Store16, I64Store32,
+            ],
+        }
+    };
 }
 
-impl std::fmt::Debug for Resolved {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = match self {
-            Resolved::Bin(_) => "Bin",
-            Resolved::Bin2(..) => "Bin2",
-            Resolved::Un(_) => "Un",
-            Resolved::Other => "Other",
-        };
-        f.write_str(s)
-    }
+/// Defines [`BinOp`] and [`XOp`] and the [`ROp`] → [`XOp`] encoder from
+/// the operator table.
+macro_rules! define_ops {
+    (
+        arith: [$(($a:ident, $ai:ident)),* $(,)?],
+        cmp: [$(($c:ident, $ci:ident, $cb:ident, $cbz:ident)),* $(,)?],
+        unary: [$($u:ident),* $(,)?],
+        load: [$($l:ident),* $(,)?],
+        store: [$($s:ident),* $(,)?] $(,)?
+    ) => {
+        /// A binary operator as a one-byte code, for the shapes that keep
+        /// their operator as data: `Bin2` (two operators in one op) and a
+        /// compare-branch carrying a non-compare operator.
+        #[derive(Debug, Clone, Copy)]
+        enum BinOp {
+            $($a,)*
+            $($c,)*
+        }
+
+        impl BinOp {
+            fn of(op: Instr) -> BinOp {
+                match op {
+                    $(Instr::$a => BinOp::$a,)*
+                    $(Instr::$c => BinOp::$c,)*
+                    other => unreachable!("check_code admits only binary operators, not {other:?}"),
+                }
+            }
+
+            /// `numeric::apply_binary` for this operator: one dispatch on
+            /// the code, then the operator's inlined body.
+            fn apply(self, a: u64, b: u64) -> Result<u64, Trap> {
+                match self {
+                    $(BinOp::$a => numeric::apply_binary_inline(Instr::$a, a, b),)*
+                    $(BinOp::$c => numeric::apply_binary_inline(Instr::$c, a, b),)*
+                }
+            }
+        }
+
+        /// One executable op: an [`ROp`] with its operator folded into the
+        /// opcode. Built 1:1 from a checked function's ops, so pc indices,
+        /// branch targets and per-op tables carry over unchanged.
+        #[derive(Debug, Clone, Copy)]
+        enum XOp {
+            Const { rd: Reg, bits: u64 },
+            Move { rd: Reg, rs: Reg },
+            Bin2 { op1: BinOp, op2: BinOp, rd: Reg, ra: Reg, rb: Reg, rc: Reg, swapped: bool },
+            Select { rd: Reg, cond: Reg, a: Reg, b: Reg },
+            GlobalGet { rd: Reg, idx: u32 },
+            GlobalSet { idx: u32, rs: Reg },
+            MemSize { rd: Reg },
+            MemGrow { rd: Reg, rs: Reg },
+            Jump { target: u32 },
+            BrIf { cond: Reg, target: u32 },
+            BrIfZ { cond: Reg, target: u32 },
+            /// `BrCmp`/`BrCmpZ` with a non-compare operator: the compiler
+            /// never emits one, but an artifact may carry it.
+            BrBin { op: BinOp, ra: Reg, rb: Reg, target: u32 },
+            BrBinZ { op: BinOp, ra: Reg, rb: Reg, target: u32 },
+            BrTable { idx: Reg, table: u32 },
+            Call { f: u32, args: Reg, nargs: u8, ret: bool },
+            CallIndirect { type_idx: u32, elem: Reg, args: Reg, nargs: u8, ret: bool },
+            Ret { rs: Reg, has: bool },
+            Trap,
+            Nop,
+            $($a { rd: Reg, ra: Reg, rb: Reg },)*
+            $($ai { rd: Reg, ra: Reg, imm: u64 },)*
+            $($c { rd: Reg, ra: Reg, rb: Reg },)*
+            $($ci { rd: Reg, ra: Reg, imm: u64 },)*
+            $($cb { ra: Reg, rb: Reg, target: u32 },)*
+            $($cbz { ra: Reg, rb: Reg, target: u32 },)*
+            $($u { rd: Reg, ra: Reg },)*
+            $($l { rd: Reg, addr: Reg, offset: u32 },)*
+            $($s { addr: Reg, val: Reg, offset: u32 },)*
+        }
+
+        impl XOp {
+            /// Encodes one op of a function `check_code` accepted (which
+            /// guarantees every operator matches its shape).
+            fn encode(op: &ROp) -> XOp {
+                let not_in_class = |op: Instr| -> ! {
+                    unreachable!("check_code admits {op:?} in no such shape")
+                };
+                match *op {
+                    ROp::Const { rd, bits } => XOp::Const { rd, bits },
+                    ROp::Move { rd, rs } => XOp::Move { rd, rs },
+                    ROp::Bin { op, rd, ra, rb } => match op {
+                        $(Instr::$a => XOp::$a { rd, ra, rb },)*
+                        $(Instr::$c => XOp::$c { rd, ra, rb },)*
+                        other => not_in_class(other),
+                    },
+                    ROp::BinImm { op, rd, ra, imm } => match op {
+                        $(Instr::$a => XOp::$ai { rd, ra, imm },)*
+                        $(Instr::$c => XOp::$ci { rd, ra, imm },)*
+                        other => not_in_class(other),
+                    },
+                    ROp::Bin2 { op1, op2, rd, ra, rb, rc, swapped } => XOp::Bin2 {
+                        op1: BinOp::of(op1),
+                        op2: BinOp::of(op2),
+                        rd,
+                        ra,
+                        rb,
+                        rc,
+                        swapped,
+                    },
+                    ROp::BrCmp { op, ra, rb, target } => match op {
+                        $(Instr::$c => XOp::$cb { ra, rb, target },)*
+                        other => XOp::BrBin { op: BinOp::of(other), ra, rb, target },
+                    },
+                    ROp::BrCmpZ { op, ra, rb, target } => match op {
+                        $(Instr::$c => XOp::$cbz { ra, rb, target },)*
+                        other => XOp::BrBinZ { op: BinOp::of(other), ra, rb, target },
+                    },
+                    ROp::Un { op, rd, ra } => match op {
+                        $(Instr::$u => XOp::$u { rd, ra },)*
+                        other => not_in_class(other),
+                    },
+                    ROp::Load { op, rd, addr, offset } => match op {
+                        $(Instr::$l(_) => XOp::$l { rd, addr, offset },)*
+                        other => not_in_class(other),
+                    },
+                    ROp::Store { op, addr, val, offset } => match op {
+                        $(Instr::$s(_) => XOp::$s { addr, val, offset },)*
+                        other => not_in_class(other),
+                    },
+                    ROp::Select { rd, cond, a, b } => XOp::Select { rd, cond, a, b },
+                    ROp::GlobalGet { rd, idx } => XOp::GlobalGet { rd, idx },
+                    ROp::GlobalSet { idx, rs } => XOp::GlobalSet { idx, rs },
+                    ROp::MemSize { rd } => XOp::MemSize { rd },
+                    ROp::MemGrow { rd, rs } => XOp::MemGrow { rd, rs },
+                    ROp::Jump { target } => XOp::Jump { target },
+                    ROp::BrIf { cond, target } => XOp::BrIf { cond, target },
+                    ROp::BrIfZ { cond, target } => XOp::BrIfZ { cond, target },
+                    ROp::BrTable { idx, table } => XOp::BrTable { idx, table },
+                    ROp::Call { f, args, nargs, ret } => XOp::Call { f, args, nargs, ret },
+                    ROp::CallIndirect { type_idx, elem, args, nargs, ret } => {
+                        XOp::CallIndirect { type_idx, elem, args, nargs, ret }
+                    }
+                    ROp::Ret { rs, has } => XOp::Ret { rs, has },
+                    ROp::Trap => XOp::Trap,
+                    ROp::Nop => XOp::Nop,
+                }
+            }
+        }
+    };
 }
+
+operator_table!(define_ops);
 
 /// Compiled code for an entire module.
 #[derive(Debug)]
@@ -55,13 +262,26 @@ pub struct RegCode {
     pub func_base: Vec<u64>,
     /// Imported function count.
     pub num_imported: u32,
-    /// Per-function resolved numeric handlers, parallel to `funcs[i].ops`.
-    resolved: Vec<Vec<Resolved>>,
+    /// Per-function executable op streams, 1:1 with `funcs[i].ops`: the
+    /// only form the execution loop reads.
+    xops: Vec<Vec<XOp>>,
     /// Per-op "check statically proven redundant" flags, parallel to
     /// `funcs[i].ops`, materialized from each function's proof
     /// obligations. Safe sites skip the modeled check cost (the host
     /// bounds check stays as defense in depth).
     safe: Vec<Vec<bool>>,
+}
+
+/// A caller waiting for a compiled callee to return.
+struct Suspended {
+    /// The caller's function (module-defined index).
+    fi: usize,
+    /// The caller's call op.
+    pc: usize,
+    /// The caller's frame base in the arena.
+    frame_base: usize,
+    /// Where the callee's result goes, if the call expects one.
+    ret: Option<Reg>,
 }
 
 impl RegCode {
@@ -129,7 +349,7 @@ impl RegCode {
     fn new_unchecked(module: Rc<Module>, funcs: Vec<RFunc>) -> RegCode {
         let mut func_base = Vec::with_capacity(funcs.len());
         let mut cursor = CODE_BASE + 0x10_0000; // past the runtime stubs
-        let mut resolved = Vec::with_capacity(funcs.len());
+        let mut xops = Vec::with_capacity(funcs.len());
         let mut safe = Vec::with_capacity(funcs.len());
         for f in &funcs {
             func_base.push(cursor);
@@ -139,29 +359,14 @@ impl RegCode {
                 s[proof.op as usize] = true;
             }
             safe.push(s);
-            resolved.push(
-                f.ops
-                    .iter()
-                    .map(|op| match op {
-                        ROp::Bin { op, .. }
-                        | ROp::BinImm { op, .. }
-                        | ROp::BrCmp { op, .. }
-                        | ROp::BrCmpZ { op, .. } => Resolved::Bin(numeric::binary_fn(*op)),
-                        ROp::Bin2 { op1, op2, .. } => {
-                            Resolved::Bin2(numeric::binary_fn(*op1), numeric::binary_fn(*op2))
-                        }
-                        ROp::Un { op, .. } => Resolved::Un(numeric::unary_fn(*op)),
-                        _ => Resolved::Other,
-                    })
-                    .collect(),
-            );
+            xops.push(f.ops.iter().map(XOp::encode).collect());
         }
         RegCode {
             num_imported: module.num_imported_funcs() as u32,
             module,
             funcs,
             func_base,
-            resolved,
+            xops,
             safe,
         }
     }
@@ -183,64 +388,56 @@ impl RegCode {
         args: &[u64],
         p: &mut P,
     ) -> Result<Option<u64>, Trap> {
-        // One contiguous frame arena per invocation: compiled code keeps
-        // its register frames on the machine stack, not the heap.
-        let mut frames: Vec<u64> = Vec::with_capacity(4096);
-        self.call(rt, func_idx, args, 0, &mut frames, p)
-    }
-
-    fn call<P: Profiler>(
-        &self,
-        rt: &mut Runtime,
-        func_idx: u32,
-        args: &[u64],
-        depth: usize,
-        frames: &mut Vec<u64>,
-        p: &mut P,
-    ) -> Result<Option<u64>, Trap> {
-        if depth >= rt.call_depth_limit {
+        if rt.call_depth_limit == 0 {
             return Err(Trap::StackOverflow);
         }
         if func_idx < self.num_imported {
             return rt.call_host(func_idx, args).map(Some);
         }
+        // One contiguous frame arena per invocation: compiled code keeps
+        // its register frames on the machine stack, not the heap.
+        let mut frames: Vec<u64> = Vec::with_capacity(4096);
         let fi = (func_idx - self.num_imported) as usize;
-        let f = &self.funcs[fi];
-        let base = self.func_base[fi];
-        let resolved = &self.resolved[fi];
-        let safe = &self.safe[fi];
-
-        let frame_base = frames.len();
-        frames.resize(frame_base + f.nregs as usize, 0);
-        frames[frame_base..frame_base + args.len()].copy_from_slice(args);
-        // Frame setup: compiled code spills the frame to the real stack.
-        p.write(STACK_BASE + depth as u64 * 256, (f.nregs as u32).min(16) * 8);
-        p.uops(2);
-        rt.peak_value_stack = rt.peak_value_stack.max(frames.len());
-
-        let result = self.exec_frame(rt, f, base, resolved, safe, frame_base, depth, frames, p);
-        frames.truncate(frame_base);
-        result
+        frames.resize(self.funcs[fi].nregs as usize, 0);
+        frames[..args.len()].copy_from_slice(args);
+        self.exec(rt, fi, frames, p)
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn exec_frame<P: Profiler>(
+    /// Runs function `fi`, whose frame is `frames[0..nregs]` with the
+    /// arguments in place, to completion. Calls between compiled functions
+    /// push a [`Suspended`] caller instead of recursing, so one Rust frame
+    /// serves every wasm call depth.
+    fn exec<P: Profiler>(
         &self,
         rt: &mut Runtime,
-        f: &RFunc,
-        base: u64,
-        resolved: &[Resolved],
-        safe: &[bool],
-        frame_base: usize,
-        depth: usize,
-        frames: &mut Vec<u64>,
+        mut fi: usize,
+        mut frames: Vec<u64>,
         p: &mut P,
     ) -> Result<Option<u64>, Trap> {
+        let mut callers: Vec<Suspended> = Vec::new();
+        let mut f = &self.funcs[fi];
+        let mut base = self.func_base[fi];
+        let mut code = &self.xops[fi][..];
+        let mut safe = &self.safe[fi][..];
+        let mut frame_base = 0;
+        let mut pc: usize = 0;
+        // Frame setup: compiled code spills the frame to the real stack.
+        // `$depth` is the callee's call depth.
+        macro_rules! frame_setup {
+            ($depth:expr) => {
+                p.write(STACK_BASE + $depth as u64 * 256, (f.nregs as u32).min(16) * 8);
+                p.uops(2);
+                rt.peak_value_stack = rt.peak_value_stack.max(frames.len());
+            };
+        }
+        frame_setup!(0);
 
         macro_rules! reg {
             ($r:expr) => {
                 // SAFETY: check_code proved the operand index < nregs, and
-                // the frame [frame_base, frame_base + nregs) is allocated.
+                // the frame [frame_base, frame_base + nregs) is allocated: a
+                // call appends the callee's frame after it, and the
+                // callee's return truncates the arena back to its end.
                 unsafe { *frames.get_unchecked(frame_base + $r as usize) }
             };
         }
@@ -251,7 +448,46 @@ impl RegCode {
                 unsafe { *frames.get_unchecked_mut(frame_base + $r as usize) = v }
             }};
         }
-        let mut pc: usize = 0;
+        // Makes function `$fi` current, at op 0.
+        macro_rules! switch_to {
+            ($fi:expr) => {{
+                fi = $fi;
+                f = &self.funcs[fi];
+                base = self.func_base[fi];
+                code = &self.xops[fi];
+                safe = &self.safe[fi];
+            }};
+        }
+        // Calls `$callee` with the `$nargs` registers from `$args` as its
+        // arguments, its result (when `$ret`) back to `$args`. A compiled
+        // callee continues the loop at its first op; a host import runs
+        // to completion here.
+        macro_rules! call {
+            ($callee:expr, $args:expr, $nargs:expr, $ret:expr) => {{
+                let (callee, args, nargs, ret): (u32, Reg, u8, bool) =
+                    ($callee, $args, $nargs, $ret);
+                let depth = callers.len() + 1;
+                if depth >= rt.call_depth_limit {
+                    return Err(Trap::StackOverflow);
+                }
+                let a = frame_base + args as usize;
+                if callee < self.num_imported {
+                    let r = rt.call_host(callee, &frames[a..a + nargs as usize])?;
+                    if ret {
+                        set_reg!(args, r);
+                    }
+                } else {
+                    callers.push(Suspended { fi, pc, frame_base, ret: ret.then_some(args) });
+                    switch_to!((callee - self.num_imported) as usize);
+                    frame_base = frames.len();
+                    frames.resize(frame_base + f.nregs as usize, 0);
+                    frames.copy_within(a..a + nargs as usize, frame_base);
+                    frame_setup!(depth);
+                    pc = 0;
+                    continue;
+                }
+            }};
+        }
         // Accounts µops for an op carrying an implicit safety check:
         // proven-safe sites skip the modeled check µop and report the
         // skip; `checked` is the cost with the check included.
@@ -271,223 +507,204 @@ impl RegCode {
         // SAFETY throughout this loop: `check_code` proved every register
         // operand < nregs (the frame size) and every branch target < the
         // op count, and the final op is a terminator, so `pc` always stays
-        // in bounds between branches.
+        // in bounds between branches. `code` is 1:1 with `f.ops`.
         loop {
-            let op = unsafe { f.ops.get_unchecked(pc) };
+            let op = unsafe { code.get_unchecked(pc) };
             let site = base + pc as u64 * OP_BYTES;
             p.fetch(site, OP_BYTES as u32);
 
-            match *op {
-                ROp::Const { rd, bits } => {
-                    set_reg!(rd, bits);
-                    p.uops(1);
-                }
-                ROp::Move { rd, rs } => {
-                    set_reg!(rd, reg!(rs));
-                    p.uops(1);
-                }
-                ROp::Bin { op, rd, ra, rb } => {
-                    let h = match resolved[pc] {
-                        Resolved::Bin(h) => h,
-                        _ => unreachable!("resolved table parallel to ops"),
-                    };
-                    set_reg!(rd, h(reg!(ra), reg!(rb))?);
-                    checked_uops!(op_cost(op.class()));
-                }
-                ROp::Bin2 { op1, op2, rd, ra, rb, rc, swapped } => {
-                    let (h1, h2) = match resolved[pc] {
-                        Resolved::Bin2(h1, h2) => (h1, h2),
-                        _ => unreachable!("resolved table parallel to ops"),
-                    };
-                    let _ = (op1, op2);
-                    let v1 = h1(reg!(ra), reg!(rb))?;
-                    let v = if swapped {
-                        h2(reg!(rc), v1)?
-                    } else {
-                        h2(v1, reg!(rc))?
-                    };
-                    set_reg!(rd, v);
-                    checked_uops!(2);
-                }
-                ROp::BinImm { op, rd, ra, imm } => {
-                    let h = match resolved[pc] {
-                        Resolved::Bin(h) => h,
-                        _ => unreachable!("resolved table parallel to ops"),
-                    };
-                    set_reg!(rd, h(reg!(ra), imm)?);
-                    checked_uops!(op_cost(op.class()));
-                }
-                ROp::Un { op, rd, ra } => {
-                    let h = match resolved[pc] {
-                        Resolved::Un(h) => h,
-                        _ => unreachable!("resolved table parallel to ops"),
-                    };
-                    set_reg!(rd, h(reg!(ra))?);
-                    checked_uops!(op_cost(op.class()));
-                }
-                ROp::Load { op, rd, addr, offset } => {
-                    let a = reg!(addr) as u32;
-                    let mem = rt.memory.as_ref().expect("validated memory");
-                    set_reg!(rd, load_op(mem, &op, a, offset)?);
-                    p.read(HEAP_BASE + a as u64 + offset as u64, load_width(&op));
-                    // Address computation + access, plus the bounds check
-                    // unless the compiler proved it redundant.
-                    checked_uops!(2);
-                }
-                ROp::Store { op, addr, val, offset } => {
-                    let a = reg!(addr) as u32;
-                    let mem = rt.memory.as_mut().expect("validated memory");
-                    store_op(mem, &op, a, offset, reg!(val))?;
-                    p.write(HEAP_BASE + a as u64 + offset as u64, store_width(&op));
-                    checked_uops!(2);
-                }
-                ROp::Select { rd, cond, a, b } => {
-                    let v = if reg!(cond) as u32 != 0 { reg!(a) } else { reg!(b) };
-                    set_reg!(rd, v);
-                    p.uops(1); // cmov
-                }
-                ROp::GlobalGet { rd, idx } => {
-                    set_reg!(rd, rt.globals[idx as usize]);
-                    p.read(GLOBALS_BASE + idx as u64 * 8, 8);
-                    p.uops(1);
-                }
-                ROp::GlobalSet { idx, rs } => {
-                    rt.globals[idx as usize] = reg!(rs);
-                    p.write(GLOBALS_BASE + idx as u64 * 8, 8);
-                    p.uops(1);
-                }
-                ROp::MemSize { rd } => {
-                    let v = rt.memory.as_ref().expect("validated memory").size_pages() as u64;
-                    set_reg!(rd, v);
-                    p.uops(2);
-                }
-                ROp::MemGrow { rd, rs } => {
-                    let delta = reg!(rs) as u32;
-                    let v = rt.memory.as_mut().expect("validated memory").grow(delta) as u32 as u64;
-                    set_reg!(rd, v);
-                    p.uops(20);
-                }
-                ROp::Jump { target } => {
-                    p.branch(site, BranchKind::Uncond, true, base + target as u64 * OP_BYTES);
-                    p.uops(1);
-                    pc = target as usize;
-                    continue;
-                }
-                ROp::BrIf { cond, target } => {
-                    let taken = reg!(cond) as u32 != 0;
+            // A conditional branch to `target`, taken when `$taken`.
+            macro_rules! cond_branch {
+                ($taken:expr, $target:expr) => {{
+                    let taken: bool = $taken;
+                    let target: u32 = $target;
                     p.branch(site, BranchKind::Cond, taken, base + target as u64 * OP_BYTES);
                     p.uops(1);
                     if taken {
                         pc = target as usize;
                         continue;
                     }
-                }
-                ROp::BrIfZ { cond, target } => {
-                    let taken = reg!(cond) as u32 == 0;
-                    p.branch(site, BranchKind::Cond, taken, base + target as u64 * OP_BYTES);
-                    p.uops(1);
-                    if taken {
-                        pc = target as usize;
-                        continue;
-                    }
-                }
-                ROp::BrCmp { op, ra, rb, target } => {
-                    let h = match resolved[pc] {
-                        Resolved::Bin(h) => h,
-                        _ => unreachable!("resolved table parallel to ops"),
-                    };
-                    let _ = op;
-                    let taken = h(reg!(ra), reg!(rb))? as u32 != 0;
-                    p.branch(site, BranchKind::Cond, taken, base + target as u64 * OP_BYTES);
-                    p.uops(1); // cmp+jcc pair retires as a fused µop
-                    if taken {
-                        pc = target as usize;
-                        continue;
-                    }
-                }
-                ROp::BrCmpZ { op, ra, rb, target } => {
-                    let h = match resolved[pc] {
-                        Resolved::Bin(h) => h,
-                        _ => unreachable!("resolved table parallel to ops"),
-                    };
-                    let _ = op;
-                    let taken = h(reg!(ra), reg!(rb))? as u32 == 0;
-                    p.branch(site, BranchKind::Cond, taken, base + target as u64 * OP_BYTES);
-                    p.uops(1);
-                    if taken {
-                        pc = target as usize;
-                        continue;
-                    }
-                }
-                ROp::BrTable { idx, table } => {
-                    let t = &f.tables[table as usize];
-                    let sel = (reg!(idx) as u32 as usize).min(t.len() - 1);
-                    let target = t[sel];
-                    p.read(site + 4, 8); // jump-table entry load
-                    p.branch(site, BranchKind::Indirect, true, base + target as u64 * OP_BYTES);
-                    p.uops(2);
-                    pc = target as usize;
-                    continue;
-                }
-                ROp::Call { f: callee, args, nargs, ret } => {
-                    let a = frame_base + args as usize;
-                    let mut call_buf = [0u64; 16];
-                    let call_vec;
-                    let call_args: &[u64] = if nargs as usize <= 16 {
-                        call_buf[..nargs as usize]
-                            .copy_from_slice(&frames[a..a + nargs as usize]);
-                        &call_buf[..nargs as usize]
-                    } else {
-                        call_vec = frames[a..a + nargs as usize].to_vec();
-                        &call_vec
-                    };
-                    p.branch(site, BranchKind::Call, true, CODE_BASE + callee as u64 * 0x80);
-                    p.uops(2);
-                    let r = self.call(rt, callee, call_args, depth + 1, frames, p)?;
-                    if ret {
-                        set_reg!(args, r.expect("typed result"));
-                    }
-                }
-                ROp::CallIndirect { type_idx, elem, args, nargs, ret } => {
-                    let e = reg!(elem) as u32;
-                    let callee = rt
-                        .table
-                        .get(e as usize)
-                        .copied()
-                        .flatten()
-                        .ok_or(Trap::UndefinedElement)?;
-                    let want = &self.module.types[type_idx as usize];
-                    let have = self.module.func_type(callee).ok_or(Trap::UndefinedElement)?;
-                    if want != have {
-                        return Err(Trap::IndirectCallTypeMismatch);
-                    }
-                    let a = frame_base + args as usize;
-                    let mut call_buf = [0u64; 16];
-                    let call_vec;
-                    let call_args: &[u64] = if nargs as usize <= 16 {
-                        call_buf[..nargs as usize]
-                            .copy_from_slice(&frames[a..a + nargs as usize]);
-                        &call_buf[..nargs as usize]
-                    } else {
-                        call_vec = frames[a..a + nargs as usize].to_vec();
-                        &call_vec
-                    };
-                    p.read(crate::profiler::META_BASE + e as u64 * 8, 8); // table slot
-                    p.branch(site, BranchKind::IndirectCall, true, CODE_BASE + callee as u64 * 0x80);
-                    p.uops(4); // bounds + signature check
-                    let r = self.call(rt, callee, call_args, depth + 1, frames, p)?;
-                    if ret {
-                        set_reg!(args, r.expect("typed result"));
-                    }
-                }
-                ROp::Ret { rs, has } => {
-                    p.branch(site, BranchKind::Ret, true, CODE_BASE);
-                    p.uops(1);
-                    return Ok(if has { Some(reg!(rs)) } else { None });
-                }
-                ROp::Trap => return Err(Trap::Unreachable),
-                ROp::Nop => {}
+                }};
             }
+            // One match over the whole table: every operator's arm applies
+            // it as a constant, so each arm inlines to its own operation.
+            macro_rules! dispatch {
+                (
+                    arith: [$(($a:ident, $ai:ident)),* $(,)?],
+                    cmp: [$(($c:ident, $ci:ident, $cb:ident, $cbz:ident)),* $(,)?],
+                    unary: [$($u:ident),* $(,)?],
+                    load: [$($l:ident),* $(,)?],
+                    store: [$($s:ident),* $(,)?] $(,)?
+                ) => {
+                    match *op {
+                        $(XOp::$a { rd, ra, rb } => {
+                            set_reg!(rd, numeric::apply_binary_inline(Instr::$a, reg!(ra), reg!(rb))?);
+                            const COST: u64 = op_cost(Instr::$a.class());
+                            checked_uops!(COST);
+                        })*
+                        $(XOp::$c { rd, ra, rb } => {
+                            set_reg!(rd, numeric::apply_binary_inline(Instr::$c, reg!(ra), reg!(rb))?);
+                            const COST: u64 = op_cost(Instr::$c.class());
+                            checked_uops!(COST);
+                        })*
+                        $(XOp::$ai { rd, ra, imm } => {
+                            set_reg!(rd, numeric::apply_binary_inline(Instr::$a, reg!(ra), imm)?);
+                            const COST: u64 = op_cost(Instr::$a.class());
+                            checked_uops!(COST);
+                        })*
+                        $(XOp::$ci { rd, ra, imm } => {
+                            set_reg!(rd, numeric::apply_binary_inline(Instr::$c, reg!(ra), imm)?);
+                            const COST: u64 = op_cost(Instr::$c.class());
+                            checked_uops!(COST);
+                        })*
+                        $(XOp::$cb { ra, rb, target } => {
+                            // cmp+jcc pair retires as a fused µop
+                            let v = numeric::apply_binary_inline(Instr::$c, reg!(ra), reg!(rb))?;
+                            cond_branch!(v as u32 != 0, target);
+                        })*
+                        $(XOp::$cbz { ra, rb, target } => {
+                            let v = numeric::apply_binary_inline(Instr::$c, reg!(ra), reg!(rb))?;
+                            cond_branch!(v as u32 == 0, target);
+                        })*
+                        $(XOp::$u { rd, ra } => {
+                            set_reg!(rd, numeric::apply_unary_inline(Instr::$u, reg!(ra))?);
+                            const COST: u64 = op_cost(Instr::$u.class());
+                            checked_uops!(COST);
+                        })*
+                        $(XOp::$l { rd, addr, offset } => {
+                            const OP: Instr = Instr::$l(MemArg { align: 0, offset: 0 });
+                            let a = reg!(addr) as u32;
+                            let mem = rt.memory.as_ref().expect("validated memory");
+                            set_reg!(rd, load_op_inline(mem, &OP, a, offset)?);
+                            const WIDTH: u32 = load_width(&OP);
+                            p.read(HEAP_BASE + a as u64 + offset as u64, WIDTH);
+                            // Address computation + access, plus the bounds
+                            // check unless the compiler proved it redundant.
+                            checked_uops!(2);
+                        })*
+                        $(XOp::$s { addr, val, offset } => {
+                            const OP: Instr = Instr::$s(MemArg { align: 0, offset: 0 });
+                            let a = reg!(addr) as u32;
+                            let mem = rt.memory.as_mut().expect("validated memory");
+                            store_op_inline(mem, &OP, a, offset, reg!(val))?;
+                            const WIDTH: u32 = store_width(&OP);
+                            p.write(HEAP_BASE + a as u64 + offset as u64, WIDTH);
+                            checked_uops!(2);
+                        })*
+                        XOp::Const { rd, bits } => {
+                            set_reg!(rd, bits);
+                            p.uops(1);
+                        }
+                        XOp::Move { rd, rs } => {
+                            set_reg!(rd, reg!(rs));
+                            p.uops(1);
+                        }
+                        XOp::Bin2 { op1, op2, rd, ra, rb, rc, swapped } => {
+                            let v1 = op1.apply(reg!(ra), reg!(rb))?;
+                            let v = if swapped {
+                                op2.apply(reg!(rc), v1)?
+                            } else {
+                                op2.apply(v1, reg!(rc))?
+                            };
+                            set_reg!(rd, v);
+                            checked_uops!(2);
+                        }
+                        XOp::Select { rd, cond, a, b } => {
+                            let v = if reg!(cond) as u32 != 0 { reg!(a) } else { reg!(b) };
+                            set_reg!(rd, v);
+                            p.uops(1); // cmov
+                        }
+                        XOp::GlobalGet { rd, idx } => {
+                            set_reg!(rd, rt.globals[idx as usize]);
+                            p.read(GLOBALS_BASE + idx as u64 * 8, 8);
+                            p.uops(1);
+                        }
+                        XOp::GlobalSet { idx, rs } => {
+                            rt.globals[idx as usize] = reg!(rs);
+                            p.write(GLOBALS_BASE + idx as u64 * 8, 8);
+                            p.uops(1);
+                        }
+                        XOp::MemSize { rd } => {
+                            let v = rt.memory.as_ref().expect("validated memory").size_pages() as u64;
+                            set_reg!(rd, v);
+                            p.uops(2);
+                        }
+                        XOp::MemGrow { rd, rs } => {
+                            let delta = reg!(rs) as u32;
+                            let v = rt.memory.as_mut().expect("validated memory").grow(delta) as u32 as u64;
+                            set_reg!(rd, v);
+                            p.uops(20);
+                        }
+                        XOp::Jump { target } => {
+                            p.branch(site, BranchKind::Uncond, true, base + target as u64 * OP_BYTES);
+                            p.uops(1);
+                            pc = target as usize;
+                            continue;
+                        }
+                        XOp::BrIf { cond, target } => cond_branch!(reg!(cond) as u32 != 0, target),
+                        XOp::BrIfZ { cond, target } => cond_branch!(reg!(cond) as u32 == 0, target),
+                        XOp::BrBin { op, ra, rb, target } => {
+                            let v = op.apply(reg!(ra), reg!(rb))?;
+                            cond_branch!(v as u32 != 0, target);
+                        }
+                        XOp::BrBinZ { op, ra, rb, target } => {
+                            let v = op.apply(reg!(ra), reg!(rb))?;
+                            cond_branch!(v as u32 == 0, target);
+                        }
+                        XOp::BrTable { idx, table } => {
+                            let t = &f.tables[table as usize];
+                            let sel = (reg!(idx) as u32 as usize).min(t.len() - 1);
+                            let target = t[sel];
+                            p.read(site + 4, 8); // jump-table entry load
+                            p.branch(site, BranchKind::Indirect, true, base + target as u64 * OP_BYTES);
+                            p.uops(2);
+                            pc = target as usize;
+                            continue;
+                        }
+                        XOp::Call { f: callee, args, nargs, ret } => {
+                            p.branch(site, BranchKind::Call, true, CODE_BASE + callee as u64 * 0x80);
+                            p.uops(2);
+                            call!(callee, args, nargs, ret);
+                        }
+                        XOp::CallIndirect { type_idx, elem, args, nargs, ret } => {
+                            let e = reg!(elem) as u32;
+                            let callee = rt
+                                .table
+                                .get(e as usize)
+                                .copied()
+                                .flatten()
+                                .ok_or(Trap::UndefinedElement)?;
+                            let want = &self.module.types[type_idx as usize];
+                            let have = self.module.func_type(callee).ok_or(Trap::UndefinedElement)?;
+                            if want != have {
+                                return Err(Trap::IndirectCallTypeMismatch);
+                            }
+                            p.read(crate::profiler::META_BASE + e as u64 * 8, 8); // table slot
+                            p.branch(site, BranchKind::IndirectCall, true, CODE_BASE + callee as u64 * 0x80);
+                            p.uops(4); // bounds + signature check
+                            call!(callee, args, nargs, ret);
+                        }
+                        XOp::Ret { rs, has } => {
+                            p.branch(site, BranchKind::Ret, true, CODE_BASE);
+                            p.uops(1);
+                            let r = if has { Some(reg!(rs)) } else { None };
+                            frames.truncate(frame_base);
+                            let Some(caller) = callers.pop() else {
+                                return Ok(r);
+                            };
+                            switch_to!(caller.fi);
+                            frame_base = caller.frame_base;
+                            pc = caller.pc;
+                            if let Some(rd) = caller.ret {
+                                set_reg!(rd, r.expect("typed result"));
+                            }
+                        }
+                        XOp::Trap => return Err(Trap::Unreachable),
+                        XOp::Nop => {}
+                    }
+                };
+            }
+            operator_table!(dispatch);
             pc += 1;
         }
     }
@@ -562,8 +779,8 @@ fn check_code(f: &RFunc, func_idx: usize, module: &Module) -> Result<(), String>
         if let Some(t) = op.target() {
             check_target(t)?;
         }
-        // Operator class must match the op shape, or handler resolution
-        // (`binary_fn`/`unary_fn`/`load_op`/`store_op`) has no entry.
+        // Operator class must match the op shape, or `XOp::encode` has no
+        // opcode for it.
         match op {
             ROp::Bin { op, .. }
             | ROp::BinImm { op, .. }
@@ -672,7 +889,7 @@ fn check_call_window(
 }
 
 /// µop cost of a numeric op in compiled code.
-fn op_cost(class: InstrClass) -> u64 {
+const fn op_cost(class: InstrClass) -> u64 {
     match class {
         InstrClass::SlowArith => 20,
         InstrClass::FloatArith => 2,
@@ -683,12 +900,14 @@ fn op_cost(class: InstrClass) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::interp::tree::{load_op, store_op};
     use crate::jit::lower::lower;
     use crate::jit::opt::{optimize, PassConfig};
+    use crate::memory::LinearMemory;
     use crate::profiler::{CountingProfiler, NullProfiler};
     use crate::store::Imports;
     use wasm_core::builder::ModuleBuilder;
-    use wasm_core::instr::{BlockType, Instr};
+    use wasm_core::instr::BlockType;
     use wasm_core::types::{FuncType, ValType};
 
     fn compile(m: Module, config: &PassConfig) -> RegCode {
@@ -815,6 +1034,279 @@ mod tests {
             run(b.build(), "quad", &[11], &PassConfig::aggressive()).unwrap(),
             Some(44)
         );
+    }
+
+    #[test]
+    fn executable_ops_stay_sixteen_bytes() {
+        assert_eq!(std::mem::size_of::<XOp>(), 16);
+        assert!(std::mem::size_of::<ROp>() > std::mem::size_of::<XOp>());
+    }
+
+    /// The operators the table folds into opcodes, per class.
+    struct Operators {
+        binary: Vec<Instr>,
+        unary: Vec<Instr>,
+        loads: Vec<Instr>,
+        stores: Vec<Instr>,
+    }
+
+    fn operators() -> Operators {
+        macro_rules! lists {
+            (
+                arith: [$(($a:ident, $ai:ident)),* $(,)?],
+                cmp: [$(($c:ident, $ci:ident, $cb:ident, $cbz:ident)),* $(,)?],
+                unary: [$($u:ident),* $(,)?],
+                load: [$($l:ident),* $(,)?],
+                store: [$($s:ident),* $(,)?] $(,)?
+            ) => {
+                Operators {
+                    binary: vec![$(Instr::$a,)* $(Instr::$c,)*],
+                    unary: vec![$(Instr::$u,)*],
+                    loads: vec![$(Instr::$l(Default::default()),)*],
+                    stores: vec![$(Instr::$s(Default::default()),)*],
+                }
+            };
+        }
+        operator_table!(lists)
+    }
+
+    /// Hosts one hand-built function taking `nparams` raw slots in a
+    /// module with one page of memory filled with a byte pattern.
+    fn host(nparams: u16, result: bool, nregs: u16, ops: Vec<ROp>) -> (RegCode, Runtime) {
+        let mut b = ModuleBuilder::new();
+        b.memory(1, None);
+        let params = vec![ValType::I64; nparams as usize];
+        let results: &[ValType] = if result { &[ValType::I64] } else { &[] };
+        b.begin_func(FuncType::new(&params, results));
+        b.finish_func();
+        let f = RFunc { ops, nparams, nlocals: nparams, nregs, result, ..RFunc::default() };
+        let code = RegCode::new(Rc::new(b.build()), vec![f]);
+        let mut rt = Runtime::instantiate(&code.module, &Imports::new(), Box::new(())).unwrap();
+        let pattern: Vec<u8> = (0..65536u32).map(|i| (i.wrapping_mul(131) ^ (i >> 8)) as u8).collect();
+        rt.memory.as_mut().unwrap().write_slice(0, &pattern).unwrap();
+        (code, rt)
+    }
+
+    /// Integer edges, shift counts around the widths, and f32/f64 bit
+    /// patterns: ±0, ±1, NaN payloads, ±inf, subnormals, the 2^31/2^63
+    /// conversion edges, and slots with garbage in the high half.
+    const GRID: &[u64] = &[
+        0,
+        1,
+        2,
+        0xffff_ffff,
+        u64::MAX,
+        0x8000_0000,
+        0x7fff_ffff,
+        1 << 63,
+        i64::MAX as u64,
+        31,
+        32,
+        63,
+        64,
+        0x3f80_0000,
+        0xbf80_0000,
+        0x7fc0_0000,
+        0x7fa0_0001,
+        0xffc0_0123,
+        0x7f80_0000,
+        0xff80_0000,
+        0x807f_ffff,
+        0x4f00_0000,
+        0xcf00_0001,
+        0x3ff0_0000_0000_0000,
+        0xbff0_0000_0000_0000,
+        0x7ff8_0000_0000_0000,
+        0x7ff4_0000_0000_0001,
+        0xfff8_0000_dead_beef,
+        0x7ff0_0000_0000_0000,
+        0xfff0_0000_0000_0000,
+        0x000f_ffff_ffff_ffff,
+        0x41e0_0000_0000_0000,
+        0xc1e0_0000_0000_0000,
+        0x43e0_0000_0000_0000,
+        0xdead_beef_8000_0001,
+    ];
+
+    fn branch_result(v: Result<u64, Trap>, when_zero: bool) -> Result<Option<u64>, Trap> {
+        v.map(|v| Some(u64::from((v as u32 == 0) == when_zero)))
+    }
+
+    #[test]
+    fn table_covers_every_operator_of_its_class() {
+        let ops = operators();
+        for (list, len, member) in [
+            (&ops.binary, 76, numeric::is_binary as fn(Instr) -> bool),
+            (&ops.unary, 52, numeric::is_unary),
+            (&ops.loads, 14, |op| crate::interp::tree::is_load_op(&op)),
+            (&ops.stores, 9, |op| crate::interp::tree::is_store_op(&op)),
+        ] {
+            assert_eq!(list.len(), len);
+            for (i, op) in list.iter().enumerate() {
+                assert!(member(*op), "{op:?} in the wrong class");
+                assert!(!list[..i].contains(op), "{op:?} listed twice");
+            }
+        }
+    }
+
+    #[test]
+    fn binary_shapes_match_apply_binary() {
+        for op in operators().binary {
+            let (bin, mut rt) = host(2, true, 3, vec![
+                ROp::Bin { op, rd: 2, ra: 0, rb: 1 },
+                ROp::Ret { rs: 2, has: true },
+            ]);
+            // Branch-if-true and branch-if-false: the result is 1 when taken.
+            // A non-compare operator here takes the generic arm.
+            let branch = |zero: bool| {
+                let (ra, rb, target) = (0, 1, 3);
+                let br = if zero {
+                    ROp::BrCmpZ { op, ra, rb, target }
+                } else {
+                    ROp::BrCmp { op, ra, rb, target }
+                };
+                host(2, true, 3, vec![
+                    br,
+                    ROp::Const { rd: 2, bits: 0 },
+                    ROp::Ret { rs: 2, has: true },
+                    ROp::Const { rd: 2, bits: 1 },
+                    ROp::Ret { rs: 2, has: true },
+                ])
+                .0
+            };
+            let (br, brz) = (branch(false), branch(true));
+            for &b in GRID {
+                let (imm, _) = host(1, true, 2, vec![
+                    ROp::BinImm { op, rd: 1, ra: 0, imm: b },
+                    ROp::Ret { rs: 1, has: true },
+                ]);
+                for &a in GRID {
+                    let want = numeric::apply_binary(op, a, b);
+                    let ctx = format!("{op:?}({a:#x}, {b:#x})");
+                    let np = &mut NullProfiler;
+                    assert_eq!(bin.invoke(&mut rt, 0, &[a, b], np), want.clone().map(Some), "Bin {ctx}");
+                    assert_eq!(imm.invoke(&mut rt, 0, &[a], np), want.clone().map(Some), "BinImm {ctx}");
+                    assert_eq!(br.invoke(&mut rt, 0, &[a, b], np), branch_result(want.clone(), false), "BrCmp {ctx}");
+                    assert_eq!(brz.invoke(&mut rt, 0, &[a, b], np), branch_result(want, true), "BrCmpZ {ctx}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fused_chains_match_apply_binary() {
+        let binary = operators().binary;
+        let grid = [0, 1, 0xffff_ffff, u64::MAX, 0x8000_0000, 1 << 63, 32, 0x7fc0_0000, 0x7ff4_0000_0000_0001];
+        for (i, &op1) in binary.iter().enumerate() {
+            let op2 = binary[(i * 7 + 3) % binary.len()];
+            for swapped in [false, true] {
+                let (code, mut rt) = host(3, true, 4, vec![
+                    ROp::Bin2 { op1, op2, rd: 3, ra: 0, rb: 1, rc: 2, swapped },
+                    ROp::Ret { rs: 3, has: true },
+                ]);
+                for a in grid {
+                    for b in grid {
+                        for c in grid {
+                            let want = numeric::apply_binary(op1, a, b).and_then(|v| {
+                                if swapped {
+                                    numeric::apply_binary(op2, c, v)
+                                } else {
+                                    numeric::apply_binary(op2, v, c)
+                                }
+                            });
+                            assert_eq!(
+                                code.invoke(&mut rt, 0, &[a, b, c], &mut NullProfiler),
+                                want.map(Some),
+                                "{op1:?}/{op2:?} swapped={swapped} ({a:#x}, {b:#x}, {c:#x})"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn unary_shape_matches_apply_unary() {
+        for op in operators().unary {
+            let (code, mut rt) = host(1, true, 2, vec![
+                ROp::Un { op, rd: 1, ra: 0 },
+                ROp::Ret { rs: 1, has: true },
+            ]);
+            for &a in GRID {
+                assert_eq!(
+                    code.invoke(&mut rt, 0, &[a], &mut NullProfiler),
+                    numeric::apply_unary(op, a).map(Some),
+                    "{op:?}({a:#x})"
+                );
+            }
+        }
+    }
+
+    /// (address, offset) pairs around both ends of a one-page memory for
+    /// an access of `width` bytes: in bounds, the last valid address, the
+    /// first invalid one (reached through the address and through the
+    /// offset), and offsets that overflow 32 bits.
+    fn addresses(width: u32) -> Vec<(u32, u32)> {
+        let last = 65536 - width;
+        vec![
+            (0, 0),
+            (1, 0),
+            (7, 5),
+            (last, 0),
+            (last + 1, 0),
+            (last - 3, 3),
+            (last - 3, 4),
+            (65536, 0),
+            (u32::MAX, 0),
+            (1, u32::MAX),
+        ]
+    }
+
+    #[test]
+    fn loads_match_load_op_up_to_the_last_byte() {
+        for op in operators().loads {
+            let width = load_width(&op);
+            for (addr, offset) in addresses(width) {
+                let (code, mut rt) = host(1, true, 2, vec![
+                    ROp::Load { op, rd: 1, addr: 0, offset },
+                    ROp::Ret { rs: 1, has: true },
+                ]);
+                let want = load_op(rt.memory.as_ref().unwrap(), &op, addr, offset);
+                if (addr, offset) == (65536 - width, 0) {
+                    assert!(want.is_ok(), "last valid address must load");
+                } else if (addr, offset) == (65536 - width + 1, 0) {
+                    assert_eq!(want, Err(Trap::MemoryOutOfBounds));
+                }
+                assert_eq!(
+                    code.invoke(&mut rt, 0, &[u64::from(addr)], &mut NullProfiler),
+                    want.map(Some),
+                    "{op:?} at {addr:#x}+{offset:#x}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn stores_match_store_op_up_to_the_last_byte() {
+        for op in operators().stores {
+            let width = store_width(&op);
+            for (addr, offset) in addresses(width) {
+                for val in [0x1122_3344_5566_7788, u64::MAX, 0x80] {
+                    let (code, mut rt) = host(2, false, 2, vec![
+                        ROp::Store { op, addr: 0, val: 1, offset },
+                        ROp::Ret { rs: 0, has: false },
+                    ]);
+                    let mut want_mem = rt.memory.clone().unwrap();
+                    let want = store_op(&mut want_mem, &op, addr, offset, val);
+                    let got = code.invoke(&mut rt, 0, &[u64::from(addr), val], &mut NullProfiler);
+                    let ctx = format!("{op:?} of {val:#x} at {addr:#x}+{offset:#x}");
+                    assert_eq!(got, want.map(|()| None), "{ctx}");
+                    let image = |m: &LinearMemory| m.slice(0, 65536).unwrap().to_vec();
+                    assert!(image(rt.memory.as_ref().unwrap()) == image(&want_mem), "{ctx}: memory");
+                }
+            }
+        }
     }
 
     #[test]

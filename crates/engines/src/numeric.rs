@@ -158,316 +158,263 @@ macro_rules! trunc_checked {
     }};
 }
 
-/// Applies a unary numeric instruction to a raw value.
-///
-/// # Errors
-///
-/// Traps on invalid float-to-int conversions.
-///
-/// # Panics
-///
-/// Panics if `op` is not a unary numeric instruction (callers dispatch on
-/// validated code, so this indicates an engine bug).
-#[inline]
-pub fn apply_unary(op: Instr, a: u64) -> Result<u64, Trap> {
-    use Instr::*;
-    Ok(match op {
-        I32Eqz => bool32(b32(a) == 0),
-        I64Eqz => bool32(a == 0),
-        I32Clz => ret_u32(b32(a).leading_zeros()),
-        I32Ctz => ret_u32(b32(a).trailing_zeros()),
-        I32Popcnt => ret_u32(b32(a).count_ones()),
-        I64Clz => a.leading_zeros() as u64,
-        I64Ctz => a.trailing_zeros() as u64,
-        I64Popcnt => a.count_ones() as u64,
-        F32Abs => ret_f32(f32v(a).abs()),
-        F32Neg => ret_f32(-f32v(a)),
-        F32Ceil => ret_f32(f32v(a).ceil()),
-        F32Floor => ret_f32(f32v(a).floor()),
-        F32Trunc => ret_f32(f32v(a).trunc()),
-        F32Nearest => ret_f32(nearest_f32(f32v(a))),
-        F32Sqrt => ret_f32(f32v(a).sqrt()),
-        F64Abs => ret_f64(f64v(a).abs()),
-        F64Neg => ret_f64(-f64v(a)),
-        F64Ceil => ret_f64(f64v(a).ceil()),
-        F64Floor => ret_f64(f64v(a).floor()),
-        F64Trunc => ret_f64(f64v(a).trunc()),
-        F64Nearest => ret_f64(nearest_f64(f64v(a))),
-        F64Sqrt => ret_f64(f64v(a).sqrt()),
-        I32WrapI64 => ret_u32(a as u32),
-        I64ExtendI32S => (b32(a) as i32) as i64 as u64,
-        I64ExtendI32U => b32(a) as u64,
-        I32Extend8S => ret_i32(b32(a) as i8 as i32),
-        I32Extend16S => ret_i32(b32(a) as i16 as i32),
-        I64Extend8S => (a as i8) as i64 as u64,
-        I64Extend16S => (a as i16) as i64 as u64,
-        I64Extend32S => (a as i32) as i64 as u64,
-        I32TruncF32S => ret_i32(trunc_checked!(f32v(a), f32, -2147483648.0f32, 2147483520.0f32, i32)),
-        I32TruncF32U => ret_u32(trunc_checked!(f32v(a), f32, 0.0f32, 4294967040.0f32, u32)),
-        I32TruncF64S => {
-            ret_i32(trunc_checked!(f64v(a), f64, -2147483648.0f64, 2147483647.0f64, i32))
-        }
-        I32TruncF64U => ret_u32(trunc_checked!(f64v(a), f64, 0.0f64, 4294967295.0f64, u32)),
-        I64TruncF32S => {
-            trunc_checked!(f32v(a), f32, -9223372036854775808.0f32, 9223371487098961920.0f32, i64)
-                as u64
-        }
-        I64TruncF32U => {
-            trunc_checked!(f32v(a), f32, 0.0f32, 18446742974197923840.0f32, u64)
-        }
-        I64TruncF64S => {
-            trunc_checked!(
-                f64v(a),
-                f64,
-                -9223372036854775808.0f64,
-                9223372036854774784.0f64,
-                i64
-            ) as u64
-        }
-        I64TruncF64U => {
-            trunc_checked!(f64v(a), f64, 0.0f64, 18446744073709549568.0f64, u64)
-        }
-        F32ConvertI32S => ret_f32(b32(a) as i32 as f32),
-        F32ConvertI32U => ret_f32(b32(a) as f32),
-        F32ConvertI64S => ret_f32(a as i64 as f32),
-        F32ConvertI64U => ret_f32(a as f32),
-        F32DemoteF64 => ret_f32(f64v(a) as f32),
-        F64ConvertI32S => ret_f64(b32(a) as i32 as f64),
-        F64ConvertI32U => ret_f64(b32(a) as f64),
-        F64ConvertI64S => ret_f64(a as i64 as f64),
-        F64ConvertI64U => ret_f64(a as f64),
-        F64PromoteF32 => ret_f64(f32v(a) as f64),
-        I32ReinterpretF32 | F32ReinterpretI32 => ret_u32(b32(a)),
-        I64ReinterpretF64 | F64ReinterpretI64 => a,
-        other => panic!("apply_unary called with non-unary instruction {other:?}"),
-    })
-}
+/// Defines a numeric entry point twice from one body: `$name` with the
+/// ordinary `#[inline]` hint, which every engine's generic dispatch calls
+/// (the interpreters, whose extra dispatch is part of what they model),
+/// and `$always`, always inlined, for the compiled tiers' executor. It
+/// calls `$always` with a constant operator in each opcode's arm, where it
+/// folds to that operator's straight-line code; left to the inliner, the
+/// arms' calls would be merged into one call on a variable operator.
+macro_rules! with_inlined_twin {
+    (
+        $(#[$doc:meta])*
+        fn $name:ident / $always:ident ($($arg:ident: $ty:ty),*) -> $ret:ty $body:block
+    ) => {
+        $(#[$doc])*
+        #[inline]
+        pub fn $name($($arg: $ty),*) -> $ret $body
 
-/// Applies a binary numeric instruction to two raw values (`a` is the
-/// first-pushed operand).
-///
-/// # Errors
-///
-/// Traps on division by zero and signed-division overflow.
-///
-/// # Panics
-///
-/// Panics if `op` is not a binary numeric instruction.
-#[inline]
-pub fn apply_binary(op: Instr, a: u64, b: u64) -> Result<u64, Trap> {
-    use Instr::*;
-    let ai = b32(a) as i32;
-    let bi = b32(b) as i32;
-    let au = b32(a);
-    let bu = b32(b);
-    let al = a as i64;
-    let bl = b as i64;
-    Ok(match op {
-        I32Eq => bool32(au == bu),
-        I32Ne => bool32(au != bu),
-        I32LtS => bool32(ai < bi),
-        I32LtU => bool32(au < bu),
-        I32GtS => bool32(ai > bi),
-        I32GtU => bool32(au > bu),
-        I32LeS => bool32(ai <= bi),
-        I32LeU => bool32(au <= bu),
-        I32GeS => bool32(ai >= bi),
-        I32GeU => bool32(au >= bu),
-        I64Eq => bool32(a == b),
-        I64Ne => bool32(a != b),
-        I64LtS => bool32(al < bl),
-        I64LtU => bool32(a < b),
-        I64GtS => bool32(al > bl),
-        I64GtU => bool32(a > b),
-        I64LeS => bool32(al <= bl),
-        I64LeU => bool32(a <= b),
-        I64GeS => bool32(al >= bl),
-        I64GeU => bool32(a >= b),
-        F32Eq => bool32(f32v(a) == f32v(b)),
-        F32Ne => bool32(f32v(a) != f32v(b)),
-        F32Lt => bool32(f32v(a) < f32v(b)),
-        F32Gt => bool32(f32v(a) > f32v(b)),
-        F32Le => bool32(f32v(a) <= f32v(b)),
-        F32Ge => bool32(f32v(a) >= f32v(b)),
-        F64Eq => bool32(f64v(a) == f64v(b)),
-        F64Ne => bool32(f64v(a) != f64v(b)),
-        F64Lt => bool32(f64v(a) < f64v(b)),
-        F64Gt => bool32(f64v(a) > f64v(b)),
-        F64Le => bool32(f64v(a) <= f64v(b)),
-        F64Ge => bool32(f64v(a) >= f64v(b)),
-        I32Add => ret_u32(au.wrapping_add(bu)),
-        I32Sub => ret_u32(au.wrapping_sub(bu)),
-        I32Mul => ret_u32(au.wrapping_mul(bu)),
-        I32DivS => {
-            if bi == 0 {
-                return Err(Trap::DivisionByZero);
-            }
-            if ai == i32::MIN && bi == -1 {
-                return Err(Trap::IntegerOverflow);
-            }
-            ret_i32(ai.wrapping_div(bi))
-        }
-        I32DivU => {
-            if bu == 0 {
-                return Err(Trap::DivisionByZero);
-            }
-            ret_u32(au / bu)
-        }
-        I32RemS => {
-            if bi == 0 {
-                return Err(Trap::DivisionByZero);
-            }
-            ret_i32(ai.wrapping_rem(bi))
-        }
-        I32RemU => {
-            if bu == 0 {
-                return Err(Trap::DivisionByZero);
-            }
-            ret_u32(au % bu)
-        }
-        I32And => ret_u32(au & bu),
-        I32Or => ret_u32(au | bu),
-        I32Xor => ret_u32(au ^ bu),
-        I32Shl => ret_u32(au.wrapping_shl(bu)),
-        I32ShrS => ret_i32(ai.wrapping_shr(bu)),
-        I32ShrU => ret_u32(au.wrapping_shr(bu)),
-        I32Rotl => ret_u32(au.rotate_left(bu & 31)),
-        I32Rotr => ret_u32(au.rotate_right(bu & 31)),
-        I64Add => a.wrapping_add(b),
-        I64Sub => a.wrapping_sub(b),
-        I64Mul => a.wrapping_mul(b),
-        I64DivS => {
-            if bl == 0 {
-                return Err(Trap::DivisionByZero);
-            }
-            if al == i64::MIN && bl == -1 {
-                return Err(Trap::IntegerOverflow);
-            }
-            al.wrapping_div(bl) as u64
-        }
-        I64DivU => {
-            if b == 0 {
-                return Err(Trap::DivisionByZero);
-            }
-            a / b
-        }
-        I64RemS => {
-            if bl == 0 {
-                return Err(Trap::DivisionByZero);
-            }
-            al.wrapping_rem(bl) as u64
-        }
-        I64RemU => {
-            if b == 0 {
-                return Err(Trap::DivisionByZero);
-            }
-            a % b
-        }
-        I64And => a & b,
-        I64Or => a | b,
-        I64Xor => a ^ b,
-        I64Shl => a.wrapping_shl(b as u32),
-        I64ShrS => (al.wrapping_shr(b as u32)) as u64,
-        I64ShrU => a.wrapping_shr(b as u32),
-        I64Rotl => a.rotate_left((b & 63) as u32),
-        I64Rotr => a.rotate_right((b & 63) as u32),
-        F32Add => ret_f32(f32v(a) + f32v(b)),
-        F32Sub => ret_f32(f32v(a) - f32v(b)),
-        F32Mul => ret_f32(f32v(a) * f32v(b)),
-        F32Div => ret_f32(f32v(a) / f32v(b)),
-        F32Min => ret_f32(wasm_min_f32(f32v(a), f32v(b))),
-        F32Max => ret_f32(wasm_max_f32(f32v(a), f32v(b))),
-        F32Copysign => ret_f32(f32v(a).copysign(f32v(b))),
-        F64Add => ret_f64(f64v(a) + f64v(b)),
-        F64Sub => ret_f64(f64v(a) - f64v(b)),
-        F64Mul => ret_f64(f64v(a) * f64v(b)),
-        F64Div => ret_f64(f64v(a) / f64v(b)),
-        F64Min => ret_f64(wasm_min_f64(f64v(a), f64v(b))),
-        F64Max => ret_f64(wasm_max_f64(f64v(a), f64v(b))),
-        F64Copysign => ret_f64(f64v(a).copysign(f64v(b))),
-        other => panic!("apply_binary called with non-binary instruction {other:?}"),
-    })
-}
-
-
-/// A pre-resolved binary operator (used by the compiled tiers: resolving
-/// the operator once at compile time and calling through a function
-/// pointer is the portable analogue of emitting the instruction).
-pub type BinFn = fn(u64, u64) -> Result<u64, Trap>;
-/// A pre-resolved unary operator.
-pub type UnFn = fn(u64) -> Result<u64, Trap>;
-
-macro_rules! resolve_ops {
-    ($name:ident, $apply:ident, $ty:ty, ($($v:ident),* $(,)?)) => {
-        /// Resolves `op` to a direct function pointer.
+        #[doc = concat!("[`", stringify!($name), "`], always inlined.")]
         ///
-        /// # Panics
+        /// # Errors
         ///
-        /// Panics if `op` is not in this operator class.
-        pub fn $name(op: Instr) -> $ty {
-            $(
-                #[allow(non_snake_case)]
-                #[inline]
-                fn $v(a: u64, b: u64) -> Result<u64, Trap> {
-                    apply_binary(Instr::$v, a, b)
-                }
-            )*
-            match op {
-                $(Instr::$v => $v,)*
-                other => panic!("no resolved handler for {other:?}"),
-            }
-        }
+        #[doc = concat!("As [`", stringify!($name), "`].")]
+        #[inline(always)]
+        pub fn $always($($arg: $ty),*) -> $ret $body
     };
 }
 
-resolve_ops!(binary_fn, apply_binary, BinFn, (
-    I32Eq, I32Ne, I32LtS, I32LtU, I32GtS, I32GtU, I32LeS, I32LeU, I32GeS, I32GeU,
-    I64Eq, I64Ne, I64LtS, I64LtU, I64GtS, I64GtU, I64LeS, I64LeU, I64GeS, I64GeU,
-    F32Eq, F32Ne, F32Lt, F32Gt, F32Le, F32Ge,
-    F64Eq, F64Ne, F64Lt, F64Gt, F64Le, F64Ge,
-    I32Add, I32Sub, I32Mul, I32DivS, I32DivU, I32RemS, I32RemU,
-    I32And, I32Or, I32Xor, I32Shl, I32ShrS, I32ShrU, I32Rotl, I32Rotr,
-    I64Add, I64Sub, I64Mul, I64DivS, I64DivU, I64RemS, I64RemU,
-    I64And, I64Or, I64Xor, I64Shl, I64ShrS, I64ShrU, I64Rotl, I64Rotr,
-    F32Add, F32Sub, F32Mul, F32Div, F32Min, F32Max, F32Copysign,
-    F64Add, F64Sub, F64Mul, F64Div, F64Min, F64Max, F64Copysign,
-));
-
-/// Resolves a unary `op` to a direct function pointer.
-///
-/// # Panics
-///
-/// Panics if `op` is not a unary numeric instruction.
-pub fn unary_fn(op: Instr) -> UnFn {
-    macro_rules! table {
-        ($($v:ident),* $(,)?) => {{
-            $(
-                #[allow(non_snake_case)]
-                #[inline]
-                fn $v(a: u64) -> Result<u64, Trap> {
-                    apply_unary(Instr::$v, a)
-                }
-            )*
-            match op {
-                $(Instr::$v => $v,)*
-                other => panic!("no resolved handler for {other:?}"),
+with_inlined_twin! {
+    /// Applies a unary numeric instruction to a raw value.
+    ///
+    /// # Errors
+    ///
+    /// Traps on invalid float-to-int conversions.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `op` is not a unary numeric instruction (callers dispatch on
+    /// validated code, so this indicates an engine bug).
+    fn apply_unary / apply_unary_inline(op: Instr, a: u64) -> Result<u64, Trap> {
+        use Instr::*;
+        Ok(match op {
+            I32Eqz => bool32(b32(a) == 0),
+            I64Eqz => bool32(a == 0),
+            I32Clz => ret_u32(b32(a).leading_zeros()),
+            I32Ctz => ret_u32(b32(a).trailing_zeros()),
+            I32Popcnt => ret_u32(b32(a).count_ones()),
+            I64Clz => a.leading_zeros() as u64,
+            I64Ctz => a.trailing_zeros() as u64,
+            I64Popcnt => a.count_ones() as u64,
+            F32Abs => ret_f32(f32v(a).abs()),
+            F32Neg => ret_f32(-f32v(a)),
+            F32Ceil => ret_f32(f32v(a).ceil()),
+            F32Floor => ret_f32(f32v(a).floor()),
+            F32Trunc => ret_f32(f32v(a).trunc()),
+            F32Nearest => ret_f32(nearest_f32(f32v(a))),
+            F32Sqrt => ret_f32(f32v(a).sqrt()),
+            F64Abs => ret_f64(f64v(a).abs()),
+            F64Neg => ret_f64(-f64v(a)),
+            F64Ceil => ret_f64(f64v(a).ceil()),
+            F64Floor => ret_f64(f64v(a).floor()),
+            F64Trunc => ret_f64(f64v(a).trunc()),
+            F64Nearest => ret_f64(nearest_f64(f64v(a))),
+            F64Sqrt => ret_f64(f64v(a).sqrt()),
+            I32WrapI64 => ret_u32(a as u32),
+            I64ExtendI32S => (b32(a) as i32) as i64 as u64,
+            I64ExtendI32U => b32(a) as u64,
+            I32Extend8S => ret_i32(b32(a) as i8 as i32),
+            I32Extend16S => ret_i32(b32(a) as i16 as i32),
+            I64Extend8S => (a as i8) as i64 as u64,
+            I64Extend16S => (a as i16) as i64 as u64,
+            I64Extend32S => (a as i32) as i64 as u64,
+            I32TruncF32S => ret_i32(trunc_checked!(f32v(a), f32, -2147483648.0f32, 2147483520.0f32, i32)),
+            I32TruncF32U => ret_u32(trunc_checked!(f32v(a), f32, 0.0f32, 4294967040.0f32, u32)),
+            I32TruncF64S => {
+                ret_i32(trunc_checked!(f64v(a), f64, -2147483648.0f64, 2147483647.0f64, i32))
             }
-        }};
+            I32TruncF64U => ret_u32(trunc_checked!(f64v(a), f64, 0.0f64, 4294967295.0f64, u32)),
+            I64TruncF32S => {
+                trunc_checked!(f32v(a), f32, -9223372036854775808.0f32, 9223371487098961920.0f32, i64)
+                    as u64
+            }
+            I64TruncF32U => {
+                trunc_checked!(f32v(a), f32, 0.0f32, 18446742974197923840.0f32, u64)
+            }
+            I64TruncF64S => {
+                trunc_checked!(
+                    f64v(a),
+                    f64,
+                    -9223372036854775808.0f64,
+                    9223372036854774784.0f64,
+                    i64
+                ) as u64
+            }
+            I64TruncF64U => {
+                trunc_checked!(f64v(a), f64, 0.0f64, 18446744073709549568.0f64, u64)
+            }
+            F32ConvertI32S => ret_f32(b32(a) as i32 as f32),
+            F32ConvertI32U => ret_f32(b32(a) as f32),
+            F32ConvertI64S => ret_f32(a as i64 as f32),
+            F32ConvertI64U => ret_f32(a as f32),
+            F32DemoteF64 => ret_f32(f64v(a) as f32),
+            F64ConvertI32S => ret_f64(b32(a) as i32 as f64),
+            F64ConvertI32U => ret_f64(b32(a) as f64),
+            F64ConvertI64S => ret_f64(a as i64 as f64),
+            F64ConvertI64U => ret_f64(a as f64),
+            F64PromoteF32 => ret_f64(f32v(a) as f64),
+            I32ReinterpretF32 | F32ReinterpretI32 => ret_u32(b32(a)),
+            I64ReinterpretF64 | F64ReinterpretI64 => a,
+            other => panic!("apply_unary called with non-unary instruction {other:?}"),
+        })
     }
-    table!(
-        I32Eqz, I64Eqz,
-        I32Clz, I32Ctz, I32Popcnt, I64Clz, I64Ctz, I64Popcnt,
-        F32Abs, F32Neg, F32Ceil, F32Floor, F32Trunc, F32Nearest, F32Sqrt,
-        F64Abs, F64Neg, F64Ceil, F64Floor, F64Trunc, F64Nearest, F64Sqrt,
-        I32WrapI64, I64ExtendI32S, I64ExtendI32U,
-        I32Extend8S, I32Extend16S, I64Extend8S, I64Extend16S, I64Extend32S,
-        I32TruncF32S, I32TruncF32U, I32TruncF64S, I32TruncF64U,
-        I64TruncF32S, I64TruncF32U, I64TruncF64S, I64TruncF64U,
-        F32ConvertI32S, F32ConvertI32U, F32ConvertI64S, F32ConvertI64U,
-        F64ConvertI32S, F64ConvertI32U, F64ConvertI64S, F64ConvertI64U,
-        F32DemoteF64, F64PromoteF32,
-        I32ReinterpretF32, I64ReinterpretF64, F32ReinterpretI32, F64ReinterpretI64,
-    )
+}
+
+with_inlined_twin! {
+    /// Applies a binary numeric instruction to two raw values (`a` is the
+    /// first-pushed operand).
+    ///
+    /// # Errors
+    ///
+    /// Traps on division by zero and signed-division overflow.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `op` is not a binary numeric instruction.
+    fn apply_binary / apply_binary_inline(op: Instr, a: u64, b: u64) -> Result<u64, Trap> {
+        use Instr::*;
+        let ai = b32(a) as i32;
+        let bi = b32(b) as i32;
+        let au = b32(a);
+        let bu = b32(b);
+        let al = a as i64;
+        let bl = b as i64;
+        Ok(match op {
+            I32Eq => bool32(au == bu),
+            I32Ne => bool32(au != bu),
+            I32LtS => bool32(ai < bi),
+            I32LtU => bool32(au < bu),
+            I32GtS => bool32(ai > bi),
+            I32GtU => bool32(au > bu),
+            I32LeS => bool32(ai <= bi),
+            I32LeU => bool32(au <= bu),
+            I32GeS => bool32(ai >= bi),
+            I32GeU => bool32(au >= bu),
+            I64Eq => bool32(a == b),
+            I64Ne => bool32(a != b),
+            I64LtS => bool32(al < bl),
+            I64LtU => bool32(a < b),
+            I64GtS => bool32(al > bl),
+            I64GtU => bool32(a > b),
+            I64LeS => bool32(al <= bl),
+            I64LeU => bool32(a <= b),
+            I64GeS => bool32(al >= bl),
+            I64GeU => bool32(a >= b),
+            F32Eq => bool32(f32v(a) == f32v(b)),
+            F32Ne => bool32(f32v(a) != f32v(b)),
+            F32Lt => bool32(f32v(a) < f32v(b)),
+            F32Gt => bool32(f32v(a) > f32v(b)),
+            F32Le => bool32(f32v(a) <= f32v(b)),
+            F32Ge => bool32(f32v(a) >= f32v(b)),
+            F64Eq => bool32(f64v(a) == f64v(b)),
+            F64Ne => bool32(f64v(a) != f64v(b)),
+            F64Lt => bool32(f64v(a) < f64v(b)),
+            F64Gt => bool32(f64v(a) > f64v(b)),
+            F64Le => bool32(f64v(a) <= f64v(b)),
+            F64Ge => bool32(f64v(a) >= f64v(b)),
+            I32Add => ret_u32(au.wrapping_add(bu)),
+            I32Sub => ret_u32(au.wrapping_sub(bu)),
+            I32Mul => ret_u32(au.wrapping_mul(bu)),
+            I32DivS => {
+                if bi == 0 {
+                    return Err(Trap::DivisionByZero);
+                }
+                if ai == i32::MIN && bi == -1 {
+                    return Err(Trap::IntegerOverflow);
+                }
+                ret_i32(ai.wrapping_div(bi))
+            }
+            I32DivU => {
+                if bu == 0 {
+                    return Err(Trap::DivisionByZero);
+                }
+                ret_u32(au / bu)
+            }
+            I32RemS => {
+                if bi == 0 {
+                    return Err(Trap::DivisionByZero);
+                }
+                ret_i32(ai.wrapping_rem(bi))
+            }
+            I32RemU => {
+                if bu == 0 {
+                    return Err(Trap::DivisionByZero);
+                }
+                ret_u32(au % bu)
+            }
+            I32And => ret_u32(au & bu),
+            I32Or => ret_u32(au | bu),
+            I32Xor => ret_u32(au ^ bu),
+            I32Shl => ret_u32(au.wrapping_shl(bu)),
+            I32ShrS => ret_i32(ai.wrapping_shr(bu)),
+            I32ShrU => ret_u32(au.wrapping_shr(bu)),
+            I32Rotl => ret_u32(au.rotate_left(bu & 31)),
+            I32Rotr => ret_u32(au.rotate_right(bu & 31)),
+            I64Add => a.wrapping_add(b),
+            I64Sub => a.wrapping_sub(b),
+            I64Mul => a.wrapping_mul(b),
+            I64DivS => {
+                if bl == 0 {
+                    return Err(Trap::DivisionByZero);
+                }
+                if al == i64::MIN && bl == -1 {
+                    return Err(Trap::IntegerOverflow);
+                }
+                al.wrapping_div(bl) as u64
+            }
+            I64DivU => {
+                if b == 0 {
+                    return Err(Trap::DivisionByZero);
+                }
+                a / b
+            }
+            I64RemS => {
+                if bl == 0 {
+                    return Err(Trap::DivisionByZero);
+                }
+                al.wrapping_rem(bl) as u64
+            }
+            I64RemU => {
+                if b == 0 {
+                    return Err(Trap::DivisionByZero);
+                }
+                a % b
+            }
+            I64And => a & b,
+            I64Or => a | b,
+            I64Xor => a ^ b,
+            I64Shl => a.wrapping_shl(b as u32),
+            I64ShrS => (al.wrapping_shr(b as u32)) as u64,
+            I64ShrU => a.wrapping_shr(b as u32),
+            I64Rotl => a.rotate_left((b & 63) as u32),
+            I64Rotr => a.rotate_right((b & 63) as u32),
+            F32Add => ret_f32(f32v(a) + f32v(b)),
+            F32Sub => ret_f32(f32v(a) - f32v(b)),
+            F32Mul => ret_f32(f32v(a) * f32v(b)),
+            F32Div => ret_f32(f32v(a) / f32v(b)),
+            F32Min => ret_f32(wasm_min_f32(f32v(a), f32v(b))),
+            F32Max => ret_f32(wasm_max_f32(f32v(a), f32v(b))),
+            F32Copysign => ret_f32(f32v(a).copysign(f32v(b))),
+            F64Add => ret_f64(f64v(a) + f64v(b)),
+            F64Sub => ret_f64(f64v(a) - f64v(b)),
+            F64Mul => ret_f64(f64v(a) * f64v(b)),
+            F64Div => ret_f64(f64v(a) / f64v(b)),
+            F64Min => ret_f64(wasm_min_f64(f64v(a), f64v(b))),
+            F64Max => ret_f64(wasm_max_f64(f64v(a), f64v(b))),
+            F64Copysign => ret_f64(f64v(a).copysign(f64v(b))),
+            other => panic!("apply_binary called with non-binary instruction {other:?}"),
+        })
+    }
 }
 
 /// Whether `op` is handled by [`apply_unary`].

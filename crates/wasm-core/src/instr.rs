@@ -290,7 +290,7 @@ impl Instr {
     }
 
     /// A coarse classification used by cost models and statistics.
-    pub fn class(&self) -> InstrClass {
+    pub const fn class(&self) -> InstrClass {
         use Instr::*;
         match self {
             Unreachable | Nop | Block(_) | Loop(_) | If(_) | Else | End | Br(_) | BrIf(_)

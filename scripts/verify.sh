@@ -36,33 +36,36 @@
 #  14. chaos smoke: fig6 under a 5% fault plan is bit-identical to a
 #      clean run, and the two chaos passes together exercise at least
 #      one retry, one interpreter fallback, and one store repair
-#  15. audit smoke: wabench-harness audit over the whole suite with the proof
+#  15. simulated figures: fig6, fig7, fig8 (with Table 5) and fig9 (with
+#      Figure 10), regenerated at their default scale, are byte-identical
+#      to their sections of the committed EXPERIMENTS.md
+#  16. audit smoke: wabench-harness audit over the whole suite with the proof
 #      verifier compiled in (--features verify-ir) must report zero
 #      proof violations and exactly the pinned suite totals (checks,
 #      eliminated, residual, unreachable blocks)
-#  16. load smoke: a short fixed-seed wabench-load run against a live
+#  17. load smoke: a short fixed-seed wabench-load run against a live
 #      wabench-served exits 0, i.e. jobs completed with zero protocol
 #      errors
-#  17. live telemetry smoke: a fixed-seed load run against a sampling
+#  18. live telemetry smoke: a fixed-seed load run against a sampling
 #      server stitches client+server request spans into a Chrome trace
 #      that wabench-served trace-check accepts, and wabench-served top
 #      --once reports
 #      a window (completed count, nonzero QPS, ordered quantiles) whose
 #      completed count matches the load run's `jobs:` line
-#  18. alert & postmortem smoke: a server with the alert engine, the
+#  19. alert & postmortem smoke: a server with the alert engine, the
 #      continuous profiler, and a deterministic 20ms delay fault armed
 #      must fire the p99 rule, write a flight-recorder bundle that
 #      wabench-served doctor diagnoses (naming the delay site), and list
 #      profile windows; a fault-free control run under the same engine
 #      fires nothing and writes no bundle
-#  19. router smoke: a fixed-seed load through wabench-router over two
+#  20. router smoke: a fixed-seed load through wabench-router over two
 #      wabench-served shards completes with zero protocol errors, prints
 #      a summary line per shard, and both shards serve jobs;
 #      wabench-served top/doctor degrade gracefully against the router
 #      socket; a chaos pass with one shard armed 'crash=1.0' (the
 #      process aborts on its first job) still completes the run with at
 #      least one failover
-#  20. scripts/loc.sh: lines of Rust per crate and the crates/ total,
+#  21. scripts/loc.sh: lines of Rust per crate and the crates/ total,
 #      the table each CHANGES.md entry records
 #
 # Performance is measured and regression-gated in one place, the repo
@@ -210,6 +213,26 @@ for counter in retries fallbacks repairs; do
         | grep -oE "$counter=[0-9]+" | cut -d= -f2 | awk '{s += $1} END {print s}')
     if [ "${total:-0}" -lt 1 ]; then
         echo "chaos smoke FAILED: no $counter recorded across chaos runs" >&2
+        exit 1
+    fi
+done
+
+step "simulated figures match EXPERIMENTS.md (Figures 6-10, Table 5)"
+# The simulated tables are deterministic, so regenerating them must
+# reproduce the committed EXPERIMENTS.md byte for byte: a change that
+# moves a simulated count regenerates the file (wabench-harness all) in
+# the same commit. fig8 also prints Table 5, fig9 also Figure 10.
+for fig in fig6 fig7 fig8 fig9; do
+    "$harness" "$fig" --jobs 2 --out "$trace_tmp/sim-$fig.md" > /dev/null 2>&1
+    first=$(head -n 1 "$trace_tmp/sim-$fig.md")
+    start=$(grep -nxF -- "$first" EXPERIMENTS.md | head -n 1 | cut -d: -f1)
+    lines=$(wc -l < "$trace_tmp/sim-$fig.md")
+    sed -n "${start:-1},$((${start:-1} + lines - 1))p" EXPERIMENTS.md \
+        > "$trace_tmp/committed-$fig.md"
+    if [ -z "$start" ] || ! cmp -s "$trace_tmp/committed-$fig.md" "$trace_tmp/sim-$fig.md"; then
+        echo "simulated figures FAILED: $fig differs from EXPERIMENTS.md" \
+            "(regenerate with: wabench-harness all --jobs 2)" >&2
+        diff "$trace_tmp/committed-$fig.md" "$trace_tmp/sim-$fig.md" >&2 || true
         exit 1
     fi
 done
