@@ -36,17 +36,23 @@ const ITT_BITS: u32 = 12;
 /// in ITTAGE.
 const ITT_SHIFTS: [u32; 4] = [16, 8, 4, 2];
 
-/// A tagged indirect-target entry.
-#[derive(Debug, Clone, Copy)]
-struct ItEntry {
-    tag: u16,
-    target: u64,
-    /// Replacement hysteresis: a mispredicting entry must decay before its
-    /// target is displaced.
-    conf: u8,
-}
+/// Entries per tagged indirect table.
+const ITT_SIZE: usize = 1 << ITT_BITS;
+/// Tagged indirect components.
+const ITT_COMPONENTS: usize = ITT_SHIFTS.len();
+/// The tag of an empty entry (its target is 0, its confidence 0).
+const EMPTY_TAG: u16 = u16::MAX;
 
-const EMPTY_IT: ItEntry = ItEntry { tag: u16::MAX, target: 0, conf: 0 };
+// `indirect_check_update` unrolls the four components, and the O(1) fold
+// update in `push_history` holds for shifts of 1 to 16 bits.
+const _: () = {
+    assert!(ITT_COMPONENTS == 4);
+    let mut k = 0;
+    while k < ITT_COMPONENTS {
+        assert!(ITT_SHIFTS[k] >= 1 && ITT_SHIFTS[k] <= 16);
+        k += 1;
+    }
+};
 
 /// The branch prediction unit.
 #[derive(Debug, Clone)]
@@ -58,14 +64,26 @@ pub struct BranchPredictor {
     btb: Vec<(u64, u64)>,
     /// ITTAGE base component: site-indexed target table.
     itb: Vec<(u64, u64)>,
-    /// ITTAGE tagged components, shortest history first.
-    itt: Vec<Vec<ItEntry>>,
+    /// ITTAGE tagged components, shortest history first, stored as
+    /// structure-of-arrays so the provider search reads only tags.
+    itags: Box<[[u16; ITT_SIZE]; ITT_COMPONENTS]>,
+    /// Each tagged entry's predicted target.
+    itargets: Box<[[u64; ITT_SIZE]; ITT_COMPONENTS]>,
+    /// Each tagged entry's replacement hysteresis: a mispredicting entry
+    /// must decay to 0 before its target is displaced.
+    iconf: Box<[[u8; ITT_SIZE]; ITT_COMPONENTS]>,
     /// Rolling target-path histories, one per tagged component.
-    ihistory: [u64; ITT_SHIFTS.len()],
-    /// Per component, `ihistory` folded into its index and tag halves,
-    /// refreshed wherever `ihistory` changes. `fold` is XOR-linear, so a
-    /// lookup's index (tag) is this fold XOR the site's own fold.
-    ifolded: [(usize, u16); ITT_SHIFTS.len()],
+    ihistory: [u64; ITT_COMPONENTS],
+    /// Per component, `fold::<12>(ihistory)`: the history's half of the
+    /// index. `fold` is XOR-linear, so an index is this XOR the site's
+    /// own fold.
+    ifold12: [u16; ITT_COMPONENTS],
+    /// Per component, `fold::<16>(ihistory)`; the history's half of the
+    /// tag is this rotated left by 5 (see `tag_fold`).
+    ifold16: [u16; ITT_COMPONENTS],
+    /// The last indirect site and its (index, tag) folds: an
+    /// interpreter's dispatch site repeats on every op.
+    site_memo: (u64, u16, u16),
     /// Return-address stack: a ring whose push overwrites the oldest
     /// entry once `RAS_DEPTH` deep.
     ras: [u64; RAS_DEPTH],
@@ -91,9 +109,14 @@ impl BranchPredictor {
             history: 0,
             btb: vec![(u64::MAX, 0); 1 << BTB_BITS],
             itb: vec![(u64::MAX, 0); 1 << BTB_BITS],
-            itt: vec![vec![EMPTY_IT; 1 << ITT_BITS]; ITT_SHIFTS.len()],
-            ihistory: [0; ITT_SHIFTS.len()],
-            ifolded: [(0, 0); ITT_SHIFTS.len()],
+            itags: Box::new([[EMPTY_TAG; ITT_SIZE]; ITT_COMPONENTS]),
+            itargets: Box::new([[0; ITT_SIZE]; ITT_COMPONENTS]),
+            iconf: Box::new([[0; ITT_SIZE]; ITT_COMPONENTS]),
+            ihistory: [0; ITT_COMPONENTS],
+            ifold12: [0; ITT_COMPONENTS],
+            ifold16: [0; ITT_COMPONENTS],
+            // Site 0's folds are 0, so the memo starts out true.
+            site_memo: (0, 0, 0),
             ras: [0; RAS_DEPTH],
             ras_top: 0,
             ras_len: 0,
@@ -172,14 +195,22 @@ impl BranchPredictor {
     /// repeating dispatch sequence (a loop body) predicts near-perfectly
     /// while novel or data-dependent sequences miss.
     fn indirect_check_update(&mut self, site: u64, target: u64) -> bool {
-        let site_idx = fold::<ITT_BITS>(site >> 2) as usize;
-        let site_tag = fold::<16>((site >> 2).rotate_left(7)) as u16;
+        if site != self.site_memo.0 {
+            self.site_memo = (
+                site,
+                fold::<ITT_BITS>(site >> 2) as u16,
+                fold::<16>((site >> 2).rotate_left(7)) as u16,
+            );
+        }
+        let (_, site_idx, site_tag) = self.site_memo;
+        // Both folds are 12-bit, so the mask changes nothing; it lets the
+        // compiler drop the tables' bounds checks.
+        let index = |f12: u16| (f12 ^ site_idx) as usize & (ITT_SIZE - 1);
         // Find the provider: the longest-history component whose tag hits.
         let mut provider: Option<(usize, usize)> = None; // (component, index)
-        for k in (0..ITT_SHIFTS.len()).rev() {
-            let (h_idx, h_tag) = self.ifolded[k];
-            let idx = h_idx ^ site_idx;
-            if self.itt[k][idx].tag == h_tag ^ site_tag {
+        for k in (0..ITT_COMPONENTS).rev() {
+            let idx = index(self.ifold12[k]);
+            if self.itags[k][idx] == tag_fold(self.ifold16[k]) ^ site_tag {
                 provider = Some((k, idx));
                 break;
             }
@@ -187,15 +218,15 @@ impl BranchPredictor {
 
         let hit = match provider {
             Some((k, idx)) => {
-                let e = &mut self.itt[k][idx];
-                if e.target == target {
-                    e.conf = (e.conf + 1).min(3);
+                let conf = &mut self.iconf[k][idx];
+                if self.itargets[k][idx] == target {
+                    *conf = (*conf + 1).min(3);
                     true
                 } else {
-                    if e.conf > 0 {
-                        e.conf -= 1;
+                    if *conf > 0 {
+                        *conf -= 1;
                     } else {
-                        e.target = target;
+                        self.itargets[k][idx] = target;
                     }
                     false
                 }
@@ -214,18 +245,15 @@ impl BranchPredictor {
         // component so a recurring context graduates to longer history.
         if !hit {
             let next = provider.map_or(0, |(k, _)| k + 1);
-            if next < ITT_SHIFTS.len() {
-                let (h_idx, h_tag) = self.ifolded[next];
-                let e = &mut self.itt[next][h_idx ^ site_idx];
+            if next < ITT_COMPONENTS {
+                let idx = index(self.ifold12[next]);
+                let conf = &mut self.iconf[next][idx];
                 // Confident entries resist displacement (useful-bit analogue).
-                if e.conf == 0 {
-                    *e = ItEntry {
-                        tag: h_tag ^ site_tag,
-                        target,
-                        conf: 0,
-                    };
+                if *conf == 0 {
+                    self.itags[next][idx] = tag_fold(self.ifold16[next]) ^ site_tag;
+                    self.itargets[next][idx] = target;
                 } else {
-                    e.conf -= 1;
+                    *conf -= 1;
                 }
             }
         }
@@ -234,15 +262,41 @@ impl BranchPredictor {
         // the handler address identify the opcode). The index and tag
         // are different foldings of the same (history, site) pair, so
         // index aliasing is caught by a tag mismatch.
-        for (k, shift) in ITT_SHIFTS.iter().enumerate() {
-            let h = (self.ihistory[k] << shift) ^ (target >> 6);
-            self.ihistory[k] = h;
-            self.ifolded[k] = (
-                fold::<ITT_BITS>(h) as usize,
-                fold::<16>(h.rotate_left(21)) as u16,
-            );
-        }
+        let t = target >> 6;
+        let (t12, t16) = (fold::<ITT_BITS>(t) as u16, fold::<16>(t) as u16);
+        self.push_history::<0>(t, t12, t16);
+        self.push_history::<1>(t, t12, t16);
+        self.push_history::<2>(t, t12, t16);
+        self.push_history::<3>(t, t12, t16);
         hit
+    }
+
+    /// Shifts `t` into component `K`'s history, `h' = (h << s) ^ t`, and
+    /// updates its folds in O(1) from the old ones. With `hi = h >> (64 -
+    /// s)`, the bits the shift drops (`s <= 16`):
+    /// - `fold16(h << s) = rotl16(fold16(h), s mod 16) ^ hi`, since 16
+    ///   divides 64 (rotating `h` by `s` rotates each chunk, and `hi` is
+    ///   what wrapped around);
+    /// - `fold12(h << s) = rotl12(fold12(h), s mod 12) ^ fold12(hi << 4)`:
+    ///   64 mod 12 = 4, so the dropped bits had landed 4 places up.
+    ///
+    /// `t12`/`t16` are `t`'s folds; XOR-linearity adds them in.
+    #[inline(always)]
+    fn push_history<const K: usize>(&mut self, t: u64, t12: u16, t16: u16) {
+        let s = ITT_SHIFTS[K];
+        let h = self.ihistory[K];
+        let hi = h >> (u64::BITS - s);
+        let r12 = s % ITT_BITS;
+        let f12 = self.ifold12[K] as u64;
+        let rot12 = ((f12 << r12) | (f12 >> (ITT_BITS - r12))) & (ITT_SIZE as u64 - 1);
+        let f12 = rot12 as u16 ^ fold::<ITT_BITS>(hi << (u64::BITS % ITT_BITS)) as u16 ^ t12;
+        let f16 = self.ifold16[K].rotate_left(s % 16) ^ hi as u16 ^ t16;
+        let h = (h << s) ^ t;
+        debug_assert_eq!(f12 as u64, fold::<ITT_BITS>(h));
+        debug_assert_eq!(f16 as u64, fold::<16>(h));
+        self.ihistory[K] = h;
+        self.ifold12[K] = f12;
+        self.ifold16[K] = f16;
     }
 
     /// Checks the BTB for `site → target` and installs the new target.
@@ -254,6 +308,14 @@ impl BranchPredictor {
         self.btb[idx] = (site, target);
         hit
     }
+}
+
+/// A history's tag half from its 16-bit fold: the tag is
+/// `fold::<16>(h.rotate_left(21))`, and since 16 divides 64, rotating `h`
+/// by 21 rotates each 16-bit chunk by 21 mod 16 = 5.
+#[inline(always)]
+fn tag_fold(f16: u16) -> u16 {
+    f16.rotate_left(5)
 }
 
 /// XOR-folds a 64-bit value down to `BITS` bits: the XOR of its
@@ -404,6 +466,40 @@ mod tests {
             for v in [rng, rng >> (rng % 64), u64::MAX] {
                 assert_eq!(fold::<12>(v), loop_fold(v, 12), "{v:#x}");
                 assert_eq!(fold::<16>(v), loop_fold(v, 16), "{v:#x}");
+            }
+        }
+    }
+
+    #[test]
+    fn incremental_folds_match_full_refolds() {
+        fn check<const K: usize>(bp: &mut BranchPredictor, h: u64, target: u64) {
+            bp.ihistory[K] = h;
+            bp.ifold12[K] = fold::<ITT_BITS>(h) as u16;
+            bp.ifold16[K] = fold::<16>(h) as u16;
+            let t = target >> 6;
+            bp.push_history::<K>(t, fold::<ITT_BITS>(t) as u16, fold::<16>(t) as u16);
+            let h = (h << ITT_SHIFTS[K]) ^ t;
+            assert_eq!(bp.ihistory[K], h);
+            let incremental = (bp.ifold12[K] as u64, tag_fold(bp.ifold16[K]) as u64);
+            let full = (fold::<ITT_BITS>(h), fold::<16>(h.rotate_left(21)));
+            assert_eq!(incremental, full, "shift {}: {h:#x}", ITT_SHIFTS[K]);
+        }
+        let bp = &mut BranchPredictor::new();
+        let mut rng: u64 = 0x2545F4914F6CDD1D;
+        let mut next = || {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng
+        };
+        for _ in 0..5_000 {
+            // Dense and sparse histories, handler-like and arbitrary targets.
+            let h = next();
+            for (h, target) in [(h, next()), (h >> (h % 64), 0x10000 + (h % 200) * 0x40)] {
+                check::<0>(bp, h, target);
+                check::<1>(bp, h, target);
+                check::<2>(bp, h, target);
+                check::<3>(bp, h, target);
             }
         }
     }

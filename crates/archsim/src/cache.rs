@@ -73,20 +73,45 @@ impl Cache {
         self.last = line;
         let base = (line & self.set_mask) as usize * self.ways;
         let set = &mut self.tags[base..base + self.ways];
-        // The line moves to the front: a hit rotates it out of its way, a
-        // miss evicts the least recently used way at the back.
-        match set.iter().position(|&t| t == line) {
-            Some(w) => {
-                set[..=w].rotate_right(1);
-                true
-            }
+        // The line moves to the front: a hit shifts the ways before it
+        // back by one, a miss shifts the whole set and so evicts the least
+        // recently used way at the back. A plain shift loop: the generic
+        // `rotate_right` costs measurably per access.
+        let (way, hit) = match set.iter().position(|&t| t == line) {
+            Some(w) => (w, true),
             None => {
                 self.stats.misses += 1;
-                set.rotate_right(1);
-                set[0] = line;
-                false
+                (set.len() - 1, false)
             }
+        };
+        for w in (1..=way).rev() {
+            set[w] = set[w - 1];
         }
+        set[0] = line;
+        hit
+    }
+
+    /// The L1 hit path, inlined into every caller: answers and counts an
+    /// access of `len` bytes at `addr` that stays inside one line when
+    /// that line repeats the previous access's or sits in way 0 of its
+    /// set. Either way the line is already the most recently used, so
+    /// nothing moves and LRU order stays exactly what `access` would
+    /// leave. Returns `false`, having counted nothing, otherwise.
+    #[inline]
+    fn hit_in_place(&mut self, addr: u64, len: u32) -> bool {
+        let line_bytes = 1u64 << LINE_SHIFT;
+        if (addr & (line_bytes - 1)) + len.max(1) as u64 > line_bytes {
+            return false;
+        }
+        let line = addr >> LINE_SHIFT;
+        if line != self.last {
+            if self.tags[(line & self.set_mask) as usize * self.ways] != line {
+                return false;
+            }
+            self.last = line;
+        }
+        self.stats.accesses += 1;
+        true
     }
 
     /// The first and last line numbers an access of `len` bytes at `addr`
@@ -158,21 +183,29 @@ impl Hierarchy {
     /// A data access of `len` bytes at `addr`.
     // `#[inline]` (here, on `inst_access` and on `BranchPredictor::observe`):
     // the engine loops that call these per event are monomorphized in
-    // other crates, which cannot inline them otherwise.
+    // other crates, which cannot inline them otherwise. Only the L1 hit
+    // path is inlined; everything else is one call to `walk`.
     #[inline]
     pub fn data_access(&mut self, addr: u64, len: u32) -> ServedBy {
+        if self.l1d.hit_in_place(addr, len) {
+            return ServedBy::L1;
+        }
         Self::walk(&mut self.l1d, &mut self.l2, &mut self.l3, addr, len)
     }
 
     /// An instruction fetch of `len` bytes at `addr`.
     #[inline]
     pub fn inst_access(&mut self, addr: u64, len: u32) -> ServedBy {
+        if self.l1i.hit_in_place(addr, len) {
+            return ServedBy::L1;
+        }
         Self::walk(&mut self.l1i, &mut self.l2, &mut self.l3, addr, len)
     }
 
-    /// Walks each touched line down `l1` → L2 → L3; returns the slowest
-    /// level any line was served from.
-    #[inline]
+    /// The slow path, out of line: walks each touched line down `l1` →
+    /// L2 → L3 (the L1 scan repeats the in-place probe, then searches the
+    /// deeper ways); returns the slowest level any line was served from.
+    #[inline(never)]
     fn walk(l1: &mut Cache, l2: &mut Cache, l3: &mut Cache, addr: u64, len: u32) -> ServedBy {
         let mut worst = ServedBy::L1;
         let (mut line, last) = Cache::line_span(addr, len);
@@ -250,6 +283,18 @@ mod tests {
         assert_eq!(h.l1d.stats.accesses, 2);
         h.data_access(u64::MAX - 1, 8);
         assert_eq!(h.l1d.stats.accesses, 3);
+    }
+
+    #[test]
+    fn in_place_hits_keep_the_filter_on_the_latest_line() {
+        let mut h = Hierarchy::new();
+        h.data_access(0x1000, 8);
+        h.data_access(0x2040, 8);
+        // 0x1000's line is in way 0 of its set but is not the last line:
+        // the in-place path serves it and makes it the filter's line.
+        assert_eq!(h.data_access(0x1008, 4), ServedBy::L1);
+        assert_eq!(h.l1d.last, 0x1000 >> LINE_SHIFT);
+        assert_eq!((h.l1d.stats.accesses, h.l1d.stats.misses), (3, 2));
     }
 
     #[test]

@@ -1,8 +1,9 @@
-//! Property tests for the architectural models: the set-associative cache
-//! and the branch predictor must agree with reference models, and
-//! counters must stay internally consistent.
+//! Property tests for the architectural models: the set-associative cache,
+//! the cache hierarchy and the branch predictor must agree with reference
+//! models, and counters must stay internally consistent.
 
-use archsim::{ArchSim, BranchPredictor, BranchStats, Cache};
+use archsim::cache::ServedBy;
+use archsim::{ArchSim, BranchPredictor, BranchStats, Cache, CacheStats, Hierarchy};
 use engines::profiler::{BranchKind, Profiler};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -12,6 +13,7 @@ struct RefCache {
     sets: Vec<Vec<u64>>, // per set: lines in LRU order (front = MRU)
     ways: usize,
     set_mask: u64,
+    stats: CacheStats,
 }
 
 impl RefCache {
@@ -21,10 +23,12 @@ impl RefCache {
             sets: vec![Vec::new(); sets],
             ways,
             set_mask: (sets - 1) as u64,
+            stats: CacheStats::default(),
         }
     }
 
     fn access(&mut self, addr: u64) -> bool {
+        self.stats.accesses += 1;
         let line = addr >> 6;
         let set = (line & self.set_mask) as usize;
         let s = &mut self.sets[set];
@@ -33,10 +37,77 @@ impl RefCache {
             s.insert(0, l);
             true
         } else {
+            self.stats.misses += 1;
             s.insert(0, line);
             s.truncate(self.ways);
             false
         }
+    }
+}
+
+/// The study platform's hierarchy built from three reference caches per
+/// side, walked one line at a time with no fast path.
+struct RefHierarchy {
+    l1i: RefCache,
+    l1d: RefCache,
+    l2: RefCache,
+    l3: RefCache,
+}
+
+impl RefHierarchy {
+    fn new() -> RefHierarchy {
+        RefHierarchy {
+            l1i: RefCache::new(32 << 10, 8),
+            l1d: RefCache::new(32 << 10, 8),
+            l2: RefCache::new(256 << 10, 8),
+            l3: RefCache::new(10 << 20, 20),
+        }
+    }
+
+    /// Every line the `len` bytes at `addr` touch (a zero-length access
+    /// touches one byte; the range ends at the top of the address space
+    /// rather than wrapping), each served by the first level that hits.
+    fn access(&mut self, inst: bool, addr: u64, len: u32) -> ServedBy {
+        let first = addr >> 6;
+        let last = addr.saturating_add(len.max(1) as u64 - 1) >> 6;
+        let mut worst = ServedBy::L1;
+        for line in first..=last {
+            let at = line << 6;
+            let l1 = if inst { &mut self.l1i } else { &mut self.l1d };
+            let served = if l1.access(at) {
+                ServedBy::L1
+            } else if self.l2.access(at) {
+                ServedBy::L2
+            } else if self.l3.access(at) {
+                ServedBy::L3
+            } else {
+                ServedBy::Memory
+            };
+            if served.latency() > worst.latency() {
+                worst = served;
+            }
+        }
+        worst
+    }
+}
+
+/// Access sizes the hierarchy test draws from: zero-length, every
+/// engine width, a whole line and more than a line.
+const HIERARCHY_LENS: [u32; 8] = [0, 1, 4, 8, 16, 24, 64, 100];
+
+/// An address in one of four clusters, each a few lines over a few sets
+/// so that lines repeat, sit in way 0, sit in deeper ways and get
+/// evicted: 12 lines a 4 KiB stride apart overflow an 8-way L1 set; 12 a
+/// 32 KiB stride apart also overflow an L2 set; 36 a 512 KiB stride
+/// apart overflow a 20-way L3 set; and the last cluster is the two lines
+/// at the very top of the address space. `offset` (0..64) places the
+/// access within its line, so longer accesses straddle.
+fn hierarchy_addr(cluster: u8, pick: u64, offset: u64) -> u64 {
+    match cluster {
+        0 => (pick % 3) * 64 + (pick / 3) * (4 << 10) + offset,
+        1 => (1 << 20) + (pick % 3) * 64 + (pick / 3) * (32 << 10) + offset,
+        2 => (1 << 30) + pick * (512 << 10) + offset,
+        _ => u64::MAX - (pick % 2) * 64 - offset,
     }
 }
 
@@ -325,6 +396,42 @@ proptest! {
         caches_agree(10 << 20, 20, &conflict_trace(&steps, 8192, 20))?;
     }
 
+    /// The production hierarchy, with its inline L1 hit path, matches the
+    /// line-by-line reference walk on every access of clustered data and
+    /// instruction streams: the same `ServedBy` for each, and the same
+    /// statistics in all four caches after each.
+    #[test]
+    fn hierarchy_matches_reference_model(
+        ops in proptest::collection::vec(
+            // (side and cluster, line pick, offset, size index)
+            (0u8..8, 0u64..36, 0u64..64, 0usize..HIERARCHY_LENS.len()),
+            1..1500,
+        )
+    ) {
+        let mut real = Hierarchy::new();
+        let mut reference = RefHierarchy::new();
+        for (side_cluster, pick, offset, len_i) in ops {
+            let inst = side_cluster >= 4;
+            let addr = hierarchy_addr(side_cluster % 4, pick, offset);
+            let len = HIERARCHY_LENS[len_i];
+            let served = if inst {
+                real.inst_access(addr, len)
+            } else {
+                real.data_access(addr, len)
+            };
+            let expected = reference.access(inst, addr, len);
+            prop_assert_eq!(served, expected, "inst={} {:#x}+{}", inst, addr, len);
+            let stats = [real.l1i.stats, real.l1d.stats, real.l2.stats, real.l3.stats];
+            let ref_stats = [
+                reference.l1i.stats,
+                reference.l1d.stats,
+                reference.l2.stats,
+                reference.l3.stats,
+            ];
+            prop_assert_eq!(stats, ref_stats, "inst={} {:#x}+{}", inst, addr, len);
+        }
+    }
+
     /// The production predictor matches the parent's verbatim model on
     /// every branch of random streams over all six kinds: small site and
     /// target pools, replayed six times, so the tagged ITTAGE tables alias
@@ -370,6 +477,48 @@ proptest! {
                 }
             }
         }
+        prop_assert_eq!(real.stats, reference.stats);
+    }
+
+    /// The production predictor matches the parent's model on the stream
+    /// the ITTAGE fast paths are built for, an interpreter's: one dispatch
+    /// site replaying a loop body of about 200 handler targets, each pass
+    /// cut short at a data-dependent exit, with a second indirect site
+    /// (a `call_indirect` or `br_table`) interleaved after some handlers
+    /// and the loop's backward branch closing each pass — several
+    /// thousand events, enough to fill the 32-target component.
+    #[test]
+    fn branch_predictor_matches_reference_model_on_dispatch_loops(
+        body in proptest::collection::vec(0u64..200, 180..220),
+        passes in proptest::collection::vec((0u64..4, 0u64..1000, 0u64..8), 16..32),
+    ) {
+        let mut real = BranchPredictor::new();
+        let mut reference = RefBranchPredictor::new();
+        let mut observe = |site: u64, kind: BranchKind, taken: bool, target: u64| {
+            let a = real.observe(site, kind, taken, target);
+            let b = reference.observe(site, kind, taken, target);
+            prop_assert_eq!(a, b, "{:?} at site {:#x} -> {:#x}", kind, site, target);
+            Ok(())
+        };
+        let dispatch = 0x4000;
+        let second = 0x4800;
+        let handler = |op: u64| 0x10000 + op * 0x40;
+        let mut events = 0;
+        for &(exit_kind, exit_at, second_target) in &passes {
+            // One pass in four leaves the body early, where the data says.
+            let len = if exit_kind == 0 { exit_at as usize % body.len() } else { body.len() };
+            for &op in &body[..len] {
+                observe(dispatch, BranchKind::Indirect, true, handler(op))?;
+                if op % 16 == 0 {
+                    let t = 0x20000 + (second_target + op / 16) % 8 * 0x40;
+                    observe(second, BranchKind::Indirect, true, t)?;
+                    events += 1;
+                }
+            }
+            observe(dispatch + 4, BranchKind::Cond, exit_kind != 0, dispatch)?;
+            events += len + 1;
+        }
+        prop_assert!(events >= 2000, "{} events", events);
         prop_assert_eq!(real.stats, reference.stats);
     }
 
