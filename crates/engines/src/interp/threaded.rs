@@ -2,10 +2,14 @@
 //!
 //! At load time each function body is *translated* into a linear stream of
 //! threaded operations ([`TOp`]): branch targets are fully resolved (no
-//! runtime label stack), dead code is dropped, and common sequences are
-//! fused into super-instructions (`local.get a; local.get b; binop` and
-//! friends). Execution is a single dispatch loop over the translated
-//! stream. This matches Wasm3's "M3" translation strategy: a one-time
+//! runtime label stack), dead code is dropped, and a constant operand is
+//! fused into the binary operator that consumes it (`const k; binop`).
+//! Local reads stay separate ops: real Wasm3 dispatches through
+//! continuation calls with memory-passed operands, which cost more than
+//! this host's match dispatch, so fusing them too would make the model
+//! faster relative to the compiled tiers than the real system is.
+//! Execution is a single dispatch loop over the translated stream. This
+//! matches Wasm3's "M3" translation strategy: a one-time
 //! translation cost buys a much faster steady-state interpreter than the
 //! classic in-place design in [`super::tree`].
 
@@ -24,25 +28,6 @@ use wasm_core::module::Module;
 
 /// Bytes one threaded op occupies in the profiled address space.
 const TOP_BYTES: u64 = 24;
-
-/// How much super-instruction fusion the translator performs.
-///
-/// The default ([`FusionLevel::Const`]) fuses constant operands only.
-/// This calibrates the engine against the compiled tiers: real Wasm3
-/// dispatches through continuation calls with memory-passed operands,
-/// which cost more than this host's match dispatch, so fusing local reads
-/// as well would make the model *faster* relative to the compiled tiers
-/// than the real system is. [`FusionLevel::Full`] exists for the
-/// dispatch-technique ablation benches.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FusionLevel {
-    /// Plain threading: resolved branches, no fusion.
-    None,
-    /// Fuse constant operands (`const k; binop` → `KBin`).
-    Const,
-    /// Additionally fuse local reads (`get a; get b; binop` → `Get2Bin`).
-    Full,
-}
 
 /// How a taken branch repairs the value stack: keep the top `keep` values,
 /// placing them at absolute height `height`.
@@ -73,35 +58,10 @@ pub enum TOp {
     Drop,
     /// Ternary select.
     Select,
-    /// Fused `local.get a; local.get b; <binop>`.
-    Get2Bin {
-        /// First operand local.
-        a: u16,
-        /// Second operand local.
-        b: u16,
-        /// The binary operator.
-        op: Instr,
-    },
-    /// Fused `local.get a; <const k>; <binop>`.
-    GetKBin {
-        /// First operand local.
-        a: u16,
-        /// Constant second operand (raw bits).
-        k: u64,
-        /// The binary operator.
-        op: Instr,
-    },
     /// Fused `<const k>; <binop>` (second operand constant).
     KBin {
         /// Constant second operand (raw bits).
         k: u64,
-        /// The binary operator.
-        op: Instr,
-    },
-    /// Fused `local.get a; <binop>` (second operand from local).
-    GetBin {
-        /// Second operand local.
-        a: u16,
         /// The binary operator.
         op: Instr,
     },
@@ -239,15 +199,6 @@ impl ThreadedCode {
     /// Fails only on malformed control structure, which validation has
     /// already excluded.
     pub fn load(module: Rc<Module>) -> Result<ThreadedCode, wasm_core::ValidateError> {
-        Self::load_with_options(module, FusionLevel::Const)
-    }
-
-    /// Like [`load`](Self::load) with an explicit [`FusionLevel`] (used by
-    /// the dispatch-technique ablation benches).
-    pub fn load_with_options(
-        module: Rc<Module>,
-        fuse: FusionLevel,
-    ) -> Result<ThreadedCode, wasm_core::ValidateError> {
         let mut funcs = Vec::with_capacity(module.funcs.len());
         let mut base = BYTECODE_BASE;
         let num_imported = module.num_imported_funcs() as u32;
@@ -260,7 +211,6 @@ impl ThreadedCode {
                 ty.params.len(),
                 !ty.results.is_empty(),
                 base,
-                fuse,
                 &safe,
             )
             .map_err(|e| e.with_func(num_imported + i as u32))?;
@@ -404,26 +354,9 @@ impl ThreadedCode {
                     push!(if c as u32 != 0 { a } else { b });
                     p.uops(1);
                 }
-                TOp::Get2Bin { a, b, op } => {
-                    p.read(STACK_BASE + a as u64 * 8, 8);
-                    p.read(STACK_BASE + b as u64 * 8, 8);
-                    push!(numeric::apply_binary(op, locals[a as usize], locals[b as usize])?);
-                    p.uops(numeric_cost(&op));
-                }
-                TOp::GetKBin { a, k, op } => {
-                    p.read(STACK_BASE + a as u64 * 8, 8);
-                    push!(numeric::apply_binary(op, locals[a as usize], k)?);
-                    p.uops(numeric_cost(&op));
-                }
                 TOp::KBin { k, op } => {
                     let a = pop!();
                     push!(numeric::apply_binary(op, a, k)?);
-                    p.uops(numeric_cost(&op));
-                }
-                TOp::GetBin { a, op } => {
-                    let lhs = pop!();
-                    p.read(STACK_BASE + a as u64 * 8, 8);
-                    push!(numeric::apply_binary(op, lhs, locals[a as usize])?);
                     p.uops(numeric_cost(&op));
                 }
                 TOp::Bin(op) => {
@@ -561,6 +494,8 @@ impl ThreadedCode {
 }
 
 /// Dispatch slot id per op kind, for modeling the dispatch branch target.
+/// Slots 8, 9 and 11 are unused: renumbering would move the modeled
+/// dispatch targets, and with them every simulated count.
 fn top_slot(op: &TOp) -> u64 {
     match op {
         TOp::Const(_) => 0,
@@ -571,10 +506,7 @@ fn top_slot(op: &TOp) -> u64 {
         TOp::SetGlobal(_) => 5,
         TOp::Drop => 6,
         TOp::Select => 7,
-        TOp::Get2Bin { .. } => 8,
-        TOp::GetKBin { .. } => 9,
         TOp::KBin { .. } => 10,
-        TOp::GetBin { .. } => 11,
         TOp::Bin(_) => 12,
         TOp::Un(_) => 13,
         TOp::Load { .. } => 14,
@@ -605,7 +537,6 @@ fn translate(
     nparams: usize,
     has_result: bool,
     base: u64,
-    fuse: FusionLevel,
     safe: &[bool],
 ) -> Result<TFunc, wasm_core::ValidateError> {
     // Validation has passed, so control structure is sound.
@@ -817,48 +748,8 @@ fn translate(
                 ops.push(TOp::Select);
             }
             Instr::LocalGet(n) => {
-                // Fusion lookahead: get a; get b; bin  /  get a; const; bin
-                // / get a; bin. Numeric ops are never branch targets, so
-                // fusing across them is safe.
-                let a = *n as u16;
-                match (body.get(i + 1), body.get(i + 2)) {
-                    _ if fuse != FusionLevel::Full => {
-                        ops.push(TOp::GetLocal(a));
-                        height += 1;
-                    }
-                    (Some(Instr::LocalGet(b)), Some(op2)) if numeric::is_binary(*op2) => {
-                        ops.push(TOp::Get2Bin {
-                            a,
-                            b: *b as u16,
-                            op: *op2,
-                        });
-                        height += 1;
-                        i += 3;
-                        continue;
-                    }
-                    (Some(k), Some(op2))
-                        if const_bits(k).is_some() && numeric::is_binary(*op2) =>
-                    {
-                        ops.push(TOp::GetKBin {
-                            a,
-                            k: const_bits(k).expect("checked"),
-                            op: *op2,
-                        });
-                        height += 1;
-                        i += 3;
-                        continue;
-                    }
-                    (Some(op1), _) if numeric::is_binary(*op1) => {
-                        ops.push(TOp::GetBin { a, op: *op1 });
-                        // pops one, pushes one: net zero
-                        i += 2;
-                        continue;
-                    }
-                    _ => {
-                        ops.push(TOp::GetLocal(a));
-                        height += 1;
-                    }
-                }
+                ops.push(TOp::GetLocal(*n as u16));
+                height += 1;
             }
             Instr::LocalSet(n) => {
                 height -= 1;
@@ -884,14 +775,13 @@ fn translate(
             }
             Instr::I32Const(_) | Instr::I64Const(_) | Instr::F32Const(_) | Instr::F64Const(_) => {
                 let k = const_bits(instr).expect("const");
-                // Fusion: const k; bin  →  KBin.
-                if fuse != FusionLevel::None {
-                    if let Some(op2) = body.get(i + 1) {
-                        if numeric::is_binary(*op2) {
-                            ops.push(TOp::KBin { k, op: *op2 });
-                            i += 2;
-                            continue;
-                        }
+                // Fusion: const k; bin  →  KBin. Numeric ops are never
+                // branch targets, so fusing across them is safe.
+                if let Some(op2) = body.get(i + 1) {
+                    if numeric::is_binary(*op2) {
+                        ops.push(TOp::KBin { k, op: *op2 });
+                        i += 2;
+                        continue;
                     }
                 }
                 height += 1;
@@ -996,23 +886,23 @@ mod tests {
     }
 
     #[test]
-    fn add_with_fusion() {
+    fn const_operand_fuses_into_its_binop() {
         let mut b = ModuleBuilder::new();
-        let f = b.begin_func(FuncType::new(&[ValType::I32, ValType::I32], &[ValType::I32]));
+        let f = b.begin_func(FuncType::new(&[ValType::I32], &[ValType::I32]));
         b.emit(Instr::LocalGet(0));
-        b.emit(Instr::LocalGet(1));
+        b.emit(Instr::I32Const(40));
         b.emit(Instr::I32Add);
         b.finish_func();
         b.export_func("add", f);
         let m = b.build();
         wasm_core::validate::validate(&m).unwrap();
-        let code = ThreadedCode::load_with_options(Rc::new(m), FusionLevel::Full).unwrap();
-        // get+get+add fuses into a single op, plus Ret.
-        assert_eq!(code.total_ops(), 2);
+        let code = ThreadedCode::load(Rc::new(m)).unwrap();
+        // get, const+add fused into KBin, Ret.
+        assert_eq!(code.total_ops(), 3);
         let mut rt = Runtime::instantiate(&code.module, &Imports::new(), Box::new(())).unwrap();
         let idx = code.module.exported_func("add").unwrap();
         assert_eq!(
-            code.invoke(&mut rt, idx, &[2, 40], &mut NullProfiler).unwrap(),
+            code.invoke(&mut rt, idx, &[2], &mut NullProfiler).unwrap(),
             Some(42)
         );
     }

@@ -53,6 +53,34 @@ fn ret_f64(x: f64) -> u64 {
     x.to_bits()
 }
 
+/// An arithmetic `f32` result: a NaN becomes the canonical NaN, so the
+/// payload never depends on which operand an optimised build keeps
+/// (LLVM may commute `a + b`). Wasm allows canonical NaN for every
+/// arithmetic op; bit-level ops (`neg`, `abs`, `copysign`, reinterprets)
+/// use [`ret_f32`] and stay exact. The test is on the bits: LLVM treats
+/// NaNs as interchangeable and folds `if x.is_nan() { f32::NAN } else
+/// { x }` back to `x`.
+#[inline]
+fn arith_f32(x: f32) -> u64 {
+    let bits = x.to_bits();
+    if bits & 0x7fff_ffff > 0x7f80_0000 {
+        f32::NAN.to_bits() as u64
+    } else {
+        bits as u64
+    }
+}
+
+/// [`arith_f32`] for `f64`.
+#[inline]
+fn arith_f64(x: f64) -> u64 {
+    let bits = x.to_bits();
+    if bits & 0x7fff_ffff_ffff_ffff > 0x7ff0_0000_0000_0000 {
+        f64::NAN.to_bits()
+    } else {
+        bits
+    }
+}
+
 #[inline]
 fn bool32(b: bool) -> u64 {
     b as u64
@@ -208,18 +236,18 @@ with_inlined_twin! {
             I64Popcnt => a.count_ones() as u64,
             F32Abs => ret_f32(f32v(a).abs()),
             F32Neg => ret_f32(-f32v(a)),
-            F32Ceil => ret_f32(f32v(a).ceil()),
-            F32Floor => ret_f32(f32v(a).floor()),
-            F32Trunc => ret_f32(f32v(a).trunc()),
-            F32Nearest => ret_f32(nearest_f32(f32v(a))),
-            F32Sqrt => ret_f32(f32v(a).sqrt()),
+            F32Ceil => arith_f32(f32v(a).ceil()),
+            F32Floor => arith_f32(f32v(a).floor()),
+            F32Trunc => arith_f32(f32v(a).trunc()),
+            F32Nearest => arith_f32(nearest_f32(f32v(a))),
+            F32Sqrt => arith_f32(f32v(a).sqrt()),
             F64Abs => ret_f64(f64v(a).abs()),
             F64Neg => ret_f64(-f64v(a)),
-            F64Ceil => ret_f64(f64v(a).ceil()),
-            F64Floor => ret_f64(f64v(a).floor()),
-            F64Trunc => ret_f64(f64v(a).trunc()),
-            F64Nearest => ret_f64(nearest_f64(f64v(a))),
-            F64Sqrt => ret_f64(f64v(a).sqrt()),
+            F64Ceil => arith_f64(f64v(a).ceil()),
+            F64Floor => arith_f64(f64v(a).floor()),
+            F64Trunc => arith_f64(f64v(a).trunc()),
+            F64Nearest => arith_f64(nearest_f64(f64v(a))),
+            F64Sqrt => arith_f64(f64v(a).sqrt()),
             I32WrapI64 => ret_u32(a as u32),
             I64ExtendI32S => (b32(a) as i32) as i64 as u64,
             I64ExtendI32U => b32(a) as u64,
@@ -257,12 +285,12 @@ with_inlined_twin! {
             F32ConvertI32U => ret_f32(b32(a) as f32),
             F32ConvertI64S => ret_f32(a as i64 as f32),
             F32ConvertI64U => ret_f32(a as f32),
-            F32DemoteF64 => ret_f32(f64v(a) as f32),
+            F32DemoteF64 => arith_f32(f64v(a) as f32),
             F64ConvertI32S => ret_f64(b32(a) as i32 as f64),
             F64ConvertI32U => ret_f64(b32(a) as f64),
             F64ConvertI64S => ret_f64(a as i64 as f64),
             F64ConvertI64U => ret_f64(a as f64),
-            F64PromoteF32 => ret_f64(f32v(a) as f64),
+            F64PromoteF32 => arith_f64(f32v(a) as f64),
             I32ReinterpretF32 | F32ReinterpretI32 => ret_u32(b32(a)),
             I64ReinterpretF64 | F64ReinterpretI64 => a,
             other => panic!("apply_unary called with non-unary instruction {other:?}"),
@@ -398,17 +426,17 @@ with_inlined_twin! {
             I64ShrU => a.wrapping_shr(b as u32),
             I64Rotl => a.rotate_left((b & 63) as u32),
             I64Rotr => a.rotate_right((b & 63) as u32),
-            F32Add => ret_f32(f32v(a) + f32v(b)),
-            F32Sub => ret_f32(f32v(a) - f32v(b)),
-            F32Mul => ret_f32(f32v(a) * f32v(b)),
-            F32Div => ret_f32(f32v(a) / f32v(b)),
+            F32Add => arith_f32(f32v(a) + f32v(b)),
+            F32Sub => arith_f32(f32v(a) - f32v(b)),
+            F32Mul => arith_f32(f32v(a) * f32v(b)),
+            F32Div => arith_f32(f32v(a) / f32v(b)),
             F32Min => ret_f32(wasm_min_f32(f32v(a), f32v(b))),
             F32Max => ret_f32(wasm_max_f32(f32v(a), f32v(b))),
             F32Copysign => ret_f32(f32v(a).copysign(f32v(b))),
-            F64Add => ret_f64(f64v(a) + f64v(b)),
-            F64Sub => ret_f64(f64v(a) - f64v(b)),
-            F64Mul => ret_f64(f64v(a) * f64v(b)),
-            F64Div => ret_f64(f64v(a) / f64v(b)),
+            F64Add => arith_f64(f64v(a) + f64v(b)),
+            F64Sub => arith_f64(f64v(a) - f64v(b)),
+            F64Mul => arith_f64(f64v(a) * f64v(b)),
+            F64Div => arith_f64(f64v(a) / f64v(b)),
             F64Min => ret_f64(wasm_min_f64(f64v(a), f64v(b))),
             F64Max => ret_f64(wasm_max_f64(f64v(a), f64v(b))),
             F64Copysign => ret_f64(f64v(a).copysign(f64v(b))),
@@ -511,6 +539,24 @@ mod tests {
         // max(-0, +0) = +0
         let r = b(Instr::F32Max, ret_f32(-0.0), ret_f32(0.0));
         assert_eq!(r as u32, 0.0f32.to_bits());
+    }
+
+    #[test]
+    fn arithmetic_nans_are_canonical_and_bit_ops_exact() {
+        let (p, q) = (0x7fff_ffff, 0xffff_ffff);
+        let canon = ret_f32(f32::NAN);
+        for op in [Instr::F32Add, Instr::F32Sub, Instr::F32Mul, Instr::F32Div] {
+            assert_eq!(b(op, p, q), canon, "{op:?}");
+            assert_eq!(b(op, q, p), canon, "{op:?}");
+        }
+        for op in [Instr::F32Sqrt, Instr::F32Ceil, Instr::F32Nearest] {
+            assert_eq!(u(op, q), canon, "{op:?}");
+        }
+        assert_eq!(u(Instr::F64PromoteF32, q), ret_f64(f64::NAN));
+        assert_eq!(u(Instr::F32DemoteF64, u64::MAX), canon);
+        assert_eq!(u(Instr::F32Neg, p), q);
+        assert_eq!(u(Instr::F32Abs, q), p);
+        assert_eq!(b(Instr::F32Copysign, p, q), q);
     }
 
     #[test]

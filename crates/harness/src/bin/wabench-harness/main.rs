@@ -1,7 +1,7 @@
 //! The `wabench-harness` binary: regenerates the paper's tables/figures,
-//! and hosts the suite tools `run`, `lint` and `audit`. Every command's
-//! flags are declared once in [`COMMANDS`]; `wabench-harness` with no
-//! arguments prints them.
+//! and hosts the suite tools `run`, `report`, `lint` and `audit`. Every
+//! command's flags are declared once in [`COMMANDS`]; `wabench-harness`
+//! with no arguments prints them.
 //!
 //! Every cell is measured by `svc::exec::execute` and remembered in one
 //! memo. With `--jobs N` (N > 1) the measurement matrix first runs
@@ -17,11 +17,16 @@
 //! warm pass an on-disk artifact store (reusing a directory across runs
 //! exercises corruption detection/repair).
 //!
-//! Exit codes: 0 success, 1 a failed `run` job or lint/audit findings,
-//! 2 usage error (and compile or I/O errors in `lint`/`audit`).
+//! `--trace-out FILE` writes the run's spans as a Chrome trace, or as
+//! wall-time folded stacks for `flamegraph.pl` when FILE ends in
+//! `.folded`; `--report` prints the self-time table to stderr.
+//!
+//! Exit codes: 0 success, 1 a failed `run` or `report` job or lint/audit
+//! findings, 2 usage error (and compile or I/O errors in `lint`/`audit`).
 
 mod audit;
 mod lint;
+mod report;
 mod run;
 
 use harness::parallel::WarmOptions;
@@ -29,7 +34,7 @@ use harness::runner::Scale;
 use harness::{experiment_list, is_simulated, resolve_alias};
 use obs::cli::{self, Args, Command, Flag};
 
-const TRACE_OUT: Flag = Flag::value("--trace-out", "FILE", "write a Chrome trace of the run");
+const TRACE_OUT: Flag = Flag::value("--trace-out", "FILE", "write a Chrome trace of the run (*.folded: folded stacks)");
 const REPORT: Flag = Flag::switch("--report", "print a self-time table to stderr");
 const LEVEL: Flag = Flag::value("--level", "L", "WaCC level O0..O3");
 
@@ -45,6 +50,7 @@ static COMMANDS: &[Command] = &[
         Flag::value("--store", "DIR", "artifact store for the --jobs warm pass"),
     ]).takes("<fig1..fig14|table4|table5|all>"),
     run::COMMAND,
+    report::COMMAND,
     lint::COMMAND,
     audit::COMMAND,
 ];
@@ -54,6 +60,7 @@ fn main() {
     match a.command() {
         "" => a.traced(|| experiments(&a)),
         "run" => std::process::exit(a.traced(|| run::run(&a))),
+        "report" => std::process::exit(report::run(&a)),
         "lint" => lint::run(&a),
         "audit" => audit::run(&a),
         other => unreachable!("{other} is in COMMANDS but not dispatched"),

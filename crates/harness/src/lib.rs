@@ -147,22 +147,24 @@ pub fn observability_section() -> String {
 /// to the paper's figures.
 pub fn profiling_section() -> String {
     "### Profiling\n\n\
-     `wabench-prof` layers three tools on the span rings described\n\
-     above. `wabench-prof report` prints a `perf report`-style table\n\
-     per phase: each attributed span row carries retired instructions,\n\
-     IPC, and branch/L1D/L1I/LLC MPKI sampled from the architectural\n\
+     Two tools sit on the span rings described above.\n\
+     `wabench-harness report` prints a `perf report`-style table per\n\
+     phase: each attributed span row carries retired instructions, IPC,\n\
+     and branch/L1D/L1I/LLC MPKI sampled from the architectural\n\
      simulator at span entry/exit. The columns map onto the paper's\n\
      architectural figures: instructions and IPC are the quantities\n\
      behind Figures 10–11, branch MPKI behind Figure 12, L1 data/\n\
      instruction MPKI behind Figure 13, and LLC MPKI behind Figure 14 —\n\
      but broken down per phase (compile vs. execute) instead of per\n\
-     whole run. `wabench-prof fold --out stacks.folded` runs a job\n\
-     matrix through the scheduler and writes Brendan-Gregg folded\n\
-     stacks (`thread;span;span N`, weight selectable between wall\n\
-     nanoseconds and any simulated counter) ready for `flamegraph.pl`;\n\
-     `collapse` produces the same from a saved Chrome trace. These\n\
-     tools explain where time goes; performance itself is measured and\n\
-     gated by the repo benchmark (`benchmark/README.md`).\n"
+     whole run. Any `--trace-out FILE` whose name ends in `.folded`\n\
+     writes Brendan-Gregg folded stacks (`thread;span;span N`, weighted\n\
+     by self wall nanoseconds) ready for `flamegraph.pl` instead of a\n\
+     Chrome trace — `wabench-harness run crc32 --jobs 4 --trace-out\n\
+     stacks.folded` profiles a job matrix through the scheduler. Both\n\
+     views and the self-time table nest spans by one aggregator\n\
+     (`obs::prof::aggregate`). These tools explain where time goes;\n\
+     performance itself is measured and gated by the repo benchmark\n\
+     (`benchmark/README.md`).\n"
         .to_string()
 }
 

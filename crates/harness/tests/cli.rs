@@ -49,3 +49,36 @@ fn audit_of_an_unknown_benchmark_is_a_usage_error() {
 fn run_of_a_missing_file_fails_at_run_time() {
     assert_exit(&["run", "/nonexistent/module.wasm", "--engine", "wasm3"], 1, "/nonexistent/module.wasm");
 }
+
+#[test]
+fn report_of_an_unknown_level_is_a_usage_error() {
+    assert_exit(&["report", "--level", "O7"], 2, "--level");
+}
+
+/// `--trace-out` picks its writer from the file name: `*.folded` gets
+/// folded stacks that parse, anything else a Chrome trace that
+/// validates.
+#[test]
+fn trace_out_writes_folded_stacks_or_a_chrome_trace_by_file_name() {
+    let dir = std::env::temp_dir();
+    let folded = dir.join(format!("wabench-harness-cli-{}.folded", std::process::id()));
+    let chrome = dir.join(format!("wabench-harness-cli-{}.json", std::process::id()));
+    for path in [&folded, &chrome] {
+        let run = ["run", "crc32", "--engine", "wasm3", "--level", "O1", "--jobs", "2", "--log", "error"];
+        let out = Command::new(env!("CARGO_BIN_EXE_wabench-harness"))
+            .args(run)
+            .arg("--trace-out")
+            .arg(path)
+            .output()
+            .expect("spawn");
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    }
+    let stacks = obs::folded::parse(&std::fs::read_to_string(&folded).expect("read folded"))
+        .expect("folded output parses");
+    assert!(stacks.frames.iter().any(|f| f == "svc.job.run"), "{stacks:?}");
+    let summary = obs::chrome::validate(&std::fs::read_to_string(&chrome).expect("read trace"))
+        .expect("chrome trace validates");
+    assert!(summary.names.iter().any(|n| n == "svc.job.run"), "{summary:?}");
+    let _ = std::fs::remove_file(folded);
+    let _ = std::fs::remove_file(chrome);
+}

@@ -1,7 +1,8 @@
-//! End-to-end observability tests: the tracing overhead budget and the
-//! Chrome-trace round trip under a multi-worker scheduler.
+//! End-to-end observability tests: the tracing overhead budget, the
+//! Chrome-trace and folded-stack round trip under a multi-worker
+//! scheduler, and counter attribution on a live profiled run.
 //!
-//! Both tests flip the process-global trace sink, so they serialize on
+//! Every test flips the process-global trace sink, so they serialize on
 //! one mutex rather than relying on `cargo test` thread scheduling.
 
 use std::sync::Mutex;
@@ -9,7 +10,7 @@ use std::time::Duration;
 
 use engines::{Engine, EngineKind};
 use svc::scheduler::{Config, Scheduler};
-use svc::{JobSpec, Scale};
+use svc::{JobMode, JobSpec, Scale};
 use wacc::OptLevel;
 use wasi_rt::WasiCtx;
 use wasm_core::types::Value;
@@ -96,7 +97,9 @@ fn span_overhead_within_budget() {
 /// Chrome-trace round trip under a real 4-worker scheduler: the export
 /// must be valid JSON with balanced, name-matched B/E stacks per thread
 /// lane, spans on several worker threads, and the scheduler + compiler
-/// span names present.
+/// span names present. The folded export of the same trace must parse
+/// and agree with Chrome's on the deepest stack: both walk the same ring
+/// data, so a depth disagreement means one of them mis-nests spans.
 #[test]
 fn chrome_trace_round_trips_under_workers() {
     let _gate = SINK_GATE.lock().unwrap();
@@ -143,4 +146,62 @@ fn chrome_trace_round_trips_under_workers() {
             "missing span {name:?} in trace"
         );
     }
+
+    let folded = obs::folded::export_string(&trace, obs::folded::Weight::WallNs);
+    let stacks = obs::folded::parse(&folded).expect("folded output parses");
+    assert!(stacks.stacks > 0);
+    assert_eq!(
+        stacks.max_depth, summary.max_depth,
+        "folded and Chrome exporters disagree on stack depth"
+    );
+    for frame in ["svc.job.run", "engine.compile"] {
+        assert!(
+            stacks.frames.iter().any(|f| f == frame),
+            "missing frame {frame:?} in folded export"
+        );
+    }
+}
+
+/// Conservation on a live run: the `svc.job.exec` span's counter payload
+/// is the simulator's total, and the attributed child spans (profiled
+/// compile + execute) partition it exactly — the parent's *self*
+/// counters must come out zero.
+#[test]
+fn attribution_conserves_counters_on_live_run() {
+    let _gate = SINK_GATE.lock().unwrap();
+    let job = JobSpec {
+        mode: JobMode::Profiled,
+        ..JobSpec::exec("crc32", EngineKind::Wamr, OptLevel::O1, Scale::Test)
+    };
+    obs::trace::install(obs::trace::Sink::Ring);
+    let res = svc::exec::execute(&job, harness::runner::env());
+    let trace = obs::trace::drain();
+    obs::trace::install(obs::trace::Sink::Null);
+    assert!(res.ok(), "{:?}", res.status);
+    let counters = res.counters.expect("profiled job reports counters");
+
+    let thread = trace
+        .threads
+        .iter()
+        .find(|t| t.events.iter().any(|e| e.name == "svc.job.exec"))
+        .expect("svc.job.exec thread recorded");
+    let nodes = obs::prof::aggregate(&thread.events);
+    let parent = nodes.get(&vec!["svc.job.exec"]).expect("parent node");
+    assert_eq!(
+        parent.total.instructions, counters.instructions,
+        "parent payload is not the simulator total"
+    );
+    assert!(parent.has_counters);
+    assert_eq!(
+        parent.self_counters.instructions, 0,
+        "children do not partition the parent's instructions"
+    );
+    assert_eq!(parent.self_counters.cycles, 0);
+
+    let child_sum: u64 = nodes
+        .iter()
+        .filter(|(path, _)| path.len() == 2 && path[0] == "svc.job.exec")
+        .map(|(_, n)| n.total.instructions)
+        .sum();
+    assert_eq!(child_sum, parent.total.instructions);
 }

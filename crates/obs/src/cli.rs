@@ -285,9 +285,10 @@ impl Args {
 
     /// Runs `body`, recording spans when the command line asked for
     /// them (`--trace-out FILE`, `--report`, whichever the command
-    /// declares); afterwards writes the Chrome trace and prints the
-    /// self-time table to stderr. A trace file that cannot be written
-    /// exits 1.
+    /// declares); afterwards writes the trace and prints the self-time
+    /// table to stderr. The file name picks the format: `*.folded` gets
+    /// wall-time folded stacks for `flamegraph.pl`, anything else the
+    /// Chrome trace. A trace file that cannot be written exits 1.
     pub fn traced<R>(&self, body: impl FnOnce() -> R) -> R {
         let takes = |f: &str| self.cmd.flags.iter().any(|x| x.name == f);
         let out = takes("--trace-out").then(|| self.opt("--trace-out", "a file", path)).flatten();
@@ -300,7 +301,12 @@ impl Args {
         let trace = crate::trace::drain();
         crate::trace::install(crate::trace::Sink::Null);
         if let Some(path) = out {
-            match crate::chrome::export_file(&trace, &path) {
+            let written = if path.extension().is_some_and(|e| e == "folded") {
+                crate::folded::export_file(&trace, crate::folded::Weight::WallNs, &path)
+            } else {
+                crate::chrome::export_file(&trace, &path)
+            };
+            match written {
                 Ok(()) => crate::info!("wrote {} ({} spans)", path.display(), trace.span_count()),
                 Err(e) => {
                     crate::error!("{}: {e}", path.display());

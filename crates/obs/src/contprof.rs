@@ -8,7 +8,7 @@
 //! trace clock, keeping a bounded ring of sealed windows. Each window
 //! renders as collapsed stacks in the same `stack;frame weight` format
 //! [`crate::folded`] exports, so two windows diff exactly like two
-//! flamegraphs — which is how `wabench-prof wdiff` names the phase that
+//! flamegraphs — which is how `wabench-served wdiff` names the phase that
 //! regressed between them.
 //!
 //! Like the sampler and the alert engine, nothing aggregates unless a

@@ -18,7 +18,8 @@
 //!   self-time report ([`report`]), a `perf report`-style attributed
 //!   counter profile ([`prof`]) over the optional
 //!   [`trace::SpanCounters`] span payloads, and flamegraph folded
-//!   stacks ([`folded`], wall- or counter-weighted); [`json`] carries
+//!   stacks ([`folded`], wall- or counter-weighted), all three nesting
+//!   spans by [`prof::aggregate`]; [`json`] carries
 //!   the tiny parser the round-trip validators are built on.
 //!
 //! Live-telemetry pieces ride on those: a background registry

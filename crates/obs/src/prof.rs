@@ -41,8 +41,10 @@ pub struct ProfNode {
 }
 
 /// Aggregates one thread's spans by call path, attributing counter
-/// deltas hierarchically. Uses the same interval reconstruction as the
-/// self-time report, so recursion and zero-duration spans are safe.
+/// deltas hierarchically. This is the one span-nesting reconstruction:
+/// the self-time report ([`crate::report`]) and the folded export
+/// ([`crate::folded`]) read it too. Recursion and zero-duration spans
+/// are safe.
 pub fn aggregate(events: &[SpanEvent]) -> BTreeMap<Vec<&'static str>, ProfNode> {
     let mut spans: Vec<&SpanEvent> = events.iter().collect();
     spans.sort_by(|a, b| {

@@ -7,65 +7,11 @@
 //! point: attribution follows the path, not the name. *Self* time is a
 //! span's duration minus its children's, which is what you optimize.
 
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use crate::metrics::fmt_ns;
-use crate::trace::{SpanEvent, Trace};
-
-#[derive(Default, Clone)]
-struct Node {
-    total_ns: u64,
-    self_ns: u64,
-    count: u64,
-}
-
-/// Aggregates one thread's spans by call path.
-fn aggregate(events: &[SpanEvent]) -> BTreeMap<Vec<&'static str>, Node> {
-    let mut spans: Vec<&SpanEvent> = events.iter().collect();
-    spans.sort_by(|a, b| {
-        a.start_ns
-            .cmp(&b.start_ns)
-            .then(a.depth.cmp(&b.depth))
-            .then(b.dur_ns.cmp(&a.dur_ns))
-    });
-
-    let mut agg: BTreeMap<Vec<&'static str>, Node> = BTreeMap::new();
-    // Open spans: (end_ns, duration, children's total so far, path).
-    let mut open: Vec<(u64, u64, u64, Vec<&'static str>)> = Vec::new();
-    let pop = |open: &mut Vec<(u64, u64, u64, Vec<&'static str>)>,
-                   agg: &mut BTreeMap<Vec<&'static str>, Node>| {
-        let (_, dur_ns, child_ns, path) = open.pop().expect("pop with open span");
-        let node = agg.entry(path).or_default();
-        node.total_ns += dur_ns;
-        node.self_ns += dur_ns.saturating_sub(child_ns);
-        node.count += 1;
-        if let Some(parent) = open.last_mut() {
-            parent.2 += dur_ns;
-        }
-    };
-
-    for span in spans {
-        while let Some(&(end_ns, ..)) = open.last() {
-            if end_ns > span.start_ns {
-                break;
-            }
-            pop(&mut open, &mut agg);
-        }
-        let end_ns = match open.last() {
-            Some(&(parent_end, ..)) => span.end_ns().min(parent_end),
-            None => span.end_ns(),
-        };
-        let mut path: Vec<&'static str> =
-            open.last().map(|(.., p)| p.clone()).unwrap_or_default();
-        path.push(span.name);
-        open.push((end_ns, span.dur_ns, 0, path));
-    }
-    while !open.is_empty() {
-        pop(&mut open, &mut agg);
-    }
-    agg
-}
+use crate::prof::aggregate;
+use crate::trace::Trace;
 
 /// Renders `trace` as an indented per-thread self-time table.
 pub fn render(trace: &Trace) -> String {
@@ -131,7 +77,7 @@ pub fn render(trace: &Trace) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::ThreadTrace;
+    use crate::trace::{SpanEvent, ThreadTrace};
 
     fn span(name: &'static str, start_ns: u64, dur_ns: u64, depth: u16) -> SpanEvent {
         SpanEvent {

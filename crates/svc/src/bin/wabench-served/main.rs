@@ -24,7 +24,7 @@
 //! profile-drift rules evaluated against the sampled series — and `--postmortem-dir DIR` makes every pending→firing
 //! transition snapshot a flight-recorder bundle for `doctor`.
 //! `--profile-ms N` arms the continuous profiler whose windows
-//! `wabench-prof windows` / `wdiff` fetch. All three are off by
+//! `windows` / `wdiff` fetch. All three are off by
 //! default and cost nothing when disarmed.
 //!
 //! `smoke` is self-contained: it starts a scheduler + server on a
@@ -36,11 +36,13 @@
 //!
 //! Exit codes: 0 success, 1 runtime error (connect or protocol failure,
 //! a failed `submit` job, a failed `smoke` assertion), 2 usage error.
-//! `top`, `doctor` and `trace-check` document their own codes.
+//! `top`, `doctor`, `trace-check` and `windows`/`wdiff` document their
+//! own codes.
 
 mod doctor;
 mod top;
 mod trace_check;
+mod windows;
 
 use std::process::exit;
 use std::sync::Arc;
@@ -65,7 +67,7 @@ static COMMANDS: &[Command] = &[
         Flag::value("--store", "DIR", "artifact store directory (default: none)"),
         Flag::value("--store-cap-mb", "M", "artifact store size cap").default("256"),
         Flag::value("--timeout-s", "S", "per-job timeout").default("120"),
-        Flag::value("--trace-out", "FILE", "write a Chrome trace on shutdown"),
+        Flag::value("--trace-out", "FILE", "write a Chrome trace on shutdown (*.folded: folded stacks)"),
         Flag::value("--faults", "PLAN", "fault plan like 'seed=7,compile=0.05' (else WABENCH_FAULTS)"),
         Flag::value("--sample-ms", "N", "telemetry sampler interval, 0 disables").default("250"),
         Flag::value("--series-cap", "N", "sampled points kept").default("600"),
@@ -97,6 +99,8 @@ static COMMANDS: &[Command] = &[
     top::COMMAND,
     doctor::COMMAND,
     trace_check::COMMAND,
+    windows::WINDOWS,
+    windows::WDIFF,
 ];
 
 /// A client connected to `--socket`; exits 1 when nothing answers.
@@ -546,6 +550,8 @@ fn main() {
         "top" => top::run(&a),
         "doctor" => doctor::run(&a),
         "trace-check" => trace_check::run(&a),
+        "windows" => windows::run_windows(&a),
+        "wdiff" => windows::run_wdiff(&a),
         other => unreachable!("{other} is in COMMANDS but not dispatched"),
     }
 }

@@ -44,6 +44,11 @@ fn trace_check_usage_exits_2_and_an_invalid_trace_exits_1() {
     let _ = std::fs::remove_file(unbalanced);
 }
 
+#[test]
+fn windows_refuses_another_commands_flag() {
+    assert_exit(&["windows", "--socket", ABSENT, "--bench", "x"], 2, "--bench");
+}
+
 /// `doctor` exits 2 on evidence it cannot read: callers tell "no
 /// diagnosis" from "findings" (1) by it.
 #[test]
@@ -56,5 +61,6 @@ fn doctor_without_evidence_exits_2() {
 fn socket_alone_fails_on_connect() {
     assert_exit(&["stats", "--socket", ABSENT], 1, "connect");
     assert_exit(&["top", "--once", "--socket", ABSENT], 1, "connect");
+    assert_exit(&["windows", "--socket", ABSENT], 1, "connect");
     assert_exit(&["submit", "--socket", ABSENT, "--bench", "crc32", "--level", "O2", "--log", "error"], 1, "connect");
 }

@@ -13,9 +13,9 @@
 #      asserting warm artifact loads beat cold compiles
 #   7. trace smoke: span capture (wabench-harness run) -> Chrome trace ->
 #      validator (wabench-served trace-check)
-#   8. prof smoke: an attributed `report` table, folded stacks from a
-#      4-worker run whose Chrome trace validates, and `collapse` of that
-#      trace back into folded stacks
+#   8. profile smoke: an attributed `wabench-harness report` table, and
+#      `--trace-out` of a 4-worker `run` writing folded stacks (a
+#      `.folded` name) and a Chrome trace that validates (any other name)
 #   9. benchmark selftest: `benchmark/run.sh --selftest`, the unit tests
 #      of the repo's one performance gate (compare's
 #      verdicts_follow_direction_bound_and_spread shows it can fire)
@@ -56,7 +56,7 @@
 #      continuous profiler, and a deterministic 20ms delay fault armed
 #      must fire the p99 rule, write a flight-recorder bundle that
 #      wabench-served doctor diagnoses (naming the delay site), and list
-#      profile windows; a fault-free control run under the same engine
+#      profile windows (wabench-served windows); a fault-free control run under the same engine
 #      fires nothing and writes no bundle
 #  20. router smoke: a fixed-seed load through wabench-router over two
 #      wabench-served shards completes with zero protocol errors, prints
@@ -76,7 +76,7 @@
 # compared against the parent commit (benchmark/README.md).
 #
 # Offline / vendored-cargo caveat: this workspace builds fully offline.
-# Every external dependency (proptest, criterion, rand, ...) is a path
+# Every external dependency (proptest, rand, serde, ...) is a path
 # dependency on an API-compatible stub under vendor/ — see
 # vendor/README.md. If a cargo invocation here fails trying to reach
 # crates.io (e.g. "failed to get `...` as a dependency"), the cause is a
@@ -114,25 +114,25 @@ cargo run -q --release -p wabench-harness -- \
     run crc32 --jobs 2 --trace-out "$trace_tmp/trace.json" > /dev/null
 ./target/release/wabench-served trace-check "$trace_tmp/trace.json"
 
-step "prof smoke (attributed report -> folded export -> collapse)"
-prof=./target/release/wabench-prof
-cargo build -q --release -p wabench-prof
+step "profile smoke (attributed report; --trace-out as folded stacks and Chrome trace)"
+cargo build -q --release -p wabench-harness
 # The attributed phase table for one profiled cell must have rows.
-"$prof" report --bench crc32 --engine wasm3 --level O1 > "$trace_tmp/report.out"
+./target/release/wabench-harness report --bench crc32 --engine wasm3 --level O1 \
+    > "$trace_tmp/report.out"
 grep -q '^ *engine.execute ' "$trace_tmp/report.out" || {
-    echo "prof smoke FAILED: report printed no attributed rows" >&2
+    echo "profile smoke FAILED: report printed no attributed rows" >&2
     cat "$trace_tmp/report.out" >&2
     exit 1
 }
-# Folded stacks from a 4-worker scheduler run parse and agree with the
-# Chrome exporter (depth cross-check lives in the prof test suite).
-"$prof" fold --out "$trace_tmp/stacks.folded" --bench crc32 --level O1 --workers 4 \
-    --chrome "$trace_tmp/prof-trace.json"
-./target/release/wabench-served trace-check "$trace_tmp/prof-trace.json"
+# The flamegraph comes straight from a 4-worker scheduler run: a
+# `.folded` name picks folded stacks, any other name the Chrome trace
+# (the folded/Chrome depth cross-check lives in harness/tests/obs_trace.rs).
+./target/release/wabench-harness run crc32 --level O1 --jobs 4 \
+    --trace-out "$trace_tmp/stacks.folded" > /dev/null
 test -s "$trace_tmp/stacks.folded"
-# The same trace collapses back into folded stacks offline.
-"$prof" collapse --trace "$trace_tmp/prof-trace.json" --out "$trace_tmp/collapsed.folded"
-test -s "$trace_tmp/collapsed.folded"
+./target/release/wabench-harness run crc32 --level O1 --jobs 4 \
+    --trace-out "$trace_tmp/prof-trace.json" > /dev/null
+./target/release/wabench-served trace-check "$trace_tmp/prof-trace.json"
 
 step "benchmark selftest (the one performance gate's own tests)"
 # compare's verdicts_follow_direction_bound_and_spread is what shows the
@@ -340,7 +340,7 @@ fi
     --socket "$sock" > /dev/null
 sleep 0.2 # let the sampler cover the delayed completions
 "$served" alerts --socket "$sock" | tee "$trace_tmp/alerts.out"
-"$prof" windows --socket "$sock" | tee "$trace_tmp/windows.out"
+"$served" windows --socket "$sock" | tee "$trace_tmp/windows.out"
 "$served" shutdown --socket "$sock" > /dev/null
 wait "$served_pid" 2> /dev/null || true
 # The p99 rule must have fired (live now, or as a logged transition)...
