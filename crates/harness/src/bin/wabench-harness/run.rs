@@ -8,12 +8,10 @@
 //! so a `--trace-out` trace includes queue-wait and job-run phases. A
 //! file is compiled, instantiated and its `--invoke` export called.
 
-use std::time::Duration;
-
 use engines::{Engine, EngineKind};
+use harness::parallel::{run_batch, WarmOptions};
 use harness::runner::Scale;
 use obs::cli::{self, Args, Command, Flag};
-use svc::scheduler::{Config, Scheduler};
 use svc::JobSpec;
 use wacc::OptLevel;
 use wasi_rt::WasiCtx;
@@ -102,29 +100,17 @@ fn run_bench(a: &Args, b: &'static suite::Benchmark, kind: EngineKind) -> i32 {
     let (res, how) = match a.opt("--jobs", "a positive integer", cli::positive) {
         None => (harness::runner::measure(&spec), ", checksum ok".to_string()),
         Some(jobs) => {
-            let sched = match Scheduler::start(Config {
-                workers: jobs,
-                timeout: Duration::from_secs(600),
-                store_dir: None,
-                store_cap_bytes: 0,
-                ..Config::default()
-            }) {
-                Ok(s) => s,
+            let opts = WarmOptions {
+                jobs,
+                ..WarmOptions::default()
+            };
+            match run_batch(&vec![spec; jobs], &opts) {
+                Ok((results, _)) => (results[0].clone(), format!(" ({jobs} jobs via scheduler)")),
                 Err(e) => {
-                    obs::error!("scheduler: {e}");
+                    obs::error!("{e}");
                     return 1;
                 }
-            };
-            for _ in 0..jobs {
-                sched.submit(spec.clone());
             }
-            let results = sched.drain_sorted();
-            sched.shutdown();
-            if let Some(bad) = results.iter().find(|r| !r.ok()) {
-                obs::error!("job failed: {:?}", bad.status);
-                return 1;
-            }
-            (results[0].clone(), format!(" ({jobs} jobs via scheduler)"))
         }
     };
     obs::info!(

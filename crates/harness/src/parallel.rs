@@ -19,7 +19,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use fault::FaultPlan;
-use svc::job::{JobMode, JobSpec};
+use svc::job::{JobMode, JobResult, JobSpec};
 use svc::scheduler::{Config, ResilienceStats, Scheduler};
 
 use crate::matrix::{self, MatrixCell};
@@ -57,8 +57,8 @@ fn specs_for(id: &str, scale: Scale, seen: &mut HashSet<JobSpec>) -> Vec<JobSpec
     specs
 }
 
-/// Options for [`warm_matrix_opts`]: worker count plus the resilience
-/// knobs the chaos path uses.
+/// Options for [`run_batch`] and [`warm_matrix_opts`]: worker count
+/// plus the resilience knobs the chaos path uses.
 #[derive(Debug, Clone, Default)]
 pub struct WarmOptions {
     /// Scheduler worker threads.
@@ -138,29 +138,11 @@ pub fn warm_matrix_opts(ids: &[(&str, Scale)], opts: &WarmOptions) -> WarmSummar
     if specs.is_empty() {
         return summary;
     }
-    let sched = Scheduler::start(Config {
-        workers: opts.jobs,
-        timeout: Duration::from_secs(600),
-        store_dir: opts.store_dir.clone(),
-        store_cap_bytes: if opts.store_dir.is_some() { 256 << 20 } else { 0 },
-        faults: opts.faults.clone(),
-        ..Config::default()
-    })
-    .expect("start scheduler");
-    for spec in &specs {
-        sched.submit(spec.clone());
-    }
-    let results = sched.drain_sorted();
+    let (results, resilience) = run_batch(&specs, opts).unwrap_or_else(|e| panic!("parallel {e}"));
 
     summary.jobs = results.len();
     for res in results {
         if !res.ok() {
-            assert!(
-                opts.faults.is_some(),
-                "parallel job failed: {} — {:?}",
-                res.spec,
-                res.status
-            );
             obs::warn!("chaos: job failed, will be measured inline: {}", res.spec);
             summary.failed.push(res.spec.to_string());
             continue;
@@ -175,9 +157,43 @@ pub fn warm_matrix_opts(ids: &[(&str, Scale)], opts: &WarmOptions) -> WarmSummar
         runner::insert(res);
         summary.primed += 1;
     }
-    summary.resilience = sched.resilience();
+    summary.resilience = resilience;
     summary.injected = opts.faults.as_ref().map_or(0, |p| p.injected_total());
     summary
+}
+
+/// Runs `specs` on a fresh scheduler sized and armed by `opts` and
+/// returns their results in submission order with the scheduler's
+/// resilience counters: the one start → submit → drain loop behind the
+/// warm pass and `wabench-harness run --jobs N`.
+///
+/// # Errors
+///
+/// The scheduler failing to start, or — without a fault plan, where
+/// every job must succeed — the first failed job.
+pub fn run_batch(
+    specs: &[JobSpec],
+    opts: &WarmOptions,
+) -> Result<(Vec<JobResult>, ResilienceStats), String> {
+    let sched = Scheduler::start(Config {
+        workers: opts.jobs,
+        timeout: Duration::from_secs(600),
+        store_dir: opts.store_dir.clone(),
+        store_cap_bytes: if opts.store_dir.is_some() { 256 << 20 } else { 0 },
+        faults: opts.faults.clone(),
+        ..Config::default()
+    })
+    .map_err(|e| format!("scheduler: {e}"))?;
+    for spec in specs {
+        sched.submit(spec.clone());
+    }
+    let results = sched.drain_sorted();
+    if opts.faults.is_none() {
+        if let Some(bad) = results.iter().find(|r| !r.ok()) {
+            return Err(format!("job failed: {} — {:?}", bad.spec, bad.status));
+        }
+    }
+    Ok((results, sched.resilience()))
 }
 
 #[cfg(test)]

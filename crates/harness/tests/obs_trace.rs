@@ -147,7 +147,7 @@ fn chrome_trace_round_trips_under_workers() {
         );
     }
 
-    let folded = obs::folded::export_string(&trace, obs::folded::Weight::WallNs);
+    let folded = obs::folded::export_string(&trace);
     let stacks = obs::folded::parse(&folded).expect("folded output parses");
     assert!(stacks.stacks > 0);
     assert_eq!(

@@ -2,10 +2,10 @@
 //!
 //! The series ring ([`crate::series`]) records what happened; this
 //! module decides when what happened is an *incident*. An
-//! [`AlertEngine`] is fed one [`Observation`] per telemetry sample and
+//! [`AlertEngine`] is fed one [`SeriesPoint`] per telemetry sample and
 //! evaluates a fixed set of [`Rule`]s over a bounded trailing window:
 //! dual-window error-budget burn rate, a p99 latency ceiling, queue
-//! saturation, open circuit breakers, and profile drift (a phase's
+//! saturation, circuit breakers not closed, and profile drift (a phase's
 //! self-time share jumping versus its trailing baseline).
 //!
 //! Rules parse from a compact spec string (`--alerts` /
@@ -16,57 +16,26 @@
 //! ```
 //!
 //! Each rule runs a pending → firing → resolved state machine. The
-//! evaluation clock is the observation's own `t_ns`, never a wall
-//! clock, so a synthetic observation stream drives the machine
+//! evaluation clock is the point's own `t_ns`, never a wall
+//! clock, so a synthetic point stream drives the machine
 //! deterministically in tests — and nothing here runs unless an engine
 //! is explicitly constructed, preserving the bit-identical-when-off
 //! contract.
 
 use std::collections::VecDeque;
 
-use crate::metrics::{fmt_ns, HistogramSnapshot, BUCKETS};
+use crate::metrics::fmt_ns;
+use crate::series::{SeriesPoint, Window};
 
-/// Hard cap on observations an engine retains, on top of the
-/// time-window bound (guards against a spec with an enormous window).
-const MAX_OBSERVATIONS: usize = 4096;
+/// Hard cap on samples an engine retains, on top of the time-window
+/// bound (guards against a spec with an enormous window).
+const MAX_SAMPLES: usize = 4096;
 
 /// Bounded alert-event log length.
 const LOG_CAP: usize = 256;
 
 /// Baseline points the drift rule needs before it can judge a phase.
 const DRIFT_MIN_BASELINE: usize = 3;
-
-/// One telemetry sample, reshaped for rule evaluation.
-///
-/// The service layer maps its per-interval series points into this
-/// (obs cannot depend on svc); tests construct them directly.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct Observation {
-    /// Sample time (trace clock) — the engine's evaluation clock.
-    pub t_ns: u64,
-    /// Nanoseconds this sample covers.
-    pub interval_ns: u64,
-    /// Jobs completed in the interval.
-    pub completed: u64,
-    /// Jobs failed in the interval.
-    pub failed: u64,
-    /// Latency observations in the interval.
-    pub lat_count: u64,
-    /// Interval p99 estimate, ns (fallback when `lat_buckets` is empty).
-    pub p99_ns: u64,
-    /// Sparse latency bucket deltas `(bucket index, count)` — see
-    /// [`crate::metrics::bucket_bound_ns`]. Lets the p99 rule merge
-    /// intervals into an exact windowed quantile.
-    pub lat_buckets: Vec<(u8, u64)>,
-    /// Queue depth at sample time.
-    pub queue_depth: u64,
-    /// Circuit breakers currently not closed.
-    pub breakers_open: u32,
-    /// Profiler phase self-time shares for the current profile window
-    /// (`stack → share of total self time`); empty when the profiler
-    /// is off.
-    pub phase_shares: Vec<(String, f64)>,
-}
 
 /// What a rule watches.
 #[derive(Debug, Clone, PartialEq)]
@@ -173,7 +142,7 @@ impl AlertSpec {
     /// burn=T:FAST:SLOW   dual-window burn rule (threshold, two spans)
     /// p99=DUR:WINDOW     merged-p99 ceiling over a trailing window
     /// queue=N:WINDOW     queue depth ≥ N for the whole window
-    /// breaker            any breaker open at the latest sample
+    /// breaker            any breaker not closed at the latest sample
     /// drift=K:WINDOW     phase share > baseline mean + K·σ
     /// ```
     ///
@@ -460,13 +429,17 @@ struct Eval {
 
 /// The rule evaluator and per-rule state machines.
 ///
-/// Feed it one [`Observation`] per sample via [`AlertEngine::observe`];
+/// Feed it one [`SeriesPoint`] per sample via [`AlertEngine::observe`];
 /// it returns the transitions that sample caused (the caller snapshots
 /// a postmortem on each [`Transition::Firing`]).
 #[derive(Debug)]
 pub struct AlertEngine {
     spec: AlertSpec,
-    window: VecDeque<Observation>,
+    /// Retained samples, oldest first (the sampler's clock is monotone).
+    window: Vec<SeriesPoint>,
+    /// Profile phase shares at each retained sample, parallel to
+    /// `window` (the drift rule's baseline).
+    shares: Vec<Vec<(String, f64)>>,
     states: Vec<State>,
     last_eval: Vec<Eval>,
     log: VecDeque<AlertEvent>,
@@ -479,7 +452,8 @@ impl AlertEngine {
         let n = spec.rules.len();
         AlertEngine {
             spec,
-            window: VecDeque::new(),
+            window: Vec::new(),
+            shares: Vec::new(),
             states: vec![State::Inactive; n],
             last_eval: (0..n)
                 .map(|_| Eval {
@@ -500,19 +474,26 @@ impl AlertEngine {
     }
 
     /// Feeds one sample and returns the transitions it caused, in rule
-    /// order. The observation's `t_ns` is the evaluation clock.
-    pub fn observe(&mut self, obs: Observation) -> Vec<AlertEvent> {
-        let now = obs.t_ns;
-        self.window.push_back(obs);
+    /// order. The point's `t_ns` is the evaluation clock;
+    /// `phase_shares` are the continuous profiler's current
+    /// `stack → share of total self time` (empty when it is off).
+    pub fn observe(
+        &mut self,
+        point: SeriesPoint,
+        phase_shares: &[(String, f64)],
+    ) -> Vec<AlertEvent> {
+        let now = point.t_ns;
+        self.window.push(point);
+        self.shares.push(phase_shares.to_vec());
+        // Drop samples older than any rule looks back (keeping the
+        // newest), then enforce the hard cap.
         let keep_from = now.saturating_sub(self.spec.lookback_ns());
-        while self.window.len() > MAX_OBSERVATIONS
-            || self
-                .window
-                .front()
-                .is_some_and(|o| o.t_ns < keep_from && self.window.len() > 1)
-        {
-            self.window.pop_front();
-        }
+        let stale = self.window.partition_point(|p| p.t_ns < keep_from);
+        let cut = stale
+            .min(self.window.len() - 1)
+            .max(self.window.len().saturating_sub(MAX_SAMPLES));
+        self.window.drain(..cut);
+        self.shares.drain(..cut);
 
         let mut transitions = Vec::new();
         for i in 0..self.spec.rules.len() {
@@ -589,9 +570,10 @@ impl AlertEngine {
         event
     }
 
-    fn trailing(&self, now: u64, span_ns: u64) -> impl Iterator<Item = &Observation> {
+    /// Index of the first retained sample inside the trailing `span_ns`.
+    fn trailing(&self, now: u64, span_ns: u64) -> usize {
         let from = now.saturating_sub(span_ns);
-        self.window.iter().filter(move |o| o.t_ns > from)
+        self.window.partition_point(|p| p.t_ns <= from)
     }
 
     fn evaluate(&self, rule: usize, now: u64) -> Eval {
@@ -601,18 +583,8 @@ impl AlertEngine {
                 fast_ns,
                 slow_ns,
             } => {
-                let budget = (1.0 - self.spec.slo).max(f64::EPSILON);
                 let burn_over = |span: u64| {
-                    let (mut completed, mut failed) = (0u64, 0u64);
-                    for o in self.trailing(now, span) {
-                        completed += o.completed;
-                        failed += o.failed;
-                    }
-                    if completed == 0 {
-                        0.0
-                    } else {
-                        (failed as f64 / completed as f64) / budget
-                    }
+                    Window::over(&self.window[self.trailing(now, span)..]).burn(self.spec.slo)
                 };
                 let fast = burn_over(fast_ns);
                 let slow = burn_over(slow_ns);
@@ -627,26 +599,7 @@ impl AlertEngine {
                 ceiling_ns,
                 window_ns,
             } => {
-                let mut merged = HistogramSnapshot::default();
-                let (mut lat_count, mut weighted) = (0u64, 0u128);
-                for o in self.trailing(now, window_ns) {
-                    for (idx, count) in &o.lat_buckets {
-                        let i = (*idx as usize).min(BUCKETS - 1);
-                        merged.buckets[i] += count;
-                        merged.count += count;
-                    }
-                    lat_count += o.lat_count;
-                    weighted += u128::from(o.lat_count) * u128::from(o.p99_ns);
-                }
-                // Exact merged quantile when buckets rode along; the
-                // count-weighted interval p99 otherwise.
-                let p99 = if merged.count > 0 {
-                    merged.quantile_ns(0.99)
-                } else if lat_count > 0 {
-                    (weighted / u128::from(lat_count)) as u64
-                } else {
-                    0
-                };
+                let p99 = Window::over(&self.window[self.trailing(now, window_ns)..]).p99_ns();
                 Eval {
                     breached: p99 > ceiling_ns,
                     value: p99 as f64,
@@ -655,27 +608,28 @@ impl AlertEngine {
                 }
             }
             RuleKind::Queue { depth, window_ns } => {
-                let depths: Vec<u64> =
-                    self.trailing(now, window_ns).map(|o| o.queue_depth).collect();
-                let min = depths.iter().copied().min().unwrap_or(0);
+                let points = &self.window[self.trailing(now, window_ns)..];
+                let min = points.iter().map(|p| p.queue_depth).min().unwrap_or(0);
                 Eval {
-                    breached: !depths.is_empty() && min >= depth,
+                    breached: !points.is_empty() && min >= depth,
                     value: min as f64,
                     threshold: depth as f64,
-                    detail: format!("min_depth={min} over {} samples", depths.len()),
+                    detail: format!("min_depth={min} over {} samples", points.len()),
                 }
             }
             RuleKind::Breaker => {
-                let open = self.window.back().map_or(0, |o| o.breakers_open);
+                // A point lists only breakers not closed: open and
+                // half-open both count.
+                let open = self.window.last().map_or(0, |p| p.breakers.len());
                 Eval {
                     breached: open > 0,
-                    value: f64::from(open),
+                    value: open as f64,
                     threshold: 1.0,
                     detail: format!("breakers_open={open}"),
                 }
             }
             RuleKind::Drift { k, window_ns } => {
-                let Some(cur) = self.window.back() else {
+                let Some((cur, cur_shares)) = self.window.last().zip(self.shares.last()) else {
                     return Eval {
                         breached: false,
                         value: 0.0,
@@ -684,15 +638,14 @@ impl AlertEngine {
                     };
                 };
                 let mut worst: Option<(f64, String)> = None;
-                for (phase, share) in &cur.phase_shares {
-                    let baseline: Vec<f64> = self
-                        .trailing(now, window_ns)
-                        .filter(|o| o.t_ns < cur.t_ns)
-                        .filter_map(|o| {
-                            o.phase_shares
-                                .iter()
-                                .find(|(p, _)| p == phase)
-                                .map(|(_, s)| *s)
+                let from = self.trailing(now, window_ns);
+                for (phase, share) in cur_shares {
+                    let baseline: Vec<f64> = self.window[from..]
+                        .iter()
+                        .zip(&self.shares[from..])
+                        .filter(|(p, _)| p.t_ns < cur.t_ns)
+                        .filter_map(|(_, shares)| {
+                            shares.iter().find(|(p, _)| p == phase).map(|(_, s)| *s)
                         })
                         .collect();
                     if baseline.len() < DRIFT_MIN_BASELINE {
@@ -727,14 +680,27 @@ impl AlertEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::series::HistDelta;
 
     const S: u64 = 1_000_000_000;
 
-    fn obs(t_s: u64) -> Observation {
-        Observation {
+    fn obs(t_s: u64) -> SeriesPoint {
+        SeriesPoint {
             t_ns: t_s * S,
             interval_ns: S,
-            ..Observation::default()
+            ..SeriesPoint::default()
+        }
+    }
+
+    /// A point whose interval latency sits entirely in `bucket`.
+    fn lat(t_s: u64, bucket: u8, count: u64) -> SeriesPoint {
+        SeriesPoint {
+            lat: HistDelta {
+                count,
+                buckets: vec![(bucket, count)],
+                ..HistDelta::default()
+            },
+            ..obs(t_s)
         }
     }
 
@@ -779,7 +745,7 @@ mod tests {
     #[test]
     fn empty_spec_arms_nothing() {
         let engine = &mut AlertEngine::new(AlertSpec::parse("").unwrap());
-        assert!(engine.observe(obs(1)).is_empty());
+        assert!(engine.observe(obs(1), &[]).is_empty());
         assert!(engine.firing().is_empty());
         assert!(engine.log().is_empty());
     }
@@ -789,28 +755,18 @@ mod tests {
         // Ceiling 1ms; bucket 13 holds (1.05ms, 2.1ms].
         let spec = AlertSpec::parse("p99=1ms:10s").unwrap();
         let mut engine = AlertEngine::new(spec);
-        let slow = |t: u64| Observation {
-            lat_count: 10,
-            p99_ns: 2_000_000,
-            lat_buckets: vec![(13, 10)],
-            ..obs(t)
-        };
-        let fast = |t: u64| Observation {
-            lat_count: 10,
-            p99_ns: 100_000,
-            lat_buckets: vec![(9, 10)],
-            ..obs(t)
-        };
-        let events = engine.observe(slow(1));
+        let slow = |t: u64| lat(t, 13, 10);
+        let fast = |t: u64| lat(t, 9, 10);
+        let events = engine.observe(slow(1), &[]);
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].transition, Transition::Firing);
         assert_eq!(events[0].rule, "p99");
         assert!(events[0].value > 1_000_000.0);
         assert_eq!(engine.firing().len(), 1);
         // Still breached while the slow point is in the window...
-        assert!(engine.observe(fast(2)).is_empty());
+        assert!(engine.observe(fast(2), &[]).is_empty());
         // ...resolved once it ages out (window is 10s).
-        let events = engine.observe(fast(12));
+        let events = engine.observe(fast(12), &[]);
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].transition, Transition::Resolved);
         assert!(engine.firing().is_empty());
@@ -824,25 +780,25 @@ mod tests {
     fn pending_hold_delays_firing_and_cancels_cleanly() {
         let spec = AlertSpec::parse("pending=3s,queue=4:10s").unwrap();
         let mut engine = AlertEngine::new(spec.clone());
-        let deep = |t: u64| Observation {
+        let deep = |t: u64| SeriesPoint {
             queue_depth: 9,
             ..obs(t)
         };
-        let events = engine.observe(deep(1));
+        let events = engine.observe(deep(1), &[]);
         assert_eq!(events[0].transition, Transition::Pending);
         assert!(engine.firing().is_empty(), "pending is not firing");
-        assert!(engine.observe(deep(2)).is_empty(), "still holding");
-        let events = engine.observe(deep(4));
+        assert!(engine.observe(deep(2), &[]).is_empty(), "still holding");
+        let events = engine.observe(deep(4), &[]);
         assert_eq!(events[0].transition, Transition::Firing);
         assert_eq!(engine.firing()[0].since_ns, S, "firing since first breach");
 
         // A breach that clears during the hold never fires.
         let mut engine = AlertEngine::new(spec);
-        engine.observe(deep(1));
-        assert!(engine.observe(obs(20)).is_empty(), "cancelled silently");
+        engine.observe(deep(1), &[]);
+        assert!(engine.observe(obs(20), &[]).is_empty(), "cancelled silently");
         // The shallow sample must age out of the 10s window before the
         // rule can go pending again.
-        assert!(engine.observe(deep(31))[0].transition == Transition::Pending);
+        assert!(engine.observe(deep(31), &[])[0].transition == Transition::Pending);
     }
 
     #[test]
@@ -851,12 +807,12 @@ mod tests {
         // both the 2s fast and 6s slow windows.
         let spec = AlertSpec::parse("slo=0.9,burn=2:2s:6s").unwrap();
         let mut engine = AlertEngine::new(spec);
-        let failing = |t: u64| Observation {
+        let failing = |t: u64| SeriesPoint {
             completed: 10,
             failed: 5,
             ..obs(t)
         };
-        let clean = |t: u64| Observation {
+        let clean = |t: u64| SeriesPoint {
             completed: 10,
             failed: 0,
             ..obs(t)
@@ -864,12 +820,12 @@ mod tests {
         // A long clean history dilutes the slow window below threshold:
         // fast breaches, slow does not → no alert.
         for t in 1..=5 {
-            assert!(engine.observe(clean(t)).is_empty());
+            assert!(engine.observe(clean(t), &[]).is_empty());
         }
-        assert!(engine.observe(failing(6)).is_empty(), "slow window still diluted");
-        assert!(engine.observe(failing(7)).is_empty(), "slow window still diluted");
+        assert!(engine.observe(failing(6), &[]).is_empty(), "slow window still diluted");
+        assert!(engine.observe(failing(7), &[]).is_empty(), "slow window still diluted");
         // Sustained failures push both windows over.
-        let events = engine.observe(failing(8));
+        let events = engine.observe(failing(8), &[]);
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].transition, Transition::Firing);
         assert_eq!(events[0].rule, "burn");
@@ -878,36 +834,53 @@ mod tests {
     #[test]
     fn breaker_rule_tracks_latest_sample() {
         let mut engine = AlertEngine::new(AlertSpec::parse("breaker").unwrap());
-        assert!(engine.observe(obs(1)).is_empty());
-        let events = engine.observe(Observation {
-            breakers_open: 2,
+        assert!(engine.observe(obs(1), &[]).is_empty());
+        let open = SeriesPoint {
+            breakers: vec![(1, 1), (4, 1)],
             ..obs(2)
-        });
+        };
+        let events = engine.observe(open, &[]);
         assert_eq!(events[0].transition, Transition::Firing);
         assert_eq!(events[0].value, 2.0);
-        let events = engine.observe(obs(3));
+        let events = engine.observe(obs(3), &[]);
         assert_eq!(events[0].transition, Transition::Resolved);
+    }
+
+    /// A probe job moves an open breaker to half-open (state byte 2);
+    /// the breaker is still not closed, so the alert keeps firing
+    /// instead of resolving mid-probe and re-firing if the probe fails.
+    #[test]
+    fn breaker_rule_keeps_firing_while_half_open() {
+        let mut engine = AlertEngine::new(AlertSpec::parse("breaker").unwrap());
+        let with = |t: u64, state: u8| SeriesPoint {
+            breakers: vec![(3, state)],
+            ..obs(t)
+        };
+        assert_eq!(engine.observe(with(1, 1), &[])[0].transition, Transition::Firing);
+        assert!(engine.observe(with(2, 2), &[]).is_empty(), "half-open is not closed");
+        assert_eq!(engine.firing().len(), 1);
+        assert_eq!(engine.firing()[0].value, 1.0);
+        assert_eq!(engine.observe(obs(3), &[])[0].transition, Transition::Resolved);
     }
 
     #[test]
     fn drift_rule_wants_a_baseline_before_judging() {
         let spec = AlertSpec::parse("drift=3:60s").unwrap();
         let mut engine = AlertEngine::new(spec);
-        let shares = |t: u64, exec: f64| Observation {
-            phase_shares: vec![
+        let shares = |exec: f64| {
+            vec![
                 ("wasm3;compile".to_string(), 1.0 - exec),
                 ("wasm3;exec".to_string(), exec),
-            ],
-            ..obs(t)
+            ]
         };
         // A jump with no baseline cannot fire.
-        assert!(engine.observe(shares(1, 0.9)).is_empty());
+        assert!(engine.observe(obs(1), &shares(0.9)).is_empty());
         // Build a steady baseline, then jump the exec share.
         let mut engine = AlertEngine::new(AlertSpec::parse("drift=3:60s").unwrap());
         for (t, s) in [(1, 0.50), (2, 0.51), (3, 0.49), (4, 0.50)] {
-            assert!(engine.observe(shares(t, s)).is_empty(), "t={t}");
+            assert!(engine.observe(obs(t), &shares(s)).is_empty(), "t={t}");
         }
-        let events = engine.observe(shares(5, 0.95));
+        let events = engine.observe(obs(5), &shares(0.95));
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].rule, "drift");
         assert_eq!(events[0].transition, Transition::Firing);
@@ -918,7 +891,7 @@ mod tests {
     fn observations_are_bounded_by_lookback() {
         let mut engine = AlertEngine::new(AlertSpec::parse("queue=1:5s").unwrap());
         for t in 1..=500 {
-            engine.observe(obs(t));
+            engine.observe(obs(t), &[]);
         }
         assert!(
             engine.window.len() <= 8,

@@ -4,11 +4,11 @@
 //! Format understood by Perfetto and `chrome://tracing`: one metadata
 //! (`M`) event naming each thread, then balanced duration (`B`/`E`)
 //! pairs per span. We record *complete* spans (start + duration at guard
-//! drop), so the begin/end stream is reconstructed here: per thread,
-//! spans sort by (start asc, depth asc, duration desc) and an end-time
-//! stack decides when to close open spans. Because whole spans drop when
-//! a ring fills — never half of a pair — the reconstruction always
-//! balances.
+//! drop), so the begin/end stream is reconstructed per thread by the
+//! nesting walk [`crate::prof::aggregate`] also uses: spans sort by
+//! (start asc, depth asc, duration desc) and an end-time stack decides
+//! when to close open spans. Because whole spans drop when a ring fills
+//! — never half of a pair — the reconstruction always balances.
 //!
 //! [`validate`] re-parses an exported document and checks the structural
 //! invariants a viewer relies on (valid JSON, a `traceEvents` array,
@@ -20,6 +20,7 @@ use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
 use crate::json::{self, Value};
+use crate::prof::{self, Step};
 use crate::trace::{SpanEvent, Trace};
 
 /// The `pid` stamped on every exported event: the whole stack is one
@@ -54,80 +55,60 @@ pub fn export_string(trace: &Trace) -> String {
             json::escape(&thread.name)
         );
 
-        // Reconstruct a balanced B/E stream from complete events. Ties on
-        // start break by depth (parent before child), then by longer
-        // duration, so enclosing spans always open first.
-        let mut spans: Vec<&SpanEvent> = thread.events.iter().collect();
-        spans.sort_by(|a, b| {
-            a.start_ns
-                .cmp(&b.start_ns)
-                .then(a.depth.cmp(&b.depth))
-                .then(b.dur_ns.cmp(&a.dur_ns))
-        });
-
-        // Open spans as (end_ns, name); top of stack is the innermost.
-        let mut open: Vec<(u64, &'static str)> = Vec::new();
-        let close = |out: &mut String, first: &mut bool, end_ns: u64, name: &str, tid: u64| {
-            sep(out, first);
-            push_event_prefix(out, 'E', tid, name);
-            let _ = write!(out, ",\"ts\":{}}}", fmt_us(end_ns));
-        };
-
-        for span in spans {
-            while let Some(&(end_ns, name)) = open.last() {
-                if end_ns > span.start_ns {
-                    break;
-                }
-                open.pop();
-                close(&mut out, &mut first, end_ns, name, thread.tid);
-            }
-            // RAII guards cannot produce partial overlap, but clamp the
-            // end defensively so even a pathological input stays balanced.
-            let end_ns = match open.last() {
-                Some(&(parent_end, _)) => span.end_ns().min(parent_end),
-                None => span.end_ns(),
-            };
+        // A balanced B/E stream from complete events: the nesting walk
+        // every span consumer shares.
+        prof::walk(&thread.events, |step| {
             sep(&mut out, &mut first);
-            push_event_prefix(&mut out, 'B', thread.tid, span.name);
-            let _ = write!(out, ",\"ts\":{}", fmt_us(span.start_ns));
-            if span.attr.is_some() || span.counters.is_some() {
-                out.push_str(",\"args\":{");
-                let mut first_arg = true;
-                if let Some(attr) = &span.attr {
-                    let _ = write!(out, "\"detail\":\"{}\"", json::escape(attr));
-                    first_arg = false;
+            match step {
+                Step::Open(span) => {
+                    push_event_prefix(&mut out, 'B', thread.tid, span.name);
+                    let _ = write!(out, ",\"ts\":{}", fmt_us(span.start_ns));
+                    push_args(&mut out, span);
+                    out.push('}');
                 }
-                if let Some(c) = &span.counters {
-                    // Numeric args show up in the viewer's span details;
-                    // derived ratios are finite by construction (the
-                    // helpers return 0 on empty denominators), so this
-                    // always stays valid JSON.
-                    for (key, val) in [
-                        ("instructions", c.instructions as f64),
-                        ("cycles", c.cycles as f64),
-                        ("ipc", c.ipc()),
-                        ("branch_mpki", c.branch_mpki()),
-                        ("l1d_mpki", c.l1d_mpki()),
-                        ("llc_mpki", c.llc_mpki()),
-                    ] {
-                        if !first_arg {
-                            out.push(',');
-                        }
-                        first_arg = false;
-                        let _ = write!(out, "\"{key}\":{val:.3}");
-                    }
+                Step::Close(span, end_ns) => {
+                    push_event_prefix(&mut out, 'E', thread.tid, span.name);
+                    let _ = write!(out, ",\"ts\":{}}}", fmt_us(end_ns));
                 }
-                out.push('}');
             }
-            out.push('}');
-            open.push((end_ns, span.name));
-        }
-        while let Some((end_ns, name)) = open.pop() {
-            close(&mut out, &mut first, end_ns, name, thread.tid);
-        }
+        });
     }
     out.push_str("\n],\"displayTimeUnit\":\"ms\"}\n");
     out
+}
+
+/// A `B` event's `args`: the span's detail string and, for spans with a
+/// counter payload, its counters and derived ratios.
+fn push_args(out: &mut String, span: &SpanEvent) {
+    if span.attr.is_none() && span.counters.is_none() {
+        return;
+    }
+    out.push_str(",\"args\":{");
+    let mut first_arg = true;
+    if let Some(attr) = &span.attr {
+        let _ = write!(out, "\"detail\":\"{}\"", json::escape(attr));
+        first_arg = false;
+    }
+    if let Some(c) = &span.counters {
+        // Numeric args show up in the viewer's span details; derived
+        // ratios are finite by construction (the helpers return 0 on
+        // empty denominators), so this always stays valid JSON.
+        for (key, val) in [
+            ("instructions", c.instructions as f64),
+            ("cycles", c.cycles as f64),
+            ("ipc", c.ipc()),
+            ("branch_mpki", c.branch_mpki()),
+            ("l1d_mpki", c.l1d_mpki()),
+            ("llc_mpki", c.llc_mpki()),
+        ] {
+            if !first_arg {
+                out.push(',');
+            }
+            first_arg = false;
+            let _ = write!(out, "\"{key}\":{val:.3}");
+        }
+    }
+    out.push('}');
 }
 
 /// Writes `trace` to `path` as Chrome trace JSON.

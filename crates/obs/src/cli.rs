@@ -302,7 +302,7 @@ impl Args {
         crate::trace::install(crate::trace::Sink::Null);
         if let Some(path) = out {
             let written = if path.extension().is_some_and(|e| e == "folded") {
-                crate::folded::export_file(&trace, crate::folded::Weight::WallNs, &path)
+                crate::folded::export_file(&trace, &path)
             } else {
                 crate::chrome::export_file(&trace, &path)
             };

@@ -29,7 +29,7 @@ pub struct Exemplar {
 impl Exemplar {
     /// End-to-end server latency (enqueue → done), ns.
     pub fn total_ns(&self) -> u64 {
-        self.phases.done_ns.saturating_sub(self.phases.enqueue_ns)
+        self.phases.total_ns()
     }
 }
 

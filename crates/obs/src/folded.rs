@@ -3,109 +3,26 @@
 //! Emits Brendan Gregg's collapsed format — one line per distinct stack,
 //! `frame;frame;frame weight` — which `flamegraph.pl` and every
 //! compatible viewer consume directly. The stack root is the thread
-//! name, so lanes stay separable in one graph. The weight is selectable:
-//! wall nanoseconds by default, or any [`SpanCounters`] field, giving
-//! instruction- or miss-weighted flamegraphs of the same run.
-//!
-//! Weights are *self* quantities (a frame's time or counters minus its
-//! children's): folded consumers derive the inclusive totals by summing
-//! descendants, so exporting inclusive weights would double-count.
+//! name, so lanes stay separable in one graph. The weight is *self*
+//! wall nanoseconds (a frame's time minus its children's): folded
+//! consumers derive the inclusive totals by summing descendants, so
+//! exporting inclusive weights would double-count. Counter attribution
+//! per span path is [`crate::prof`]'s table.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use crate::prof;
-use crate::trace::{SpanCounters, Trace};
+use crate::trace::Trace;
 
-/// What a folded stack line's weight measures.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Weight {
-    /// Self wall time in nanoseconds (the default).
-    WallNs,
-    /// Self retired instructions.
-    Instructions,
-    /// Self modeled cycles.
-    Cycles,
-    /// Self retired branches.
-    Branches,
-    /// Self branch mispredictions.
-    BranchMisses,
-    /// Self last-level cache references.
-    CacheReferences,
-    /// Self last-level cache misses.
-    CacheMisses,
-    /// Self L1-D accesses.
-    L1dAccesses,
-    /// Self L1-D misses.
-    L1dMisses,
-    /// Self L1-I accesses.
-    L1iAccesses,
-    /// Self L1-I misses.
-    L1iMisses,
-}
-
-impl Weight {
-    /// All weights with their CLI spellings.
-    pub const ALL: [(Weight, &'static str); 11] = [
-        (Weight::WallNs, "wall-ns"),
-        (Weight::Instructions, "instructions"),
-        (Weight::Cycles, "cycles"),
-        (Weight::Branches, "branches"),
-        (Weight::BranchMisses, "branch-misses"),
-        (Weight::CacheReferences, "cache-references"),
-        (Weight::CacheMisses, "cache-misses"),
-        (Weight::L1dAccesses, "l1d-accesses"),
-        (Weight::L1dMisses, "l1d-misses"),
-        (Weight::L1iAccesses, "l1i-accesses"),
-        (Weight::L1iMisses, "l1i-misses"),
-    ];
-
-    /// Parses a CLI spelling (`wall` and `wall-ns` both mean wall time).
-    pub fn parse(s: &str) -> Option<Weight> {
-        if s == "wall" {
-            return Some(Weight::WallNs);
-        }
-        Weight::ALL
-            .iter()
-            .find(|(_, name)| *name == s)
-            .map(|(w, _)| *w)
-    }
-
-    /// The canonical spelling.
-    pub fn name(self) -> &'static str {
-        Weight::ALL
-            .iter()
-            .find(|(w, _)| *w == self)
-            .map(|(_, name)| *name)
-            .expect("every weight is listed")
-    }
-
-    fn of(self, self_ns: u64, c: &SpanCounters) -> u64 {
-        match self {
-            Weight::WallNs => self_ns,
-            Weight::Instructions => c.instructions,
-            Weight::Cycles => c.cycles,
-            Weight::Branches => c.branches,
-            Weight::BranchMisses => c.branch_misses,
-            Weight::CacheReferences => c.cache_references,
-            Weight::CacheMisses => c.cache_misses,
-            Weight::L1dAccesses => c.l1d_accesses,
-            Weight::L1dMisses => c.l1d_misses,
-            Weight::L1iAccesses => c.l1i_accesses,
-            Weight::L1iMisses => c.l1i_misses,
-        }
-    }
-}
-
-/// Renders `trace` as collapsed stacks weighted by `weight`. Stacks
-/// whose weight is zero are omitted (a counter-weighted export of an
-/// unattributed trace is empty, not a wall of zeros); lines sort
-/// lexically so output is deterministic across runs.
-pub fn export_string(trace: &Trace, weight: Weight) -> String {
+/// Renders `trace` as collapsed stacks weighted by self wall time.
+/// Stacks whose weight is zero are omitted; lines sort lexically so
+/// output is deterministic across runs.
+pub fn export_string(trace: &Trace) -> String {
     let mut stacks: BTreeMap<String, u64> = BTreeMap::new();
     for thread in &trace.threads {
         for (path, node) in prof::aggregate(&thread.events) {
-            let w = weight.of(node.self_ns, &node.self_counters);
+            let w = node.self_ns;
             if w == 0 {
                 continue;
             }
@@ -125,12 +42,8 @@ pub fn export_string(trace: &Trace, weight: Weight) -> String {
 }
 
 /// Writes `trace` to `path` in collapsed format.
-pub fn export_file(
-    trace: &Trace,
-    weight: Weight,
-    path: &std::path::Path,
-) -> std::io::Result<()> {
-    std::fs::write(path, export_string(trace, weight))
+pub fn export_file(trace: &Trace, path: &std::path::Path) -> std::io::Result<()> {
+    std::fs::write(path, export_string(trace))
 }
 
 /// What [`parse`] learned about a folded document.
@@ -186,25 +99,14 @@ mod tests {
     use super::*;
     use crate::trace::{SpanEvent, ThreadTrace};
 
-    fn span(
-        name: &'static str,
-        start_ns: u64,
-        dur_ns: u64,
-        depth: u16,
-        instructions: u64,
-    ) -> SpanEvent {
+    fn span(name: &'static str, start_ns: u64, dur_ns: u64, depth: u16) -> SpanEvent {
         SpanEvent {
             name,
             attr: None,
             start_ns,
             dur_ns,
             depth,
-            counters: (instructions > 0).then(|| {
-                Box::new(SpanCounters {
-                    instructions,
-                    ..Default::default()
-                })
-            }),
+            counters: None,
         }
     }
 
@@ -215,9 +117,9 @@ mod tests {
                 name: "main".into(),
                 dropped: 0,
                 events: vec![
-                    span("execute", 100, 600, 1, 900),
-                    span("cell", 0, 1_000, 0, 1_000),
-                    span("cell", 2_000, 500, 0, 0),
+                    span("execute", 100, 600, 1),
+                    span("cell", 0, 1_000, 0),
+                    span("cell", 2_000, 500, 0),
                 ],
             }],
         }
@@ -225,22 +127,14 @@ mod tests {
 
     #[test]
     fn wall_weights_are_self_time() {
-        let folded = export_string(&trace(), Weight::WallNs);
+        let folded = export_string(&trace());
         assert!(folded.contains("main;cell 900\n"), "400+500 self:\n{folded}");
         assert!(folded.contains("main;cell;execute 600\n"));
     }
 
     #[test]
-    fn counter_weights_are_self_counters() {
-        let folded = export_string(&trace(), Weight::Instructions);
-        assert!(folded.contains("main;cell 100\n"), "1000-900 self:\n{folded}");
-        assert!(folded.contains("main;cell;execute 900\n"));
-        assert_eq!(folded.lines().count(), 2, "zero-weight stacks omitted");
-    }
-
-    #[test]
     fn export_parses_and_depths_match() {
-        let s = parse(&export_string(&trace(), Weight::WallNs)).expect("parses");
+        let s = parse(&export_string(&trace())).expect("parses");
         assert_eq!(s.stacks, 2);
         assert_eq!(s.total_weight, 1_500);
         assert_eq!(s.max_depth, 2);
@@ -254,10 +148,10 @@ mod tests {
                 tid: 1,
                 name: "pool worker;0".into(),
                 dropped: 0,
-                events: vec![span("a", 0, 10, 0, 0)],
+                events: vec![span("a", 0, 10, 0)],
             }],
         };
-        let folded = export_string(&t, Weight::WallNs);
+        let folded = export_string(&t);
         assert!(folded.starts_with("pool_worker_0;a 10"));
         parse(&folded).expect("sanitized output parses");
     }
@@ -268,15 +162,5 @@ mod tests {
         assert!(parse("a;b twelve").is_err());
         assert!(parse("a;;b 3").is_err());
         assert_eq!(parse("").unwrap().stacks, 0);
-    }
-
-    #[test]
-    fn weight_spellings_round_trip() {
-        for (w, name) in Weight::ALL {
-            assert_eq!(Weight::parse(name), Some(w));
-            assert_eq!(w.name(), name);
-        }
-        assert_eq!(Weight::parse("wall"), Some(Weight::WallNs));
-        assert_eq!(Weight::parse("bogus"), None);
     }
 }

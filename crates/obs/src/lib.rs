@@ -18,12 +18,13 @@
 //!   self-time report ([`report`]), a `perf report`-style attributed
 //!   counter profile ([`prof`]) over the optional
 //!   [`trace::SpanCounters`] span payloads, and flamegraph folded
-//!   stacks ([`folded`], wall- or counter-weighted), all three nesting
-//!   spans by [`prof::aggregate`]; [`json`] carries
-//!   the tiny parser the round-trip validators are built on.
+//!   stacks ([`folded`], self wall time), all nesting spans by one walk
+//!   in [`prof`]; [`json`] carries the tiny parser the round-trip
+//!   validators are built on.
 //!
-//! Live-telemetry pieces ride on those: a background registry
-//! sampler feeding a bounded delta ring ([`series`]), a threshold-gated
+//! Live-telemetry pieces ride on those: a background sampler of the
+//! service's job metrics feeding a bounded delta ring and the one
+//! window merge over it ([`series`]), a threshold-gated
 //! slow-request exemplar buffer ([`exemplar`]), a client/server
 //! trace stitcher with round-trip clock-offset estimation ([`stitch`]),
 //! a windowed continuous-profile aggregator ([`contprof`]), and an SLO

@@ -40,12 +40,24 @@ pub struct ProfNode {
     pub has_counters: bool,
 }
 
-/// Aggregates one thread's spans by call path, attributing counter
-/// deltas hierarchically. This is the one span-nesting reconstruction:
-/// the self-time report ([`crate::report`]) and the folded export
-/// ([`crate::folded`]) read it too. Recursion and zero-duration spans
-/// are safe.
-pub fn aggregate(events: &[SpanEvent]) -> BTreeMap<Vec<&'static str>, ProfNode> {
+/// One step of [`walk`].
+pub(crate) enum Step<'a> {
+    /// The span opens, nested in every span still open.
+    Open(&'a SpanEvent),
+    /// The innermost open span closes at the given time: its own end,
+    /// clamped to its parent's.
+    Close(&'a SpanEvent, u64),
+}
+
+/// The one span-nesting reconstruction: replays one thread's complete
+/// spans as a balanced open/close sequence. Spans sort by (start asc,
+/// depth asc, duration desc), so on a shared start the enclosing span
+/// opens first; an open span closes once a span starts at or after its
+/// end. RAII guards cannot produce a partial overlap, but a child's end
+/// is clamped to its parent's so even a pathological input stays
+/// nested. [`aggregate`] and the Chrome export ([`crate::chrome`])
+/// both walk spans through this.
+pub(crate) fn walk<'a>(events: &'a [SpanEvent], mut visit: impl FnMut(Step<'a>)) {
     let mut spans: Vec<&SpanEvent> = events.iter().collect();
     spans.sort_by(|a, b| {
         a.start_ns
@@ -53,9 +65,34 @@ pub fn aggregate(events: &[SpanEvent]) -> BTreeMap<Vec<&'static str>, ProfNode> 
             .then(a.depth.cmp(&b.depth))
             .then(b.dur_ns.cmp(&a.dur_ns))
     });
+    // Open spans as (clamped end, span); the top is the innermost.
+    let mut open: Vec<(u64, &SpanEvent)> = Vec::new();
+    for span in spans {
+        while let Some(&(end_ns, top)) = open.last() {
+            if end_ns > span.start_ns {
+                break;
+            }
+            open.pop();
+            visit(Step::Close(top, end_ns));
+        }
+        let end_ns = match open.last() {
+            Some(&(parent_end, _)) => span.end_ns().min(parent_end),
+            None => span.end_ns(),
+        };
+        visit(Step::Open(span));
+        open.push((end_ns, span));
+    }
+    while let Some((end_ns, top)) = open.pop() {
+        visit(Step::Close(top, end_ns));
+    }
+}
 
+/// Aggregates one thread's spans by call path, attributing counter
+/// deltas hierarchically. The self-time report ([`crate::report`]) and
+/// the folded export ([`crate::folded`]) read it too. Recursion and
+/// zero-duration spans are safe.
+pub fn aggregate(events: &[SpanEvent]) -> BTreeMap<Vec<&'static str>, ProfNode> {
     struct Open {
-        end_ns: u64,
         dur_ns: u64,
         child_ns: u64,
         path: Vec<&'static str>,
@@ -67,54 +104,41 @@ pub fn aggregate(events: &[SpanEvent]) -> BTreeMap<Vec<&'static str>, ProfNode> 
 
     let mut agg: BTreeMap<Vec<&'static str>, ProfNode> = BTreeMap::new();
     let mut open: Vec<Open> = Vec::new();
-    let pop = |open: &mut Vec<Open>, agg: &mut BTreeMap<Vec<&'static str>, ProfNode>| {
-        let o = open.pop().expect("pop with open span");
-        let node = agg.entry(o.path).or_default();
-        node.count += 1;
-        node.total_ns += o.dur_ns;
-        node.self_ns += o.dur_ns.saturating_sub(o.child_ns);
-        let covered = match o.own {
-            Some(c) => {
-                node.total = node.total.saturating_add(c);
-                node.self_counters = node
-                    .self_counters
-                    .saturating_add(c.delta_since(o.covered_by_children));
-                node.has_counters = true;
-                c
-            }
-            None => o.covered_by_children,
-        };
-        if let Some(parent) = open.last_mut() {
-            parent.child_ns += o.dur_ns;
-            parent.covered_by_children = parent.covered_by_children.saturating_add(covered);
+    walk(events, |step| match step {
+        Step::Open(span) => {
+            let mut path = open.last().map(|o| o.path.clone()).unwrap_or_default();
+            path.push(span.name);
+            open.push(Open {
+                dur_ns: span.dur_ns,
+                child_ns: 0,
+                path,
+                own: span.counters.as_deref().copied(),
+                covered_by_children: SpanCounters::default(),
+            });
         }
-    };
-
-    for span in spans {
-        while let Some(top) = open.last() {
-            if top.end_ns > span.start_ns {
-                break;
+        Step::Close(..) => {
+            let o = open.pop().expect("close with open span");
+            let node = agg.entry(o.path).or_default();
+            node.count += 1;
+            node.total_ns += o.dur_ns;
+            node.self_ns += o.dur_ns.saturating_sub(o.child_ns);
+            let covered = match o.own {
+                Some(c) => {
+                    node.total = node.total.saturating_add(c);
+                    node.self_counters = node
+                        .self_counters
+                        .saturating_add(c.delta_since(o.covered_by_children));
+                    node.has_counters = true;
+                    c
+                }
+                None => o.covered_by_children,
+            };
+            if let Some(parent) = open.last_mut() {
+                parent.child_ns += o.dur_ns;
+                parent.covered_by_children = parent.covered_by_children.saturating_add(covered);
             }
-            pop(&mut open, &mut agg);
         }
-        let end_ns = match open.last() {
-            Some(top) => span.end_ns().min(top.end_ns),
-            None => span.end_ns(),
-        };
-        let mut path: Vec<&'static str> = open.last().map(|o| o.path.clone()).unwrap_or_default();
-        path.push(span.name);
-        open.push(Open {
-            end_ns,
-            dur_ns: span.dur_ns,
-            child_ns: 0,
-            path,
-            own: span.counters.as_deref().copied(),
-            covered_by_children: SpanCounters::default(),
-        });
-    }
-    while !open.is_empty() {
-        pop(&mut open, &mut agg);
-    }
+    });
     agg
 }
 

@@ -1,13 +1,16 @@
-//! Live telemetry time series: a background sampler over the metrics
-//! registry feeding a fixed-capacity delta ring.
+//! Live telemetry time series: a background sampler over the service's
+//! job metrics feeding a fixed-capacity delta ring, and the window
+//! aggregate the alert rules and `wabench-served top` judge it by.
 //!
 //! `Stats`/`StatsExt` answers are cumulative snapshots — a spike that
 //! happened ten seconds ago is invisible once the averages re-converge.
-//! A [`Sampler`] walks a fixed [`SeriesSpec`] of registry names every
-//! interval and stores *deltas* (counter increments, per-interval
-//! histogram quantiles) plus instantaneous gauge levels into a bounded
-//! ring, so an operator tool can ask "what happened in the last minute"
-//! without the server keeping unbounded history.
+//! A [`Sampler`] reads a fixed set of [`JobMetrics`] handles every
+//! interval and stores one [`SeriesPoint`] of *deltas* (counter
+//! increments, per-interval histogram quantiles) plus instantaneous
+//! gauge levels into a bounded ring, so an operator tool can ask "what
+//! happened in the last minute" without the server keeping unbounded
+//! history. [`Window`] merges a run of points into whole-window totals
+//! and one exact p99.
 //!
 //! Nothing samples unless a `Sampler` is explicitly started, so
 //! workloads that never start one (the simulated figure paths) are
@@ -19,21 +22,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
-use crate::metrics::{self, Counter, Gauge, Histogram, HistogramSnapshot};
+use crate::metrics::{Counter, Gauge, Histogram, HistogramSnapshot};
 use crate::trace;
-
-/// Which registry entries a sampler watches, by kind. The spec is fixed
-/// at ring creation: every [`SeriesPoint`]'s vectors are parallel to
-/// these name lists, which keeps points compact (no per-point names).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct SeriesSpec {
-    /// Counter names; points carry the per-interval increment.
-    pub counters: Vec<String>,
-    /// Gauge names; points carry the instantaneous level at sample time.
-    pub gauges: Vec<String>,
-    /// Histogram names; points carry per-interval count/sum/p50/p99.
-    pub histograms: Vec<String>,
-}
 
 /// Per-interval view of one histogram: the observations made since the
 /// previous sample. Quantiles are bucket-interpolated (the interval
@@ -56,38 +46,168 @@ pub struct HistDelta {
     pub buckets: Vec<(u8, u64)>,
 }
 
-/// One sample: deltas and levels for every name in the ring's
-/// [`SeriesSpec`], in spec order.
+/// The registry handles a sampler reads, resolved once so neither the
+/// service's per-job hot path nor the sampler touches the name→handle
+/// map. Per-engine vectors are indexed by engine wire code.
+#[derive(Debug, Clone)]
+pub struct JobMetrics {
+    /// Jobs completed (any status).
+    pub completed: Arc<Counter>,
+    /// Jobs completed `Ok`.
+    pub ok: Arc<Counter>,
+    /// Jobs completed with any non-`Ok` status.
+    pub failed: Arc<Counter>,
+    /// Per-engine completed counters, indexed by engine code.
+    pub engines: Vec<Arc<Counter>>,
+    /// Jobs queued but not yet picked up.
+    pub queue_depth: Arc<Gauge>,
+    /// Workers currently running a job.
+    pub busy: Arc<Gauge>,
+    /// Per-engine breaker-state gauges (0 closed, 1 open, 2 half-open),
+    /// indexed by engine code.
+    pub breakers: Vec<Arc<Gauge>>,
+    /// End-to-end job wall time.
+    pub wall: Arc<Histogram>,
+}
+
+/// One interval of the service time series (the `Series` reply
+/// element).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SeriesPoint {
-    /// Monotone sample number since ring creation (detects ring wrap:
-    /// a window whose first `seq` is not 0 has evicted older points).
+    /// Monotone sample number since the sampler started (a gap-free
+    /// window starts at the client's previously seen seq + 1).
     pub seq: u64,
-    /// Sample time, nanoseconds since the process trace epoch
-    /// ([`trace::now_ns`]).
+    /// Sample time on the server trace clock, ns.
     pub t_ns: u64,
-    /// Nanoseconds covered by this sample (since the previous one, or
-    /// since ring creation for the first).
+    /// Nanoseconds this sample covers.
     pub interval_ns: u64,
-    /// Counter increments over the interval, parallel to
-    /// `spec.counters`.
-    pub counters: Vec<u64>,
-    /// Gauge levels at sample time, parallel to `spec.gauges`.
-    pub gauges: Vec<u64>,
-    /// Histogram interval stats, parallel to `spec.histograms`.
-    pub hists: Vec<HistDelta>,
+    /// Jobs completed during the interval.
+    pub completed: u64,
+    /// ... of which ok.
+    pub ok: u64,
+    /// ... of which failed (any non-ok status).
+    pub failed: u64,
+    /// Queue depth at sample time.
+    pub queue_depth: u64,
+    /// Workers running a job at sample time.
+    pub busy_workers: u64,
+    /// Job wall-time distribution over the interval.
+    pub lat: HistDelta,
+    /// Engines with completions this interval: `(engine code, jobs)`,
+    /// zero-delta engines omitted.
+    pub engines: Vec<(u8, u64)>,
+    /// Breakers not in the closed state at sample time:
+    /// `(engine code, state byte)`, closed breakers omitted.
+    pub breakers: Vec<(u8, u8)>,
+}
+
+impl SeriesPoint {
+    /// Completions per second over the interval (0 for an empty
+    /// interval).
+    pub fn qps(&self) -> f64 {
+        rate(self.completed, self.interval_ns)
+    }
+}
+
+fn rate(n: u64, span_ns: u64) -> f64 {
+    if span_ns == 0 {
+        0.0
+    } else {
+        n as f64 * 1e9 / span_ns as f64
+    }
+}
+
+/// Whole-window totals over consecutive [`SeriesPoint`]s: the one
+/// merge behind the alert rules' burn rate and p99 and `top`'s window
+/// columns.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Window {
+    /// Jobs completed across the window.
+    pub completed: u64,
+    /// ... of which ok.
+    pub ok: u64,
+    /// ... of which failed.
+    pub failed: u64,
+    /// Nanoseconds the window covers (the points' intervals summed).
+    pub span_ns: u64,
+    /// The points' sparse bucket deltas merged into one histogram;
+    /// `count` is the merged bucket total. No exact extremes survive
+    /// the merge, so quantiles interpolate within buckets.
+    pub lat: HistogramSnapshot,
+}
+
+impl Window {
+    /// Merges `points`. Out-of-range bucket indices (a corrupt or
+    /// future-version point) are skipped rather than panicking.
+    pub fn over(points: &[SeriesPoint]) -> Window {
+        let mut w = Window::default();
+        for p in points {
+            w.completed += p.completed;
+            w.ok += p.ok;
+            w.failed += p.failed;
+            w.span_ns += p.interval_ns;
+            w.lat.sum_ns += p.lat.sum_ns;
+            for (i, c) in &p.lat.buckets {
+                if let Some(slot) = w.lat.buckets.get_mut(usize::from(*i)) {
+                    *slot += c;
+                    w.lat.count += c;
+                }
+            }
+        }
+        w
+    }
+
+    /// Completions per second over the window (0 for an empty one).
+    pub fn qps(&self) -> f64 {
+        rate(self.completed, self.span_ns)
+    }
+
+    /// The merged window p99, ns (0 without latency observations) —
+    /// exact to the bucket, where the max or mean of interval p99s
+    /// over-reports whenever one thin interval has a bad tail.
+    pub fn p99_ns(&self) -> u64 {
+        self.lat.quantile_ns(0.99)
+    }
+
+    /// Error-budget burn: the observed failure ratio over the allotted
+    /// one, `1 - slo` (floored at ε). 1.0 consumes the budget exactly
+    /// on schedule; 0 when nothing completed.
+    pub fn burn(&self, slo: f64) -> f64 {
+        if self.completed == 0 {
+            return 0.0;
+        }
+        (self.failed as f64 / self.completed as f64) / (1.0 - slo).max(f64::EPSILON)
+    }
+}
+
+/// Cumulative readings a ring differences against.
+#[derive(Debug)]
+struct Totals {
+    completed: u64,
+    ok: u64,
+    failed: u64,
+    engines: Vec<u64>,
+    wall: HistogramSnapshot,
+}
+
+impl Totals {
+    fn read(m: &JobMetrics) -> Totals {
+        Totals {
+            completed: m.completed.get(),
+            ok: m.ok.get(),
+            failed: m.failed.get(),
+            engines: m.engines.iter().map(|c| c.get()).collect(),
+            wall: m.wall.snapshot(),
+        }
+    }
 }
 
 /// A bounded ring of [`SeriesPoint`]s with the cumulative baselines
-/// needed to turn registry snapshots into deltas.
+/// needed to turn metric readings into deltas.
 #[derive(Debug)]
 pub struct DeltaRing {
-    spec: SeriesSpec,
-    counters: Vec<Arc<Counter>>,
-    gauges: Vec<Arc<Gauge>>,
-    hists: Vec<Arc<Histogram>>,
-    prev_counters: Vec<u64>,
-    prev_hists: Vec<HistogramSnapshot>,
+    metrics: JobMetrics,
+    prev: Totals,
     last_t_ns: u64,
     seq: u64,
     cap: usize,
@@ -95,34 +215,20 @@ pub struct DeltaRing {
 }
 
 impl DeltaRing {
-    /// A ring watching `spec` with room for `cap` points (min 1).
+    /// A ring reading `metrics` with room for `cap` points (min 1).
     ///
     /// Baselines are taken at creation, so the first sample covers
     /// exactly the ring's lifetime — counts accumulated before the ring
     /// existed never appear as a spurious first-interval spike.
-    pub fn new(spec: SeriesSpec, cap: usize) -> DeltaRing {
-        let counters: Vec<_> = spec.counters.iter().map(|n| metrics::counter(n)).collect();
-        let gauges: Vec<_> = spec.gauges.iter().map(|n| metrics::gauge(n)).collect();
-        let hists: Vec<_> = spec.histograms.iter().map(|n| metrics::histogram(n)).collect();
-        let prev_counters = counters.iter().map(|c| c.get()).collect();
-        let prev_hists = hists.iter().map(|h| h.snapshot()).collect();
+    pub fn new(metrics: JobMetrics, cap: usize) -> DeltaRing {
         DeltaRing {
-            spec,
-            counters,
-            gauges,
-            hists,
-            prev_counters,
-            prev_hists,
+            prev: Totals::read(&metrics),
+            metrics,
             last_t_ns: trace::now_ns(),
             seq: 0,
             cap: cap.max(1),
             points: VecDeque::new(),
         }
-    }
-
-    /// The spec this ring was created with.
-    pub fn spec(&self) -> &SeriesSpec {
-        &self.spec
     }
 
     /// Takes one sample now, pushing a point (evicting the oldest at
@@ -132,27 +238,40 @@ impl DeltaRing {
         let interval_ns = t_ns.saturating_sub(self.last_t_ns);
         self.last_t_ns = t_ns;
 
-        let mut counters = Vec::with_capacity(self.counters.len());
-        for (c, prev) in self.counters.iter().zip(self.prev_counters.iter_mut()) {
-            let cur = c.get();
-            counters.push(cur.saturating_sub(*prev));
-            *prev = cur;
-        }
-        let gauges = self.gauges.iter().map(|g| g.get()).collect();
-        let mut hists = Vec::with_capacity(self.hists.len());
-        for (h, prev) in self.hists.iter().zip(self.prev_hists.iter_mut()) {
-            let cur = h.snapshot();
-            hists.push(hist_delta(&cur, prev));
-            *prev = cur;
-        }
-
+        let m = &self.metrics;
+        let prev = std::mem::replace(&mut self.prev, Totals::read(m));
+        let cur = &self.prev;
+        let engines = cur
+            .engines
+            .iter()
+            .zip(&prev.engines)
+            .enumerate()
+            .filter_map(|(code, (c, p))| {
+                let jobs = c.saturating_sub(*p);
+                (jobs > 0).then_some((code as u8, jobs))
+            })
+            .collect();
+        let breakers = m
+            .breakers
+            .iter()
+            .enumerate()
+            .filter_map(|(code, g)| {
+                let state = g.get();
+                (state != 0).then_some((code as u8, state as u8))
+            })
+            .collect();
         let point = SeriesPoint {
             seq: self.seq,
             t_ns,
             interval_ns,
-            counters,
-            gauges,
-            hists,
+            completed: cur.completed.saturating_sub(prev.completed),
+            ok: cur.ok.saturating_sub(prev.ok),
+            failed: cur.failed.saturating_sub(prev.failed),
+            queue_depth: m.queue_depth.get(),
+            busy_workers: m.busy.get(),
+            lat: hist_delta(&cur.wall, &prev.wall),
+            engines,
+            breakers,
         };
         self.seq += 1;
         if self.points.len() == self.cap {
@@ -221,12 +340,12 @@ pub struct Sampler {
 }
 
 impl Sampler {
-    /// Starts sampling `spec` every `interval` into a ring of `cap`
+    /// Starts sampling `metrics` every `interval` into a ring of `cap`
     /// points. Intervals shorter than 1ms are raised to 1ms.
-    pub fn start(spec: SeriesSpec, interval: Duration, cap: usize) -> Sampler {
+    pub fn start(metrics: JobMetrics, interval: Duration, cap: usize) -> Sampler {
         let interval = interval.max(Duration::from_millis(1));
         let shared = Arc::new(Shared {
-            ring: Mutex::new(DeltaRing::new(spec, cap)),
+            ring: Mutex::new(DeltaRing::new(metrics, cap)),
             stop: AtomicBool::new(false),
             wake: Condvar::new(),
             gate: Mutex::new(()),
@@ -317,53 +436,72 @@ impl std::fmt::Debug for Sampler {
 mod tests {
     use super::*;
 
-    fn spec(suffix: &str) -> SeriesSpec {
-        SeriesSpec {
-            counters: vec![format!("test.series.jobs.{suffix}")],
-            gauges: vec![format!("test.series.depth.{suffix}")],
-            histograms: vec![format!("test.series.lat.{suffix}")],
+    /// Unregistered handles with three engine codes, so tests running
+    /// in parallel never share a counter.
+    fn metrics() -> JobMetrics {
+        JobMetrics {
+            completed: Arc::default(),
+            ok: Arc::default(),
+            failed: Arc::default(),
+            engines: (0..3).map(|_| Arc::default()).collect(),
+            queue_depth: Arc::default(),
+            busy: Arc::default(),
+            breakers: (0..3).map(|_| Arc::default()).collect(),
+            wall: Arc::default(),
         }
     }
 
     #[test]
     fn deltas_measure_only_the_interval() {
-        let s = spec("delta");
-        metrics::counter(&s.counters[0]).add(1_000); // pre-ring history
-        let mut ring = DeltaRing::new(s.clone(), 8);
-        metrics::counter(&s.counters[0]).add(3);
-        metrics::gauge(&s.gauges[0]).set(7);
-        metrics::histogram(&s.histograms[0]).observe_ns(50_000);
-        metrics::histogram(&s.histograms[0]).observe_ns(60_000);
+        let m = metrics();
+        m.completed.add(1_000); // pre-ring history
+        m.engines[2].add(1_000);
+        let mut ring = DeltaRing::new(m.clone(), 8);
+        m.completed.add(3);
+        m.ok.add(2);
+        m.failed.add(1);
+        m.engines[2].add(3);
+        m.queue_depth.set(7);
+        m.busy.set(2);
+        m.breakers[1].set(2);
+        m.wall.observe_ns(50_000);
+        m.wall.observe_ns(60_000);
         let p = ring.sample();
         assert_eq!(p.seq, 0);
-        assert_eq!(p.counters, vec![3], "pre-ring counts excluded");
-        assert_eq!(p.gauges, vec![7]);
-        assert_eq!(p.hists[0].count, 2);
-        assert_eq!(p.hists[0].sum_ns, 110_000);
-        assert!(p.hists[0].p99_ns >= 32_768 && p.hists[0].p99_ns <= 131_072);
+        assert_eq!((p.completed, p.ok, p.failed), (3, 2, 1), "pre-ring counts excluded");
+        assert_eq!((p.queue_depth, p.busy_workers), (7, 2));
+        assert_eq!(p.engines, vec![(2, 3)], "zero-delta engines omitted");
+        assert_eq!(p.breakers, vec![(1, 2)], "closed breakers omitted");
+        assert_eq!(p.lat.count, 2);
+        assert_eq!(p.lat.sum_ns, 110_000);
+        assert!(p.lat.p99_ns >= 32_768 && p.lat.p99_ns <= 131_072);
         // The sparse bucket deltas carry exactly the interval's
         // observations (both land in the 32k..64k bucket).
-        let bucket_total: u64 = p.hists[0].buckets.iter().map(|(_, c)| c).sum();
+        let bucket_total: u64 = p.lat.buckets.iter().map(|(_, c)| c).sum();
         assert_eq!(bucket_total, 2);
-        assert!(p.hists[0]
+        assert!(p
+            .lat
             .buckets
             .iter()
-            .all(|(i, c)| usize::from(*i) < metrics::BUCKETS && *c > 0));
+            .all(|(i, c)| usize::from(*i) < crate::metrics::BUCKETS && *c > 0));
 
-        // A quiet interval reads all-zero deltas, not repeats.
+        // A quiet interval reads all-zero deltas, not repeats; gauges
+        // are levels and repeat.
         let q = ring.sample();
-        assert_eq!(q.counters, vec![0]);
-        assert_eq!(q.hists[0].count, 0);
-        assert_eq!(q.hists[0].p99_ns, 0);
-        assert!(q.hists[0].buckets.is_empty());
+        assert_eq!(q.completed, 0);
+        assert!(q.engines.is_empty());
+        assert_eq!(q.queue_depth, 7);
+        assert_eq!(q.lat.count, 0);
+        assert_eq!(q.lat.p99_ns, 0);
+        assert!(q.lat.buckets.is_empty());
     }
 
     #[test]
     fn ring_wraps_at_capacity() {
-        let s = spec("wrap");
-        let mut ring = DeltaRing::new(s.clone(), 4);
+        let m = metrics();
+        let mut ring = DeltaRing::new(m.clone(), 4);
         for i in 0..10 {
-            metrics::counter(&s.counters[0]).add(i + 1);
+            m.completed.add(i + 1);
             ring.sample();
         }
         let window = ring.window();
@@ -372,20 +510,20 @@ mod tests {
         assert_eq!(seqs, vec![6, 7, 8, 9], "oldest evicted, order kept");
         // The deltas of the surviving points are the increments made
         // right before each sample (i+1 for sample i).
-        let deltas: Vec<u64> = window.iter().map(|p| p.counters[0]).collect();
+        let deltas: Vec<u64> = window.iter().map(|p| p.completed).collect();
         assert_eq!(deltas, vec![7, 8, 9, 10]);
         assert!(window.windows(2).all(|w| w[0].t_ns <= w[1].t_ns));
     }
 
     #[test]
     fn sampler_thread_fills_the_ring_and_stops() {
-        let s = spec("thread");
-        let mut sampler = Sampler::start(s.clone(), Duration::from_millis(5), 64);
-        metrics::counter(&s.counters[0]).add(42);
+        let m = metrics();
+        let mut sampler = Sampler::start(m.clone(), Duration::from_millis(5), 64);
+        m.completed.add(42);
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
         loop {
             let window = sampler.window(None);
-            if window.iter().map(|p| p.counters[0]).sum::<u64>() >= 42 && window.len() >= 2 {
+            if window.iter().map(|p| p.completed).sum::<u64>() >= 42 && window.len() >= 2 {
                 break;
             }
             assert!(
@@ -407,17 +545,17 @@ mod tests {
 
     #[test]
     fn sample_now_closes_the_window() {
-        let s = spec("now");
-        let sampler = Sampler::start(s.clone(), Duration::from_secs(3600), 8);
-        metrics::counter(&s.counters[0]).add(5);
+        let m = metrics();
+        let sampler = Sampler::start(m.clone(), Duration::from_secs(3600), 8);
+        m.completed.add(5);
         let p = sampler.sample_now();
-        assert_eq!(p.counters, vec![5]);
+        assert_eq!(p.completed, 5);
         assert_eq!(sampler.window(None).len(), 1);
     }
 
     #[test]
     fn window_copies_only_points_after_the_cursor() {
-        let sampler = Sampler::start(spec("after"), Duration::from_secs(3600), 8);
+        let sampler = Sampler::start(metrics(), Duration::from_secs(3600), 8);
         for _ in 0..4 {
             sampler.sample_now();
         }

@@ -54,6 +54,13 @@ pub struct ServerPhases {
     pub store_repairs: u32,
 }
 
+impl ServerPhases {
+    /// End-to-end server latency (enqueue → done), ns.
+    pub fn total_ns(&self) -> u64 {
+        self.done_ns.saturating_sub(self.enqueue_ns)
+    }
+}
+
 /// Estimates `server_clock - client_clock` in nanoseconds from one
 /// round-trip: the client reads its clock before (`client_before_ns`)
 /// and after (`client_after_ns`) a request whose reply carries the

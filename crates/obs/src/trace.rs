@@ -125,24 +125,6 @@ impl SpanCounters {
     pub fn llc_mpki(&self) -> f64 {
         self.per_kilo_instr(self.cache_misses)
     }
-
-    /// The counter selected by `name` (the spellings
-    /// [`crate::folded::Weight`] accepts), if `name` is known.
-    pub fn field(&self, name: &str) -> Option<u64> {
-        Some(match name {
-            "instructions" => self.instructions,
-            "cycles" => self.cycles,
-            "branches" => self.branches,
-            "branch-misses" => self.branch_misses,
-            "cache-references" => self.cache_references,
-            "cache-misses" => self.cache_misses,
-            "l1d-accesses" => self.l1d_accesses,
-            "l1d-misses" => self.l1d_misses,
-            "l1i-accesses" => self.l1i_accesses,
-            "l1i-misses" => self.l1i_misses,
-            _ => return None,
-        })
-    }
 }
 
 /// One recorded span: a named, optionally attributed interval.

@@ -239,12 +239,7 @@ fn evidence_from_socket(path: &Path) -> Result<Evidence, String> {
             ev.exemplars = t
                 .exemplars
                 .iter()
-                .map(|rec| {
-                    (
-                        rec.label.clone(),
-                        rec.phases.done_ns.saturating_sub(rec.phases.enqueue_ns),
-                    )
-                })
+                .map(|rec| (rec.label.clone(), rec.phases.total_ns()))
                 .collect();
             ev.exemplars.sort_by_key(|(_, ns)| Reverse(*ns));
         }

@@ -15,14 +15,15 @@
 //!
 //! `series` and `trace-dump`: the serve path runs a background
 //! telemetry sampler (`--sample-ms`, 0 disables) whose delta window
-//! `series` fetches, and keeps recent plus slow-request (`--slow-ms`
-//! threshold) span digests that `trace-dump` fetches for client-side
-//! stitching. `top` builds a live view on top.
+//! (the last 600 samples) `series` fetches, and keeps recent plus
+//! slow-request (250 ms and over) span digests that `trace-dump`
+//! fetches for client-side stitching. `top` builds a live view on top.
 //!
 //! `alerts`: `--alerts SPEC` (or `WABENCH_ALERTS`) arms the SLO alert
-//! engine — burn-rate, p99-ceiling, queue-depth, breaker-open and
-//! profile-drift rules evaluated against the sampled series — and `--postmortem-dir DIR` makes every pending→firing
-//! transition snapshot a flight-recorder bundle for `doctor`.
+//! engine — burn-rate, p99-ceiling, queue-depth, breaker-not-closed
+//! and profile-drift rules evaluated against the sampled series — and
+//! `--postmortem-dir DIR` makes every pending→firing transition
+//! snapshot a flight-recorder bundle for `doctor`.
 //! `--profile-ms N` arms the continuous profiler whose windows
 //! `windows` / `wdiff` fetch. All three are off by
 //! default and cost nothing when disarmed.
@@ -54,7 +55,7 @@ use obs::cli::{self, Args, Command, Flag};
 use svc::job::{JobMode, JobSpec, Scale};
 use svc::scheduler::{Config, HealthReport, Scheduler, SvcStats, SvcStatsExt};
 use svc::server::{serve, Client};
-use svc::telemetry::{AlertReport, SeriesReport, TelemetryConfig, TraceReport};
+use svc::telemetry::{AlertReport, SeriesReport, TraceReport};
 use wacc::OptLevel;
 
 const SOCKET: Flag = Flag::value("--socket", "PATH", "server (or router) socket; required");
@@ -70,8 +71,6 @@ static COMMANDS: &[Command] = &[
         Flag::value("--trace-out", "FILE", "write a Chrome trace on shutdown (*.folded: folded stacks)"),
         Flag::value("--faults", "PLAN", "fault plan like 'seed=7,compile=0.05' (else WABENCH_FAULTS)"),
         Flag::value("--sample-ms", "N", "telemetry sampler interval, 0 disables").default("250"),
-        Flag::value("--series-cap", "N", "sampled points kept").default("600"),
-        Flag::value("--slow-ms", "N", "slow-request exemplar threshold").default("250"),
         Flag::value("--profile-ms", "N", "continuous-profiler window, 0 disables").default("0"),
         Flag::value("--alerts", "SPEC", "alert rules like 'slo=0.99,burn=14:5m:1h,p99=250ms:1m' (else WABENCH_ALERTS)"),
         Flag::value("--postmortem-dir", "DIR", "write a flight-recorder bundle when an alert fires"),
@@ -249,7 +248,7 @@ fn print_trace_report(t: &TraceReport) {
             p.start_ns.saturating_sub(p.enqueue_ns) as f64 / 1e6,
             p.compile_ns as f64 / 1e6,
             p.exec_ns as f64 / 1e6,
-            p.done_ns.saturating_sub(p.enqueue_ns) as f64 / 1e6,
+            p.total_ns() as f64 / 1e6,
             if p.attempts > 1 {
                 format!(" ({} attempts)", p.attempts)
             } else {
@@ -328,11 +327,7 @@ fn cmd_serve(a: &Args) {
         store_dir: store.clone(),
         store_cap_bytes: a.get::<u64>("--store-cap-mb", "an integer", cli::number) << 20,
         faults,
-        telemetry: TelemetryConfig {
-            sample_interval: (sample_ms > 0).then(|| Duration::from_millis(sample_ms)),
-            series_cap: a.get("--series-cap", "a positive integer", cli::positive),
-            slow_threshold: Duration::from_millis(a.get("--slow-ms", "an integer", cli::number)),
-        },
+        sample_interval: (sample_ms > 0).then(|| Duration::from_millis(sample_ms)),
         alerts,
         postmortem_dir: a.opt("--postmortem-dir", "a directory", cli::path),
         profile_window: (profile_ms > 0).then(|| Duration::from_millis(profile_ms)),

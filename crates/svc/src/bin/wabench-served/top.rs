@@ -28,7 +28,7 @@ use std::time::Duration;
 
 use engines::EngineKind;
 use obs::cli::{self, Args, Command, Flag};
-use obs::metrics::{HistogramSnapshot, BUCKETS};
+use obs::series::Window;
 use svc::telemetry::{SeriesPoint, SeriesReport};
 
 use crate::{connect, fetch};
@@ -54,92 +54,30 @@ pub fn run(a: &Args) {
     }
 }
 
-/// Whole-window aggregate of a series reply.
-#[derive(Debug, Default)]
+/// Whole-window view of a series reply: the shared merge
+/// ([`Window`]) plus the two interval-quantile columns only `top`
+/// prints.
+#[derive(Debug)]
 struct WindowAgg {
-    completed: u64,
-    ok: u64,
-    failed: u64,
-    lat_count: u64,
-    lat_sum_ns: u64,
-    /// Count-weighted p50 numerator (Σ count·p50).
-    p50_weighted: u128,
-    /// Max interval p99 — a conservative window tail.
+    window: Window,
+    /// Count-weighted mean of the interval p50s.
+    p50_ns: u64,
+    /// Max interval p99, printed as `p99_max`.
     p99_max_ns: u64,
-    /// Merged interval bucket deltas (the points' sparse pairs summed)
-    /// and how many observations they cover.
-    lat_buckets: [u64; BUCKETS],
-    lat_bucket_count: u64,
-    span_ns: u64,
 }
 
 impl WindowAgg {
     fn over(points: &[SeriesPoint]) -> WindowAgg {
-        let mut a = WindowAgg::default();
+        let (mut lat_count, mut p50_weighted) = (0u64, 0u128);
         for p in points {
-            a.completed += p.completed;
-            a.ok += p.ok;
-            a.failed += p.failed;
-            a.lat_count += p.lat.count;
-            a.lat_sum_ns += p.lat.sum_ns;
-            a.p50_weighted += u128::from(p.lat.count) * u128::from(p.lat.p50_ns);
-            a.p99_max_ns = a.p99_max_ns.max(p.lat.p99_ns);
-            for (i, c) in &p.lat.buckets {
-                if let Some(slot) = a.lat_buckets.get_mut(*i as usize) {
-                    *slot += c;
-                    a.lat_bucket_count += c;
-                }
-            }
-            a.span_ns += p.interval_ns;
+            lat_count += p.lat.count;
+            p50_weighted += u128::from(p.lat.count) * u128::from(p.lat.p50_ns);
         }
-        a
-    }
-
-    fn qps(&self) -> f64 {
-        if self.span_ns == 0 {
-            0.0
-        } else {
-            self.completed as f64 * 1e9 / self.span_ns as f64
+        WindowAgg {
+            window: Window::over(points),
+            p50_ns: p50_weighted.checked_div(u128::from(lat_count)).unwrap_or(0) as u64,
+            p99_max_ns: points.iter().map(|p| p.lat.p99_ns).max().unwrap_or(0),
         }
-    }
-
-    fn p50_ns(&self) -> u64 {
-        if self.lat_count == 0 {
-            0
-        } else {
-            (self.p50_weighted / u128::from(self.lat_count)) as u64
-        }
-    }
-
-    /// Honest whole-window p99: merge the per-interval bucket deltas
-    /// into one histogram and interpolate, instead of taking the max
-    /// of interval p99s (which over-reports whenever one thin interval
-    /// has a bad tail). Falls back to the interval max when the points
-    /// carry no bucket deltas.
-    fn p99_ns(&self) -> u64 {
-        if self.lat_bucket_count == 0 {
-            return self.p99_max_ns;
-        }
-        let merged = HistogramSnapshot {
-            buckets: self.lat_buckets,
-            count: self.lat_bucket_count,
-            sum_ns: self.lat_sum_ns,
-            // No exact extremes survive the merge; zero max_ns keeps
-            // quantile_ns on pure bucket interpolation.
-            min_ns: 0,
-            max_ns: 0,
-        };
-        merged.quantile_ns(0.99)
-    }
-
-    /// Error-budget burn: (observed failure ratio) / (allotted failure
-    /// ratio). 0 when nothing completed.
-    fn burn_rate(&self, slo_target: f64) -> f64 {
-        if self.completed == 0 {
-            return 0.0;
-        }
-        let budget = 1.0 - slo_target;
-        (self.failed as f64 / self.completed as f64) / budget
     }
 }
 
@@ -193,23 +131,24 @@ fn cmd_once(a: &Args, slo_target: f64) {
     let health = fetch("health", client.health());
     let ext = fetch_routed("stats-ext", client.stats_ext(), &mut warned.1);
     let agg = WindowAgg::over(&series.points);
+    let w = &agg.window;
     let last = series.points.last();
     println!("sampling={}", u8::from(!series.points.is_empty()));
     println!("points={}", series.points.len());
     println!("interval_ns={}", series.interval_ns);
-    println!("window_ns={}", agg.span_ns);
-    println!("completed={}", agg.completed);
-    println!("ok={}", agg.ok);
-    println!("failed={}", agg.failed);
-    println!("qps={:.3}", agg.qps());
-    println!("p50_ns={}", agg.p50_ns());
-    println!("p99_ns={}", agg.p99_ns());
+    println!("window_ns={}", w.span_ns);
+    println!("completed={}", w.completed);
+    println!("ok={}", w.ok);
+    println!("failed={}", w.failed);
+    println!("qps={:.3}", w.qps());
+    println!("p50_ns={}", agg.p50_ns);
+    println!("p99_ns={}", w.p99_ns());
     println!("p99_max={}", agg.p99_max_ns);
     println!("queue_depth={}", last.map_or(0, |p| p.queue_depth));
     println!("busy_workers={}", last.map_or(0, |p| p.busy_workers));
     println!("workers={}", ext.workers);
     println!("utilization={:.3}", ext.utilization());
-    println!("burn_rate={:.3}", agg.burn_rate(slo_target));
+    println!("burn_rate={:.3}", w.burn(slo_target));
     println!("slo_target={}", slo_target);
     println!("breakers={}", breaker_summary(&health.breakers));
     // The alert log is per-shard: a router answers Err.
@@ -273,13 +212,13 @@ fn cmd_watch(a: &Args, slo_target: f64) {
         println!(
             "{:>8.1}  {:>8.1}  {:>7.2}ms  {:>7.2}ms  {:>5}  {:>4}/{:<4}  {:>6.2}x  {}{}",
             series.server_now_ns as f64 / 1e9,
-            agg.qps(),
-            agg.p50_ns() as f64 / 1e6,
-            agg.p99_ns() as f64 / 1e6,
+            agg.window.qps(),
+            agg.p50_ns as f64 / 1e6,
+            agg.window.p99_ns() as f64 / 1e6,
             last.map_or(0, |p| p.queue_depth),
             last.map_or(0, |p| p.busy_workers),
             ext.workers,
-            agg.burn_rate(slo_target),
+            agg.window.burn(slo_target),
             breaker_summary(&health.breakers),
             if firing.is_empty() {
                 String::new()
@@ -331,10 +270,10 @@ mod tests {
             point(2, 1, slow_ms, slow_ms, vec![(21, 1)]),
         ];
         let agg = WindowAgg::over(&points);
-        assert_eq!(agg.lat_count, 100);
-        assert_eq!(agg.lat_bucket_count, 100);
+        assert_eq!(agg.window.lat.count, 100);
+        assert_eq!(agg.p50_ns, (99 * fast_ms + slow_ms) / 100, "count-weighted p50");
         assert_eq!(agg.p99_max_ns, slow_ms, "old max aggregation kept as p99_max");
-        let merged = agg.p99_ns();
+        let merged = agg.window.p99_ns();
         assert!(
             merged <= obs::metrics::bucket_bound_ns(12),
             "merged p99 ({merged}ns) must come from the fast bucket, not the straggler"
@@ -342,25 +281,13 @@ mod tests {
         assert!(merged > 0, "merged p99 interpolates a nonzero estimate");
     }
 
-    /// Without bucket deltas the aggregate falls back to the
-    /// conservative interval max.
-    #[test]
-    fn window_p99_falls_back_to_interval_max_without_bucket_deltas() {
-        let points = vec![
-            point(1, 99, 1_000_000, 1_000_000, Vec::new()),
-            point(2, 1, 500_000_000, 500_000_000, Vec::new()),
-        ];
-        let agg = WindowAgg::over(&points);
-        assert_eq!(agg.lat_bucket_count, 0);
-        assert_eq!(agg.p99_ns(), 500_000_000);
-    }
-
     /// Out-of-range bucket indices (a corrupt or future-version point)
     /// are ignored rather than panicking.
     #[test]
     fn window_agg_ignores_out_of_range_bucket_indices() {
-        let points = vec![point(1, 5, 1_000_000, 1_000_000, vec![(BUCKETS as u8, 5)])];
+        let bad = obs::metrics::BUCKETS as u8;
+        let points = vec![point(1, 5, 1_000_000, 1_000_000, vec![(bad, 5)])];
         let agg = WindowAgg::over(&points);
-        assert_eq!(agg.lat_bucket_count, 0);
+        assert_eq!(agg.window.lat.count, 0);
     }
 }

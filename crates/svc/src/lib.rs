@@ -67,4 +67,4 @@ pub use scheduler::{
     Config, HealthReport, ResilienceStats, RetryPolicy, Scheduler, SvcStats, SvcStatsExt,
 };
 pub use store::{ArtifactKey, ArtifactStore, GetOutcome, StoreStats};
-pub use telemetry::{SeriesReport, TelemetryConfig, TraceRecord, TraceReport};
+pub use telemetry::{SeriesReport, TraceRecord, TraceReport};

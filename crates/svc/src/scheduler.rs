@@ -23,7 +23,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use fault::{Breaker, BreakerConfig, BreakerEvent, BreakerSnapshot, FaultPlan};
-use obs::alert::{AlertEngine, AlertEvent, AlertSpec, Observation, Transition};
+use obs::alert::{AlertEngine, AlertEvent, AlertSpec, Transition};
 use obs::contprof::ContProf;
 use obs::metrics::{Histogram, HistogramSnapshot};
 
@@ -31,8 +31,7 @@ use crate::exec::{self, ExecEnv};
 use crate::job::{JobResult, JobSpec, JobStatus, TraceCtx, TraceDigest};
 use crate::store::{ArtifactStore, StoreStats};
 use crate::telemetry::{
-    AlertReport, JobMetrics, ProfileReport, SeriesReport, Telemetry, TelemetryConfig, TraceRecord,
-    TraceReport,
+    self, AlertReport, JobMetrics, ProfileReport, SeriesReport, Telemetry, TraceRecord, TraceReport,
 };
 
 /// Sealed profile windows retained by the continuous profiler.
@@ -90,11 +89,11 @@ pub struct Config {
     /// Optional deterministic fault-injection plan, threaded through
     /// job execution and the artifact store.
     pub faults: Option<Arc<FaultPlan>>,
-    /// Live-telemetry tuning. The default starts no
-    /// sampler thread; trace digests and the recent-request log are
-    /// always maintained (cheap, bounded) so `TraceDump` works even on
-    /// a sampler-less scheduler.
-    pub telemetry: TelemetryConfig,
+    /// Telemetry sampler cadence. `None` (the default) starts no
+    /// sampler thread and `Series` reports an empty window; trace
+    /// digests and the recent-request log are always maintained (cheap,
+    /// bounded) so `TraceDump` works even on a sampler-less scheduler.
+    pub sample_interval: Option<Duration>,
     /// SLO alert rules. `None` (the default) arms no
     /// engine: nothing is evaluated, `AlertLog` reports disarmed, and
     /// no postmortem is ever written.
@@ -118,7 +117,7 @@ impl Default for Config {
             retry: RetryPolicy::default(),
             breaker: BreakerConfig::default(),
             faults: None,
-            telemetry: TelemetryConfig::default(),
+            sample_interval: None,
             alerts: None,
             postmortem_dir: None,
             profile_window: None,
@@ -397,6 +396,7 @@ impl Scheduler {
             Some(dir) => Some(ArtifactStore::open(dir, cfg.store_cap_bytes)?),
             None => None,
         };
+        let metrics = telemetry::job_metrics();
         let inner = Arc::new(Inner {
             timeout: cfg.timeout,
             retry: cfg.retry,
@@ -420,8 +420,8 @@ impl Scheduler {
             }),
             breaker_cfg: cfg.breaker,
             breakers: Mutex::new(BTreeMap::new()),
-            metrics: JobMetrics::resolve(),
-            telemetry: Telemetry::new(&cfg.telemetry),
+            telemetry: Telemetry::new(cfg.sample_interval, &metrics),
+            metrics,
             alerts: cfg.alerts.map(|spec| {
                 Mutex::new(AlertRuntime {
                     engine: AlertEngine::new(spec),
@@ -737,20 +737,8 @@ fn pump_alerts(inner: &Inner) {
         .as_ref()
         .map(ContProf::current_shares)
         .unwrap_or_default();
-    for p in &points {
-        let observation = Observation {
-            t_ns: p.t_ns,
-            interval_ns: p.interval_ns,
-            completed: p.completed,
-            failed: p.failed,
-            lat_count: p.lat.count,
-            p99_ns: p.lat.p99_ns,
-            lat_buckets: p.lat.buckets.clone(),
-            queue_depth: p.queue_depth,
-            breakers_open: p.breakers.iter().filter(|(_, s)| *s == 1).count() as u32,
-            phase_shares: phase_shares.clone(),
-        };
-        for event in rt.engine.observe(observation) {
+    for p in points {
+        for event in rt.engine.observe(p, &phase_shares) {
             match event.transition {
                 Transition::Pending => obs::debug!(
                     "alert {} pending: {} (threshold {})",
@@ -837,7 +825,7 @@ fn write_postmortem(
         format!(
             "{{\"label\":{},\"total_ns\":{},\"attempts\":{},\"compile_fallback\":{}}}",
             jstr(&rec.label),
-            rec.phases.done_ns.saturating_sub(rec.phases.enqueue_ns),
+            rec.phases.total_ns(),
             rec.phases.attempts,
             rec.phases.compile_fallback
         )
@@ -848,7 +836,7 @@ fn write_postmortem(
             "{{\"label\":{},\"ok\":{},\"total_ns\":{}}}",
             jstr(&rec.label),
             rec.ok,
-            rec.phases.done_ns.saturating_sub(rec.phases.enqueue_ns)
+            rec.phases.total_ns()
         )
     });
     let (profile, resilience) = {
@@ -1251,10 +1239,7 @@ mod tests {
     fn alert_pump_samples_nothing_per_job() {
         let sched = Scheduler::start(Config {
             workers: 2,
-            telemetry: TelemetryConfig {
-                sample_interval: Some(Duration::from_secs(3600)),
-                ..TelemetryConfig::default()
-            },
+            sample_interval: Some(Duration::from_secs(3600)),
             alerts: Some(AlertSpec::parse("p99=1s:10s").unwrap()),
             ..Config::default()
         })

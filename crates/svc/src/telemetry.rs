@@ -5,30 +5,34 @@
 //! Three pieces, all inert unless explicitly enabled so simulated-figure
 //! paths stay bit-identical:
 //!
-//! - **Registry metrics** ([`JobMetrics`]): jobs-completed/ok/failed
-//!   counters (plus per-engine), queue-depth / busy-worker / breaker
-//!   gauges, and a job wall-time histogram, updated by the scheduler's
-//!   workers. Counters and gauges are cheap atomics; they exist even
-//!   when nothing samples them.
-//! - **Sampler** ([`obs::series::Sampler`] over [`series_spec`]): a
-//!   background thread snapshotting those metrics every N ms into a
-//!   bounded delta ring. Started only when
-//!   [`TelemetryConfig::sample_interval`] is set (the `serve` path).
+//! - **Registry metrics** ([`JobMetrics`], resolved by
+//!   [`job_metrics`]): jobs-completed/ok/failed counters (plus
+//!   per-engine), queue-depth / busy-worker / breaker gauges, and a job
+//!   wall-time histogram, updated by the scheduler's workers. Counters
+//!   and gauges are cheap atomics; they exist even when nothing samples
+//!   them.
+//! - **Sampler** ([`obs::series::Sampler`] over those handles): a
+//!   background thread writing one [`SeriesPoint`] of deltas every N ms
+//!   into a ring of [`SERIES_CAP`] points. Started only when
+//!   [`crate::scheduler::Config::sample_interval`] is set (the `serve`
+//!   path).
 //! - **Trace log + exemplars** ([`Telemetry`]): every completed job's
 //!   [`TraceRecord`] goes into a bounded recent-requests ring; jobs
-//!   whose end-to-end latency meets the slow threshold are additionally
+//!   whose end-to-end latency meets [`SLOW_THRESHOLD`] are additionally
 //!   retained in an [`obs::exemplar::ExemplarBuffer`]. `TraceDump`
 //!   returns both.
 
 use std::collections::VecDeque;
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::Duration;
 
 use obs::exemplar::{Exemplar, ExemplarBuffer};
-use obs::metrics::{self, Counter, Gauge, Histogram};
-use obs::series::{self, HistDelta, Sampler, SeriesSpec};
+use obs::metrics;
+use obs::series::Sampler;
 use obs::stitch::ServerPhases;
 use serde::{Deserialize, Serialize};
+
+pub use obs::series::{JobMetrics, SeriesPoint};
 
 /// Jobs completed (any status).
 pub const JOBS_COMPLETED: &str = "svc.jobs.completed";
@@ -48,9 +52,6 @@ pub const JOB_WALL: &str = "svc.job.wall";
 /// Wasmer backend variants.
 pub const ENGINE_CODES: [u8; 7] = [0, 1, 2, 3, 4, 5, 6];
 
-const FIXED_COUNTERS: usize = 3;
-const FIXED_GAUGES: usize = 2;
-
 /// Per-engine completed-jobs counter name.
 pub fn engine_jobs_name(code: u8) -> String {
     format!("svc.jobs.engine.{code}")
@@ -62,113 +63,24 @@ pub fn breaker_state_name(code: u8) -> String {
     format!("svc.breaker.state.{code}")
 }
 
-/// The fixed sampler spec: counters `[completed, ok, failed,
-/// engine 0..=6]`, gauges `[queue depth, busy workers, breaker 0..=6]`,
-/// histograms `[job wall]`. [`svc_point`] depends on exactly this
-/// layout.
-pub fn series_spec() -> SeriesSpec {
-    let mut counters = vec![
-        JOBS_COMPLETED.to_string(),
-        JOBS_OK.to_string(),
-        JOBS_FAILED.to_string(),
-    ];
-    let mut gauges = vec![QUEUE_DEPTH.to_string(), WORKERS_BUSY.to_string()];
-    for code in ENGINE_CODES {
-        counters.push(engine_jobs_name(code));
-        gauges.push(breaker_state_name(code));
-    }
-    SeriesSpec {
-        counters,
-        gauges,
-        histograms: vec![JOB_WALL.to_string()],
-    }
-}
-
-/// Resolved registry handles for the scheduler's per-job hot path, so
-/// workers touch atomics, not the name→handle map.
-#[derive(Debug)]
-pub struct JobMetrics {
-    /// [`JOBS_COMPLETED`].
-    pub completed: Arc<Counter>,
-    /// [`JOBS_OK`].
-    pub ok: Arc<Counter>,
-    /// [`JOBS_FAILED`].
-    pub failed: Arc<Counter>,
-    /// Per-engine completed counters, indexed by engine code.
-    pub engines: Vec<Arc<Counter>>,
-    /// [`QUEUE_DEPTH`].
-    pub queue_depth: Arc<Gauge>,
-    /// [`WORKERS_BUSY`].
-    pub busy: Arc<Gauge>,
-    /// Per-engine breaker-state gauges, indexed by engine code.
-    pub breakers: Vec<Arc<Gauge>>,
-    /// [`JOB_WALL`].
-    pub wall: Arc<Histogram>,
-}
-
-impl JobMetrics {
-    /// Resolves (registering on first use) every handle.
-    pub fn resolve() -> JobMetrics {
-        JobMetrics {
-            completed: metrics::counter(JOBS_COMPLETED),
-            ok: metrics::counter(JOBS_OK),
-            failed: metrics::counter(JOBS_FAILED),
-            engines: ENGINE_CODES
-                .iter()
-                .map(|c| metrics::counter(&engine_jobs_name(*c)))
-                .collect(),
-            queue_depth: metrics::gauge(QUEUE_DEPTH),
-            busy: metrics::gauge(WORKERS_BUSY),
-            breakers: ENGINE_CODES
-                .iter()
-                .map(|c| metrics::gauge(&breaker_state_name(*c)))
-                .collect(),
-            wall: metrics::histogram(JOB_WALL),
-        }
-    }
-}
-
-/// One interval of the service time series, in service terms (protocol
-/// v7 `Series` reply element). Derived from a generic
-/// [`obs::series::SeriesPoint`] laid out by [`series_spec`].
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct SeriesPoint {
-    /// Monotone sample number since the sampler started (a gap-free
-    /// window starts at the client's previously seen seq + 1).
-    pub seq: u64,
-    /// Sample time on the server trace clock, ns.
-    pub t_ns: u64,
-    /// Nanoseconds this sample covers.
-    pub interval_ns: u64,
-    /// Jobs completed during the interval.
-    pub completed: u64,
-    /// ... of which ok.
-    pub ok: u64,
-    /// ... of which failed (any non-ok status).
-    pub failed: u64,
-    /// Queue depth at sample time.
-    pub queue_depth: u64,
-    /// Workers running a job at sample time.
-    pub busy_workers: u64,
-    /// Job wall-time distribution over the interval.
-    pub lat: HistDelta,
-    /// Engines with completions this interval: `(engine code, jobs)`,
-    /// zero-delta engines omitted.
-    pub engines: Vec<(u8, u64)>,
-    /// Breakers not in the closed state at sample time:
-    /// `(engine code, state byte)`, closed breakers omitted.
-    pub breakers: Vec<(u8, u8)>,
-}
-
-impl SeriesPoint {
-    /// Completions per second over the interval (0 for an empty
-    /// interval).
-    pub fn qps(&self) -> f64 {
-        if self.interval_ns == 0 {
-            0.0
-        } else {
-            self.completed as f64 * 1e9 / self.interval_ns as f64
-        }
+/// Resolves (registering on first use) every handle the scheduler's
+/// workers update and the sampler reads.
+pub fn job_metrics() -> JobMetrics {
+    JobMetrics {
+        completed: metrics::counter(JOBS_COMPLETED),
+        ok: metrics::counter(JOBS_OK),
+        failed: metrics::counter(JOBS_FAILED),
+        engines: ENGINE_CODES
+            .iter()
+            .map(|c| metrics::counter(&engine_jobs_name(*c)))
+            .collect(),
+        queue_depth: metrics::gauge(QUEUE_DEPTH),
+        busy: metrics::gauge(WORKERS_BUSY),
+        breakers: ENGINE_CODES
+            .iter()
+            .map(|c| metrics::gauge(&breaker_state_name(*c)))
+            .collect(),
+        wall: metrics::histogram(JOB_WALL),
     }
 }
 
@@ -214,43 +126,6 @@ pub struct AlertReport {
     /// Recent pending/firing/resolved transitions, oldest first
     /// (bounded log).
     pub events: Vec<obs::alert::AlertEvent>,
-}
-
-/// Maps a generic sampler point laid out by [`series_spec`] into
-/// service terms.
-pub fn svc_point(p: &series::SeriesPoint) -> SeriesPoint {
-    debug_assert_eq!(p.counters.len(), FIXED_COUNTERS + ENGINE_CODES.len());
-    debug_assert_eq!(p.gauges.len(), FIXED_GAUGES + ENGINE_CODES.len());
-    debug_assert_eq!(p.hists.len(), 1);
-    let engines = ENGINE_CODES
-        .iter()
-        .enumerate()
-        .filter_map(|(i, code)| {
-            let jobs = p.counters.get(FIXED_COUNTERS + i).copied().unwrap_or(0);
-            (jobs > 0).then_some((*code, jobs))
-        })
-        .collect();
-    let breakers = ENGINE_CODES
-        .iter()
-        .enumerate()
-        .filter_map(|(i, code)| {
-            let state = p.gauges.get(FIXED_GAUGES + i).copied().unwrap_or(0);
-            (state != 0).then_some((*code, state as u8))
-        })
-        .collect();
-    SeriesPoint {
-        seq: p.seq,
-        t_ns: p.t_ns,
-        interval_ns: p.interval_ns,
-        completed: p.counters.first().copied().unwrap_or(0),
-        ok: p.counters.get(1).copied().unwrap_or(0),
-        failed: p.counters.get(2).copied().unwrap_or(0),
-        queue_depth: p.gauges.first().copied().unwrap_or(0),
-        busy_workers: p.gauges.get(1).copied().unwrap_or(0),
-        lat: p.hists.first().cloned().unwrap_or_default(),
-        engines,
-        breakers,
-    }
 }
 
 /// One completed request's server-side trace, as retained by the trace
@@ -302,29 +177,12 @@ impl TraceReport {
 pub const TRACE_LOG_CAP: usize = 512;
 /// Slow exemplars retained for `TraceDump`.
 pub const EXEMPLAR_CAP: usize = 64;
-
-/// Telemetry tuning for a scheduler.
-#[derive(Debug, Clone)]
-pub struct TelemetryConfig {
-    /// Sampler cadence; `None` (the default) starts no sampler thread
-    /// and `Series` reports an empty window.
-    pub sample_interval: Option<Duration>,
-    /// Sample points retained (ring capacity).
-    pub series_cap: usize,
-    /// End-to-end latency at or above which a request's trace is kept
-    /// as a slow exemplar.
-    pub slow_threshold: Duration,
-}
-
-impl Default for TelemetryConfig {
-    fn default() -> TelemetryConfig {
-        TelemetryConfig {
-            sample_interval: None,
-            series_cap: 600,
-            slow_threshold: Duration::from_millis(250),
-        }
-    }
-}
+/// Sample points the series ring retains (2.5 minutes at the `serve`
+/// default 250 ms cadence).
+pub const SERIES_CAP: usize = 600;
+/// End-to-end latency at or above which a request's trace is kept as a
+/// slow exemplar.
+pub const SLOW_THRESHOLD: Duration = Duration::from_millis(250);
 
 /// The scheduler's telemetry state: optional sampler, recent-request
 /// trace log, slow-request exemplars.
@@ -336,26 +194,28 @@ pub struct Telemetry {
 }
 
 impl Telemetry {
-    /// Builds telemetry state, starting the sampler thread if
-    /// `cfg.sample_interval` is set.
-    pub fn new(cfg: &TelemetryConfig) -> Telemetry {
-        let sampler = cfg
-            .sample_interval
-            .map(|every| Sampler::start(series_spec(), every, cfg.series_cap.max(2)));
+    /// Builds telemetry state, starting a sampler thread over `metrics`
+    /// if `sample_interval` is set.
+    pub fn new(sample_interval: Option<Duration>, metrics: &JobMetrics) -> Telemetry {
+        let sampler =
+            sample_interval.map(|every| Sampler::start(metrics.clone(), every, SERIES_CAP));
         Telemetry {
             sampler: Mutex::new(sampler),
             trace_log: Mutex::new(VecDeque::new()),
-            exemplars: ExemplarBuffer::new(cfg.slow_threshold.as_nanos() as u64, EXEMPLAR_CAP),
+            exemplars: ExemplarBuffer::new(SLOW_THRESHOLD.as_nanos() as u64, EXEMPLAR_CAP),
         }
     }
 
     /// Folds a completed request into the trace log (bounded FIFO) and
-    /// offers it to the exemplar buffer.
+    /// offers it to the exemplar buffer — only when it crosses the
+    /// threshold, so a fast job copies no label.
     pub fn record(&self, rec: TraceRecord) {
-        self.exemplars.offer(Exemplar {
-            label: rec.label.clone(),
-            phases: rec.phases,
-        });
+        if rec.phases.total_ns() >= self.exemplars.threshold_ns() {
+            self.exemplars.offer(Exemplar {
+                label: rec.label.clone(),
+                phases: rec.phases,
+            });
+        }
         let mut log = self.trace_log.lock().expect("trace log");
         if log.len() == TRACE_LOG_CAP {
             log.pop_front();
@@ -380,7 +240,7 @@ impl Telemetry {
         let (interval_ns, points) = match slot.as_ref() {
             Some(sampler) => (
                 sampler.interval().as_nanos() as u64,
-                sampler.window(since).iter().map(svc_point).collect(),
+                sampler.window(since),
             ),
             None => (0, Vec::new()),
         };
@@ -429,51 +289,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn spec_layout_matches_svc_point_mapping() {
-        let spec = series_spec();
-        assert_eq!(spec.counters.len(), FIXED_COUNTERS + ENGINE_CODES.len());
-        assert_eq!(spec.gauges.len(), FIXED_GAUGES + ENGINE_CODES.len());
-        assert_eq!(spec.histograms, vec![JOB_WALL.to_string()]);
-        assert_eq!(spec.counters[0], JOBS_COMPLETED);
-        assert_eq!(spec.counters[FIXED_COUNTERS], engine_jobs_name(0));
-        assert_eq!(spec.gauges[FIXED_GAUGES + 6], breaker_state_name(6));
-
-        let mut generic = series::SeriesPoint {
-            seq: 9,
-            t_ns: 1_000,
-            interval_ns: 500_000_000,
-            counters: vec![0; spec.counters.len()],
-            gauges: vec![0; spec.gauges.len()],
-            hists: vec![HistDelta {
-                count: 4,
-                sum_ns: 4_000,
-                p50_ns: 900,
-                p99_ns: 1_800,
-                buckets: vec![(9, 4)],
-            }],
-        };
-        generic.counters[0] = 5; // completed
-        generic.counters[1] = 4; // ok
-        generic.counters[2] = 1; // failed
-        generic.counters[FIXED_COUNTERS + 5] = 5; // engine code 5
-        generic.gauges[0] = 3; // queue depth
-        generic.gauges[1] = 2; // busy
-        generic.gauges[FIXED_GAUGES + 1] = 1; // breaker code 1 open
-
-        let p = svc_point(&generic);
-        assert_eq!(p.seq, 9);
-        assert_eq!((p.completed, p.ok, p.failed), (5, 4, 1));
-        assert_eq!((p.queue_depth, p.busy_workers), (3, 2));
-        assert_eq!(p.engines, vec![(5u8, 5u64)], "zero-delta engines omitted");
-        assert_eq!(p.breakers, vec![(1u8, 1u8)], "closed breakers omitted");
-        assert_eq!(p.lat.count, 4);
-        assert_eq!(p.lat.buckets, vec![(9, 4)], "bucket deltas pass through");
-        assert!((p.qps() - 10.0).abs() < 1e-9, "5 jobs / 0.5s");
-    }
-
-    #[test]
     fn telemetry_off_is_empty_but_well_formed() {
-        let t = Telemetry::new(&TelemetryConfig::default());
+        let t = Telemetry::new(None, &job_metrics());
         t.close_window(); // no-op without a sampler
         let s = t.series(None);
         assert_eq!(s.interval_ns, 0);
@@ -484,14 +301,10 @@ mod tests {
 
     #[test]
     fn trace_log_bounds_and_exemplars_gate() {
-        let cfg = TelemetryConfig {
-            slow_threshold: Duration::from_millis(1),
-            ..TelemetryConfig::default()
-        };
-        let t = Telemetry::new(&cfg);
+        let t = Telemetry::new(None, &job_metrics());
         let n = TRACE_LOG_CAP as u64 + 2;
         for i in 0..n {
-            let slow = i == n - 1; // only the last one crosses 1ms
+            let slow = i == n - 1; // only the last one crosses 250ms
             t.record(TraceRecord {
                 label: format!("job-{i}"),
                 ok: true,
@@ -499,13 +312,13 @@ mod tests {
                     trace_id: 100 + i,
                     enqueue_ns: 1_000,
                     start_ns: 2_000,
-                    done_ns: 1_000 + if slow { 2_000_000 } else { 10_000 },
+                    done_ns: 1_000 + if slow { 300_000_000 } else { 10_000 },
                     ..ServerPhases::default()
                 },
             });
         }
         let dump = t.trace_dump();
-        assert_eq!(dump.slow_threshold_ns, 1_000_000);
+        assert_eq!(dump.slow_threshold_ns, 250_000_000);
         assert_eq!(dump.recent.len(), TRACE_LOG_CAP, "log is bounded");
         let ids: Vec<u64> = dump.recent.iter().map(|r| r.phases.trace_id).collect();
         assert_eq!(ids, (102..100 + n).collect::<Vec<u64>>(), "oldest evicted");

@@ -44,6 +44,14 @@ fn trace_check_usage_exits_2_and_an_invalid_trace_exits_1() {
     let _ = std::fs::remove_file(unbalanced);
 }
 
+/// The series ring's capacity and the slow-exemplar threshold are
+/// constants (`SERIES_CAP`, `SLOW_THRESHOLD`), not `serve` flags.
+#[test]
+fn serve_refuses_the_retired_telemetry_flags() {
+    assert_exit(&["serve", "--socket", ABSENT, "--series-cap", "5"], 2, "--series-cap");
+    assert_exit(&["serve", "--socket", ABSENT, "--slow-ms", "1"], 2, "--slow-ms");
+}
+
 #[test]
 fn windows_refuses_another_commands_flag() {
     assert_exit(&["windows", "--socket", ABSENT, "--bench", "x"], 2, "--bench");

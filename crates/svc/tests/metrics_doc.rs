@@ -11,7 +11,6 @@ use engines::EngineKind;
 use obs::metrics::MetricValue;
 use svc::job::{JobMode, JobSpec, Scale};
 use svc::scheduler::{Config, Scheduler};
-use svc::telemetry::TelemetryConfig;
 use wacc::OptLevel;
 
 const DOC: &str = include_str!("../../../docs/METRICS.md");
@@ -78,10 +77,7 @@ fn every_registered_metric_is_documented() {
         store_dir: Some(dir.join("store")),
         store_cap_bytes: 64 << 20,
         faults: Some(Arc::new(plan)),
-        telemetry: TelemetryConfig {
-            sample_interval: Some(Duration::from_millis(20)),
-            ..TelemetryConfig::default()
-        },
+        sample_interval: Some(Duration::from_millis(20)),
         ..Config::default()
     })
     .expect("start scheduler");

@@ -11,7 +11,6 @@ use std::time::Duration;
 use svc::job::{JobSpec, Scale, TraceCtx};
 use svc::scheduler::{Config, Scheduler};
 use svc::server::{serve, Client};
-use svc::telemetry::TelemetryConfig;
 
 /// The metrics registry the sampler reads is process-global, so a job
 /// run by one test would show up in the other's window.
@@ -60,10 +59,7 @@ fn trace_ids_flow_submit_to_digest_to_dump_and_series_fills() {
         &socket,
         Config {
             workers: 2,
-            telemetry: TelemetryConfig {
-                sample_interval: Some(Duration::from_millis(20)),
-                ..TelemetryConfig::default()
-            },
+            sample_interval: Some(Duration::from_millis(20)),
             ..Config::default()
         },
     );
