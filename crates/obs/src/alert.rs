@@ -5,8 +5,9 @@
 //! [`AlertEngine`] is fed one [`SeriesPoint`] per telemetry sample and
 //! evaluates a fixed set of [`Rule`]s over a bounded trailing window:
 //! dual-window error-budget burn rate, a p99 latency ceiling, queue
-//! saturation, circuit breakers not closed, and profile drift (a phase's
-//! self-time share jumping versus its trailing baseline).
+//! saturation, circuit breakers not closed, and profile drift (an
+//! engine × phase share of a point's self-time jumping versus the same
+//! share in the trailing points).
 //!
 //! Rules parse from a compact spec string (`--alerts` /
 //! `WABENCH_ALERTS`), the same shape `fault::FaultPlan` uses:
@@ -25,7 +26,7 @@
 use std::collections::VecDeque;
 
 use crate::metrics::fmt_ns;
-use crate::series::{SeriesPoint, Window};
+use crate::series::{EngineName, SeriesPoint, Window};
 
 /// Hard cap on samples an engine retains, on top of the time-window
 /// bound (guards against a spec with an enormous window).
@@ -36,6 +37,10 @@ const LOG_CAP: usize = 256;
 
 /// Baseline points the drift rule needs before it can judge a phase.
 const DRIFT_MIN_BASELINE: usize = 3;
+
+/// Jobs a point must cover for the drift rule to read it: the share of
+/// a point holding one or two jobs is too noisy to judge or learn from.
+pub const DRIFT_MIN_JOBS: u64 = 3;
 
 /// What a rule watches.
 #[derive(Debug, Clone, PartialEq)]
@@ -69,8 +74,11 @@ pub enum RuleKind {
     },
     /// Any circuit breaker not closed at the latest sample.
     Breaker,
-    /// A profile phase's self-time share exceeds its trailing-baseline
-    /// mean by more than `k` standard deviations.
+    /// An engine × phase share of the latest point's self-time exceeds
+    /// the mean of its shares in the trailing points by more than `k`
+    /// standard deviations. Points of fewer than [`DRIFT_MIN_JOBS`] jobs
+    /// are not read: they neither judge, join the baseline, nor move
+    /// the rule's state.
     Drift {
         /// Sigma multiplier.
         k: f64,
@@ -435,11 +443,10 @@ struct Eval {
 #[derive(Debug)]
 pub struct AlertEngine {
     spec: AlertSpec,
+    /// Names the drift rule's phases in its detail.
+    engine_name: EngineName,
     /// Retained samples, oldest first (the sampler's clock is monotone).
     window: Vec<SeriesPoint>,
-    /// Profile phase shares at each retained sample, parallel to
-    /// `window` (the drift rule's baseline).
-    shares: Vec<Vec<(String, f64)>>,
     states: Vec<State>,
     last_eval: Vec<Eval>,
     log: VecDeque<AlertEvent>,
@@ -447,13 +454,14 @@ pub struct AlertEngine {
 }
 
 impl AlertEngine {
-    /// An engine with every rule inactive and an empty window.
-    pub fn new(spec: AlertSpec) -> AlertEngine {
+    /// An engine with every rule inactive and an empty window;
+    /// `engine_name` renders engine codes in the drift rule's detail.
+    pub fn new(spec: AlertSpec, engine_name: EngineName) -> AlertEngine {
         let n = spec.rules.len();
         AlertEngine {
             spec,
+            engine_name,
             window: Vec::new(),
-            shares: Vec::new(),
             states: vec![State::Inactive; n],
             last_eval: (0..n)
                 .map(|_| Eval {
@@ -474,17 +482,10 @@ impl AlertEngine {
     }
 
     /// Feeds one sample and returns the transitions it caused, in rule
-    /// order. The point's `t_ns` is the evaluation clock;
-    /// `phase_shares` are the continuous profiler's current
-    /// `stack → share of total self time` (empty when it is off).
-    pub fn observe(
-        &mut self,
-        point: SeriesPoint,
-        phase_shares: &[(String, f64)],
-    ) -> Vec<AlertEvent> {
+    /// order. The point's `t_ns` is the evaluation clock.
+    pub fn observe(&mut self, point: SeriesPoint) -> Vec<AlertEvent> {
         let now = point.t_ns;
         self.window.push(point);
-        self.shares.push(phase_shares.to_vec());
         // Drop samples older than any rule looks back (keeping the
         // newest), then enforce the hard cap.
         let keep_from = now.saturating_sub(self.spec.lookback_ns());
@@ -493,11 +494,13 @@ impl AlertEngine {
             .min(self.window.len() - 1)
             .max(self.window.len().saturating_sub(MAX_SAMPLES));
         self.window.drain(..cut);
-        self.shares.drain(..cut);
 
         let mut transitions = Vec::new();
         for i in 0..self.spec.rules.len() {
-            let eval = self.evaluate(i, now);
+            // A rule with nothing to read in this point keeps its state.
+            let Some(eval) = self.evaluate(i, now) else {
+                continue;
+            };
             let state = self.states[i];
             let next = match (state, eval.breached) {
                 (State::Inactive, true) if self.spec.pending_ns == 0 => {
@@ -576,8 +579,10 @@ impl AlertEngine {
         self.window.partition_point(|p| p.t_ns <= from)
     }
 
-    fn evaluate(&self, rule: usize, now: u64) -> Eval {
-        match self.spec.rules[rule].kind {
+    /// `None` when the rule cannot read the newest point (drift over an
+    /// idle or thin interval).
+    fn evaluate(&self, rule: usize, now: u64) -> Option<Eval> {
+        Some(match self.spec.rules[rule].kind {
             RuleKind::Burn {
                 threshold,
                 fast_ns,
@@ -629,40 +634,44 @@ impl AlertEngine {
                 }
             }
             RuleKind::Drift { k, window_ns } => {
-                let Some((cur, cur_shares)) = self.window.last().zip(self.shares.last()) else {
-                    return Eval {
-                        breached: false,
-                        value: 0.0,
-                        threshold: k,
-                        detail: String::new(),
-                    };
-                };
+                // Judge the newest point against the readable points
+                // before it; idle and thin intervals neither judge nor
+                // join the baseline.
+                let (cur, past) = self.window[self.trailing(now, window_ns)..].split_last()?;
+                if !drift_reads(cur) {
+                    return None;
+                }
                 let mut worst: Option<(f64, String)> = None;
-                let from = self.trailing(now, window_ns);
-                for (phase, share) in cur_shares {
-                    let baseline: Vec<f64> = self.window[from..]
-                        .iter()
-                        .zip(&self.shares[from..])
-                        .filter(|(p, _)| p.t_ns < cur.t_ns)
-                        .filter_map(|(_, shares)| {
-                            shares.iter().find(|(p, _)| p == phase).map(|(_, s)| *s)
-                        })
-                        .collect();
-                    if baseline.len() < DRIFT_MIN_BASELINE {
-                        continue;
-                    }
-                    let mean = baseline.iter().sum::<f64>() / baseline.len() as f64;
-                    let var = baseline.iter().map(|s| (s - mean).powi(2)).sum::<f64>()
-                        / baseline.len() as f64;
-                    // Share noise floor: a dead-flat baseline would turn
-                    // any change into an infinite z-score.
-                    let sigma = var.sqrt().max(1e-3);
-                    let z = (share - mean) / sigma;
-                    if worst.as_ref().is_none_or(|(w, _)| z > *w) {
-                        worst = Some((
-                            z,
-                            format!("phase={phase} share={share:.3} base={mean:.3} z={z:.2}"),
-                        ));
+                for e in &cur.engines {
+                    for exec in [false, true] {
+                        let Some(share) = phase_share(cur, e.code, exec) else {
+                            continue;
+                        };
+                        let (mut n, mut sum, mut sum_sq) = (0usize, 0.0, 0.0);
+                        for s in past
+                            .iter()
+                            .filter(|p| drift_reads(p))
+                            .filter_map(|p| phase_share(p, e.code, exec))
+                        {
+                            (n, sum, sum_sq) = (n + 1, sum + s, sum_sq + s * s);
+                        }
+                        if n < DRIFT_MIN_BASELINE {
+                            continue;
+                        }
+                        let mean = sum / n as f64;
+                        let var = (sum_sq / n as f64 - mean * mean).max(0.0);
+                        // Share noise floor: a dead-flat baseline would
+                        // turn any change into an infinite z-score.
+                        let sigma = var.sqrt().max(1e-3);
+                        let z = (share - mean) / sigma;
+                        if worst.as_ref().is_none_or(|(w, _)| z > *w) {
+                            let phase = if exec { "exec" } else { "compile" };
+                            let stack = format!("{};{phase}", (self.engine_name)(e.code));
+                            worst = Some((
+                                z,
+                                format!("phase={stack} share={share:.3} base={mean:.3} z={z:.2}"),
+                            ));
+                        }
                     }
                 }
                 let (z, detail) = worst.unwrap_or((0.0, "no baseline".to_string()));
@@ -673,16 +682,35 @@ impl AlertEngine {
                     detail,
                 }
             }
-        }
+        })
     }
+}
+
+/// Whether the drift rule reads a point: it must carry phase time from
+/// at least [`DRIFT_MIN_JOBS`] jobs.
+fn drift_reads(p: &SeriesPoint) -> bool {
+    p.engines.iter().map(|e| e.jobs).sum::<u64>() >= DRIFT_MIN_JOBS && p.has_phase_time()
+}
+
+/// One engine's compile (`exec` false) or exec share of a point's
+/// self-time; `None` when that phase recorded no time.
+fn phase_share(p: &SeriesPoint, code: u8, exec: bool) -> Option<f64> {
+    let e = p.engines.iter().find(|e| e.code == code)?;
+    let ns = if exec { e.exec_ns } else { e.compile_ns };
+    let total: u64 = p.engines.iter().map(|e| e.compile_ns + e.exec_ns).sum();
+    (ns > 0).then(|| ns as f64 / total as f64)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::series::HistDelta;
+    use crate::series::{EngineDelta, HistDelta};
 
     const S: u64 = 1_000_000_000;
+
+    fn name(_: u8) -> &'static str {
+        "wasm3"
+    }
 
     fn obs(t_s: u64) -> SeriesPoint {
         SeriesPoint {
@@ -697,6 +725,7 @@ mod tests {
         SeriesPoint {
             lat: HistDelta {
                 count,
+                max_ns: crate::metrics::bucket_bound_ns(usize::from(bucket)),
                 buckets: vec![(bucket, count)],
                 ..HistDelta::default()
             },
@@ -744,8 +773,8 @@ mod tests {
 
     #[test]
     fn empty_spec_arms_nothing() {
-        let engine = &mut AlertEngine::new(AlertSpec::parse("").unwrap());
-        assert!(engine.observe(obs(1), &[]).is_empty());
+        let engine = &mut AlertEngine::new(AlertSpec::parse("").unwrap(), name);
+        assert!(engine.observe(obs(1)).is_empty());
         assert!(engine.firing().is_empty());
         assert!(engine.log().is_empty());
     }
@@ -754,19 +783,19 @@ mod tests {
     fn p99_rule_fires_and_resolves_on_merged_quantile() {
         // Ceiling 1ms; bucket 13 holds (1.05ms, 2.1ms].
         let spec = AlertSpec::parse("p99=1ms:10s").unwrap();
-        let mut engine = AlertEngine::new(spec);
+        let mut engine = AlertEngine::new(spec, name);
         let slow = |t: u64| lat(t, 13, 10);
         let fast = |t: u64| lat(t, 9, 10);
-        let events = engine.observe(slow(1), &[]);
+        let events = engine.observe(slow(1));
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].transition, Transition::Firing);
         assert_eq!(events[0].rule, "p99");
         assert!(events[0].value > 1_000_000.0);
         assert_eq!(engine.firing().len(), 1);
         // Still breached while the slow point is in the window...
-        assert!(engine.observe(fast(2), &[]).is_empty());
+        assert!(engine.observe(fast(2)).is_empty());
         // ...resolved once it ages out (window is 10s).
-        let events = engine.observe(fast(12), &[]);
+        let events = engine.observe(fast(12));
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].transition, Transition::Resolved);
         assert!(engine.firing().is_empty());
@@ -779,26 +808,26 @@ mod tests {
     #[test]
     fn pending_hold_delays_firing_and_cancels_cleanly() {
         let spec = AlertSpec::parse("pending=3s,queue=4:10s").unwrap();
-        let mut engine = AlertEngine::new(spec.clone());
+        let mut engine = AlertEngine::new(spec.clone(), name);
         let deep = |t: u64| SeriesPoint {
             queue_depth: 9,
             ..obs(t)
         };
-        let events = engine.observe(deep(1), &[]);
+        let events = engine.observe(deep(1));
         assert_eq!(events[0].transition, Transition::Pending);
         assert!(engine.firing().is_empty(), "pending is not firing");
-        assert!(engine.observe(deep(2), &[]).is_empty(), "still holding");
-        let events = engine.observe(deep(4), &[]);
+        assert!(engine.observe(deep(2)).is_empty(), "still holding");
+        let events = engine.observe(deep(4));
         assert_eq!(events[0].transition, Transition::Firing);
         assert_eq!(engine.firing()[0].since_ns, S, "firing since first breach");
 
         // A breach that clears during the hold never fires.
-        let mut engine = AlertEngine::new(spec);
-        engine.observe(deep(1), &[]);
-        assert!(engine.observe(obs(20), &[]).is_empty(), "cancelled silently");
+        let mut engine = AlertEngine::new(spec, name);
+        engine.observe(deep(1));
+        assert!(engine.observe(obs(20)).is_empty(), "cancelled silently");
         // The shallow sample must age out of the 10s window before the
         // rule can go pending again.
-        assert!(engine.observe(deep(31), &[])[0].transition == Transition::Pending);
+        assert!(engine.observe(deep(31))[0].transition == Transition::Pending);
     }
 
     #[test]
@@ -806,7 +835,7 @@ mod tests {
         // slo=0.9 → budget 0.1; threshold 2 → failure ratio ≥ 0.2 in
         // both the 2s fast and 6s slow windows.
         let spec = AlertSpec::parse("slo=0.9,burn=2:2s:6s").unwrap();
-        let mut engine = AlertEngine::new(spec);
+        let mut engine = AlertEngine::new(spec, name);
         let failing = |t: u64| SeriesPoint {
             completed: 10,
             failed: 5,
@@ -820,12 +849,12 @@ mod tests {
         // A long clean history dilutes the slow window below threshold:
         // fast breaches, slow does not → no alert.
         for t in 1..=5 {
-            assert!(engine.observe(clean(t), &[]).is_empty());
+            assert!(engine.observe(clean(t)).is_empty());
         }
-        assert!(engine.observe(failing(6), &[]).is_empty(), "slow window still diluted");
-        assert!(engine.observe(failing(7), &[]).is_empty(), "slow window still diluted");
+        assert!(engine.observe(failing(6)).is_empty(), "slow window still diluted");
+        assert!(engine.observe(failing(7)).is_empty(), "slow window still diluted");
         // Sustained failures push both windows over.
-        let events = engine.observe(failing(8), &[]);
+        let events = engine.observe(failing(8));
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].transition, Transition::Firing);
         assert_eq!(events[0].rule, "burn");
@@ -833,16 +862,16 @@ mod tests {
 
     #[test]
     fn breaker_rule_tracks_latest_sample() {
-        let mut engine = AlertEngine::new(AlertSpec::parse("breaker").unwrap());
-        assert!(engine.observe(obs(1), &[]).is_empty());
+        let mut engine = AlertEngine::new(AlertSpec::parse("breaker").unwrap(), name);
+        assert!(engine.observe(obs(1)).is_empty());
         let open = SeriesPoint {
             breakers: vec![(1, 1), (4, 1)],
             ..obs(2)
         };
-        let events = engine.observe(open, &[]);
+        let events = engine.observe(open);
         assert_eq!(events[0].transition, Transition::Firing);
         assert_eq!(events[0].value, 2.0);
-        let events = engine.observe(obs(3), &[]);
+        let events = engine.observe(obs(3));
         assert_eq!(events[0].transition, Transition::Resolved);
     }
 
@@ -851,47 +880,129 @@ mod tests {
     /// instead of resolving mid-probe and re-firing if the probe fails.
     #[test]
     fn breaker_rule_keeps_firing_while_half_open() {
-        let mut engine = AlertEngine::new(AlertSpec::parse("breaker").unwrap());
+        let mut engine = AlertEngine::new(AlertSpec::parse("breaker").unwrap(), name);
         let with = |t: u64, state: u8| SeriesPoint {
             breakers: vec![(3, state)],
             ..obs(t)
         };
-        assert_eq!(engine.observe(with(1, 1), &[])[0].transition, Transition::Firing);
-        assert!(engine.observe(with(2, 2), &[]).is_empty(), "half-open is not closed");
+        assert_eq!(engine.observe(with(1, 1))[0].transition, Transition::Firing);
+        assert!(engine.observe(with(2, 2)).is_empty(), "half-open is not closed");
         assert_eq!(engine.firing().len(), 1);
         assert_eq!(engine.firing()[0].value, 1.0);
-        assert_eq!(engine.observe(obs(3), &[])[0].transition, Transition::Resolved);
+        assert_eq!(engine.observe(obs(3))[0].transition, Transition::Resolved);
+    }
+
+    /// A point whose jobs split `exec` : `1 - exec` between exec and
+    /// compile time (`exec` None: an idle interval, no phase time).
+    fn phases(t_s: u64, exec: Option<f64>) -> SeriesPoint {
+        let engines = exec.map_or_else(Vec::new, |e| {
+            vec![EngineDelta {
+                code: 3,
+                jobs: 4,
+                compile_ns: ((1.0 - e) * 1e6) as u64,
+                exec_ns: (e * 1e6) as u64,
+            }]
+        });
+        SeriesPoint {
+            engines,
+            ..obs(t_s)
+        }
     }
 
     #[test]
     fn drift_rule_wants_a_baseline_before_judging() {
         let spec = AlertSpec::parse("drift=3:60s").unwrap();
-        let mut engine = AlertEngine::new(spec);
-        let shares = |exec: f64| {
-            vec![
-                ("wasm3;compile".to_string(), 1.0 - exec),
-                ("wasm3;exec".to_string(), exec),
-            ]
-        };
+        let mut engine = AlertEngine::new(spec, name);
         // A jump with no baseline cannot fire.
-        assert!(engine.observe(obs(1), &shares(0.9)).is_empty());
+        assert!(engine.observe(phases(1, Some(0.9))).is_empty());
         // Build a steady baseline, then jump the exec share.
-        let mut engine = AlertEngine::new(AlertSpec::parse("drift=3:60s").unwrap());
+        let mut engine = AlertEngine::new(AlertSpec::parse("drift=3:60s").unwrap(), name);
         for (t, s) in [(1, 0.50), (2, 0.51), (3, 0.49), (4, 0.50)] {
-            assert!(engine.observe(obs(t), &shares(s)).is_empty(), "t={t}");
+            assert!(engine.observe(phases(t, Some(s))).is_empty(), "t={t}");
         }
-        let events = engine.observe(obs(5), &shares(0.95));
+        let events = engine.observe(phases(5, Some(0.95)));
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].rule, "drift");
         assert_eq!(events[0].transition, Transition::Firing);
         assert!(events[0].detail.contains("phase=wasm3;exec"), "{}", events[0].detail);
     }
 
+    /// Idle points carry no phase time: they neither judge nor pad the
+    /// baseline, so a long quiet spell between two stretches of the
+    /// same mix leaves the rule quiet.
+    #[test]
+    fn drift_rule_ignores_idle_points() {
+        let mut engine = AlertEngine::new(AlertSpec::parse("drift=3:60s").unwrap(), name);
+        let steady = [0.50, 0.52, 0.48, 0.51, 0.49];
+        for (t, s) in (1..).zip(steady) {
+            assert!(engine.observe(phases(t, Some(s))).is_empty());
+        }
+        for t in 6..30 {
+            assert!(engine.observe(phases(t, None)).is_empty(), "idle t={t}");
+        }
+        for (t, s) in (30..).zip(steady) {
+            assert!(engine.observe(phases(t, Some(s))).is_empty(), "resumed t={t}");
+        }
+        assert!(engine.log().is_empty());
+    }
+
+    /// A point the drift rule cannot read changes nothing: a firing
+    /// alert stays firing across idle points, and a pending one still
+    /// fires when a breach read after an idle spell ends the hold.
+    #[test]
+    fn idle_points_keep_the_drift_state() {
+        let steady = |engine: &mut AlertEngine| {
+            for t in 1..=20 {
+                let s = if t % 2 == 0 { 0.51 } else { 0.49 };
+                assert!(engine.observe(phases(t, Some(s))).is_empty(), "t={t}");
+            }
+        };
+        let mut engine = AlertEngine::new(AlertSpec::parse("drift=3:60s").unwrap(), name);
+        steady(&mut engine);
+        assert_eq!(engine.observe(phases(21, Some(0.95)))[0].transition, Transition::Firing);
+        for t in 22..30 {
+            assert!(engine.observe(phases(t, None)).is_empty(), "idle t={t}");
+        }
+        assert_eq!(engine.firing().len(), 1);
+
+        let spec = AlertSpec::parse("pending=3s,drift=3:60s").unwrap();
+        let mut engine = AlertEngine::new(spec, name);
+        steady(&mut engine);
+        assert_eq!(engine.observe(phases(21, Some(0.95)))[0].transition, Transition::Pending);
+        for t in 22..30 {
+            assert!(engine.observe(phases(t, None)).is_empty(), "idle t={t}");
+        }
+        let events = engine.observe(phases(30, Some(0.95)));
+        assert_eq!(events.len(), 1, "{events:?}");
+        assert_eq!(events[0].transition, Transition::Firing);
+    }
+
+    /// A point covering fewer than `DRIFT_MIN_JOBS` jobs is neither
+    /// judged nor learnt from.
+    #[test]
+    fn drift_rule_skips_thin_points() {
+        let thin = |t: u64, exec: f64| {
+            let mut p = phases(t, Some(exec));
+            p.engines[0].jobs = DRIFT_MIN_JOBS - 1;
+            p
+        };
+        let mut engine = AlertEngine::new(AlertSpec::parse("drift=3:60s").unwrap(), name);
+        for (t, s) in [(1, 0.50), (2, 0.51), (3, 0.49), (4, 0.50)] {
+            engine.observe(phases(t, Some(s)));
+        }
+        assert!(engine.observe(thin(5, 0.95)).is_empty(), "a thin point cannot fire");
+        // Thin points do not widen the baseline either.
+        for t in 6..10 {
+            engine.observe(thin(t, if t % 2 == 0 { 0.1 } else { 0.9 }));
+        }
+        assert_eq!(engine.observe(phases(10, Some(0.95)))[0].transition, Transition::Firing);
+    }
+
     #[test]
     fn observations_are_bounded_by_lookback() {
-        let mut engine = AlertEngine::new(AlertSpec::parse("queue=1:5s").unwrap());
+        let mut engine = AlertEngine::new(AlertSpec::parse("queue=1:5s").unwrap(), name);
         for t in 1..=500 {
-            engine.observe(obs(t), &[]);
+            engine.observe(obs(t));
         }
         assert!(
             engine.window.len() <= 8,

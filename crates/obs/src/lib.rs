@@ -24,11 +24,11 @@
 //!
 //! Live-telemetry pieces ride on those: a background sampler of the
 //! service's job metrics feeding a bounded delta ring and the one
-//! window merge over it ([`series`]), a threshold-gated
+//! window merge over it ([`series`]) — job counts, latency, and the
+//! engine × phase self-time profile alike — a threshold-gated
 //! slow-request exemplar buffer ([`exemplar`]), a client/server
 //! trace stitcher with round-trip clock-offset estimation ([`stitch`]),
-//! a windowed continuous-profile aggregator ([`contprof`]), and an SLO
-//! alert-rule engine ([`alert`]). None of them run unless explicitly
+//! and an SLO alert-rule engine ([`alert`]). None of them run unless explicitly
 //! started, preserving the bit-identical-when-off contract.
 //!
 //! There is also a leveled [`log!`] macro family (respecting
@@ -57,7 +57,6 @@
 pub mod alert;
 pub mod chrome;
 pub mod cli;
-pub mod contprof;
 pub mod exemplar;
 pub mod folded;
 pub mod json;

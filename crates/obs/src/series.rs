@@ -9,8 +9,10 @@
 //! increments, per-interval histogram quantiles) plus instantaneous
 //! gauge levels into a bounded ring, so an operator tool can ask "what
 //! happened in the last minute" without the server keeping unbounded
-//! history. [`Window`] merges a run of points into whole-window totals
-//! and one exact p99.
+//! history. Each point also carries every engine's compile and exec
+//! time for the jobs it covers, so [`Window`] merges a run of points
+//! into whole-window totals, one p99, and the engine × phase self-time
+//! profile (the paper's compile/execute split, live).
 //!
 //! Nothing samples unless a `Sampler` is explicitly started, so
 //! workloads that never start one (the simulated figure paths) are
@@ -18,25 +20,30 @@
 //! [`crate::trace::Sink::Null`].
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
-use crate::metrics::{Counter, Gauge, Histogram, HistogramSnapshot};
+use crate::metrics::{bucket_bound_ns, Counter, Gauge, Histogram, HistogramSnapshot};
 use crate::trace;
 
 /// Per-interval view of one histogram: the observations made since the
 /// previous sample. Quantiles are bucket-interpolated (the interval
-/// difference of two cumulative snapshots has no exact min/max).
+/// difference of two cumulative snapshots has no min/max) and clamped
+/// to the interval's own maximum.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct HistDelta {
     /// Observations during the interval.
     pub count: u64,
     /// Sum of those observations, nanoseconds.
     pub sum_ns: u64,
+    /// The largest observation during the interval, nanoseconds (0 when
+    /// `count == 0`; [`DeltaRing::sample`] names the one race).
+    pub max_ns: u64,
     /// Interval p50 estimate, nanoseconds (0 when `count == 0`).
     pub p50_ns: u64,
-    /// Interval p99 estimate, nanoseconds (0 when `count == 0`).
+    /// Interval p99 estimate, nanoseconds (0 when `count == 0`), at
+    /// most `max_ns`.
     pub p99_ns: u64,
     /// Sparse nonzero bucket deltas `(bucket index, count)`, index
     /// order (see [`crate::metrics::bucket_bound_ns`]). Summing these
@@ -47,8 +54,9 @@ pub struct HistDelta {
 }
 
 /// The registry handles a sampler reads, resolved once so neither the
-/// service's per-job hot path nor the sampler touches the name→handle
-/// map. Per-engine vectors are indexed by engine wire code.
+/// service's per-job hot path ([`JobMetrics::record`]) nor the sampler
+/// touches the name→handle map. Per-engine vectors are indexed by
+/// engine wire code.
 #[derive(Debug, Clone)]
 pub struct JobMetrics {
     /// Jobs completed (any status).
@@ -59,6 +67,10 @@ pub struct JobMetrics {
     pub failed: Arc<Counter>,
     /// Per-engine completed counters, indexed by engine code.
     pub engines: Vec<Arc<Counter>>,
+    /// Per-engine compile-or-load nanoseconds, indexed by engine code.
+    pub compile_ns: Vec<Arc<Counter>>,
+    /// Per-engine execution nanoseconds, indexed by engine code.
+    pub exec_ns: Vec<Arc<Counter>>,
     /// Jobs queued but not yet picked up.
     pub queue_depth: Arc<Gauge>,
     /// Workers currently running a job.
@@ -68,7 +80,53 @@ pub struct JobMetrics {
     pub breakers: Vec<Arc<Gauge>>,
     /// End-to-end job wall time.
     pub wall: Arc<Histogram>,
+    /// The largest `wall` observation since the last sample, which the
+    /// sampler swaps back to 0. Not a registry metric: it belongs to
+    /// the one sampler reading it.
+    pub wall_max: Arc<AtomicU64>,
 }
+
+impl JobMetrics {
+    /// Records one completed job: its engine, outcome, end-to-end wall
+    /// time and compile/exec split. Lock- and allocation-free; a code
+    /// with no handle counts only in the totals.
+    pub fn record(&self, engine: u8, ok: bool, wall_ns: u64, compile_ns: u64, exec_ns: u64) {
+        self.completed.inc();
+        if ok {
+            self.ok.inc();
+        } else {
+            self.failed.inc();
+        }
+        let code = usize::from(engine);
+        let per_engine = [(&self.engines, 1), (&self.compile_ns, compile_ns), (&self.exec_ns, exec_ns)];
+        for (handles, n) in per_engine {
+            if let Some(c) = handles.get(code) {
+                c.add(n);
+            }
+        }
+        // The interval max first: a sample that catches this job's
+        // bucket then also holds its max (see `DeltaRing::sample`).
+        self.wall_max.fetch_max(wall_ns, Ordering::Relaxed);
+        self.wall.observe_ns(wall_ns);
+    }
+}
+
+/// The work one engine completed during an interval.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct EngineDelta {
+    /// Engine wire code.
+    pub code: u8,
+    /// Jobs completed.
+    pub jobs: u64,
+    /// Those jobs' compile-or-load time, summed, ns.
+    pub compile_ns: u64,
+    /// Those jobs' execution time, summed, ns.
+    pub exec_ns: u64,
+}
+
+/// Maps an engine wire code to the name its profile stacks carry
+/// (`Wasm3;exec`); the service supplies it, `obs` knows no engines.
+pub type EngineName = fn(u8) -> &'static str;
 
 /// One interval of the service time series (the `Series` reply
 /// element).
@@ -93,9 +151,9 @@ pub struct SeriesPoint {
     pub busy_workers: u64,
     /// Job wall-time distribution over the interval.
     pub lat: HistDelta,
-    /// Engines with completions this interval: `(engine code, jobs)`,
-    /// zero-delta engines omitted.
-    pub engines: Vec<(u8, u64)>,
+    /// Engines with work this interval, code order; engines with all
+    /// deltas zero are omitted.
+    pub engines: Vec<EngineDelta>,
     /// Breakers not in the closed state at sample time:
     /// `(engine code, state byte)`, closed breakers omitted.
     pub breakers: Vec<(u8, u8)>,
@@ -107,6 +165,45 @@ impl SeriesPoint {
     pub fn qps(&self) -> f64 {
         rate(self.completed, self.interval_ns)
     }
+
+    /// Whether the interval's jobs recorded any compile or exec time
+    /// (an idle interval records none).
+    pub fn has_phase_time(&self) -> bool {
+        self.engines.iter().any(|e| e.compile_ns + e.exec_ns > 0)
+    }
+
+    /// This interval's self-time per `engine;phase` stack, as
+    /// [`Window::stacks`].
+    pub fn stacks(&self, name: EngineName) -> Vec<(String, u64)> {
+        stacks(&self.engines, name)
+    }
+
+    /// This interval's share per stack, as [`Window::shares`].
+    pub fn shares(&self, name: EngineName) -> Vec<(String, f64)> {
+        shares(self.stacks(name))
+    }
+}
+
+/// Self-time per `engine;phase` stack, nonzero stacks only, in stack
+/// order.
+fn stacks(engines: &[EngineDelta], name: EngineName) -> Vec<(String, u64)> {
+    let mut stacks: Vec<(String, u64)> = engines
+        .iter()
+        .flat_map(|e| [(e.code, "compile", e.compile_ns), (e.code, "exec", e.exec_ns)])
+        .filter(|(_, _, ns)| *ns > 0)
+        .map(|(code, phase, ns)| (format!("{};{phase}", name(code)), ns))
+        .collect();
+    stacks.sort();
+    stacks
+}
+
+/// Each stack's share of the stacks' total self-time.
+fn shares(stacks: Vec<(String, u64)>) -> Vec<(String, f64)> {
+    let total: u64 = stacks.iter().map(|(_, ns)| ns).sum();
+    stacks
+        .into_iter()
+        .map(|(stack, ns)| (stack, ns as f64 / total as f64))
+        .collect()
 }
 
 fn rate(n: u64, span_ns: u64) -> f64 {
@@ -118,8 +215,9 @@ fn rate(n: u64, span_ns: u64) -> f64 {
 }
 
 /// Whole-window totals over consecutive [`SeriesPoint`]s: the one
-/// merge behind the alert rules' burn rate and p99 and `top`'s window
-/// columns.
+/// merge behind the alert rules, `top`'s window columns, and every
+/// reading of the engine × phase profile (`windows`/`wdiff`, `doctor`,
+/// the postmortem bundle).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Window {
     /// Jobs completed across the window.
@@ -131,9 +229,14 @@ pub struct Window {
     /// Nanoseconds the window covers (the points' intervals summed).
     pub span_ns: u64,
     /// The points' sparse bucket deltas merged into one histogram;
-    /// `count` is the merged bucket total. No exact extremes survive
-    /// the merge, so quantiles interpolate within buckets.
+    /// `count` is the merged bucket total. Quantiles interpolate within
+    /// buckets (the snapshot carries no extremes) and [`Window::p99_ns`]
+    /// clamps to `max_ns`.
     pub lat: HistogramSnapshot,
+    /// The largest interval maximum, ns.
+    pub max_ns: u64,
+    /// Per-engine work summed over the points, code order.
+    pub engines: Vec<EngineDelta>,
 }
 
 impl Window {
@@ -147,10 +250,22 @@ impl Window {
             w.failed += p.failed;
             w.span_ns += p.interval_ns;
             w.lat.sum_ns += p.lat.sum_ns;
+            w.max_ns = w.max_ns.max(p.lat.max_ns);
             for (i, c) in &p.lat.buckets {
                 if let Some(slot) = w.lat.buckets.get_mut(usize::from(*i)) {
                     *slot += c;
                     w.lat.count += c;
+                }
+            }
+            for e in &p.engines {
+                let at = w.engines.partition_point(|m| m.code < e.code);
+                match w.engines.get_mut(at) {
+                    Some(m) if m.code == e.code => {
+                        m.jobs += e.jobs;
+                        m.compile_ns += e.compile_ns;
+                        m.exec_ns += e.exec_ns;
+                    }
+                    _ => w.engines.insert(at, *e),
                 }
             }
         }
@@ -164,9 +279,30 @@ impl Window {
 
     /// The merged window p99, ns (0 without latency observations) —
     /// exact to the bucket, where the max or mean of interval p99s
-    /// over-reports whenever one thin interval has a bad tail.
+    /// over-reports whenever one thin interval has a bad tail — and
+    /// never above the slowest job the window saw.
     pub fn p99_ns(&self) -> u64 {
-        self.lat.quantile_ns(0.99)
+        self.lat.quantile_ns(0.99).min(self.max_ns)
+    }
+
+    /// Self-time per `engine;phase` stack (`Wasm3;compile`,
+    /// `Wasm3;exec`), nonzero stacks only, in stack order.
+    pub fn stacks(&self, name: EngineName) -> Vec<(String, u64)> {
+        stacks(&self.engines, name)
+    }
+
+    /// Each stack's share of the window's self-time, in stack order;
+    /// empty when no time was recorded.
+    pub fn shares(&self, name: EngineName) -> Vec<(String, f64)> {
+        shares(self.stacks(name))
+    }
+
+    /// Collapsed-stack rendering (`engine;phase weight` per line, stack
+    /// order), weight = self-nanoseconds — the format
+    /// [`crate::folded::parse`] reads and `flamegraph.pl` consumes.
+    pub fn folded(&self, name: EngineName) -> String {
+        let stacks = self.stacks(name);
+        stacks.iter().map(|(stack, ns)| format!("{stack} {ns}\n")).collect()
     }
 
     /// Error-budget burn: the observed failure ratio over the allotted
@@ -187,16 +323,21 @@ struct Totals {
     ok: u64,
     failed: u64,
     engines: Vec<u64>,
+    compile_ns: Vec<u64>,
+    exec_ns: Vec<u64>,
     wall: HistogramSnapshot,
 }
 
 impl Totals {
     fn read(m: &JobMetrics) -> Totals {
+        let read = |handles: &[Arc<Counter>]| handles.iter().map(|c| c.get()).collect();
         Totals {
             completed: m.completed.get(),
             ok: m.ok.get(),
             failed: m.failed.get(),
-            engines: m.engines.iter().map(|c| c.get()).collect(),
+            engines: read(&m.engines),
+            compile_ns: read(&m.compile_ns),
+            exec_ns: read(&m.exec_ns),
             wall: m.wall.snapshot(),
         }
     }
@@ -221,6 +362,7 @@ impl DeltaRing {
     /// exactly the ring's lifetime — counts accumulated before the ring
     /// existed never appear as a spurious first-interval spike.
     pub fn new(metrics: JobMetrics, cap: usize) -> DeltaRing {
+        metrics.wall_max.store(0, Ordering::Relaxed);
         DeltaRing {
             prev: Totals::read(&metrics),
             metrics,
@@ -233,6 +375,17 @@ impl DeltaRing {
 
     /// Takes one sample now, pushing a point (evicting the oldest at
     /// capacity) and returning a copy of it.
+    ///
+    /// Every counter is differenced against the previous reading, so
+    /// each increment lands in exactly one point: a job whose counters
+    /// straddle a sample splits across two points, never lost or
+    /// counted twice. The interval max is swapped out after the
+    /// histogram is read and [`JobMetrics::record`] raises it before
+    /// observing, so it covers every job in this interval's buckets.
+    /// The one exception is a job recorded between the two reads: it
+    /// raises this interval's max but lands in the next interval's
+    /// buckets, where the max is then only sure to reach that bucket's
+    /// lower edge (see `hist_delta`).
     pub fn sample(&mut self) -> SeriesPoint {
         let t_ns = trace::now_ns();
         let interval_ns = t_ns.saturating_sub(self.last_t_ns);
@@ -240,16 +393,17 @@ impl DeltaRing {
 
         let m = &self.metrics;
         let prev = std::mem::replace(&mut self.prev, Totals::read(m));
+        let max_ns = m.wall_max.swap(0, Ordering::Relaxed);
         let cur = &self.prev;
-        let engines = cur
-            .engines
-            .iter()
-            .zip(&prev.engines)
-            .enumerate()
-            .filter_map(|(code, (c, p))| {
-                let jobs = c.saturating_sub(*p);
-                (jobs > 0).then_some((code as u8, jobs))
+        let delta = |c: &[u64], p: &[u64], i: usize| c[i].saturating_sub(p[i]);
+        let engines = (0..cur.engines.len())
+            .map(|i| EngineDelta {
+                code: i as u8,
+                jobs: delta(&cur.engines, &prev.engines, i),
+                compile_ns: delta(&cur.compile_ns, &prev.compile_ns, i),
+                exec_ns: delta(&cur.exec_ns, &prev.exec_ns, i),
             })
+            .filter(|e| e.jobs > 0 || e.compile_ns > 0 || e.exec_ns > 0)
             .collect();
         let breakers = m
             .breakers
@@ -269,7 +423,7 @@ impl DeltaRing {
             failed: cur.failed.saturating_sub(prev.failed),
             queue_depth: m.queue_depth.get(),
             busy_workers: m.busy.get(),
-            lat: hist_delta(&cur.wall, &prev.wall),
+            lat: hist_delta(&cur.wall, &prev.wall, max_ns),
             engines,
             breakers,
         };
@@ -290,8 +444,10 @@ impl DeltaRing {
 /// The per-interval stats between two cumulative snapshots of the same
 /// histogram. Quantiles come from the bucket difference; min/max cannot
 /// be differenced, so the delta snapshot carries none and
-/// [`HistogramSnapshot::quantile_ns`] falls back to pure interpolation.
-fn hist_delta(cur: &HistogramSnapshot, prev: &HistogramSnapshot) -> HistDelta {
+/// [`HistogramSnapshot::quantile_ns`] falls back to pure interpolation,
+/// which answers up to the bucket's upper bound — hence the clamp to
+/// the interval max `max_ns`.
+fn hist_delta(cur: &HistogramSnapshot, prev: &HistogramSnapshot, max_ns: u64) -> HistDelta {
     let mut diff = HistogramSnapshot {
         count: cur.count.saturating_sub(prev.count),
         sum_ns: cur.sum_ns.saturating_sub(prev.sum_ns),
@@ -304,11 +460,16 @@ fn hist_delta(cur: &HistogramSnapshot, prev: &HistogramSnapshot) -> HistDelta {
     {
         *d = c.saturating_sub(*p);
     }
+    // The lower edge of the top nonzero bucket bounds every job in it,
+    // including one whose max went to the previous interval.
+    let top = diff.buckets.iter().rposition(|c| *c > 0);
+    let max_ns = top.map_or(0, |i| max_ns.max(if i == 0 { 0 } else { bucket_bound_ns(i - 1) }));
     HistDelta {
         count: diff.count,
         sum_ns: diff.sum_ns,
-        p50_ns: diff.quantile_ns(0.50),
-        p99_ns: diff.quantile_ns(0.99),
+        max_ns,
+        p50_ns: diff.quantile_ns(0.50).min(max_ns),
+        p99_ns: diff.quantile_ns(0.99).min(max_ns),
         buckets: diff
             .buckets
             .iter()
@@ -444,41 +605,50 @@ mod tests {
             ok: Arc::default(),
             failed: Arc::default(),
             engines: (0..3).map(|_| Arc::default()).collect(),
+            compile_ns: (0..3).map(|_| Arc::default()).collect(),
+            exec_ns: (0..3).map(|_| Arc::default()).collect(),
             queue_depth: Arc::default(),
             busy: Arc::default(),
             breakers: (0..3).map(|_| Arc::default()).collect(),
             wall: Arc::default(),
+            wall_max: Arc::default(),
+        }
+    }
+
+    fn engine(code: u8, jobs: u64, compile_ns: u64, exec_ns: u64) -> EngineDelta {
+        EngineDelta {
+            code,
+            jobs,
+            compile_ns,
+            exec_ns,
         }
     }
 
     #[test]
     fn deltas_measure_only_the_interval() {
         let m = metrics();
-        m.completed.add(1_000); // pre-ring history
-        m.engines[2].add(1_000);
+        m.record(2, true, 1_000_000, 1_000, 1_000); // pre-ring history
         let mut ring = DeltaRing::new(m.clone(), 8);
-        m.completed.add(3);
-        m.ok.add(2);
-        m.failed.add(1);
-        m.engines[2].add(3);
+        m.record(2, true, 50_000, 300, 700);
+        m.record(2, true, 60_000, 100, 900);
+        m.record(0, false, 55_000, 0, 0);
         m.queue_depth.set(7);
         m.busy.set(2);
         m.breakers[1].set(2);
-        m.wall.observe_ns(50_000);
-        m.wall.observe_ns(60_000);
         let p = ring.sample();
         assert_eq!(p.seq, 0);
         assert_eq!((p.completed, p.ok, p.failed), (3, 2, 1), "pre-ring counts excluded");
         assert_eq!((p.queue_depth, p.busy_workers), (7, 2));
-        assert_eq!(p.engines, vec![(2, 3)], "zero-delta engines omitted");
+        assert_eq!(p.engines, vec![engine(0, 1, 0, 0), engine(2, 2, 400, 1_600)]);
         assert_eq!(p.breakers, vec![(1, 2)], "closed breakers omitted");
-        assert_eq!(p.lat.count, 2);
-        assert_eq!(p.lat.sum_ns, 110_000);
-        assert!(p.lat.p99_ns >= 32_768 && p.lat.p99_ns <= 131_072);
+        assert_eq!(p.lat.count, 3);
+        assert_eq!(p.lat.sum_ns, 165_000);
+        assert_eq!(p.lat.max_ns, 60_000, "the interval's own max, not the 1ms before it");
+        assert!(p.lat.p99_ns >= 32_768 && p.lat.p99_ns <= 60_000);
         // The sparse bucket deltas carry exactly the interval's
         // observations (both land in the 32k..64k bucket).
         let bucket_total: u64 = p.lat.buckets.iter().map(|(_, c)| c).sum();
-        assert_eq!(bucket_total, 2);
+        assert_eq!(bucket_total, 3);
         assert!(p
             .lat
             .buckets
@@ -492,8 +662,65 @@ mod tests {
         assert!(q.engines.is_empty());
         assert_eq!(q.queue_depth, 7);
         assert_eq!(q.lat.count, 0);
-        assert_eq!(q.lat.p99_ns, 0);
+        assert_eq!((q.lat.p99_ns, q.lat.max_ns), (0, 0));
         assert!(q.lat.buckets.is_empty());
+    }
+
+    /// Every job takes 89.3 ms, inside the (67.1 ms, 134.2 ms] bucket:
+    /// bucket interpolation alone answers the bucket's upper bound for
+    /// the top rank, the interval max caps it at the slowest job.
+    #[test]
+    fn p99_never_exceeds_the_slowest_job() {
+        let m = metrics();
+        let mut ring = DeltaRing::new(m.clone(), 8);
+        let mut points = Vec::new();
+        for _ in 0..3 {
+            for _ in 0..5 {
+                m.record(1, true, 89_300_000, 0, 89_000_000);
+            }
+            points.push(ring.sample());
+        }
+        for p in &points {
+            assert_eq!(p.lat.max_ns, 89_300_000);
+            assert!(p.lat.p99_ns <= 89_300_000, "interval p99 {}", p.lat.p99_ns);
+        }
+        let w = Window::over(&points);
+        assert_eq!(w.lat.quantile_ns(0.99), 134_217_728, "unclamped: the bucket bound");
+        assert!(w.p99_ns() <= 89_300_000, "window p99 {}", w.p99_ns());
+    }
+
+    /// A job whose max went to the previous interval still leaves the
+    /// next interval's max at its bucket's lower edge, not 0.
+    #[test]
+    fn a_missed_max_falls_back_to_the_bucket_lower_edge() {
+        let m = metrics();
+        let mut ring = DeltaRing::new(m.clone(), 8);
+        m.wall.observe_ns(89_300_000); // observed without raising the max
+        let p = ring.sample();
+        assert_eq!(p.lat.max_ns, 67_108_864);
+        assert_eq!(p.lat.p99_ns, 67_108_864);
+    }
+
+    /// The window merges every point's per-engine work into one
+    /// engine × phase profile.
+    #[test]
+    fn window_merges_the_engine_phase_profile() {
+        let point = |engines| SeriesPoint {
+            engines,
+            ..SeriesPoint::default()
+        };
+        let w = Window::over(&[
+            point(vec![engine(3, 1, 100, 300)]),
+            point(vec![engine(1, 2, 0, 200), engine(3, 1, 100, 300)]),
+        ]);
+        assert_eq!(w.engines, vec![engine(1, 2, 0, 200), engine(3, 2, 200, 600)]);
+        let name = |code: u8| if code == 1 { "wamr" } else { "wasm3" };
+        let shares: Vec<f64> = w.shares(name).iter().map(|(_, s)| *s).collect();
+        assert_eq!(shares, vec![0.2, 0.2, 0.6]);
+        let doc = w.folded(name);
+        assert_eq!(doc, "wamr;exec 200\nwasm3;compile 200\nwasm3;exec 600\n");
+        assert_eq!(crate::folded::parse(&doc).unwrap().total_weight, 1_000);
+        assert!(Window::over(&[]).shares(name).is_empty());
     }
 
     #[test]

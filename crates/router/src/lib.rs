@@ -27,7 +27,7 @@
 //! against the owning shard from the tick hook.
 //!
 //! Per-shard observability requests (`Series`, `TraceDump`,
-//! `ProfileDump`, `AlertLog`, `StatsExt`) are answered with an `Err`
+//! `AlertLog`, `StatsExt`) are answered with an `Err`
 //! prefixed `router:` pointing at the shard sockets — `wabench-served
 //! top` and `doctor` key off that prefix to degrade gracefully.
 
@@ -65,10 +65,6 @@ pub const C_SHED: &str = "router.shed";
 pub const C_PROBE_FAIL: &str = "router.probe.fail";
 /// Counter: jobs abandoned because no replica could take them.
 pub const C_LOST: &str = "router.lost";
-
-/// Every counter the router registers — `tests/metrics_doc.rs` asserts
-/// each has a row in `docs/METRICS.md`.
-pub const COUNTERS: &[&str] = &[C_FORWARDED, C_FAILOVER, C_SHED, C_PROBE_FAIL, C_LOST];
 
 /// Static description of one shard.
 #[derive(Debug, Clone)]
@@ -530,7 +526,6 @@ impl Handler for Router {
             Ok(Request::StatsExt) => per_shard_err("stats-ext"),
             Ok(Request::Series(_)) => per_shard_err("series"),
             Ok(Request::TraceDump) => per_shard_err("trace-dump"),
-            Ok(Request::ProfileDump) => per_shard_err("profile windows"),
             Ok(Request::AlertLog) => per_shard_err("the alert log"),
             Ok(Request::Shutdown) => {
                 // Stop the router only; shards are drained individually

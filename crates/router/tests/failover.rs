@@ -267,7 +267,6 @@ fn per_shard_requests_are_refused_with_the_router_prefix() {
         client.series().unwrap_err(),
         client.trace_dump().unwrap_err(),
         client.stats_ext().unwrap_err(),
-        client.profile_dump().unwrap_err(),
         client.alert_log().unwrap_err(),
     ] {
         let msg = err.to_string();

@@ -19,6 +19,8 @@ use std::process::exit;
 
 use obs::cli::{self, Args, Command, Flag};
 use obs::json::Value;
+use obs::series::Window;
+use svc::scheduler::POSTMORTEM_SERIES_TAIL;
 use svc::server::Client;
 
 #[rustfmt::skip]
@@ -46,7 +48,8 @@ struct Evidence {
     /// `(engine, state, trips)` for breakers not currently closed or
     /// with at least one trip.
     breakers: Vec<(String, String, u64)>,
-    /// `(stack, share of window self-time)`, hottest first.
+    /// `(stack, share of the series tail's self-time)`, hottest first:
+    /// the last `POSTMORTEM_SERIES_TAIL` points, bundle or live.
     profile: Vec<(String, f64)>,
     /// `(label, total_ns)` slow exemplars, slowest first.
     exemplars: Vec<(String, u64)>,
@@ -225,12 +228,12 @@ fn evidence_from_socket(path: &Path) -> Result<Evidence, String> {
         }
         Err(e) => note_refusal(e),
     }
-    match client.profile_dump() {
-        Ok(p) => {
-            if let Some(w) = p.windows.last() {
-                ev.profile = w.shares();
-                ev.profile.sort_by(|a, b| b.1.total_cmp(&a.1));
-            }
+    match client.series() {
+        Ok(s) => {
+            // The span a postmortem bundle's profile covers.
+            let tail = s.points.len().saturating_sub(POSTMORTEM_SERIES_TAIL as usize);
+            ev.profile = Window::over(&s.points[tail..]).shares(svc::telemetry::engine_name);
+            ev.profile.sort_by(|a, b| b.1.total_cmp(&a.1));
         }
         Err(e) => note_refusal(e),
     }
@@ -248,7 +251,7 @@ fn evidence_from_socket(path: &Path) -> Result<Evidence, String> {
     if router_refusals > 0 {
         obs::warn!(
             "target is a router: {router_refusals} per-shard request(s) \
-             (alerts/profile/trace) were refused; diagnosing fleet aggregates only — \
+             (alerts/series/trace) were refused; diagnosing fleet aggregates only — \
              point --socket at a shard for full detail (see docs/DEPLOYMENT.md)"
         );
     }
@@ -353,7 +356,7 @@ fn diagnose(ev: &Evidence) -> Vec<Finding> {
                 kind: "profile",
                 machine: format!("phase={stack} share={share:.3}"),
                 human: format!(
-                    "the continuous profile puts {:.1}% of recent self-time in `{stack}`",
+                    "the engine × phase profile puts {:.1}% of recent self-time in `{stack}`",
                     share * 100.0
                 ),
             });
@@ -426,7 +429,7 @@ mod tests {
         "firing": [{"rule": "p99", "since_ns": 5, "value": 0.02, "threshold": 0.005, "detail": "p99 over ceiling"}],
         "series": [], "exemplars": [{"label": "crc32/wasm3", "total_ns": 21000000, "attempts": 1, "compile_fallback": false}],
         "trace_tail": [],
-        "profile": {"window_ns": 50000000, "seq": 2, "folded": "wasm3;exec 900\nwasm3;compile 100\n"},
+        "profile": {"first_seq": 2, "last_seq": 9, "folded": "wasm3;compile 100\nwasm3;exec 900\n"},
         "health": {"retries": 0, "compile_fallbacks": 0, "store_repairs": 0, "breaker_fast_fails": 0,
                    "queue_depth": 0, "peak_queue_depth": 4, "breakers": [],
                    "faults": [{"site": "delay", "rate": 1.0, "injected": 12}]}

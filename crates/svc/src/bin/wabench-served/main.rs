@@ -17,15 +17,15 @@
 //! telemetry sampler (`--sample-ms`, 0 disables) whose delta window
 //! (the last 600 samples) `series` fetches, and keeps recent plus
 //! slow-request (250 ms and over) span digests that `trace-dump`
-//! fetches for client-side stitching. `top` builds a live view on top.
+//! fetches for client-side stitching. `top` builds a live view on top,
+//! and `windows` / `wdiff` read the engine × phase self-time profile
+//! every sample carries.
 //!
 //! `alerts`: `--alerts SPEC` (or `WABENCH_ALERTS`) arms the SLO alert
 //! engine — burn-rate, p99-ceiling, queue-depth, breaker-not-closed
 //! and profile-drift rules evaluated against the sampled series — and
 //! `--postmortem-dir DIR` makes every pending→firing transition
-//! snapshot a flight-recorder bundle for `doctor`.
-//! `--profile-ms N` arms the continuous profiler whose windows
-//! `windows` / `wdiff` fetch. All three are off by
+//! snapshot a flight-recorder bundle for `doctor`. Both are off by
 //! default and cost nothing when disarmed.
 //!
 //! `smoke` is self-contained: it starts a scheduler + server on a
@@ -71,7 +71,6 @@ static COMMANDS: &[Command] = &[
         Flag::value("--trace-out", "FILE", "write a Chrome trace on shutdown (*.folded: folded stacks)"),
         Flag::value("--faults", "PLAN", "fault plan like 'seed=7,compile=0.05' (else WABENCH_FAULTS)"),
         Flag::value("--sample-ms", "N", "telemetry sampler interval, 0 disables").default("250"),
-        Flag::value("--profile-ms", "N", "continuous-profiler window, 0 disables").default("0"),
         Flag::value("--alerts", "SPEC", "alert rules like 'slo=0.99,burn=14:5m:1h,p99=250ms:1m' (else WABENCH_ALERTS)"),
         Flag::value("--postmortem-dir", "DIR", "write a flight-recorder bundle when an alert fires"),
     ]),
@@ -309,7 +308,6 @@ fn cmd_serve(a: &Args) {
     let workers = a.get("--workers", "a positive integer", cli::positive);
     let store = a.opt("--store", "a directory", cli::path);
     let sample_ms: u64 = a.get("--sample-ms", "an integer (0 disables sampling)", cli::number);
-    let profile_ms: u64 = a.get("--profile-ms", "an integer (0 disables profiling)", cli::number);
     let faults = match a.opt("--faults", "a plan", cli::text) {
         Some(spec) => fault::FaultPlan::parse(&spec).map(Some),
         None => fault::FaultPlan::from_env(),
@@ -330,7 +328,6 @@ fn cmd_serve(a: &Args) {
         sample_interval: (sample_ms > 0).then(|| Duration::from_millis(sample_ms)),
         alerts,
         postmortem_dir: a.opt("--postmortem-dir", "a directory", cli::path),
-        profile_window: (profile_ms > 0).then(|| Duration::from_millis(profile_ms)),
         ..Config::default()
     };
     a.traced(|| {

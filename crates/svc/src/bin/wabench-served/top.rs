@@ -248,6 +248,7 @@ mod tests {
             lat: HistDelta {
                 count,
                 sum_ns: count * p50_ns,
+                max_ns: p99_ns,
                 p50_ns,
                 p99_ns,
                 buckets,

@@ -11,9 +11,8 @@
 use engines::EngineKind;
 use fault::{BreakerSnapshot, BreakerState};
 use obs::alert::{AlertEvent, FiringAlert, Transition};
-use obs::contprof::{PhaseStat, ProfileWindow};
 use obs::metrics::{HistogramSnapshot, BUCKETS};
-use obs::series::HistDelta;
+use obs::series::{EngineDelta, HistDelta};
 use obs::stitch::ServerPhases;
 use serde::{Deserialize, Serialize};
 use wacc::OptLevel;
@@ -21,9 +20,7 @@ use wacc::OptLevel;
 use crate::job::{JobMode, JobResult, JobSpec, JobStatus, Recovery, Scale, TraceCtx, TraceDigest};
 use crate::scheduler::{EngineCounters, HealthReport, ResilienceStats, SvcStats, SvcStatsExt};
 use crate::store::StoreStats;
-use crate::telemetry::{
-    AlertReport, ProfileReport, SeriesPoint, SeriesReport, TraceRecord, TraceReport,
-};
+use crate::telemetry::{AlertReport, SeriesPoint, SeriesReport, TraceRecord, TraceReport};
 use crate::wire::{bad, level_byte, level_from_byte, wire_enum, wire_struct};
 use crate::wire::{Wire, WireError, WireReader, WireWriter};
 
@@ -31,7 +28,7 @@ use crate::wire::{Wire, WireError, WireReader, WireWriter};
 /// payload. Both decoders refuse any other value: every peer is built
 /// from this workspace, so a mismatch means mixed builds, not an older
 /// client to accommodate. Bump it whenever a message layout changes.
-pub const PROTO_VERSION: u16 = 10;
+pub const PROTO_VERSION: u16 = 11;
 
 wire_enum! {
     /// Client → server.
@@ -63,8 +60,7 @@ wire_enum! {
         /// Recent and slow-request server span digests for client-side
         /// stitching.
         9 => TraceDump,
-        /// The continuous profiler's retained windows.
-        10 => ProfileDump,
+        // 10 is retired (v10's `ProfileDump`); never reuse it.
         /// The SLO alert engine's firing set and transition log.
         11 => AlertLog,
         /// The routing table of a `wabench-router`: per-backend health,
@@ -101,8 +97,7 @@ wire_enum! {
         9 => Series(report: SeriesReport),
         /// Recent/slow-request span digests.
         10 => TraceDump(report: TraceReport),
-        /// Continuous-profile windows.
-        11 => ProfileDump(report: ProfileReport),
+        // 11 is retired (v10's `ProfileDump`); never reuse it.
         /// Alert firing set and transition log.
         12 => AlertLog(report: AlertReport),
         /// Admission-control rejection: the tier is saturated and the job
@@ -180,9 +175,7 @@ wire_struct! {
         trace_id, enqueue_ns, start_ns, done_ns, compile_ns, exec_ns, attempts, compile_fallback,
         store_repairs,
     }
-    ProfileReport { server_now_ns, window_ns, windows }
-    ProfileWindow { seq, start_ns, end_ns, phases }
-    PhaseStat { count, self_ns, instructions, cycles }
+    EngineDelta { code, jobs, compile_ns, exec_ns }
     AlertReport { server_now_ns, armed, firing, events }
     FiringAlert { rule, since_ns, value, threshold, detail }
     AlertEvent { seq, t_ns, transition, rule, value, threshold, detail }
@@ -281,7 +274,7 @@ impl Wire for HistogramSnapshot {
 }
 
 /// Hand-written: `lat`'s fields are split around `engines`/`breakers` —
-/// its four scalars follow the point's own, its sparse bucket deltas
+/// its five scalars follow the point's own, its sparse bucket deltas
 /// (range-checked like a histogram's) close the point, so clients can
 /// merge intervals into an honest aggregate p99.
 impl Wire for SeriesPoint {
@@ -297,6 +290,7 @@ impl Wire for SeriesPoint {
             self.busy_workers,
             self.lat.count,
             self.lat.sum_ns,
+            self.lat.max_ns,
             self.lat.p50_ns,
             self.lat.p99_ns,
         ] {
@@ -320,6 +314,7 @@ impl Wire for SeriesPoint {
             lat: HistDelta {
                 count: r.u64()?,
                 sum_ns: r.u64()?,
+                max_ns: r.u64()?,
                 p50_ns: r.u64()?,
                 p99_ns: r.u64()?,
                 buckets: Vec::new(),
@@ -335,7 +330,6 @@ impl Wire for SeriesPoint {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::BTreeMap;
 
     fn sample_spec() -> JobSpec {
         JobSpec {
@@ -369,7 +363,6 @@ mod tests {
             Request::Health,
             Request::Series(Some(417)),
             Request::TraceDump,
-            Request::ProfileDump,
             Request::AlertLog,
             Request::Backends,
             Request::Submit(sample_spec(), TraceCtx::default()),
@@ -509,11 +502,25 @@ mod tests {
                     lat: HistDelta {
                         count: 12,
                         sum_ns: 36_000_000,
+                        max_ns: 9_100_000,
                         p50_ns: 2_500_000,
                         p99_ns: 9_000_000,
                         buckets: vec![(13, 10), (17, 2)],
                     },
-                    engines: vec![(0, 7), (5, 5)],
+                    engines: vec![
+                        EngineDelta {
+                            code: 0,
+                            jobs: 7,
+                            compile_ns: 1_200_000,
+                            exec_ns: 20_000_000,
+                        },
+                        EngineDelta {
+                            code: 5,
+                            jobs: 5,
+                            compile_ns: 0,
+                            exec_ns: 9_500_000,
+                        },
+                    ],
                     breakers: vec![(4, 1)],
                 },
                 SeriesPoint::default(),
@@ -542,26 +549,6 @@ mod tests {
             slow_threshold_ns: 250_000_000,
             recent: vec![rec(1, true), rec(2, false)],
             exemplars: vec![rec(1, true)],
-        }
-    }
-
-    fn sample_profile_report() -> ProfileReport {
-        let phase = |stack: &str, self_ns, instructions, cycles| {
-            let count = 5;
-            (stack.to_string(), PhaseStat { count, self_ns, instructions, cycles })
-        };
-        ProfileReport {
-            server_now_ns: 31_000_000,
-            window_ns: 10_000_000,
-            windows: vec![ProfileWindow {
-                seq: 2,
-                start_ns: 20_000_000,
-                end_ns: 30_000_000,
-                phases: BTreeMap::from([
-                    phase("wasm3;exec", 9_000_000, 1_000_000, 2_000_000),
-                    phase("wasm3;compile", 1_000_000, 0, 0),
-                ]),
-            }],
         }
     }
 
@@ -638,7 +625,6 @@ mod tests {
             Response::Health(sample_health()),
             Response::Series(sample_series()),
             Response::TraceDump(sample_trace_report()),
-            Response::ProfileDump(sample_profile_report()),
             Response::AlertLog(sample_alert_report()),
             Response::Busy(250),
             Response::Backends(sample_backends()),
@@ -647,7 +633,6 @@ mod tests {
             Response::Health(HealthReport::default()),
             Response::Series(SeriesReport::default()),
             Response::TraceDump(TraceReport::default()),
-            Response::ProfileDump(ProfileReport::default()),
             Response::AlertLog(AlertReport::default()),
             Response::Backends(BackendsReport::default()),
         ]
@@ -739,7 +724,7 @@ mod tests {
         // Counted by hand from the samples (two `Submit` benchmark names;
         // every string, list and map of the replies), so a count that
         // bypassed `WireReader::count` would show up here as a shortfall.
-        assert_eq!((requests, responses), (2, 52));
+        assert_eq!((requests, responses), (2, 47));
     }
 
     /// Every payload opens with the version head, and both decoders
@@ -776,8 +761,8 @@ mod tests {
         for resp in sample_responses() {
             all.extend(resp.encode());
         }
-        assert_eq!(all.len(), 2468);
-        assert_eq!(crate::hash::fnv64(&all), 0x5cdd_b218_1504_0b2a);
+        assert_eq!(all.len(), 2344);
+        assert_eq!(crate::hash::fnv64(&all), 0x8dac_01c7_f86c_ca24);
     }
 
     /// A sparse histogram naming a bucket one past the end is refused

@@ -24,22 +24,20 @@ use std::time::{Duration, Instant};
 
 use fault::{Breaker, BreakerConfig, BreakerEvent, BreakerSnapshot, FaultPlan};
 use obs::alert::{AlertEngine, AlertEvent, AlertSpec, Transition};
-use obs::contprof::ContProf;
 use obs::metrics::{Histogram, HistogramSnapshot};
+use obs::series::Window;
 
 use crate::exec::{self, ExecEnv};
 use crate::job::{JobResult, JobSpec, JobStatus, TraceCtx, TraceDigest};
 use crate::store::{ArtifactStore, StoreStats};
 use crate::telemetry::{
-    self, AlertReport, JobMetrics, ProfileReport, SeriesReport, Telemetry, TraceRecord, TraceReport,
+    self, AlertReport, JobMetrics, SeriesReport, Telemetry, TraceRecord, TraceReport,
 };
 
-/// Sealed profile windows retained by the continuous profiler.
-const PROFILE_WINDOW_CAP: usize = 64;
-
 /// Series points embedded in a postmortem bundle (most recent first in
-/// time, oldest first in the array).
-const POSTMORTEM_SERIES_TAIL: u64 = 64;
+/// time, oldest first in the array); `doctor --socket` merges the same
+/// tail, so a live and a bundle diagnosis read the same span.
+pub const POSTMORTEM_SERIES_TAIL: u64 = 64;
 
 /// Trace-log records embedded in a postmortem bundle.
 const POSTMORTEM_TRACE_TAIL: usize = 16;
@@ -101,10 +99,6 @@ pub struct Config {
     /// Where firing alerts snapshot postmortem bundles. `None` disables
     /// the flight recorder even when alerts are armed.
     pub postmortem_dir: Option<PathBuf>,
-    /// Continuous-profiler window span. `None` (the
-    /// default) aggregates nothing and `ProfileDump` reports the
-    /// profiler off.
-    pub profile_window: Option<Duration>,
 }
 
 impl Default for Config {
@@ -120,7 +114,6 @@ impl Default for Config {
             sample_interval: None,
             alerts: None,
             postmortem_dir: None,
-            profile_window: None,
         }
     }
 }
@@ -280,7 +273,6 @@ struct Ledger {
     busy_ns: u64,
     engine_wall: BTreeMap<u8, Histogram>,
     engine_counters: BTreeMap<u8, EngineCounters>,
-    contprof: Option<ContProf>,
 }
 
 impl Ledger {
@@ -320,20 +312,6 @@ impl Ledger {
         res.compile_fallbacks += u64::from(result.recovery.compile_fallback);
         res.store_repairs += u64::from(result.recovery.store_repairs);
         res.breaker_fast_fails += u64::from(!admitted);
-        // Continuous profiler: engine × phase wall self-time, plus the
-        // simulated counters when the job was profiled.
-        if let Some(prof) = &mut self.contprof {
-            let (engine, t_ns) = (result.spec.engine.name(), phases.done_ns);
-            let (instructions, cycles) = result
-                .counters
-                .map_or((0, 0), |c| (c.instructions, c.cycles));
-            if phases.compile_ns > 0 {
-                prof.record(t_ns, engine, "compile", phases.compile_ns, 0, 0);
-            }
-            if phases.exec_ns > 0 || instructions > 0 {
-                prof.record(t_ns, engine, "exec", phases.exec_ns, instructions, cycles);
-            }
-        }
     }
 }
 
@@ -412,19 +390,14 @@ impl Scheduler {
             started: Instant::now(),
             peak_queue: AtomicU64::new(0),
             queue_wait: Histogram::default(),
-            ledger: Mutex::new(Ledger {
-                contprof: cfg
-                    .profile_window
-                    .map(|w| ContProf::new(w, PROFILE_WINDOW_CAP)),
-                ..Ledger::default()
-            }),
+            ledger: Mutex::new(Ledger::default()),
             breaker_cfg: cfg.breaker,
             breakers: Mutex::new(BTreeMap::new()),
             telemetry: Telemetry::new(cfg.sample_interval, &metrics),
             metrics,
             alerts: cfg.alerts.map(|spec| {
                 Mutex::new(AlertRuntime {
-                    engine: AlertEngine::new(spec),
+                    engine: AlertEngine::new(spec, telemetry::engine_name),
                     last_seq: None,
                     postmortem_dir: cfg.postmortem_dir.clone(),
                 })
@@ -627,19 +600,6 @@ impl Scheduler {
         self.inner.telemetry.trace_dump()
     }
 
-    /// The continuous profiler's retained windows
-    /// (`ProfileDump`): `window_ns == 0` and no windows when the
-    /// profiler is off.
-    pub fn profile_dump(&self) -> ProfileReport {
-        let ledger = self.inner.ledger.lock().expect("ledger lock");
-        let prof = ledger.contprof.as_ref();
-        ProfileReport {
-            server_now_ns: obs::trace::now_ns(),
-            window_ns: prof.map_or(0, ContProf::window_ns),
-            windows: prof.map(ContProf::windows).unwrap_or_default(),
-        }
-    }
-
     /// The alert engine's firing set and transition log
     /// (`AlertLog`), after pumping any unseen series points through the
     /// rules. Disarmed schedulers report `armed: false` and empty
@@ -729,16 +689,8 @@ fn pump_alerts(inner: &Inner) {
         return;
     };
     rt.last_seq = Some(newest);
-    let phase_shares = inner
-        .ledger
-        .lock()
-        .expect("ledger lock")
-        .contprof
-        .as_ref()
-        .map(ContProf::current_shares)
-        .unwrap_or_default();
     for p in points {
-        for event in rt.engine.observe(p, &phase_shares) {
+        for event in rt.engine.observe(p) {
             match event.transition {
                 Transition::Pending => obs::debug!(
                     "alert {} pending: {} (threshold {})",
@@ -780,10 +732,11 @@ fn jlist<T>(items: impl IntoIterator<Item = T>, f: impl Fn(T) -> String) -> Stri
 }
 
 /// Snapshots the flight-recorder postmortem bundle for a firing alert:
-/// the triggering rule and values, the recent series tail, slow-request
-/// exemplars, the trace-log tail, the current profile window, and the
-/// health report. Versioned JSON, one file per firing transition, named
-/// by event seq + rule so simulated-clock reruns are byte-stable.
+/// the triggering rule and values, the recent series tail and the
+/// engine × phase profile merged over it, slow-request exemplars, the
+/// trace-log tail, and the health report. Versioned JSON, one file per
+/// firing transition, named by event seq + rule so simulated-clock
+/// reruns are byte-stable.
 fn write_postmortem(
     inner: &Inner,
     dir: &Path,
@@ -804,8 +757,9 @@ fn write_postmortem(
     // Ends at the newest point the rules saw, even if the sampler has
     // appended more since the pump read the ring.
     let since = newest_seq.checked_sub(POSTMORTEM_SERIES_TAIL);
-    let points = inner.telemetry.series(since).points;
-    let series = jlist(points.iter().take_while(|p| p.seq <= newest_seq), |p| {
+    let mut points = inner.telemetry.series(since).points;
+    points.retain(|p| p.seq <= newest_seq);
+    let series = jlist(&points, |p| {
         format!(
             "{{\"seq\":{},\"t_ns\":{},\"interval_ns\":{},\"completed\":{},\"ok\":{},\"failed\":{},\"queue_depth\":{},\"busy_workers\":{},\"p50_ns\":{},\"p99_ns\":{}}}",
             p.seq,
@@ -839,21 +793,13 @@ fn write_postmortem(
             rec.phases.total_ns()
         )
     });
-    let (profile, resilience) = {
-        let ledger = inner.ledger.lock().expect("ledger lock");
-        let prof = ledger.contprof.as_ref();
-        let latest = prof.and_then(|p| p.windows().pop().map(|w| (p.window_ns(), w)));
-        (latest, ledger.resilience)
-    };
-    let profile = match profile {
-        Some((window_ns, w)) => format!(
-            "{{\"window_ns\":{},\"seq\":{},\"folded\":{}}}",
-            window_ns,
-            w.seq,
-            jstr(&w.folded())
-        ),
-        None => "null".to_string(),
-    };
+    let profile = format!(
+        "{{\"first_seq\":{},\"last_seq\":{},\"folded\":{}}}",
+        points.first().map_or(newest_seq, |p| p.seq),
+        newest_seq,
+        jstr(&Window::over(&points).folded(telemetry::engine_name))
+    );
+    let resilience = inner.ledger.lock().expect("ledger lock").resilience;
     let health = health_of(inner, resilience);
     let breakers = jlist(&health.breakers, |(code, b)| {
         let state = jstr(b.state.name());
@@ -980,21 +926,15 @@ fn worker_loop(inner: &Arc<Inner>) {
             .expect("ledger lock")
             .record(&result, &record.phases, admitted);
         // Registry metrics + trace log for the live-telemetry surface
-        // (Series/TraceDump). The wall histogram measures
-        // enqueue→done: the latency a waiting client actually observed.
-        inner.metrics.completed.inc();
-        if result.ok() {
-            inner.metrics.ok.inc();
-        } else {
-            inner.metrics.failed.inc();
-        }
-        if let Some(c) = inner.metrics.engines.get(spec.engine.code() as usize) {
-            c.inc();
-        }
-        inner
-            .metrics
-            .wall
-            .observe_ns(done_ns.saturating_sub(enqueue_ns));
+        // (Series/TraceDump). The wall time is enqueue→done: the
+        // latency a waiting client actually observed.
+        inner.metrics.record(
+            spec.engine.code(),
+            record.ok,
+            done_ns.saturating_sub(enqueue_ns),
+            record.phases.compile_ns,
+            record.phases.exec_ns,
+        );
         inner.telemetry.record(record);
         {
             // Insert and decrement under the results lock: waiters check

@@ -16,7 +16,7 @@ use crate::job::{JobSpec, TraceCtx};
 use crate::proto::{BackendsReport, Request, Response};
 use crate::reactor::{Action, Handler, Resolution, Token, Waker};
 use crate::scheduler::{HealthReport, Scheduler, SvcStats, SvcStatsExt};
-use crate::telemetry::{AlertReport, ProfileReport, SeriesReport, TraceReport};
+use crate::telemetry::{AlertReport, SeriesReport, TraceReport};
 use crate::wire::{read_frame, write_frame};
 use crate::JobResult;
 
@@ -136,7 +136,6 @@ impl SchedHandler {
             Ok(Request::Health) => Response::Health(sched.health()),
             Ok(Request::Series(since)) => Response::Series(sched.series_since(since)),
             Ok(Request::TraceDump) => Response::TraceDump(sched.trace_dump()),
-            Ok(Request::ProfileDump) => Response::ProfileDump(sched.profile_dump()),
             Ok(Request::AlertLog) => Response::AlertLog(sched.alert_log()),
             Ok(Request::Backends) => Response::Err(
                 "backends: this server is a single shard, not a router; \
@@ -314,19 +313,6 @@ impl Client {
         }
     }
 
-    /// Non-blocking result query.
-    ///
-    /// # Errors
-    ///
-    /// I/O or protocol errors.
-    pub fn poll(&mut self, id: u64) -> io::Result<Option<JobResult>> {
-        match self.request(&Request::Poll(id))? {
-            Response::Result(res) => Ok(Some(res)),
-            Response::Pending => Ok(None),
-            other => Err(unexpected(&other)),
-        }
-    }
-
     /// Fetches service statistics.
     ///
     /// # Errors
@@ -384,19 +370,6 @@ impl Client {
     pub fn series_since(&mut self, since: Option<u64>) -> io::Result<SeriesReport> {
         match self.request(&Request::Series(since))? {
             Response::Series(s) => Ok(s),
-            other => Err(unexpected(&other)),
-        }
-    }
-
-    /// Fetches the continuous profiler's retained windows.
-    /// `window_ns == 0` means the profiler is off.
-    ///
-    /// # Errors
-    ///
-    /// I/O or protocol errors; a router answers `Err`.
-    pub fn profile_dump(&mut self) -> io::Result<ProfileReport> {
-        match self.request(&Request::ProfileDump)? {
-            Response::ProfileDump(p) => Ok(p),
             other => Err(unexpected(&other)),
         }
     }

@@ -6,14 +6,15 @@
 //! paths stay bit-identical:
 //!
 //! - **Registry metrics** ([`JobMetrics`], resolved by
-//!   [`job_metrics`]): jobs-completed/ok/failed counters (plus
-//!   per-engine), queue-depth / busy-worker / breaker gauges, and a job
-//!   wall-time histogram, updated by the scheduler's workers. Counters
-//!   and gauges are cheap atomics; they exist even when nothing samples
-//!   them.
+//!   [`job_metrics`]): jobs-completed/ok/failed counters, per-engine
+//!   job, compile-nanosecond and exec-nanosecond counters,
+//!   queue-depth / busy-worker / breaker gauges, and a job wall-time
+//!   histogram, updated by the scheduler's workers. Counters and gauges
+//!   are cheap atomics; they exist even when nothing samples them.
 //! - **Sampler** ([`obs::series::Sampler`] over those handles): a
 //!   background thread writing one [`SeriesPoint`] of deltas every N ms
-//!   into a ring of [`SERIES_CAP`] points. Started only when
+//!   into a ring of [`SERIES_CAP`] points; its per-engine deltas are
+//!   the live engine × phase profile. Started only when
 //!   [`crate::scheduler::Config::sample_interval`] is set (the `serve`
 //!   path).
 //! - **Trace log + exemplars** ([`Telemetry`]): every completed job's
@@ -23,7 +24,7 @@
 //!   returns both.
 
 use std::collections::VecDeque;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use obs::exemplar::{Exemplar, ExemplarBuffer};
@@ -57,6 +58,23 @@ pub fn engine_jobs_name(code: u8) -> String {
     format!("svc.jobs.engine.{code}")
 }
 
+/// Per-engine compile-or-load nanoseconds counter name
+/// ([`ServerPhases::compile_ns`] summed over the engine's jobs).
+pub fn engine_compile_ns_name(code: u8) -> String {
+    format!("svc.jobs.compile_ns.{code}")
+}
+
+/// Per-engine execution nanoseconds counter name
+/// ([`ServerPhases::exec_ns`] summed over the engine's jobs).
+pub fn engine_exec_ns_name(code: u8) -> String {
+    format!("svc.jobs.exec_ns.{code}")
+}
+
+/// An engine wire code's name in profile stacks (`wasm3;exec`).
+pub fn engine_name(code: u8) -> &'static str {
+    engines::EngineKind::from_code(code).map_or("unknown", engines::EngineKind::name)
+}
+
 /// Per-engine breaker-state gauge name (value =
 /// [`fault::BreakerState::byte`]: 0 closed, 1 open, 2 half-open).
 pub fn breaker_state_name(code: u8) -> String {
@@ -66,14 +84,19 @@ pub fn breaker_state_name(code: u8) -> String {
 /// Resolves (registering on first use) every handle the scheduler's
 /// workers update and the sampler reads.
 pub fn job_metrics() -> JobMetrics {
+    let per_engine = |name: fn(u8) -> String| {
+        ENGINE_CODES
+            .iter()
+            .map(|c| metrics::counter(&name(*c)))
+            .collect()
+    };
     JobMetrics {
         completed: metrics::counter(JOBS_COMPLETED),
         ok: metrics::counter(JOBS_OK),
         failed: metrics::counter(JOBS_FAILED),
-        engines: ENGINE_CODES
-            .iter()
-            .map(|c| metrics::counter(&engine_jobs_name(*c)))
-            .collect(),
+        engines: per_engine(engine_jobs_name),
+        compile_ns: per_engine(engine_compile_ns_name),
+        exec_ns: per_engine(engine_exec_ns_name),
         queue_depth: metrics::gauge(QUEUE_DEPTH),
         busy: metrics::gauge(WORKERS_BUSY),
         breakers: ENGINE_CODES
@@ -81,6 +104,7 @@ pub fn job_metrics() -> JobMetrics {
             .map(|c| metrics::gauge(&breaker_state_name(*c)))
             .collect(),
         wall: metrics::histogram(JOB_WALL),
+        wall_max: Arc::default(),
     }
 }
 
@@ -95,20 +119,6 @@ pub struct SeriesReport {
     /// Buffered points, oldest first (already includes a closing sample
     /// taken at request time).
     pub points: Vec<SeriesPoint>,
-}
-
-/// The `ProfileDump` reply: the continuous profiler's
-/// retained windows.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ProfileReport {
-    /// Server trace clock at reply time ([`obs::trace::now_ns`]).
-    pub server_now_ns: u64,
-    /// Configured window span, ns; 0 when the profiler is off (and
-    /// `windows` is empty).
-    pub window_ns: u64,
-    /// Retained windows, oldest first (the sealed ring plus the
-    /// in-progress window).
-    pub windows: Vec<obs::contprof::ProfileWindow>,
 }
 
 /// The `AlertLog` reply: the alert engine's current firing

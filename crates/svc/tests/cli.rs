@@ -45,11 +45,13 @@ fn trace_check_usage_exits_2_and_an_invalid_trace_exits_1() {
 }
 
 /// The series ring's capacity and the slow-exemplar threshold are
-/// constants (`SERIES_CAP`, `SLOW_THRESHOLD`), not `serve` flags.
+/// constants (`SERIES_CAP`, `SLOW_THRESHOLD`), not `serve` flags, and
+/// `--sample-ms` is the only telemetry interval.
 #[test]
 fn serve_refuses_the_retired_telemetry_flags() {
     assert_exit(&["serve", "--socket", ABSENT, "--series-cap", "5"], 2, "--series-cap");
     assert_exit(&["serve", "--socket", ABSENT, "--slow-ms", "1"], 2, "--slow-ms");
+    assert_exit(&["serve", "--socket", ABSENT, "--profile-ms", "50"], 2, "--profile-ms");
 }
 
 #[test]

@@ -72,8 +72,8 @@ fn documented_fields_appear() {
         "attempts", "compile_fallback", "store_repairs", "checks_skipped",
         // Health.
         "queue_depth", "peak_queue_depth", "breaker_fast_fails",
-        // Series, ProfileDump, AlertLog.
-        "since", "bucket count", "window_ns", "self_ns", "instructions", "cycles",
+        // Series (with its per-engine phase time) and AlertLog.
+        "since", "bucket count", "max_ns", "compile_ns", "exec_ns", "jobs",
         "armed", "since_ns", "threshold", "transition",
         // Busy and Backends.
         "retry_after_ms", "watermark", "shed", "forwarded", "failovers", "healthy",

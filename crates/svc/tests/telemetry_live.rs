@@ -1,6 +1,8 @@
-//! Live-telemetry behavior over a real socket: trace ids round-trip
-//! submit → digest → `TraceDump`, and the background sampler feeds a
-//! nonempty `Series` window.
+//! Live-telemetry behavior: trace ids round-trip submit → digest →
+//! `TraceDump` over a real socket, the background sampler feeds a
+//! nonempty `Series` window whose per-engine phase times account for
+//! every job exactly once, and the drift rule reading them stays quiet
+//! across an idle spell.
 
 #![cfg(unix)]
 
@@ -8,9 +10,12 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
+use engines::EngineKind;
+use obs::alert::{AlertEvent, AlertSpec, Transition, DRIFT_MIN_JOBS};
 use svc::job::{JobSpec, Scale, TraceCtx};
 use svc::scheduler::{Config, Scheduler};
 use svc::server::{serve, Client};
+use svc::telemetry::SeriesPoint;
 
 /// The metrics registry the sampler reads is process-global, so a job
 /// run by one test would show up in the other's window.
@@ -136,4 +141,93 @@ fn untraced_submits_still_work_and_digest_is_zeroed() {
     client.shutdown().expect("shutdown");
     server.join().expect("join").expect("serve");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+fn interp_spec(engine: EngineKind) -> JobSpec {
+    JobSpec::exec("crc32", engine, wacc::OptLevel::O1, Scale::Test)
+}
+
+/// Each engine's compile and exec nanoseconds summed over every series
+/// point equal the sums over its jobs' `ServerPhases` in `TraceDump`:
+/// with a 2 ms sampler most jobs straddle samples, and none may be lost
+/// or counted twice.
+#[test]
+fn series_phase_totals_match_the_jobs() {
+    let _gate = REGISTRY_GATE.lock().unwrap();
+    let sched = Scheduler::start(Config {
+        workers: 2,
+        sample_interval: Some(Duration::from_millis(2)),
+        ..Config::default()
+    })
+    .expect("start scheduler");
+    let engines = [EngineKind::Wasm3, EngineKind::Wamr, EngineKind::Wasmtime];
+    for trace_id in 1..=24u64 {
+        let engine = engines[trace_id as usize % engines.len()];
+        let ctx = TraceCtx { trace_id, origin_ns: 0 };
+        sched.submit_traced(interp_spec(engine), ctx);
+    }
+    assert!(sched.drain_sorted().iter().all(svc::JobResult::ok));
+    let series = sched.series(); // closes the window first
+    assert_eq!(series.points.first().map(|p| p.seq), Some(0), "nothing evicted");
+    let mut from_points = std::collections::BTreeMap::new();
+    for e in series.points.iter().flat_map(|p| &p.engines) {
+        let sums = from_points.entry(e.code).or_insert((0, 0, 0));
+        *sums = (sums.0 + e.jobs, sums.1 + e.compile_ns, sums.2 + e.exec_ns);
+    }
+    let mut from_jobs = std::collections::BTreeMap::new();
+    let records = sched.trace_dump().recent;
+    assert_eq!(records.len(), 24);
+    for rec in records {
+        let engine = engines[rec.phases.trace_id as usize % engines.len()];
+        let sums = from_jobs.entry(engine.code()).or_insert((0, 0, 0));
+        let p = &rec.phases;
+        *sums = (sums.0 + 1, sums.1 + p.compile_ns, sums.2 + p.exec_ns);
+    }
+    assert_eq!(from_points, from_jobs);
+    assert!(
+        from_jobs.values().all(|(_, compile, exec)| *compile > 0 && *exec > 0),
+        "every engine spent time in both phases: {from_jobs:?}"
+    );
+    sched.shutdown();
+}
+
+/// A steady mix, ten-plus quiet sampler intervals, then the same mix
+/// again: the drift rule must not fire. Idle points are not read, and
+/// each point is judged by its own jobs' shares. The rule carries a
+/// hold of three intervals, as OPERATIONS.md advises: one point of a
+/// few jobs is noisy enough to breach on its own.
+#[test]
+fn drift_stays_quiet_across_an_idle_gap() {
+    let _gate = REGISTRY_GATE.lock().unwrap();
+    let interval = Duration::from_millis(50);
+    let sched = Scheduler::start(Config {
+        workers: 2,
+        sample_interval: Some(interval),
+        alerts: Some(AlertSpec::parse("pending=150ms,drift=3:60s").unwrap()),
+        ..Config::default()
+    })
+    .expect("start scheduler");
+    let mix = [EngineKind::Wasm3, EngineKind::Wamr];
+    let run = |jobs: usize| {
+        for i in 0..jobs {
+            let res = sched.wait(sched.submit(interp_spec(mix[i % mix.len()])));
+            assert!(res.ok(), "{:?}", res.status);
+        }
+    };
+    run(100);
+    let gap_from = sched.series().points.last().map_or(0, |p| p.seq);
+    std::thread::sleep(interval * 12);
+    run(100);
+    std::thread::sleep(interval * 3);
+    let log = sched.alert_log();
+    let fired = |e: &&AlertEvent| e.transition == Transition::Firing;
+    let fired: Vec<_> = log.events.iter().filter(fired).collect();
+    assert!(fired.is_empty(), "drift fired across an idle gap: {fired:?}");
+    // The rule had points to read on both sides of the gap.
+    let read = |p: &&SeriesPoint| p.engines.iter().map(|e| e.jobs).sum::<u64>() >= DRIFT_MIN_JOBS;
+    let points = sched.series().points;
+    let (before, after) = points.split_at(points.partition_point(|p| p.seq <= gap_from));
+    let counts = (before.iter().filter(read).count(), after.iter().filter(read).count());
+    assert!(counts.0 >= 5 && counts.1 >= 5, "readable points before/after: {counts:?}");
+    sched.shutdown();
 }

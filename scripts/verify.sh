@@ -52,12 +52,12 @@
 #      --once reports
 #      a window (completed count, nonzero QPS, ordered quantiles) whose
 #      completed count matches the load run's `jobs:` line
-#  19. alert & postmortem smoke: a server with the alert engine, the
-#      continuous profiler, and a deterministic 20ms delay fault armed
-#      must fire the p99 rule, write a flight-recorder bundle that
-#      wabench-served doctor diagnoses (naming the delay site), and list
-#      profile windows (wabench-served windows); a fault-free control run under the same engine
-#      fires nothing and writes no bundle
+#  19. alert & postmortem smoke: a server with the alert engine and a
+#      deterministic 20ms delay fault armed must fire the p99 rule, write
+#      a flight-recorder bundle that wabench-served doctor diagnoses
+#      (naming the delay site), and list the series points' engine x
+#      phase profiles (wabench-served windows); a fault-free control run
+#      under the same engine fires nothing and writes no bundle
 #  20. router smoke: a fixed-seed load through wabench-router over two
 #      wabench-served shards completes with zero protocol errors, prints
 #      a summary line per shard, and both shards serve jobs;
@@ -87,6 +87,15 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 step() { printf '\n== %s ==\n' "$*" >&2; }
+
+# wait_sock PATH LABEL LOG: wait up to 5 s for a server's socket; on a
+# timeout, fail naming LABEL and show the server's LOG.
+wait_sock() {
+    for _ in $(seq 1 50); do [ -S "$1" ] && return 0; sleep 0.1; done
+    echo "$2 FAILED: socket never appeared" >&2
+    cat "$3" >&2
+    exit 1
+}
 
 step "tier-1 build (release)"
 cargo build --release
@@ -264,12 +273,7 @@ sock="$trace_tmp/load.sock"
 ./target/release/wabench-served serve --socket "$sock" --workers 2 \
     --store "$trace_tmp/load-store" > "$trace_tmp/served.log" 2>&1 &
 served_pid=$!
-for _ in $(seq 1 50); do [ -S "$sock" ] && break; sleep 0.1; done
-if ! [ -S "$sock" ]; then
-    echo "load smoke FAILED: wabench-served socket never appeared" >&2
-    cat "$trace_tmp/served.log" >&2
-    exit 1
-fi
+wait_sock "$sock" "load smoke" "$trace_tmp/served.log"
 # wabench-load itself exits nonzero on zero completed jobs or any
 # protocol error, so a 0 here already covers both health assertions.
 "$loadgen" run --seed 7 --mix fig1 --qps 200 --jobs 20 --phases cold,warm \
@@ -282,12 +286,7 @@ sock="$trace_tmp/top.sock"
 ./target/release/wabench-served serve --socket "$sock" --workers 2 \
     --store "$trace_tmp/top-store" --sample-ms 25 > "$trace_tmp/served-top.log" 2>&1 &
 served_pid=$!
-for _ in $(seq 1 50); do [ -S "$sock" ] && break; sleep 0.1; done
-if ! [ -S "$sock" ]; then
-    echo "telemetry smoke FAILED: wabench-served socket never appeared" >&2
-    cat "$trace_tmp/served-top.log" >&2
-    exit 1
-fi
+wait_sock "$sock" "telemetry smoke" "$trace_tmp/served-top.log"
 "$loadgen" run --seed 11 --mix fig1 --qps 200 --jobs 20 --phases cold,warm \
     --socket "$sock" \
     --stitch-out "$trace_tmp/requests.json" | tee "$trace_tmp/load-top.out"
@@ -326,16 +325,11 @@ sock="$trace_tmp/alert.sock"
 pm_dir="$trace_tmp/postmortems"
 # Every job is delayed 20ms (rate 1.0, seeded), far over the 5ms p99
 # ceiling, so the rule fires deterministically.
-"$served" serve --socket "$sock" --workers 2 --sample-ms 25 --profile-ms 50 \
+"$served" serve --socket "$sock" --workers 2 --sample-ms 25 \
     --faults 'seed=7,delay=1.0:20ms' --alerts 'p99=5ms:1s' \
     --postmortem-dir "$pm_dir" > "$trace_tmp/served-alert.log" 2>&1 &
 served_pid=$!
-for _ in $(seq 1 50); do [ -S "$sock" ] && break; sleep 0.1; done
-if ! [ -S "$sock" ]; then
-    echo "alert smoke FAILED: wabench-served socket never appeared" >&2
-    cat "$trace_tmp/served-alert.log" >&2
-    exit 1
-fi
+wait_sock "$sock" "alert smoke" "$trace_tmp/served-alert.log"
 "$loadgen" run --seed 13 --mix fig1 --qps 100 --jobs 10 --phases cold \
     --socket "$sock" > /dev/null
 sleep 0.2 # let the sampler cover the delayed completions
@@ -348,9 +342,9 @@ grep -qE 'firing p99:' "$trace_tmp/alerts.out" || {
     echo "alert smoke FAILED: p99 rule never fired under a 20ms delay fault" >&2
     exit 1
 }
-# ...the continuous profiler must have sealed at least one window...
+# ...the series points must carry the jobs' engine x phase profile...
 grep -q '^window #' "$trace_tmp/windows.out" || {
-    echo "alert smoke FAILED: no continuous-profile windows buffered" >&2
+    echo "alert smoke FAILED: no series point carries phase time" >&2
     exit 1
 }
 # ...and the flight recorder must have written a versioned bundle.
@@ -380,7 +374,7 @@ pm_clean="$trace_tmp/postmortems-clean"
     --alerts 'p99=250ms:1s' --postmortem-dir "$pm_clean" \
     > "$trace_tmp/served-clean.log" 2>&1 &
 served_pid=$!
-for _ in $(seq 1 50); do [ -S "$sock" ] && break; sleep 0.1; done
+wait_sock "$sock" "alert smoke (clean control)" "$trace_tmp/served-clean.log"
 "$loadgen" run --seed 13 --mix fig1 --qps 100 --jobs 10 --phases cold \
     --socket "$sock" > /dev/null
 sleep 0.2
@@ -399,12 +393,6 @@ fi
 step "router smoke (2-shard fleet -> failover chaos)"
 routerbin=./target/release/wabench-router
 cargo build -q --release -p wabench-router
-wait_sock() { # wait_sock PATH LABEL LOG
-    for _ in $(seq 1 50); do [ -S "$1" ] && return 0; sleep 0.1; done
-    echo "router smoke FAILED: $2 socket never appeared" >&2
-    cat "$3" >&2
-    exit 1
-}
 s0="$trace_tmp/rshard0.sock"; s1="$trace_tmp/rshard1.sock"
 rsock="$trace_tmp/router.sock"
 "$served" serve --socket "$s0" --workers 2 --store "$trace_tmp/rstore0" \
@@ -413,13 +401,13 @@ shard0_pid=$!
 "$served" serve --socket "$s1" --workers 2 --store "$trace_tmp/rstore1" \
     > "$trace_tmp/rshard1.log" 2>&1 &
 shard1_pid=$!
-wait_sock "$s0" shard-0 "$trace_tmp/rshard0.log"
-wait_sock "$s1" shard-1 "$trace_tmp/rshard1.log"
+wait_sock "$s0" "router smoke: shard-0" "$trace_tmp/rshard0.log"
+wait_sock "$s1" "router smoke: shard-1" "$trace_tmp/rshard1.log"
 "$routerbin" serve --socket "$rsock" \
     --backend shard-0="$s0" --backend shard-1="$s1" \
     > "$trace_tmp/router.log" 2>&1 &
 router_pid=$!
-wait_sock "$rsock" router "$trace_tmp/router.log"
+wait_sock "$rsock" "router smoke: router" "$trace_tmp/router.log"
 # wabench-load exits nonzero on zero completed jobs or any protocol
 # error, so a 0 here covers both; clients speak the ordinary protocol
 # to the router socket.
@@ -475,13 +463,13 @@ cshard0_pid=$!
 "$served" serve --socket "$c1" --workers 2 \
     > "$trace_tmp/cshard1.log" 2>&1 &
 cshard1_pid=$!
-wait_sock "$c0" chaos-shard-0 "$trace_tmp/cshard0.log"
-wait_sock "$c1" chaos-shard-1 "$trace_tmp/cshard1.log"
+wait_sock "$c0" "router smoke: chaos-shard-0" "$trace_tmp/cshard0.log"
+wait_sock "$c1" "router smoke: chaos-shard-1" "$trace_tmp/cshard1.log"
 "$routerbin" serve --socket "$crsock" \
     --backend shard-0="$c0" --backend shard-1="$c1" \
     > "$trace_tmp/crouter.log" 2>&1 &
 crouter_pid=$!
-wait_sock "$crsock" chaos-router "$trace_tmp/crouter.log"
+wait_sock "$crsock" "router smoke: chaos-router" "$trace_tmp/crouter.log"
 "$loadgen" run --seed 7 --mix fig1 --qps 200 --jobs 20 --phases cold \
     --socket "$crsock" | tee "$trace_tmp/load-chaos-router.out"
 "$routerbin" status --socket "$crsock" | tee "$trace_tmp/crouter-status.out"
