@@ -253,7 +253,6 @@ impl Engine {
     pub fn compile(&self, bytes: &[u8]) -> Result<CompiledModule, EngineError> {
         let _span = obs::span!("engine.compile", engine = self.kind.name());
         crate::faultpoint::check(self.kind, bytes)?;
-        let t0 = std::time::Instant::now();
         let module = {
             let _s = obs::span!("engine.decode");
             wasm_core::decode::decode(bytes)?
@@ -277,8 +276,6 @@ impl Engine {
                 Code::Reg(Box::new(code), stats, tier)
             }
         };
-        obs::metrics::histogram(&format!("engine.compile.{}", self.kind.name()))
-            .observe_ns(t0.elapsed().as_nanos() as u64);
         Ok(CompiledModule {
             kind: self.kind,
             code,
@@ -384,9 +381,6 @@ impl Engine {
             EngineError::BadArtifact(format!("{} has no AOT mode", self.kind))
         })?;
         let known = verified.is_some_and(|v| v.contains(artifact));
-        if known {
-            obs::metrics::counter("engine.aot.verify_reused").inc();
-        }
         let (code, tier) = crate::jit::aot::read(artifact, !known)?;
         if tier != want {
             return Err(EngineError::BadArtifact(format!(
@@ -530,10 +524,7 @@ impl<'m> Instance<'m> {
             func = name
         );
         let before = if span.active() { p.perf_counters() } else { None };
-        let t0 = std::time::Instant::now();
         let out = self.invoke_idx(func_idx, &raw, p)?;
-        obs::metrics::histogram(&format!("engine.execute.{}", self.compiled.kind.name()))
-            .observe_ns(t0.elapsed().as_nanos() as u64);
         if let (Some(before), Some(after)) = (before, p.perf_counters()) {
             span.set_counters(after.delta_since(before));
         }

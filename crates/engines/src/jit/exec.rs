@@ -333,15 +333,12 @@ impl RegCode {
             // obligation from scratch. A corrupt or malicious artifact
             // must not buy itself skipped checks.
             let _span = obs::span!("engine.aot.verify");
-            let t0 = std::time::Instant::now();
             for (i, f) in funcs.iter().enumerate() {
                 let violations = crate::jit::verify::check_proofs(f);
                 if let Some(v) = violations.first() {
                     return Err(format!("function {i}: unsound elimination proof: {v}"));
                 }
             }
-            obs::metrics::histogram("engine.aot.verify")
-                .observe_ns(t0.elapsed().as_nanos() as u64);
         }
         Ok(RegCode::new_unchecked(module, funcs))
     }

@@ -110,9 +110,6 @@ pub fn compile_module(
     if tier.retains_ir() {
         stats.retained_ir_bytes = stats.lowered_ops * 24;
     }
-    if stats.passes.checks_eliminated > 0 {
-        obs::metrics::counter("jit.checks.eliminated").add(stats.passes.checks_eliminated);
-    }
     Ok((RegCode::new(module, funcs), stats))
 }
 

@@ -193,9 +193,6 @@ pub fn optimize(f: &mut RFunc, config: &PassConfig) -> PassStats {
             stats.verify_ns += snapshot_ns + t1.elapsed().as_nanos() as u64;
         }
     }
-    if stats.verify_ns > 0 {
-        obs::metrics::histogram("jit.verify").observe_ns(stats.verify_ns);
-    }
     stats
 }
 

@@ -95,19 +95,6 @@ impl Site {
         }
     }
 
-    /// The obs counter bumped each time this site injects a fault.
-    pub fn counter_name(self) -> &'static str {
-        match self {
-            Site::StoreRead => "fault.injected.store.read",
-            Site::StoreWrite => "fault.injected.store.write",
-            Site::CacheMiss => "fault.injected.cache.miss",
-            Site::CompileFail => "fault.injected.compile",
-            Site::WorkerPanic => "fault.injected.panic",
-            Site::JobDelay => "fault.injected.delay",
-            Site::Crash => "fault.injected.crash",
-        }
-    }
-
     fn from_key(key: &str) -> Option<Site> {
         Site::ALL.iter().copied().find(|s| s.key() == key)
     }
@@ -248,7 +235,6 @@ impl FaultPlan {
         let inject = u < rate;
         if inject {
             self.injected[i].fetch_add(1, Ordering::Relaxed);
-            obs::metrics::counter(site.counter_name()).inc();
         }
         inject
     }

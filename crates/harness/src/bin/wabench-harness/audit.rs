@@ -149,11 +149,6 @@ pub fn run(a: &Args) {
         }
     }
 
-    obs::metrics::counter("audit.modules").add(modules);
-    obs::metrics::counter("audit.checks.total").add(total_checks);
-    obs::metrics::counter("audit.checks.eliminated").add(total_eliminated);
-    obs::metrics::counter("audit.violations").add(violations);
-
     report.note(format!(
         "{modules} module(s) audited: {total_checks} check(s), \
          {total_eliminated} eliminated with proofs, {violations} violation(s)"

@@ -9,10 +9,11 @@
 //!   is [`trace::Sink::Null`]: a disabled [`span!`] costs one relaxed
 //!   atomic load and touches nothing else, so plain timing runs stay
 //!   bit-identical to uninstrumented ones.
-//! - **Metrics** ([`metrics`]): a global registry of named counters and
-//!   fixed-bucket latency histograms with p50/p95/p99 summaries, used
-//!   for per-engine compile/execute/verify latencies and artifact-store
-//!   hit/miss/eviction counts.
+//! - **Metrics** ([`metrics`]): counter, gauge and fixed-bucket latency
+//!   histogram types with p50/p95/p99 summaries. Each is a field of the
+//!   struct that owns the count — a scheduler's job metrics
+//!   ([`series::JobMetrics`]), a load run's latency histograms — never
+//!   a name in a process-global table.
 //! - **Exporters**: Chrome trace-event JSON ([`chrome`], loadable in
 //!   Perfetto / `chrome://tracing`), a plain-text hierarchical
 //!   self-time report ([`report`]), a `perf report`-style attributed

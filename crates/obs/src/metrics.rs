@@ -1,9 +1,9 @@
-//! Metrics: named counters and fixed-bucket latency histograms.
+//! Metric types: counters, gauges and fixed-bucket latency histograms.
 //!
-//! A process-global registry maps names to atomically-updated metrics,
-//! so instrumentation sites just say
-//! `obs::metrics::counter("svc.store.hits").inc()` — no handles to
-//! thread through constructors. Histograms use power-of-two nanosecond
+//! Each metric is a plain field of the struct that owns the count (a
+//! scheduler's [`crate::series::JobMetrics`], a load run's latency
+//! histograms); whoever serves the count reads that field, and nothing
+//! looks a metric up by name. Histograms use power-of-two nanosecond
 //! buckets, which makes observation lock-free and snapshots mergeable.
 //! Quantile queries interpolate linearly within the target bucket and
 //! clamp to the exact recorded extremes, so the estimate error is
@@ -12,9 +12,7 @@
 //! p50/p95/p99 *summaries* of latencies spanning microseconds to
 //! minutes.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
 
 /// Histogram bucket count: bucket `i` holds observations in
 /// `(2^(i+7), 2^(i+8)]` ns, so the range covers 256 ns .. ~2.3 min,
@@ -126,11 +124,6 @@ impl Histogram {
         self.sum_ns.fetch_add(v_ns, Ordering::Relaxed);
         self.min_ns.fetch_min(v_ns, Ordering::Relaxed);
         self.max_ns.fetch_max(v_ns, Ordering::Relaxed);
-    }
-
-    /// Records one observation given in seconds.
-    pub fn observe_s(&self, v_s: f64) {
-        self.observe_ns((v_s.max(0.0) * 1e9) as u64);
     }
 
     /// A point-in-time copy of the histogram state.
@@ -278,134 +271,6 @@ pub fn fmt_ns(ns: u64) -> String {
     }
 }
 
-#[derive(Debug, Clone)]
-enum Metric {
-    Counter(Arc<Counter>),
-    Gauge(Arc<Gauge>),
-    Histogram(Arc<Histogram>),
-}
-
-fn registry() -> &'static Mutex<HashMap<String, Metric>> {
-    static REGISTRY: OnceLock<Mutex<HashMap<String, Metric>>> = OnceLock::new();
-    REGISTRY.get_or_init(Mutex::default)
-}
-
-/// The counter registered under `name` (created on first use).
-///
-/// # Panics
-///
-/// Panics if `name` is already registered as a histogram.
-pub fn counter(name: &str) -> Arc<Counter> {
-    let mut reg = registry().lock().expect("metrics registry");
-    match reg
-        .entry(name.to_string())
-        .or_insert_with(|| Metric::Counter(Arc::default()))
-    {
-        Metric::Counter(c) => Arc::clone(c),
-        _ => panic!("metric {name:?} is not a counter"),
-    }
-}
-
-/// The gauge registered under `name` (created on first use).
-///
-/// # Panics
-///
-/// Panics if `name` is already registered as another metric kind.
-pub fn gauge(name: &str) -> Arc<Gauge> {
-    let mut reg = registry().lock().expect("metrics registry");
-    match reg
-        .entry(name.to_string())
-        .or_insert_with(|| Metric::Gauge(Arc::default()))
-    {
-        Metric::Gauge(g) => Arc::clone(g),
-        _ => panic!("metric {name:?} is not a gauge"),
-    }
-}
-
-/// The histogram registered under `name` (created on first use).
-///
-/// # Panics
-///
-/// Panics if `name` is already registered as a counter.
-pub fn histogram(name: &str) -> Arc<Histogram> {
-    let mut reg = registry().lock().expect("metrics registry");
-    match reg
-        .entry(name.to_string())
-        .or_insert_with(|| Metric::Histogram(Arc::default()))
-    {
-        Metric::Histogram(h) => Arc::clone(h),
-        _ => panic!("metric {name:?} is not a histogram"),
-    }
-}
-
-/// A named metric value in a [`snapshot`].
-#[derive(Debug, Clone, PartialEq)]
-pub enum MetricValue {
-    /// Counter value.
-    Counter(u64),
-    /// Gauge level.
-    Gauge(u64),
-    /// Histogram state (boxed: a snapshot is ~35× a counter).
-    Histogram(Box<HistogramSnapshot>),
-}
-
-/// Snapshots every registered metric, sorted by name.
-pub fn snapshot() -> Vec<(String, MetricValue)> {
-    let reg = registry().lock().expect("metrics registry");
-    let mut out: Vec<(String, MetricValue)> = reg
-        .iter()
-        .map(|(name, m)| {
-            let v = match m {
-                Metric::Counter(c) => MetricValue::Counter(c.get()),
-                Metric::Gauge(g) => MetricValue::Gauge(g.get()),
-                Metric::Histogram(h) => MetricValue::Histogram(Box::new(h.snapshot())),
-            };
-            (name.clone(), v)
-        })
-        .collect();
-    out.sort_by(|a, b| a.0.cmp(&b.0));
-    out
-}
-
-/// Snapshots every registered *counter* whose name starts with
-/// `prefix`, sorted by name. The resilience layer registers its
-/// counters under `svc.`/`fault.` prefixes, so dashboards and tests can
-/// pull one subsystem without walking the whole registry.
-pub fn counters_with_prefix(prefix: &str) -> Vec<(String, u64)> {
-    let reg = registry().lock().expect("metrics registry");
-    let mut out: Vec<(String, u64)> = reg
-        .iter()
-        .filter(|(name, _)| name.starts_with(prefix))
-        .filter_map(|(name, m)| match m {
-            Metric::Counter(c) => Some((name.clone(), c.get())),
-            _ => None,
-        })
-        .collect();
-    out.sort_by(|a, b| a.0.cmp(&b.0));
-    out
-}
-
-/// Renders the full registry as an aligned plain-text block.
-pub fn render() -> String {
-    let snap = snapshot();
-    if snap.is_empty() {
-        return "metrics: none recorded\n".to_string();
-    }
-    let width = snap.iter().map(|(n, _)| n.len()).max().unwrap_or(0);
-    let mut out = String::new();
-    for (name, value) in snap {
-        match value {
-            MetricValue::Counter(v) | MetricValue::Gauge(v) => {
-                out.push_str(&format!("{name:width$}  {v}\n"));
-            }
-            MetricValue::Histogram(h) => {
-                out.push_str(&format!("{name:width$}  {}\n", h.summary()));
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -530,46 +395,14 @@ mod tests {
     }
 
     #[test]
-    fn registry_hands_out_shared_instances() {
-        counter("test.reg.counter").add(3);
-        counter("test.reg.counter").add(4);
-        assert_eq!(counter("test.reg.counter").get(), 7);
-        histogram("test.reg.hist").observe_ns(5_000);
-        assert_eq!(histogram("test.reg.hist").snapshot().count, 1);
-        let snap = snapshot();
-        assert!(snap.iter().any(|(n, _)| n == "test.reg.counter"));
-    }
-
-    #[test]
     fn gauges_move_both_ways_and_floor_at_zero() {
-        let g = gauge("test.reg.gauge");
+        let g = Gauge::default();
         g.set(5);
         g.add(2);
         g.sub(3);
         assert_eq!(g.get(), 4);
         g.sub(100);
         assert_eq!(g.get(), 0, "sub saturates instead of wrapping");
-        g.set(9);
-        assert!(snapshot()
-            .iter()
-            .any(|(n, v)| n == "test.reg.gauge" && *v == MetricValue::Gauge(9)));
-    }
-
-    #[test]
-    fn prefix_filter_selects_counters_only() {
-        counter("test.prefix.a").add(1);
-        counter("test.prefix.b").add(2);
-        counter("test.other").add(9);
-        histogram("test.prefix.hist").observe_ns(1_000);
-        let got = counters_with_prefix("test.prefix.");
-        assert_eq!(
-            got,
-            vec![
-                ("test.prefix.a".to_string(), 1),
-                ("test.prefix.b".to_string(), 2),
-            ]
-        );
-        assert!(counters_with_prefix("test.nope.").is_empty());
     }
 
     #[test]

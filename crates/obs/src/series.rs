@@ -4,8 +4,8 @@
 //!
 //! `Stats`/`StatsExt` answers are cumulative snapshots — a spike that
 //! happened ten seconds ago is invisible once the averages re-converge.
-//! A [`Sampler`] reads a fixed set of [`JobMetrics`] handles every
-//! interval and stores one [`SeriesPoint`] of *deltas* (counter
+//! A [`Sampler`] reads its service's [`JobMetrics`] every interval and
+//! stores one [`SeriesPoint`] of *deltas* (counter
 //! increments, per-interval histogram quantiles) plus instantaneous
 //! gauge levels into a bounded ring, so an operator tool can ask "what
 //! happened in the last minute" without the server keeping unbounded
@@ -53,43 +53,60 @@ pub struct HistDelta {
     pub buckets: Vec<(u8, u64)>,
 }
 
-/// The registry handles a sampler reads, resolved once so neither the
-/// service's per-job hot path ([`JobMetrics::record`]) nor the sampler
-/// touches the name→handle map. Per-engine vectors are indexed by
-/// engine wire code.
-#[derive(Debug, Clone)]
+/// The counts one service's workers update and its sampler reads. Each
+/// scheduler owns one, shared with its sampler through one `Arc`, so
+/// two schedulers in one process never count each other's jobs.
+/// Per-engine vectors are indexed by engine wire code.
+#[derive(Debug)]
 pub struct JobMetrics {
     /// Jobs completed (any status).
-    pub completed: Arc<Counter>,
+    pub completed: Counter,
     /// Jobs completed `Ok`.
-    pub ok: Arc<Counter>,
+    pub ok: Counter,
     /// Jobs completed with any non-`Ok` status.
-    pub failed: Arc<Counter>,
+    pub failed: Counter,
     /// Per-engine completed counters, indexed by engine code.
-    pub engines: Vec<Arc<Counter>>,
+    pub engines: Vec<Counter>,
     /// Per-engine compile-or-load nanoseconds, indexed by engine code.
-    pub compile_ns: Vec<Arc<Counter>>,
+    pub compile_ns: Vec<Counter>,
     /// Per-engine execution nanoseconds, indexed by engine code.
-    pub exec_ns: Vec<Arc<Counter>>,
+    pub exec_ns: Vec<Counter>,
     /// Jobs queued but not yet picked up.
-    pub queue_depth: Arc<Gauge>,
+    pub queue_depth: Gauge,
     /// Workers currently running a job.
-    pub busy: Arc<Gauge>,
+    pub busy: Gauge,
     /// Per-engine breaker-state gauges (0 closed, 1 open, 2 half-open),
     /// indexed by engine code.
-    pub breakers: Vec<Arc<Gauge>>,
+    pub breakers: Vec<Gauge>,
     /// End-to-end job wall time.
-    pub wall: Arc<Histogram>,
+    pub wall: Histogram,
     /// The largest `wall` observation since the last sample, which the
-    /// sampler swaps back to 0. Not a registry metric: it belongs to
-    /// the one sampler reading it.
-    pub wall_max: Arc<AtomicU64>,
+    /// sampler swaps back to 0.
+    wall_max: AtomicU64,
 }
 
 impl JobMetrics {
+    /// Zeroed metrics with one per-engine slot for each code below
+    /// `engines`.
+    pub fn new(engines: usize) -> JobMetrics {
+        JobMetrics {
+            completed: Counter::default(),
+            ok: Counter::default(),
+            failed: Counter::default(),
+            engines: (0..engines).map(|_| Counter::default()).collect(),
+            compile_ns: (0..engines).map(|_| Counter::default()).collect(),
+            exec_ns: (0..engines).map(|_| Counter::default()).collect(),
+            queue_depth: Gauge::default(),
+            busy: Gauge::default(),
+            breakers: (0..engines).map(|_| Gauge::default()).collect(),
+            wall: Histogram::default(),
+            wall_max: AtomicU64::new(0),
+        }
+    }
+
     /// Records one completed job: its engine, outcome, end-to-end wall
     /// time and compile/exec split. Lock- and allocation-free; a code
-    /// with no handle counts only in the totals.
+    /// with no slot counts only in the totals.
     pub fn record(&self, engine: u8, ok: bool, wall_ns: u64, compile_ns: u64, exec_ns: u64) {
         self.completed.inc();
         if ok {
@@ -99,8 +116,8 @@ impl JobMetrics {
         }
         let code = usize::from(engine);
         let per_engine = [(&self.engines, 1), (&self.compile_ns, compile_ns), (&self.exec_ns, exec_ns)];
-        for (handles, n) in per_engine {
-            if let Some(c) = handles.get(code) {
+        for (counters, n) in per_engine {
+            if let Some(c) = counters.get(code) {
                 c.add(n);
             }
         }
@@ -330,7 +347,7 @@ struct Totals {
 
 impl Totals {
     fn read(m: &JobMetrics) -> Totals {
-        let read = |handles: &[Arc<Counter>]| handles.iter().map(|c| c.get()).collect();
+        let read = |counters: &[Counter]| counters.iter().map(Counter::get).collect();
         Totals {
             completed: m.completed.get(),
             ok: m.ok.get(),
@@ -347,7 +364,7 @@ impl Totals {
 /// needed to turn metric readings into deltas.
 #[derive(Debug)]
 pub struct DeltaRing {
-    metrics: JobMetrics,
+    metrics: Arc<JobMetrics>,
     prev: Totals,
     last_t_ns: u64,
     seq: u64,
@@ -361,7 +378,7 @@ impl DeltaRing {
     /// Baselines are taken at creation, so the first sample covers
     /// exactly the ring's lifetime — counts accumulated before the ring
     /// existed never appear as a spurious first-interval spike.
-    pub fn new(metrics: JobMetrics, cap: usize) -> DeltaRing {
+    pub fn new(metrics: Arc<JobMetrics>, cap: usize) -> DeltaRing {
         metrics.wall_max.store(0, Ordering::Relaxed);
         DeltaRing {
             prev: Totals::read(&metrics),
@@ -503,7 +520,7 @@ pub struct Sampler {
 impl Sampler {
     /// Starts sampling `metrics` every `interval` into a ring of `cap`
     /// points. Intervals shorter than 1ms are raised to 1ms.
-    pub fn start(metrics: JobMetrics, interval: Duration, cap: usize) -> Sampler {
+    pub fn start(metrics: Arc<JobMetrics>, interval: Duration, cap: usize) -> Sampler {
         let interval = interval.max(Duration::from_millis(1));
         let shared = Arc::new(Shared {
             ring: Mutex::new(DeltaRing::new(metrics, cap)),
@@ -597,22 +614,9 @@ impl std::fmt::Debug for Sampler {
 mod tests {
     use super::*;
 
-    /// Unregistered handles with three engine codes, so tests running
-    /// in parallel never share a counter.
-    fn metrics() -> JobMetrics {
-        JobMetrics {
-            completed: Arc::default(),
-            ok: Arc::default(),
-            failed: Arc::default(),
-            engines: (0..3).map(|_| Arc::default()).collect(),
-            compile_ns: (0..3).map(|_| Arc::default()).collect(),
-            exec_ns: (0..3).map(|_| Arc::default()).collect(),
-            queue_depth: Arc::default(),
-            busy: Arc::default(),
-            breakers: (0..3).map(|_| Arc::default()).collect(),
-            wall: Arc::default(),
-            wall_max: Arc::default(),
-        }
+    /// Fresh metrics with three engine codes.
+    fn metrics() -> Arc<JobMetrics> {
+        Arc::new(JobMetrics::new(3))
     }
 
     fn engine(code: u8, jobs: u64, compile_ns: u64, exec_ns: u64) -> EngineDelta {

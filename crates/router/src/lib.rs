@@ -54,18 +54,6 @@ use svc::JobResult;
 
 use ring::Ring;
 
-/// Counter: submits accepted by a backend on the router's behalf.
-pub const C_FORWARDED: &str = "router.forwarded";
-/// Counter: submits or stranded jobs moved off a failed/open backend to
-/// the next ring replica.
-pub const C_FAILOVER: &str = "router.failover";
-/// Counter: submits refused with `Busy` by admission control.
-pub const C_SHED: &str = "router.shed";
-/// Counter: health probes that failed (connect or protocol error).
-pub const C_PROBE_FAIL: &str = "router.probe.fail";
-/// Counter: jobs abandoned because no replica could take them.
-pub const C_LOST: &str = "router.lost";
-
 /// Static description of one shard.
 #[derive(Debug, Clone)]
 pub struct BackendCfg {
@@ -199,10 +187,6 @@ pub struct Router {
     jobs: HashMap<u64, JobEntry>,
     next_id: u64,
     waits: Vec<(Token, u64)>,
-    forwarded: Arc<obs::metrics::Counter>,
-    failover: Arc<obs::metrics::Counter>,
-    shed: Arc<obs::metrics::Counter>,
-    lost: Arc<obs::metrics::Counter>,
 }
 
 /// The store's content-address key projected onto what the router can
@@ -258,10 +242,6 @@ impl Router {
             jobs: HashMap::new(),
             next_id: 1,
             waits: Vec::new(),
-            forwarded: obs::metrics::counter(C_FORWARDED),
-            failover: obs::metrics::counter(C_FAILOVER),
-            shed: obs::metrics::counter(C_SHED),
-            lost: obs::metrics::counter(C_LOST),
         }
     }
 
@@ -300,12 +280,10 @@ impl Router {
         let depth = self.shared.aggregate_depth();
         if depth >= self.shared.watermark {
             self.shared.shed.fetch_add(1, Ordering::Relaxed);
-            self.shed.inc();
             return Response::Busy(self.retry_after_ms);
         }
         let order = self.ring.replicas(&route_key(&spec));
         let mut tried = Vec::new();
-        let mut diverted = false;
         for idx in order {
             tried.push(idx);
             if !self.shared.backends[idx].admit() {
@@ -313,7 +291,6 @@ impl Router {
                 self.shared.backends[idx]
                     .failovers
                     .fetch_add(1, Ordering::Relaxed);
-                diverted = true;
                 continue;
             }
             match self.forward(idx, &Request::Submit(spec.clone(), ctx)) {
@@ -322,10 +299,6 @@ impl Router {
                     self.shared.backends[idx]
                         .forwarded
                         .fetch_add(1, Ordering::Relaxed);
-                    self.forwarded.inc();
-                    if diverted {
-                        self.failover.inc();
-                    }
                     let id = self.next_id;
                     self.next_id += 1;
                     self.jobs.insert(
@@ -352,7 +325,6 @@ impl Router {
                     self.shared.backends[idx]
                         .failovers
                         .fetch_add(1, Ordering::Relaxed);
-                    diverted = true;
                 }
                 Err(e) => {
                     obs::warn!(
@@ -363,11 +335,9 @@ impl Router {
                     self.shared.backends[idx]
                         .failovers
                         .fetch_add(1, Ordering::Relaxed);
-                    diverted = true;
                 }
             }
         }
-        self.lost.inc();
         Response::Err("router: no healthy backend accepted the job".to_string())
     }
 
@@ -433,8 +403,6 @@ impl Router {
                     self.shared.backends[idx]
                         .forwarded
                         .fetch_add(1, Ordering::Relaxed);
-                    self.forwarded.inc();
-                    self.failover.inc();
                     let entry = self.jobs.get_mut(&id).expect("entry exists");
                     entry.backend = idx;
                     entry.backend_id = backend_id;
@@ -448,7 +416,6 @@ impl Router {
             }
         }
         self.jobs.remove(&id);
-        self.lost.inc();
         JobStep::Lost(format!(
             "router: job {id} lost (shard died, no untried replica left)"
         ))
@@ -584,7 +551,6 @@ fn per_shard_err(what: &str) -> Response {
 /// Background health probes: one thread, fresh connections (never the
 /// reactor's forwarding streams), sending the `Health` request.
 fn spawn_probes(shared: Arc<Shared>, interval: Duration) {
-    let probe_fail = obs::metrics::counter(C_PROBE_FAIL);
     std::thread::spawn(move || {
         while !shared.stop_probes.load(Ordering::Relaxed) {
             for b in &shared.backends {
@@ -597,7 +563,6 @@ fn spawn_probes(shared: Arc<Shared>, interval: Duration) {
                         b.breaker.lock().expect("breaker lock").record(true);
                     }
                     Err(_) => {
-                        probe_fail.inc();
                         b.healthy.store(false, Ordering::Relaxed);
                         // Probes observe but don't trip the breaker:
                         // tripping is reserved for real forwarding

@@ -134,7 +134,6 @@ impl ExecEnv {
         // Best effort: a full disk must not fail the job.
         if store.lock().expect("store lock").put(skey, &fresh).is_ok() && repair {
             rec.store_repairs += 1;
-            obs::metrics::counter("svc.store.repair").inc();
         }
         Ok(fresh.into())
     }
@@ -310,7 +309,6 @@ fn exec_job(
                     match fallback.compile(bytes) {
                         Ok(c) => {
                             res.recovery.compile_fallback = true;
-                            obs::metrics::counter("svc.fallback.interp").inc();
                             obs::warn!(
                                 "{}: compile failed on {} ({e}); degraded to {}",
                                 spec.benchmark,
@@ -337,7 +335,6 @@ fn exec_job(
                             .is_ok();
                         if repaired && repair_needed {
                             res.recovery.store_repairs += 1;
-                            obs::metrics::counter("svc.store.repair").inc();
                         }
                     }
                 }

@@ -276,8 +276,6 @@ pub fn run(listener: &UnixListener, handler: &mut dyn Handler) -> io::Result<()>
     let mut next_conn_id: u64 = 0;
     let mut draining = false;
     let mut done: Vec<(Token, Resolution)> = Vec::new();
-    let accepted = obs::metrics::counter("svc.conn.accepted");
-    let pipelined = obs::metrics::counter("svc.frames.pipelined");
 
     loop {
         // 1. Give parked requests a chance to resolve.
@@ -365,7 +363,6 @@ pub fn run(listener: &UnixListener, handler: &mut dyn Handler) -> io::Result<()>
                 match listener.accept() {
                     Ok((stream, _)) => {
                         stream.set_nonblocking(true)?;
-                        accepted.inc();
                         conns.push(Conn {
                             id: next_conn_id,
                             stream,
@@ -396,7 +393,7 @@ pub fn run(listener: &UnixListener, handler: &mut dyn Handler) -> io::Result<()>
                 continue;
             }
             if fd.revents & (POLLIN | POLLHUP) != 0 && !conn.eof {
-                match read_and_dispatch(conn, handler, &pipelined) {
+                match read_and_dispatch(conn, handler) {
                     Ok(keep) => {
                         if !keep {
                             draining = true;
@@ -434,11 +431,7 @@ pub fn run(listener: &UnixListener, handler: &mut dyn Handler) -> io::Result<()>
 ///
 /// Read errors, oversized frames, or a frame length lying beyond
 /// `MAX_FRAME` — all of which drop the connection.
-fn read_and_dispatch(
-    conn: &mut Conn,
-    handler: &mut dyn Handler,
-    pipelined: &obs::metrics::Counter,
-) -> io::Result<bool> {
+fn read_and_dispatch(conn: &mut Conn, handler: &mut dyn Handler) -> io::Result<bool> {
     let mut keep = true;
     let mut chunk = [0u8; 16 * 1024];
     loop {
@@ -454,9 +447,7 @@ fn read_and_dispatch(
         }
     }
     // Extract complete frames; anything partial waits for the next
-    // readiness event. More than one frame per pass is a pipelined
-    // batch.
-    let mut frames_this_pass = 0u64;
+    // readiness event.
     while conn.rbuf.len() >= 4 {
         let len = u32::from_le_bytes(conn.rbuf[..4].try_into().expect("4 bytes")) as usize;
         if len as u32 > MAX_FRAME {
@@ -470,7 +461,6 @@ fn read_and_dispatch(
         }
         let payload: Vec<u8> = conn.rbuf[4..4 + len].to_vec();
         conn.rbuf.drain(..4 + len);
-        frames_this_pass += 1;
         let token = Token {
             conn: conn.id,
             slot: conn.next_slot,
@@ -484,9 +474,6 @@ fn read_and_dispatch(
                 keep = false;
             }
         }
-    }
-    if frames_this_pass > 1 {
-        pipelined.add(frames_this_pass - 1);
     }
     conn.flush_ready();
     if !conn.wbuf.is_empty() {

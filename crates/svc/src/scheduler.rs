@@ -339,7 +339,7 @@ struct Inner {
     ledger: Mutex<Ledger>,
     breaker_cfg: BreakerConfig,
     breakers: Mutex<BTreeMap<u8, Breaker>>,
-    metrics: JobMetrics,
+    metrics: Arc<JobMetrics>,
     telemetry: Telemetry,
     alerts: Option<Mutex<AlertRuntime>>,
     /// Called by a worker after each result is published.
@@ -374,7 +374,7 @@ impl Scheduler {
             Some(dir) => Some(ArtifactStore::open(dir, cfg.store_cap_bytes)?),
             None => None,
         };
-        let metrics = telemetry::job_metrics();
+        let metrics = Arc::new(JobMetrics::new(telemetry::ENGINE_COUNT));
         let inner = Arc::new(Inner {
             timeout: cfg.timeout,
             retry: cfg.retry,
@@ -925,7 +925,7 @@ fn worker_loop(inner: &Arc<Inner>) {
             .lock()
             .expect("ledger lock")
             .record(&result, &record.phases, admitted);
-        // Registry metrics + trace log for the live-telemetry surface
+        // Job metrics + trace log for the live-telemetry surface
         // (Series/TraceDump). The wall time is enqueue→done: the
         // latency a waiting client actually observed.
         inner.metrics.record(
@@ -964,7 +964,6 @@ fn worker_loop(inner: &Arc<Inner>) {
 fn run_with_retries(inner: &Arc<Inner>, id: u64, spec: &JobSpec) -> (JobResult, bool) {
     let code = spec.engine.code();
     if !with_breaker(inner, code, Breaker::admit) {
-        obs::metrics::counter("svc.breaker.fast_fail").inc();
         let engine = spec.engine.name();
         let why = format!("circuit breaker open for {engine} (cooling down)");
         return (JobResult::new(spec, JobStatus::Failed(why)), false);
@@ -993,7 +992,6 @@ fn run_with_retries(inner: &Arc<Inner>, id: u64, spec: &JobSpec) -> (JobResult, 
         if backoff >= remaining {
             break result;
         }
-        obs::metrics::counter("svc.retry").inc();
         obs::debug!(
             "job {id} attempt {attempt} {}: retrying in {backoff:?}",
             match &result.status {
@@ -1006,12 +1004,11 @@ fn run_with_retries(inner: &Arc<Inner>, id: u64, spec: &JobSpec) -> (JobResult, 
     };
     result.recovery.attempts = attempt;
     if let Some(event) = with_breaker(inner, code, |b| b.record(result.ok())) {
-        let (counter, what) = match event {
-            BreakerEvent::Opened => ("svc.breaker.open", "tripped open"),
-            BreakerEvent::Reopened => ("svc.breaker.reopen", "re-opened (probe failed)"),
-            BreakerEvent::Closed => ("svc.breaker.close", "closed (healed)"),
+        let what = match event {
+            BreakerEvent::Opened => "tripped open",
+            BreakerEvent::Reopened => "re-opened (probe failed)",
+            BreakerEvent::Closed => "closed (healed)",
         };
-        obs::metrics::counter(counter).inc();
         obs::warn!("circuit breaker for {} {what}", spec.engine.name());
     }
     (result, true)

@@ -86,7 +86,6 @@ pub fn serve(path: &Path, sched: Arc<Scheduler>) -> io::Result<()> {
         sched,
         waits: Vec::new(),
         shutdowns: Vec::new(),
-        parked: obs::metrics::gauge("svc.wait.parked"),
     };
     crate::reactor::run(&listener, &mut handler)
 }
@@ -108,8 +107,6 @@ struct SchedHandler {
     /// idle. More than one is possible (two clients racing to stop the
     /// server); each gets its `Bye`.
     shutdowns: Vec<Token>,
-    /// Gauge `svc.wait.parked`: currently parked `Wait` requests.
-    parked: Arc<obs::metrics::Gauge>,
 }
 
 impl SchedHandler {
@@ -127,7 +124,6 @@ impl SchedHandler {
                 Some(res) => Response::Result(res),
                 None => {
                     self.waits.push((token, id));
-                    self.parked.set(self.waits.len() as u64);
                     return Action::Park;
                 }
             },
@@ -168,7 +164,6 @@ impl Handler for SchedHandler {
             }
             None => true,
         });
-        self.parked.set(self.waits.len() as u64);
         if !self.shutdowns.is_empty() && sched.idle() {
             for token in self.shutdowns.drain(..) {
                 done.push((token, Resolution::Bye(Response::Bye.encode())));

@@ -247,7 +247,6 @@ impl ArtifactStore {
         let _span = obs::span!("svc.store.get");
         let Some(entry) = self.entries.get_mut(key) else {
             self.stats.misses += 1;
-            obs::metrics::counter("svc.store.miss").inc();
             return GetOutcome::Miss;
         };
         // Injected spurious miss: the entry stays intact on disk, the
@@ -256,7 +255,6 @@ impl ArtifactStore {
         if let Some(plan) = &self.faults {
             if plan.transient(Site::CacheMiss) {
                 self.stats.misses += 1;
-                obs::metrics::counter("svc.store.miss").inc();
                 return GetOutcome::Miss;
             }
         }
@@ -271,7 +269,6 @@ impl ArtifactStore {
                 self.seq += 1;
                 entry.seq = self.seq;
                 self.stats.hits += 1;
-                obs::metrics::counter("svc.store.hit").inc();
                 GetOutcome::Hit(payload)
             }
             _ => {
@@ -280,8 +277,6 @@ impl ArtifactStore {
                 let _ = fs::remove_file(&entry.path);
                 self.stats.corrupt_rejected += 1;
                 self.stats.misses += 1;
-                obs::metrics::counter("svc.store.corrupt").inc();
-                obs::metrics::counter("svc.store.miss").inc();
                 GetOutcome::Corrupt
             }
         }
@@ -330,7 +325,6 @@ impl ArtifactStore {
             },
         );
         self.stats.puts += 1;
-        obs::metrics::counter("svc.store.put").inc();
         self.evict_to_cap(Some(&key));
         Ok(())
     }
@@ -351,7 +345,6 @@ impl ArtifactStore {
             self.total_bytes -= entry.file_len;
             let _ = fs::remove_file(&entry.path);
             self.stats.evictions += 1;
-            obs::metrics::counter("svc.store.evict").inc();
         }
     }
 }

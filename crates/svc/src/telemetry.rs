@@ -1,17 +1,17 @@
-//! Live-telemetry plumbing for the service: the scheduler-side registry
+//! Live-telemetry plumbing for the service: the scheduler's job
 //! metrics, the time-series sampler, and the per-request trace log the
 //! `Series` / `TraceDump` requests serve.
 //!
 //! Three pieces, all inert unless explicitly enabled so simulated-figure
 //! paths stay bit-identical:
 //!
-//! - **Registry metrics** ([`JobMetrics`], resolved by
-//!   [`job_metrics`]): jobs-completed/ok/failed counters, per-engine
+//! - **Job metrics** ([`JobMetrics`], one per scheduler, sized by
+//!   [`ENGINE_COUNT`]): jobs-completed/ok/failed counters, per-engine
 //!   job, compile-nanosecond and exec-nanosecond counters,
 //!   queue-depth / busy-worker / breaker gauges, and a job wall-time
 //!   histogram, updated by the scheduler's workers. Counters and gauges
 //!   are cheap atomics; they exist even when nothing samples them.
-//! - **Sampler** ([`obs::series::Sampler`] over those handles): a
+//! - **Sampler** ([`obs::series::Sampler`] over those metrics): a
 //!   background thread writing one [`SeriesPoint`] of deltas every N ms
 //!   into a ring of [`SERIES_CAP`] points; its per-engine deltas are
 //!   the live engine × phase profile. Started only when
@@ -28,84 +28,19 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use obs::exemplar::{Exemplar, ExemplarBuffer};
-use obs::metrics;
 use obs::series::Sampler;
 use obs::stitch::ServerPhases;
 use serde::{Deserialize, Serialize};
 
 pub use obs::series::{JobMetrics, SeriesPoint};
 
-/// Jobs completed (any status).
-pub const JOBS_COMPLETED: &str = "svc.jobs.completed";
-/// Jobs completed with status `Ok`.
-pub const JOBS_OK: &str = "svc.jobs.ok";
-/// Jobs completed with any non-`Ok` status (failed, panicked, timed
-/// out) — the numerator of the availability burn rate.
-pub const JOBS_FAILED: &str = "svc.jobs.failed";
-/// Jobs queued but not yet picked up by a worker (gauge).
-pub const QUEUE_DEPTH: &str = "svc.queue.depth";
-/// Workers currently running a job (gauge).
-pub const WORKERS_BUSY: &str = "svc.workers.busy";
-/// End-to-end job wall time (histogram, ns).
-pub const JOB_WALL: &str = "svc.job.wall";
-
-/// Every engine wire code ([`engines::EngineKind::code`]), including the
-/// Wasmer backend variants.
-pub const ENGINE_CODES: [u8; 7] = [0, 1, 2, 3, 4, 5, 6];
-
-/// Per-engine completed-jobs counter name.
-pub fn engine_jobs_name(code: u8) -> String {
-    format!("svc.jobs.engine.{code}")
-}
-
-/// Per-engine compile-or-load nanoseconds counter name
-/// ([`ServerPhases::compile_ns`] summed over the engine's jobs).
-pub fn engine_compile_ns_name(code: u8) -> String {
-    format!("svc.jobs.compile_ns.{code}")
-}
-
-/// Per-engine execution nanoseconds counter name
-/// ([`ServerPhases::exec_ns`] summed over the engine's jobs).
-pub fn engine_exec_ns_name(code: u8) -> String {
-    format!("svc.jobs.exec_ns.{code}")
-}
+/// Engine wire codes ([`engines::EngineKind::code`]) run below this,
+/// the Wasmer backend variants included.
+pub const ENGINE_COUNT: usize = 7;
 
 /// An engine wire code's name in profile stacks (`wasm3;exec`).
 pub fn engine_name(code: u8) -> &'static str {
     engines::EngineKind::from_code(code).map_or("unknown", engines::EngineKind::name)
-}
-
-/// Per-engine breaker-state gauge name (value =
-/// [`fault::BreakerState::byte`]: 0 closed, 1 open, 2 half-open).
-pub fn breaker_state_name(code: u8) -> String {
-    format!("svc.breaker.state.{code}")
-}
-
-/// Resolves (registering on first use) every handle the scheduler's
-/// workers update and the sampler reads.
-pub fn job_metrics() -> JobMetrics {
-    let per_engine = |name: fn(u8) -> String| {
-        ENGINE_CODES
-            .iter()
-            .map(|c| metrics::counter(&name(*c)))
-            .collect()
-    };
-    JobMetrics {
-        completed: metrics::counter(JOBS_COMPLETED),
-        ok: metrics::counter(JOBS_OK),
-        failed: metrics::counter(JOBS_FAILED),
-        engines: per_engine(engine_jobs_name),
-        compile_ns: per_engine(engine_compile_ns_name),
-        exec_ns: per_engine(engine_exec_ns_name),
-        queue_depth: metrics::gauge(QUEUE_DEPTH),
-        busy: metrics::gauge(WORKERS_BUSY),
-        breakers: ENGINE_CODES
-            .iter()
-            .map(|c| metrics::gauge(&breaker_state_name(*c)))
-            .collect(),
-        wall: metrics::histogram(JOB_WALL),
-        wall_max: Arc::default(),
-    }
 }
 
 /// The `Series` reply: the buffered sample window plus the
@@ -206,9 +141,9 @@ pub struct Telemetry {
 impl Telemetry {
     /// Builds telemetry state, starting a sampler thread over `metrics`
     /// if `sample_interval` is set.
-    pub fn new(sample_interval: Option<Duration>, metrics: &JobMetrics) -> Telemetry {
+    pub fn new(sample_interval: Option<Duration>, metrics: &Arc<JobMetrics>) -> Telemetry {
         let sampler =
-            sample_interval.map(|every| Sampler::start(metrics.clone(), every, SERIES_CAP));
+            sample_interval.map(|every| Sampler::start(Arc::clone(metrics), every, SERIES_CAP));
         Telemetry {
             sampler: Mutex::new(sampler),
             trace_log: Mutex::new(VecDeque::new()),
@@ -300,7 +235,7 @@ mod tests {
 
     #[test]
     fn telemetry_off_is_empty_but_well_formed() {
-        let t = Telemetry::new(None, &job_metrics());
+        let t = Telemetry::new(None, &Arc::new(JobMetrics::new(ENGINE_COUNT)));
         t.close_window(); // no-op without a sampler
         let s = t.series(None);
         assert_eq!(s.interval_ns, 0);
@@ -311,7 +246,7 @@ mod tests {
 
     #[test]
     fn trace_log_bounds_and_exemplars_gate() {
-        let t = Telemetry::new(None, &job_metrics());
+        let t = Telemetry::new(None, &Arc::new(JobMetrics::new(ENGINE_COUNT)));
         let n = TRACE_LOG_CAP as u64 + 2;
         for i in 0..n {
             let slow = i == n - 1; // only the last one crosses 250ms

@@ -1,13 +1,14 @@
 //! Live-telemetry behavior: trace ids round-trip submit → digest →
 //! `TraceDump` over a real socket, the background sampler feeds a
 //! nonempty `Series` window whose per-engine phase times account for
-//! every job exactly once, and the drift rule reading them stays quiet
-//! across an idle spell.
+//! every job exactly once, two schedulers in one process keep separate
+//! windows, and the drift rule reading them stays quiet across an idle
+//! spell.
 
 #![cfg(unix)]
 
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
 use engines::EngineKind;
@@ -16,10 +17,6 @@ use svc::job::{JobSpec, Scale, TraceCtx};
 use svc::scheduler::{Config, Scheduler};
 use svc::server::{serve, Client};
 use svc::telemetry::SeriesPoint;
-
-/// The metrics registry the sampler reads is process-global, so a job
-/// run by one test would show up in the other's window.
-static REGISTRY_GATE: Mutex<()> = Mutex::new(());
 
 fn tmp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!(
@@ -57,7 +54,6 @@ fn spec() -> JobSpec {
 
 #[test]
 fn trace_ids_flow_submit_to_digest_to_dump_and_series_fills() {
-    let _gate = REGISTRY_GATE.lock().unwrap();
     let dir = tmp_dir("trace");
     let socket = dir.join("svc.sock");
     let server = start_server(
@@ -122,7 +118,6 @@ fn trace_ids_flow_submit_to_digest_to_dump_and_series_fills() {
 
 #[test]
 fn untraced_submits_still_work_and_digest_is_zeroed() {
-    let _gate = REGISTRY_GATE.lock().unwrap();
     let dir = tmp_dir("untraced");
     let socket = dir.join("svc.sock");
     let server = start_server(
@@ -153,7 +148,6 @@ fn interp_spec(engine: EngineKind) -> JobSpec {
 /// or counted twice.
 #[test]
 fn series_phase_totals_match_the_jobs() {
-    let _gate = REGISTRY_GATE.lock().unwrap();
     let sched = Scheduler::start(Config {
         workers: 2,
         sample_interval: Some(Duration::from_millis(2)),
@@ -191,6 +185,46 @@ fn series_phase_totals_match_the_jobs() {
     sched.shutdown();
 }
 
+/// Two schedulers in one process, each with its own 5 ms sampler, run
+/// different job counts at the same time: each one's `series()` counts
+/// its own jobs only, in the totals and per engine.
+#[test]
+fn two_schedulers_keep_separate_series() {
+    let start = || {
+        Scheduler::start(Config {
+            workers: 2,
+            sample_interval: Some(Duration::from_millis(5)),
+            ..Config::default()
+        })
+        .expect("start scheduler")
+    };
+    let runs = [(start(), 6usize), (start(), 15usize)];
+    let mix = [EngineKind::Wasm3, EngineKind::Wamr];
+    std::thread::scope(|s| {
+        for (sched, jobs) in &runs {
+            s.spawn(move || {
+                for i in 0..*jobs {
+                    sched.submit(interp_spec(mix[i % mix.len()]));
+                }
+                assert!(sched.drain_sorted().iter().all(svc::JobResult::ok));
+            });
+        }
+    });
+    let counted: Vec<(u64, u64)> = runs
+        .iter()
+        .map(|(sched, _)| {
+            let points = sched.series().points;
+            let completed = points.iter().map(|p| p.completed).sum();
+            let jobs = points.iter().flat_map(|p| &p.engines).map(|e| e.jobs).sum();
+            (completed, jobs)
+        })
+        .collect();
+    assert_eq!(counted, [(6, 6), (15, 15)], "(completed, engine jobs) per scheduler");
+    for (sched, _) in runs {
+        sched.shutdown();
+    }
+}
+
 /// A steady mix, ten-plus quiet sampler intervals, then the same mix
 /// again: the drift rule must not fire. Idle points are not read, and
 /// each point is judged by its own jobs' shares. The rule carries a
@@ -198,7 +232,6 @@ fn series_phase_totals_match_the_jobs() {
 /// few jobs is noisy enough to breach on its own.
 #[test]
 fn drift_stays_quiet_across_an_idle_gap() {
-    let _gate = REGISTRY_GATE.lock().unwrap();
     let interval = Duration::from_millis(50);
     let sched = Scheduler::start(Config {
         workers: 2,
