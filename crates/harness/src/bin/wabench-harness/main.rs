@@ -19,7 +19,7 @@
 //!
 //! `--trace-out FILE` writes the run's spans as a Chrome trace, or as
 //! wall-time folded stacks for `flamegraph.pl` when FILE ends in
-//! `.folded`; `--report` prints the self-time table to stderr.
+//! `.folded`; `--report` prints the span profile (`obs::prof::render`) to stderr.
 //!
 //! Exit codes: 0 success, 1 a failed `run` or `report` job or lint/audit
 //! findings, 2 usage error (and compile or I/O errors in `lint`/`audit`).
@@ -35,7 +35,7 @@ use harness::{experiment_list, is_simulated, resolve_alias};
 use obs::cli::{self, Args, Command, Flag};
 
 const TRACE_OUT: Flag = Flag::value("--trace-out", "FILE", "write a Chrome trace of the run (*.folded: folded stacks)");
-const REPORT: Flag = Flag::switch("--report", "print a self-time table to stderr");
+const REPORT: Flag = Flag::switch("--report", "print the span profile table to stderr");
 const LEVEL: Flag = Flag::value("--level", "L", "WaCC level O0..O3");
 
 #[rustfmt::skip]

@@ -2,23 +2,22 @@
 //! are declared once in [`COMMANDS`]; `wabench-load` with no arguments
 //! prints them.
 //!
-//! `run` drives the stack — in-process by default, or a live
-//! `wabench-served` daemon with `--socket` — with seeded Poisson
-//! arrivals sampled from a figure matrix, records latency from each
-//! job's *intended* arrival (coordinated-omission-safe), and prints a
-//! summary: totals, per-shard lines when the socket is a router,
-//! overall and per-cell latency. Exit code 0 only if jobs completed and
-//! no protocol errors occurred. `--workers`, `--faults` and `--store`
-//! configure the in-process scheduler, so combining any of them with
-//! `--socket` is a usage error. The run writes no artifact: performance
-//! is measured and gated by the repo benchmark (`benchmark/README.md`).
+//! `run` drives a live `wabench-served` daemon or `wabench-router`
+//! through `--socket` with seeded Poisson arrivals sampled from a figure
+//! matrix, records latency from each job's *intended* arrival
+//! (coordinated-omission-safe), and prints a summary: totals, per-shard
+//! lines when the socket is a router, overall and per-cell latency.
+//! Exit code 0 only if jobs completed and no protocol errors occurred.
+//! Workers, faults and the artifact store are the daemon's to set. The
+//! run writes no artifact: performance is measured and gated by the
+//! repo benchmark (`benchmark/README.md`).
 //!
 //! Every submit carries a deterministic client-originated trace id.
-//! `--stitch-out FILE` fetches the server's `TraceDump` after the run,
-//! estimates the clock offset from the fetch round-trip,
-//! stitches the client `submit → response` spans against the server
-//! queue/compile/execute spans, and writes one Chrome trace that
-//! `wabench-served trace-check` accepts.
+//! `--stitch-out FILE` pairs each job's client `submit → response` span
+//! with the queue/compile/execute timeline its result carries, places
+//! the server spans by that job's own clock bounds, and writes one
+//! Chrome trace that `wabench-served trace-check` accepts — two lanes
+//! per completed job, through a router as well.
 //!
 //! `schedule` prints the first arrivals and sampled cells for a seed
 //! without running anything: the determinism contract, inspectable.
@@ -26,7 +25,7 @@
 use std::process::exit;
 
 use load::mix::Mix;
-use load::run::{execute, Phase, RunConfig, Target};
+use load::run::{execute, Phase, RunConfig};
 use load::{arrivals, scale_name};
 use obs::cli::{self, Args, Command, Flag};
 use svc::job::Scale;
@@ -42,11 +41,7 @@ static COMMANDS: &[Command] = &[
     Command::new("run", &[
         SEED, MIX, SCALE, QPS, JOBS,
         Flag::value("--phases", "LIST", "phases to run, in order").default("cold,warm"),
-        Flag::value("--socket", "PATH", "drive a live server or router (default: in-process)"),
-        Flag::value("--workers", "N", "in-process scheduler workers (default 4)"),
-        Flag::value("--faults", "PLAN", "in-process fault plan like 'seed=7,compile=0.05,delay=0.05:2ms'"),
-        Flag::value("--store", "DIR", "in-process artifact store"),
-        Flag::value("--collectors", "N", "result-collector threads (0: one per phase)").default("0"),
+        Flag::value("--socket", "PATH", "server (or router) socket to drive; required"),
         Flag::value("--stitch-out", "FILE", "write the stitched client+server Chrome trace"),
     ]),
     Command::new("schedule", &[
@@ -69,30 +64,6 @@ fn resolve_mix(a: &Args) -> Mix {
 fn cmd_run(a: &Args) {
     let phases = Phase::parse_list(&a.get("--phases", "a phase list", cli::text))
         .unwrap_or_else(|e| a.fail(format!("--phases: {e}")));
-    let workers = a.opt("--workers", "a positive integer", cli::positive);
-    let faults = a.opt("--faults", "a plan", cli::text);
-    let store_dir = a.opt("--store", "a directory", cli::path);
-    let target = match a.opt("--socket", "a path", cli::path) {
-        Some(path) => {
-            let in_proc = [
-                ("--workers", workers.is_some()),
-                ("--faults", faults.is_some()),
-                ("--store", store_dir.is_some()),
-            ];
-            if let Some((flag, _)) = in_proc.iter().find(|(_, set)| *set) {
-                a.fail(format!(
-                    "{flag} configures the in-process scheduler and has no effect with \
-                     --socket; set it on the daemon instead"
-                ));
-            }
-            Target::Socket { path }
-        }
-        None => Target::InProc {
-            workers: workers.unwrap_or(4),
-            faults,
-            store_dir,
-        },
-    };
     let stitch_out = a.opt("--stitch-out", "a file", cli::path);
     let cfg = RunConfig {
         seed: seed(a),
@@ -101,9 +72,7 @@ fn cmd_run(a: &Args) {
         qps: qps(a),
         jobs: a.get("--jobs", "a positive integer", cli::positive),
         phases,
-        target,
-        collectors: a.get("--collectors", "an integer", cli::number),
-        stitch: stitch_out.is_some(),
+        socket: a.get("--socket", "a path", cli::path),
     };
     let report = execute(&cfg).unwrap_or_else(|e| {
         obs::error!("load run failed: {e}");
@@ -143,8 +112,9 @@ fn cmd_run(a: &Args) {
             obs::metrics::fmt_ns(snap.max_ns),
         );
     }
-    if let (Some(stitch_path), Some(trace)) = (&stitch_out, &report.stitched) {
-        match obs::chrome::export_file(trace, stitch_path) {
+    if let Some(stitch_path) = &stitch_out {
+        let trace = obs::stitch::stitch(&report.requests);
+        match obs::chrome::export_file(&trace, stitch_path) {
             Ok(()) => println!(
                 "stitched trace: {} ({} requests)",
                 stitch_path.display(),

@@ -2,8 +2,8 @@
 //!
 //! The paper characterizes runtimes one execution at a time; this crate
 //! answers the serving question the ROADMAP's north star asks: *what
-//! QPS does the stack sustain at a p99 SLO?* It drives the `svc`
-//! scheduler — in-process or over the `wabench-served` Unix socket —
+//! QPS does the stack sustain at a p99 SLO?* It drives a
+//! `wabench-served` daemon or a `wabench-router` over its Unix socket
 //! with an **open-loop** workload:
 //!
 //! - **Seeded Poisson arrivals** ([`arrivals`]): submission times are
@@ -17,9 +17,10 @@
 //!   time, into [`obs::metrics::Histogram`]s — a stalled worker makes
 //!   the recorded tail worse, it cannot pause the clock.
 //! - **End-to-end request traces** ([`traces`]): every submit carries a
-//!   deterministic client-originated trace id; after the
-//!   run the client-side `submit → response` spans are stitched against
-//!   the server's `TraceDump` phase digests into one Chrome trace.
+//!   deterministic client-originated trace id; each job's client-side
+//!   `submit → response` span is stitched against the server timeline
+//!   its own result carries into one Chrome trace, through a router as
+//!   well as against one shard.
 //!
 //! A run reports its totals and per-cell latency on stdout and exits
 //! nonzero when it was unhealthy; it writes no artifact. Performance is

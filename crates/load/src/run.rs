@@ -3,49 +3,32 @@
 //! One submitter thread walks the arrival schedule: it sleeps until
 //! each *intended* arrival offset, submits the sampled job without
 //! waiting for earlier results, and hands `(job id, intended instant,
-//! cell)` to a pool of collector threads. Collectors block on results
-//! and record latency as `collection time − intended arrival` into
-//! [`obs::metrics::Histogram`]s — never from the send time, so a
+//! cell)` to [`COLLECTORS`] collector threads. Collectors block on
+//! results and record latency as `collection time − intended arrival`
+//! into [`obs::metrics::Histogram`]s — never from the send time, so a
 //! stalled service *inflates* the recorded tail instead of silently
 //! pausing the clock (the coordinated-omission trap a closed-loop
-//! driver falls into).
+//! driver falls into). Each collector also keeps the job's client span
+//! beside the server timeline its result carries
+//! ([`svc::JobResult::phases`]), which is all a stitched trace needs.
 
 use std::collections::HashMap;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::Instant;
 
 use obs::metrics::{Histogram, HistogramSnapshot};
-use obs::stitch::ClientSpan;
-use obs::trace::Trace;
+use obs::stitch::{ClientSpan, ServerPhases};
 use svc::job::{JobResult, Outcome, Scale, TraceCtx};
-use svc::scheduler::{Config, HealthReport, Scheduler};
 use svc::proto::BackendsReport;
 use svc::server::{Client, Submission};
-use svc::telemetry::TraceReport;
 
 use crate::mix::Mix;
 use crate::{arrivals, traces};
 
-/// What the generator drives.
-#[derive(Debug, Clone)]
-pub enum Target {
-    /// An in-process scheduler (spun up and torn down by the run).
-    InProc {
-        /// Worker threads.
-        workers: usize,
-        /// Fault plan spec (`wabench-fault` grammar), if any.
-        faults: Option<String>,
-        /// Artifact-store directory for warm-phase hits, if any.
-        store_dir: Option<PathBuf>,
-    },
-    /// A live `wabench-served` daemon over its Unix socket.
-    Socket {
-        /// Socket path.
-        path: PathBuf,
-    },
-}
+/// Result-collector threads per phase, each on its own connection.
+pub const COLLECTORS: usize = 2;
 
 /// One run phase: a full arrival schedule at one warm/cold setting.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -94,13 +77,8 @@ pub struct RunConfig {
     pub jobs: usize,
     /// Phases, in order.
     pub phases: Vec<Phase>,
-    /// What to drive.
-    pub target: Target,
-    /// Collector threads (0 = pick from the target).
-    pub collectors: usize,
-    /// Fetch the server's `TraceDump` after the run and stitch it
-    /// against the collected client spans into [`RunReport::stitched`].
-    pub stitch: bool,
+    /// The `wabench-served` or `wabench-router` socket to drive.
+    pub socket: PathBuf,
 }
 
 /// Run-level outcome totals.
@@ -116,7 +94,7 @@ pub struct Totals {
     pub degraded: u64,
     /// ... failed/panicked/timed out.
     pub failed: u64,
-    /// Transport-level errors talking to the service (0 in-process).
+    /// Transport-level errors talking to the service.
     pub protocol_errors: u64,
     /// Submits the target refused with a `Busy` reply (router
     /// admission control). Refused work, not errors: the run keeps
@@ -152,60 +130,13 @@ pub struct RunReport {
     /// All-cell latency distribution.
     pub latency: HistogramSnapshot,
     /// The router's `Backends` reply, when the target was a
-    /// `wabench-router` socket (`None` for plain shards and in-process).
+    /// `wabench-router` socket (`None` for plain shards).
     pub backends: Option<BackendsReport>,
-    /// Client-side `submit → response` spans, one per collected job,
-    /// keyed by the deterministic trace ids ([`traces::trace_ids`]).
-    pub client_spans: Vec<ClientSpan>,
-    /// The stitched client+server Chrome trace, when
-    /// [`RunConfig::stitch`] was set and the dump matched any spans.
-    pub stitched: Option<Trace>,
-}
-
-/// Either side of the service boundary, submit half.
-enum Submitter {
-    InProc(Arc<Scheduler>),
-    Socket(Client),
-}
-
-impl Submitter {
-    /// Submits, distinguishing a router's `Busy` admission refusal
-    /// from a transport failure. In-process targets have
-    /// no admission layer and always accept.
-    fn submit_traced(
-        &mut self,
-        spec: svc::job::JobSpec,
-        ctx: TraceCtx,
-    ) -> Result<Submission, String> {
-        match self {
-            Submitter::InProc(s) => Ok(Submission::Accepted(s.submit_traced(spec, ctx))),
-            Submitter::Socket(c) => c.try_submit_traced(spec, ctx).map_err(|e| e.to_string()),
-        }
-    }
-
-    /// The router's routing table, when the target is one. Plain
-    /// `wabench-served` shards refuse `Backends` with an `Err` reply
-    /// and in-process targets have no routing tier — both yield `None`.
-    fn backends(&mut self) -> Option<BackendsReport> {
-        match self {
-            Submitter::InProc(_) => None,
-            Submitter::Socket(c) => c.backends().ok(),
-        }
-    }
-
-    fn health(&mut self) -> Result<HealthReport, String> {
-        match self {
-            Submitter::InProc(s) => Ok(s.health()),
-            Submitter::Socket(c) => c.health().map_err(|e| e.to_string()),
-        }
-    }
-
-    fn trace_dump(&mut self) -> Result<TraceReport, String> {
-        match self {
-            Submitter::InProc(s) => Ok(s.trace_dump()),
-            Submitter::Socket(c) => c.trace_dump().map_err(|e| e.to_string()),
-        }
-    }
+    /// One entry per collected job: its client-side `submit → response`
+    /// span, keyed by the deterministic trace ids
+    /// ([`traces::trace_ids`]), and the server timeline its result
+    /// carried — the input of [`obs::stitch::stitch`].
+    pub requests: Vec<(ClientSpan, ServerPhases)>,
 }
 
 /// Shared tallies the collectors update.
@@ -234,10 +165,9 @@ impl Tallies {
 ///
 /// # Errors
 ///
-/// Configuration errors (bad fault plan, empty mix), store I/O errors,
-/// and a failure to *connect* to a socket target. Per-job transport
-/// errors do not abort the run — they are tallied as
-/// [`Totals::protocol_errors`].
+/// Configuration errors (empty mix, bad rate) and a failure to
+/// *connect* to the socket. Per-job transport errors do not abort the
+/// run — they are tallied as [`Totals::protocol_errors`].
 pub fn execute(cfg: &RunConfig) -> Result<RunReport, String> {
     if cfg.mix.cells.is_empty() {
         return Err("job mix has no cells".to_string());
@@ -248,43 +178,9 @@ pub fn execute(cfg: &RunConfig) -> Result<RunReport, String> {
     if cfg.jobs == 0 || cfg.phases.is_empty() {
         return Err("need at least one job and one phase".to_string());
     }
-
-    // Spin up / connect to the target.
-    let (mut submitter, sched, workers) = match &cfg.target {
-        Target::InProc {
-            workers,
-            faults,
-            store_dir,
-        } => {
-            let plan = match faults {
-                Some(spec) => Some(Arc::new(
-                    fault::FaultPlan::parse(spec).map_err(|e| format!("--faults: {e}"))?,
-                )),
-                None => None,
-            };
-            let sched = Arc::new(
-                Scheduler::start(Config {
-                    workers: (*workers).max(1),
-                    store_dir: store_dir.clone(),
-                    faults: plan,
-                    ..Config::default()
-                })
-                .map_err(|e| format!("scheduler start: {e}"))?,
-            );
-            (
-                Submitter::InProc(Arc::clone(&sched)),
-                Some(sched),
-                (*workers).max(1),
-            )
-        }
-        Target::Socket { path } => (
-            Submitter::Socket(
-                Client::connect(path).map_err(|e| format!("connect {}: {e}", path.display()))?,
-            ),
-            None,
-            0,
-        ),
-    };
+    let path = &cfg.socket;
+    let mut submitter =
+        Client::connect(path).map_err(|e| format!("connect {}: {e}", path.display()))?;
 
     // One histogram per engine×level cell key, plus a global one.
     let mut key_index: HashMap<String, usize> = HashMap::new();
@@ -305,13 +201,7 @@ pub fn execute(cfg: &RunConfig) -> Result<RunReport, String> {
         Arc::new((0..keys.len()).map(|_| Histogram::default()).collect());
     let global = Arc::new(Histogram::default());
     let tallies = Arc::new(Tallies::default());
-    let spans: Arc<Mutex<Vec<ClientSpan>>> = Arc::new(Mutex::new(Vec::new()));
-
-    let collectors = if cfg.collectors > 0 {
-        cfg.collectors
-    } else {
-        workers.max(2)
-    };
+    let requests: Arc<Mutex<Vec<(ClientSpan, ServerPhases)>>> = Arc::new(Mutex::new(Vec::new()));
 
     let mut submitted = 0u64;
     let mut wall_s = 0.0f64;
@@ -322,28 +212,17 @@ pub fn execute(cfg: &RunConfig) -> Result<RunReport, String> {
 
         let (tx, rx) = mpsc::channel::<Pending>();
         let rx = Arc::new(Mutex::new(rx));
-        let handles: Vec<_> = (0..collectors)
+        let handles: Vec<_> = (0..COLLECTORS)
             .map(|_| {
                 let rx = Arc::clone(&rx);
                 let per_key = Arc::clone(&per_key);
                 let global = Arc::clone(&global);
                 let tallies = Arc::clone(&tallies);
-                let spans = Arc::clone(&spans);
-                match (&sched, &cfg.target) {
-                    (Some(s), _) => {
-                        let s = Arc::clone(s);
-                        std::thread::spawn(move || {
-                            collect_inproc(&s, &rx, &per_key, &global, &tallies, &spans);
-                        })
-                    }
-                    (None, Target::Socket { path }) => {
-                        let path = path.clone();
-                        std::thread::spawn(move || {
-                            collect_socket(&path, &rx, &per_key, &global, &tallies, &spans);
-                        })
-                    }
-                    (None, Target::InProc { .. }) => unreachable!("inproc always has sched"),
-                }
+                let requests = Arc::clone(&requests);
+                let path = path.clone();
+                std::thread::spawn(move || {
+                    collect(&path, &rx, &per_key, &global, &tallies, &requests);
+                })
             })
             .collect();
 
@@ -360,7 +239,7 @@ pub fn execute(cfg: &RunConfig) -> Result<RunReport, String> {
                 trace_id,
                 origin_ns: begin_ns,
             };
-            match submitter.submit_traced(spec, ctx) {
+            match submitter.try_submit_traced(spec, ctx) {
                 Ok(Submission::Accepted(id)) => {
                     submitted += 1;
                     // Collector gone ⇒ nothing will record this job; the
@@ -393,29 +272,10 @@ pub fn execute(cfg: &RunConfig) -> Result<RunReport, String> {
 
     // Saturation signal: the scheduler's queue high-water mark.
     let peak_queue_depth = submitter.health().map_or(0, |h| h.peak_queue_depth);
-    // Routed runs also capture per-shard attribution (None elsewhere).
-    let backends = submitter.backends();
-    let client_spans = std::mem::take(&mut *spans.lock().expect("span log"));
-    // Stitch while the target is still up: bracket the dump fetch on
-    // the client clock for the round-trip offset estimate.
-    let stitched = if cfg.stitch {
-        let before_ns = obs::trace::now_ns();
-        let report = submitter.trace_dump()?;
-        let after_ns = obs::trace::now_ns();
-        let trace = traces::stitch_report(&client_spans, &report, before_ns, after_ns);
-        if trace.threads.is_empty() {
-            return Err(format!(
-                "stitch matched no requests: {} client spans vs {} server records",
-                client_spans.len(),
-                report.all_records().len()
-            ));
-        }
-        Some(trace)
-    } else {
-        None
-    };
-    drop(submitter);
-    drop(sched); // joins the in-process workers
+    // Routed runs also capture per-shard attribution: a plain shard
+    // refuses `Backends` with an `Err` reply, which reads as `None`.
+    let backends = submitter.backends().ok();
+    let requests = std::mem::take(&mut *requests.lock().expect("request log"));
 
     let cells = keys
         .into_iter()
@@ -438,8 +298,7 @@ pub fn execute(cfg: &RunConfig) -> Result<RunReport, String> {
         cells,
         latency: global.snapshot(),
         backends,
-        client_spans,
-        stitched,
+        requests,
     })
 }
 
@@ -463,7 +322,7 @@ fn record(
     per_key: &[Histogram],
     global: &Histogram,
     tallies: &Tallies,
-    spans: &Mutex<Vec<ClientSpan>>,
+    requests: &Mutex<Vec<(ClientSpan, ServerPhases)>>,
 ) {
     // Intended arrival → observed completion: queueing delay a stalled
     // worker causes lands in the tail instead of being omitted.
@@ -471,34 +330,21 @@ fn record(
     per_key[job.key].observe_ns(lat_ns);
     global.observe_ns(lat_ns);
     tallies.record(res);
-    spans.lock().expect("span log").push(ClientSpan {
+    let client = ClientSpan {
         trace_id: job.trace_id,
         begin_ns: job.begin_ns,
         end_ns: obs::trace::now_ns(),
-    });
+    };
+    requests.lock().expect("request log").push((client, res.phases()));
 }
 
-fn collect_inproc(
-    sched: &Scheduler,
+fn collect(
+    path: &Path,
     rx: &Mutex<mpsc::Receiver<Pending>>,
     per_key: &[Histogram],
     global: &Histogram,
     tallies: &Tallies,
-    spans: &Mutex<Vec<ClientSpan>>,
-) {
-    while let Some(job) = next_job(rx) {
-        let res = sched.wait(job.id);
-        record(&job, &res, per_key, global, tallies, spans);
-    }
-}
-
-fn collect_socket(
-    path: &std::path::Path,
-    rx: &Mutex<mpsc::Receiver<Pending>>,
-    per_key: &[Histogram],
-    global: &Histogram,
-    tallies: &Tallies,
-    spans: &Mutex<Vec<ClientSpan>>,
+    requests: &Mutex<Vec<(ClientSpan, ServerPhases)>>,
 ) {
     let mut client = match Client::connect(path) {
         Ok(c) => c,
@@ -513,7 +359,7 @@ fn collect_socket(
     };
     while let Some(job) = next_job(rx) {
         match client.wait(job.id) {
-            Ok(res) => record(&job, &res, per_key, global, tallies, spans),
+            Ok(res) => record(&job, &res, per_key, global, tallies, requests),
             Err(_) => {
                 tallies.protocol_errors.fetch_add(1, Ordering::Relaxed);
             }

@@ -1,22 +1,13 @@
-//! Deterministic per-request trace ids and client↔server stitching.
+//! Deterministic per-request trace ids.
 //!
 //! Every submitted job carries a client-originated 64-bit trace id
 //! drawn from the same counter-mode [`crate::rng::Rng`] stream family
 //! as arrivals and the job mix: the id sequence is a pure function of
 //! `(seed, phase)`, so two runs with the same seed tag their requests
 //! identically — which makes trace diffs between runs meaningful and is
-//! pinned by the determinism tests.
-//!
-//! After a run, [`stitch_report`] joins the client-side spans the
-//! collectors recorded against the server-side phase digests fetched
-//! via the `TraceDump` request, shifting server timestamps
-//! onto the client clock with [`obs::stitch::clock_offset_ns`]. The
-//! output is a Chrome-exportable [`obs::trace::Trace`] that
-//! `wabench-served trace-check` accepts.
-
-use obs::stitch::{self, ClientSpan, ServerPhases};
-use obs::trace::Trace;
-use svc::telemetry::TraceReport;
+//! pinned by the determinism tests. The server echoes the id in each
+//! job's result, and [`obs::stitch::stitch`] names each request's lanes
+//! after it.
 
 use crate::rng::Rng;
 
@@ -36,26 +27,6 @@ pub fn trace_ids(seed: u64, phase: u64, n: usize) -> Vec<u64> {
         .collect()
 }
 
-/// Flattens a `TraceDump` reply into the phase digests to stitch
-/// against (recent ∪ exemplars, deduplicated).
-pub fn server_phases(report: &TraceReport) -> Vec<ServerPhases> {
-    report.all_records().into_iter().map(|r| r.phases).collect()
-}
-
-/// Stitches collected client spans against a `TraceDump` reply into one
-/// Chrome-exportable trace. `client_before_ns` / `client_after_ns`
-/// bracket the fetch on the client clock; the reply's `server_now_ns`
-/// completes the round-trip clock-offset estimate.
-pub fn stitch_report(
-    clients: &[ClientSpan],
-    report: &TraceReport,
-    client_before_ns: u64,
-    client_after_ns: u64,
-) -> Trace {
-    let offset = stitch::clock_offset_ns(client_before_ns, client_after_ns, report.server_now_ns);
-    stitch::stitch(clients, &server_phases(report), offset)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -71,39 +42,5 @@ mod tests {
         dedup.sort_unstable();
         dedup.dedup();
         assert_eq!(dedup.len(), a.len(), "ids collide");
-    }
-
-    #[test]
-    fn stitch_report_joins_on_trace_id() {
-        use obs::stitch::ServerPhases;
-        use svc::telemetry::TraceRecord;
-
-        let clients = [ClientSpan {
-            trace_id: 42,
-            begin_ns: 1_000,
-            end_ns: 9_000,
-        }];
-        let report = TraceReport {
-            server_now_ns: 5_500, // client midpoint 5_000 → offset +500
-            slow_threshold_ns: 0,
-            recent: vec![TraceRecord {
-                label: "x".into(),
-                ok: true,
-                phases: ServerPhases {
-                    trace_id: 42,
-                    enqueue_ns: 2_000,
-                    start_ns: 3_000,
-                    done_ns: 8_000,
-                    ..ServerPhases::default()
-                },
-            }],
-            exemplars: Vec::new(),
-        };
-        let trace = stitch_report(&clients, &report, 4_000, 6_000);
-        assert_eq!(trace.threads.len(), 2, "one client + one server lane");
-        let server = &trace.threads[1];
-        // offset +500: server enqueue 2_000 lands at client 1_500.
-        assert_eq!(server.events[0].start_ns, 1_500);
-        obs::chrome::validate(&obs::chrome::export_string(&trace)).expect("validates");
     }
 }

@@ -6,55 +6,36 @@
 //! stall must *inflate* the tail — that inversion is what this test
 //! pins.
 
-use harness::matrix::MatrixCell;
-use load::mix::Mix;
-use load::run::{execute, Phase, RunConfig, Target};
-use svc::job::{JobMode, Scale};
+mod common;
 
-/// A one-cell mix of the cheapest kind of job, so the only latency in
-/// play is the latency the test injects.
-fn tiny_mix() -> Mix {
-    Mix {
-        name: "test-single".to_string(),
-        cells: vec![MatrixCell {
-            benchmark: "crc32",
-            engine: engines::EngineKind::Wasmtime,
-            level: wacc::OptLevel::O2,
-            mode: JobMode::Exec,
-        }],
-    }
-}
+use std::sync::Arc;
 
-fn config(faults: Option<String>) -> RunConfig {
-    RunConfig {
-        seed: 7,
-        mix: tiny_mix(),
-        scale: Scale::Test,
-        // 25 jobs arriving over ~125ms on a single worker.
-        qps: 200.0,
-        jobs: 25,
-        phases: vec![Phase {
-            name: "cold".into(),
-            warm: false,
-        }],
-        target: Target::InProc {
+use common::Served;
+use load::run::{execute, RunReport};
+use svc::scheduler::Config;
+
+/// 25 jobs arriving over ~125ms at a one-worker server armed with
+/// `faults`, if any.
+fn run(tag: &str, faults: Option<&str>) -> RunReport {
+    let plan = faults.map(|spec| Arc::new(fault::FaultPlan::parse(spec).expect("fault plan")));
+    let served = Served::start(
+        tag,
+        Config {
             workers: 1,
-            faults,
-            store_dir: None,
+            faults: plan,
+            ..Config::default()
         },
-        collectors: 2,
-        stitch: false,
-    }
+    );
+    execute(&served.run_config(7, 200.0, 25, "cold")).expect("run")
 }
 
 #[test]
 fn stalled_worker_inflates_recorded_p99() {
-    let clean = execute(&config(None)).expect("clean run");
+    let clean = run("clean", None);
     // Every job sleeps 50ms on the single worker: service capacity is
     // 20 jobs/s against 200/s arrivals, so the backlog (and the
     // intended-arrival latency) must grow throughout the run.
-    let stalled = execute(&config(Some("seed=1,delay=1.0:50ms".to_string())))
-        .expect("stalled run");
+    let stalled = run("stalled", Some("seed=1,delay=1.0:50ms"));
 
     assert_eq!(clean.totals.completed, 25);
     assert_eq!(stalled.totals.completed, 25);
@@ -93,14 +74,14 @@ fn stalled_worker_inflates_recorded_p99() {
 }
 
 #[test]
-fn inproc_run_reports_coherent_totals() {
-    let report = execute(&config(None)).expect("run");
+fn socket_run_reports_coherent_totals() {
+    let report = run("totals", None);
     let t = &report.totals;
     assert_eq!(t.submitted, 25);
     assert_eq!(t.ok + t.degraded + t.failed, t.completed);
     assert_eq!(t.protocol_errors, 0);
     assert!(t.qps() > 0.0);
-    assert!(report.backends.is_none(), "in-process runs have no router");
+    assert!(report.backends.is_none(), "a plain shard is not a router");
     assert_eq!(report.cells.len(), 1);
     let (key, cell) = &report.cells[0];
     assert_eq!(key, "Wasmtime/-O2");

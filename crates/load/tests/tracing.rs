@@ -1,59 +1,68 @@
 //! End-to-end request tracing through a real run: every submit carries
-//! a deterministic trace id, the collectors record client-side spans,
-//! and the post-run stitch against the scheduler's `TraceDump` yields a
-//! Chrome trace that validates (the same check `wabench-served
-//! trace-check` applies).
+//! a deterministic trace id, the collectors keep each job's client span
+//! beside the server timeline its result carries, and stitching them
+//! yields a Chrome trace that validates (the same check `wabench-served
+//! trace-check` applies) with every server lane inside its client lane.
 
-use harness::matrix::MatrixCell;
-use load::mix::Mix;
-use load::run::{execute, Phase, RunConfig, Target};
+mod common;
+
+use common::Served;
+use load::run::{execute, RunReport};
 use load::traces;
-use svc::job::{JobMode, Scale};
+use svc::scheduler::Config;
 
-fn tiny_mix() -> Mix {
-    Mix {
-        name: "test-single".to_string(),
-        cells: vec![MatrixCell {
-            benchmark: "crc32",
-            engine: engines::EngineKind::Wasmtime,
-            level: wacc::OptLevel::O2,
-            mode: JobMode::Exec,
-        }],
-    }
+fn served(tag: &str) -> Served {
+    Served::start(
+        tag,
+        Config {
+            workers: 2,
+            ..Config::default()
+        },
+    )
 }
 
-fn config(stitch: bool) -> RunConfig {
-    RunConfig {
-        seed: 11,
-        mix: tiny_mix(),
-        scale: Scale::Test,
-        qps: 500.0,
-        jobs: 12,
-        phases: vec![Phase {
-            name: "cold".into(),
-            warm: false,
-        }],
-        target: Target::InProc {
-            workers: 2,
-            faults: None,
-            store_dir: None,
-        },
-        collectors: 2,
-        stitch,
+/// Stitches a run's requests and checks the document: it validates,
+/// holds two lanes per completed job, and each server root lies inside
+/// its client span.
+fn assert_stitches(report: &RunReport) {
+    let trace = obs::stitch::stitch(&report.requests);
+    assert_eq!(trace.threads.len() as u64, 2 * report.totals.completed);
+    let doc = obs::chrome::export_string(&trace);
+    let summary = obs::chrome::validate(&doc).expect("stitched trace validates");
+    assert!(summary.names.iter().any(|n| n == "client.request"));
+    assert!(summary.names.iter().any(|n| n == "server.job"));
+    assert!(summary.names.iter().any(|n| n == "queue.wait"));
+    for pair in trace.threads.chunks(2) {
+        let client = &pair[0].events[0];
+        let server = &pair[1].events[0];
+        assert!(
+            server.start_ns >= client.start_ns && server.end_ns() <= client.end_ns(),
+            "server span {}..{} outside client span {}..{}",
+            server.start_ns,
+            server.end_ns(),
+            client.start_ns,
+            client.end_ns()
+        );
     }
 }
 
 #[test]
 fn fixed_seed_runs_tag_requests_identically() {
-    let ids_of = |report: &load::run::RunReport| {
-        let mut ids: Vec<u64> = report.client_spans.iter().map(|s| s.trace_id).collect();
+    let served = served("ids");
+    let ids_of = |report: &RunReport| {
+        let mut ids: Vec<u64> = report.requests.iter().map(|(c, _)| c.trace_id).collect();
         ids.sort_unstable();
         ids
     };
-    let a = execute(&config(false)).expect("first run");
-    let b = execute(&config(false)).expect("second run");
-    assert_eq!(a.client_spans.len(), 12, "every job collected a span");
+    let cfg = served.run_config(11, 500.0, 12, "cold");
+    let a = execute(&cfg).expect("first run");
+    let b = execute(&cfg).expect("second run");
+    assert_eq!(a.requests.len(), 12, "every job collected a span");
     assert_eq!(ids_of(&a), ids_of(&b), "trace ids are a pure function of the seed");
+    assert!(
+        a.requests.iter().all(|(c, s)| c.trace_id == s.trace_id),
+        "each result echoes its request's trace id"
+    );
 
     // And they are exactly the advertised sequence for (seed, phase 0).
     let mut expected = traces::trace_ids(11, 0, 12);
@@ -63,26 +72,19 @@ fn fixed_seed_runs_tag_requests_identically() {
 
 #[test]
 fn stitched_run_produces_valid_chrome_trace() {
-    let report = execute(&config(true)).expect("run");
-    let trace = report.stitched.expect("stitch requested");
-    // Every request contributes a client lane and a server lane.
-    assert_eq!(trace.threads.len(), report.client_spans.len() * 2);
-    let doc = obs::chrome::export_string(&trace);
-    let summary = obs::chrome::validate(&doc).expect("stitched trace validates");
-    assert!(summary.names.iter().any(|n| n == "client.request"));
-    assert!(summary.names.iter().any(|n| n == "server.job"));
-    assert!(summary.names.iter().any(|n| n == "queue.wait"));
-    // Server spans sit inside client lanes' time range per request: the
-    // server lane root must start no earlier than the client submit
-    // (same process ⇒ offset ≈ 0, slack for the midpoint estimate).
-    for pair in trace.threads.chunks(2) {
-        let client = &pair[0].events[0];
-        let server = &pair[1].events[0];
-        assert!(
-            server.start_ns + 5_000_000 >= client.start_ns,
-            "server span starts {} but client submitted {}",
-            server.start_ns,
-            client.start_ns
-        );
-    }
+    let served = served("stitch");
+    let report = execute(&served.run_config(11, 500.0, 12, "cold")).expect("run");
+    assert_eq!(report.totals.completed, 12);
+    assert_stitches(&report);
+}
+
+/// A long run: the stitch reads only the collected results, so every
+/// completed job gets its pair of lanes however many ran.
+#[test]
+fn stitched_run_of_600_jobs_keeps_every_request() {
+    let served = served("many");
+    let report = execute(&served.run_config(5, 1000.0, 300, "cold,warm")).expect("run");
+    assert_eq!(report.totals.completed, 600);
+    assert_eq!(report.totals.protocol_errors, 0);
+    assert_stitches(&report);
 }

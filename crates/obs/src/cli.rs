@@ -285,8 +285,8 @@ impl Args {
 
     /// Runs `body`, recording spans when the command line asked for
     /// them (`--trace-out FILE`, `--report`, whichever the command
-    /// declares); afterwards writes the trace and prints the self-time
-    /// table to stderr. The file name picks the format: `*.folded` gets
+    /// declares); afterwards writes the trace and prints the span
+    /// profile table ([`crate::prof::render`]) to stderr. The file name picks the format: `*.folded` gets
     /// wall-time folded stacks for `flamegraph.pl`, anything else the
     /// Chrome trace. A trace file that cannot be written exits 1.
     pub fn traced<R>(&self, body: impl FnOnce() -> R) -> R {
@@ -315,7 +315,7 @@ impl Args {
             }
         }
         if report {
-            eprint!("{}", crate::report::render(&trace));
+            eprint!("{}", crate::prof::render(&trace));
         }
         r
     }

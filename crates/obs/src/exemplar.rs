@@ -2,15 +2,13 @@
 //! tail latency.
 //!
 //! Aggregates tell you the p99 moved; an exemplar tells you *which*
-//! request moved it and where its time went. Producers offer every
-//! completed request's [`ServerPhases`] digest; the buffer keeps only
-//! those whose end-to-end latency meets the threshold, and at capacity
-//! retains the slowest of them (ties broken toward recency), so a
-//! long-running server cannot grow without limit and a flood of
-//! borderline-slow requests cannot wash out the true outliers.
-//! Consumers fetch the buffer (the `TraceDump` protocol request) and
-//! export it through the chrome/folded exporters via
-//! [`crate::stitch::server_only`].
+//! request moved it and where its time went. Producers offer completed
+//! requests' [`ServerPhases`] digests; the buffer keeps only those whose
+//! end-to-end latency meets the threshold, and at capacity retains the
+//! slowest of them (ties broken toward recency), so a long-running
+//! server cannot grow without limit and a flood of borderline-slow
+//! requests cannot wash out the true outliers. Consumers fetch the
+//! buffer with the `TraceDump` protocol request.
 
 use std::collections::VecDeque;
 use std::sync::Mutex;
@@ -22,6 +20,9 @@ use crate::stitch::ServerPhases;
 pub struct Exemplar {
     /// What ran, e.g. `"crc32 on Wasm3 at -O1"`.
     pub label: String,
+    /// Whether the request finished `Ok`: a slow request is as likely
+    /// to have failed or timed out as to have succeeded.
+    pub ok: bool,
     /// The request's full server-side span tree digest.
     pub phases: ServerPhases,
 }
@@ -107,11 +108,11 @@ impl ExemplarBuffer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{chrome, stitch};
 
     fn slow(trace_id: u64, total_ns: u64) -> Exemplar {
         Exemplar {
             label: format!("job-{trace_id}"),
+            ok: true,
             phases: ServerPhases {
                 trace_id,
                 enqueue_ns: 1_000,
@@ -179,19 +180,5 @@ mod tests {
         assert_eq!(kept.len(), 1);
         assert_eq!(kept[0].phases.trace_id, 4);
         assert_eq!(kept[0].total_ns(), 9_000);
-    }
-
-    #[test]
-    fn exemplars_export_through_the_chrome_exporter() {
-        let buf = ExemplarBuffer::new(0, 8);
-        buf.offer(slow(0xaa, 5_000_000));
-        buf.offer(slow(0xbb, 7_000_000));
-        let phases: Vec<ServerPhases> = buf.window().iter().map(|e| e.phases).collect();
-        let trace = stitch::server_only(&phases);
-        assert_eq!(trace.threads.len(), 2);
-        let summary = chrome::validate(&chrome::export_string(&trace))
-            .expect("exemplar trace validates");
-        assert!(summary.names.iter().any(|n| n == "server.job"));
-        assert!(summary.names.iter().any(|n| n == "queue.wait"));
     }
 }

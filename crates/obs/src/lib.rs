@@ -15,11 +15,11 @@
 //!   ([`series::JobMetrics`]), a load run's latency histograms — never
 //!   a name in a process-global table.
 //! - **Exporters**: Chrome trace-event JSON ([`chrome`], loadable in
-//!   Perfetto / `chrome://tracing`), a plain-text hierarchical
-//!   self-time report ([`report`]), a `perf report`-style attributed
-//!   counter profile ([`prof`]) over the optional
-//!   [`trace::SpanCounters`] span payloads, and flamegraph folded
-//!   stacks ([`folded`], self wall time), all nesting spans by one walk
+//!   Perfetto / `chrome://tracing`), a `perf report`-style span
+//!   profile ([`prof`]: self time per call path, with the optional
+//!   [`trace::SpanCounters`] span payloads attributed beside it), and
+//!   flamegraph folded stacks ([`folded`], self wall time), all nesting
+//!   spans by one walk
 //!   in [`prof`]; [`json`] carries the tiny parser the round-trip
 //!   validators are built on.
 //!
@@ -28,7 +28,8 @@
 //! window merge over it ([`series`]) — job counts, latency, and the
 //! engine × phase self-time profile alike — a threshold-gated
 //! slow-request exemplar buffer ([`exemplar`]), a client/server
-//! trace stitcher with round-trip clock-offset estimation ([`stitch`]),
+//! trace stitcher that places each request by its own clock bounds
+//! ([`stitch`]),
 //! and an SLO alert-rule engine ([`alert`]). None of them run unless explicitly
 //! started, preserving the bit-identical-when-off contract.
 //!
@@ -64,7 +65,6 @@ pub mod json;
 pub mod logger;
 pub mod metrics;
 pub mod prof;
-pub mod report;
 pub mod ring;
 pub mod series;
 pub mod stitch;

@@ -1,11 +1,15 @@
-//! Attributed counter profile: a `perf report`-style table over spans.
+//! The span profile: a `perf report`-style table over spans.
 //!
-//! The self-time report ([`crate::report`]) answers "where did the wall
-//! time go"; this one answers "where did the *machine* go" — retired
-//! instructions, IPC, and the paper's MPKI metrics (Figures 10–14)
-//! attributed to span paths. Producers attach a [`SpanCounters`] delta
-//! to the spans they sample (engine compile/execute); aggregation here
-//! distributes those deltas hierarchically:
+//! One table answers both "where did the wall time go" and "where did
+//! the *machine* go". Spans aggregate by their full call path
+//! (`svc.job.run/engine.compile/jit.pass`), so the same pass invoked
+//! from two places shows up twice — attribution follows the path, not
+//! the name. *Self* time is a span's duration minus its children's,
+//! which is what you optimize. Next to it stand retired instructions,
+//! IPC and the paper's MPKI metrics (Figures 10–14). Producers attach
+//! a [`SpanCounters`] delta to the spans they sample (engine
+//! compile/execute); aggregation here distributes those deltas
+//! hierarchically:
 //!
 //! * a span's **total** counters are its own payload;
 //! * its **self** counters are its payload minus whatever its descendant
@@ -88,8 +92,8 @@ pub(crate) fn walk<'a>(events: &'a [SpanEvent], mut visit: impl FnMut(Step<'a>))
 }
 
 /// Aggregates one thread's spans by call path, attributing counter
-/// deltas hierarchically. The self-time report ([`crate::report`]) and
-/// the folded export ([`crate::folded`]) read it too. Recursion and
+/// deltas hierarchically. [`render`] and the folded export
+/// ([`crate::folded`]) read it. Recursion and
 /// zero-duration spans are safe.
 pub fn aggregate(events: &[SpanEvent]) -> BTreeMap<Vec<&'static str>, ProfNode> {
     struct Open {
@@ -142,33 +146,43 @@ pub fn aggregate(events: &[SpanEvent]) -> BTreeMap<Vec<&'static str>, ProfNode> 
     agg
 }
 
-/// Renders `trace` as a per-thread `perf report`-style table: wall self
-/// time next to self instructions, the thread-relative instruction
-/// share, and the derived IPC / MPKI columns the paper's Figures 10–14
-/// plot. Threads with no attributed spans are skipped.
+/// Renders `trace` as one table per thread: per span path the count,
+/// wall total, self time and its share of the thread's wall time, then
+/// self instructions, their share of the thread's instructions and the
+/// derived IPC / MPKI columns the paper's Figures 10–14 plot. A path
+/// that carried no counter payload shows `-` in the counter columns.
 pub fn render(trace: &Trace) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "counter profile ({} spans, {} threads)",
+        "span profile ({} spans, {} threads{})",
         trace.span_count(),
-        trace.threads.len()
+        trace.threads.len(),
+        if trace.dropped() > 0 {
+            format!(", {} dropped", trace.dropped())
+        } else {
+            String::new()
+        }
     );
 
-    let mut any = false;
     for thread in &trace.threads {
-        let agg = aggregate(&thread.events);
-        if !agg.values().any(|n| n.has_counters) {
+        if thread.events.is_empty() {
             continue;
         }
-        any = true;
-        // Thread-relative instruction base: top-level totals only, so
-        // shares sum to ≤100% without double counting nesting.
-        let thread_instrs: u64 = agg
-            .iter()
-            .filter(|(path, _)| path.len() == 1)
-            .map(|(_, n)| n.total.instructions)
-            .sum();
+        let agg = aggregate(&thread.events);
+        // Thread-relative bases: top-level totals only, so shares sum to
+        // ≤100% without double counting nesting.
+        let top = agg.iter().filter(|(path, _)| path.len() == 1).map(|(_, n)| n);
+        let (thread_ns, thread_instrs) = top.fold((0u64, 0u64), |(ns, instrs), n| {
+            (ns + n.total_ns, instrs + n.total.instructions)
+        });
+        let share = |part: u64, whole: u64| {
+            if whole == 0 {
+                0.0
+            } else {
+                100.0 * part as f64 / whole as f64
+            }
+        };
         let _ = writeln!(out, "\n[{} tid={}]", thread.name, thread.tid);
         let name_width = agg
             .keys()
@@ -178,59 +192,40 @@ pub fn render(trace: &Trace) -> String {
             .max("span".len());
         let _ = writeln!(
             out,
-            "  {:name_width$}  {:>7}  {:>9}  {:>12}  {:>6}  {:>5}  {:>8}  {:>8}  {:>8}  {:>8}",
-            "span",
-            "count",
-            "self",
-            "instrs",
-            "inst%",
-            "ipc",
-            "br-mpki",
-            "l1d-mpki",
-            "l1i-mpki",
-            "llc-mpki"
+            "  {:name_width$}  {:>7}  {:>9}  {:>9}  {:>6}  {:>12}  {:>6}  {:>5}  {:>8}  {:>8}  {:>8}  {:>8}",
+            "span", "count", "total", "self", "self%", "instrs", "inst%", "ipc", "br-mpki",
+            "l1d-mpki", "l1i-mpki", "llc-mpki"
         );
         for (path, node) in &agg {
             let indent = 2 * (path.len() - 1);
             let label = format!("{:indent$}{}", "", path.last().expect("non-empty path"));
-            if node.has_counters {
+            let counters = if node.has_counters {
                 let c = &node.self_counters;
-                let pct = if thread_instrs == 0 {
-                    0.0
-                } else {
-                    100.0 * c.instructions as f64 / thread_instrs as f64
-                };
-                let _ = writeln!(
-                    out,
-                    "  {label:name_width$}  {:>7}  {:>9}  {:>12}  {pct:>5.1}%  {:>5.2}  {:>8.2}  {:>8.2}  {:>8.2}  {:>8.2}",
-                    node.count,
-                    fmt_ns(node.self_ns),
+                format!(
+                    "{:>12}  {:>5.1}%  {:>5.2}  {:>8.2}  {:>8.2}  {:>8.2}  {:>8.2}",
                     c.instructions,
+                    share(c.instructions, thread_instrs),
                     c.ipc(),
                     c.branch_mpki(),
                     c.l1d_mpki(),
                     c.l1i_mpki(),
                     c.llc_mpki(),
-                );
+                )
             } else {
-                let _ = writeln!(
-                    out,
-                    "  {label:name_width$}  {:>7}  {:>9}  {:>12}  {:>6}  {:>5}  {:>8}  {:>8}  {:>8}  {:>8}",
-                    node.count,
-                    fmt_ns(node.self_ns),
-                    "-",
-                    "-",
-                    "-",
-                    "-",
-                    "-",
-                    "-",
-                    "-"
-                );
-            }
+                format!(
+                    "{:>12}  {:>6}  {:>5}  {:>8}  {:>8}  {:>8}  {:>8}",
+                    "-", "-", "-", "-", "-", "-", "-"
+                )
+            };
+            let _ = writeln!(
+                out,
+                "  {label:name_width$}  {:>7}  {:>9}  {:>9}  {:>5.1}%  {counters}",
+                node.count,
+                fmt_ns(node.total_ns),
+                fmt_ns(node.self_ns),
+                share(node.self_ns, thread_ns),
+            );
         }
-    }
-    if !any {
-        out.push_str("(no attributed spans — run under a profiled mode)\n");
     }
     out
 }
@@ -311,35 +306,108 @@ mod tests {
     }
 
     #[test]
-    fn render_handles_empty_and_unattributed_traces() {
-        let empty = render(&Trace::default());
-        assert!(empty.contains("no attributed spans"));
-        let trace = Trace {
+    fn self_time_excludes_children() {
+        let agg = aggregate(&[
+            span("child", 2_000, 3_000, 1, None),
+            span("parent", 1_000, 10_000, 0, None),
+        ]);
+        let parent = &agg[&vec!["parent"]];
+        assert_eq!(parent.total_ns, 10_000);
+        assert_eq!(parent.self_ns, 7_000);
+        let child = &agg[&vec!["parent", "child"]];
+        assert_eq!(child.total_ns, 3_000);
+        assert_eq!(child.self_ns, 3_000);
+    }
+
+    #[test]
+    fn same_name_different_paths_stay_separate() {
+        let agg = aggregate(&[
+            span("pass", 100, 50, 1, None),
+            span("compile", 100, 100, 0, None),
+            span("pass", 300, 80, 1, None),
+            span("verify", 300, 100, 0, None),
+        ]);
+        assert_eq!(agg[&vec!["compile", "pass"]].count, 1);
+        assert_eq!(agg[&vec!["verify", "pass"]].count, 1);
+        assert!(!agg.contains_key(&vec!["pass"]));
+    }
+
+    #[test]
+    fn repeated_spans_accumulate() {
+        let agg = aggregate(&[
+            span("pass", 100, 10, 1, None),
+            span("pass", 120, 20, 1, None),
+            span("compile", 100, 100, 0, None),
+        ]);
+        let pass = &agg[&vec!["compile", "pass"]];
+        assert_eq!(pass.count, 2);
+        assert_eq!(pass.total_ns, 30);
+        assert_eq!(agg[&vec!["compile"]].self_ns, 70);
+    }
+
+    #[test]
+    fn recursive_spans_do_not_double_count_self_time() {
+        // f calls itself: outer 0..100, inner 20..60. The path keys
+        // distinguish the recursion levels, each level's self time is
+        // its duration minus its direct child, and total self time
+        // equals the outer wall time — nothing counted twice.
+        let agg = aggregate(&[span("f", 20, 40, 1, None), span("f", 0, 100, 0, None)]);
+        let outer = &agg[&vec!["f"]];
+        let inner = &agg[&vec!["f", "f"]];
+        assert_eq!(outer.total_ns, 100);
+        assert_eq!(outer.self_ns, 60);
+        assert_eq!(inner.total_ns, 40);
+        assert_eq!(inner.self_ns, 40);
+        let self_sum: u64 = agg.values().map(|n| n.self_ns).sum();
+        assert_eq!(self_sum, 100, "self times must partition the wall time");
+    }
+
+    fn one_thread(events: Vec<SpanEvent>) -> Trace {
+        Trace {
             threads: vec![ThreadTrace {
-                tid: 1,
+                tid: 3,
                 name: "main".into(),
                 dropped: 0,
-                events: vec![span("plain", 0, 100, 0, None)],
+                events,
             }],
-        };
-        assert!(render(&trace).contains("no attributed spans"));
+        }
+    }
+
+    #[test]
+    fn render_shows_every_thread_with_dashes_for_unattributed_paths() {
+        let empty = render(&Trace::default());
+        assert!(empty.starts_with("span profile (0 spans, 0 threads)"));
+        let text = render(&one_thread(vec![
+            span("cell", 0, 1_000, 0, None),
+            span("compile", 100, 400, 1, None),
+        ]));
+        assert!(text.contains("[main tid=3]"));
+        assert!(text.contains("self%") && text.contains("l1d-mpki"));
+        let row = text.lines().find(|l| l.trim_start().starts_with("compile")).unwrap();
+        assert!(row.starts_with("    compile"), "children are indented: {row:?}");
+        assert!(row.contains("40.0%"), "self share of the thread: {row:?}");
+        assert!(row.trim_end().ends_with('-'), "no payload, no counters: {row:?}");
+    }
+
+    #[test]
+    fn zero_total_duration_renders_without_nan() {
+        // Every span has zero duration: the thread's wall total is 0 and
+        // the self% column must degrade to 0.0%, never NaN.
+        let text = render(&one_thread(vec![
+            span("instant", 10, 0, 0, None),
+            span("blip", 20, 0, 0, None),
+        ]));
+        assert!(!text.contains("NaN"), "NaN leaked into report:\n{text}");
+        assert!(text.contains("0.0%"));
     }
 
     #[test]
     fn render_shows_derived_columns_without_nan() {
         // Zero-instruction payloads exercise every division guard.
-        let trace = Trace {
-            threads: vec![ThreadTrace {
-                tid: 1,
-                name: "main".into(),
-                dropped: 0,
-                events: vec![
-                    span("empty", 0, 0, 0, Some(counters(0, 0))),
-                    span("work", 10, 500, 0, Some(counters(2_000, 1_000))),
-                ],
-            }],
-        };
-        let text = render(&trace);
+        let text = render(&one_thread(vec![
+            span("empty", 0, 0, 0, Some(counters(0, 0))),
+            span("work", 10, 500, 0, Some(counters(2_000, 1_000))),
+        ]));
         assert!(!text.contains("NaN"), "NaN leaked:\n{text}");
         assert!(text.contains("work"));
         assert!(text.contains("2.00"), "ipc column missing:\n{text}");

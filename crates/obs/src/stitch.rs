@@ -2,21 +2,18 @@
 //!
 //! The load generator observes `submit → response` per request; the
 //! scheduler observes `enqueue → start → done` plus compile/execute
-//! phase durations. Both stamp the same client-originated trace id, but
-//! their clocks are different process-local epochs ([`crate::trace::now_ns`]
-//! starts at 0 per process). [`clock_offset_ns`] estimates the skew from
-//! one round-trip (the classic NTP-style midpoint: the server's "now",
-//! answered mid-flight, corresponds to the midpoint of the client's
-//! send/receive window), and [`stitch`] maps every server span onto the
-//! client timeline with it.
+//! phase durations and returns them in the request's own result. Both
+//! carry the same client-originated trace id, but their clocks are
+//! different process-local epochs ([`crate::trace::now_ns`] starts at 0
+//! per process). Each request bounds the offset between the two clocks
+//! from both sides, and [`stitch`] places its server spans at the
+//! midpoint of those bounds.
 //!
 //! Each request becomes a *pair of lanes* (client tid / server tid) in
 //! the output trace: open-loop requests overlap freely in time, so
 //! folding them onto one lane would force fake nesting. Within a lane,
 //! spans nest properly — the whole document passes
 //! [`crate::chrome::validate`] and therefore `wabench-served trace-check`.
-
-use std::collections::HashMap;
 
 use crate::trace::{SpanEvent, ThreadTrace, Trace};
 
@@ -61,16 +58,17 @@ impl ServerPhases {
     }
 }
 
-/// Estimates `server_clock - client_clock` in nanoseconds from one
-/// round-trip: the client reads its clock before (`client_before_ns`)
-/// and after (`client_after_ns`) a request whose reply carries the
-/// server's clock (`server_now_ns`). The server's read is assumed to
-/// fall at the midpoint of the client window, so the estimate's error is
-/// bounded by half the round-trip time.
-pub fn clock_offset_ns(client_before_ns: u64, client_after_ns: u64, server_now_ns: u64) -> i64 {
-    let mid = client_before_ns + client_after_ns.saturating_sub(client_before_ns) / 2;
-    let diff = server_now_ns as i128 - mid as i128;
-    diff.clamp(i64::MIN as i128, i64::MAX as i128) as i64
+/// Estimates `server clock − client clock` for one request from its own
+/// timestamps: the server enqueued the job after the client sent it and
+/// finished it before the client read the reply, so the offset lies
+/// between `done − client end` and `enqueue − client begin`. The
+/// midpoint is the estimate; with it the server lane nests inside the
+/// client lane, whatever epoch the server's clock counts from.
+fn offset_ns(client: &ClientSpan, server: &ServerPhases) -> i64 {
+    let lo = server.done_ns as i128 - client.end_ns as i128;
+    let hi = server.enqueue_ns as i128 - client.begin_ns as i128;
+    let mid = lo + (hi - lo) / 2;
+    mid.clamp(i64::MIN as i128, i64::MAX as i128) as i64
 }
 
 /// Maps a server-clock timestamp onto the client clock using an
@@ -83,26 +81,21 @@ pub fn to_client_ns(server_ns: u64, offset_ns: i64) -> u64 {
     }
 }
 
-/// Builds one Chrome-exportable [`Trace`] from matched client and server
-/// spans. `offset_ns` is the [`clock_offset_ns`] estimate; server spans
-/// are shifted onto the client timeline with it.
+/// Builds one Chrome-exportable [`Trace`] from each request's client
+/// span and server phases. Each server lane is shifted onto the client
+/// clock by that request's own offset bounds, so requests served by
+/// processes with different clock epochs (shards behind a router) need
+/// no extra round trip.
 ///
-/// Requests present on only one side are dropped (the server ring may
-/// have evicted an old record; the client may have timed out). Each
-/// stitched request gets two lanes named after its trace id; lanes are
+/// Each request gets two lanes named after its trace id; lanes are
 /// ordered by client submit time, so the output is deterministic for a
 /// fixed input.
-pub fn stitch(clients: &[ClientSpan], servers: &[ServerPhases], offset_ns: i64) -> Trace {
-    let by_id: HashMap<u64, &ServerPhases> =
-        servers.iter().map(|s| (s.trace_id, s)).collect();
-    let mut matched: Vec<(&ClientSpan, &ServerPhases)> = clients
-        .iter()
-        .filter_map(|c| by_id.get(&c.trace_id).map(|s| (c, *s)))
-        .collect();
-    matched.sort_by_key(|(c, _)| (c.begin_ns, c.trace_id));
+pub fn stitch(requests: &[(ClientSpan, ServerPhases)]) -> Trace {
+    let mut ordered: Vec<&(ClientSpan, ServerPhases)> = requests.iter().collect();
+    ordered.sort_by_key(|(c, _)| (c.begin_ns, c.trace_id));
 
-    let mut threads = Vec::with_capacity(matched.len() * 2);
-    for (i, (client, server)) in matched.iter().enumerate() {
+    let mut threads = Vec::with_capacity(ordered.len() * 2);
+    for (i, (client, server)) in ordered.into_iter().enumerate() {
         let tid_base = (i as u64) * 2 + 1;
         threads.push(ThreadTrace {
             tid: tid_base,
@@ -121,43 +114,26 @@ pub fn stitch(clients: &[ClientSpan], servers: &[ServerPhases], offset_ns: i64) 
             tid: tid_base + 1,
             name: format!("req {:016x} server", client.trace_id),
             dropped: 0,
-            events: server_lane(server, offset_ns),
+            events: server_lane(client, server),
         });
     }
     Trace { threads }
 }
 
-/// Builds a server-only [`Trace`] (no client lanes, no clock shift) —
-/// one lane per record, ordered by enqueue time. This is how slow-request
-/// exemplars fetched via `TraceDump` feed the chrome/folded exporters
-/// when no client-side spans exist to stitch against.
-pub fn server_only(servers: &[ServerPhases]) -> Trace {
-    let mut ordered: Vec<&ServerPhases> = servers.iter().collect();
-    ordered.sort_by_key(|s| (s.enqueue_ns, s.trace_id));
-    Trace {
-        threads: ordered
-            .iter()
-            .enumerate()
-            .map(|(i, s)| ThreadTrace {
-                tid: i as u64 + 1,
-                name: format!("req {:016x} server", s.trace_id),
-                dropped: 0,
-                events: server_lane(s, 0),
-            })
-            .collect(),
-    }
-}
-
-/// The server-side span tree of one request, shifted onto the client
-/// clock: a `server.job` root containing `queue.wait`, `compile`, and
-/// `execute` children, plus a zero-width `recovery` marker when retries
-/// or degradation engaged. Children are clamped into the root so the
-/// reconstruction stays properly nested no matter how the phase
-/// durations round.
-fn server_lane(s: &ServerPhases, offset_ns: i64) -> Vec<SpanEvent> {
-    let enqueue = to_client_ns(s.enqueue_ns, offset_ns);
-    let start = to_client_ns(s.start_ns, offset_ns).max(enqueue);
-    let done = to_client_ns(s.done_ns, offset_ns).max(start);
+/// The server-side span tree of one request on the client clock: a
+/// `server.job` root containing `queue.wait`, `compile`, and `execute`
+/// children, plus a zero-width `recovery` marker when retries or
+/// degradation engaged. The root is clamped into the client span (a
+/// no-op for timestamps from real clocks) and the children into the
+/// root, so the lanes stay nested no matter how the phase durations
+/// round.
+fn server_lane(client: &ClientSpan, s: &ServerPhases) -> Vec<SpanEvent> {
+    let offset = offset_ns(client, s);
+    let client_end = client.end_ns.max(client.begin_ns);
+    let shift = |server_ns| to_client_ns(server_ns, offset).clamp(client.begin_ns, client_end);
+    let enqueue = shift(s.enqueue_ns);
+    let start = shift(s.start_ns).max(enqueue);
+    let done = shift(s.done_ns).max(start);
     let child = |name: &'static str, attr: Option<Box<str>>, at: u64, dur: u64| {
         let at = at.clamp(enqueue, done);
         SpanEvent {
@@ -201,10 +177,10 @@ mod tests {
     use super::*;
     use crate::chrome;
 
-    fn sample_pair(offset: i64) -> (Vec<ClientSpan>, Vec<ServerPhases>) {
-        // Server clock = client clock + offset; requests overlap in time
-        // as an open-loop generator produces them.
-        let mk_server = |trace_id, enq: u64, start: u64, done: u64| ServerPhases {
+    /// Requests whose server clock reads `client + offset`; they overlap
+    /// in time as an open-loop generator produces them.
+    fn sample(offset: i64) -> Vec<(ClientSpan, ServerPhases)> {
+        let server = |trace_id, enq: u64, start: u64, done: u64| ServerPhases {
             trace_id,
             enqueue_ns: (enq as i64 + offset) as u64,
             start_ns: (start as i64 + offset) as u64,
@@ -214,41 +190,61 @@ mod tests {
             attempts: 1,
             ..ServerPhases::default()
         };
-        let clients = vec![
-            ClientSpan { trace_id: 0xa1, begin_ns: 1_000_000, end_ns: 9_000_000 },
-            ClientSpan { trace_id: 0xb2, begin_ns: 2_000_000, end_ns: 11_000_000 },
-            ClientSpan { trace_id: 0xdead, begin_ns: 3_000_000, end_ns: 4_000_000 },
-        ];
-        let servers = vec![
-            mk_server(0xa1, 1_100_000, 1_500_000, 8_800_000),
-            mk_server(0xb2, 2_100_000, 8_900_000, 10_800_000),
-            ServerPhases { trace_id: 0xfeed, ..ServerPhases::default() },
-        ];
-        (clients, servers)
+        let client = |trace_id, begin_ns, end_ns| ClientSpan { trace_id, begin_ns, end_ns };
+        vec![
+            (client(0xa1, 1_000_000, 9_000_000), server(0xa1, 1_100_000, 1_500_000, 8_800_000)),
+            (client(0xb2, 2_000_000, 11_000_000), server(0xb2, 2_100_000, 8_900_000, 10_800_000)),
+        ]
+    }
+
+    /// Every server lane lies inside its client lane and keeps the
+    /// server's own enqueue → done length.
+    fn assert_nested(requests: &[(ClientSpan, ServerPhases)], trace: &Trace) {
+        assert_eq!(trace.threads.len(), requests.len() * 2);
+        chrome::validate(&chrome::export_string(trace)).expect("stitched trace validates");
+        for pair in trace.threads.chunks(2) {
+            let (client, server) = (&pair[0].events[0], &pair[1].events[0]);
+            let (_, phases) = requests
+                .iter()
+                .find(|(c, _)| c.begin_ns == client.start_ns)
+                .expect("lane for a request");
+            assert_eq!(server.name, "server.job");
+            assert!(server.start_ns >= client.start_ns, "{server:?} before {client:?}");
+            assert!(server.end_ns() <= client.end_ns(), "{server:?} after {client:?}");
+            assert_eq!(server.dur_ns, phases.total_ns(), "server span length kept");
+            for ev in &pair[1].events[1..] {
+                assert!(ev.start_ns >= server.start_ns && ev.end_ns() <= server.end_ns());
+                assert_eq!(ev.depth, 1);
+            }
+        }
     }
 
     #[test]
-    fn offset_recovers_clock_skew() {
-        // Server clock runs 1234ns ahead; its "now" answered at the
-        // client-window midpoint (200) reads 200 + 1234.
-        assert_eq!(clock_offset_ns(100, 300, 1434), 1234);
-        // Server behind the client → negative offset.
-        assert_eq!(clock_offset_ns(1_000, 3_000, 500), -1500);
-        assert_eq!(to_client_ns(1434, 1234), 200);
-        assert_eq!(to_client_ns(500, -1500), 2000);
+    fn offset_is_the_midpoint_of_the_request_bounds() {
+        // Client 100..300; the server clock runs 1234 ahead and holds the
+        // job 150..250 in client time: bounds [1184, 1284], midpoint 1234.
+        let client = ClientSpan { trace_id: 1, begin_ns: 100, end_ns: 300 };
+        let server = ServerPhases {
+            trace_id: 1,
+            enqueue_ns: 1_384,
+            start_ns: 1_400,
+            done_ns: 1_484,
+            ..ServerPhases::default()
+        };
+        assert_eq!(offset_ns(&client, &server), 1_234);
+        assert_eq!(to_client_ns(1_434, 1_234), 200);
+        assert_eq!(to_client_ns(500, -1_500), 2_000);
     }
 
     #[test]
-    fn stitch_pairs_lanes_by_trace_id() {
-        let (clients, servers) = sample_pair(0);
-        let trace = stitch(&clients, &servers, 0);
-        // 0xdead has no server record and 0xfeed no client span: only
-        // the two matched requests survive, two lanes each.
+    fn stitch_pairs_lanes_in_submit_order() {
+        let mut requests = sample(0);
+        requests.reverse();
+        let trace = stitch(&requests);
         assert_eq!(trace.threads.len(), 4);
         assert!(trace.threads[0].name.contains("00000000000000a1 client"));
         assert!(trace.threads[1].name.contains("00000000000000a1 server"));
-        let doc = chrome::export_string(&trace);
-        let summary = chrome::validate(&doc).expect("stitched trace validates");
+        let summary = chrome::validate(&chrome::export_string(&trace)).expect("validates");
         assert!(summary.names.iter().any(|n| n == "client.request"));
         assert!(summary.names.iter().any(|n| n == "queue.wait"));
         assert!(summary.names.iter().any(|n| n == "execute"));
@@ -256,23 +252,29 @@ mod tests {
     }
 
     #[test]
-    fn nesting_survives_clock_offset_correction() {
-        for offset in [-5_000_000i64, -1, 0, 1, 7_777_777] {
-            let (clients, servers) = sample_pair(offset);
-            let trace = stitch(&clients, &servers, offset);
-            let doc = chrome::export_string(&trace);
-            chrome::validate(&doc)
-                .unwrap_or_else(|e| panic!("offset {offset}: {e}"));
-            for lane in trace.threads.iter().filter(|t| t.name.ends_with("server")) {
-                let root = &lane.events[0];
-                assert_eq!(root.name, "server.job");
-                for ev in &lane.events[1..] {
-                    assert!(ev.start_ns >= root.start_ns, "offset {offset}");
-                    assert!(ev.end_ns() <= root.end_ns(), "offset {offset}");
-                    assert_eq!(ev.depth, 1);
-                }
-            }
+    fn nesting_survives_any_clock_offset() {
+        for offset in [-900_000i64, -1, 0, 1, 7_777_777] {
+            let requests = sample(offset);
+            assert_nested(&requests, &stitch(&requests));
         }
+    }
+
+    #[test]
+    fn two_server_clocks_seconds_apart_nest_every_lane() {
+        // Shards behind a router: one clock 3 s ahead of the client, the
+        // other 9 s ahead, interleaved in one run.
+        let mut requests = sample(3_000_000_000);
+        requests.extend(sample(9_000_000_000).into_iter().map(|(mut c, mut s)| {
+            c.trace_id += 0x100;
+            s.trace_id += 0x100;
+            c.begin_ns += 500_000;
+            c.end_ns += 500_000;
+            s.enqueue_ns += 500_000;
+            s.start_ns += 500_000;
+            s.done_ns += 500_000;
+            (c, s)
+        }));
+        assert_nested(&requests, &stitch(&requests));
     }
 
     #[test]
@@ -290,10 +292,10 @@ mod tests {
             compile_fallback: true,
             ..clean
         };
-        let clients = [ClientSpan { trace_id: 1, begin_ns: 0, end_ns: 200 }];
-        let no_marker = stitch(&clients, &[clean], 0);
+        let client = ClientSpan { trace_id: 1, begin_ns: 0, end_ns: 200 };
+        let no_marker = stitch(&[(client, clean)]);
         assert!(!no_marker.threads[1].events.iter().any(|e| e.name == "recovery"));
-        let marker = stitch(&clients, &[degraded], 0);
+        let marker = stitch(&[(client, degraded)]);
         let rec = marker.threads[1]
             .events
             .iter()
@@ -306,18 +308,21 @@ mod tests {
     }
 
     #[test]
-    fn pathological_offsets_saturate_instead_of_wrapping() {
-        let clients = [ClientSpan { trace_id: 9, begin_ns: 100, end_ns: 200 }];
-        let servers = [ServerPhases {
+    fn inconsistent_timestamps_clamp_into_the_client_span() {
+        // A server span longer than its client span cannot come from
+        // real clocks; it is clamped, and the document still validates.
+        let client = ClientSpan { trace_id: 9, begin_ns: 100, end_ns: 200 };
+        let server = ServerPhases {
             trace_id: 9,
             enqueue_ns: 50,
             start_ns: 60,
-            done_ns: 70,
+            done_ns: 10_000,
+            exec_ns: 9_000,
             ..ServerPhases::default()
-        }];
-        // Offset larger than every server timestamp: everything clamps
-        // to 0 and the document still validates.
-        let trace = stitch(&clients, &servers, 1_000_000);
-        chrome::validate(&chrome::export_string(&trace)).expect("saturated trace validates");
+        };
+        let trace = stitch(&[(client, server)]);
+        chrome::validate(&chrome::export_string(&trace)).expect("clamped trace validates");
+        let root = &trace.threads[1].events[0];
+        assert!(root.start_ns >= 100 && root.end_ns() <= 200, "{root:?}");
     }
 }

@@ -424,11 +424,10 @@ mod tests {
     }
 
     const BUNDLE: &str = r#"{
-        "schema": "wabench-postmortem", "version": 1,
+        "schema": "wabench-postmortem", "version": 2,
         "alert": {"seq": 3, "t_ns": 9, "rule": "p99", "value": 0.02, "threshold": 0.005, "detail": "p99 over ceiling"},
         "firing": [{"rule": "p99", "since_ns": 5, "value": 0.02, "threshold": 0.005, "detail": "p99 over ceiling"}],
         "series": [], "exemplars": [{"label": "crc32/wasm3", "total_ns": 21000000, "attempts": 1, "compile_fallback": false}],
-        "trace_tail": [],
         "profile": {"first_seq": 2, "last_seq": 9, "folded": "wasm3;compile 100\nwasm3;exec 900\n"},
         "health": {"retries": 0, "compile_fallbacks": 0, "store_repairs": 0, "breaker_fast_fails": 0,
                    "queue_depth": 0, "peak_queue_depth": 4, "breakers": [],
@@ -464,8 +463,8 @@ mod tests {
     #[test]
     fn healthy_evidence_yields_no_findings() {
         let ev = bundle_evidence(
-            r#"{"schema": "wabench-postmortem", "version": 1, "firing": [], "series": [],
-                "exemplars": [], "trace_tail": [], "profile": null,
+            r#"{"schema": "wabench-postmortem", "version": 2, "firing": [], "series": [],
+                "exemplars": [], "profile": null,
                 "health": {"retries": 0, "compile_fallbacks": 0, "store_repairs": 0,
                            "breaker_fast_fails": 0, "queue_depth": 0, "peak_queue_depth": 0,
                            "breakers": [], "faults": []}}"#,

@@ -15,9 +15,9 @@
 //!
 //! `series` and `trace-dump`: the serve path runs a background
 //! telemetry sampler (`--sample-ms`, 0 disables) whose delta window
-//! (the last 600 samples) `series` fetches, and keeps recent plus
-//! slow-request (250 ms and over) span digests that `trace-dump`
-//! fetches for client-side stitching. `top` builds a live view on top,
+//! (the last 600 samples) `series` fetches, and keeps the span digests
+//! of slow requests (250 ms and over) that `trace-dump` prints, each
+//! with its outcome. `top` builds a live view on top,
 //! and `windows` / `wdiff` read the engine × phase self-time profile
 //! every sample carries.
 //!
@@ -232,12 +232,11 @@ fn print_series(s: &SeriesReport) {
 
 fn print_trace_report(t: &TraceReport) {
     println!(
-        "traces: {} recent, {} slow (threshold {:.1}ms)",
-        t.recent.len(),
+        "traces: {} slow (threshold {:.1}ms)",
         t.exemplars.len(),
         t.slow_threshold_ns as f64 / 1e6
     );
-    for rec in t.all_records() {
+    for rec in &t.exemplars {
         let p = &rec.phases;
         println!(
             "trace {:#018x} [{}] {}: queue {:.2}ms compile {:.2}ms exec {:.2}ms wall {:.2}ms{}{}",

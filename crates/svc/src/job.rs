@@ -1,6 +1,7 @@
 //! Job and result types: the unit of work the service schedules.
 
 use engines::EngineKind;
+use obs::stitch::ServerPhases;
 use serde::{Deserialize, Serialize};
 use suite::Benchmark;
 use wacc::OptLevel;
@@ -336,6 +337,24 @@ impl JobResult {
             Outcome::Degraded
         } else {
             Outcome::Clean
+        }
+    }
+
+    /// The job's server timeline as the stitcher and the exemplar
+    /// buffer read it: the span digest's timestamps, the compile and
+    /// execute durations, and what recovery did. The scheduler's worker
+    /// and every client build it from the same result.
+    pub fn phases(&self) -> ServerPhases {
+        ServerPhases {
+            trace_id: self.trace.trace_id,
+            enqueue_ns: self.trace.enqueue_ns,
+            start_ns: self.trace.start_ns,
+            done_ns: self.trace.done_ns,
+            compile_ns: (self.compile_s.max(0.0) * 1e9) as u64,
+            exec_ns: (self.exec_s.max(0.0) * 1e9) as u64,
+            attempts: self.recovery.attempts,
+            compile_fallback: self.recovery.compile_fallback,
+            store_repairs: self.recovery.store_repairs,
         }
     }
 }

@@ -39,8 +39,9 @@
 //! [`telemetry`]): submits carry a client-originated trace id, every
 //! result returns a per-job span digest ([`job::TraceDigest`]), and the
 //! `Series` / `TraceDump` requests serve a bounded time-series window
-//! and recent/slow-request span trees that `wabench-served top` and the
-//! client-side trace stitcher consume.
+//! and the slow-request span trees that `wabench-served top`, `doctor`
+//! and `trace-dump` read; a client stitches its own requests' timelines
+//! from the results it already holds.
 //!
 //! The harness's `--jobs N` flag drives the fig1/fig4/fig7 measurement
 //! matrices through the scheduler; assembly of the output tables stays
@@ -67,4 +68,4 @@ pub use scheduler::{
     Config, HealthReport, ResilienceStats, RetryPolicy, Scheduler, SvcStats, SvcStatsExt,
 };
 pub use store::{ArtifactKey, ArtifactStore, GetOutcome, StoreStats};
-pub use telemetry::{SeriesReport, TraceRecord, TraceReport};
+pub use telemetry::{SeriesReport, TraceReport};

@@ -11,6 +11,7 @@
 use engines::EngineKind;
 use fault::{BreakerSnapshot, BreakerState};
 use obs::alert::{AlertEvent, FiringAlert, Transition};
+use obs::exemplar::Exemplar;
 use obs::metrics::{HistogramSnapshot, BUCKETS};
 use obs::series::{EngineDelta, HistDelta};
 use obs::stitch::ServerPhases;
@@ -20,7 +21,7 @@ use wacc::OptLevel;
 use crate::job::{JobMode, JobResult, JobSpec, JobStatus, Recovery, Scale, TraceCtx, TraceDigest};
 use crate::scheduler::{EngineCounters, HealthReport, ResilienceStats, SvcStats, SvcStatsExt};
 use crate::store::StoreStats;
-use crate::telemetry::{AlertReport, SeriesPoint, SeriesReport, TraceRecord, TraceReport};
+use crate::telemetry::{AlertReport, SeriesPoint, SeriesReport, TraceReport};
 use crate::wire::{bad, level_byte, level_from_byte, wire_enum, wire_struct};
 use crate::wire::{Wire, WireError, WireReader, WireWriter};
 
@@ -28,7 +29,7 @@ use crate::wire::{Wire, WireError, WireReader, WireWriter};
 /// payload. Both decoders refuse any other value: every peer is built
 /// from this workspace, so a mismatch means mixed builds, not an older
 /// client to accommodate. Bump it whenever a message layout changes.
-pub const PROTO_VERSION: u16 = 11;
+pub const PROTO_VERSION: u16 = 12;
 
 wire_enum! {
     /// Client → server.
@@ -57,8 +58,8 @@ wire_enum! {
         /// The cursor limits the reply to points with a greater sequence
         /// number; `None` fetches the whole window.
         8 => Series(since: Option<u64>),
-        /// Recent and slow-request server span digests for client-side
-        /// stitching.
+        /// The slow-request exemplars: server span digests of the jobs
+        /// at or above the slow threshold.
         9 => TraceDump,
         // 10 is retired (v10's `ProfileDump`); never reuse it.
         /// The SLO alert engine's firing set and transition log.
@@ -95,7 +96,7 @@ wire_enum! {
         8 => Health(report: HealthReport),
         /// Live telemetry sample window.
         9 => Series(report: SeriesReport),
-        /// Recent/slow-request span digests.
+        /// Slow-request exemplars.
         10 => TraceDump(report: TraceReport),
         // 11 is retired (v10's `ProfileDump`); never reuse it.
         /// Alert firing set and transition log.
@@ -169,8 +170,8 @@ wire_struct! {
     ResilienceStats { retries, compile_fallbacks, store_repairs, breaker_fast_fails }
     BreakerSnapshot { state, consecutive_failures, trips }
     SeriesReport { server_now_ns, interval_ns, points }
-    TraceReport { server_now_ns, slow_threshold_ns, recent, exemplars }
-    TraceRecord { label, ok, phases }
+    TraceReport { slow_threshold_ns, exemplars }
+    Exemplar { label, ok, phases }
     ServerPhases {
         trace_id, enqueue_ns, start_ns, done_ns, compile_ns, exec_ns, attempts, compile_fallback,
         store_repairs,
@@ -529,7 +530,7 @@ mod tests {
     }
 
     fn sample_trace_report() -> TraceReport {
-        let rec = |id: u64, ok: bool| TraceRecord {
+        let rec = |id: u64, ok: bool| Exemplar {
             label: format!("crc32 on Wasm3 at -O1 ({id})"),
             ok,
             phases: ServerPhases {
@@ -545,10 +546,8 @@ mod tests {
             },
         };
         TraceReport {
-            server_now_ns: 77_000,
             slow_threshold_ns: 250_000_000,
-            recent: vec![rec(1, true), rec(2, false)],
-            exemplars: vec![rec(1, true)],
+            exemplars: vec![rec(1, true), rec(2, false)],
         }
     }
 
@@ -724,7 +723,7 @@ mod tests {
         // Counted by hand from the samples (two `Submit` benchmark names;
         // every string, list and map of the replies), so a count that
         // bypassed `WireReader::count` would show up here as a shortfall.
-        assert_eq!((requests, responses), (2, 47));
+        assert_eq!((requests, responses), (2, 44));
     }
 
     /// Every payload opens with the version head, and both decoders
@@ -761,8 +760,8 @@ mod tests {
         for resp in sample_responses() {
             all.extend(resp.encode());
         }
-        assert_eq!(all.len(), 2344);
-        assert_eq!(crate::hash::fnv64(&all), 0x8dac_01c7_f86c_ca24);
+        assert_eq!(all.len(), 2233);
+        assert_eq!(crate::hash::fnv64(&all), 0x96d6_80dd_2441_2a2e);
     }
 
     /// A sparse histogram naming a bucket one past the end is refused

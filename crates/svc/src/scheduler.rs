@@ -30,17 +30,12 @@ use obs::series::Window;
 use crate::exec::{self, ExecEnv};
 use crate::job::{JobResult, JobSpec, JobStatus, TraceCtx, TraceDigest};
 use crate::store::{ArtifactStore, StoreStats};
-use crate::telemetry::{
-    self, AlertReport, JobMetrics, SeriesReport, Telemetry, TraceRecord, TraceReport,
-};
+use crate::telemetry::{self, AlertReport, JobMetrics, SeriesReport, Telemetry, TraceReport};
 
 /// Series points embedded in a postmortem bundle (most recent first in
 /// time, oldest first in the array); `doctor --socket` merges the same
 /// tail, so a live and a bundle diagnosis read the same span.
 pub const POSTMORTEM_SERIES_TAIL: u64 = 64;
-
-/// Trace-log records embedded in a postmortem bundle.
-const POSTMORTEM_TRACE_TAIL: usize = 16;
 
 /// Retry tuning: exponential backoff with deterministic jitter.
 ///
@@ -88,9 +83,9 @@ pub struct Config {
     /// job execution and the artifact store.
     pub faults: Option<Arc<FaultPlan>>,
     /// Telemetry sampler cadence. `None` (the default) starts no
-    /// sampler thread and `Series` reports an empty window; trace
-    /// digests and the recent-request log are always maintained (cheap,
-    /// bounded) so `TraceDump` works even on a sampler-less scheduler.
+    /// sampler thread and `Series` reports an empty window; span
+    /// digests and slow exemplars are always kept (cheap, bounded), so
+    /// `TraceDump` works even on a sampler-less scheduler.
     pub sample_interval: Option<Duration>,
     /// SLO alert rules. `None` (the default) arms no
     /// engine: nothing is evaluated, `AlertLog` reports disarmed, and
@@ -595,7 +590,7 @@ impl Scheduler {
         self.inner.telemetry.series(since)
     }
 
-    /// Recent and slow-request span digests (`TraceDump`).
+    /// Slow-request span digests (`TraceDump`).
     pub fn trace_dump(&self) -> TraceReport {
         self.inner.telemetry.trace_dump()
     }
@@ -774,23 +769,13 @@ fn write_postmortem(
             p.lat.p99_ns
         )
     });
-    let dump = inner.telemetry.trace_dump();
-    let exemplars = jlist(&dump.exemplars, |rec| {
+    let exemplars = jlist(&inner.telemetry.trace_dump().exemplars, |rec| {
         format!(
             "{{\"label\":{},\"total_ns\":{},\"attempts\":{},\"compile_fallback\":{}}}",
             jstr(&rec.label),
             rec.phases.total_ns(),
             rec.phases.attempts,
             rec.phases.compile_fallback
-        )
-    });
-    let skip = dump.recent.len().saturating_sub(POSTMORTEM_TRACE_TAIL);
-    let trace_tail = jlist(dump.recent.iter().skip(skip), |rec| {
-        format!(
-            "{{\"label\":{},\"ok\":{},\"total_ns\":{}}}",
-            jstr(&rec.label),
-            rec.ok,
-            rec.phases.total_ns()
         )
     });
     let profile = format!(
@@ -811,10 +796,10 @@ fn write_postmortem(
     });
     let r = &health.resilience;
     let out = format!(
-        "{{\"schema\":\"wabench-postmortem\",\"version\":1,\
+        "{{\"schema\":\"wabench-postmortem\",\"version\":2,\
          \"alert\":{{\"seq\":{},\"t_ns\":{},\"rule\":{},\"value\":{},\"threshold\":{},\"detail\":{}}},\
          \"firing\":[{firing}],\"series\":[{series}],\"exemplars\":[{exemplars}],\
-         \"trace_tail\":[{trace_tail}],\"profile\":{profile},\
+         \"profile\":{profile},\
          \"health\":{{\"retries\":{},\"compile_fallbacks\":{},\"store_repairs\":{},\
          \"breaker_fast_fails\":{},\"queue_depth\":{},\"peak_queue_depth\":{},\
          \"breakers\":[{breakers}],\"faults\":[{faults}]}}}}",
@@ -904,38 +889,23 @@ fn worker_loop(inner: &Arc<Inner>) {
             start_ns,
             done_ns,
         };
-        // Built before the ledger lock: the label is the only allocation.
-        let record = TraceRecord {
-            label: spec.to_string(),
-            ok: result.ok(),
-            phases: obs::stitch::ServerPhases {
-                trace_id: ctx.trace_id,
-                enqueue_ns,
-                start_ns,
-                done_ns,
-                compile_ns: (result.compile_s.max(0.0) * 1e9) as u64,
-                exec_ns: (result.exec_s.max(0.0) * 1e9) as u64,
-                attempts: result.recovery.attempts,
-                compile_fallback: result.recovery.compile_fallback,
-                store_repairs: result.recovery.store_repairs,
-            },
-        };
+        let phases = result.phases();
         inner
             .ledger
             .lock()
             .expect("ledger lock")
-            .record(&result, &record.phases, admitted);
-        // Job metrics + trace log for the live-telemetry surface
+            .record(&result, &phases, admitted);
+        // Job metrics + slow exemplars for the live-telemetry surface
         // (Series/TraceDump). The wall time is enqueue→done: the
         // latency a waiting client actually observed.
         inner.metrics.record(
             spec.engine.code(),
-            record.ok,
-            done_ns.saturating_sub(enqueue_ns),
-            record.phases.compile_ns,
-            record.phases.exec_ns,
+            result.ok(),
+            phases.total_ns(),
+            phases.compile_ns,
+            phases.exec_ns,
         );
-        inner.telemetry.record(record);
+        inner.telemetry.record(&result, phases);
         {
             // Insert and decrement under the results lock: waiters check
             // `outstanding` while holding it, so publishing both under

@@ -1,5 +1,5 @@
 //! Live-telemetry plumbing for the service: the scheduler's job
-//! metrics, the time-series sampler, and the per-request trace log the
+//! metrics, the time-series sampler, and the slow-request exemplars the
 //! `Series` / `TraceDump` requests serve.
 //!
 //! Three pieces, all inert unless explicitly enabled so simulated-figure
@@ -17,13 +17,12 @@
 //!   the live engine × phase profile. Started only when
 //!   [`crate::scheduler::Config::sample_interval`] is set (the `serve`
 //!   path).
-//! - **Trace log + exemplars** ([`Telemetry`]): every completed job's
-//!   [`TraceRecord`] goes into a bounded recent-requests ring; jobs
-//!   whose end-to-end latency meets [`SLOW_THRESHOLD`] are additionally
-//!   retained in an [`obs::exemplar::ExemplarBuffer`]. `TraceDump`
-//!   returns both.
+//! - **Exemplars** ([`Telemetry`]): a job whose end-to-end latency
+//!   meets [`SLOW_THRESHOLD`] is retained in an
+//!   [`obs::exemplar::ExemplarBuffer`], which `TraceDump` returns. Every
+//!   job's own timeline travels in its [`crate::JobResult`]
+//!   ([`crate::JobResult::phases`]); nothing else keeps a copy.
 
-use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -31,6 +30,8 @@ use obs::exemplar::{Exemplar, ExemplarBuffer};
 use obs::series::Sampler;
 use obs::stitch::ServerPhases;
 use serde::{Deserialize, Serialize};
+
+use crate::job::JobResult;
 
 pub use obs::series::{JobMetrics, SeriesPoint};
 
@@ -73,53 +74,15 @@ pub struct AlertReport {
     pub events: Vec<obs::alert::AlertEvent>,
 }
 
-/// One completed request's server-side trace, as retained by the trace
-/// log and the exemplar buffer and served by `TraceDump`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct TraceRecord {
-    /// Human label: the job spec's display form.
-    pub label: String,
-    /// Whether the job finished `Ok`.
-    pub ok: bool,
-    /// Phase timestamps/durations on the server trace clock, keyed by
-    /// the client trace id (0 = untraced submit).
-    pub phases: ServerPhases,
-}
-
-/// The `TraceDump` reply.
+/// The `TraceDump` reply: the slow-request exemplars.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct TraceReport {
-    /// Server trace clock at reply time ([`obs::trace::now_ns`]) — the
-    /// third input to [`obs::stitch::clock_offset_ns`].
-    pub server_now_ns: u64,
     /// The exemplar retention threshold, ns.
     pub slow_threshold_ns: u64,
-    /// Recently completed requests, oldest first (bounded ring).
-    pub recent: Vec<TraceRecord>,
     /// Slow-request exemplars at or above the threshold, oldest first.
-    pub exemplars: Vec<TraceRecord>,
+    pub exemplars: Vec<Exemplar>,
 }
 
-impl TraceReport {
-    /// `recent` ∪ `exemplars` deduplicated, preferring `recent` order —
-    /// what a stitcher should join client spans against (exemplars
-    /// outlive the recent ring, so slow old requests stay joinable).
-    pub fn all_records(&self) -> Vec<TraceRecord> {
-        let mut out = self.recent.clone();
-        for e in &self.exemplars {
-            if !out
-                .iter()
-                .any(|r| r.phases.trace_id == e.phases.trace_id && r.phases == e.phases)
-            {
-                out.push(e.clone());
-            }
-        }
-        out
-    }
-}
-
-/// Recently-completed-request records retained for `TraceDump`.
-pub const TRACE_LOG_CAP: usize = 512;
 /// Slow exemplars retained for `TraceDump`.
 pub const EXEMPLAR_CAP: usize = 64;
 /// Sample points the series ring retains (2.5 minutes at the `serve`
@@ -129,12 +92,11 @@ pub const SERIES_CAP: usize = 600;
 /// slow exemplar.
 pub const SLOW_THRESHOLD: Duration = Duration::from_millis(250);
 
-/// The scheduler's telemetry state: optional sampler, recent-request
-/// trace log, slow-request exemplars.
+/// The scheduler's telemetry state: optional sampler and slow-request
+/// exemplars.
 #[derive(Debug)]
 pub struct Telemetry {
     sampler: Mutex<Option<Sampler>>,
-    trace_log: Mutex<VecDeque<TraceRecord>>,
     exemplars: ExemplarBuffer,
 }
 
@@ -146,26 +108,21 @@ impl Telemetry {
             sample_interval.map(|every| Sampler::start(Arc::clone(metrics), every, SERIES_CAP));
         Telemetry {
             sampler: Mutex::new(sampler),
-            trace_log: Mutex::new(VecDeque::new()),
             exemplars: ExemplarBuffer::new(SLOW_THRESHOLD.as_nanos() as u64, EXEMPLAR_CAP),
         }
     }
 
-    /// Folds a completed request into the trace log (bounded FIFO) and
-    /// offers it to the exemplar buffer — only when it crosses the
-    /// threshold, so a fast job copies no label.
-    pub fn record(&self, rec: TraceRecord) {
-        if rec.phases.total_ns() >= self.exemplars.threshold_ns() {
+    /// Offers a completed job to the exemplar buffer. Only a job at or
+    /// above the threshold gets a label built, so a fast job allocates
+    /// nothing here.
+    pub fn record(&self, result: &JobResult, phases: ServerPhases) {
+        if phases.total_ns() >= self.exemplars.threshold_ns() {
             self.exemplars.offer(Exemplar {
-                label: rec.label.clone(),
-                phases: rec.phases,
+                label: result.spec.to_string(),
+                ok: result.ok(),
+                phases,
             });
         }
-        let mut log = self.trace_log.lock().expect("trace log");
-        if log.len() == TRACE_LOG_CAP {
-            log.pop_front();
-        }
-        log.push_back(rec);
     }
 
     /// Takes a closing sample, so the freshest interval is in the next
@@ -196,28 +153,11 @@ impl Telemetry {
         }
     }
 
-    /// The `TraceDump` reply: recent requests plus slow exemplars.
+    /// The `TraceDump` reply: the slow exemplars.
     pub fn trace_dump(&self) -> TraceReport {
         TraceReport {
-            server_now_ns: obs::trace::now_ns(),
             slow_threshold_ns: self.exemplars.threshold_ns(),
-            recent: self
-                .trace_log
-                .lock()
-                .expect("trace log")
-                .iter()
-                .cloned()
-                .collect(),
-            exemplars: self
-                .exemplars
-                .window()
-                .into_iter()
-                .map(|e| TraceRecord {
-                    label: e.label,
-                    ok: true,
-                    phases: e.phases,
-                })
-                .collect(),
+            exemplars: self.exemplars.window(),
         }
     }
 
@@ -245,31 +185,39 @@ mod tests {
     }
 
     #[test]
-    fn trace_log_bounds_and_exemplars_gate() {
+    fn only_slow_jobs_become_exemplars_with_their_own_outcome() {
+        use crate::job::{JobSpec, JobStatus, Scale, TraceDigest};
+
         let t = Telemetry::new(None, &Arc::new(JobMetrics::new(ENGINE_COUNT)));
-        let n = TRACE_LOG_CAP as u64 + 2;
-        for i in 0..n {
-            let slow = i == n - 1; // only the last one crosses 250ms
-            t.record(TraceRecord {
-                label: format!("job-{i}"),
-                ok: true,
-                phases: ServerPhases {
-                    trace_id: 100 + i,
-                    enqueue_ns: 1_000,
-                    start_ns: 2_000,
-                    done_ns: 1_000 + if slow { 300_000_000 } else { 10_000 },
-                    ..ServerPhases::default()
-                },
-            });
+        let spec = JobSpec::exec(
+            "crc32",
+            engines::EngineKind::Wasm3,
+            wacc::OptLevel::O1,
+            Scale::Test,
+        );
+        let job = |trace_id: u64, took_ns: u64, status: JobStatus| {
+            let mut result = JobResult::new(&spec, status);
+            result.trace = TraceDigest {
+                trace_id,
+                enqueue_ns: 1_000,
+                start_ns: 2_000,
+                done_ns: 1_000 + took_ns,
+                ..TraceDigest::default()
+            };
+            result
+        };
+        let fast = job(1, 10_000, JobStatus::Ok);
+        let slow_ok = job(2, 300_000_000, JobStatus::Ok);
+        let slow_failed = job(3, 400_000_000, JobStatus::Failed("trap".into()));
+        let slow_timed_out = job(4, 500_000_000, JobStatus::TimedOut);
+        for result in [&fast, &slow_ok, &slow_failed, &slow_timed_out] {
+            t.record(result, result.phases());
         }
         let dump = t.trace_dump();
         assert_eq!(dump.slow_threshold_ns, 250_000_000);
-        assert_eq!(dump.recent.len(), TRACE_LOG_CAP, "log is bounded");
-        let ids: Vec<u64> = dump.recent.iter().map(|r| r.phases.trace_id).collect();
-        assert_eq!(ids, (102..100 + n).collect::<Vec<u64>>(), "oldest evicted");
-        assert_eq!(dump.exemplars.len(), 1, "only the slow request kept");
-        assert_eq!(dump.exemplars[0].phases.trace_id, 100 + n - 1);
-        // The slow one is in both recent and exemplars; all_records dedups it.
-        assert_eq!(dump.all_records().len(), TRACE_LOG_CAP);
+        let kept: Vec<(u64, bool)> =
+            dump.exemplars.iter().map(|e| (e.phases.trace_id, e.ok)).collect();
+        assert_eq!(kept, [(2, true), (3, false), (4, false)], "slow jobs, real outcomes");
+        assert_eq!(dump.exemplars[1].label, spec.to_string());
     }
 }

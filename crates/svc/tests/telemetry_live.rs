@@ -1,5 +1,6 @@
-//! Live-telemetry behavior: trace ids round-trip submit → digest →
-//! `TraceDump` over a real socket, the background sampler feeds a
+//! Live-telemetry behavior: trace ids round-trip submit → digest over
+//! a real socket, `TraceDump` keeps only slow jobs, the background
+//! sampler feeds a
 //! nonempty `Series` window whose per-engine phase times account for
 //! every job exactly once, two schedulers in one process keep separate
 //! windows, and the drift rule reading them stays quiet across an idle
@@ -86,15 +87,13 @@ fn trace_ids_flow_submit_to_digest_to_dump_and_series_fills() {
         );
     }
 
-    // TraceDump returns those requests, joinable by trace id.
+    // Those jobs' timelines came back in their results; `TraceDump`
+    // holds only the ones at or over the slow threshold.
     let dump = client.trace_dump().expect("trace-dump");
-    let dumped: Vec<u64> = dump
-        .all_records()
-        .iter()
-        .map(|r| r.phases.trace_id)
-        .collect();
-    for id in &ids {
-        assert!(dumped.contains(id), "trace {id:#x} missing from dump");
+    assert_eq!(dump.slow_threshold_ns, 250_000_000);
+    for e in &dump.exemplars {
+        assert!(ids.contains(&e.phases.trace_id), "{e:?}");
+        assert!(e.total_ns() >= dump.slow_threshold_ns, "{e:?}");
     }
 
     // The sampler has been running: the window must exist and account
@@ -143,7 +142,7 @@ fn interp_spec(engine: EngineKind) -> JobSpec {
 }
 
 /// Each engine's compile and exec nanoseconds summed over every series
-/// point equal the sums over its jobs' `ServerPhases` in `TraceDump`:
+/// point equal the sums over its jobs' own `JobResult::phases()`:
 /// with a 2 ms sampler most jobs straddle samples, and none may be lost
 /// or counted twice.
 #[test]
@@ -160,7 +159,8 @@ fn series_phase_totals_match_the_jobs() {
         let ctx = TraceCtx { trace_id, origin_ns: 0 };
         sched.submit_traced(interp_spec(engine), ctx);
     }
-    assert!(sched.drain_sorted().iter().all(svc::JobResult::ok));
+    let results = sched.drain_sorted();
+    assert!(results.iter().all(svc::JobResult::ok));
     let series = sched.series(); // closes the window first
     assert_eq!(series.points.first().map(|p| p.seq), Some(0), "nothing evicted");
     let mut from_points = std::collections::BTreeMap::new();
@@ -169,12 +169,10 @@ fn series_phase_totals_match_the_jobs() {
         *sums = (sums.0 + e.jobs, sums.1 + e.compile_ns, sums.2 + e.exec_ns);
     }
     let mut from_jobs = std::collections::BTreeMap::new();
-    let records = sched.trace_dump().recent;
-    assert_eq!(records.len(), 24);
-    for rec in records {
-        let engine = engines[rec.phases.trace_id as usize % engines.len()];
-        let sums = from_jobs.entry(engine.code()).or_insert((0, 0, 0));
-        let p = &rec.phases;
+    assert_eq!(results.len(), 24);
+    for res in &results {
+        let p = res.phases();
+        let sums = from_jobs.entry(res.spec.engine.code()).or_insert((0, 0, 0));
         *sums = (sums.0 + 1, sums.1 + p.compile_ns, sums.2 + p.exec_ns);
     }
     assert_eq!(from_points, from_jobs);

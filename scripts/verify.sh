@@ -48,7 +48,8 @@
 #      errors
 #  18. live telemetry smoke: a fixed-seed load run against a sampling
 #      server stitches client+server request spans into a Chrome trace
-#      that wabench-served trace-check accepts, and wabench-served top
+#      that wabench-served trace-check accepts, with one request per
+#      completed job, and wabench-served top
 #      --once reports
 #      a window (completed count, nonzero QPS, ordered quantiles) whose
 #      completed count matches the load run's `jobs:` line
@@ -60,7 +61,8 @@
 #      under the same engine fires nothing and writes no bundle
 #  20. router smoke: a fixed-seed load through wabench-router over two
 #      wabench-served shards completes with zero protocol errors, prints
-#      a summary line per shard, and both shards serve jobs;
+#      a summary line per shard, stitches a trace of every completed
+#      request that trace-check accepts, and both shards serve jobs;
 #      wabench-served top/doctor degrade gracefully against the router
 #      socket; a chaos pass with one shard armed 'crash=1.0' (the
 #      process aborts on its first job) still completes the run with at
@@ -95,6 +97,20 @@ wait_sock() {
     echo "$2 FAILED: socket never appeared" >&2
     cat "$3" >&2
     exit 1
+}
+
+# check_stitched OUT TRACE LABEL: the Chrome trace a `wabench-load run
+# --stitch-out TRACE` wrote (its stdout in OUT) validates and holds one
+# request per job the run completed.
+check_stitched() {
+    ./target/release/wabench-served trace-check "$2"
+    local completed stitched
+    completed=$(sed -nE 's/^jobs: [0-9]+ submitted, ([0-9]+) completed.*/\1/p' "$1")
+    stitched=$(sed -nE 's/^stitched trace: .* \(([0-9]+) requests\)$/\1/p' "$1")
+    if [ -z "$completed" ] || [ "$completed" != "$stitched" ]; then
+        echo "$3 FAILED: stitched ${stitched:-no} requests for ${completed:-no} completed jobs" >&2
+        exit 1
+    fi
 }
 
 step "tier-1 build (release)"
@@ -294,11 +310,12 @@ sleep 0.2 # two+ sampler intervals, so the final completions get sampled
 ./target/release/wabench-served top --once --socket "$sock" | tee "$trace_tmp/top.out"
 ./target/release/wabench-served shutdown --socket "$sock" > /dev/null
 wait "$served_pid" 2> /dev/null || true
-# The stitched trace must pair client and server spans per request and
-# pass the same validator as every other trace artifact...
+# The stitched trace must pair client and server spans for every
+# completed request and pass the same validator as every other trace
+# artifact...
 grep -q '"client.request"' "$trace_tmp/requests.json"
 grep -q '"server.job"' "$trace_tmp/requests.json"
-./target/release/wabench-served trace-check "$trace_tmp/requests.json"
+check_stitched "$trace_tmp/load-top.out" "$trace_tmp/requests.json" "telemetry smoke"
 # ...and the live window must agree with the load run: the completed
 # count its `jobs:` line printed, nonzero QPS, and ordered quantiles.
 load_completed=$(grep -oE '^jobs: .*[0-9]+ completed' "$trace_tmp/load-top.out" \
@@ -410,9 +427,11 @@ router_pid=$!
 wait_sock "$rsock" "router smoke: router" "$trace_tmp/router.log"
 # wabench-load exits nonzero on zero completed jobs or any protocol
 # error, so a 0 here covers both; clients speak the ordinary protocol
-# to the router socket.
+# to the router socket. The stitched trace comes from the results
+# alone, so it holds every request whichever shard served it.
 "$loadgen" run --seed 7 --mix fig1 --qps 200 --jobs 20 --phases cold,warm \
-    --socket "$rsock" | tee "$trace_tmp/load-router.out"
+    --socket "$rsock" --stitch-out "$trace_tmp/routed.json" | tee "$trace_tmp/load-router.out"
+check_stitched "$trace_tmp/load-router.out" "$trace_tmp/routed.json" "router smoke"
 # Routed runs print the router's per-shard attribution.
 for shard in shard-0 shard-1; do
     grep -q "^shard $shard " "$trace_tmp/load-router.out" || {
