@@ -243,17 +243,21 @@ fn check_elim(f: &mut RFunc) -> PassStats {
             removed_any = true;
         }
     }
-    if removed_any {
-        stats.merge(dce(f));
-        stats.merge(compact(f));
-    }
-
     // Round 2: re-analyze the final layout and emit one obligation per
     // provable check. The claimed fact is exactly the derived interval,
-    // so an honest proof always re-checks.
-    let ops = verify::abs_ops(f);
+    // so an honest proof always re-checks. When round 1 removed nothing
+    // the layout is round 1's, and so is its analysis; the visit is
+    // still counted, so the modeled compile cost does not depend on it.
+    let (ops, an) = if removed_any {
+        stats.merge(dce(f));
+        stats.merge(compact(f));
+        let ops = verify::abs_ops(f);
+        let an = range::analyze(&ops, f.nregs as usize, f.nparams as usize);
+        (ops, an)
+    } else {
+        (ops, an)
+    };
     stats.op_visits += ops.len() as u64;
-    let an = range::analyze(&ops, f.nregs as usize, f.nparams as usize);
     let idom = an.cfg.dominators();
     // Nearest strictly-dominating block whose terminating branch carries
     // a recoverable comparison guard.

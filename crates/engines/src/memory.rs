@@ -1,4 +1,14 @@
 //! Linear memory with bounds checking and peak-usage accounting.
+//!
+//! Each memory lives on its own anonymous private mapping, as in the
+//! standalone runtimes (Wasmtime's `memory_reservation` /
+//! `memory_init_cow`): the kernel hands out zeroed pages on first touch,
+//! so instantiating a memory costs no memset and dropping one returns its
+//! pages to the OS instead of leaving them in a malloc arena. There is no
+//! guard region: every access goes through an explicit bounds check.
+
+use std::ops::{Deref, DerefMut};
+use std::ptr::NonNull;
 
 use crate::error::Trap;
 use wasm_core::types::{Limits, PAGE_SIZE};
@@ -7,6 +17,96 @@ use wasm_core::types::{Limits, PAGE_SIZE};
 /// declares no maximum.
 const ABSOLUTE_MAX_PAGES: u32 = 65536;
 
+// `mmap(2)`/`munmap(2)` are declared directly: the workspace builds
+// offline and deliberately has no libc dependency.
+extern "C" {
+    fn mmap(addr: *mut u8, len: usize, prot: i32, flags: i32, fd: i32, off: i64) -> *mut u8;
+    fn munmap(addr: *mut u8, len: usize) -> i32;
+}
+
+const PROT_READ: i32 = 0x1;
+const PROT_WRITE: i32 = 0x2;
+const MAP_PRIVATE: i32 = 0x02;
+#[cfg(target_os = "linux")]
+const MAP_ANONYMOUS: i32 = 0x20;
+#[cfg(not(target_os = "linux"))]
+const MAP_ANONYMOUS: i32 = 0x1000;
+
+/// A zero-initialised byte buffer on its own anonymous private mapping,
+/// unmapped on drop. A zero-length buffer maps nothing.
+struct Pages {
+    ptr: NonNull<u8>,
+    len: usize,
+}
+
+// SAFETY: `Pages` uniquely owns its mapping, like `Vec<u8>` owns its
+// buffer; shared access only reads through `&[u8]`.
+unsafe impl Send for Pages {}
+// SAFETY: as above; `&Pages` gives out only `&[u8]`.
+unsafe impl Sync for Pages {}
+
+impl Pages {
+    /// Maps `len` zeroed bytes, or returns `None` if the kernel refuses.
+    fn zeroed(len: usize) -> Option<Pages> {
+        if len == 0 {
+            return Some(Pages { ptr: NonNull::dangling(), len });
+        }
+        // SAFETY: an anonymous private mapping at a kernel-chosen address
+        // aliases no existing memory; the result is checked before use.
+        let p = unsafe {
+            mmap(std::ptr::null_mut(), len, PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS, -1, 0)
+        };
+        // MAP_FAILED is `(void *)-1`.
+        if p as isize == -1 {
+            return None;
+        }
+        NonNull::new(p).map(|ptr| Pages { ptr, len })
+    }
+}
+
+impl Drop for Pages {
+    fn drop(&mut self) {
+        if self.len != 0 {
+            // SAFETY: `ptr..ptr + len` is exactly the mapping made in
+            // `zeroed`, and no borrow of it outlives `self`.
+            unsafe { munmap(self.ptr.as_ptr(), self.len) };
+        }
+    }
+}
+
+impl Deref for Pages {
+    type Target = [u8];
+
+    #[inline]
+    fn deref(&self) -> &[u8] {
+        // SAFETY: `ptr` is valid for reads of `len` initialised bytes (a
+        // live mapping, or dangling and aligned with `len == 0`).
+        unsafe { std::slice::from_raw_parts(self.ptr.as_ptr(), self.len) }
+    }
+}
+
+impl DerefMut for Pages {
+    #[inline]
+    fn deref_mut(&mut self) -> &mut [u8] {
+        // SAFETY: as in `deref`, and `&mut self` makes the borrow unique.
+        unsafe { std::slice::from_raw_parts_mut(self.ptr.as_ptr(), self.len) }
+    }
+}
+
+impl Clone for Pages {
+    fn clone(&self) -> Pages {
+        let mut copy = Pages::zeroed(self.len).expect("mmap failed cloning a linear memory");
+        copy.copy_from_slice(self);
+        copy
+    }
+}
+
+impl std::fmt::Debug for Pages {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "Pages({} bytes)", self.len)
+    }
+}
+
 /// A WebAssembly linear memory.
 ///
 /// All accesses are bounds-checked and return [`Trap::MemoryOutOfBounds`]
@@ -14,17 +114,21 @@ const ABSOLUTE_MAX_PAGES: u32 = 65536;
 /// MRSS-style accounting used in the memory-overhead experiments.
 #[derive(Debug, Clone)]
 pub struct LinearMemory {
-    bytes: Vec<u8>,
+    bytes: Pages,
     limits: Limits,
     peak_bytes: usize,
 }
 
 impl LinearMemory {
     /// Creates a memory with the given limits, zero-initialized.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the OS cannot map `limits.min` pages.
     pub fn new(limits: Limits) -> Self {
         let size = limits.min as usize * PAGE_SIZE as usize;
         LinearMemory {
-            bytes: vec![0; size],
+            bytes: Pages::zeroed(size).expect("mmap failed for a linear memory's initial pages"),
             limits,
             peak_bytes: size,
         }
@@ -72,7 +176,15 @@ impl LinearMemory {
         if new > max || new > ABSOLUTE_MAX_PAGES {
             return -1;
         }
-        self.bytes.resize(new as usize * PAGE_SIZE as usize, 0);
+        if delta == 0 {
+            return old as i32;
+        }
+        // Map the new size, copy, and let the old mapping go.
+        let Some(mut bytes) = Pages::zeroed(new as usize * PAGE_SIZE as usize) else {
+            return -1;
+        };
+        bytes[..self.bytes.len()].copy_from_slice(&self.bytes);
+        self.bytes = bytes;
         self.peak_bytes = self.peak_bytes.max(self.bytes.len());
         old as i32
     }
@@ -239,6 +351,18 @@ mod tests {
         m.store_i32(5 * PAGE_SIZE, 0, 7).unwrap();
         assert_eq!(m.resident_bytes(), 6 * PAGE_SIZE as usize);
         assert_eq!(m.peak_bytes(), 64 * PAGE_SIZE as usize);
+    }
+
+    #[test]
+    fn dropping_many_full_size_memories() {
+        // 64 × 16 MiB, each touched at both ends, mapped and unmapped in turn.
+        for i in 1..=64 {
+            let mut m = LinearMemory::new(Limits::at_least(256));
+            assert_eq!(m.load_i32(256 * PAGE_SIZE - 4, 0).unwrap(), 0);
+            m.store_i32(0, 0, i).unwrap();
+            m.store_i32(256 * PAGE_SIZE - 4, 0, i).unwrap();
+            assert_eq!(m.resident_bytes(), 256 * PAGE_SIZE as usize);
+        }
     }
 
     #[test]

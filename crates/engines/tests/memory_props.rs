@@ -1,10 +1,15 @@
 //! Property tests for `LinearMemory`: reads and writes must agree with a
-//! flat byte-array reference model, bounds checks must be exact, and
-//! `grow` must respect limits and preserve contents.
+//! flat byte-array reference model, bounds checks must be exact, `grow`
+//! must respect limits and preserve contents, and a clone must be deep.
+//! A fresh instance must never see the bytes of an instance dropped
+//! before it.
 
 use engines::memory::LinearMemory;
+use engines::{Engine, EngineKind, Imports};
 use proptest::prelude::*;
-use wasm_core::types::Limits;
+use wasm_core::builder::ModuleBuilder;
+use wasm_core::instr::{Instr, MemArg};
+use wasm_core::types::{FuncType, Limits, ValType, Value};
 
 const PAGE: u64 = 65536;
 
@@ -31,11 +36,12 @@ proptest! {
     /// out-of-bounds access traps in both.
     #[test]
     fn memory_matches_flat_model(
+        min in 0u32..2,
         ops in proptest::collection::vec(op_strategy(4), 1..200)
     ) {
         let max = 3u32;
-        let mut mem = LinearMemory::new(Limits { min: 1, max: Some(max) });
-        let mut model: Vec<u8> = vec![0; PAGE as usize];
+        let mut mem = LinearMemory::new(Limits { min, max: Some(max) });
+        let mut model: Vec<u8> = vec![0; (min as u64 * PAGE) as usize];
 
         for op in ops {
             match op {
@@ -96,16 +102,86 @@ proptest! {
         prop_assert_eq!(lo, v64 as u8);
     }
 
+    /// A clone is deep: writes to either side are invisible to the other,
+    /// and the clone starts byte-identical.
+    #[test]
+    fn clone_is_deep(
+        pages in 0u32..3,
+        before in proptest::collection::vec((0u32..3 * PAGE as u32, any::<u8>()), 0..32),
+        after in proptest::collection::vec((0u32..3 * PAGE as u32, any::<u8>()), 1..32),
+    ) {
+        let mut mem = LinearMemory::new(Limits { min: pages, max: None });
+        for &(addr, b) in &before {
+            let _ = mem.write::<1>(addr, 0, [b]);
+        }
+        let image = |m: &LinearMemory| m.slice(0, m.size_bytes() as u32).unwrap().to_vec();
+        let original = image(&mem);
+        let mut copy = mem.clone();
+        prop_assert_eq!(image(&copy), original.clone());
+        for &(addr, b) in &after {
+            let _ = mem.write::<1>(addr, 0, [b]);
+        }
+        prop_assert_eq!(image(&copy), original);
+        let written = image(&mem);
+        for &(addr, b) in &after {
+            let _ = copy.write::<1>(addr, 0, [!b]);
+        }
+        prop_assert_eq!(image(&mem), written);
+    }
+
     /// `grow` preserves existing contents verbatim.
     #[test]
-    fn grow_preserves_contents(data in proptest::collection::vec(any::<u8>(), 1..512)) {
+    fn grow_preserves_contents(
+        data in proptest::collection::vec(any::<u8>(), 1..512),
+        at in 0u32..PAGE as u32,
+    ) {
+        let at = at.min(PAGE as u32 - data.len() as u32);
         let mut mem = LinearMemory::new(Limits { min: 1, max: Some(4) });
-        mem.write_slice(100, &data).unwrap();
+        mem.write_slice(at, &data).unwrap();
         assert_eq!(mem.grow(2), 1);
-        let back = mem.slice(100, data.len() as u32).unwrap();
+        let back = mem.slice(at, data.len() as u32).unwrap();
         prop_assert_eq!(back, &data[..]);
-        // The newly-grown region reads as zeros.
-        let fresh = mem.slice(PAGE as u32, 64).unwrap();
+        // The newly-grown pages read as zeros.
+        let fresh = mem.slice(PAGE as u32, 2 * PAGE as u32).unwrap();
         prop_assert!(fresh.iter().all(|b| *b == 0));
+    }
+}
+
+/// A 256-page (16 MiB) module exporting `poke(addr, v)` and `peek(addr)`.
+fn poke_peek_module() -> Vec<u8> {
+    let mut b = ModuleBuilder::new();
+    b.memory(256, None);
+    let arg = MemArg { align: 2, offset: 0 };
+    let poke = b.begin_func(FuncType::new(&[ValType::I32, ValType::I32], &[]));
+    b.emit(Instr::LocalGet(0));
+    b.emit(Instr::LocalGet(1));
+    b.emit(Instr::I32Store(arg));
+    b.finish_func();
+    let peek = b.begin_func(FuncType::new(&[ValType::I32], &[ValType::I32]));
+    b.emit(Instr::LocalGet(0));
+    b.emit(Instr::I32Load(arg));
+    b.finish_func();
+    b.export_func("poke", poke).export_func("peek", peek);
+    wasm_core::encode::encode(&b.build())
+}
+
+/// Dropping an instance and instantiating the same compiled module again
+/// gives zeroed memory: nothing written by the first instance survives
+/// into the second, on an interpreter and on a compiled tier.
+#[test]
+fn fresh_instance_never_sees_old_bytes() {
+    let bytes = poke_peek_module();
+    let last_page = 255 * PAGE as i32;
+    for kind in [EngineKind::Wamr, EngineKind::Wasmtime] {
+        let compiled = Engine::new(kind).compile(&bytes).unwrap();
+        for round in 0..4 {
+            let mut inst = compiled.instantiate(&Imports::new(), Box::new(())).unwrap();
+            for addr in (last_page..last_page + PAGE as i32).step_by(4096) {
+                let seen = inst.invoke("peek", &[Value::I32(addr)]).unwrap();
+                assert_eq!(seen, Some(Value::I32(0)), "{kind:?} round {round} at {addr:#x}");
+                inst.invoke("poke", &[Value::I32(addr), Value::I32(-1)]).unwrap();
+            }
+            assert_eq!(inst.memory().unwrap().resident_bytes(), 256 * PAGE as usize);
+        }
     }
 }
