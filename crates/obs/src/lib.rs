@@ -29,9 +29,8 @@
 //! engine × phase self-time profile alike — a threshold-gated
 //! slow-request exemplar buffer ([`exemplar`]), a client/server
 //! trace stitcher that places each request by its own clock bounds
-//! ([`stitch`]),
-//! and an SLO alert-rule engine ([`alert`]). None of them run unless explicitly
-//! started, preserving the bit-identical-when-off contract.
+//! ([`stitch`]). None of them run unless explicitly started, preserving
+//! the bit-identical-when-off contract.
 //!
 //! There is also a leveled [`log!`] macro family (respecting
 //! `WABENCH_LOG=error|warn|info|debug`, [`logger`]) that replaces the
@@ -56,7 +55,6 @@
 
 #![warn(missing_docs)]
 
-pub mod alert;
 pub mod chrome;
 pub mod cli;
 pub mod exemplar;

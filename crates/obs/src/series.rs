@@ -1,6 +1,6 @@
 //! Live telemetry time series: a background sampler over the service's
 //! job metrics feeding a fixed-capacity delta ring, and the window
-//! aggregate the alert rules and `wabench-served top` judge it by.
+//! aggregate `wabench-served top` and `doctor` judge it by.
 //!
 //! `Stats`/`StatsExt` answers are cumulative snapshots — a spike that
 //! happened ten seconds ago is invisible once the averages re-converge.
@@ -189,8 +189,8 @@ impl SeriesPoint {
         self.engines.iter().any(|e| e.compile_ns + e.exec_ns > 0)
     }
 
-    /// This interval's self-time per `engine;phase` stack, as
-    /// [`Window::stacks`].
+    /// This interval's self-time per `engine;phase` stack, nonzero
+    /// stacks only, in stack order.
     pub fn stacks(&self, name: EngineName) -> Vec<(String, u64)> {
         stacks(&self.engines, name)
     }
@@ -232,9 +232,8 @@ fn rate(n: u64, span_ns: u64) -> f64 {
 }
 
 /// Whole-window totals over consecutive [`SeriesPoint`]s: the one
-/// merge behind the alert rules, `top`'s window columns, and every
-/// reading of the engine × phase profile (`windows`/`wdiff`, `doctor`,
-/// the postmortem bundle).
+/// merge behind `top`'s window columns and every reading of the
+/// engine × phase profile (`windows`/`wdiff`, `doctor`).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Window {
     /// Jobs completed across the window.
@@ -302,24 +301,11 @@ impl Window {
         self.lat.quantile_ns(0.99).min(self.max_ns)
     }
 
-    /// Self-time per `engine;phase` stack (`Wasm3;compile`,
-    /// `Wasm3;exec`), nonzero stacks only, in stack order.
-    pub fn stacks(&self, name: EngineName) -> Vec<(String, u64)> {
-        stacks(&self.engines, name)
-    }
-
-    /// Each stack's share of the window's self-time, in stack order;
-    /// empty when no time was recorded.
+    /// Each `engine;phase` stack's (`wasm3;compile`, `wasm3;exec`)
+    /// share of the window's self-time, nonzero stacks only, in stack
+    /// order; empty when no time was recorded.
     pub fn shares(&self, name: EngineName) -> Vec<(String, f64)> {
-        shares(self.stacks(name))
-    }
-
-    /// Collapsed-stack rendering (`engine;phase weight` per line, stack
-    /// order), weight = self-nanoseconds — the format
-    /// [`crate::folded::parse`] reads and `flamegraph.pl` consumes.
-    pub fn folded(&self, name: EngineName) -> String {
-        let stacks = self.stacks(name);
-        stacks.iter().map(|(stack, ns)| format!("{stack} {ns}\n")).collect()
+        shares(stacks(&self.engines, name))
     }
 
     /// Error-budget burn: the observed failure ratio over the allotted
@@ -721,9 +707,6 @@ mod tests {
         let name = |code: u8| if code == 1 { "wamr" } else { "wasm3" };
         let shares: Vec<f64> = w.shares(name).iter().map(|(_, s)| *s).collect();
         assert_eq!(shares, vec![0.2, 0.2, 0.6]);
-        let doc = w.folded(name);
-        assert_eq!(doc, "wamr;exec 200\nwasm3;compile 200\nwasm3;exec 600\n");
-        assert_eq!(crate::folded::parse(&doc).unwrap().total_weight, 1_000);
         assert!(Window::over(&[]).shares(name).is_empty());
     }
 

@@ -27,9 +27,9 @@
 //! against the owning shard from the tick hook.
 //!
 //! Per-shard observability requests (`Series`, `TraceDump`,
-//! `AlertLog`, `StatsExt`) are answered with an `Err`
-//! prefixed `router:` pointing at the shard sockets — `wabench-served
-//! top` and `doctor` key off that prefix to degrade gracefully.
+//! `StatsExt`) are answered with an `Err` prefixed `router:` pointing
+//! at the shard sockets — `wabench-served top` and `doctor` key off
+//! that prefix to degrade gracefully.
 
 #![warn(missing_docs)]
 
@@ -493,7 +493,6 @@ impl Handler for Router {
             Ok(Request::StatsExt) => per_shard_err("stats-ext"),
             Ok(Request::Series(_)) => per_shard_err("series"),
             Ok(Request::TraceDump) => per_shard_err("trace-dump"),
-            Ok(Request::AlertLog) => per_shard_err("the alert log"),
             Ok(Request::Shutdown) => {
                 // Stop the router only; shards are drained individually
                 // (docs/OPERATIONS.md). Parked waits on *other*

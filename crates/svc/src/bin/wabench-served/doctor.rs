@@ -1,42 +1,40 @@
-//! `wabench-served doctor` — postmortem and live-service diagnosis.
+//! `wabench-served doctor` — live-service diagnosis.
 //!
-//! Reads either a flight-recorder bundle (written by `serve` when an
-//! alert starts firing, `--postmortem-dir`) or a live server over its
-//! socket, correlates the evidence — firing alerts, armed fault sites,
+//! Reads a live server over its socket (`Health`, `Series`,
+//! `TraceDump`), correlates the evidence — armed fault sites,
 //! resilience counters, breaker trips, queue saturation, the hottest
 //! profile phase, slowest exemplars — and prints a ranked diagnosis:
 //! one human paragraph followed by machine-readable
 //! `finding rank=N kind=... ` lines scripts can grep.
 //!
 //! Exit code 0 when nothing looks wrong, 1 when there is at least one
-//! finding, 2 on usage errors and on evidence it cannot read (a missing
-//! or malformed bundle, a socket nothing answers on) — so a caller can
-//! tell "findings" from "no diagnosis at all" with `rc -gt 1`.
+//! finding, 2 on usage errors and on a socket nothing answers on — so a
+//! caller can tell "findings" from "no diagnosis at all" with
+//! `rc -gt 1`.
 
 use std::cmp::Reverse;
 use std::path::Path;
 use std::process::exit;
 
 use obs::cli::{self, Args, Command, Flag};
-use obs::json::Value;
 use obs::series::Window;
-use svc::scheduler::POSTMORTEM_SERIES_TAIL;
 use svc::server::Client;
 
 #[rustfmt::skip]
 pub const COMMAND: Command = Command::new("doctor", &[
-    Flag::value("--bundle", "FILE", "diagnose a flight-recorder bundle written by serve"),
-    Flag::value("--socket", "PATH", "diagnose a live server over its socket"),
+    crate::SOCKET,
     Flag::value("--top", "N", "cap the number of findings printed").default("8"),
 ]);
 
-/// Everything the ranker looks at, normalized from either source.
+/// The newest series points the profile finding reads: 16 s at the
+/// `serve` default 250 ms cadence.
+const PROFILE_POINTS: usize = 64;
+
+/// Everything the ranker looks at, normalized from the server's
+/// replies.
 #[derive(Debug, Default)]
 struct Evidence {
     source: String,
-    /// The transition that triggered the snapshot (bundles only).
-    alert: Option<Firing>,
-    firing: Vec<Firing>,
     /// `(site, configured rate, injected count)`.
     faults: Vec<(String, f64, u64)>,
     retries: u64,
@@ -49,18 +47,10 @@ struct Evidence {
     /// with at least one trip.
     breakers: Vec<(String, String, u64)>,
     /// `(stack, share of the series tail's self-time)`, hottest first:
-    /// the last `POSTMORTEM_SERIES_TAIL` points, bundle or live.
+    /// the last [`PROFILE_POINTS`] points.
     profile: Vec<(String, f64)>,
     /// `(label, total_ns)` slow exemplars, slowest first.
     exemplars: Vec<(String, u64)>,
-}
-
-#[derive(Debug, Clone, Default)]
-struct Firing {
-    rule: String,
-    value: f64,
-    threshold: f64,
-    detail: String,
 }
 
 /// One ranked diagnosis entry: a machine `kind=.. key=val` tail plus a
@@ -70,106 +60,6 @@ struct Finding {
     kind: &'static str,
     machine: String,
     human: String,
-}
-
-fn num(v: &Value, key: &str) -> f64 {
-    v.get(key).and_then(Value::as_num).unwrap_or(0.0)
-}
-
-fn text(v: &Value, key: &str) -> String {
-    v.get(key)
-        .and_then(Value::as_str)
-        .unwrap_or_default()
-        .to_string()
-}
-
-fn firing_of(v: &Value) -> Firing {
-    Firing {
-        rule: text(v, "rule"),
-        value: num(v, "value"),
-        threshold: num(v, "threshold"),
-        detail: text(v, "detail"),
-    }
-}
-
-/// Hottest-first shares parsed from a collapsed-stack body
-/// (`stack weight` per line).
-fn shares_of_folded(folded: &str) -> Vec<(String, f64)> {
-    let mut phases: Vec<(String, u64)> = folded
-        .lines()
-        .filter_map(|line| {
-            let (stack, weight) = line.rsplit_once(' ')?;
-            Some((stack.to_string(), weight.parse().ok()?))
-        })
-        .collect();
-    let total: u64 = phases.iter().map(|(_, w)| *w).sum();
-    if total == 0 {
-        return Vec::new();
-    }
-    phases.sort_by_key(|(_, w)| Reverse(*w));
-    phases
-        .into_iter()
-        .map(|(stack, w)| (stack, w as f64 / total as f64))
-        .collect()
-}
-
-fn evidence_from_bundle(path: &Path) -> Result<Evidence, String> {
-    let body = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
-    evidence_from_json(&path.display().to_string(), &body)
-}
-
-/// Normalizes a postmortem bundle's JSON text; `source` names where it
-/// came from in messages.
-fn evidence_from_json(source: &str, body: &str) -> Result<Evidence, String> {
-    let root = obs::json::parse(body).map_err(|e| format!("{source}: {e}"))?;
-    if text(&root, "schema") != "wabench-postmortem" {
-        return Err(format!("{source}: not a wabench-postmortem bundle"));
-    }
-    let mut ev = Evidence {
-        source: format!("bundle {source}"),
-        ..Evidence::default()
-    };
-    ev.alert = root.get("alert").map(firing_of);
-    if let Some(arr) = root.get("firing").and_then(Value::as_arr) {
-        ev.firing = arr.iter().map(firing_of).collect();
-    }
-    if let Some(h) = root.get("health") {
-        ev.retries = num(h, "retries") as u64;
-        ev.compile_fallbacks = num(h, "compile_fallbacks") as u64;
-        ev.store_repairs = num(h, "store_repairs") as u64;
-        ev.breaker_fast_fails = num(h, "breaker_fast_fails") as u64;
-        ev.queue_depth = num(h, "queue_depth") as u64;
-        ev.peak_queue_depth = num(h, "peak_queue_depth") as u64;
-        if let Some(arr) = h.get("faults").and_then(Value::as_arr) {
-            ev.faults = arr
-                .iter()
-                .map(|f| (text(f, "site"), num(f, "rate"), num(f, "injected") as u64))
-                .collect();
-        }
-        if let Some(arr) = h.get("breakers").and_then(Value::as_arr) {
-            ev.breakers = arr
-                .iter()
-                .map(|b| {
-                    let code = num(b, "engine") as u8;
-                    let name = engines::EngineKind::from_code(code)
-                        .map_or_else(|| format!("engine#{code}"), |k| k.name().to_string());
-                    (name, text(b, "state"), num(b, "trips") as u64)
-                })
-                .filter(|(_, state, trips)| state != "closed" || *trips > 0)
-                .collect();
-        }
-    }
-    if let Some(p) = root.get("profile") {
-        ev.profile = shares_of_folded(&text(p, "folded"));
-    }
-    if let Some(arr) = root.get("exemplars").and_then(Value::as_arr) {
-        ev.exemplars = arr
-            .iter()
-            .map(|e| (text(e, "label"), num(e, "total_ns") as u64))
-            .collect();
-        ev.exemplars.sort_by_key(|(_, ns)| Reverse(*ns));
-    }
-    Ok(ev)
 }
 
 fn evidence_from_socket(path: &Path) -> Result<Evidence, String> {
@@ -213,25 +103,9 @@ fn evidence_from_socket(path: &Path) -> Result<Evidence, String> {
             router_refusals += 1;
         }
     };
-    match client.alert_log() {
-        Ok(a) => {
-            ev.firing = a
-                .firing
-                .iter()
-                .map(|f| Firing {
-                    rule: f.rule.clone(),
-                    value: f.value,
-                    threshold: f.threshold,
-                    detail: f.detail.clone(),
-                })
-                .collect();
-        }
-        Err(e) => note_refusal(e),
-    }
     match client.series() {
         Ok(s) => {
-            // The span a postmortem bundle's profile covers.
-            let tail = s.points.len().saturating_sub(POSTMORTEM_SERIES_TAIL as usize);
+            let tail = s.points.len().saturating_sub(PROFILE_POINTS);
             ev.profile = Window::over(&s.points[tail..]).shares(svc::telemetry::engine_name);
             ev.profile.sort_by(|a, b| b.1.total_cmp(&a.1));
         }
@@ -251,7 +125,7 @@ fn evidence_from_socket(path: &Path) -> Result<Evidence, String> {
     if router_refusals > 0 {
         obs::warn!(
             "target is a router: {router_refusals} per-shard request(s) \
-             (alerts/series/trace) were refused; diagnosing fleet aggregates only — \
+             (series/trace) were refused; diagnosing fleet aggregates only — \
              point --socket at a shard for full detail (see docs/DEPLOYMENT.md)"
         );
     }
@@ -259,25 +133,11 @@ fn evidence_from_socket(path: &Path) -> Result<Evidence, String> {
 }
 
 /// The ranked correlation pass. Severity buckets (higher = earlier):
-/// firing alerts (5) > armed faults actually injecting (4) > fallback
-/// and repair counters (3) > breaker / retry / queue pressure (2) >
-/// profile hot-spot context (1).
+/// armed faults actually injecting (4) > fallback and repair counters
+/// (3) > breaker / retry / queue pressure (2) > profile hot-spot
+/// context (1).
 fn diagnose(ev: &Evidence) -> Vec<Finding> {
     let mut findings = Vec::new();
-    for f in &ev.firing {
-        findings.push(Finding {
-            severity: 5,
-            kind: "alert",
-            machine: format!(
-                "rule={} value={:.4} threshold={:.4}",
-                f.rule, f.value, f.threshold
-            ),
-            human: format!(
-                "alert `{}` is firing: value {:.4} vs threshold {:.4} ({})",
-                f.rule, f.value, f.threshold, f.detail
-            ),
-        });
-    }
     for (site, rate, injected) in &ev.faults {
         if *injected > 0 {
             findings.push(Finding {
@@ -286,7 +146,7 @@ fn diagnose(ev: &Evidence) -> Vec<Finding> {
                 machine: format!("site={site} rate={rate} injected={injected}"),
                 human: format!(
                     "fault injection at `{site}` (rate {rate}) has fired {injected} times — \
-                     the most likely root cause of any latency or failure alert"
+                     the most likely root cause of any latency or failure"
                 ),
             });
         }
@@ -350,7 +210,7 @@ fn diagnose(ev: &Evidence) -> Vec<Finding> {
         });
     }
     if let Some((stack, share)) = ev.profile.first() {
-        if !ev.firing.is_empty() || findings.iter().any(|f| f.severity >= 3) {
+        if findings.iter().any(|f| f.severity >= 3) {
             findings.push(Finding {
                 severity: 1,
                 kind: "profile",
@@ -369,27 +229,16 @@ fn diagnose(ev: &Evidence) -> Vec<Finding> {
 /// `doctor`: gathers the evidence, ranks it, prints the diagnosis.
 pub fn run(a: &Args) {
     let top: usize = a.get("--top", "a positive integer", cli::positive);
-    let bundle = a.opt("--bundle", "a file", cli::path);
-    let ev = match (bundle, a.opt("--socket", "a path", cli::path)) {
-        (Some(path), None) => evidence_from_bundle(&path),
-        (None, Some(path)) => evidence_from_socket(&path),
-        _ => a.fail("exactly one of --bundle or --socket is required"),
-    }
-    .unwrap_or_else(|e| {
+    let socket = a.get("--socket", "a path", cli::path);
+    let ev = evidence_from_socket(&socket).unwrap_or_else(|e| {
         obs::error!("{e}");
         exit(2);
     });
 
     println!("doctor: {}", ev.source);
-    if let Some(a) = &ev.alert {
-        println!(
-            "snapshot trigger: `{}` fired at value {:.4} vs threshold {:.4} ({})",
-            a.rule, a.value, a.threshold, a.detail
-        );
-    }
     let findings = diagnose(&ev);
     if findings.is_empty() {
-        println!("diagnosis: healthy — no firing alerts, injected faults, fallbacks, or saturation");
+        println!("diagnosis: healthy — no injected faults, fallbacks, or saturation");
         exit(0);
     }
     println!(
@@ -419,71 +268,67 @@ pub fn run(a: &Args) {
 mod tests {
     use super::*;
 
-    fn bundle_evidence(body: &str) -> Evidence {
-        evidence_from_json("test bundle", body).expect("parse bundle")
+    /// Evidence with one finding in every severity bucket, and a
+    /// recorded profile.
+    fn troubled() -> Evidence {
+        Evidence {
+            faults: vec![("delay".to_string(), 1.0, 12)],
+            retries: 2,
+            compile_fallbacks: 1,
+            store_repairs: 1,
+            breaker_fast_fails: 3,
+            queue_depth: 4,
+            peak_queue_depth: 4,
+            breakers: vec![("wasm3".to_string(), "open".to_string(), 1)],
+            profile: vec![("wasm3;exec".to_string(), 0.9), ("wasm3;compile".to_string(), 0.1)],
+            exemplars: vec![("crc32/wasm3".to_string(), 21_000_000)],
+            ..Evidence::default()
+        }
     }
 
-    const BUNDLE: &str = r#"{
-        "schema": "wabench-postmortem", "version": 2,
-        "alert": {"seq": 3, "t_ns": 9, "rule": "p99", "value": 0.02, "threshold": 0.005, "detail": "p99 over ceiling"},
-        "firing": [{"rule": "p99", "since_ns": 5, "value": 0.02, "threshold": 0.005, "detail": "p99 over ceiling"}],
-        "series": [], "exemplars": [{"label": "crc32/wasm3", "total_ns": 21000000, "attempts": 1, "compile_fallback": false}],
-        "profile": {"first_seq": 2, "last_seq": 9, "folded": "wasm3;compile 100\nwasm3;exec 900\n"},
-        "health": {"retries": 0, "compile_fallbacks": 0, "store_repairs": 0, "breaker_fast_fails": 0,
-                   "queue_depth": 0, "peak_queue_depth": 4, "breakers": [],
-                   "faults": [{"site": "delay", "rate": 1.0, "injected": 12}]}
-    }"#;
-
     #[test]
-    fn bundle_diagnosis_ranks_the_firing_alert_then_the_fault_site() {
-        let ev = bundle_evidence(BUNDLE);
-        assert_eq!(ev.alert.as_ref().map(|a| a.rule.as_str()), Some("p99"));
-        let findings = diagnose(&ev);
-        assert!(findings.len() >= 2, "alert + fault at minimum");
-        assert_eq!(findings[0].kind, "alert");
-        assert!(findings[0].machine.contains("rule=p99"));
-        assert_eq!(findings[1].kind, "fault");
+    fn diagnosis_ranks_the_fault_site_first_and_the_profile_last() {
+        let findings = diagnose(&troubled());
+        let kinds: Vec<&str> = findings.iter().map(|f| f.kind).collect();
+        assert_eq!(
+            kinds,
+            ["fault", "fallback", "store", "breaker", "retries", "queue", "profile"]
+        );
         assert!(
-            findings[1].machine.contains("site=delay"),
+            findings[0].machine.contains("site=delay"),
             "the injected fault site must be named: {}",
-            findings[1].machine
+            findings[0].machine
         );
     }
 
     #[test]
     fn profile_context_names_the_hottest_phase() {
-        let ev = bundle_evidence(BUNDLE);
-        assert_eq!(ev.profile.first().map(|(s, _)| s.as_str()), Some("wasm3;exec"));
-        let findings = diagnose(&ev);
+        let findings = diagnose(&troubled());
         let prof = findings.iter().find(|f| f.kind == "profile").expect("profile finding");
         assert!(prof.machine.contains("phase=wasm3;exec"));
         assert!(prof.machine.contains("share=0.900"));
     }
 
+    /// Pressure alone (severity 2) gets no profile context.
+    #[test]
+    fn profile_context_needs_a_severe_finding() {
+        let ev = Evidence {
+            retries: 2,
+            profile: troubled().profile,
+            ..Evidence::default()
+        };
+        let kinds: Vec<&str> = diagnose(&ev).iter().map(|f| f.kind).collect();
+        assert_eq!(kinds, ["retries"]);
+    }
+
     #[test]
     fn healthy_evidence_yields_no_findings() {
-        let ev = bundle_evidence(
-            r#"{"schema": "wabench-postmortem", "version": 2, "firing": [], "series": [],
-                "exemplars": [], "profile": null,
-                "health": {"retries": 0, "compile_fallbacks": 0, "store_repairs": 0,
-                           "breaker_fast_fails": 0, "queue_depth": 0, "peak_queue_depth": 0,
-                           "breakers": [], "faults": []}}"#,
-        );
+        let ev = Evidence {
+            peak_queue_depth: 4,
+            profile: troubled().profile,
+            exemplars: troubled().exemplars,
+            ..Evidence::default()
+        };
         assert!(diagnose(&ev).is_empty());
-    }
-
-    #[test]
-    fn non_bundle_json_is_rejected() {
-        let err = evidence_from_json("other.json", r#"{"schema": "something-else"}"#)
-            .expect_err("must reject");
-        assert!(err.contains("not a wabench-postmortem bundle"));
-    }
-
-    #[test]
-    fn folded_shares_sort_hottest_first_and_skip_garbage_lines() {
-        let shares = shares_of_folded("a;x 100\nnot-a-line\nb;y 300\n");
-        assert_eq!(shares[0].0, "b;y");
-        assert!((shares[0].1 - 0.75).abs() < 1e-9);
-        assert_eq!(shares.len(), 2);
     }
 }

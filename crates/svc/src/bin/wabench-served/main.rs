@@ -21,13 +21,6 @@
 //! and `windows` / `wdiff` read the engine × phase self-time profile
 //! every sample carries.
 //!
-//! `alerts`: `--alerts SPEC` (or `WABENCH_ALERTS`) arms the SLO alert
-//! engine — burn-rate, p99-ceiling, queue-depth, breaker-not-closed
-//! and profile-drift rules evaluated against the sampled series — and
-//! `--postmortem-dir DIR` makes every pending→firing transition
-//! snapshot a flight-recorder bundle for `doctor`. Both are off by
-//! default and cost nothing when disarmed.
-//!
 //! `smoke` is self-contained: it starts a scheduler + server on a
 //! scratch socket, drives it through a real client twice — a cold pass
 //! that compiles and populates the artifact store, then a warm pass
@@ -50,12 +43,11 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use engines::EngineKind;
-use obs::alert::AlertSpec;
 use obs::cli::{self, Args, Command, Flag};
 use svc::job::{JobMode, JobSpec, Scale};
 use svc::scheduler::{Config, HealthReport, Scheduler, SvcStats, SvcStatsExt};
 use svc::server::{serve, Client};
-use svc::telemetry::{AlertReport, SeriesReport, TraceReport};
+use svc::telemetry::{SeriesReport, TraceReport};
 use wacc::OptLevel;
 
 const SOCKET: Flag = Flag::value("--socket", "PATH", "server (or router) socket; required");
@@ -71,8 +63,6 @@ static COMMANDS: &[Command] = &[
         Flag::value("--trace-out", "FILE", "write a Chrome trace on shutdown (*.folded: folded stacks)"),
         Flag::value("--faults", "PLAN", "fault plan like 'seed=7,compile=0.05' (else WABENCH_FAULTS)"),
         Flag::value("--sample-ms", "N", "telemetry sampler interval, 0 disables").default("250"),
-        Flag::value("--alerts", "SPEC", "alert rules like 'slo=0.99,burn=14:5m:1h,p99=250ms:1m' (else WABENCH_ALERTS)"),
-        Flag::value("--postmortem-dir", "DIR", "write a flight-recorder bundle when an alert fires"),
     ]),
     Command::new("submit", &[
         SOCKET,
@@ -88,7 +78,6 @@ static COMMANDS: &[Command] = &[
     Command::new("health", &[SOCKET]),
     Command::new("series", &[SOCKET]),
     Command::new("trace-dump", &[SOCKET]),
-    Command::new("alerts", &[SOCKET]),
     Command::new("shutdown", &[SOCKET]),
     Command::new("smoke", &[
         Flag::value("--dir", "DIR", "scratch directory, kept afterwards (default: a temp dir)"),
@@ -271,37 +260,6 @@ fn print_result(res: &svc::JobResult) {
     );
 }
 
-fn print_alert_report(a: &AlertReport) {
-    println!(
-        "alerts: {} ({} firing, {} logged transitions)",
-        if a.armed { "armed" } else { "disarmed" },
-        a.firing.len(),
-        a.events.len()
-    );
-    for f in &a.firing {
-        println!(
-            "firing {}: value {:.4} threshold {:.4} since {:.1}s ({})",
-            f.rule,
-            f.value,
-            f.threshold,
-            a.server_now_ns.saturating_sub(f.since_ns) as f64 / 1e9,
-            f.detail
-        );
-    }
-    for e in &a.events {
-        println!(
-            "event #{:<4} {:>9.1}s {:>8} {}: value {:.4} threshold {:.4} ({})",
-            e.seq,
-            e.t_ns as f64 / 1e9,
-            e.transition.name(),
-            e.rule,
-            e.value,
-            e.threshold,
-            e.detail
-        );
-    }
-}
-
 fn cmd_serve(a: &Args) {
     let socket = a.get("--socket", "a path", cli::path);
     let workers = a.get("--workers", "a positive integer", cli::positive);
@@ -313,11 +271,6 @@ fn cmd_serve(a: &Args) {
     }
     .unwrap_or_else(|e| a.fail(format!("bad fault plan: {e}")))
     .map(Arc::new);
-    let alerts = match a.opt("--alerts", "a spec", cli::text) {
-        Some(spec) => AlertSpec::parse(&spec).map(Some),
-        None => AlertSpec::from_env(),
-    }
-    .unwrap_or_else(|e| a.fail(format!("bad alert spec: {e}")));
     let config = Config {
         workers,
         timeout: Duration::from_secs(a.get("--timeout-s", "an integer", cli::number)),
@@ -325,19 +278,11 @@ fn cmd_serve(a: &Args) {
         store_cap_bytes: a.get::<u64>("--store-cap-mb", "an integer", cli::number) << 20,
         faults,
         sample_interval: (sample_ms > 0).then(|| Duration::from_millis(sample_ms)),
-        alerts,
-        postmortem_dir: a.opt("--postmortem-dir", "a directory", cli::path),
         ..Config::default()
     };
     a.traced(|| {
         if let Some(plan) = &config.faults {
             obs::warn!("fault injection armed: {plan}");
-        }
-        if let Some(spec) = &config.alerts {
-            if sample_ms == 0 {
-                obs::warn!("--alerts armed but --sample-ms is 0: no samples, no evaluations");
-            }
-            obs::info!("alert engine armed: {spec}");
         }
         let sched = Scheduler::start(config).unwrap_or_else(|e| {
             obs::error!("failed to start scheduler: {e}");
@@ -377,23 +322,6 @@ fn cmd_submit(a: &Args) {
     let res = fetch("wait", client.wait(id));
     print_result(&res);
     exit(if res.ok() { 0 } else { 1 });
-}
-
-fn cmd_health(a: &Args) {
-    let mut client = connect(a);
-    print_health(&fetch("health", client.health()));
-    // Firing alerts too; a router answers Err for the per-shard log.
-    if let Ok(log) = client.alert_log() {
-        if log.armed && log.firing.is_empty() {
-            println!("alerts: armed, none firing");
-        }
-        for f in &log.firing {
-            println!(
-                "ALERT {} firing: value {:.4} threshold {:.4} ({})",
-                f.rule, f.value, f.threshold, f.detail
-            );
-        }
-    }
 }
 
 /// Self-contained socket smoke test; exits nonzero on any failure.
@@ -529,10 +457,9 @@ fn main() {
         "submit" => cmd_submit(&a),
         "stats" => print_stats(&fetch("stats", connect(&a).stats())),
         "stats-ext" => print_stats_ext(&fetch("stats-ext", connect(&a).stats_ext())),
-        "health" => cmd_health(&a),
+        "health" => print_health(&fetch("health", connect(&a).health())),
         "series" => print_series(&fetch("series", connect(&a).series())),
         "trace-dump" => print_trace_report(&fetch("trace-dump", connect(&a).trace_dump())),
-        "alerts" => print_alert_report(&fetch("alerts", connect(&a).alert_log())),
         "shutdown" => {
             fetch("shutdown", connect(&a).shutdown());
             println!("server stopped");

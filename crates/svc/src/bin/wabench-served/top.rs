@@ -151,17 +151,6 @@ fn cmd_once(a: &Args, slo_target: f64) {
     println!("burn_rate={:.3}", w.burn(slo_target));
     println!("slo_target={}", slo_target);
     println!("breakers={}", breaker_summary(&health.breakers));
-    // The alert log is per-shard: a router answers Err.
-    if let Ok(a) = client.alert_log() {
-        println!("alerts_armed={}", u8::from(a.armed));
-        println!("alerts_firing={}", a.firing.len());
-        for f in &a.firing {
-            println!(
-                "alert_firing={} value={:.4} threshold={:.4}",
-                f.rule, f.value, f.threshold
-            );
-        }
-    }
 }
 
 fn header() {
@@ -199,18 +188,8 @@ fn cmd_watch(a: &Args, slo_target: f64) {
         }
         let agg = WindowAgg::over(&series.points);
         let last = series.points.last().or(last_point.as_ref());
-        let firing = client
-            .alert_log()
-            .map(|a| {
-                a.firing
-                    .iter()
-                    .map(|f| f.rule.clone())
-                    .collect::<Vec<_>>()
-                    .join(",")
-            })
-            .unwrap_or_default();
         println!(
-            "{:>8.1}  {:>8.1}  {:>7.2}ms  {:>7.2}ms  {:>5}  {:>4}/{:<4}  {:>6.2}x  {}{}",
+            "{:>8.1}  {:>8.1}  {:>7.2}ms  {:>7.2}ms  {:>5}  {:>4}/{:<4}  {:>6.2}x  {}",
             series.server_now_ns as f64 / 1e9,
             agg.window.qps(),
             agg.p50_ns as f64 / 1e6,
@@ -220,11 +199,6 @@ fn cmd_watch(a: &Args, slo_target: f64) {
             ext.workers,
             agg.window.burn(slo_target),
             breaker_summary(&health.breakers),
-            if firing.is_empty() {
-                String::new()
-            } else {
-                format!("  ALERT[{firing}]")
-            },
         );
         tick += 1;
         if iterations.is_some_and(|n| tick >= n) {

@@ -10,7 +10,6 @@
 
 use engines::EngineKind;
 use fault::{BreakerSnapshot, BreakerState};
-use obs::alert::{AlertEvent, FiringAlert, Transition};
 use obs::exemplar::Exemplar;
 use obs::metrics::{HistogramSnapshot, BUCKETS};
 use obs::series::{EngineDelta, HistDelta};
@@ -21,7 +20,7 @@ use wacc::OptLevel;
 use crate::job::{JobMode, JobResult, JobSpec, JobStatus, Recovery, Scale, TraceCtx, TraceDigest};
 use crate::scheduler::{EngineCounters, HealthReport, ResilienceStats, SvcStats, SvcStatsExt};
 use crate::store::StoreStats;
-use crate::telemetry::{AlertReport, SeriesPoint, SeriesReport, TraceReport};
+use crate::telemetry::{SeriesPoint, SeriesReport, TraceReport};
 use crate::wire::{bad, level_byte, level_from_byte, wire_enum, wire_struct};
 use crate::wire::{Wire, WireError, WireReader, WireWriter};
 
@@ -29,7 +28,7 @@ use crate::wire::{Wire, WireError, WireReader, WireWriter};
 /// payload. Both decoders refuse any other value: every peer is built
 /// from this workspace, so a mismatch means mixed builds, not an older
 /// client to accommodate. Bump it whenever a message layout changes.
-pub const PROTO_VERSION: u16 = 12;
+pub const PROTO_VERSION: u16 = 13;
 
 wire_enum! {
     /// Client → server.
@@ -62,8 +61,7 @@ wire_enum! {
         /// at or above the slow threshold.
         9 => TraceDump,
         // 10 is retired (v10's `ProfileDump`); never reuse it.
-        /// The SLO alert engine's firing set and transition log.
-        11 => AlertLog,
+        // 11 is retired (v12's `AlertLog`); never reuse it.
         /// The routing table of a `wabench-router`: per-backend health,
         /// forward counts, and failovers. A plain `wabench-served` answers
         /// `Err` — the cheap way to distinguish a shard from a router.
@@ -99,8 +97,7 @@ wire_enum! {
         /// Slow-request exemplars.
         10 => TraceDump(report: TraceReport),
         // 11 is retired (v10's `ProfileDump`); never reuse it.
-        /// Alert firing set and transition log.
-        12 => AlertLog(report: AlertReport),
+        // 12 is retired (v12's `AlertLog`); never reuse it.
         /// Admission-control rejection: the tier is saturated and the job
         /// was *not* enqueued. Carries a retry-after hint in milliseconds.
         /// Only routers send this; it is not an error — the client should
@@ -177,9 +174,6 @@ wire_struct! {
         store_repairs,
     }
     EngineDelta { code, jobs, compile_ns, exec_ns }
-    AlertReport { server_now_ns, armed, firing, events }
-    FiringAlert { rule, since_ns, value, threshold, detail }
-    AlertEvent { seq, t_ns, transition, rule, value, threshold, detail }
     BackendsReport { watermark, shed, backends }
     BackendStatus { name, socket, healthy, queue_depth, forwarded, failovers }
 }
@@ -205,7 +199,6 @@ wire_byte! {
     Scale: Scale::byte, Scale::from_byte, "bad scale";
     JobMode: JobMode::byte, JobMode::from_byte, "bad mode";
     BreakerState: BreakerState::byte, BreakerState::from_byte, "bad breaker state";
-    Transition: Transition::byte, Transition::from_byte, "bad alert transition";
 }
 
 /// Hand-written: a tag byte, and a message string only on the two
@@ -364,7 +357,6 @@ mod tests {
             Request::Health,
             Request::Series(Some(417)),
             Request::TraceDump,
-            Request::AlertLog,
             Request::Backends,
             Request::Submit(sample_spec(), TraceCtx::default()),
             Request::Series(None),
@@ -551,33 +543,6 @@ mod tests {
         }
     }
 
-    fn sample_alert_report() -> AlertReport {
-        let event = |seq, t_ns, transition, value, detail: &str| AlertEvent {
-            seq,
-            t_ns,
-            rule: "p99".to_string(),
-            transition,
-            value,
-            threshold: 5_000_000.0,
-            detail: detail.to_string(),
-        };
-        AlertReport {
-            server_now_ns: 5_000,
-            armed: true,
-            firing: vec![FiringAlert {
-                rule: "p99".to_string(),
-                since_ns: 4_000,
-                value: 21_000_000.0,
-                threshold: 5_000_000.0,
-                detail: "p99 21.0ms over 1s".to_string(),
-            }],
-            events: vec![
-                event(0, 3_000, Transition::Pending, 20_000_000.0, ""),
-                event(1, 4_000, Transition::Firing, 21_000_000.0, "held"),
-            ],
-        }
-    }
-
     fn sample_backends() -> BackendsReport {
         let shard = |name: &str, healthy, queue_depth, forwarded, failovers| BackendStatus {
             name: name.into(),
@@ -624,7 +589,6 @@ mod tests {
             Response::Health(sample_health()),
             Response::Series(sample_series()),
             Response::TraceDump(sample_trace_report()),
-            Response::AlertLog(sample_alert_report()),
             Response::Busy(250),
             Response::Backends(sample_backends()),
             Response::Result(plain_result()),
@@ -632,7 +596,6 @@ mod tests {
             Response::Health(HealthReport::default()),
             Response::Series(SeriesReport::default()),
             Response::TraceDump(TraceReport::default()),
-            Response::AlertLog(AlertReport::default()),
             Response::Backends(BackendsReport::default()),
         ]
     }
@@ -723,7 +686,7 @@ mod tests {
         // Counted by hand from the samples (two `Submit` benchmark names;
         // every string, list and map of the replies), so a count that
         // bypassed `WireReader::count` would show up here as a shortfall.
-        assert_eq!((requests, responses), (2, 44));
+        assert_eq!((requests, responses), (2, 34));
     }
 
     /// Every payload opens with the version head, and both decoders
@@ -760,8 +723,8 @@ mod tests {
         for resp in sample_responses() {
             all.extend(resp.encode());
         }
-        assert_eq!(all.len(), 2233);
-        assert_eq!(crate::hash::fnv64(&all), 0x96d6_80dd_2441_2a2e);
+        assert_eq!(all.len(), 2045);
+        assert_eq!(crate::hash::fnv64(&all), 0x1bff_6eee_f1a9_bac6);
     }
 
     /// A sparse histogram naming a bucket one past the end is refused
@@ -830,27 +793,21 @@ mod tests {
     }
 
     #[test]
-    fn alert_log_rejects_unknown_transition() {
-        // The first event's transition byte: version(2) + tag + now(8) +
-        // armed(1) + firing count(4) + one firing entry, then event
-        // count(4) + seq(8) + t_ns(8).
-        let firing_len = 4 + "p99".len() + 8 + 8 + 8 + 4 + "p99 21.0ms over 1s".len();
-        let off = 2 + 1 + 8 + 1 + 4 + firing_len + 4 + 8 + 8;
-        let mut bad_transition = Response::AlertLog(sample_alert_report()).encode();
-        assert_eq!(bad_transition[off], 0, "expected the Pending byte");
-        bad_transition[off] = 9;
-        assert!(Response::decode(&bad_transition).is_err());
-    }
-
-    #[test]
     fn malformed_payloads_error() {
         assert!(Request::decode(&[]).is_err());
         assert!(Response::decode(&[]).is_err());
-        // A well-versioned frame with an unknown tag.
-        let mut buf = PROTO_VERSION.to_le_bytes().to_vec();
-        buf.push(99);
-        assert!(Request::decode(&buf).is_err());
-        assert!(Response::decode(&buf).is_err());
+        // A well-versioned frame with an unknown or a retired tag.
+        let frame = |tag: u8| {
+            let mut buf = PROTO_VERSION.to_le_bytes().to_vec();
+            buf.push(tag);
+            buf
+        };
+        for tag in [10, 11, 99] {
+            assert!(Request::decode(&frame(tag)).is_err(), "request tag {tag}");
+        }
+        for tag in [11, 12, 99] {
+            assert!(Response::decode(&frame(tag)).is_err(), "response tag {tag}");
+        }
         // Optional fields are strict bools: 2 is neither absent nor present.
         let mut buf = Request::Series(None).encode();
         *buf.last_mut().unwrap() = 2;

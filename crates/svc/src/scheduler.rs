@@ -16,26 +16,19 @@
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::panic::{self, AssertUnwindSafe};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use fault::{Breaker, BreakerConfig, BreakerEvent, BreakerSnapshot, FaultPlan};
-use obs::alert::{AlertEngine, AlertEvent, AlertSpec, Transition};
 use obs::metrics::{Histogram, HistogramSnapshot};
-use obs::series::Window;
 
 use crate::exec::{self, ExecEnv};
 use crate::job::{JobResult, JobSpec, JobStatus, TraceCtx, TraceDigest};
 use crate::store::{ArtifactStore, StoreStats};
-use crate::telemetry::{self, AlertReport, JobMetrics, SeriesReport, Telemetry, TraceReport};
-
-/// Series points embedded in a postmortem bundle (most recent first in
-/// time, oldest first in the array); `doctor --socket` merges the same
-/// tail, so a live and a bundle diagnosis read the same span.
-pub const POSTMORTEM_SERIES_TAIL: u64 = 64;
+use crate::telemetry::{self, JobMetrics, SeriesReport, Telemetry, TraceReport};
 
 /// Retry tuning: exponential backoff with deterministic jitter.
 ///
@@ -87,13 +80,6 @@ pub struct Config {
     /// digests and slow exemplars are always kept (cheap, bounded), so
     /// `TraceDump` works even on a sampler-less scheduler.
     pub sample_interval: Option<Duration>,
-    /// SLO alert rules. `None` (the default) arms no
-    /// engine: nothing is evaluated, `AlertLog` reports disarmed, and
-    /// no postmortem is ever written.
-    pub alerts: Option<AlertSpec>,
-    /// Where firing alerts snapshot postmortem bundles. `None` disables
-    /// the flight recorder even when alerts are armed.
-    pub postmortem_dir: Option<PathBuf>,
 }
 
 impl Default for Config {
@@ -107,19 +93,8 @@ impl Default for Config {
             breaker: BreakerConfig::default(),
             faults: None,
             sample_interval: None,
-            alerts: None,
-            postmortem_dir: None,
         }
     }
-}
-
-/// The alert engine plus its pump cursor and flight-recorder target.
-struct AlertRuntime {
-    engine: AlertEngine,
-    /// Highest series seq already fed to the engine; the pump only
-    /// feeds newer points, so re-pumping is idempotent.
-    last_seq: Option<u64>,
-    postmortem_dir: Option<PathBuf>,
 }
 
 /// Aggregate counters from the resilience layer.
@@ -310,12 +285,10 @@ impl Ledger {
     }
 }
 
-/// Shared scheduler state. Four locks are always present: `queue`
-/// (submit and pickup take only this one), `results`, `ledger` (taken
-/// once per completion) and `breakers` (the pick path); `alerts` exists
-/// only when armed. Lock order is `alerts` → `ledger`, never the
-/// reverse: the alert pump reads the ledger while holding `alerts`, and
-/// nothing takes another lock while holding the ledger.
+/// Shared scheduler state. Four locks: `queue` (submit and pickup take
+/// only this one), `results`, `ledger` (taken once per completion) and
+/// `breakers` (the pick path); nothing takes another lock while holding
+/// the ledger.
 struct Inner {
     timeout: Duration,
     retry: RetryPolicy,
@@ -336,7 +309,6 @@ struct Inner {
     breakers: Mutex<BTreeMap<u8, Breaker>>,
     metrics: Arc<JobMetrics>,
     telemetry: Telemetry,
-    alerts: Option<Mutex<AlertRuntime>>,
     /// Called by a worker after each result is published.
     on_complete: Mutex<Option<CompletionHook>>,
 }
@@ -390,13 +362,6 @@ impl Scheduler {
             breakers: Mutex::new(BTreeMap::new()),
             telemetry: Telemetry::new(cfg.sample_interval, &metrics),
             metrics,
-            alerts: cfg.alerts.map(|spec| {
-                Mutex::new(AlertRuntime {
-                    engine: AlertEngine::new(spec, telemetry::engine_name),
-                    last_seq: None,
-                    postmortem_dir: cfg.postmortem_dir.clone(),
-                })
-            }),
             on_complete: Mutex::new(None),
         });
         let workers = (0..cfg.workers.max(1))
@@ -564,14 +529,31 @@ impl Scheduler {
 
     /// Health snapshot: resilience counters, per-engine breaker states,
     /// and injected-fault tallies from the active plan (if any). Served
-    /// over the wire by the `Health` request. Also pumps
-    /// the alert engine, so health polls advance alert state.
+    /// over the wire by the `Health` request.
     pub fn health(&self) -> HealthReport {
-        if self.inner.alerts.is_some() {
-            self.inner.telemetry.close_window();
+        let inner = &self.inner;
+        let breakers = inner
+            .breakers
+            .lock()
+            .expect("breakers lock")
+            .iter()
+            .map(|(code, b)| (*code, b.snapshot()))
+            .collect();
+        let faults = match &inner.env.faults {
+            Some(plan) => plan
+                .injected()
+                .into_iter()
+                .map(|(site, n)| (site.code(), plan.rate(site), n))
+                .collect(),
+            None => Vec::new(),
+        };
+        HealthReport {
+            resilience: self.resilience(),
+            breakers,
+            faults,
+            queue_depth: inner.queue.lock().expect("queue lock").len() as u64,
+            peak_queue_depth: inner.peak_queue.load(Ordering::Relaxed),
         }
-        pump_alerts(&self.inner);
-        health_of(&self.inner, self.resilience())
     }
 
     /// Live telemetry sample window (`Series`): empty but
@@ -582,44 +564,15 @@ impl Scheduler {
 
     /// Like [`Scheduler::series`], but with points at or below the
     /// `since` cursor filtered out: a watcher passes the
-    /// last seq it saw and receives only the gap. Also pumps the alert
-    /// engine, so watching a server advances alert state.
+    /// last seq it saw and receives only the gap.
     pub fn series_since(&self, since: Option<u64>) -> SeriesReport {
         self.inner.telemetry.close_window();
-        pump_alerts(&self.inner);
         self.inner.telemetry.series(since)
     }
 
     /// Slow-request span digests (`TraceDump`).
     pub fn trace_dump(&self) -> TraceReport {
         self.inner.telemetry.trace_dump()
-    }
-
-    /// The alert engine's firing set and transition log
-    /// (`AlertLog`), after pumping any unseen series points through the
-    /// rules. Disarmed schedulers report `armed: false` and empty
-    /// lists.
-    pub fn alert_log(&self) -> AlertReport {
-        if self.inner.alerts.is_some() {
-            self.inner.telemetry.close_window();
-        }
-        pump_alerts(&self.inner);
-        let server_now_ns = obs::trace::now_ns();
-        match &self.inner.alerts {
-            Some(alerts) => {
-                let rt = alerts.lock().expect("alerts lock");
-                AlertReport {
-                    server_now_ns,
-                    armed: true,
-                    firing: rt.engine.firing(),
-                    events: rt.engine.log(),
-                }
-            }
-            None => AlertReport {
-                server_now_ns,
-                ..AlertReport::default()
-            },
-        }
     }
 
     /// Stops accepting work, drains queued jobs, joins the workers —
@@ -638,187 +591,6 @@ impl Drop for Scheduler {
         }
         self.inner.telemetry.stop();
     }
-}
-
-/// Assembles the health report from the shared scheduler state and the
-/// ledger's resilience counters (used by both the `Health` handler and
-/// the flight recorder).
-fn health_of(inner: &Inner, resilience: ResilienceStats) -> HealthReport {
-    let breakers = inner
-        .breakers
-        .lock()
-        .expect("breakers lock")
-        .iter()
-        .map(|(code, b)| (*code, b.snapshot()))
-        .collect();
-    let faults = match &inner.env.faults {
-        Some(plan) => plan
-            .injected()
-            .into_iter()
-            .map(|(site, n)| (site.code(), plan.rate(site), n))
-            .collect(),
-        None => Vec::new(),
-    };
-    HealthReport {
-        resilience,
-        breakers,
-        faults,
-        queue_depth: inner.queue.lock().expect("queue lock").len() as u64,
-        peak_queue_depth: inner.peak_queue.load(Ordering::Relaxed),
-    }
-}
-
-/// Feeds the series points the alert engine has not seen through the
-/// rules, and snapshots a postmortem bundle on each transition to
-/// firing. No lock when disarmed. The pump takes no sample: it feeds
-/// only points the sampler (or a request's closing sample) already
-/// produced, so rule windows stay on the sampler's clock whatever the
-/// job rate.
-fn pump_alerts(inner: &Inner) {
-    let Some(alerts) = &inner.alerts else {
-        return;
-    };
-    let mut rt = alerts.lock().expect("alerts lock");
-    let points = inner.telemetry.series(rt.last_seq).points;
-    let Some(newest) = points.last().map(|p| p.seq) else {
-        return;
-    };
-    rt.last_seq = Some(newest);
-    for p in points {
-        for event in rt.engine.observe(p) {
-            match event.transition {
-                Transition::Pending => obs::debug!(
-                    "alert {} pending: {} (threshold {})",
-                    event.rule,
-                    event.value,
-                    event.threshold
-                ),
-                Transition::Firing => {
-                    obs::warn!(
-                        "alert {} firing: {} (threshold {}) {}",
-                        event.rule,
-                        event.value,
-                        event.threshold,
-                        event.detail
-                    );
-                    if let Some(dir) = rt.postmortem_dir.clone() {
-                        let firing = rt.engine.firing();
-                        if let Err(e) = write_postmortem(inner, &dir, &event, &firing, newest) {
-                            obs::error!("postmortem write failed: {e}");
-                        }
-                    }
-                }
-                Transition::Resolved => {
-                    obs::info!("alert {} resolved", event.rule);
-                }
-            }
-        }
-    }
-}
-
-/// JSON string literal (quoted + escaped).
-fn jstr(s: &str) -> String {
-    format!("\"{}\"", obs::json::escape(s))
-}
-
-/// The comma-separated body of a JSON array, one `f(item)` per element.
-fn jlist<T>(items: impl IntoIterator<Item = T>, f: impl Fn(T) -> String) -> String {
-    items.into_iter().map(f).collect::<Vec<_>>().join(",")
-}
-
-/// Snapshots the flight-recorder postmortem bundle for a firing alert:
-/// the triggering rule and values, the recent series tail and the
-/// engine × phase profile merged over it, slow-request exemplars, the
-/// trace-log tail, and the health report. Versioned JSON, one file per
-/// firing transition, named by event seq + rule so simulated-clock
-/// reruns are byte-stable.
-fn write_postmortem(
-    inner: &Inner,
-    dir: &Path,
-    event: &AlertEvent,
-    firing: &[obs::alert::FiringAlert],
-    newest_seq: u64,
-) -> std::io::Result<()> {
-    let firing = jlist(firing, |f| {
-        format!(
-            "{{\"rule\":{},\"since_ns\":{},\"value\":{},\"threshold\":{},\"detail\":{}}}",
-            jstr(&f.rule),
-            f.since_ns,
-            f.value,
-            f.threshold,
-            jstr(&f.detail)
-        )
-    });
-    // Ends at the newest point the rules saw, even if the sampler has
-    // appended more since the pump read the ring.
-    let since = newest_seq.checked_sub(POSTMORTEM_SERIES_TAIL);
-    let mut points = inner.telemetry.series(since).points;
-    points.retain(|p| p.seq <= newest_seq);
-    let series = jlist(&points, |p| {
-        format!(
-            "{{\"seq\":{},\"t_ns\":{},\"interval_ns\":{},\"completed\":{},\"ok\":{},\"failed\":{},\"queue_depth\":{},\"busy_workers\":{},\"p50_ns\":{},\"p99_ns\":{}}}",
-            p.seq,
-            p.t_ns,
-            p.interval_ns,
-            p.completed,
-            p.ok,
-            p.failed,
-            p.queue_depth,
-            p.busy_workers,
-            p.lat.p50_ns,
-            p.lat.p99_ns
-        )
-    });
-    let exemplars = jlist(&inner.telemetry.trace_dump().exemplars, |rec| {
-        format!(
-            "{{\"label\":{},\"total_ns\":{},\"attempts\":{},\"compile_fallback\":{}}}",
-            jstr(&rec.label),
-            rec.phases.total_ns(),
-            rec.phases.attempts,
-            rec.phases.compile_fallback
-        )
-    });
-    let profile = format!(
-        "{{\"first_seq\":{},\"last_seq\":{},\"folded\":{}}}",
-        points.first().map_or(newest_seq, |p| p.seq),
-        newest_seq,
-        jstr(&Window::over(&points).folded(telemetry::engine_name))
-    );
-    let resilience = inner.ledger.lock().expect("ledger lock").resilience;
-    let health = health_of(inner, resilience);
-    let breakers = jlist(&health.breakers, |(code, b)| {
-        let state = jstr(b.state.name());
-        format!("{{\"engine\":{code},\"state\":{state},\"trips\":{}}}", b.trips)
-    });
-    let faults = jlist(&health.faults, |(code, rate, injected)| {
-        let site = jstr(fault::Site::from_code(*code).map_or("unknown", fault::Site::key));
-        format!("{{\"site\":{site},\"rate\":{rate},\"injected\":{injected}}}")
-    });
-    let r = &health.resilience;
-    let out = format!(
-        "{{\"schema\":\"wabench-postmortem\",\"version\":2,\
-         \"alert\":{{\"seq\":{},\"t_ns\":{},\"rule\":{},\"value\":{},\"threshold\":{},\"detail\":{}}},\
-         \"firing\":[{firing}],\"series\":[{series}],\"exemplars\":[{exemplars}],\
-         \"profile\":{profile},\
-         \"health\":{{\"retries\":{},\"compile_fallbacks\":{},\"store_repairs\":{},\
-         \"breaker_fast_fails\":{},\"queue_depth\":{},\"peak_queue_depth\":{},\
-         \"breakers\":[{breakers}],\"faults\":[{faults}]}}}}",
-        event.seq,
-        event.t_ns,
-        jstr(&event.rule),
-        event.value,
-        event.threshold,
-        jstr(&event.detail),
-        r.retries,
-        r.compile_fallbacks,
-        r.store_repairs,
-        r.breaker_fast_fails,
-        health.queue_depth,
-        health.peak_queue_depth
-    );
-    std::fs::create_dir_all(dir)?;
-    let name = format!("postmortem-{}-{}.json", event.seq, event.rule);
-    std::fs::write(dir.join(name), out)
 }
 
 fn worker_loop(inner: &Arc<Inner>) {
@@ -918,10 +690,6 @@ fn worker_loop(inner: &Arc<Inner>) {
         if let Some(hook) = &*inner.on_complete.lock().expect("hook lock") {
             hook();
         }
-        // Evaluate alert rules against any new telemetry samples (no-op
-        // when disarmed). After the result is published, so a firing
-        // alert's postmortem sees the job that tripped it.
-        pump_alerts(inner);
     }
 }
 
@@ -1140,14 +908,13 @@ mod tests {
         sched.shutdown();
     }
 
-    /// A worker's alert pump takes no sample: 20 jobs under a 1 h
-    /// cadence leave only the `Series` request's own closing sample.
+    /// A worker takes no sample per job: 20 jobs under a 1 h cadence
+    /// leave only the `Series` request's own closing sample.
     #[test]
-    fn alert_pump_samples_nothing_per_job() {
+    fn workers_sample_nothing_per_job() {
         let sched = Scheduler::start(Config {
             workers: 2,
             sample_interval: Some(Duration::from_secs(3600)),
-            alerts: Some(AlertSpec::parse("p99=1s:10s").unwrap()),
             ..Config::default()
         })
         .unwrap();

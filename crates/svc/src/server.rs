@@ -16,7 +16,7 @@ use crate::job::{JobSpec, TraceCtx};
 use crate::proto::{BackendsReport, Request, Response};
 use crate::reactor::{Action, Handler, Resolution, Token, Waker};
 use crate::scheduler::{HealthReport, Scheduler, SvcStats, SvcStatsExt};
-use crate::telemetry::{AlertReport, SeriesReport, TraceReport};
+use crate::telemetry::{SeriesReport, TraceReport};
 use crate::wire::{read_frame, write_frame};
 use crate::JobResult;
 
@@ -132,7 +132,6 @@ impl SchedHandler {
             Ok(Request::Health) => Response::Health(sched.health()),
             Ok(Request::Series(since)) => Response::Series(sched.series_since(since)),
             Ok(Request::TraceDump) => Response::TraceDump(sched.trace_dump()),
-            Ok(Request::AlertLog) => Response::AlertLog(sched.alert_log()),
             Ok(Request::Backends) => Response::Err(
                 "backends: this server is a single shard, not a router; \
                  see docs/DEPLOYMENT.md"
@@ -365,20 +364,6 @@ impl Client {
     pub fn series_since(&mut self, since: Option<u64>) -> io::Result<SeriesReport> {
         match self.request(&Request::Series(since))? {
             Response::Series(s) => Ok(s),
-            other => Err(unexpected(&other)),
-        }
-    }
-
-    /// Fetches the alert engine's firing set and transition log,
-    /// pumping pending observations through the rules server-side
-    /// first.
-    ///
-    /// # Errors
-    ///
-    /// I/O or protocol errors; a router answers `Err`.
-    pub fn alert_log(&mut self) -> io::Result<AlertReport> {
-        match self.request(&Request::AlertLog)? {
-            Response::AlertLog(a) => Ok(a),
             other => Err(unexpected(&other)),
         }
     }

@@ -57,23 +57,6 @@ pub struct SeriesReport {
     pub points: Vec<SeriesPoint>,
 }
 
-/// The `AlertLog` reply: the alert engine's current firing
-/// set and recent transition events.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct AlertReport {
-    /// Server trace clock at reply time ([`obs::trace::now_ns`]).
-    pub server_now_ns: u64,
-    /// Whether an alert engine is armed (`--alerts` was given). When
-    /// false both lists are empty — distinguishable from "armed and
-    /// healthy".
-    pub armed: bool,
-    /// Currently firing alerts.
-    pub firing: Vec<obs::alert::FiringAlert>,
-    /// Recent pending/firing/resolved transitions, oldest first
-    /// (bounded log).
-    pub events: Vec<obs::alert::AlertEvent>,
-}
-
 /// The `TraceDump` reply: the slow-request exemplars.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct TraceReport {

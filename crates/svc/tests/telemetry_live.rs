@@ -2,9 +2,8 @@
 //! a real socket, `TraceDump` keeps only slow jobs, the background
 //! sampler feeds a
 //! nonempty `Series` window whose per-engine phase times account for
-//! every job exactly once, two schedulers in one process keep separate
-//! windows, and the drift rule reading them stays quiet across an idle
-//! spell.
+//! every job exactly once, and two schedulers in one process keep
+//! separate windows.
 
 #![cfg(unix)]
 
@@ -13,11 +12,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use engines::EngineKind;
-use obs::alert::{AlertEvent, AlertSpec, Transition, DRIFT_MIN_JOBS};
 use svc::job::{JobSpec, Scale, TraceCtx};
 use svc::scheduler::{Config, Scheduler};
 use svc::server::{serve, Client};
-use svc::telemetry::SeriesPoint;
 
 fn tmp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!(
@@ -221,44 +218,4 @@ fn two_schedulers_keep_separate_series() {
     for (sched, _) in runs {
         sched.shutdown();
     }
-}
-
-/// A steady mix, ten-plus quiet sampler intervals, then the same mix
-/// again: the drift rule must not fire. Idle points are not read, and
-/// each point is judged by its own jobs' shares. The rule carries a
-/// hold of three intervals, as OPERATIONS.md advises: one point of a
-/// few jobs is noisy enough to breach on its own.
-#[test]
-fn drift_stays_quiet_across_an_idle_gap() {
-    let interval = Duration::from_millis(50);
-    let sched = Scheduler::start(Config {
-        workers: 2,
-        sample_interval: Some(interval),
-        alerts: Some(AlertSpec::parse("pending=150ms,drift=3:60s").unwrap()),
-        ..Config::default()
-    })
-    .expect("start scheduler");
-    let mix = [EngineKind::Wasm3, EngineKind::Wamr];
-    let run = |jobs: usize| {
-        for i in 0..jobs {
-            let res = sched.wait(sched.submit(interp_spec(mix[i % mix.len()])));
-            assert!(res.ok(), "{:?}", res.status);
-        }
-    };
-    run(100);
-    let gap_from = sched.series().points.last().map_or(0, |p| p.seq);
-    std::thread::sleep(interval * 12);
-    run(100);
-    std::thread::sleep(interval * 3);
-    let log = sched.alert_log();
-    let fired = |e: &&AlertEvent| e.transition == Transition::Firing;
-    let fired: Vec<_> = log.events.iter().filter(fired).collect();
-    assert!(fired.is_empty(), "drift fired across an idle gap: {fired:?}");
-    // The rule had points to read on both sides of the gap.
-    let read = |p: &&SeriesPoint| p.engines.iter().map(|e| e.jobs).sum::<u64>() >= DRIFT_MIN_JOBS;
-    let points = sched.series().points;
-    let (before, after) = points.split_at(points.partition_point(|p| p.seq <= gap_from));
-    let counts = (before.iter().filter(read).count(), after.iter().filter(read).count());
-    assert!(counts.0 >= 5 && counts.1 >= 5, "readable points before/after: {counts:?}");
-    sched.shutdown();
 }

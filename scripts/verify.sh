@@ -53,12 +53,12 @@
 #      --once reports
 #      a window (completed count, nonzero QPS, ordered quantiles) whose
 #      completed count matches the load run's `jobs:` line
-#  19. alert & postmortem smoke: a server with the alert engine and a
-#      deterministic 20ms delay fault armed must fire the p99 rule, write
-#      a flight-recorder bundle that wabench-served doctor diagnoses
-#      (naming the delay site), and list the series points' engine x
-#      phase profiles (wabench-served windows); a fault-free control run
-#      under the same engine fires nothing and writes no bundle
+#  19. live doctor smoke: against a sampling server with a deterministic
+#      20ms delay fault armed, wabench-served doctor --socket reports
+#      findings (exit 1) naming the delay site, and wabench-served
+#      windows lists the series points' engine x phase profiles; against
+#      a fault-free control run doctor reports `diagnosis: healthy`
+#      (exit 0)
 #  20. router smoke: a fixed-seed load through wabench-router over two
 #      wabench-served shards completes with zero protocol errors, prints
 #      a summary line per shard, stitches a trace of every completed
@@ -336,74 +336,48 @@ awk -F= -v load="${load_completed:-missing}" '
         }
     }' "$trace_tmp/top.out"
 
-step "alert & postmortem smoke (SLO rules -> flight recorder -> doctor)"
+step "live doctor smoke (delay fault -> doctor --socket, windows)"
 served=./target/release/wabench-served
-sock="$trace_tmp/alert.sock"
-pm_dir="$trace_tmp/postmortems"
-# Every job is delayed 20ms (rate 1.0, seeded), far over the 5ms p99
-# ceiling, so the rule fires deterministically.
-"$served" serve --socket "$sock" --workers 2 --sample-ms 25 \
-    --faults 'seed=7,delay=1.0:20ms' --alerts 'p99=5ms:1s' \
-    --postmortem-dir "$pm_dir" > "$trace_tmp/served-alert.log" 2>&1 &
-served_pid=$!
-wait_sock "$sock" "alert smoke" "$trace_tmp/served-alert.log"
-"$loadgen" run --seed 13 --mix fig1 --qps 100 --jobs 10 --phases cold \
-    --socket "$sock" > /dev/null
-sleep 0.2 # let the sampler cover the delayed completions
-"$served" alerts --socket "$sock" | tee "$trace_tmp/alerts.out"
-"$served" windows --socket "$sock" | tee "$trace_tmp/windows.out"
-"$served" shutdown --socket "$sock" > /dev/null
-wait "$served_pid" 2> /dev/null || true
-# The p99 rule must have fired (live now, or as a logged transition)...
-grep -qE 'firing p99:' "$trace_tmp/alerts.out" || {
-    echo "alert smoke FAILED: p99 rule never fired under a 20ms delay fault" >&2
-    exit 1
+# Runs the seed-13 fig1 load against a fresh sampling server (extra
+# serve flags in "$@"), then records `doctor --socket` output in
+# $trace_tmp/doctor-<tag>.out and its exit code in $doctor_rc, and the
+# `windows` listing in $trace_tmp/windows-<tag>.out.
+doctor_run() {
+    local tag=$1; shift
+    local sock="$trace_tmp/doctor-$tag.sock"
+    "$served" serve --socket "$sock" --workers 2 --sample-ms 25 "$@" \
+        > "$trace_tmp/served-$tag.log" 2>&1 &
+    local pid=$!
+    wait_sock "$sock" "doctor smoke ($tag)" "$trace_tmp/served-$tag.log"
+    "$loadgen" run --seed 13 --mix fig1 --qps 100 --jobs 10 --phases cold \
+        --socket "$sock" > /dev/null
+    sleep 0.2 # let the sampler cover the last completions
+    doctor_rc=0
+    "$served" doctor --socket "$sock" | tee "$trace_tmp/doctor-$tag.out" || doctor_rc=$?
+    "$served" windows --socket "$sock" > "$trace_tmp/windows-$tag.out"
+    "$served" shutdown --socket "$sock" > /dev/null
+    wait "$pid" 2> /dev/null || true
 }
-# ...the series points must carry the jobs' engine x phase profile...
-grep -q '^window #' "$trace_tmp/windows.out" || {
-    echo "alert smoke FAILED: no series point carries phase time" >&2
-    exit 1
-}
-# ...and the flight recorder must have written a versioned bundle.
-bundle=$(ls "$pm_dir"/postmortem-*-p99.json 2> /dev/null | head -1)
-if [ -z "$bundle" ]; then
-    echo "alert smoke FAILED: no postmortem bundle in $pm_dir" >&2
+# Every job is delayed 20ms (rate 1.0, seeded): doctor must report
+# findings (exit 1) and name the injected delay site...
+doctor_run fault --faults 'seed=7,delay=1.0:20ms'
+if [ "$doctor_rc" -ne 1 ]; then
+    echo "doctor smoke FAILED: doctor exit $doctor_rc on a server with a delay fault" >&2
     exit 1
 fi
-head -c 32 "$bundle" | grep -q '^{"schema":"wabench-postmortem"'
-# The doctor must diagnose the bundle (exit 1 = findings) and name the
-# injected delay site as a root-cause candidate.
-rc=0
-"$served" doctor --bundle "$bundle" | tee "$trace_tmp/doctor.out" || rc=$?
-if [ "$rc" -ne 1 ]; then
-    echo "alert smoke FAILED: doctor exit $rc on a bundle with findings" >&2
-    exit 1
-fi
-grep -q 'site=delay' "$trace_tmp/doctor.out" || {
-    echo "alert smoke FAILED: doctor did not name the injected delay site" >&2
+grep -q 'site=delay' "$trace_tmp/doctor-fault.out" || {
+    echo "doctor smoke FAILED: doctor did not name the injected delay site" >&2
     exit 1
 }
-# Control: the same engine with a generous ceiling and no faults must
-# stay quiet — no firing rules, no transitions, no bundle written.
-sock="$trace_tmp/alert-clean.sock"
-pm_clean="$trace_tmp/postmortems-clean"
-"$served" serve --socket "$sock" --workers 2 --sample-ms 25 \
-    --alerts 'p99=250ms:1s' --postmortem-dir "$pm_clean" \
-    > "$trace_tmp/served-clean.log" 2>&1 &
-served_pid=$!
-wait_sock "$sock" "alert smoke (clean control)" "$trace_tmp/served-clean.log"
-"$loadgen" run --seed 13 --mix fig1 --qps 100 --jobs 10 --phases cold \
-    --socket "$sock" > /dev/null
-sleep 0.2
-"$served" alerts --socket "$sock" | tee "$trace_tmp/alerts-clean.out"
-"$served" shutdown --socket "$sock" > /dev/null
-wait "$served_pid" 2> /dev/null || true
-grep -q 'armed (0 firing, 0 logged' "$trace_tmp/alerts-clean.out" || {
-    echo "alert smoke FAILED: rules fired on a fault-free run" >&2
+# ...and the series points must carry the jobs' engine x phase profile.
+grep -q '^window #' "$trace_tmp/windows-fault.out" || {
+    echo "doctor smoke FAILED: no series point carries phase time" >&2
     exit 1
 }
-if [ -d "$pm_clean" ] && [ -n "$(ls -A "$pm_clean" 2> /dev/null)" ]; then
-    echo "alert smoke FAILED: postmortem written on a fault-free run" >&2
+# Control: the same load without faults is healthy (exit 0).
+doctor_run clean
+if [ "$doctor_rc" -ne 0 ]; then
+    echo "doctor smoke FAILED: doctor exit $doctor_rc on a fault-free run" >&2
     exit 1
 fi
 
