@@ -77,12 +77,12 @@ impl Counters {
         }
     }
 
-    /// Branch MPKI (Figure 12's metric).
+    /// Branch MPKI (Figure 8's metric; Table 5 gives the miss ratios).
     pub fn branch_mpki(&self) -> f64 {
         self.per_kilo_instr(self.branch_misses)
     }
 
-    /// L1-D miss MPKI (Figure 13's metric).
+    /// L1-D miss MPKI (behind Figure 9's cache misses).
     pub fn l1d_mpki(&self) -> f64 {
         self.per_kilo_instr(self.l1d_misses)
     }
@@ -92,7 +92,7 @@ impl Counters {
         self.per_kilo_instr(self.l1i_misses)
     }
 
-    /// LLC miss MPKI (Figure 14's metric).
+    /// LLC miss MPKI (behind Figures 9–10's cache misses).
     pub fn llc_mpki(&self) -> f64 {
         self.per_kilo_instr(self.cache_misses)
     }

@@ -7,7 +7,7 @@
 //! |---|---|---|
 //! | [`Tier::Singlepass`] | lowering only | Wasmer SinglePass |
 //! | [`Tier::Cranelift`] | standard passes ×1 | Wasmtime / Wasmer Cranelift |
-//! | [`Tier::Llvm`] | extended passes ×3 + LVN | WAVM / Wasmer LLVM |
+//! | [`Tier::Llvm`] | extended passes ×8 + LVN | WAVM / Wasmer LLVM |
 
 pub mod aot;
 pub mod exec;

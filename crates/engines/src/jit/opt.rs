@@ -2,8 +2,9 @@
 //!
 //! The `cranelift` tier runs one round of the standard pipeline; the
 //! `llvm` tier runs the extended pipeline (plus local value numbering)
-//! to a fixpoint, paying more compile time for better code — the same
-//! trade the paper measures between Wasmer's Cranelift and LLVM backends.
+//! for eight rounds, with no early exit once a round changes nothing,
+//! paying more compile time for better code — the same trade the paper
+//! measures between Wasmer's Cranelift and LLVM backends.
 
 use crate::jit::ir::{RFunc, ROp, Reg};
 use crate::jit::verify;
@@ -67,7 +68,8 @@ pub struct PassConfig {
     pub lvn: bool,
     /// Interval-analysis check elimination (bounds, div, trunc guards).
     pub bce: bool,
-    /// Pipeline iterations (fixpoint rounds).
+    /// Pipeline iterations; every round runs every enabled pass, even
+    /// after a round that changed nothing.
     pub rounds: u32,
 }
 
@@ -171,7 +173,7 @@ pub fn optimize(f: &mut RFunc, config: &PassConfig) -> PassStats {
             stats.verify_ns += snapshot_ns + t1.elapsed().as_nanos() as u64;
         }
     }
-    // Check elimination runs once, after the scalar pipeline converges:
+    // Check elimination runs once, after the scalar rounds:
     // it sees the final op layout (proof obligations cite op indices) and
     // benefits from fused guards and folded address arithmetic.
     if config.bce {
@@ -475,13 +477,7 @@ fn copy_prop(f: &mut RFunc) -> PassStats {
         // Update alias state for the def.
         let op = f.ops[i];
         if let Some(rd) = op.def() {
-            // Anything aliasing rd is stale.
-            for a in alias.iter_mut() {
-                if *a == rd {
-                    // This alias would now read the wrong value; reset it
-                    // (self-alias is identity).
-                }
-            }
+            // Anything aliasing rd is stale: reset it to itself.
             for (r, a) in alias.iter_mut().enumerate() {
                 if *a == rd && r as Reg != rd {
                     *a = r as Reg;
@@ -768,7 +764,6 @@ fn dce(f: &mut RFunc) -> PassStats {
 /// free in a backward linear walk.
 fn dead_store(f: &mut RFunc) -> PassStats {
     let mut stats = PassStats::default();
-    let targets = branch_targets(f);
     let mut live = vec![true; f.nregs as usize];
     for i in (0..f.ops.len()).rev() {
         stats.op_visits += 1;
@@ -795,11 +790,6 @@ fn dead_store(f: &mut RFunc) -> PassStats {
         if let ROp::CallIndirect { elem, .. } = op {
             live[elem as usize] = true;
         }
-        // Entering (backward) a join point: liveness computed linearly is
-        // valid for the fall-through predecessor; nothing to reset. But a
-        // position that *is* a target begins a region whose predecessors
-        // may also fall in — still sound.
-        let _ = &targets;
     }
     stats
 }

@@ -135,10 +135,8 @@ pub fn observability_section() -> String {
      `wacc.parse` and friends, with per-span counts, totals, and\n\
      self-time percentages. `wabench-served serve --trace-out` does the\n\
      same for the service; its\n\
-     `stats-ext` reply additionally carries queue-depth,\n\
-     worker-utilization, per-engine latency histograms\n\
-     (min/p50/p95/p99/max), and per-engine simulated IPC/MPKI\n\
-     aggregates once profiled jobs have run.\n"
+     `stats` reply also carries the worker count, uptime, busy time\n\
+     and utilization, summed over every shard when a router answers.\n"
         .to_string()
 }
 
@@ -152,9 +150,9 @@ pub fn profiling_section() -> String {
      phase: each attributed span row carries retired instructions, IPC,\n\
      and branch/L1D/L1I/LLC MPKI sampled from the architectural\n\
      simulator at span entry/exit. The columns map onto the paper's\n\
-     architectural figures: instructions and IPC are the quantities\n\
-     behind Figures 10–11, branch MPKI behind Figure 12, L1 data/\n\
-     instruction MPKI behind Figure 13, and LLC MPKI behind Figure 14 —\n\
+     architectural figures: instructions are the quantity behind\n\
+     Figure 6, IPC behind Figure 7, branch MPKI behind Figure 8 and\n\
+     Table 5, and L1 data/instruction and LLC MPKI behind Figures 9–10 —\n\
      but broken down per phase (compile vs. execute) instead of per\n\
      whole run. Any `--trace-out FILE` whose name ends in `.folded`\n\
      writes Brendan-Gregg folded stacks (`thread;span;span N`, weighted\n\

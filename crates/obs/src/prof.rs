@@ -6,7 +6,7 @@
 //! from two places shows up twice — attribution follows the path, not
 //! the name. *Self* time is a span's duration minus its children's,
 //! which is what you optimize. Next to it stand retired instructions,
-//! IPC and the paper's MPKI metrics (Figures 10–14). Producers attach
+//! IPC and the paper's MPKI metrics (Figures 6–10, Table 5). Producers attach
 //! a [`SpanCounters`] delta to the spans they sample (engine
 //! compile/execute); aggregation here distributes those deltas
 //! hierarchically:
@@ -149,8 +149,9 @@ pub fn aggregate(events: &[SpanEvent]) -> BTreeMap<Vec<&'static str>, ProfNode> 
 /// Renders `trace` as one table per thread: per span path the count,
 /// wall total, self time and its share of the thread's wall time, then
 /// self instructions, their share of the thread's instructions and the
-/// derived IPC / MPKI columns the paper's Figures 10–14 plot. A path
-/// that carried no counter payload shows `-` in the counter columns.
+/// derived IPC / MPKI columns behind the paper's Figures 6–10 and
+/// Table 5. A path that carried no counter payload shows `-` in the
+/// counter columns.
 pub fn render(trace: &Trace) -> String {
     let mut out = String::new();
     let _ = writeln!(

@@ -2,7 +2,7 @@
 //! job metrics feeding a fixed-capacity delta ring, and the window
 //! aggregate `wabench-served top` and `doctor` judge it by.
 //!
-//! `Stats`/`StatsExt` answers are cumulative snapshots — a spike that
+//! `Stats` answers are cumulative snapshots — a spike that
 //! happened ten seconds ago is invisible once the averages re-converge.
 //! A [`Sampler`] reads its service's [`JobMetrics`] every interval and
 //! stores one [`SeriesPoint`] of *deltas* (counter

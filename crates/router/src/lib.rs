@@ -26,10 +26,11 @@
 //! trips, and `Wait`s park in the reactor and are driven by `Poll`s
 //! against the owning shard from the tick hook.
 //!
-//! Per-shard observability requests (`Series`, `TraceDump`,
-//! `StatsExt`) are answered with an `Err` prefixed `router:` pointing
-//! at the shard sockets — `wabench-served top` and `doctor` key off
-//! that prefix to degrade gracefully.
+//! `Stats` and `Health` are answered with the shards' replies summed.
+//! Per-shard observability requests (`Series`, `TraceDump`) are
+//! answered with an `Err` prefixed `router:` pointing at the shard
+//! sockets — `wabench-served top` and `doctor` key off that prefix to
+//! degrade gracefully.
 
 #![warn(missing_docs)]
 
@@ -421,7 +422,9 @@ impl Router {
         ))
     }
 
-    /// Aggregates `Stats` across reachable shards.
+    /// Aggregates `Stats` across reachable shards: counters, times and
+    /// worker counts sum; uptime is the oldest shard's, so the fleet's
+    /// utilization is busy time over that uptime times every worker.
     fn aggregate_stats(&mut self) -> Response {
         let mut sum = svc::scheduler::SvcStats::default();
         for idx in 0..self.shared.backends.len() {
@@ -436,6 +439,9 @@ impl Router {
                 sum.cold_compile_s += s.cold_compile_s;
                 sum.warm_loads += s.warm_loads;
                 sum.warm_load_s += s.warm_load_s;
+                sum.workers += s.workers;
+                sum.uptime_s = sum.uptime_s.max(s.uptime_s);
+                sum.busy_s += s.busy_s;
                 if let Some(st) = s.store {
                     let agg = sum.store.get_or_insert_with(Default::default);
                     agg.hits += st.hits;
@@ -490,7 +496,6 @@ impl Handler for Router {
             Ok(Request::Stats) => self.aggregate_stats(),
             Ok(Request::Health) => self.aggregate_health(),
             Ok(Request::Backends) => Response::Backends(self.report()),
-            Ok(Request::StatsExt) => per_shard_err("stats-ext"),
             Ok(Request::Series(_)) => per_shard_err("series"),
             Ok(Request::TraceDump) => per_shard_err("trace-dump"),
             Ok(Request::Shutdown) => {

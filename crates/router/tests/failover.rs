@@ -263,20 +263,34 @@ fn per_shard_requests_are_refused_with_the_router_prefix() {
     );
 
     let mut client = Client::connect(&rsock).expect("connect router");
-    for err in [
-        client.series().unwrap_err(),
-        client.trace_dump().unwrap_err(),
-        client.stats_ext().unwrap_err(),
-    ] {
+    for err in [client.series().unwrap_err(), client.trace_dump().unwrap_err()] {
         let msg = err.to_string();
         assert!(
             msg.contains("router:"),
             "per-shard refusals must carry the router: prefix, got {msg:?}"
         );
     }
-    // Health and Stats, by contrast, aggregate fine.
+    // Health and Stats, by contrast, aggregate: after jobs have run, the
+    // router's statistics are the shards' summed.
+    let ids: Vec<u64> = ["crc32", "bitcount", "sha"]
+        .iter()
+        .map(|b| client.submit(spec(b)).expect("submit"))
+        .collect();
+    for id in ids {
+        assert!(client.wait(id).expect("wait").ok());
+    }
     client.health().expect("aggregated health");
-    client.stats().expect("aggregated stats");
+    let fleet = client.stats().expect("aggregated stats");
+    let shards: Vec<_> = (0..2)
+        .map(|i| {
+            let mut c = Client::connect(&dir.join(format!("shard{i}.sock"))).expect("shard");
+            c.stats().expect("shard stats")
+        })
+        .collect();
+    assert_eq!(fleet.workers, shards.iter().map(|s| s.workers).sum::<u64>());
+    assert_eq!(fleet.completed, 3);
+    assert!(fleet.busy_s > 0.0, "busy time not aggregated: {fleet:?}");
+    assert!(fleet.utilization() > 0.0);
 
     client.shutdown().expect("router shutdown");
     router_handle.join().expect("join").expect("router serve");

@@ -2,10 +2,9 @@
 //! operator tools that talk to it. Every command's flags are declared
 //! once in [`COMMANDS`]; `wabench-served` with no arguments prints them.
 //!
-//! `stats-ext` reports, besides the classic counters, queue depth,
-//! worker utilization, queue-wait/per-engine latency histograms
-//! (min/p50/p95/p99/max), and — once profiled jobs have run —
-//! per-engine simulated IPC/MPKI aggregates.
+//! `stats` reports the job counters, cold-compile and warm-load times,
+//! the worker pool's size, uptime and utilization, and the artifact
+//! store's counters; against a router, every shard's summed.
 //!
 //! `health` reports resilience counters (retries, interpreter
 //! fallbacks, store repairs, breaker fast-fails), circuit breaker
@@ -45,7 +44,7 @@ use std::time::Duration;
 use engines::EngineKind;
 use obs::cli::{self, Args, Command, Flag};
 use svc::job::{JobMode, JobSpec, Scale};
-use svc::scheduler::{Config, HealthReport, Scheduler, SvcStats, SvcStatsExt};
+use svc::scheduler::{Config, HealthReport, Scheduler, SvcStats};
 use svc::server::{serve, Client};
 use svc::telemetry::{SeriesReport, TraceReport};
 use wacc::OptLevel;
@@ -74,7 +73,6 @@ static COMMANDS: &[Command] = &[
         Flag::switch("--warm", "load and store artifacts (service mode)"),
     ]),
     Command::new("stats", &[SOCKET]),
-    Command::new("stats-ext", &[SOCKET]),
     Command::new("health", &[SOCKET]),
     Command::new("series", &[SOCKET]),
     Command::new("trace-dump", &[SOCKET]),
@@ -119,41 +117,18 @@ fn print_stats(s: &SvcStats) {
         s.warm_loads,
         s.warm_load_avg_s() * 1e3
     );
+    println!(
+        "service: {} workers, uptime {:.1}s, utilization {:.1}%",
+        s.workers,
+        s.uptime_s,
+        s.utilization() * 100.0
+    );
     match &s.store {
         Some(st) => println!(
             "store: {} hits, {} misses, {} puts, {} evictions, {} corrupt rejected",
             st.hits, st.misses, st.puts, st.evictions, st.corrupt_rejected
         ),
         None => println!("store: none attached"),
-    }
-}
-
-fn print_stats_ext(s: &SvcStatsExt) {
-    print_stats(&s.base);
-    println!(
-        "service: queue depth {}, {} workers, uptime {:.1}s, utilization {:.1}%",
-        s.queue_depth,
-        s.workers,
-        s.uptime_s,
-        s.utilization() * 100.0
-    );
-    println!("queue wait: {}", s.queue_wait.summary());
-    for (code, hist) in &s.engine_wall {
-        let name = EngineKind::from_code(*code).map_or("unknown", |k| k.name());
-        println!("engine {name}: wall {}", hist.summary());
-    }
-    for (code, agg) in &s.engine_counters {
-        let name = EngineKind::from_code(*code).map_or("unknown", |k| k.name());
-        let c = &agg.counters;
-        println!(
-            "engine {name}: {} profiled jobs, {} instrs, ipc {:.3}, mpki branch {:.2} l1d {:.2} llc {:.2}",
-            agg.jobs,
-            c.instructions,
-            c.ipc(),
-            c.branch_mpki(),
-            c.l1d_mpki(),
-            c.llc_mpki()
-        );
     }
 }
 
@@ -383,18 +358,11 @@ fn cmd_smoke(a: &Args) {
             }
         }
         let stats = client.stats().expect("stats");
-        // Exercise the stats-ext path over the real socket too.
-        let ext = client.stats_ext().expect("stats-ext");
-        assert_eq!(ext.base.completed, stats.completed, "stats-ext disagrees");
         // And the health path: no faults armed, so everything clean.
         let health = client.health().expect("health");
         assert_eq!(health.resilience.retries, 0, "unexpected retries in smoke");
         assert!(health.faults.is_empty(), "no fault plan was armed");
-        println!(
-            "[{label}] utilization {:.1}%, queue wait {}",
-            ext.utilization() * 100.0,
-            ext.queue_wait.summary()
-        );
+        println!("[{label}] utilization {:.1}%", stats.utilization() * 100.0);
         client.shutdown().expect("shutdown");
         server.join().expect("server join").expect("serve");
         println!("[{label}] {ok}/{} jobs ok", ids.len());
@@ -456,7 +424,6 @@ fn main() {
         "serve" => cmd_serve(&a),
         "submit" => cmd_submit(&a),
         "stats" => print_stats(&fetch("stats", connect(&a).stats())),
-        "stats-ext" => print_stats_ext(&fetch("stats-ext", connect(&a).stats_ext())),
         "health" => print_health(&fetch("health", connect(&a).health())),
         "series" => print_series(&fetch("series", connect(&a).series())),
         "trace-dump" => print_trace_report(&fetch("trace-dump", connect(&a).trace_dump())),

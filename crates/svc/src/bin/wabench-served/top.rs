@@ -1,6 +1,6 @@
 //! `wabench-served top` — live terminal view of a running server.
 //!
-//! Polls the `Series` request (plus `Health` and `StatsExt`
+//! Polls the `Series` request (plus `Health` and `Stats`
 //! for breaker states and worker counts) and prints one status line per
 //! tick, vmstat-style: live QPS, p50/p99 job latency, queue depth,
 //! worker utilization, breaker states, and a rolling SLO burn-rate
@@ -17,11 +17,11 @@
 //! The server must be sampling (`wabench-served serve --sample-ms`,
 //! on by default) for the window to be nonempty; against a sampler-less
 //! server `top` reports an empty window rather than failing.
-//! Pointed at a `wabench-router` socket the per-shard requests
-//! (`Series`, `StatsExt`) are refused by the router; `top`
-//! warns once and shows the fleet aggregates (`Health`) with empty
-//! per-shard columns instead of erroring — watch an individual shard's
-//! socket for full detail (see docs/DEPLOYMENT.md).
+//! Pointed at a `wabench-router` socket the per-shard `Series` request
+//! is refused by the router; `top` warns once and shows the fleet
+//! aggregates (`Health`, `Stats`) with empty window columns instead of
+//! erroring — watch an individual shard's socket for the window (see
+//! docs/DEPLOYMENT.md).
 
 use std::process::exit;
 use std::time::Duration;
@@ -98,26 +98,26 @@ fn breaker_summary(breakers: &[(u8, fault::BreakerSnapshot)]) -> String {
 }
 
 /// Like [`fetch`], but a `wabench-router` target's documented per-shard
-/// refusal (an `Err` reply prefixed `router:`, see PROTOCOL.md) degrades
-/// to a default value instead of exiting — pointing `top` at a
-/// router shows fleet aggregates (`Health`, `Stats`) with empty
-/// per-shard columns rather than dying. Warns once per refused request
-/// kind; genuine transport errors still exit 1.
-fn fetch_routed<T: Default>(what: &str, r: std::io::Result<T>, warned: &mut bool) -> T {
+/// refusal of `Series` (an `Err` reply prefixed `router:`, see
+/// PROTOCOL.md) degrades to an empty window instead of exiting —
+/// pointing `top` at a router shows fleet aggregates (`Health`,
+/// `Stats`) with empty window columns rather than dying. Warns once;
+/// genuine transport errors still exit 1.
+fn fetch_routed(r: std::io::Result<SeriesReport>, warned: &mut bool) -> SeriesReport {
     match r {
         Ok(v) => v,
         Err(e) if e.to_string().contains("router:") => {
             if !*warned {
                 obs::warn!(
-                    "{what} is per-shard and the target is a router; showing fleet \
-                     aggregates only (query a shard socket for {what}, see docs/DEPLOYMENT.md)"
+                    "series is per-shard and the target is a router; showing fleet \
+                     aggregates only (query a shard socket for series, see docs/DEPLOYMENT.md)"
                 );
                 *warned = true;
             }
-            T::default()
+            SeriesReport::default()
         }
         Err(e) => {
-            obs::error!("{what}: {e}");
+            obs::error!("series: {e}");
             exit(1);
         }
     }
@@ -126,10 +126,9 @@ fn fetch_routed<T: Default>(what: &str, r: std::io::Result<T>, warned: &mut bool
 /// One fetch, machine-readable, aggregated over the buffered window.
 fn cmd_once(a: &Args, slo_target: f64) {
     let mut client = connect(a);
-    let mut warned = (false, false);
-    let series = fetch_routed("series", client.series(), &mut warned.0);
+    let series = fetch_routed(client.series(), &mut false);
     let health = fetch("health", client.health());
-    let ext = fetch_routed("stats-ext", client.stats_ext(), &mut warned.1);
+    let stats = fetch("stats", client.stats());
     let agg = WindowAgg::over(&series.points);
     let w = &agg.window;
     let last = series.points.last();
@@ -146,8 +145,8 @@ fn cmd_once(a: &Args, slo_target: f64) {
     println!("p99_max={}", agg.p99_max_ns);
     println!("queue_depth={}", last.map_or(0, |p| p.queue_depth));
     println!("busy_workers={}", last.map_or(0, |p| p.busy_workers));
-    println!("workers={}", ext.workers);
-    println!("utilization={:.3}", ext.utilization());
+    println!("workers={}", stats.workers);
+    println!("utilization={:.3}", stats.utilization());
     println!("burn_rate={:.3}", w.burn(slo_target));
     println!("slo_target={}", slo_target);
     println!("breakers={}", breaker_summary(&health.breakers));
@@ -173,15 +172,14 @@ fn cmd_watch(a: &Args, slo_target: f64) {
     let mut last_seq: Option<u64> = None;
     let mut last_point: Option<SeriesPoint> = None;
     let mut tick = 0u64;
-    let mut warned = (false, false);
+    let mut warned = false;
     loop {
         if tick.is_multiple_of(HEADER_EVERY) {
             header();
         }
-        let series: SeriesReport =
-            fetch_routed("series", client.series_since(last_seq), &mut warned.0);
+        let series = fetch_routed(client.series_since(last_seq), &mut warned);
         let health = fetch("health", client.health());
-        let ext = fetch_routed("stats-ext", client.stats_ext(), &mut warned.1);
+        let stats = fetch("stats", client.stats());
         if let Some(p) = series.points.last() {
             last_seq = Some(p.seq);
             last_point = Some(p.clone());
@@ -196,7 +194,7 @@ fn cmd_watch(a: &Args, slo_target: f64) {
             agg.window.p99_ns() as f64 / 1e6,
             last.map_or(0, |p| p.queue_depth),
             last.map_or(0, |p| p.busy_workers),
-            ext.workers,
+            stats.workers,
             agg.window.burn(slo_target),
             breaker_summary(&health.breakers),
         );

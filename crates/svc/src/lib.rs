@@ -64,8 +64,6 @@ pub mod telemetry;
 pub mod wire;
 
 pub use job::{JobMode, JobResult, JobSpec, JobStatus, Outcome, Recovery, Scale, TraceCtx, TraceDigest};
-pub use scheduler::{
-    Config, HealthReport, ResilienceStats, RetryPolicy, Scheduler, SvcStats, SvcStatsExt,
-};
+pub use scheduler::{Config, HealthReport, ResilienceStats, RetryPolicy, Scheduler, SvcStats};
 pub use store::{ArtifactKey, ArtifactStore, GetOutcome, StoreStats};
 pub use telemetry::{SeriesReport, TraceReport};

@@ -11,14 +11,14 @@
 use engines::EngineKind;
 use fault::{BreakerSnapshot, BreakerState};
 use obs::exemplar::Exemplar;
-use obs::metrics::{HistogramSnapshot, BUCKETS};
+use obs::metrics::BUCKETS;
 use obs::series::{EngineDelta, HistDelta};
 use obs::stitch::ServerPhases;
 use serde::{Deserialize, Serialize};
 use wacc::OptLevel;
 
 use crate::job::{JobMode, JobResult, JobSpec, JobStatus, Recovery, Scale, TraceCtx, TraceDigest};
-use crate::scheduler::{EngineCounters, HealthReport, ResilienceStats, SvcStats, SvcStatsExt};
+use crate::scheduler::{HealthReport, ResilienceStats, SvcStats};
 use crate::store::StoreStats;
 use crate::telemetry::{SeriesPoint, SeriesReport, TraceReport};
 use crate::wire::{bad, level_byte, level_from_byte, wire_enum, wire_struct};
@@ -28,7 +28,7 @@ use crate::wire::{Wire, WireError, WireReader, WireWriter};
 /// payload. Both decoders refuse any other value: every peer is built
 /// from this workspace, so a mismatch means mixed builds, not an older
 /// client to accommodate. Bump it whenever a message layout changes.
-pub const PROTO_VERSION: u16 = 13;
+pub const PROTO_VERSION: u16 = 14;
 
 wire_enum! {
     /// Client → server.
@@ -48,9 +48,7 @@ wire_enum! {
         4 => Stats,
         /// Stop the server (drains queued jobs first).
         5 => Shutdown,
-        /// Extended statistics: queue depth, worker utilization, latency
-        /// histograms, per-engine simulated counters.
-        6 => StatsExt,
+        // 6 is retired (v13's `StatsExt`); never reuse it.
         /// Resilience health: breaker states and fault/retry counters.
         7 => Health,
         /// Live telemetry time series: the sampler's buffered delta window.
@@ -87,9 +85,7 @@ wire_enum! {
         5 => Err(msg: String),
         /// Acknowledges `Shutdown`.
         6 => Bye,
-        /// Extended statistics snapshot. Boxed: the inline histogram bucket
-        /// arrays dwarf every other variant.
-        7 => StatsExt(stats: Box<SvcStatsExt>),
+        // 7 is retired (v13's `StatsExt`); never reuse it.
         /// Resilience health snapshot.
         8 => Health(report: HealthReport),
         /// Live telemetry sample window.
@@ -156,13 +152,9 @@ wire_struct! {
     TraceDigest { trace_id, origin_ns, enqueue_ns, start_ns, done_ns }
     SvcStats {
         submitted, completed, ok, failed, panicked, timed_out, cold_compiles, warm_loads,
-        cold_compile_s, warm_load_s, store,
+        cold_compile_s, warm_load_s, workers, uptime_s, busy_s, store,
     }
     StoreStats { hits, misses, puts, evictions, corrupt_rejected }
-    SvcStatsExt {
-        base, queue_depth, workers, uptime_s, busy_s, queue_wait, engine_wall, engine_counters,
-    }
-    EngineCounters { jobs, counters }
     HealthReport { resilience, breakers, faults, queue_depth, peak_queue_depth }
     ResilienceStats { retries, compile_fallbacks, store_repairs, breaker_fast_fails }
     BreakerSnapshot { state, consecutive_failures, trips }
@@ -230,47 +222,11 @@ impl Wire for JobStatus {
     }
 }
 
-/// Sparse `(bucket index, count)` pairs, each index checked against
-/// [`BUCKETS`] on the way in.
-fn get_buckets(r: &mut WireReader<'_>, err: &str) -> Result<Vec<(u8, u64)>, WireError> {
-    let sparse = Vec::<(u8, u64)>::get(r)?;
-    if sparse.iter().any(|(i, _)| *i as usize >= BUCKETS) {
-        return Err(bad(err));
-    }
-    Ok(sparse)
-}
-
-/// Hand-written: the dense bucket array travels sparsely — most of the
-/// 32 buckets are empty for any one engine, so only the non-zero
-/// `(index, count)` pairs are sent, after the exact count/sum/extremes.
-impl Wire for HistogramSnapshot {
-    fn put(&self, w: &mut WireWriter) {
-        for v in [self.count, self.sum_ns, self.min_ns, self.max_ns] {
-            w.u64(v);
-        }
-        let nonzero = self.buckets.iter().enumerate().filter(|(_, c)| **c != 0);
-        nonzero.map(|(i, c)| (i as u8, *c)).collect::<Vec<_>>().put(w);
-    }
-
-    fn get(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let mut snapshot = HistogramSnapshot {
-            count: r.u64()?,
-            sum_ns: r.u64()?,
-            min_ns: r.u64()?,
-            max_ns: r.u64()?,
-            ..HistogramSnapshot::default()
-        };
-        for (i, c) in get_buckets(r, "bad histogram bucket index")? {
-            snapshot.buckets[i as usize] = c;
-        }
-        Ok(snapshot)
-    }
-}
-
 /// Hand-written: `lat`'s fields are split around `engines`/`breakers` —
-/// its five scalars follow the point's own, its sparse bucket deltas
-/// (range-checked like a histogram's) close the point, so clients can
-/// merge intervals into an honest aggregate p99.
+/// its five scalars follow the point's own, its sparse `(bucket index,
+/// count)` deltas (each index checked against [`BUCKETS`] on the way in)
+/// close the point, so clients can merge intervals into an honest
+/// aggregate p99.
 impl Wire for SeriesPoint {
     fn put(&self, w: &mut WireWriter) {
         for v in [
@@ -316,7 +272,10 @@ impl Wire for SeriesPoint {
             engines: Wire::get(r)?,
             breakers: Wire::get(r)?,
         };
-        point.lat.buckets = get_buckets(r, "bad series bucket index")?;
+        point.lat.buckets = Wire::get(r)?;
+        if point.lat.buckets.iter().any(|(i, _)| *i as usize >= BUCKETS) {
+            return Err(bad("bad series bucket index"));
+        }
         Ok(point)
     }
 }
@@ -353,7 +312,6 @@ mod tests {
             Request::Wait(7),
             Request::Stats,
             Request::Shutdown,
-            Request::StatsExt,
             Request::Health,
             Request::Series(Some(417)),
             Request::TraceDump,
@@ -404,54 +362,15 @@ mod tests {
             completed: 3,
             ok: 2,
             panicked: 1,
+            workers: 4,
+            uptime_s: 12.5,
+            busy_s: 9.25,
             store: Some(StoreStats {
                 hits: 5,
                 misses: 2,
                 ..Default::default()
             }),
             ..Default::default()
-        }
-    }
-
-    fn sample_stats_ext() -> SvcStatsExt {
-        let mut queue_wait = HistogramSnapshot::default();
-        queue_wait.buckets[3] = 4;
-        queue_wait.buckets[17] = 1;
-        queue_wait.count = 5;
-        queue_wait.sum_ns = 123_456;
-        let mut wall = HistogramSnapshot::default();
-        wall.buckets[BUCKETS - 1] = 2;
-        wall.count = 2;
-        wall.sum_ns = u64::MAX / 2;
-        wall.min_ns = 17;
-        wall.max_ns = u64::MAX / 4;
-        SvcStatsExt {
-            base: SvcStats {
-                submitted: 7,
-                completed: 6,
-                ok: 6,
-                ..Default::default()
-            },
-            queue_depth: 1,
-            workers: 4,
-            uptime_s: 12.5,
-            busy_s: 9.25,
-            queue_wait,
-            engine_wall: vec![(0, wall.clone()), (3, wall)],
-            engine_counters: vec![(
-                3,
-                EngineCounters {
-                    jobs: 2,
-                    counters: archsim::Counters {
-                        instructions: 1_000,
-                        cycles: 2_500,
-                        branches: 120,
-                        branch_misses: 6,
-                        checks_skipped: 9,
-                        ..Default::default()
-                    },
-                },
-            )],
         }
     }
 
@@ -585,14 +504,13 @@ mod tests {
             Response::Stats(sample_stats()),
             Response::Err("nope".into()),
             Response::Bye,
-            Response::StatsExt(Box::new(sample_stats_ext())),
             Response::Health(sample_health()),
             Response::Series(sample_series()),
             Response::TraceDump(sample_trace_report()),
             Response::Busy(250),
             Response::Backends(sample_backends()),
             Response::Result(plain_result()),
-            Response::StatsExt(Box::default()),
+            Response::Stats(SvcStats::default()),
             Response::Health(HealthReport::default()),
             Response::Series(SeriesReport::default()),
             Response::TraceDump(TraceReport::default()),
@@ -686,7 +604,7 @@ mod tests {
         // Counted by hand from the samples (two `Submit` benchmark names;
         // every string, list and map of the replies), so a count that
         // bypassed `WireReader::count` would show up here as a shortfall.
-        assert_eq!((requests, responses), (2, 34));
+        assert_eq!((requests, responses), (2, 26));
     }
 
     /// Every payload opens with the version head, and both decoders
@@ -723,22 +641,8 @@ mod tests {
         for resp in sample_responses() {
             all.extend(resp.encode());
         }
-        assert_eq!(all.len(), 2045);
-        assert_eq!(crate::hash::fnv64(&all), 0x1bff_6eee_f1a9_bac6);
-    }
-
-    /// A sparse histogram naming a bucket one past the end is refused
-    /// rather than written out of bounds or silently dropped.
-    #[test]
-    fn stats_ext_rejects_bad_bucket_index() {
-        // version(2) + tag + base stats (8 u64, 2 f64, absent store) +
-        // queue_depth, workers, uptime_s, busy_s + count, sum, min, max
-        // + bucket count(4) = offset of queue_wait's first bucket index.
-        let off = 2 + 1 + (8 * 8 + 2 * 8 + 1) + 4 * 8 + 4 * 8 + 4;
-        let mut bad_index = Response::StatsExt(Box::new(sample_stats_ext())).encode();
-        assert_eq!(bad_index[off], 3, "expected queue_wait's first bucket");
-        bad_index[off] = BUCKETS as u8;
-        assert!(Response::decode(&bad_index).is_err());
+        assert_eq!(all.len(), 1647);
+        assert_eq!(crate::hash::fnv64(&all), 0xb614_04e7_6e97_bce1);
     }
 
     #[test]
@@ -802,10 +706,10 @@ mod tests {
             buf.push(tag);
             buf
         };
-        for tag in [10, 11, 99] {
+        for tag in [6, 10, 11, 99] {
             assert!(Request::decode(&frame(tag)).is_err(), "request tag {tag}");
         }
-        for tag in [11, 12, 99] {
+        for tag in [7, 11, 12, 99] {
             assert!(Response::decode(&frame(tag)).is_err(), "response tag {tag}");
         }
         // Optional fields are strict bools: 2 is neither absent nor present.

@@ -23,7 +23,6 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use fault::{Breaker, BreakerConfig, BreakerEvent, BreakerSnapshot, FaultPlan};
-use obs::metrics::{Histogram, HistogramSnapshot};
 
 use crate::exec::{self, ExecEnv};
 use crate::job::{JobResult, JobSpec, JobStatus, TraceCtx, TraceDigest};
@@ -157,6 +156,12 @@ pub struct SvcStats {
     pub warm_loads: u64,
     /// Total seconds across warm artifact loads.
     pub warm_load_s: f64,
+    /// Worker threads in the pool.
+    pub workers: u64,
+    /// Seconds since the scheduler started.
+    pub uptime_s: f64,
+    /// Summed seconds workers spent running jobs (≤ uptime × workers).
+    pub busy_s: f64,
     /// Artifact-store counters, when a store is attached.
     pub store: Option<StoreStats>,
 }
@@ -171,48 +176,7 @@ impl SvcStats {
     pub fn warm_load_avg_s(&self) -> f64 {
         self.warm_load_s / self.warm_loads.max(1) as f64
     }
-}
 
-/// Summed simulated counters from an engine's successful profiled jobs.
-///
-/// IPC/MPKI figures derive from the summed [`archsim::Counters`], so a
-/// daemon can report per-engine architectural behavior live (`stats-ext`)
-/// without retaining per-job results.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct EngineCounters {
-    /// Profiled jobs folded in.
-    pub jobs: u64,
-    /// Field-wise sums of those jobs' counters.
-    pub counters: archsim::Counters,
-}
-
-/// Extended statistics: everything in [`SvcStats`] plus queue and
-/// latency observability. Served over the wire by the `StatsExt`
-/// protocol message.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct SvcStatsExt {
-    /// The classic counters (the `Stats` reply).
-    pub base: SvcStats,
-    /// Jobs queued but not yet picked up by a worker.
-    pub queue_depth: u64,
-    /// Worker threads in the pool.
-    pub workers: u64,
-    /// Seconds since the scheduler started.
-    pub uptime_s: f64,
-    /// Summed seconds workers spent running jobs (≤ uptime × workers).
-    pub busy_s: f64,
-    /// Submit-to-dequeue latency distribution.
-    pub queue_wait: HistogramSnapshot,
-    /// Per-engine job wall-time distributions, keyed by
-    /// [`engines::EngineKind::code`], sorted by code.
-    pub engine_wall: Vec<(u8, HistogramSnapshot)>,
-    /// Per-engine simulated counter aggregates from profiled jobs,
-    /// keyed by [`engines::EngineKind::code`], sorted by code. Empty
-    /// until a `Profiled` job succeeds.
-    pub engine_counters: Vec<(u8, EngineCounters)>,
-}
-
-impl SvcStatsExt {
     /// Worker-pool utilization in `[0, 1]` (0 when no time has passed).
     pub fn utilization(&self) -> f64 {
         let capacity = self.uptime_s * self.workers as f64;
@@ -237,21 +201,17 @@ struct Queued {
 /// Everything a job completion accounts for, behind one lock.
 #[derive(Default)]
 struct Ledger {
-    /// `submitted` and `store` are filled in on read.
+    /// `submitted`, `workers`, `uptime_s`, `busy_s` and `store` are
+    /// filled in on read.
     stats: SvcStats,
     resilience: ResilienceStats,
     busy_ns: u64,
-    engine_wall: BTreeMap<u8, Histogram>,
-    engine_counters: BTreeMap<u8, EngineCounters>,
 }
 
 impl Ledger {
     /// Folds in one finished job with its server phases; `admitted` is
     /// false when the engine's open breaker refused it without a run.
     fn record(&mut self, result: &JobResult, phases: &obs::stitch::ServerPhases, admitted: bool) {
-        let code = result.spec.engine.code();
-        let wall = self.engine_wall.entry(code).or_default();
-        wall.observe_ns((result.wall_s * 1e9) as u64);
         self.busy_ns += phases.done_ns.saturating_sub(phases.start_ns);
         let stats = &mut self.stats;
         stats.completed += 1;
@@ -261,20 +221,13 @@ impl Ledger {
             JobStatus::Panicked(_) => stats.panicked += 1,
             JobStatus::TimedOut => stats.timed_out += 1,
         }
-        if result.ok() {
-            if let Some(c) = &result.counters {
-                let agg = self.engine_counters.entry(code).or_default();
-                agg.jobs += 1;
-                agg.counters.accumulate(c);
-            }
-            if matches!(result.spec.mode, crate::job::JobMode::Exec) {
-                if result.warm_artifact {
-                    stats.warm_loads += 1;
-                    stats.warm_load_s += result.compile_s;
-                } else {
-                    stats.cold_compiles += 1;
-                    stats.cold_compile_s += result.compile_s;
-                }
+        if result.ok() && matches!(result.spec.mode, crate::job::JobMode::Exec) {
+            if result.warm_artifact {
+                stats.warm_loads += 1;
+                stats.warm_load_s += result.compile_s;
+            } else {
+                stats.cold_compiles += 1;
+                stats.cold_compile_s += result.compile_s;
             }
         }
         let res = &mut self.resilience;
@@ -303,7 +256,6 @@ struct Inner {
     workers_n: usize,
     started: Instant,
     peak_queue: AtomicU64,
-    queue_wait: Histogram,
     ledger: Mutex<Ledger>,
     breaker_cfg: BreakerConfig,
     breakers: Mutex<BTreeMap<u8, Breaker>>,
@@ -356,7 +308,6 @@ impl Scheduler {
             workers_n: cfg.workers.max(1),
             started: Instant::now(),
             peak_queue: AtomicU64::new(0),
-            queue_wait: Histogram::default(),
             ledger: Mutex::new(Ledger::default()),
             breaker_cfg: cfg.breaker,
             breakers: Mutex::new(BTreeMap::new()),
@@ -476,50 +427,26 @@ impl Scheduler {
         out
     }
 
-    /// Statistics snapshot (store counters folded in).
+    /// Statistics snapshot. The ledger's counters plus what it does not
+    /// keep: `submitted` from the id counter (ids start at 1; read after
+    /// the ledger, so it covers every job the ledger saw complete), the
+    /// pool size, uptime and busy time, and the store counters.
     pub fn stats(&self) -> SvcStats {
-        let stats = self.inner.ledger.lock().expect("ledger lock").stats;
-        self.finish_stats(stats)
-    }
-
-    /// Fills in what the ledger does not keep: `submitted` from the id
-    /// counter (ids start at 1; read after the ledger, so it covers
-    /// every job the ledger saw complete) and the store counters.
-    fn finish_stats(&self, mut stats: SvcStats) -> SvcStats {
-        stats.submitted = self.inner.next_id.load(Ordering::Relaxed) - 1;
-        if let Some(store) = &self.inner.env.store {
+        let inner = &self.inner;
+        let mut stats = {
+            let ledger = inner.ledger.lock().expect("ledger lock");
+            SvcStats {
+                busy_s: ledger.busy_ns as f64 / 1e9,
+                ..ledger.stats
+            }
+        };
+        stats.submitted = inner.next_id.load(Ordering::Relaxed) - 1;
+        stats.workers = inner.workers_n as u64;
+        stats.uptime_s = inner.started.elapsed().as_secs_f64();
+        if let Some(store) = &inner.env.store {
             stats.store = Some(store.lock().expect("store lock").stats());
         }
         stats
-    }
-
-    /// Extended statistics snapshot: the base counters plus queue depth,
-    /// worker utilization, and latency histograms.
-    pub fn stats_ext(&self) -> SvcStatsExt {
-        let queue_depth = self.inner.queue.lock().expect("queue lock").len() as u64;
-        let mut ext = {
-            let ledger = self.inner.ledger.lock().expect("ledger lock");
-            SvcStatsExt {
-                base: ledger.stats,
-                queue_depth,
-                workers: self.inner.workers_n as u64,
-                uptime_s: self.inner.started.elapsed().as_secs_f64(),
-                busy_s: ledger.busy_ns as f64 / 1e9,
-                queue_wait: self.inner.queue_wait.snapshot(),
-                engine_wall: ledger
-                    .engine_wall
-                    .iter()
-                    .map(|(code, h)| (*code, h.snapshot()))
-                    .collect(),
-                engine_counters: ledger
-                    .engine_counters
-                    .iter()
-                    .map(|(code, agg)| (*code, *agg))
-                    .collect(),
-            }
-        };
-        ext.base = self.finish_stats(ext.base);
-        ext
     }
 
     /// Resilience counters (retries, fallbacks, repairs, fast-fails).
@@ -599,7 +526,8 @@ fn worker_loop(inner: &Arc<Inner>) {
             // The span covers this worker's own blocking wait — a real,
             // non-overlapping region on its timeline. The *per-job* wait
             // (submit to dequeue, which may span a previous job on this
-            // worker) goes into the queue_wait histogram instead.
+            // worker) is the result's span digest, `enqueue_ns` to
+            // `start_ns`.
             let _wait = obs::span!("svc.queue.wait");
             let mut queue = inner.queue.lock().expect("queue lock");
             loop {
@@ -622,9 +550,6 @@ fn worker_loop(inner: &Arc<Inner>) {
         else {
             return;
         };
-        inner
-            .queue_wait
-            .observe_ns(obs::trace::now_ns().saturating_sub(enqueue_ns));
         let _run = obs::span!(
             "svc.job.run",
             id = id,
@@ -827,59 +752,18 @@ mod tests {
         let stats = sched.stats();
         assert_eq!(stats.cold_compile_avg_s(), 0.0);
         assert_eq!(stats.warm_load_avg_s(), 0.0);
-        let ext = sched.stats_ext();
-        assert_eq!(ext.queue_depth, 0);
-        assert_eq!(ext.workers, 2);
-        assert!(ext.utilization().is_finite());
-        assert!((0.0..=1.0).contains(&ext.utilization()));
-        assert_eq!(ext.queue_wait.count, 0);
-        assert_eq!(ext.queue_wait.quantile_ns(0.99), 0);
-        assert_eq!(ext.queue_wait.mean_ns(), 0.0);
-        assert!(ext.engine_wall.is_empty());
-        assert!(ext.engine_counters.is_empty());
+        assert_eq!(stats.workers, 2);
+        assert_eq!(stats.busy_s, 0.0);
+        assert!(stats.utilization().is_finite());
+        assert!((0.0..=1.0).contains(&stats.utilization()));
+        assert_eq!(sched.health().queue_depth, 0);
         sched.shutdown();
     }
 
-    /// Profiled jobs fold their simulated counters into per-engine
-    /// aggregates; plain exec jobs do not contribute.
+    /// `stats` on a scheduler that has run real jobs counts them and
+    /// the time its workers spent on them.
     #[test]
-    fn profiled_jobs_aggregate_engine_counters() {
-        let sched = Scheduler::start(Config {
-            workers: 2,
-            ..Config::default()
-        })
-        .unwrap();
-        let profiled = |_| JobSpec {
-            mode: JobMode::Profiled,
-            ..JobSpec::exec("crc32", EngineKind::Wamr, OptLevel::O1, Scale::Test)
-        };
-        sched.submit(profiled(0));
-        sched.submit(profiled(1));
-        sched.submit(JobSpec::exec(
-            "crc32",
-            EngineKind::Wasm3,
-            OptLevel::O1,
-            Scale::Test,
-        ));
-        let results = sched.drain_sorted();
-        assert!(results.iter().all(JobResult::ok));
-        let per_job = results[0].counters.expect("profiled job has counters");
-        let ext = sched.stats_ext();
-        assert_eq!(ext.engine_counters.len(), 1, "exec job must not appear");
-        let (code, agg) = ext.engine_counters[0];
-        assert_eq!(code, EngineKind::Wamr.code());
-        assert_eq!(agg.jobs, 2);
-        // Same spec twice on a deterministic simulator: the sum is
-        // exactly twice one job's counters.
-        assert_eq!(agg.counters.instructions, 2 * per_job.instructions);
-        assert!(agg.counters.ipc() > 0.0);
-        sched.shutdown();
-    }
-
-    /// `stats_ext` on a scheduler that has run real jobs reports queue
-    /// and per-engine latency distributions.
-    #[test]
-    fn stats_ext_tracks_real_jobs() {
+    fn stats_track_real_jobs() {
         let sched = Scheduler::start(Config {
             workers: 2,
             ..Config::default()
@@ -895,16 +779,11 @@ mod tests {
         }
         let results = sched.drain_sorted();
         assert!(results.iter().all(JobResult::ok));
-        let ext = sched.stats_ext();
-        assert_eq!(ext.base.completed, 3);
-        assert_eq!(ext.queue_depth, 0);
-        assert_eq!(ext.queue_wait.count, 3);
-        assert!(ext.busy_s > 0.0);
-        assert!(ext.uptime_s >= ext.busy_s / ext.workers as f64);
-        let (code, wall) = &ext.engine_wall[0];
-        assert_eq!(*code, EngineKind::Wasm3.code());
-        assert_eq!(wall.count, 3);
-        assert!(wall.mean_ns() > 0.0);
+        let stats = sched.stats();
+        assert_eq!((stats.submitted, stats.completed, stats.ok), (3, 3, 3));
+        assert!(stats.busy_s > 0.0);
+        assert!(stats.uptime_s >= stats.busy_s / stats.workers as f64);
+        assert!(stats.utilization() > 0.0);
         sched.shutdown();
     }
 

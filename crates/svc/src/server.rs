@@ -15,7 +15,7 @@ use std::sync::Arc;
 use crate::job::{JobSpec, TraceCtx};
 use crate::proto::{BackendsReport, Request, Response};
 use crate::reactor::{Action, Handler, Resolution, Token, Waker};
-use crate::scheduler::{HealthReport, Scheduler, SvcStats, SvcStatsExt};
+use crate::scheduler::{HealthReport, Scheduler, SvcStats};
 use crate::telemetry::{SeriesReport, TraceReport};
 use crate::wire::{read_frame, write_frame};
 use crate::JobResult;
@@ -128,7 +128,6 @@ impl SchedHandler {
                 }
             },
             Ok(Request::Stats) => Response::Stats(sched.stats()),
-            Ok(Request::StatsExt) => Response::StatsExt(Box::new(sched.stats_ext())),
             Ok(Request::Health) => Response::Health(sched.health()),
             Ok(Request::Series(since)) => Response::Series(sched.series_since(since)),
             Ok(Request::TraceDump) => Response::TraceDump(sched.trace_dump()),
@@ -307,7 +306,8 @@ impl Client {
         }
     }
 
-    /// Fetches service statistics.
+    /// Fetches service statistics; a router answers with its shards'
+    /// statistics summed.
     ///
     /// # Errors
     ///
@@ -315,19 +315,6 @@ impl Client {
     pub fn stats(&mut self) -> io::Result<SvcStats> {
         match self.request(&Request::Stats)? {
             Response::Stats(s) => Ok(s),
-            other => Err(unexpected(&other)),
-        }
-    }
-
-    /// Fetches extended statistics (queue depth, worker utilization,
-    /// latency histograms).
-    ///
-    /// # Errors
-    ///
-    /// I/O or protocol errors; a router answers `Err`.
-    pub fn stats_ext(&mut self) -> io::Result<SvcStatsExt> {
-        match self.request(&Request::StatsExt)? {
-            Response::StatsExt(s) => Ok(*s),
             other => Err(unexpected(&other)),
         }
     }

@@ -158,8 +158,7 @@ fn panicking_job_does_not_take_down_the_fleet() {
 }
 
 /// Every reader of the scheduler's ledger agrees after four threads
-/// submit 40 jobs (one of them profiled) while injected worker panics
-/// force retries.
+/// submit 40 jobs while injected worker panics force retries.
 #[test]
 fn ledger_sums_agree_across_readers() {
     let plan = fault::FaultPlan::parse("seed=5,panic=0.3").expect("fault plan");
@@ -176,15 +175,11 @@ fn ledger_sums_agree_across_readers() {
     })
     .expect("start");
     std::thread::scope(|s| {
-        for t in 0..4 {
+        for _ in 0..4 {
             let sched = &sched;
             s.spawn(move || {
-                for i in 0..10 {
-                    let mut spec =
-                        JobSpec::exec("crc32", EngineKind::Wasm3, OptLevel::O1, Scale::Test);
-                    if t == 0 && i == 0 {
-                        spec.mode = JobMode::Profiled;
-                    }
+                for _ in 0..10 {
+                    let spec = JobSpec::exec("crc32", EngineKind::Wasm3, OptLevel::O1, Scale::Test);
                     sched.submit(spec);
                 }
             });
@@ -192,15 +187,11 @@ fn ledger_sums_agree_across_readers() {
     });
     assert_eq!(sched.stats().submitted, 40);
     let results = sched.drain_sorted();
-    let ext = sched.stats_ext();
-    let s = ext.base;
+    let s = sched.stats();
     assert_eq!(s.completed, results.len() as u64);
     assert_eq!(s.completed, s.ok + s.failed + s.panicked + s.timed_out);
-    let walls: u64 = ext.engine_wall.iter().map(|(_, h)| h.count).sum();
-    assert_eq!((walls, ext.queue_wait.count), (s.completed, s.completed));
-    let profiled = results.iter().filter(|r| r.ok() && r.counters.is_some());
-    let aggregated: u64 = ext.engine_counters.iter().map(|(_, a)| a.jobs).sum();
-    assert_eq!(aggregated, profiled.count() as u64);
+    assert_eq!(s.workers, 2);
+    assert!(s.busy_s > 0.0);
     let retries: u64 = results.iter().map(|r| u64::from(r.recovery.retries())).sum();
     assert!(retries > 0, "the fault plan forced no retry");
     assert_eq!(sched.resilience().retries, retries);

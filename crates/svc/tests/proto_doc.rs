@@ -70,6 +70,8 @@ fn documented_fields_appear() {
         // Submit trace context and the Result recovery / span digest.
         "trace_id", "origin_ns", "enqueue_ns", "start_ns", "done_ns",
         "attempts", "compile_fallback", "store_repairs", "checks_skipped",
+        // Stats, with the worker pool's utilization inputs.
+        "workers", "uptime_s", "busy_s",
         // Health.
         "queue_depth", "peak_queue_depth", "breaker_fast_fails",
         // Series, with its per-engine phase time.

@@ -101,26 +101,6 @@ pub fn optimize(program: &mut Program, sigs: &HashMap<String, FuncSig>, level: O
     }
 }
 
-
-/// Test-only: run just the inlining pass (after O1 folding).
-pub fn debug_inline(program: &mut Program, sigs: &HashMap<String, FuncSig>) {
-    inline_small_functions(program, sigs);
-}
-
-/// Test-only: run just the loop-invariant hoisting pass.
-pub fn debug_hoist(program: &mut Program) {
-    let mut func_locals: Vec<(u32, Vec<Ty>)> = Vec::new();
-    for f in &mut program.funcs {
-        let mut locals = f.local_types.clone();
-        hoist_block(&mut f.body, &mut locals);
-        func_locals.push((locals.len() as u32, locals));
-    }
-    for (f, (n, l)) in program.funcs.iter_mut().zip(func_locals) {
-        f.nlocals = n;
-        f.local_types = l;
-    }
-}
-
 // ---------------------------------------------------------------- folding
 
 fn fold_block(stmts: &mut Vec<Stmt>) {

@@ -432,6 +432,13 @@ done
     exit 1
 }
 grep -q '^sampling=0' "$trace_tmp/top-router.out"
+# Stats is aggregated, not refused: the fleet's workers are both
+# shards' (2 shards x --workers 2).
+grep -q '^workers=4$' "$trace_tmp/top-router.out" || {
+    echo "router smoke FAILED: top read no aggregated workers=4 from the router" >&2
+    cat "$trace_tmp/top-router.out" >&2
+    exit 1
+}
 rc=0
 "$served" doctor --socket "$rsock" > "$trace_tmp/doctor-router.out" 2>&1 || rc=$?
 if [ "$rc" -gt 1 ]; then
